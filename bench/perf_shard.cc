@@ -132,10 +132,10 @@ void BM_PlainStreamEstimate(benchmark::State& state) {
 BENCHMARK(BM_PlainStreamEstimate)->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()->UseRealTime();
 
-// Allocation counter: operator-new calls per ingested task, per lane count. The fits
-// allocate by design (per-window logs, samplers); what the gate protects is that lane
-// count does not multiply the per-task cost — queue slots and pop targets recycle their
-// record capacity.
+// Allocation counter: operator-new calls per ingested task, per lane count. The StEM
+// fits allocate by design (samplers, per-window results); each lane rebuilds its window
+// log in place. What the gate protects is that lane count does not multiply the
+// per-task cost — queue slots and pop targets recycle their record capacity.
 void BM_FleetAllocations(benchmark::State& state) {
   const auto lanes = static_cast<std::size_t>(state.range(0));
   const Fixture fixture = MakeFixture(2000);

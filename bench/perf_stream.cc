@@ -15,9 +15,13 @@
 //                                          is bounded by the window, not the trace);
 //   BM_StreamSteadyStateAllocations allocs_per_task — global operator-new calls per
 //                                          ingested task in steady state; CI gates an
-//                                          upper bound (per-window log building is
-//                                          allowed to allocate, but the cost per task
-//                                          must stay small and constant).
+//                                          upper bound. The plain assembler hands each
+//                                          window an owned log (a pipelined fit may
+//                                          still hold the previous one), so its window
+//                                          build allocates; the cost per task must stay
+//                                          small and constant. Lane workers rebuild one
+//                                          log in place and allocate nothing for it
+//                                          once warm (AllocFree.WarmWindowBuild...).
 
 #include <benchmark/benchmark.h>
 

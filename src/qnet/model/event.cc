@@ -23,10 +23,10 @@ std::size_t EventLog::Check(EventId e) const {
 
 void EventLog::Reset(int num_queues) {
   QNET_CHECK(num_queues >= 2, "need the arrival queue plus at least one real queue");
-  if (num_queues != num_queues_) {
-    num_queues_ = num_queues;
-    queue_order_.resize(static_cast<std::size_t>(num_queues));
-  }
+  num_queues_ = num_queues;
+  // Sized unconditionally: a moved-from log (WindowLogBuilder::Finish hands its log out
+  // and then resets it) keeps num_queues_ but has lost its per-queue orders.
+  queue_order_.resize(static_cast<std::size_t>(num_queues));
   events_.clear();
   for (auto& order : queue_order_) {
     order.clear();
@@ -98,18 +98,23 @@ void EventLog::BuildQueueLinks() {
   for (EventId e = 0; static_cast<std::size_t>(e) < events_.size(); ++e) {
     queue_order_[static_cast<std::size_t>(events_[Check(e)].queue)].push_back(e);
   }
+  const auto arrives_before = [this](EventId a, EventId b) {
+    const double aa = events_[Check(a)].arrival;
+    const double ab = events_[Check(b)].arrival;
+    if (aa != ab) {
+      return aa < ab;
+    }
+    return a < b;
+  };
   for (auto& order : queue_order_) {
     // (arrival, id) ordering on id-ordered input == stable sort by arrival, and std::sort
     // (unlike std::stable_sort) allocates no temporary buffer — required for the warm
-    // zero-allocation EventLog rebuild path.
-    std::sort(order.begin(), order.end(), [this](EventId a, EventId b) {
-      const double aa = events_[Check(a)].arrival;
-      const double ab = events_[Check(b)].arrival;
-      if (aa != ab) {
-        return aa < ab;
-      }
-      return a < b;
-    });
+    // zero-allocation EventLog rebuild path. (arrival, id) is a total order, so the
+    // sorted sequence is unique and a queue already in that order (most queues of an
+    // entry-ordered stream) skips the sort without changing the result.
+    if (!std::is_sorted(order.begin(), order.end(), arrives_before)) {
+      std::sort(order.begin(), order.end(), arrives_before);
+    }
     EventId prev = kNoEvent;
     for (EventId e : order) {
       events_[Check(e)].rho = prev;

@@ -29,10 +29,10 @@ class LaneWorker {
   LaneWorker(std::size_t lane, int num_queues, const ShardedStreamingOptions& options,
              std::vector<double> init_rates, std::uint64_t seed, LaneMerger* merger)
       : lane_(lane),
-        num_queues_(num_queues),
         options_(options),
         merger_(merger),
         queue_(options.lane_queue_capacity),
+        builder_(num_queues),
         chain_(std::move(init_rates), seed, options.stream.window_local_arrival_rate,
                /*salted=*/options.lanes > 1, /*lane=*/lane),
         mean_field_(options.stream.mean_field) {
@@ -104,23 +104,32 @@ class LaneWorker {
 
  private:
   void ProcessClose(const WindowSpanTracker::SpanDecision& decision) {
-    ScopedSpan span(SpanStage::kWindowAssemble);
     ++stats_.windows_closed;
-    // The lane-local application of the global membership rule — the SAME helper the
-    // assembler materializes with, applied to this lane's sub-sequence.
-    std::vector<TaskRecord> records =
-        TakeDecisionRecords(decision, buffer_, last_window_);
+    std::vector<TaskRecord> records;
+    {
+      // Selection + build only, as in WindowAssembler; the fits below have their own
+      // spans.
+      ScopedSpan span(SpanStage::kWindowAssemble);
+      // The lane-local application of the global membership rule — the SAME helper the
+      // assembler materializes with, applied to this lane's sub-sequence.
+      records = TakeDecisionRecords(decision, buffer_, last_window_);
+      if (!records.empty()) {
+        // Rebuilt in place over the lane's one log; it stays valid until the next close.
+        builder_.Restart();
+        for (const TaskRecord& record : records) {
+          builder_.Add(record);
+        }
+        builder_.Build();
+      }
+    }
 
     LaneWindowFit fit;
     fit.tasks = records.size();
     if (records.empty()) {
       ++stats_.empty_windows;
     } else {
-      WindowLogBuilder builder(num_queues_);
-      for (const TaskRecord& record : records) {
-        builder.Add(record);
-      }
-      auto [log, obs] = builder.Finish();
+      const EventLog& log = builder_.Log();
+      const Observation& obs = builder_.Obs();
       // The sub-log's per-queue counts feed the merger's bias correction (lambda_q is
       // reconstructed from the summed counts — exact, fit or no fit).
       fit.queue_counts = log.PerQueueCount();
@@ -203,10 +212,10 @@ class LaneWorker {
   }
 
   const std::size_t lane_;
-  const int num_queues_;
   const ShardedStreamingOptions& options_;
   LaneMerger* merger_;
   LaneQueue queue_;
+  WindowLogBuilder builder_;
   WindowFitChain chain_;
   std::unique_ptr<ShardedSweepScheduler> scheduler_cache_;
   MeanFieldEstimator mean_field_;

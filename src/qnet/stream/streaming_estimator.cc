@@ -40,7 +40,6 @@ std::vector<WindowEstimate> StreamingEstimator::Run(TraceStream& stream) {
   std::vector<WindowEstimate> estimates;
   WindowFitChain chain(init_rates_, seed_, options_.window_local_arrival_rate);
 
-  PipelineSlot slot;
   bool inflight_active = false;
   WindowEstimate inflight_meta;
   StemResult inflight_result;
@@ -62,6 +61,9 @@ std::vector<WindowEstimate> StreamingEstimator::Run(TraceStream& stream) {
     cache_options.threads = 1;
   }
   ShardedSweepScheduler scheduler_cache(cache_options);
+  // Declared after everything an in-flight fit writes, so when an error unwinds Run the
+  // slot's destructor joins that fit before its result and scheduler are destroyed.
+  PipelineSlot slot;
 
   // Folds a finished estimate into the sequence, advances the warm-start chain, and
   // fires the forecasting hook — shared by the StEM completion path and the degraded

@@ -1,6 +1,7 @@
 #include "qnet/stream/window_assembler.h"
 
 #include <algorithm>
+#include <cmath>
 #include <iterator>
 
 #include "qnet/support/check.h"
@@ -37,14 +38,23 @@ void WindowLogBuilder::Add(const TaskRecord& record) {
   }
 }
 
-std::pair<EventLog, Observation> WindowLogBuilder::Finish() {
+void WindowLogBuilder::Restart() {
+  log_.Reset(num_queues_);
+  obs_.arrival_observed.clear();
+  obs_.departure_observed.clear();
+  obs_.observed_tasks.clear();
+}
+
+void WindowLogBuilder::Build() {
   log_.BuildQueueLinks();
-  EventLog log = std::move(log_);
-  Observation obs = std::move(obs_);
-  log_ = EventLog(num_queues_);
-  obs_ = Observation{};
-  obs.Validate(log);
-  return {std::move(log), std::move(obs)};
+  obs_.Validate(log_);
+}
+
+std::pair<EventLog, Observation> WindowLogBuilder::Finish() {
+  Build();
+  std::pair<EventLog, Observation> window{std::move(log_), std::move(obs_)};
+  Restart();
+  return window;
 }
 
 // --- WindowSpanTracker -------------------------------------------------------------------
@@ -58,6 +68,10 @@ WindowSpanTracker::WindowSpanTracker(const WindowAssemblerOptions& options)
 
 WindowSpanTracker::PushVerdict WindowSpanTracker::Push(double entry_time) {
   QNET_CHECK(!finished_, "Push after Finish");
+  // Rejected before any state changes: an infinite entry time would drive the close
+  // loop's fast-forward bound to infinity (it would never exit), and a NaN would never
+  // compare into any window.
+  QNET_CHECK(std::isfinite(entry_time), "entry time must be finite: ", entry_time);
   ++tasks_pushed_;
   StreamCounters::Get().tasks_ingested->Increment();
   PushVerdict verdict = PushVerdict::kBuffered;
@@ -219,14 +233,21 @@ std::vector<TaskRecord> TakeDecisionRecords(const WindowSpanTracker::SpanDecisio
                                             std::vector<TaskRecord>& last_window) {
   // Select the records the decision's membership rule names. Stable: records with equal
   // entry times keep their arrival order, so an entry-ordered stream reproduces the
-  // batch task order exactly.
-  const auto in_window_end =
-      decision.take_all
-          ? pending.end()
-          : std::stable_partition(pending.begin(), pending.end(),
-                                  [&](const TaskRecord& record) {
-                                    return record.entry_time < decision.t1;
-                                  });
+  // batch task order exactly. A stable partition or sort of input that is already
+  // partitioned or sorted is the identity, so the usual entry-ordered case skips both
+  // (and their temporary buffers) without changing the result.
+  const auto in_window = [&](const TaskRecord& record) {
+    return record.entry_time < decision.t1;
+  };
+  const auto entry_before = [](const TaskRecord& a, const TaskRecord& b) {
+    return a.entry_time < b.entry_time;
+  };
+  auto in_window_end = pending.end();
+  if (!decision.take_all) {
+    in_window_end = std::is_partitioned(pending.begin(), pending.end(), in_window)
+                        ? std::partition_point(pending.begin(), pending.end(), in_window)
+                        : std::stable_partition(pending.begin(), pending.end(), in_window);
+  }
   std::vector<TaskRecord> records;
   if (decision.merged_tail_tasks > 0) {
     // The merged re-close replaces the previous window: its records come first.
@@ -236,10 +257,9 @@ std::vector<TaskRecord> TakeDecisionRecords(const WindowSpanTracker::SpanDecisio
   records.insert(records.end(), std::make_move_iterator(pending.begin()),
                  std::make_move_iterator(in_window_end));
   pending.erase(pending.begin(), in_window_end);
-  std::stable_sort(records.begin(), records.end(),
-                   [](const TaskRecord& a, const TaskRecord& b) {
-                     return a.entry_time < b.entry_time;
-                   });
+  if (!std::is_sorted(records.begin(), records.end(), entry_before)) {
+    std::stable_sort(records.begin(), records.end(), entry_before);
+  }
   return records;
 }
 

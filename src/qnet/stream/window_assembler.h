@@ -47,16 +47,30 @@ namespace qnet {
 // exactly as ExtractTaskWindow derives them from a batch log: initial events are always
 // arrival-observed, internal departure flags are synced to the successor's arrival flag,
 // and observed_tasks collects the tasks whose every visit arrival is observed.
+//
+// The builder owns one log and one observation and rebuilds them in place: Restart,
+// Add each record, Build, then read Log()/Obs(). Restart keeps every buffer's capacity
+// (EventLog::Reset), so once warm a window no larger than an earlier one is built
+// without a heap allocation. Finish() is the one-shot form of the same sequence for
+// callers that need to own the window (build, move the pair out, restart).
 class WindowLogBuilder {
  public:
   explicit WindowLogBuilder(int num_queues);
+
+  // Starts the next window over the retained buffers. Invalidates Log()/Obs().
+  void Restart();
 
   void Add(const TaskRecord& record);
 
   int NumTasks() const { return log_.NumTasks(); }
 
-  // Finalizes queue links, validates the observation, returns the pair, and resets the
-  // builder for the next window.
+  // Finalizes queue links and validates the observation in place. Log() and Obs() hold
+  // the built window until the next Restart or Finish.
+  void Build();
+  const EventLog& Log() const { return log_; }
+  const Observation& Obs() const { return obs_; }
+
+  // Build, then move the window out and Restart: the caller owns the returned pair.
   std::pair<EventLog, Observation> Finish();
 
  private:
@@ -119,6 +133,7 @@ class WindowSpanTracker {
   explicit WindowSpanTracker(const WindowAssemblerOptions& options);
 
   // Ingests one entry time; may queue zero or more decisions (drain with PopClosed).
+  // A non-finite entry time throws qnet::Error before any state changes.
   PushVerdict Push(double entry_time);
   // End of stream: releases the lateness hold-back and resolves the trailing remainder
   // (close, merged-tail re-close, or tail drop). Push must not be called afterwards.

@@ -18,6 +18,8 @@
 #include "qnet/obs/observation.h"
 #include "qnet/sim/sim_scratch.h"
 #include "qnet/sim/simulator.h"
+#include "qnet/stream/task_record.h"
+#include "qnet/stream/window_assembler.h"
 #include "qnet/support/rng.h"
 #include "qnet/telemetry/metrics.h"
 #include "qnet/telemetry/timeline.h"
@@ -241,6 +243,32 @@ TEST(AllocFree, WarmScratchToEventLogDoesNotAllocate) {
     ScratchToEventLog(scratch, net.NumQueues(), log);
   }
   EXPECT_EQ(AllocationCount(), before);
+}
+
+TEST(AllocFree, WarmWindowBuildDoesNotAllocate) {
+  // The in-place window build reuses the builder's log and observation buffers
+  // (EventLog::Reset recycles per-task chains), so once one window has warmed them a
+  // same-size or smaller window is built without a single heap allocation.
+  const Fixture fixture = MakeFixture();
+  std::vector<TaskRecord> records;
+  for (int k = 0; k < fixture.truth.NumTasks(); ++k) {
+    records.push_back(MakeTaskRecord(fixture.truth, fixture.obs, k));
+  }
+  WindowLogBuilder builder(fixture.truth.NumQueues());
+  for (const TaskRecord& record : records) {  // warm-up window
+    builder.Add(record);
+  }
+  builder.Build();
+  const std::size_t before = AllocationCount();
+  for (const std::size_t size : {records.size(), records.size() / 2, records.size()}) {
+    builder.Restart();
+    for (std::size_t k = 0; k < size; ++k) {
+      builder.Add(records[k]);
+    }
+    builder.Build();
+  }
+  EXPECT_EQ(AllocationCount(), before);
+  EXPECT_EQ(builder.Log().NumTasks(), fixture.truth.NumTasks());
 }
 
 TEST(AllocFree, TelemetryUpdatesDoNotAllocate) {

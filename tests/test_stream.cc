@@ -7,8 +7,11 @@
 // incrementally from TaskRecords must equal the ones ExtractTaskWindow builds from the
 // batch log.
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -124,6 +127,219 @@ TEST(WindowLogBuilder, IsReusableAcrossWindows) {
   EXPECT_EQ(second_log.NumTasks(), 1);
   EXPECT_EQ(second_log.TaskEntryTime(0), f.truth.TaskEntryTime(2));
   second_obs.Validate(second_log);
+}
+
+// --- In-place window build ---------------------------------------------------------------
+
+// Hand-built records whose per-queue arrival order is NOT their id order, so every sort
+// fallback runs: pairs of tasks share an entry time (entry = task / 2), tasks of type 0
+// hold queue 1 long and are overtaken at queue 3 by type-1 tasks that took the short
+// queue 2, and some pairs tie on their arrival at queue 1. Observation flags vary.
+std::vector<TaskRecord> OvertakingRecords(std::size_t count) {
+  std::vector<TaskRecord> records(count);
+  Rng rng(11);
+  for (std::size_t k = 0; k < count; ++k) {
+    TaskRecord& record = records[k];
+    record.entry_time = static_cast<double>(k / 2);
+    std::vector<std::pair<int, double>> route;  // (queue, service)
+    switch (k % 3) {
+      case 0:
+        route = {{1, 1.0 + static_cast<double>(k % 5)}, {3, 0.5}};
+        break;
+      case 1:
+        route = {{2, 0.25}, {3, 0.5}};
+        break;
+      default:
+        route = {{1, 0.5}};
+        break;
+    }
+    double t = record.entry_time;
+    for (const auto& [queue, service] : route) {
+      TaskVisit visit;
+      visit.state = queue;
+      visit.queue = queue;
+      visit.arrival = t;
+      visit.departure = t + service;
+      visit.arrival_observed = rng.Uniform() < 0.5;
+      visit.departure_observed = rng.Uniform() < 0.5;
+      record.visits.push_back(visit);
+      t = visit.departure;
+    }
+  }
+  return records;
+}
+
+// Field-for-field window equality: every Event field (ExpectLogsIdentical), every queue
+// order and task chain, both masks and observed_tasks.
+void ExpectWindowsIdentical(const EventLog& a_log, const Observation& a_obs,
+                            const EventLog& b_log, const Observation& b_obs) {
+  ExpectLogsIdentical(a_log, b_log);
+  for (int q = 0; q < a_log.NumQueues(); ++q) {
+    EXPECT_EQ(a_log.QueueOrder(q), b_log.QueueOrder(q)) << "queue " << q;
+  }
+  for (int k = 0; k < a_log.NumTasks(); ++k) {
+    EXPECT_EQ(a_log.TaskEvents(k), b_log.TaskEvents(k)) << "task " << k;
+  }
+  EXPECT_EQ(a_obs.arrival_observed, b_obs.arrival_observed);
+  EXPECT_EQ(a_obs.departure_observed, b_obs.departure_observed);
+  EXPECT_EQ(a_obs.observed_tasks, b_obs.observed_tasks);
+}
+
+// One window sequence that grows and then shrinks, so the in-place builder reuses
+// buffers both larger and smaller than the window it is building.
+void ExpectInPlaceMatchesOneShotAndBatch(const EventLog& truth, const Observation& obs) {
+  const std::vector<int> sizes = {3, 12, 40, 25, 7, 1};
+  WindowLogBuilder in_place(truth.NumQueues());
+  WindowLogBuilder one_shot_reused(truth.NumQueues());
+  int first = 0;
+  for (const int size : sizes) {
+    ASSERT_LE(first + size, truth.NumTasks());
+    std::vector<int> tasks;
+    in_place.Restart();
+    WindowLogBuilder one_shot(truth.NumQueues());
+    for (int k = first; k < first + size; ++k) {
+      tasks.push_back(k);
+      const TaskRecord record = MakeTaskRecord(truth, obs, k);
+      in_place.Add(record);
+      one_shot.Add(record);
+      one_shot_reused.Add(record);
+    }
+    in_place.Build();
+    const auto [fresh_log, fresh_obs] = one_shot.Finish();
+    const auto [reused_log, reused_obs] = one_shot_reused.Finish();
+    const auto [batch_log, batch_obs] = ExtractTaskWindow(truth, obs, tasks);
+    SCOPED_TRACE("window of " + std::to_string(size) + " tasks from " +
+                 std::to_string(first));
+    ExpectWindowsIdentical(in_place.Log(), in_place.Obs(), fresh_log, fresh_obs);
+    ExpectWindowsIdentical(in_place.Log(), in_place.Obs(), reused_log, reused_obs);
+    ExpectWindowsIdentical(in_place.Log(), in_place.Obs(), batch_log, batch_obs);
+    first += size;
+  }
+}
+
+TEST(WindowLogBuilder, InPlaceBuildMatchesOneShotAndExtractTaskWindow) {
+  const Fixture f;
+  ExpectInPlaceMatchesOneShotAndBatch(f.truth, f.obs);
+}
+
+TEST(WindowLogBuilder, InPlaceBuildMatchesWhenQueuesNeedSorting) {
+  const std::vector<TaskRecord> records = OvertakingRecords(120);
+  WindowLogBuilder builder(4);
+  for (const TaskRecord& record : records) {
+    builder.Add(record);
+  }
+  const auto [truth, obs] = builder.Finish();
+  ExpectInPlaceMatchesOneShotAndBatch(truth, obs);
+}
+
+TEST(WindowLogBuilder, AddAfterBuildNeedsRestart) {
+  const Fixture f;
+  WindowLogBuilder builder(f.truth.NumQueues());
+  builder.Add(MakeTaskRecord(f.truth, f.obs, 0));
+  builder.Build();
+  EXPECT_THROW(builder.Add(MakeTaskRecord(f.truth, f.obs, 1)), Error);
+  builder.Restart();
+  builder.Add(MakeTaskRecord(f.truth, f.obs, 1));
+  builder.Build();
+  EXPECT_EQ(builder.Log().NumTasks(), 1);
+  EXPECT_EQ(builder.Log().TaskEntryTime(0), f.truth.TaskEntryTime(1));
+}
+
+TEST(EventLog, QueueLinksOnOvertakingLogMatchAlwaysSortReference) {
+  const std::vector<TaskRecord> records = OvertakingRecords(90);
+  WindowLogBuilder builder(4);
+  for (const TaskRecord& record : records) {
+    builder.Add(record);
+  }
+  builder.Build();
+  const EventLog& log = builder.Log();
+  std::size_t unsorted_queues = 0;
+  for (int q = 0; q < log.NumQueues(); ++q) {
+    std::vector<EventId> by_id;
+    for (EventId e = 0; static_cast<std::size_t>(e) < log.NumEvents(); ++e) {
+      if (log.At(e).queue == q) {
+        by_id.push_back(e);
+      }
+    }
+    const auto arrives_before = [&](EventId a, EventId b) {
+      const double aa = log.At(a).arrival;
+      const double ab = log.At(b).arrival;
+      return aa != ab ? aa < ab : a < b;
+    };
+    std::vector<EventId> reference = by_id;
+    std::sort(reference.begin(), reference.end(), arrives_before);
+    unsorted_queues += reference != by_id ? 1 : 0;
+    EXPECT_EQ(log.QueueOrder(q), reference) << "queue " << q;
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      const Event& ev = log.At(reference[i]);
+      EXPECT_EQ(ev.rho, i == 0 ? kNoEvent : reference[i - 1]);
+      EXPECT_EQ(ev.nu, i + 1 == reference.size() ? kNoEvent : reference[i + 1]);
+    }
+  }
+  // The fixture must exercise the sort, not only the already-sorted skip.
+  EXPECT_GE(unsorted_queues, 1u);
+}
+
+TEST(TakeDecisionRecords, MatchesAlwaysSortReferenceOnOrderedAndShuffledInput) {
+  // Records are told apart by a visit marker, so tied entry times pin stability.
+  const auto make = [](const std::vector<double>& entries) {
+    std::vector<TaskRecord> records;
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      TaskRecord record;
+      record.entry_time = entries[i];
+      record.visits.push_back(TaskVisit{1, 1, entries[i], entries[i] + static_cast<double>(i),
+                                        true, true});
+      records.push_back(record);
+    }
+    return records;
+  };
+  const auto reference = [](const WindowSpanTracker::SpanDecision& decision,
+                            std::vector<TaskRecord>& pending,
+                            std::vector<TaskRecord>& last_window) {
+    const auto end = decision.take_all
+                         ? pending.end()
+                         : std::stable_partition(pending.begin(), pending.end(),
+                                                 [&](const TaskRecord& record) {
+                                                   return record.entry_time < decision.t1;
+                                                 });
+    std::vector<TaskRecord> records;
+    if (decision.merged_tail_tasks > 0) {
+      records = std::move(last_window);
+      last_window.clear();
+    }
+    records.insert(records.end(), pending.begin(), end);
+    pending.erase(pending.begin(), end);
+    std::stable_sort(records.begin(), records.end(),
+                     [](const TaskRecord& a, const TaskRecord& b) {
+                       return a.entry_time < b.entry_time;
+                     });
+    return records;
+  };
+  const std::vector<std::vector<double>> cases = {
+      {1.0, 2.0, 2.0, 3.0, 6.0, 7.0},       // ordered: both skips taken
+      {1.0, 3.0, 2.0, 2.0, 4.5, 8.0, 9.0},  // partitioned but unsorted, with ties
+      {3.0, 1.0, 7.0, 2.0, 6.0, 2.0, 4.0},  // neither partitioned nor sorted
+      {5.0, 5.0, 5.0, 9.0, 9.0},            // all tied inside, all tied outside
+  };
+  for (const std::vector<double>& entries : cases) {
+    for (const bool take_all : {false, true}) {
+      for (const std::size_t merged_tail : {std::size_t{0}, std::size_t{2}}) {
+        WindowSpanTracker::SpanDecision decision;
+        decision.t1 = 5.0;
+        decision.take_all = take_all;
+        decision.merged_tail_tasks = merged_tail;
+        std::vector<TaskRecord> pending = make(entries);
+        std::vector<TaskRecord> last_window = make({4.0, 0.5, 4.0});
+        std::vector<TaskRecord> ref_pending = pending;
+        std::vector<TaskRecord> ref_last_window = last_window;
+        const std::vector<TaskRecord> got = TakeDecisionRecords(decision, pending, last_window);
+        const std::vector<TaskRecord> want = reference(decision, ref_pending, ref_last_window);
+        EXPECT_EQ(got, want);
+        EXPECT_EQ(pending, ref_pending);
+        EXPECT_EQ(last_window, ref_last_window);
+      }
+    }
+  }
 }
 
 // --- Replay streams --------------------------------------------------------------------

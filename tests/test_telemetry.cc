@@ -377,6 +377,50 @@ TEST(TelemetryFirewall, FleetEstimatesBitIdenticalAcrossTraceLevels) {
   const auto full = RunFleet(f, options, 99);
   ExpectEstimatesIdentical(disabled, full);
 }
+
+// window_assemble means the same thing on both drivers — selecting a window's records
+// and building its log — so no fit span may lie inside one on the same thread.
+TEST(SpanStages, WindowAssembleExcludesTheFitsAtEveryLaneCount) {
+  TraceLevelGuard guard;
+  const Fixture f;
+  for (const std::size_t lanes : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE("lanes " + std::to_string(lanes));
+    ShardedStreamingOptions options;
+    options.lanes = lanes;
+    options.stream = ShortStemOptions();
+    options.stream.fast_path = FastPathMode::kWarmStart;  // mean-field AND StEM fits
+    Timeline::SetLevel(1);
+    Timeline::ClearSpans();
+    ASSERT_GE(RunFleet(f, options, 99).size(), 3u);
+    std::size_t assembles = 0;
+    std::size_t fits = 0;
+    std::size_t nested = 0;
+    for (const Timeline::ThreadSpans& thread : Timeline::CollectSpans()) {
+      for (const SpanRecord& outer : thread.spans) {
+        if (outer.stage != SpanStage::kWindowAssemble) {
+          fits += outer.stage == SpanStage::kStemFit ||
+                          outer.stage == SpanStage::kMeanFieldFit
+                      ? 1
+                      : 0;
+          continue;
+        }
+        ++assembles;
+        for (const SpanRecord& inner : thread.spans) {
+          const bool fit = inner.stage == SpanStage::kStemFit ||
+                           inner.stage == SpanStage::kMeanFieldFit;
+          nested += fit && inner.start_nanos >= outer.start_nanos &&
+                            inner.end_nanos <= outer.end_nanos
+                        ? 1
+                        : 0;
+        }
+      }
+    }
+    EXPECT_GT(assembles, 0u);
+    EXPECT_GT(fits, 0u);
+    EXPECT_EQ(nested, 0u);
+  }
+  Timeline::ClearSpans();
+}
 #endif  // QNET_TELEMETRY
 
 // StreamingStats is a view over the registry: a run's stats must equal the global
