@@ -15,9 +15,10 @@
 //                                           flat on the 1-core CI box);
 //   BM_PlainStreamEstimate items_per_second — the StreamingEstimator baseline with the
 //                                           SAME options; CI gates BM_FleetEstimate/1
-//                                           within 10% of it (the fleet's fixed overhead
-//                                           — queue hop, merger, one worker thread —
-//                                           must stay in the noise);
+//                                           within 10% of it (the plain estimator runs
+//                                           as the single-lane fleet, so both take the
+//                                           same in-thread path: router, one lane and
+//                                           merger on the caller's thread);
 //   BM_FleetAllocations/K allocs_per_task — global operator-new calls per ingested task;
 //                                           CI gates a bound AND flatness across K (the
 //                                           queue ring reuses slot capacity, so lane

@@ -7,8 +7,8 @@
 // hash-partitions tasks across --lanes K assembler/estimator lanes, each lane fits
 // warm-started StEM per window on its sub-stream, and the lane merger pools the fits
 // into one estimate per window — the "what is happening right now?" monitoring loop the
-// paper's Section 6 sketches, scaled horizontally. With --lanes 1 the fleet reproduces
-// the plain pipelined StreamingEstimator bit-exactly. Memory stays bounded by one window
+// paper's Section 6 sketches, scaled horizontally. With --lanes 1 the fleet is the plain
+// StreamingEstimator (which runs as the single-lane fleet). Memory stays bounded by one window
 // per lane regardless of how long the stream runs.
 //
 // A WindowForecaster rides the merger's on_window hook: after every pooled window it

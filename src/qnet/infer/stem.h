@@ -62,7 +62,7 @@ struct StemOptions {
   InitializerOptions init;
   // Run the E-step (and waiting-time) sweeps through the colored sharded scheduler
   // instead of the sequential scan. Same contract as GibbsSampler::EnableShardedSweeps;
-  // online/windowed estimation inherits this through OnlineStemOptions::stem.
+  // streaming windowed estimation inherits this through StreamingEstimatorOptions::stem.
   bool sharded_sweeps = false;
   ShardedSweepOptions sharded;
   // Caller-owned scheduler this run's sampler is rebuilt onto (see

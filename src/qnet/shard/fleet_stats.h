@@ -32,6 +32,7 @@ struct LaneStats {
   std::size_t peak_buffered_tasks = 0;
   // High-water mark of the lane's ingest queue (records + tokens awaiting the worker);
   // pinned at the configured capacity when the router had to block (backpressure).
+  // 0 in the in-thread arrangement (one lane, no pipelining), which has no queue.
   std::size_t peak_queue_depth = 0;
   // Wall-clock spent inside this lane's StEM fits.
   double fit_seconds = 0.0;
@@ -54,7 +55,8 @@ struct FleetStats {
   // fleet ingested faster than its slowest lane could fit).
   double router_blocked_seconds = 0.0;
   // Longest a closed window waited between its close broadcast and the last lane
-  // delivering its fit — the fleet's analog of StreamingStats::max_sweep_lag_seconds.
+  // delivering its fit — StreamingStats::max_sweep_lag_seconds is this figure of the
+  // single-lane fleet.
   double max_merge_lag_seconds = 0.0;
   // Pooled estimates emitted with degraded = true (some contributing lane fit was
   // mean-field-only; a merged-tail re-fit counts again).

@@ -19,8 +19,9 @@
 //     lane task counts: every lane estimates the same per-queue parameters, with
 //     precision proportional to its share of the data.
 //   * a window with exactly one contributing lane copies that lane's fit verbatim —
-//     bit-exact, which is what makes a single-lane fleet reproduce the plain
-//     StreamingEstimator (no 1.0-weighted arithmetic is allowed to perturb bits).
+//     bit-exact, so a single-lane fleet (which is what the plain StreamingEstimator
+//     runs as) emits its lane's StEM fit itself, with no 1.0-weighted arithmetic to
+//     perturb bits.
 // Per-lane fits on disjoint sub-streams are the mean-field-flavored decomposition the
 // fleet trades for horizontal scaling: pooled estimates are bit-identical across every
 // execution arrangement for a FIXED lane count, and statistically consistent (not
@@ -72,9 +73,9 @@ class LaneMerger {
   // CorrectCrossLaneShare; model fallback when the pool carries no waits): a lane
   // attributes the queueing caused by other lanes' tasks to service, so the pooled
   // service estimate inflates with utilization — the PR-5 documented bias. The
-  // single-contributing-lane verbatim path is never corrected, so K = 1 stays
-  // bit-exact with the plain estimator, and the flag defaults off (pooled estimates
-  // preserved bit-exactly).
+  // single-contributing-lane verbatim path is never corrected, so K = 1 (the plain
+  // estimator) is unaffected, and the flag defaults off (pooled estimates preserved
+  // bit-exactly).
   LaneMerger(std::size_t lanes, int num_queues, bool window_local_arrival_rate,
              bool cross_lane_bias_correction = false);
 

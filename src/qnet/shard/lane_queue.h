@@ -10,11 +10,11 @@
 // visit vector keeps its capacity across wraps, as do the consumer's pop targets), so
 // the steady-state queue hop itself allocates nothing. Producer and consumer move items
 // in BATCHES (PushMany/PopMany) — one lock + one wake per batch, not per record — which
-// is what keeps a single-lane fleet within a few percent of the plain estimator's
-// throughput. Batching never reorders items, so results are bit-identical for any batch
-// size. A full ring blocks the producer — that is the fleet's backpressure, and PushMany
-// returns the seconds it spent blocked so the router can account it
-// (FleetStats::router_blocked_seconds).
+// keeps the hop cheap next to the fits. (A single lane without pipelining uses no queue
+// at all: the router calls it directly.) Batching never reorders items, so results are
+// bit-identical for any batch size. A full ring blocks the producer — that is the
+// fleet's backpressure, and PushMany returns the seconds it spent blocked so the router
+// can account it (FleetStats::router_blocked_seconds).
 //
 // CloseConsumer is the abnormal-exit valve: a lane worker that dies calls it so a
 // blocked producer wakes up and discovers the fleet is unwinding instead of deadlocking.

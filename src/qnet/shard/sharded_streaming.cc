@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <iterator>
 #include <memory>
 #include <utility>
 
@@ -20,10 +19,11 @@
 namespace qnet {
 namespace {
 
-// One lane: bounded ingest queue + record buffer + per-window log build + warm-started
-// StEM fit chain. RunLoop consumes the queue until the finish token; everything the
-// worker does is a pure function of its item sequence, which the router makes a pure
-// function of the stream.
+// One lane: record buffer + per-window log build + warm-started StEM fit chain. Accept
+// takes one routed record and Close answers one span decision; the router calls them
+// directly (one lane, no pipelining) or a worker thread calls them from the lane's queue
+// (Drain). Everything the lane does is a pure function of its item sequence, which the
+// router makes a pure function of the stream.
 class LaneWorker {
  public:
   LaneWorker(std::size_t lane, int num_queues, const ShardedStreamingOptions& options,
@@ -31,7 +31,6 @@ class LaneWorker {
       : lane_(lane),
         options_(options),
         merger_(merger),
-        queue_(options.lane_queue_capacity),
         builder_(num_queues),
         chain_(std::move(init_rates), seed, options.stream.window_local_arrival_rate,
                /*salted=*/options.lanes > 1, /*lane=*/lane),
@@ -39,9 +38,9 @@ class LaneWorker {
     // One scheduler per lane, rebuilt per window fit: windows on a lane are strictly
     // sequential, so the cache is exclusively owned and every fit reuses the lane's
     // coloring/bucket buffers (and worker pool, under sharded sweeps) instead of
-    // constructing a scheduler per window. Mirrors StreamingEstimator::Run — only wired
-    // when a fit would build a scheduler anyway, so a plain sequential configuration
-    // keeps its historical stream layout untouched.
+    // constructing a scheduler per window. Only wired when a fit would build a scheduler
+    // anyway, so a plain sequential configuration keeps its historical stream layout
+    // untouched.
     if (options_.stream.stem.gibbs.batched || options_.stream.stem.sharded_sweeps) {
       ShardedSweepOptions cache_options;
       if (options_.stream.stem.sharded_sweeps) {
@@ -54,61 +53,31 @@ class LaneWorker {
     }
   }
 
-  LaneQueue& Queue() { return queue_; }
-  // Event-time progress of the worker, sampled by the router for lag stats.
+  // Event-time progress of the lane, sampled by the router for lag stats.
   double ConsumedWatermark() const { return watermark_.load(std::memory_order_relaxed); }
   LaneStats& Stats() { return stats_; }
 
-  void RunLoop() {
-    try {
-      // Batched pops mirror the router's batched pushes: one lock per ~64 items. The
-      // batch elements keep their record capacity across reuse.
-      std::vector<LaneItem> batch;
-      for (;;) {
-        const std::size_t count = queue_.PopMany(batch, 64);
-        for (std::size_t at = 0; at < count; ++at) {
-          LaneItem& item = batch[at];
-          if (item.kind == LaneItem::Kind::kFinish) {
-            return;  // nothing follows a finish token
-          }
-          if (item.kind == LaneItem::Kind::kRecord) {
-            ++stats_.tasks_routed;
-            ShardCounters::Get().records_routed->Increment();
-            // max: a late-merged record can sit behind the close-token advance below.
-            watermark_.store(
-                std::max(watermark_.load(std::memory_order_relaxed),
-                         item.record.entry_time),
-                std::memory_order_relaxed);
-            buffer_.push_back(item.record);
-            const std::size_t buffered = buffer_.size() + last_window_.size();
-            if (buffered > stats_.peak_buffered_tasks) {
-              stats_.peak_buffered_tasks = buffered;
-              StreamCounters::Get().peak_buffered_tasks->SetMax(
-                  static_cast<double>(buffered));
-            }
-            continue;
-          }
-          ProcessClose(item.close);
-        }
-      }
-      // Leftover buffered records are the globally dropped tail; the router accounts
-      // them fleet-wide from the tracker.
-    } catch (...) {
-      // Unblock the router and wake the merger before surfacing the error through the
-      // PipelineSlot (Run rethrows it from Wait()).
-      queue_.CloseConsumer();
-      merger_->Abort();
-      throw;
+  // Buffers one routed record until the close that takes it.
+  void Accept(const TaskRecord& record) {
+    ++stats_.tasks_routed;
+    ShardCounters::Get().records_routed->Increment();
+    // max: a late-merged record can sit behind the close-token advance in Close.
+    AdvanceWatermark(record.entry_time);
+    buffer_.push_back(record);
+    const std::size_t buffered = buffer_.size() + last_window_.size();
+    if (buffered > stats_.peak_buffered_tasks) {
+      stats_.peak_buffered_tasks = buffered;
+      StreamCounters::Get().peak_buffered_tasks->SetMax(static_cast<double>(buffered));
     }
   }
 
- private:
-  void ProcessClose(const WindowSpanTracker::SpanDecision& decision) {
+  // Answers one span decision: selects and builds the lane's share of the window, fits
+  // it, and posts the fit to the merger.
+  void Close(const WindowSpanTracker::SpanDecision& decision) {
     ++stats_.windows_closed;
     std::vector<TaskRecord> records;
     {
-      // Selection + build only, as in WindowAssembler; the fits below have their own
-      // spans.
+      // Selection + build only; the fits below have their own spans.
       ScopedSpan span(SpanStage::kWindowAssemble);
       // The lane-local application of the global membership rule — the SAME helper the
       // assembler materializes with, applied to this lane's sub-sequence.
@@ -122,80 +91,10 @@ class LaneWorker {
         builder_.Build();
       }
     }
-
-    LaneWindowFit fit;
+    LaneWindowFit fit = records.empty() ? LaneWindowFit{} : Fit(decision);
     fit.tasks = records.size();
     if (records.empty()) {
       ++stats_.empty_windows;
-    } else {
-      const EventLog& log = builder_.Log();
-      const Observation& obs = builder_.Obs();
-      // The sub-log's per-queue counts feed the merger's bias correction (lambda_q is
-      // reconstructed from the summed counts — exact, fit or no fit).
-      fit.queue_counts = log.PerQueueCount();
-      // A hash-thinned sub-window can miss a queue entirely; StEM cannot estimate a
-      // rate with no events.
-      bool every_queue_present = true;
-      for (const std::size_t count : fit.queue_counts) {
-        if (count == 0) {
-          every_queue_present = false;
-          break;
-        }
-      }
-      const FastPathMode mode = options_.stream.fast_path;
-      // Degradation triggers on the GLOBAL window task count (decision.count), a pure
-      // function of the stream — the same windows degrade at any lane count, keeping
-      // the fixed-K bit-equality and cross-K consistency contracts. Under the degrade
-      // policies a missing-queue sub-log also degrades (mean-field fallback with chain
-      // rates for the absent queues) instead of sitting the window out.
-      const bool degrade_policy =
-          mode == FastPathMode::kDegrade || mode == FastPathMode::kMeanFieldOnly;
-      const bool mean_field_only =
-          mode == FastPathMode::kMeanFieldOnly ||
-          (mode == FastPathMode::kDegrade &&
-           decision.count > options_.stream.degrade_task_budget) ||
-          (degrade_policy && !every_queue_present);
-      if (!every_queue_present && !degrade_policy) {
-        fit.skipped = true;
-        ++stats_.skipped_fits;
-      } else {
-        WindowFitChain::Plan plan = chain_.PlanFit(
-            decision.window_index, decision.merged_tail_tasks > 0, decision.t0);
-        if (mode != FastPathMode::kOff) {
-          // Mean-field fit of the sub-log: the warm start (queues without events keep
-          // the chain's previous rates) and, when degraded, the estimate itself.
-          mean_field_.Fit(log, obs, plan.arrival_time_origin, mf_fit_);
-          for (std::size_t q = 0; q < plan.warm_start.size(); ++q) {
-            if (mf_fit_.fitted[q] != 0) {
-              plan.warm_start[q] = mf_fit_.rates[q];
-            }
-          }
-        }
-        if (mean_field_only) {
-          chain_.Complete(plan.warm_start);
-          fit.fitted = true;
-          fit.degraded = true;
-          ++stats_.degraded_fits;
-          fit.rates = std::move(plan.warm_start);
-          fit.mean_wait = mf_fit_.mean_wait;
-        } else {
-          StemOptions stem = options_.stream.stem;
-          stem.arrival_time_origin = plan.arrival_time_origin;
-          stem.scheduler_cache = scheduler_cache_.get();
-          const StemEstimator estimator(stem);
-          Rng rng(plan.seed);
-          Stopwatch fitting;
-          const StemResult result =
-              estimator.Run(log, obs, std::move(plan.warm_start), rng);
-          stats_.fit_seconds += fitting.ElapsedSeconds();
-          stats_.fit_iterations_total += result.iterations_run;
-          chain_.Complete(result.rates);
-          fit.fitted = true;
-          fit.fit_iterations = result.iterations_run;
-          fit.rates = result.rates;
-          fit.mean_wait = result.mean_wait;
-        }
-      }
     }
     // Mirror the assembler: every normal close becomes the trailing-merge target (even
     // an empty one — the global merged-tail re-close targets the last GLOBAL window, and
@@ -203,18 +102,122 @@ class LaneWorker {
     if (decision.merged_tail_tasks == 0 && options_.stream.window.merge_trailing_window) {
       last_window_ = std::move(records);
     }
-    // Processing the close token IS event-time progress: an idle lane that answers
-    // every token is fully caught up to t1 even though it consumed no records (the lag
-    // stat must not report it as trailing by the whole stream).
-    watermark_.store(std::max(watermark_.load(std::memory_order_relaxed), decision.t1),
-                     std::memory_order_relaxed);
+    // Processing the close IS event-time progress: an idle lane that answers every
+    // decision is fully caught up to t1 even though it consumed no records (the lag stat
+    // must not report it as trailing by the whole stream).
+    AdvanceWatermark(decision.t1);
     merger_->Post(lane_, std::move(fit));
+  }
+
+  // Threaded arrangement: consumes `queue` until the finish token.
+  void Drain(LaneQueue& queue) {
+    try {
+      // Batched pops mirror the router's batched pushes: one lock per ~64 items. The
+      // batch elements keep their record capacity across reuse.
+      std::vector<LaneItem> batch;
+      for (;;) {
+        const std::size_t count = queue.PopMany(batch, 64);
+        for (std::size_t at = 0; at < count; ++at) {
+          const LaneItem& item = batch[at];
+          if (item.kind == LaneItem::Kind::kFinish) {
+            return;  // nothing follows a finish token
+          }
+          if (item.kind == LaneItem::Kind::kRecord) {
+            Accept(item.record);
+          } else {
+            Close(item.close);
+          }
+        }
+      }
+      // Leftover buffered records are the globally dropped tail; the router accounts
+      // them fleet-wide from the tracker.
+    } catch (...) {
+      // Unblock the router and wake the merger before surfacing the error through the
+      // PipelineSlot (Run rethrows it from Wait()).
+      queue.CloseConsumer();
+      merger_->Abort();
+      throw;
+    }
+  }
+
+ private:
+  void AdvanceWatermark(double t) {
+    watermark_.store(std::max(watermark_.load(std::memory_order_relaxed), t),
+                     std::memory_order_relaxed);
+  }
+
+  // Fits the window the builder holds. The fast-path mode selection and degrade decision
+  // of every streaming estimate live here.
+  LaneWindowFit Fit(const WindowSpanTracker::SpanDecision& decision) {
+    LaneWindowFit fit;
+    const EventLog& log = builder_.Log();
+    const Observation& obs = builder_.Obs();
+    // The sub-log's per-queue counts feed the merger's bias correction (lambda_q is
+    // reconstructed from the summed counts — exact, fit or no fit).
+    fit.queue_counts = log.PerQueueCount();
+    // A hash-thinned sub-window (or any window of a stream that never visits some
+    // queue) can miss a queue entirely; StEM cannot estimate a rate with no events.
+    const bool every_queue_present =
+        std::find(fit.queue_counts.begin(), fit.queue_counts.end(), std::size_t{0}) ==
+        fit.queue_counts.end();
+    const FastPathMode mode = options_.stream.fast_path;
+    // Degradation triggers on the GLOBAL window task count (decision.count), a pure
+    // function of the stream — the same windows degrade at any lane count, keeping the
+    // fixed-K bit-equality and cross-K consistency contracts. Under the degrade policies
+    // a missing-queue sub-log also degrades (mean-field fallback with chain rates for the
+    // absent queues) instead of sitting the window out.
+    const bool degrade_policy =
+        mode == FastPathMode::kDegrade || mode == FastPathMode::kMeanFieldOnly;
+    const bool mean_field_only =
+        mode == FastPathMode::kMeanFieldOnly ||
+        (mode == FastPathMode::kDegrade &&
+         decision.count > options_.stream.degrade_task_budget) ||
+        (degrade_policy && !every_queue_present);
+    if (!every_queue_present && !degrade_policy) {
+      fit.skipped = true;
+      ++stats_.skipped_fits;
+      return fit;
+    }
+    WindowFitChain::Plan plan = chain_.PlanFit(
+        decision.window_index, decision.merged_tail_tasks > 0, decision.t0);
+    if (mode != FastPathMode::kOff) {
+      // Mean-field fit of the sub-log: the warm start (queues without events keep the
+      // chain's previous rates) and, when degraded, the estimate itself.
+      mean_field_.Fit(log, obs, plan.arrival_time_origin, mf_fit_);
+      for (std::size_t q = 0; q < plan.warm_start.size(); ++q) {
+        if (mf_fit_.fitted[q] != 0) {
+          plan.warm_start[q] = mf_fit_.rates[q];
+        }
+      }
+    }
+    fit.fitted = true;
+    if (mean_field_only) {
+      chain_.Complete(plan.warm_start);
+      fit.degraded = true;
+      ++stats_.degraded_fits;
+      fit.rates = std::move(plan.warm_start);
+      fit.mean_wait = mf_fit_.mean_wait;
+      return fit;
+    }
+    StemOptions stem = options_.stream.stem;
+    stem.arrival_time_origin = plan.arrival_time_origin;
+    stem.scheduler_cache = scheduler_cache_.get();
+    const StemEstimator estimator(stem);
+    Rng rng(plan.seed);
+    Stopwatch fitting;
+    StemResult result = estimator.Run(log, obs, std::move(plan.warm_start), rng);
+    stats_.fit_seconds += fitting.ElapsedSeconds();
+    stats_.fit_iterations_total += result.iterations_run;
+    chain_.Complete(result.rates);
+    fit.fit_iterations = result.iterations_run;
+    fit.rates = std::move(result.rates);
+    fit.mean_wait = std::move(result.mean_wait);
+    return fit;
   }
 
   const std::size_t lane_;
   const ShardedStreamingOptions& options_;
   LaneMerger* merger_;
-  LaneQueue queue_;
   WindowLogBuilder builder_;
   WindowFitChain chain_;
   std::unique_ptr<ShardedSweepScheduler> scheduler_cache_;
@@ -238,6 +241,10 @@ ShardedStreamingEstimator::ShardedStreamingEstimator(std::vector<double> init_ra
 std::vector<WindowEstimate> ShardedStreamingEstimator::Run(TraceStream& stream) {
   stats_ = FleetStats{};
   const std::size_t lanes = options_.lanes;
+  // One lane without pipelining runs on the caller's thread: the router calls the lane's
+  // Accept/Close directly, with no batches, queue or worker thread. Otherwise every lane
+  // drains its own bounded queue on its own thread.
+  const bool threaded = lanes > 1 || options_.stream.pipeline;
   Stopwatch total;
 
   WindowSpanTracker tracker(options_.stream.window);
@@ -250,27 +257,36 @@ std::vector<WindowEstimate> ShardedStreamingEstimator::Run(TraceStream& stream) 
                     options_.cross_lane_bias_correction);
 
   std::vector<std::unique_ptr<LaneWorker>> workers;
+  std::vector<std::unique_ptr<LaneQueue>> queues;
   workers.reserve(lanes);
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     workers.push_back(std::make_unique<LaneWorker>(lane, stream.NumQueues(), options_,
                                                    init_rates_, seed_, &merger));
+    if (threaded) {
+      queues.push_back(std::make_unique<LaneQueue>(options_.lane_queue_capacity));
+    }
   }
-  std::vector<PipelineSlot> slots(lanes);
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    slots[lane].Submit([worker = workers[lane].get()] { worker->RunLoop(); });
+  // Declared after the workers and queues, so an unwinding Run joins every lane thread
+  // before the state it uses is destroyed.
+  std::vector<PipelineSlot> slots(queues.size());
+  for (std::size_t lane = 0; lane < slots.size(); ++lane) {
+    slots[lane].Submit([worker = workers[lane].get(), queue = queues[lane].get()] {
+      worker->Drain(*queue);
+    });
   }
 
   std::vector<double> max_watermark_lag(lanes, 0.0);
   std::vector<WindowEstimate> estimates;
 
-  // Per-lane record batches: one queue lock per `router_batch` records. Slots are
-  // recycled by copy-assignment, so the steady-state routing path allocates nothing.
+  // Per-lane record batches of the threaded arrangement: one queue lock per
+  // `router_batch` records. Slots are recycled by copy-assignment, so the steady-state
+  // routing path allocates nothing.
   const std::size_t batch_size = std::max<std::size_t>(options_.router_batch, 1);
   struct RouterBatch {
     std::vector<LaneItem> items;
     std::size_t count = 0;
   };
-  std::vector<RouterBatch> batches(lanes);
+  std::vector<RouterBatch> batches(queues.size());
   for (RouterBatch& batch : batches) {
     batch.items.resize(batch_size);
   }
@@ -278,12 +294,27 @@ std::vector<WindowEstimate> ShardedStreamingEstimator::Run(TraceStream& stream) 
     RouterBatch& batch = batches[lane];
     if (batch.count > 0) {
       stats_.router_blocked_seconds +=
-          workers[lane]->Queue().PushMany(batch.items.data(), batch.count);
+          queues[lane]->PushMany(batch.items.data(), batch.count);
       batch.count = 0;
     }
   };
   const auto flush_all = [&] {
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
+    for (std::size_t lane = 0; lane < batches.size(); ++lane) {
+      flush_lane(lane);
+    }
+  };
+
+  const auto route = [&](const TaskRecord& record) {
+    const std::size_t lane = router.Route(record);
+    if (!threaded) {
+      workers[lane]->Accept(record);
+      return;
+    }
+    RouterBatch& batch = batches[lane];
+    LaneItem& slot = batch.items[batch.count++];
+    slot.kind = LaneItem::Kind::kRecord;
+    slot.record = record;
+    if (batch.count == batch_size) {
       flush_lane(lane);
     }
   };
@@ -311,17 +342,24 @@ std::vector<WindowEstimate> ShardedStreamingEstimator::Run(TraceStream& stream) 
     }
   };
 
+  // Hands every closed span decision to every lane: in band through the queues (every
+  // routed record ahead of the token reaches its lane first), or by a direct call.
   const auto broadcast_decisions = [&] {
     while (tracker.HasClosed()) {
-      // Every routed record ahead of the token must reach its lane first.
       flush_all();
       const WindowSpanTracker::SpanDecision decision = tracker.PopClosed();
       merger.ExpectWindow(decision);
-      LaneItem token;
-      token.kind = LaneItem::Kind::kClose;
-      token.close = decision;
+      if (threaded) {
+        LaneItem token;
+        token.kind = LaneItem::Kind::kClose;
+        token.close = decision;
+        for (const std::unique_ptr<LaneQueue>& queue : queues) {
+          stats_.router_blocked_seconds += queue->Push(token);
+        }
+      } else {
+        workers.front()->Close(decision);
+      }
       for (std::size_t lane = 0; lane < lanes; ++lane) {
-        stats_.router_blocked_seconds += workers[lane]->Queue().Push(token);
         max_watermark_lag[lane] =
             std::max(max_watermark_lag[lane],
                      tracker.Watermark() - workers[lane]->ConsumedWatermark());
@@ -333,8 +371,8 @@ std::vector<WindowEstimate> ShardedStreamingEstimator::Run(TraceStream& stream) 
     flush_all();
     LaneItem token;
     token.kind = LaneItem::Kind::kFinish;
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      workers[lane]->Queue().Push(token);
+    for (const std::unique_ptr<LaneQueue>& queue : queues) {
+      queue->Push(token);
     }
   };
 
@@ -347,14 +385,7 @@ std::vector<WindowEstimate> ShardedStreamingEstimator::Run(TraceStream& stream) 
       if (verdict == WindowSpanTracker::PushVerdict::kLateDropped) {
         continue;
       }
-      const std::size_t lane = router.Route(record);
-      RouterBatch& batch = batches[lane];
-      LaneItem& slot = batch.items[batch.count++];
-      slot.kind = LaneItem::Kind::kRecord;
-      slot.record = record;
-      if (batch.count == batch_size) {
-        flush_lane(lane);
-      }
+      route(record);
       broadcast_decisions();
       PooledWindow pooled;
       while (merger.Pop(pooled, /*block=*/false)) {
@@ -397,9 +428,11 @@ std::vector<WindowEstimate> ShardedStreamingEstimator::Run(TraceStream& stream) 
   stats_.lane.resize(lanes);
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     stats_.lane[lane] = workers[lane]->Stats();
-    stats_.lane[lane].peak_queue_depth = workers[lane]->Queue().PeakDepth();
-    StreamCounters::Get().peak_queue_depth->SetMax(
-        static_cast<double>(stats_.lane[lane].peak_queue_depth));
+    if (threaded) {
+      stats_.lane[lane].peak_queue_depth = queues[lane]->PeakDepth();
+      StreamCounters::Get().peak_queue_depth->SetMax(
+          static_cast<double>(stats_.lane[lane].peak_queue_depth));
+    }
     stats_.lane[lane].max_watermark_lag = std::max(0.0, max_watermark_lag[lane]);
     stats_.lane[lane].tasks_per_second =
         stats_.total_wall_seconds > 0.0

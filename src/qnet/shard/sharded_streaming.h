@@ -3,24 +3,32 @@
 //
 // One ingest (router) thread pulls TaskRecords from any TraceStream and hash-partitions
 // them across K lanes (LaneRouter over support/task_hash.h). Each lane is an independent
-// worker — bounded ingest queue, per-window log assembly, and a warm-started windowed
-// StEM fit chain (the same WindowFitChain the plain StreamingEstimator uses) — running
-// on its own PipelineSlot thread (infer/thread_pool.h). A LaneMerger pools the K
-// per-window fits into one WindowEstimate per global window.
+// worker — record intake, per-window log build, and a warm-started windowed StEM fit
+// chain (WindowFitChain). A LaneMerger pools the K per-window fits into one
+// WindowEstimate per global window. This is the only streaming window loop: the plain
+// StreamingEstimator runs as the single-lane fleet.
+//
+// Execution arrangement: with one lane and `stream.pipeline` off, the router calls the
+// lane's intake and close handling directly on the Run() caller's thread — no router
+// batches, lane queue or worker thread — so each window is fitted and emitted the moment
+// the record that closes it arrives. Otherwise (K > 1, or pipelining) every lane runs on
+// its own PipelineSlot thread (infer/thread_pool.h) behind a bounded queue, and its fits
+// overlap the router's ingestion.
 //
 // Window coordination: the router runs the WindowSpanTracker (the exact decision core of
 // WindowAssembler) over the GLOBAL entry-time sequence, so window spans, counts, and
 // emission indices are bit-identical to a single assembler's for ANY lane count. Close
-// decisions travel in band through every lane's queue — no lane can close window w
-// before it has consumed every record the router placed ahead of the token — and the
+// decisions travel in band through every lane's queue (or are direct calls in the
+// in-thread arrangement) — no lane can close window w before it has consumed every
+// record the router placed ahead of the token — and the
 // merger releases window w only when all K lanes have answered it: the pooled stream
 // advances as the min over lane progress (an idle lane answers immediately and never
 // stalls the fleet).
 //
 // Determinism contract: lane l's fit of window w is seeded MixSeed(MixSeed(base, w), l)
-// (for K >= 2; a single-lane fleet elides the lane salt so K = 1 reproduces the plain
-// StreamingEstimator bit-exactly). Seeds, warm starts, window membership, and pooling
-// order are pure functions of (stream contents, options, base seed, K) — never of
+// (for K >= 2; a single lane elides the lane salt, which is the plain
+// StreamingEstimator's MixSeed(base, w)). Seeds, warm starts, window membership, and
+// pooling order are pure functions of (stream contents, options, base seed, K) — never of
 // thread scheduling, queue timing, sharded-sweep thread counts under each lane, or
 // pipelining. Pooled estimates are therefore bit-identical across every execution
 // arrangement for a FIXED K. Across DIFFERENT K the estimates are statistically
@@ -62,17 +70,17 @@ struct ShardedStreamingOptions {
   // mean-field response invariant — see shard/lane_merger.h and infer/meanfield.h.
   // Deterministic (a pure function of the lane fits), but default off: the historical
   // pooled estimates are preserved bit-exactly. The single-contributing-lane verbatim
-  // path is never corrected, so K = 1 reproduces the plain estimator either way.
+  // path is never corrected, so a K = 1 fleet's estimates are unaffected.
   bool cross_lane_bias_correction = false;
   // Window, StEM, lambda-anchoring and on_window options, shared by every lane.
-  // `stream.pipeline` is accepted but inert: lane workers always overlap their fits
-  // with the router's ingestion (the fleet subsumes pipelining); estimates are
-  // bit-identical either way. `stream.on_window` fires on the Run() caller's thread
-  // with the POOLED estimates, in window order — WindowForecaster rides the merged
-  // stream unchanged. `stream.fast_path` applies per lane: kDegrade triggers on the
-  // GLOBAL window task count (the same windows degrade at any K), and under
-  // kDegrade/kMeanFieldOnly a lane whose sub-log misses a queue answers with a
-  // mean-field fallback fit instead of sitting the window out.
+  // `stream.pipeline` selects the threaded arrangement for a single lane (see file
+  // comment; K > 1 is always threaded); estimates are bit-identical either way.
+  // `stream.on_window` fires on the Run() caller's thread with the POOLED estimates, in
+  // window order — WindowForecaster rides the merged stream unchanged.
+  // `stream.fast_path` applies per lane: kDegrade triggers on the GLOBAL window task
+  // count (the same windows degrade at any K), and under kDegrade/kMeanFieldOnly a lane
+  // whose sub-log misses a queue answers with a mean-field fallback fit instead of
+  // sitting the window out.
   StreamingEstimatorOptions stream;
 };
 

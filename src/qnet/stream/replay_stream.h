@@ -2,8 +2,7 @@
 // engine).
 //
 // LogReplayStream wraps an in-memory EventLog + Observation and yields its tasks in task
-// (= entry-time) order — the adapter RunOnlineStem uses to run batch logs through the
-// streaming engine.
+// (= entry-time) order — how a batch log runs through the streaming engine.
 //
 // CsvReplayStream reads a WriteEventLog CSV *incrementally*, one task at a time, so a
 // multi-gigabyte trace streams through the window assembler in bounded memory. The

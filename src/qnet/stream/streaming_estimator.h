@@ -1,26 +1,33 @@
 // Streaming windowed StEM: warm-started per-window estimation over a TraceStream.
 //
 // The estimator pulls TaskRecords from any TraceStream (replay, CSV, live simulator),
-// feeds them through a watermark-driven WindowAssembler, and runs a short StEM fit on
-// every closed window through the same MoveKernel/sweep-driver core as the batch
-// estimators — windows cannot drift from batch sampler behavior. Each window is
-// warm-started from the previous window's rate estimate, yielding the rate trajectory
-// the paper's "what happened five minutes ago" diagnosis questions consume.
+// partitions them into watermark-closed event-time windows (the WindowSpanTracker
+// decision core of WindowAssembler), and runs a short StEM fit on every closed window
+// through the same MoveKernel/sweep-driver core as the batch estimators — windows cannot
+// drift from batch sampler behavior. Each window is warm-started from the previous
+// window's rate estimate, yielding the rate trajectory the paper's "what happened five
+// minutes ago" diagnosis questions consume.
+//
+// One window loop: StreamingEstimator IS the single-lane sharded fleet
+// (shard/sharded_streaming.h) — Run forwards to ShardedStreamingEstimator with
+// lanes = 1, and Stats() is read off its FleetStats. Window build, fast-path mode
+// selection, degradation, emission and the merged-tail replacement therefore exist
+// once, and a single-lane fleet reproduces this estimator by construction.
 //
 // Determinism contract (extends the PR-1/PR-2 contracts): window w's StEM run consumes
 // an Rng seeded MixSeed(seed, w) — a pure function of the base seed and the window's
-// emission index, never of ingestion timing. Combined with the assembler's
+// emission index, never of ingestion timing. Combined with the tracker's
 // order-preserving close and StEM's sharded-sweep contract, the estimate sequence is
 // bit-identical for any pipeline setting and any sharded-sweep thread count; only
-// wall-clock changes. The warm-start chain and seed discipline live in WindowFitChain,
-// which the sharded streaming front-end (shard/sharded_streaming.h) shares per lane —
-// a single-lane fleet therefore reproduces this estimator bit-exactly.
+// wall-clock changes. The warm-start chain and seed discipline live in WindowFitChain.
 //
-// Pipelining: with `pipeline` set, window N's StEM sweeps run on a PipelineSlot
-// background thread while the caller's Run loop keeps ingesting window N+1 from the
-// stream (warm starts serialize the StEM runs themselves, so one slot is the maximal
-// useful depth). Stats() reports ingest throughput, sweep lag, and the assembler's
-// late/dropped/peak-buffer counters.
+// Pipelining: without `pipeline`, every window is built and fitted on the caller's
+// thread the moment the record that closes it arrives, and its estimate is emitted as
+// soon as the fit returns — before the stream is asked for another record. With
+// `pipeline` set, the lane runs on its own thread behind a bounded queue, so window N's
+// fit overlaps window N+1's ingestion (warm starts serialize the fits themselves, so
+// one lane thread is the maximal useful depth). Stats() reports ingest throughput,
+// merge lag, and the late/dropped/peak-buffer counters.
 
 #ifndef QNET_STREAM_STREAMING_ESTIMATOR_H_
 #define QNET_STREAM_STREAMING_ESTIMATOR_H_
@@ -48,10 +55,12 @@ enum class FastPathMode {
   // kWarmStart, plus: a window whose task count exceeds degrade_task_budget emits the
   // mean-field fit directly (degraded = true) instead of running StEM. The trigger is
   // the window's task count — a pure function of the stream, never of wall-clock lag —
-  // so degraded runs keep the bit-equality determinism contract.
+  // so degraded runs keep the bit-equality determinism contract. A window that misses a
+  // queue entirely (StEM cannot fit a rate with no events) also degrades; the absent
+  // queue keeps the warm chain's rate.
   kDegrade,
   // Every window emits its mean-field fit; no sampler runs at all (the all-variational
-  // mode; also what degraded windows produce).
+  // mode; also what degraded windows produce). Absent queues keep the chain's rate.
   kMeanFieldOnly,
 };
 
@@ -92,12 +101,13 @@ struct StreamingEstimatorOptions {
   // instead of the absolute-time-anchored iterate that decays as the stream ages.
   // Default off: the historical estimates are preserved bit-exactly.
   bool window_local_arrival_rate = false;
-  // Invoked on the ingest thread as each window's estimate completes, in window order —
-  // the continuous-forecasting hook (see scenario/forecast.h). A merged-tail re-fit
-  // invokes it once more with merged_tail_tasks > 0; such an estimate REPLACES the
-  // previous window's, and consumers should replace their derived state the same way.
-  // Runs inside Run()'s pipeline join, so a slow hook adds to sweep lag, never changes
-  // results (the estimate sequence stays bit-identical with or without a hook).
+  // Invoked on the Run() caller's thread as each window's estimate completes, in window
+  // order — the continuous-forecasting hook (see scenario/forecast.h). A merged-tail
+  // re-fit invokes it once more with merged_tail_tasks > 0; such an estimate REPLACES
+  // the previous window's, and consumers should replace their derived state the same
+  // way. The caller's thread also ingests, so a slow hook delays ingestion (and, when
+  // pipelined, the next close), never changes results (the estimate sequence stays
+  // bit-identical with or without a hook).
   std::function<void(const WindowEstimate&)> on_window;
   // Mean-field fast path (see FastPathMode). kOff preserves the StEM-only estimate
   // sequence bit-exactly.
@@ -115,7 +125,9 @@ struct StreamingStats {
   std::size_t peak_buffered_tasks = 0;
   double total_wall_seconds = 0.0;
   double tasks_per_second = 0.0;  // end-to-end sustained ingest rate
-  // Longest a closed window waited before its StEM run started (pipeline backpressure).
+  // Longest span between a window's close and its fit's delivery — queueing behind
+  // earlier records and fits when pipelined, plus the fit itself (FleetStats::
+  // max_merge_lag_seconds of the single-lane fleet this estimator runs as).
   double max_sweep_lag_seconds = 0.0;
   // Windows that emitted a mean-field-only estimate (degraded = true).
   std::size_t degraded_windows = 0;
@@ -124,10 +136,10 @@ struct StreamingStats {
   std::size_t fit_iterations_total = 0;
 };
 
-// Warm-started per-window fit bookkeeping shared by StreamingEstimator and the sharded
-// streaming fleet's lanes: which rates a window's fit starts from (the previous window's
-// result; a merged-tail re-fit restarts from the SAME input its first fit consumed),
-// which seed it consumes, and which lambda anchoring it applies.
+// Warm-started per-window fit bookkeeping of every streaming fleet lane (and so of
+// StreamingEstimator, the single-lane fleet): which rates a window's fit starts from
+// (the previous window's result; a merged-tail re-fit restarts from the SAME input its
+// first fit consumed), which seed it consumes, and which lambda anchoring it applies.
 //
 // Seed discipline: window w's fit is seeded
 //   MixSeed(base, w)                  — plain estimator / single-lane fleet, and

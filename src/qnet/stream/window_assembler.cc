@@ -57,6 +57,22 @@ std::pair<EventLog, Observation> WindowLogBuilder::Finish() {
   return window;
 }
 
+std::pair<EventLog, Observation> ExtractTaskWindow(const EventLog& truth,
+                                                   const Observation& obs,
+                                                   const std::vector<int>& tasks) {
+  QNET_CHECK(!tasks.empty(), "empty task window");
+  for (std::size_t i = 1; i < tasks.size(); ++i) {
+    QNET_CHECK(tasks[i - 1] < tasks[i], "window tasks must be sorted and unique");
+  }
+  WindowLogBuilder builder(truth.NumQueues());
+  TaskRecord record;
+  for (const int task : tasks) {
+    FillTaskRecord(truth, obs, task, record);
+    builder.Add(record);
+  }
+  return builder.Finish();
+}
+
 // --- WindowSpanTracker -------------------------------------------------------------------
 
 WindowSpanTracker::WindowSpanTracker(const WindowAssemblerOptions& options)

@@ -79,6 +79,14 @@ class WindowLogBuilder {
   Observation obs_;
 };
 
+// Extracts the sub-log of `truth` containing exactly `tasks` (sorted, unique; renumbered
+// contiguously) together with the restriction of `obs`, through a WindowLogBuilder fed
+// FillTaskRecord's records — the batch-log window the streaming windows are tested
+// against.
+std::pair<EventLog, Observation> ExtractTaskWindow(const EventLog& truth,
+                                                   const Observation& obs,
+                                                   const std::vector<int>& tasks);
+
 enum class LateRecordPolicy {
   kDrop,
   kMergeIntoCurrent,

@@ -15,16 +15,19 @@ struct StageInfo {
 };
 
 constexpr StageInfo kStageInfo[kNumSpanStages] = {
-    {"window_assemble", 1}, {"queue_wait", 1},  {"stem_fit", 1},
-    {"meanfield_fit", 1},   {"lane_merge", 1},  {"emit", 1},
-    {"lane_blocked", 1},    {"scenario_cell", 1}, {"des_run", 1},
-    {"detect_observe", 1},  {"lane_push", 2},   {"lane_pop", 2},
-    {"sweep_color", 2},     {"sweep_bucket", 2}, {"sweep_tile", 3},
+    {"window_assemble", 1}, {"stem_fit", 1},      {"meanfield_fit", 1},
+    {"lane_merge", 1},      {"emit", 1},          {"lane_blocked", 1},
+    {"scenario_cell", 1},   {"des_run", 1},       {"detect_observe", 1},
+    {"lane_push", 2},       {"lane_pop", 2},      {"sweep_color", 2},
+    {"sweep_bucket", 2},    {"sweep_tile", 3},
 };
 
-// One ring per registered thread. Rings are heap blocks owned by a process-wide table
-// so CollectSpans can walk them after worker threads exit; a thread registers once
-// (its only telemetry allocation) and keeps a raw pointer in a thread_local.
+// One ring per live thread that records spans. Rings are heap blocks owned by a
+// process-wide table so CollectSpans can walk them after worker threads exit. A thread
+// takes a ring on its first span (a free one if any, else a new one — the only
+// telemetry allocation) and gives it back to the free list when it exits, so the table
+// grows with the peak number of concurrently recording threads, not with every thread
+// ever started. A reused ring keeps its tid and its spans: the next owner appends.
 struct SpanRing {
   int tid = 0;
   std::atomic<std::uint64_t> head{0};  // monotonically increasing write index
@@ -34,6 +37,7 @@ struct SpanRing {
 struct RingTable {
   std::mutex mu;
   std::vector<std::unique_ptr<SpanRing>> rings;
+  std::vector<SpanRing*> free;  // rings of exited threads, reused LIFO
 };
 
 RingTable& Rings() {
@@ -41,9 +45,14 @@ RingTable& Rings() {
   return *table;
 }
 
-SpanRing* RegisterThreadRing() {
+SpanRing* AcquireRing() {
   RingTable& table = Rings();
   std::lock_guard<std::mutex> lock(table.mu);
+  if (!table.free.empty()) {
+    SpanRing* ring = table.free.back();
+    table.free.pop_back();
+    return ring;
+  }
   auto ring = std::make_unique<SpanRing>();
   ring->tid = static_cast<int>(table.rings.size());
   SpanRing* raw = ring.get();
@@ -51,9 +60,20 @@ SpanRing* RegisterThreadRing() {
   return raw;
 }
 
-SpanRing* ThreadRing() {
-  thread_local SpanRing* ring = RegisterThreadRing();
-  return ring;
+// The calling thread's ring; its destructor (thread exit) returns the ring to the table.
+struct ThreadRingHolder {
+  SpanRing* ring = AcquireRing();
+  ~ThreadRingHolder() {
+    RingTable& table = Rings();
+    std::lock_guard<std::mutex> lock(table.mu);
+    table.free.push_back(ring);
+  }
+};
+
+// Unused when QNET_TELEMETRY=0 compiles RecordSpan to a no-op.
+[[maybe_unused]] SpanRing* ThreadRing() {
+  thread_local ThreadRingHolder holder;
+  return holder.ring;
 }
 
 }  // namespace
@@ -130,6 +150,12 @@ std::vector<Timeline::ThreadSpans> Timeline::CollectSpans() {
     out.push_back(std::move(ts));
   }
   return out;
+}
+
+std::size_t Timeline::RingCount() {
+  RingTable& table = Rings();
+  std::lock_guard<std::mutex> lock(table.mu);
+  return table.rings.size();
 }
 
 void Timeline::ClearSpans() {

@@ -8,7 +8,7 @@
 // tables and Prometheus exposition read.
 //
 // Stage taxonomy and detail levels (Timeline::SetLevel, default 1):
-//   level 1 — pipeline lifecycle: window assemble, queue wait, StEM fit, mean-field fit,
+//   level 1 — pipeline lifecycle: window assemble, StEM fit, mean-field fit,
 //             lane merge, emit, lane blocked, scenario cell, DES run.
 //   level 2 — shard plumbing and sweep structure: lane push/pop, sweep color class,
 //             sweep bucket.
@@ -37,7 +37,6 @@ namespace qnet {
 
 enum class SpanStage : std::uint8_t {
   kWindowAssemble = 0,  // materialize a closed window's records for fitting
-  kQueueWait,           // ingest thread waiting on the pipeline slot
   kStemFit,             // StemEstimator::Run
   kMeanFieldFit,        // MeanFieldEstimator::Fit
   kLaneMerge,           // LaneMerger pooling lane results into a fleet estimate
@@ -88,18 +87,24 @@ class Timeline {
 #endif
   }
 
-  // Appends to the calling thread's ring (registering the ring on first use —
-  // the one-time setup allocation happens then, never on later captures).
+  // Appends to the calling thread's ring (taking one on first use — a ring freed by an
+  // exited thread, else a new one: the one-time setup allocation happens then, never on
+  // later captures). The ring returns to the table's free list when the thread exits.
   static void RecordSpan(SpanStage stage, std::uint64_t start_nanos,
                          std::uint64_t end_nanos);
 
-  // Snapshot of every thread's ring, oldest-first per thread. `tid` is a dense
-  // telemetry-local thread index (registration order), not an OS id.
+  // Snapshot of every ring, oldest-first per ring. `tid` is a dense telemetry-local
+  // ring index (creation order), not an OS id; threads that ran one after another may
+  // share a ring, and so a tid.
   struct ThreadSpans {
     int tid = 0;
     std::vector<SpanRecord> spans;
   };
   static std::vector<ThreadSpans> CollectSpans();
+
+  // Rings ever created — the peak number of threads that held a ring at once (a thread
+  // holds one from its first span until it exits).
+  static std::size_t RingCount();
 
   // Clears every ring (test isolation / between monitor runs).
   static void ClearSpans();

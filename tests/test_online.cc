@@ -1,9 +1,9 @@
 // Online (sliding-window) StEM: window extraction correctness and rate tracking across a
-// workload/service change.
-
-#include "qnet/infer/online.h"
+// workload/service change. A batch log runs through the streaming estimator as a
+// LogReplayStream.
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -11,11 +11,32 @@
 #include "qnet/obs/observation.h"
 #include "qnet/sim/fault.h"
 #include "qnet/sim/simulator.h"
+#include "qnet/stream/replay_stream.h"
+#include "qnet/stream/streaming_estimator.h"
+#include "qnet/stream/window_assembler.h"
 #include "qnet/support/check.h"
 #include "qnet/support/rng.h"
 
 namespace qnet {
 namespace {
+
+StreamingEstimatorOptions WindowedStemOptions(double window_duration) {
+  StreamingEstimatorOptions options;
+  options.window.window_duration = window_duration;
+  options.stem.iterations = 40;
+  options.stem.burn_in = 15;
+  options.stem.wait_sweeps = 0;
+  return options;
+}
+
+// Windowed StEM over a whole batch log, its seed drawn from `rng`.
+std::vector<WindowEstimate> RunWindowedStem(const EventLog& truth, const Observation& obs,
+                                            Rng& rng,
+                                            const StreamingEstimatorOptions& options) {
+  LogReplayStream stream(truth, obs);
+  StreamingEstimator estimator({1.0, 1.0}, rng.NextU64(), options);
+  return estimator.Run(stream);
+}
 
 TEST(ExtractTaskWindow, PreservesTimesLinksAndFlags) {
   const QueueingNetwork net = MakeTandemNetwork(2.0, {4.0, 3.0});
@@ -145,12 +166,7 @@ TEST(OnlineStem, ProducesPerWindowEstimates) {
   scheme.fraction = 0.5;
   const Observation obs = scheme.Apply(truth, rng);
 
-  OnlineStemOptions options;
-  options.window_duration = 30.0;
-  options.stem.iterations = 40;
-  options.stem.burn_in = 15;
-  options.stem.wait_sweeps = 0;
-  const auto estimates = RunOnlineStem(truth, obs, {1.0, 1.0}, rng, options);
+  const auto estimates = RunWindowedStem(truth, obs, rng, WindowedStemOptions(30.0));
   ASSERT_GE(estimates.size(), 3u);
   for (const auto& window : estimates) {
     EXPECT_GT(window.tasks, 0u);
@@ -170,20 +186,16 @@ TEST(OnlineStem, ShardedWindowSweepsAreDeterministicAndAccurate) {
   scheme.fraction = 0.5;
   const Observation obs = scheme.Apply(truth, rng);
 
-  OnlineStemOptions options;
-  options.window_duration = 30.0;
-  options.stem.iterations = 40;
-  options.stem.burn_in = 15;
-  options.stem.wait_sweeps = 0;
+  StreamingEstimatorOptions options = WindowedStemOptions(30.0);
   options.stem.sharded_sweeps = true;
   options.stem.sharded.shards = 2;
 
   options.stem.sharded.threads = 1;
   Rng rng_a(21);
-  const auto serial = RunOnlineStem(truth, obs, {1.0, 1.0}, rng_a, options);
+  const auto serial = RunWindowedStem(truth, obs, rng_a, options);
   options.stem.sharded.threads = 2;
   Rng rng_b(21);
-  const auto parallel = RunOnlineStem(truth, obs, {1.0, 1.0}, rng_b, options);
+  const auto parallel = RunWindowedStem(truth, obs, rng_b, options);
 
   ASSERT_GE(serial.size(), 3u);
   ASSERT_EQ(serial.size(), parallel.size());
@@ -210,12 +222,7 @@ TEST(OnlineStem, TracksMidStreamServiceDegradation) {
   scheme.fraction = 0.6;
   const Observation obs = scheme.Apply(truth, rng);
 
-  OnlineStemOptions options;
-  options.window_duration = 75.0;
-  options.stem.iterations = 40;
-  options.stem.burn_in = 15;
-  options.stem.wait_sweeps = 0;
-  const auto estimates = RunOnlineStem(truth, obs, {1.0, 1.0}, rng, options);
+  const auto estimates = RunWindowedStem(truth, obs, rng, WindowedStemOptions(75.0));
   ASSERT_GE(estimates.size(), 3u);
   const auto& first = estimates.front();
   const auto& last = estimates.back();

@@ -145,9 +145,13 @@ TEST(ShardedStreaming, PooledEstimatesBitIdenticalAcrossThreadsAndPipelining) {
   // The acceptance grid: K in {1,2,4} lanes x {1,2,4} sharded-sweep threads per lane x
   // pipelining on/off. For each K the pooled sequence must be bit-identical across the
   // whole (threads, pipelining) sub-grid; only wall-clock may change.
+  // At K = 1 the plain estimator runs the same grid: pipelining off runs its lane on the
+  // caller's thread (no lane queue), on runs it behind a queue on a worker thread, and
+  // both arrangements must also agree on every stats count.
   const Fixture f;
   for (const std::size_t lanes : {1u, 2u, 4u}) {
     std::vector<std::vector<WindowEstimate>> runs;
+    std::vector<StreamingStats> plain_stats;
     for (const std::size_t threads : {1u, 2u, 4u}) {
       for (const bool pipeline : {false, true}) {
         ShardedStreamingOptions options;
@@ -157,12 +161,32 @@ TEST(ShardedStreaming, PooledEstimatesBitIdenticalAcrossThreadsAndPipelining) {
         options.stream.stem.sharded.shards = 2;
         options.stream.stem.sharded.threads = threads;
         options.stream.pipeline = pipeline;
-        runs.push_back(RunFleet(f, options, 42));
+        FleetStats fleet_stats;
+        runs.push_back(RunFleet(f, options, 42, &fleet_stats));
+        if (lanes == 1) {
+          EXPECT_EQ(fleet_stats.lane[0].peak_queue_depth == 0, !pipeline)
+              << "threads=" << threads << " pipeline=" << pipeline;
+          LogReplayStream stream(f.truth, f.obs);
+          StreamingEstimator plain({1.0, 1.0, 1.0}, 42, options.stream);
+          runs.push_back(plain.Run(stream));
+          plain_stats.push_back(plain.Stats());
+        }
       }
     }
     ASSERT_GE(runs.front().size(), 3u) << "lanes=" << lanes;
     for (std::size_t i = 1; i < runs.size(); ++i) {
       ExpectEstimatesIdentical(runs.front(), runs[i]);
+    }
+    for (std::size_t i = 1; i < plain_stats.size(); ++i) {
+      const StreamingStats& a = plain_stats.front();
+      const StreamingStats& b = plain_stats[i];
+      EXPECT_EQ(a.tasks_ingested, b.tasks_ingested) << "run " << i;
+      EXPECT_EQ(a.windows_estimated, b.windows_estimated) << "run " << i;
+      EXPECT_EQ(a.late_dropped, b.late_dropped) << "run " << i;
+      EXPECT_EQ(a.tail_dropped, b.tail_dropped) << "run " << i;
+      EXPECT_EQ(a.peak_buffered_tasks, b.peak_buffered_tasks) << "run " << i;
+      EXPECT_EQ(a.degraded_windows, b.degraded_windows) << "run " << i;
+      EXPECT_EQ(a.fit_iterations_total, b.fit_iterations_total) << "run " << i;
     }
   }
 }
@@ -395,6 +419,42 @@ TEST(ShardedStreaming, UnfittableWindowsDegradeInsteadOfThrowingUnderFastPath) {
       EXPECT_EQ(lane.fit_iterations_total, 0u);
     }
     EXPECT_GE(lane_degraded, pooled.size());
+  }
+}
+
+TEST(StreamingEstimator, WindowMissingAQueueDegradesUnderFastPathAndThrowsOtherwise) {
+  // The never-visits-queue-2 stream through the plain estimator, which is the single
+  // lane fleet: the degrade policies emit mean-field estimates with queue 2 held at its
+  // warm-chain rate; without them no fit is possible and the run fails loudly.
+  std::vector<TaskRecord> records;
+  for (int i = 0; i < 12; ++i) {
+    records.push_back(TinyRecord(1.0 + i));
+  }
+  for (const FastPathMode mode : {FastPathMode::kOff, FastPathMode::kWarmStart,
+                                  FastPathMode::kDegrade, FastPathMode::kMeanFieldOnly}) {
+    StreamingEstimatorOptions options;
+    options.window.window_duration = 5.0;
+    options.window.min_tasks_per_window = 2;
+    options.stem.iterations = 5;
+    options.stem.burn_in = 1;
+    options.stem.wait_sweeps = 0;
+    options.fast_path = mode;
+    qnet_testing::VectorStream stream(records, 3);
+    StreamingEstimator estimator({1.0, 1.0, 1.0}, 1, options);
+    if (mode == FastPathMode::kOff || mode == FastPathMode::kWarmStart) {
+      EXPECT_THROW(estimator.Run(stream), Error);
+      continue;
+    }
+    const auto estimates = estimator.Run(stream);
+    ASSERT_GE(estimates.size(), 1u);
+    for (const WindowEstimate& estimate : estimates) {
+      EXPECT_TRUE(estimate.degraded);
+      EXPECT_EQ(estimate.fit_iterations, 0u);
+      ASSERT_EQ(estimate.rates.size(), 3u);
+      EXPECT_GT(estimate.rates[1], 0.0);
+      EXPECT_EQ(estimate.rates[2], 1.0);  // warm chain = init; never fitted
+    }
+    EXPECT_EQ(estimator.Stats().degraded_windows, estimates.size());
   }
 }
 

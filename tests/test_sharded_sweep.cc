@@ -65,7 +65,9 @@ void ExpectColoringConflictFree(const EventLog& log, const std::vector<SweepMove
       if (coloring.color[i] != c) {
         continue;
       }
-      for (EventId e : log.ComputeMoveFootprint(moves[i]).Events()) {
+      // Events() views the footprint's own storage: keep the footprint alive.
+      const auto footprint = log.ComputeMoveFootprint(moves[i]);
+      for (EventId e : footprint.Events()) {
         EXPECT_FALSE(touched[static_cast<std::size_t>(e)])
             << "color " << c << " has two moves sharing footprint event " << e;
         touched[static_cast<std::size_t>(e)] = 1;

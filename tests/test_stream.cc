@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include "support/vector_stream.h"
-#include "qnet/infer/online.h"
 #include "qnet/infer/stem.h"
 #include "qnet/model/builders.h"
 #include "qnet/obs/observation.h"
@@ -769,30 +768,6 @@ TEST(StreamingEstimator, BitIdenticalAcrossThreadCountsAndPipelining) {
   }
 }
 
-TEST(StreamingEstimator, RunOnlineStemIsAThinAdapter) {
-  // RunOnlineStem(rng) == StreamingEstimator(seed = rng.NextU64()) over a replay stream.
-  const Fixture f;
-  OnlineStemOptions online;
-  online.window_duration = 25.0;
-  online.stem.iterations = 30;
-  online.stem.burn_in = 10;
-  online.stem.wait_sweeps = 0;
-
-  Rng rng(123);
-  const auto adapter = RunOnlineStem(f.truth, f.obs, {1.0, 1.0, 1.0}, rng, online);
-
-  Rng seed_rng(123);
-  StreamingEstimatorOptions options;
-  options.window.window_duration = online.window_duration;
-  options.window.min_tasks_per_window = online.min_tasks_per_window;
-  options.stem = online.stem;
-  LogReplayStream stream(f.truth, f.obs);
-  StreamingEstimator estimator({1.0, 1.0, 1.0}, seed_rng.NextU64(), options);
-  const auto streamed = estimator.Run(stream);
-
-  ExpectEstimatesIdentical(adapter, streamed);
-}
-
 TEST(StreamingEstimator, CsvReplayMatchesInMemoryReplay) {
   const Fixture f;
   const std::vector<double> init = {1.0, 1.0, 1.0};
@@ -822,18 +797,18 @@ TEST(StreamingEstimator, TrailingWindowIsMergedNotDropped) {
   EventLog truth = SimulateWorkload(net, PoissonArrivals(4.0, 120), rng);
   const Observation obs = Observation::FullyObserved(truth);
 
-  OnlineStemOptions options;
+  StreamingEstimatorOptions options;
   // Choose a duration so the last window holds only a couple of tasks: entries run to
   // roughly 120/4 = 30s; a 12s window leaves a small remainder with high probability.
-  options.window_duration = 12.0;
-  options.min_tasks_per_window = 30;
+  options.window.window_duration = 12.0;
+  options.window.min_tasks_per_window = 30;
   options.stem.iterations = 20;
   options.stem.burn_in = 5;
   options.stem.wait_sweeps = 0;
 
-  Rng est_rng(7);
-  const auto estimates =
-      RunOnlineStem(truth, obs, {1.0, 1.0}, est_rng, options);
+  LogReplayStream stream(truth, obs);
+  StreamingEstimator estimator({1.0, 1.0}, Rng(7).NextU64(), options);
+  const auto estimates = estimator.Run(stream);
   ASSERT_GE(estimates.size(), 1u);
   std::size_t total_tasks = 0;
   for (const auto& est : estimates) {
@@ -846,7 +821,7 @@ TEST(StreamingEstimator, TrailingWindowIsMergedNotDropped) {
   // The final estimate's span covers the last task's entry time.
   EXPECT_GE(estimates.back().t1, truth.TaskEntryTime(truth.NumTasks() - 1));
   if (merged > 0) {
-    EXPECT_LT(merged, std::max<std::size_t>(options.min_tasks_per_window, 2));
+    EXPECT_LT(merged, std::max<std::size_t>(options.window.min_tasks_per_window, 2));
   }
 }
 
@@ -858,14 +833,15 @@ TEST(StreamingEstimator, TinyStreamWithNoFullWindowStillEstimates) {
   EventLog truth = SimulateWorkload(net, PoissonArrivals(2.0, 3), rng);
   const Observation obs = Observation::FullyObserved(truth);
 
-  OnlineStemOptions options;
-  options.window_duration = 1000.0;
-  options.min_tasks_per_window = 8;
+  StreamingEstimatorOptions options;
+  options.window.window_duration = 1000.0;
+  options.window.min_tasks_per_window = 8;
   options.stem.iterations = 10;
   options.stem.burn_in = 2;
   options.stem.wait_sweeps = 0;
-  Rng est_rng(9);
-  const auto estimates = RunOnlineStem(truth, obs, {1.0, 1.0}, est_rng, options);
+  LogReplayStream stream(truth, obs);
+  StreamingEstimator estimator({1.0, 1.0}, Rng(9).NextU64(), options);
+  const auto estimates = estimator.Run(stream);
   ASSERT_EQ(estimates.size(), 1u);
   EXPECT_EQ(estimates.front().tasks, 3u);
 }
@@ -1104,6 +1080,54 @@ TEST(StreamingEstimator, DegradeModeTriggersOnWindowTaskCount) {
   LogReplayStream again_stream(f.truth, f.obs);
   StreamingEstimator again(init, 79, options);
   ExpectEstimatesIdentical(estimates, again.Run(again_stream));
+}
+
+// Counts the records the estimator has asked for.
+class CountingStream : public TraceStream {
+ public:
+  explicit CountingStream(TraceStream& inner) : inner_(inner) {}
+  bool Next(TaskRecord& out) override {
+    ++pulls_;
+    return inner_.Next(out);
+  }
+  int NumQueues() const override { return inner_.NumQueues(); }
+  std::size_t Pulls() const { return pulls_; }
+
+ private:
+  TraceStream& inner_;
+  std::size_t pulls_ = 0;
+};
+
+TEST(StreamingEstimator, NonPipelinedWindowIsEmittedBeforeTheNextPull) {
+  // Without pipelining, window w is fitted and handed to on_window while the record
+  // that closed it is the last one pulled: the stream is not asked for another first.
+  const Fixture f;
+  LogReplayStream replay(f.truth, f.obs);
+  CountingStream stream(replay);
+  std::vector<std::size_t> pulls_at_emit;
+  std::vector<double> window_ends;
+  StreamingEstimatorOptions options = ShortStemOptions();
+  options.on_window = [&](const WindowEstimate& estimate) {
+    pulls_at_emit.push_back(stream.Pulls());
+    window_ends.push_back(estimate.t1);
+  };
+  StreamingEstimator estimator({1.0, 1.0, 1.0}, 3, options);
+  const auto estimates = estimator.Run(stream);
+  ASSERT_GE(estimates.size(), 3u);
+
+  std::size_t checked = 0;
+  for (std::size_t w = 0; w < window_ends.size(); ++w) {
+    // With zero lateness the closing record is the first whose entry reaches t1; a
+    // window closed only by the end of the stream has none.
+    for (int task = 0; task < f.truth.NumTasks(); ++task) {
+      if (f.truth.TaskEntryTime(task) >= window_ends[w]) {
+        EXPECT_EQ(pulls_at_emit[w], static_cast<std::size_t>(task) + 1) << "window " << w;
+        ++checked;
+        break;
+      }
+    }
+  }
+  EXPECT_GE(checked, estimates.size() - 1);
 }
 
 // --- LiveSimStream ---------------------------------------------------------------------

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -233,6 +234,31 @@ TEST(Timeline, RingKeepsTheMostRecentSpansOnWrap) {
   }
   EXPECT_EQ(captured, Timeline::kRingCapacity);
   EXPECT_EQ(newest, static_cast<std::uint64_t>(total - 1));
+  Timeline::ClearSpans();
+}
+
+TEST(Timeline, ExitedThreadsHandTheirRingsToTheNextThread) {
+  // A thread's ring returns to the table when the thread exits, so threads started one
+  // after another share one ring instead of leaking one each — and the spans of the
+  // exited threads stay collectable.
+  Timeline::ClearSpans();
+  const std::size_t rings_before = Timeline::RingCount();
+  constexpr std::uint64_t kThreads = 64;
+  for (std::uint64_t i = 0; i < kThreads; ++i) {
+    std::thread([i] { Timeline::RecordSpan(SpanStage::kEmit, 1000 + i, 2000 + i); })
+        .join();
+  }
+  EXPECT_LE(Timeline::RingCount(), rings_before + 1);
+  std::vector<bool> seen(kThreads, false);
+  for (const auto& t : Timeline::CollectSpans()) {
+    for (const SpanRecord& s : t.spans) {
+      if (s.stage == SpanStage::kEmit && s.start_nanos >= 1000 &&
+          s.start_nanos < 1000 + kThreads) {
+        seen[s.start_nanos - 1000] = true;
+      }
+    }
+  }
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), true), static_cast<long>(kThreads));
   Timeline::ClearSpans();
 }
 
@@ -639,6 +665,9 @@ TEST(BackpressureCounters, PeakQueueDepthPinsAtCapacityWhenRouterBlocks) {
   options.lane_queue_capacity = 8;  // tiny queue: the router must outrun the fits
   options.router_batch = 1;
   options.stream = ShortStemOptions();
+  // A single lane only runs behind a queue when pipelined; without pipelining the
+  // router calls it directly.
+  options.stream.pipeline = true;
   FleetStats stats;
   const auto pooled = RunFleet(f, options, 99, &stats);
   ASSERT_GE(pooled.size(), 3u);
