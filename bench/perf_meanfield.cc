@@ -11,6 +11,16 @@
 //                                          warm starts are built on).
 //   BM_WindowedStemFit items_per_second  — the same window through a bench-sized StEM
 //                                          run (the denominator of the 50x gate).
+//   BM_MeanFieldFoldRecords              — the same window as TaskRecords, folded
+//                                          straight into the mean-field statistics and
+//                                          fitted: a sampler-free lane window.
+//                                          allocs_per_fit joins the zero gate, and
+//                                          items_per_second must be >= 2.5x
+//                                          BM_WindowBuildAndMeanFieldFit's in-run
+//                                          (measured ~5x; 2x headroom).
+//   BM_WindowBuildAndMeanFieldFit        — the same records built into a window log
+//                                          (WindowLogBuilder) and fitted from it: what a
+//                                          sampler-free window cost before the fold.
 //   BM_WarmStartedStemWindow/{0,1}       — end-to-end streaming A/B: replay -> assembler
 //                                          -> per-window StEM, cold-started full-length
 //                                          (Arg 0) vs mean-field warm starts + early
@@ -30,6 +40,8 @@
 #include "qnet/sim/simulator.h"
 #include "qnet/stream/replay_stream.h"
 #include "qnet/stream/streaming_estimator.h"
+#include "qnet/stream/task_record.h"
+#include "qnet/stream/window_assembler.h"
 #include "qnet/support/rng.h"
 
 namespace {
@@ -77,6 +89,69 @@ void BM_MeanFieldFit(benchmark::State& state) {
   state.counters["observed_responses"] = static_cast<double>(fit.observed_responses);
 }
 BENCHMARK(BM_MeanFieldFit)->Unit(benchmark::kMicrosecond);
+
+std::vector<qnet::TaskRecord> WindowRecords(const Fixture& fixture) {
+  std::vector<qnet::TaskRecord> records;
+  for (int k = 0; k < fixture.truth.NumTasks(); ++k) {
+    records.push_back(qnet::MakeTaskRecord(fixture.truth, fixture.obs, k));
+  }
+  return records;
+}
+
+// A sampler-free lane window: fold the records, then the closure. Zero allocations once
+// the statistics and the fit are warm.
+void BM_MeanFieldFoldRecords(benchmark::State& state) {
+  const Fixture fixture = MakeWindowFixture();
+  const std::vector<qnet::TaskRecord> records = WindowRecords(fixture);
+  qnet::MeanFieldRecordFold fold(fixture.truth.NumQueues());
+  qnet::MeanFieldEstimator estimator;
+  qnet::MeanFieldFit fit;
+  const auto fold_and_fit = [&] {
+    fold.Restart();
+    for (const qnet::TaskRecord& record : records) {
+      fold.Add(record);
+    }
+    estimator.Fit(fold.Stats(), 0.0, fit);
+  };
+  fold_and_fit();  // warm-up sizes the statistics and the fit
+
+  std::size_t fits = 0;
+  const std::size_t before = AllocationCount();
+  for (auto _ : state) {
+    fold_and_fit();
+    benchmark::DoNotOptimize(fit.rates.data());
+    ++fits;
+  }
+  const std::size_t allocations = AllocationCount() - before;
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kWindowTasks));
+  state.counters["allocs_per_fit"] =
+      static_cast<double>(allocations) / static_cast<double>(fits);
+  state.counters["observed_responses"] = static_cast<double>(fit.observed_responses);
+}
+BENCHMARK(BM_MeanFieldFoldRecords)->Unit(benchmark::kMicrosecond);
+
+// The same records through the in-place window build and the log fit: the fold's
+// denominator in the CI gate.
+void BM_WindowBuildAndMeanFieldFit(benchmark::State& state) {
+  const Fixture fixture = MakeWindowFixture();
+  const std::vector<qnet::TaskRecord> records = WindowRecords(fixture);
+  qnet::WindowLogBuilder builder(fixture.truth.NumQueues());
+  qnet::MeanFieldEstimator estimator;
+  qnet::MeanFieldFit fit;
+  for (auto _ : state) {
+    builder.Restart();
+    for (const qnet::TaskRecord& record : records) {
+      builder.Add(record);
+    }
+    builder.Build();
+    estimator.Fit(builder.Log(), builder.Obs(), 0.0, fit);
+    benchmark::DoNotOptimize(fit.rates.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kWindowTasks));
+}
+BENCHMARK(BM_WindowBuildAndMeanFieldFit)->Unit(benchmark::kMicrosecond);
 
 // The sampler it replaces on the same window: bench-sized StEM (the BM_StreamEstimate
 // per-window configuration). Denominator of the 50x CI gate.

@@ -8,80 +8,78 @@
 
 namespace qnet {
 
+void MeanFieldStats::Reset(int num_queues) {
+  const auto size = static_cast<std::size_t>(num_queues);
+  counts.assign(size, 0);
+  resp_sum.assign(size, 0.0);
+  resp_count.assign(size, 0);
+  observed_responses = 0;
+  t_min = std::numeric_limits<double>::infinity();
+  t_max = -std::numeric_limits<double>::infinity();
+  last_entry = 0.0;
+  entry_observed = false;
+}
+
+void MeanFieldEstimator::Fit(const MeanFieldStats& stats, double arrival_time_origin,
+                             MeanFieldFit& out) {
+  ScopedSpan fit_span(SpanStage::kMeanFieldFit);
+  Close(stats, arrival_time_origin, out);
+}
+
 void MeanFieldEstimator::Fit(const EventLog& truth, const Observation& obs,
                              double arrival_time_origin, MeanFieldFit& out) {
   ScopedSpan fit_span(SpanStage::kMeanFieldFit);
-  FitCounters::Get().meanfield_fits->Increment();
-  const std::size_t num_queues = static_cast<std::size_t>(truth.NumQueues());
-  count_.assign(num_queues, 0);
-  resp_sum_.assign(num_queues, 0.0);
-  resp_count_.assign(num_queues, 0);
-  out.rates.assign(num_queues, options_.fallback_rate);
-  out.mean_wait.assign(num_queues, 0.0);
-  out.fitted.assign(num_queues, 0);
-  out.observed_responses = 0;
-
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  double last_entry = 0.0;  // latest observed system entry time
-  double t_min = kInf;      // earliest / latest observed time in the window: the busy
-  double t_max = -kInf;     // span lambda_q is measured against
+  stats_.Reset(truth.NumQueues());
   const EventId num_events = static_cast<EventId>(truth.NumEvents());
   for (EventId e = 0; e < num_events; ++e) {
     const Event& ev = truth.AtUnchecked(e);
-    if (ev.initial) {
-      // An initial event's departure IS the task's system entry time; its observation bit
-      // mirrors the first visit's arrival bit.
-      if (obs.DepartureObserved(e)) {
-        last_entry = std::max(last_entry, ev.departure);
-        t_min = std::min(t_min, ev.departure);
-        t_max = std::max(t_max, ev.departure);
-      }
-      continue;
-    }
-    const std::size_t q = static_cast<std::size_t>(ev.queue);
-    ++count_[q];
-    const bool arrival_seen = obs.ArrivalObserved(e);
-    const bool departure_seen = obs.DepartureObserved(e);
-    if (arrival_seen) {
-      t_min = std::min(t_min, ev.arrival);
-      t_max = std::max(t_max, ev.arrival);
-    }
-    if (departure_seen) {
-      t_min = std::min(t_min, ev.departure);
-      t_max = std::max(t_max, ev.departure);
-    }
-    if (arrival_seen && departure_seen) {
-      resp_sum_[q] += ev.departure - ev.arrival;
-      ++resp_count_[q];
-      ++out.observed_responses;
+    stats_.Add(ev.queue, ev.arrival, ev.departure, obs.ArrivalObserved(e),
+               obs.DepartureObserved(e));
+  }
+  Close(stats_, arrival_time_origin, out);
+}
+
+void MeanFieldEstimator::Close(const MeanFieldStats& stats, double arrival_time_origin,
+                               MeanFieldFit& out) {
+  FitCounters::Get().meanfield_fits->Increment();
+  const std::size_t num_queues = stats.counts.size();
+  out.rates.assign(num_queues, options_.fallback_rate);
+  out.mean_wait.assign(num_queues, 0.0);
+  out.fitted.assign(num_queues, 0);
+  out.observed_responses = stats.observed_responses;
+
+  // lambda is fitted only from an observed entry; without one the caller keeps its own.
+  if (stats.entry_observed) {
+    const double n_tasks = static_cast<double>(stats.NumTasks());
+    if (stats.last_entry - arrival_time_origin > 0.0) {
+      out.rates[0] = n_tasks / (stats.last_entry - arrival_time_origin);
+      out.fitted[0] = 1;
+    } else if (stats.last_entry > 0.0) {
+      // Degenerate origin (at/after the last entry): absolute anchor, like the M-step.
+      out.rates[0] = n_tasks / stats.last_entry;
+      out.fitted[0] = 1;
     }
   }
 
   // Busy span: independent of the lambda anchoring so the service-side fit is identical
-  // bits whether the caller anchors lambda absolutely or window-locally.
-  const double span = t_max > t_min ? std::max(t_max - t_min, options_.min_span)
-                                    : options_.min_span;
-
-  const double n_tasks = static_cast<double>(truth.NumTasks());
-  if (truth.NumTasks() > 0) {
-    out.fitted[0] = 1;
-    if (last_entry - arrival_time_origin > 0.0) {
-      out.rates[0] = n_tasks / (last_entry - arrival_time_origin);
-    } else if (last_entry > 0.0) {
-      // Degenerate origin (at/after the last entry): absolute anchor, like the M-step.
-      out.rates[0] = n_tasks / last_entry;
-    }
+  // bits whether the caller anchors lambda absolutely or window-locally. With fewer than
+  // two distinct observed times there is no span to turn counts into rates, so no queue
+  // is fitted (fallback rates; the caller substitutes its chain's).
+  if (!(stats.t_max > stats.t_min)) {
+    return;
   }
+  const double span = std::max(stats.t_max - stats.t_min, options_.min_span);
 
   for (std::size_t q = 1; q < num_queues; ++q) {
-    if (count_[q] == 0) {
+    if (stats.counts[q] == 0) {
       continue;  // fallback rate; fitted stays 0 so the caller can substitute its chain
     }
     out.fitted[q] = 1;
-    const double lambda_q = static_cast<double>(count_[q]) / span;
-    if (resp_count_[q] > 0) {
-      const double rbar = std::max(
-          resp_sum_[q] / static_cast<double>(resp_count_[q]), options_.min_span);
+    const double lambda_q = static_cast<double>(stats.counts[q]) / span;
+    if (stats.resp_count[q] > 0) {
+      const double rbar =
+          std::max(stats.resp_sum[q] / static_cast<double>(stats.resp_count[q]),
+                   options_.min_span);
       // Invert R = 1/(mu - lambda): strictly above lambda_q, so always stable.
       const double mu = lambda_q + 1.0 / rbar;
       out.rates[q] = mu;

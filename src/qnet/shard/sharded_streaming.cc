@@ -19,11 +19,11 @@
 namespace qnet {
 namespace {
 
-// One lane: record buffer + per-window log build + warm-started StEM fit chain. Accept
-// takes one routed record and Close answers one span decision; the router calls them
-// directly (one lane, no pipelining) or a worker thread calls them from the lane's queue
-// (Drain). Everything the lane does is a pure function of its item sequence, which the
-// router makes a pure function of the stream.
+// One lane: record buffer + per-window record fold (and log build, for StEM windows) +
+// warm-started fit chain. Accept takes one routed record and Close answers one span
+// decision; the router calls them directly (one lane, no pipelining) or a worker thread
+// calls them from the lane's queue (Drain). Everything the lane does is a pure function
+// of its item sequence, which the router makes a pure function of the stream.
 class LaneWorker {
  public:
   LaneWorker(std::size_t lane, int num_queues, const ShardedStreamingOptions& options,
@@ -32,6 +32,7 @@ class LaneWorker {
         options_(options),
         merger_(merger),
         builder_(num_queues),
+        fold_(num_queues),
         chain_(std::move(init_rates), seed, options.stream.window_local_arrival_rate,
                /*salted=*/options.lanes > 1, /*lane=*/lane),
         mean_field_(options.stream.mean_field) {
@@ -71,27 +72,20 @@ class LaneWorker {
     }
   }
 
-  // Answers one span decision: selects and builds the lane's share of the window, fits
-  // it, and posts the fit to the merger.
+  // Answers one span decision: selects the lane's share of the window, fits it, and
+  // posts the fit to the merger.
   void Close(const WindowSpanTracker::SpanDecision& decision) {
     ++stats_.windows_closed;
     std::vector<TaskRecord> records;
     {
-      // Selection + build only; the fits below have their own spans.
+      // Selection only; the fold, the log build (StEM windows only) and the fits below
+      // have their own spans.
       ScopedSpan span(SpanStage::kWindowAssemble);
       // The lane-local application of the global membership rule — the SAME helper the
       // assembler materializes with, applied to this lane's sub-sequence.
       records = TakeDecisionRecords(decision, buffer_, last_window_);
-      if (!records.empty()) {
-        // Rebuilt in place over the lane's one log; it stays valid until the next close.
-        builder_.Restart();
-        for (const TaskRecord& record : records) {
-          builder_.Add(record);
-        }
-        builder_.Build();
-      }
     }
-    LaneWindowFit fit = records.empty() ? LaneWindowFit{} : Fit(decision);
+    LaneWindowFit fit = records.empty() ? LaneWindowFit{} : Fit(decision, records);
     fit.tasks = records.size();
     if (records.empty()) {
       ++stats_.empty_windows;
@@ -146,15 +140,23 @@ class LaneWorker {
                      std::memory_order_relaxed);
   }
 
-  // Fits the window the builder holds. The fast-path mode selection and degrade decision
-  // of every streaming estimate live here.
-  LaneWindowFit Fit(const WindowSpanTracker::SpanDecision& decision) {
+  // Fits the window `records` make up. The fast-path mode selection and degrade decision
+  // of every streaming estimate live here. Every window is folded into the mean-field
+  // statistics; only a window that StEM will fit is built into the lane's log.
+  LaneWindowFit Fit(const WindowSpanTracker::SpanDecision& decision,
+                    const std::vector<TaskRecord>& records) {
     LaneWindowFit fit;
-    const EventLog& log = builder_.Log();
-    const Observation& obs = builder_.Obs();
+    {
+      ScopedSpan span(SpanStage::kMeanFieldFit);
+      fold_.Restart();
+      for (const TaskRecord& record : records) {
+        fold_.Add(record);
+      }
+    }
+    const MeanFieldStats& window_stats = fold_.Stats();
     // The sub-log's per-queue counts feed the merger's bias correction (lambda_q is
     // reconstructed from the summed counts — exact, fit or no fit).
-    fit.queue_counts = log.PerQueueCount();
+    fit.queue_counts = window_stats.counts;
     // A hash-thinned sub-window (or any window of a stream that never visits some
     // queue) can miss a queue entirely; StEM cannot estimate a rate with no events.
     const bool every_queue_present =
@@ -181,9 +183,9 @@ class LaneWorker {
     WindowFitChain::Plan plan = chain_.PlanFit(
         decision.window_index, decision.merged_tail_tasks > 0, decision.t0);
     if (mode != FastPathMode::kOff) {
-      // Mean-field fit of the sub-log: the warm start (queues without events keep the
-      // chain's previous rates) and, when degraded, the estimate itself.
-      mean_field_.Fit(log, obs, plan.arrival_time_origin, mf_fit_);
+      // Mean-field fit of the sub-window: the warm start (queues it could not fit keep
+      // the chain's previous rates) and, when degraded, the estimate itself.
+      mean_field_.Fit(window_stats, plan.arrival_time_origin, mf_fit_);
       for (std::size_t q = 0; q < plan.warm_start.size(); ++q) {
         if (mf_fit_.fitted[q] != 0) {
           plan.warm_start[q] = mf_fit_.rates[q];
@@ -199,13 +201,23 @@ class LaneWorker {
       fit.mean_wait = mf_fit_.mean_wait;
       return fit;
     }
+    {
+      // Rebuilt in place over the lane's one log; it stays valid until the next build.
+      ScopedSpan span(SpanStage::kWindowAssemble);
+      builder_.Restart();
+      for (const TaskRecord& record : records) {
+        builder_.Add(record);
+      }
+      builder_.Build();
+    }
     StemOptions stem = options_.stream.stem;
     stem.arrival_time_origin = plan.arrival_time_origin;
     stem.scheduler_cache = scheduler_cache_.get();
     const StemEstimator estimator(stem);
     Rng rng(plan.seed);
     Stopwatch fitting;
-    StemResult result = estimator.Run(log, obs, std::move(plan.warm_start), rng);
+    StemResult result =
+        estimator.Run(builder_.Log(), builder_.Obs(), std::move(plan.warm_start), rng);
     stats_.fit_seconds += fitting.ElapsedSeconds();
     stats_.fit_iterations_total += result.iterations_run;
     chain_.Complete(result.rates);
@@ -219,6 +231,7 @@ class LaneWorker {
   const ShardedStreamingOptions& options_;
   LaneMerger* merger_;
   WindowLogBuilder builder_;
+  MeanFieldRecordFold fold_;
   WindowFitChain chain_;
   std::unique_ptr<ShardedSweepScheduler> scheduler_cache_;
   MeanFieldEstimator mean_field_;

@@ -74,6 +74,15 @@ TaskRecord MakeTaskRecord(const EventLog& log, const Observation& obs, int task)
 // Same, reusing `out`'s capacity.
 void FillTaskRecord(const EventLog& log, const Observation& obs, int task, TaskRecord& out);
 
+// Throws qnet::Error for a record that EventLog::AddTask/AddVisit would reject as the
+// next task of a window whose previous record entered at `previous_entry` (0 for a
+// window's first record): no visits, an entry time below 0 or below previous_entry, a
+// queue outside [1, num_queues), a departure before its arrival, or a visit that does
+// not start within 1e-9 of where the entry or the previous visit ended. NaN times fail
+// the last two. WindowLogBuilder and MeanFieldRecordFold both apply it, so a window
+// that is folded without building its log skips none of the log's checks.
+void ValidateTaskRecord(const TaskRecord& record, int num_queues, double previous_entry);
+
 }  // namespace qnet
 
 #endif  // QNET_STREAM_TASK_RECORD_H_

@@ -10,27 +10,36 @@
 
 namespace qnet {
 
+namespace {
+
+// The observation flag of the departure of event `k` of `record`, with events numbered
+// as a window numbers them: k = 0 is the initial event, k = i + 1 is visit i. A
+// departure followed by another visit is the same physical measurement as that visit's
+// arrival and takes its flag (the consistency invariant); only the final visit keeps its
+// own departure flag.
+bool DepartureObserved(const TaskRecord& record, std::size_t k) {
+  return k < record.visits.size() ? record.visits[k].arrival_observed
+                                  : record.visits.back().departure_observed;
+}
+
+}  // namespace
+
 WindowLogBuilder::WindowLogBuilder(int num_queues)
     : num_queues_(num_queues), log_(num_queues) {}
 
 void WindowLogBuilder::Add(const TaskRecord& record) {
-  QNET_CHECK(!record.visits.empty(), "task record has no visits");
+  const int tasks = log_.NumTasks();
+  ValidateTaskRecord(record, num_queues_, tasks > 0 ? log_.TaskEntryTime(tasks - 1) : 0.0);
   const int task = log_.AddTask(record.entry_time);
-  // Initial event: arrival observed by convention (t = 0); its departure is the same
-  // physical measurement as the first visit's arrival.
+  // Initial event: arrival observed by convention (t = 0).
   obs_.arrival_observed.push_back(1);
-  obs_.departure_observed.push_back(record.visits.front().arrival_observed ? 1 : 0);
+  obs_.departure_observed.push_back(DepartureObserved(record, 0) ? 1 : 0);
   bool all_arrivals_observed = true;
   for (std::size_t i = 0; i < record.visits.size(); ++i) {
     const TaskVisit& visit = record.visits[i];
     log_.AddVisit(task, visit.state, visit.queue, visit.arrival, visit.departure);
     obs_.arrival_observed.push_back(visit.arrival_observed ? 1 : 0);
-    // Internal departures sync to the successor's arrival flag (the consistency
-    // invariant); only the final visit keeps its own departure flag.
-    const bool departure_observed = i + 1 < record.visits.size()
-                                        ? record.visits[i + 1].arrival_observed
-                                        : visit.departure_observed;
-    obs_.departure_observed.push_back(departure_observed ? 1 : 0);
+    obs_.departure_observed.push_back(DepartureObserved(record, i + 1) ? 1 : 0);
     all_arrivals_observed = all_arrivals_observed && visit.arrival_observed;
   }
   if (all_arrivals_observed) {
@@ -46,6 +55,7 @@ void WindowLogBuilder::Restart() {
 }
 
 void WindowLogBuilder::Build() {
+  StreamCounters::Get().window_logs_built->Increment();
   log_.BuildQueueLinks();
   obs_.Validate(log_);
 }
@@ -55,6 +65,28 @@ std::pair<EventLog, Observation> WindowLogBuilder::Finish() {
   std::pair<EventLog, Observation> window{std::move(log_), std::move(obs_)};
   Restart();
   return window;
+}
+
+MeanFieldRecordFold::MeanFieldRecordFold(int num_queues) : num_queues_(num_queues) {
+  Restart();
+}
+
+void MeanFieldRecordFold::Restart() {
+  stats_.Reset(num_queues_);
+  last_entry_ = 0.0;
+}
+
+void MeanFieldRecordFold::Add(const TaskRecord& record) {
+  ValidateTaskRecord(record, num_queues_, last_entry_);
+  last_entry_ = record.entry_time;
+  // The initial event lives on the arrival queue; its arrival is never read.
+  stats_.Add(QueueingNetwork::kArrivalQueue, 0.0, record.entry_time, true,
+             DepartureObserved(record, 0));
+  for (std::size_t i = 0; i < record.visits.size(); ++i) {
+    const TaskVisit& visit = record.visits[i];
+    stats_.Add(visit.queue, visit.arrival, visit.departure, visit.arrival_observed,
+               DepartureObserved(record, i + 1));
+  }
 }
 
 std::pair<EventLog, Observation> ExtractTaskWindow(const EventLog& truth,

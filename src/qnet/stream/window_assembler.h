@@ -36,6 +36,7 @@
 #include <utility>
 #include <vector>
 
+#include "qnet/infer/meanfield.h"
 #include "qnet/model/event.h"
 #include "qnet/obs/observation.h"
 #include "qnet/stream/task_record.h"
@@ -43,10 +44,12 @@
 namespace qnet {
 
 // Builds one window's EventLog + Observation incrementally from TaskRecords added in
-// nondecreasing entry-time order. The observation flags are re-derived from the records
-// exactly as ExtractTaskWindow derives them from a batch log: initial events are always
-// arrival-observed, internal departure flags are synced to the successor's arrival flag,
-// and observed_tasks collects the tasks whose every visit arrival is observed.
+// nondecreasing entry-time order. Each record becomes its initial event followed by its
+// visits, and is checked by ValidateTaskRecord first. The observation flags are
+// re-derived from the records exactly as ExtractTaskWindow derives them from a batch
+// log: initial events are always arrival-observed, internal departure flags are synced
+// to the successor's arrival flag, and observed_tasks collects the tasks whose every
+// visit arrival is observed.
 //
 // The builder owns one log and one observation and rebuilds them in place: Restart,
 // Add each record, Build, then read Log()/Obs(). Restart keeps every buffer's capacity
@@ -77,6 +80,30 @@ class WindowLogBuilder {
   int num_queues_;
   EventLog log_;
   Observation obs_;
+};
+
+// Folds TaskRecords straight into the mean-field statistics, without building a log: the
+// sampler-free windows' replacement for WindowLogBuilder. Add visits a record's events in
+// the order WindowLogBuilder::Add numbers them, with the same observation flags and the
+// same ValidateTaskRecord checks, so after the same records
+//   Stats().counts == builder.Log().PerQueueCount(), and
+//   MeanFieldEstimator::Fit(Stats(), ...) == Fit(builder.Log(), builder.Obs(), ...)
+// bit for bit. Restart keeps the statistics' capacity: a warm fold allocates nothing.
+class MeanFieldRecordFold {
+ public:
+  explicit MeanFieldRecordFold(int num_queues);
+
+  // Starts the next window.
+  void Restart();
+
+  void Add(const TaskRecord& record);
+
+  const MeanFieldStats& Stats() const { return stats_; }
+
+ private:
+  int num_queues_;
+  MeanFieldStats stats_;
+  double last_entry_ = 0.0;  // entry time of the window's latest record
 };
 
 // Extracts the sub-log of `truth` containing exactly `tasks` (sorted, unique; renumbered

@@ -165,6 +165,7 @@ const StreamCounters& StreamCounters::Get() {
     b.windows_estimated = r.AddCounter("qnet_stream_windows_estimated_total");
     b.degraded_windows = r.AddCounter("qnet_stream_degraded_windows_total");
     b.fit_iterations = r.AddCounter("qnet_stream_fit_iterations_total");
+    b.window_logs_built = r.AddCounter("qnet_stream_window_logs_built_total");
     b.peak_buffered_tasks = r.AddGauge("qnet_stream_peak_buffered_tasks");
     b.peak_queue_depth = r.AddGauge("qnet_stream_peak_queue_depth");
     return b;

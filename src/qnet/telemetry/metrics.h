@@ -258,6 +258,7 @@ struct StreamCounters {
   Counter* windows_estimated;   // estimates emitted (merged-tail re-fits excluded)
   Counter* degraded_windows;    // estimates emitted with degraded = true
   Counter* fit_iterations;      // summed WindowEstimate::fit_iterations
+  Counter* window_logs_built;   // WindowLogBuilder::Build calls (lanes build StEM windows only)
   Gauge* peak_buffered_tasks;   // high-water mark across assemblers / lanes
   Gauge* peak_queue_depth;      // high-water mark across lane ingest queues
   static const StreamCounters& Get();

@@ -14,6 +14,7 @@
 #include "qnet/infer/general_gibbs.h"
 #include "qnet/infer/gibbs.h"
 #include "qnet/infer/initializer.h"
+#include "qnet/infer/meanfield.h"
 #include "qnet/model/builders.h"
 #include "qnet/obs/observation.h"
 #include "qnet/sim/sim_scratch.h"
@@ -269,6 +270,35 @@ TEST(AllocFree, WarmWindowBuildDoesNotAllocate) {
   }
   EXPECT_EQ(AllocationCount(), before);
   EXPECT_EQ(builder.Log().NumTasks(), fixture.truth.NumTasks());
+}
+
+TEST(AllocFree, WarmMeanFieldFoldDoesNotAllocate) {
+  // A sampler-free lane window: fold the records into the mean-field statistics and run
+  // the closure. Restart keeps the statistics' capacity and the fit assign()s its
+  // outputs in place, so once warm no window allocates.
+  const Fixture fixture = MakeFixture();
+  std::vector<TaskRecord> records;
+  for (int k = 0; k < fixture.truth.NumTasks(); ++k) {
+    records.push_back(MakeTaskRecord(fixture.truth, fixture.obs, k));
+  }
+  MeanFieldRecordFold fold(fixture.truth.NumQueues());
+  MeanFieldEstimator estimator;
+  MeanFieldFit fit;
+  for (const TaskRecord& record : records) {  // warm-up window
+    fold.Add(record);
+  }
+  estimator.Fit(fold.Stats(), 0.0, fit);
+  const std::size_t before = AllocationCount();
+  for (const std::size_t size : {records.size(), records.size() / 2, records.size()}) {
+    fold.Restart();
+    for (std::size_t k = 0; k < size; ++k) {
+      fold.Add(records[k]);
+    }
+    estimator.Fit(fold.Stats(), records.front().entry_time, fit);
+  }
+  EXPECT_EQ(AllocationCount(), before);
+  EXPECT_EQ(fold.Stats().NumTasks(), records.size());
+  EXPECT_TRUE(fit.AllQueuesFitted());
 }
 
 TEST(AllocFree, TelemetryUpdatesDoNotAllocate) {

@@ -1,17 +1,27 @@
-// Non-finite entry times at the stream boundary. A +inf entry once drove the window
-// close loop's fast-forward bound to infinity, so the stream hung forever; a NaN never
-// compares into any window. Both must be rejected with qnet::Error before they touch
-// any state — by the span tracker, the plain StreamingEstimator, and the lane fleet,
-// whose lane threads must unwind cleanly. ctest runs this suite with a TIMEOUT, so a
-// regression to the hang fails instead of stalling the run.
+// Bad records at the stream boundary.
+//
+// Non-finite entry times: a +inf entry once drove the window close loop's fast-forward
+// bound to infinity, so the stream hung forever; a NaN never compares into any window.
+// Both must be rejected with qnet::Error before they touch any state — by the span
+// tracker, the plain StreamingEstimator, and the lane fleet, whose lane threads must
+// unwind cleanly. ctest runs this suite with a TIMEOUT, so a regression to the hang
+// fails instead of stalling the run.
+//
+// Malformed records (no visits, negative entry, bad queue, departure before arrival,
+// broken continuity, NaN visit times): ValidateTaskRecord rejects them for the window
+// log builder and the mean-field record fold alike, so a sampler-free window that never
+// builds a log still raises qnet::Error at the close that takes the record.
 
+#include <cstddef>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "support/vector_stream.h"
 #include "qnet/model/builders.h"
+#include "qnet/infer/meanfield.h"
 #include "qnet/obs/observation.h"
 #include "qnet/shard/sharded_streaming.h"
 #include "qnet/sim/simulator.h"
@@ -114,6 +124,117 @@ TEST(EntryValidation, FleetThrowsAndItsLanesUnwind) {
       EXPECT_EQ(rerun[w].mean_wait, reference[w].mean_wait) << "window " << w;
     }
     EXPECT_EQ(fleet.Stats().tasks_ingested, clean.size());
+  }
+}
+
+// --- Malformed records ---------------------------------------------------------------------
+
+struct BadRecord {
+  std::string name;
+  TaskRecord record;
+};
+
+// Variants of `good` (a two-visit tandem record) that EventLog::AddTask/AddVisit reject.
+std::vector<BadRecord> BadVariants(const TaskRecord& good) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  std::vector<BadRecord> bad;
+  const auto add = [&](std::string name, auto mutate) {
+    TaskRecord record = good;
+    mutate(record);
+    bad.push_back({std::move(name), std::move(record)});
+  };
+  add("no visits", [](TaskRecord& r) { r.visits.clear(); });
+  add("negative entry", [](TaskRecord& r) {
+    r.entry_time = -1.0;
+    r.visits.front().arrival = -1.0;
+  });
+  add("queue 0", [](TaskRecord& r) { r.visits.back().queue = 0; });
+  add("queue past the last", [](TaskRecord& r) { r.visits.back().queue = 3; });
+  add("departure before arrival",
+      [](TaskRecord& r) { r.visits.back().departure = r.visits.back().arrival - 0.5; });
+  add("first visit starts after entry", [](TaskRecord& r) {
+    r.visits.front().arrival += 1e-6;
+    r.visits.front().departure += 1e-6;
+  });
+  add("second visit starts after the first ends", [](TaskRecord& r) {
+    r.visits.back().arrival += 1e-6;
+    r.visits.back().departure += 1e-6;
+  });
+  add("NaN arrival", [](TaskRecord& r) { r.visits.back().arrival = kNaN; });
+  add("NaN departure", [](TaskRecord& r) { r.visits.front().departure = kNaN; });
+  return bad;
+}
+
+TEST(RecordValidation, BuilderAndFoldRejectTheSameRecords) {
+  const std::vector<TaskRecord> clean = CleanRecords();
+  const TaskRecord& good = clean[300];
+  ASSERT_EQ(good.visits.size(), 2u);
+  for (const BadRecord& bad : BadVariants(good)) {
+    SCOPED_TRACE(bad.name);
+    WindowLogBuilder builder(3);
+    MeanFieldRecordFold fold(3);
+    EXPECT_THROW(ValidateTaskRecord(bad.record, 3, 0.0), Error);
+    EXPECT_THROW(builder.Add(bad.record), Error);
+    EXPECT_THROW(fold.Add(bad.record), Error);
+  }
+  // Entry order within a window: a record may not enter before its predecessor.
+  WindowLogBuilder builder(3);
+  MeanFieldRecordFold fold(3);
+  builder.Add(clean[301]);
+  fold.Add(clean[301]);
+  EXPECT_THROW(builder.Add(good), Error);
+  EXPECT_THROW(fold.Add(good), Error);
+  // The unmodified record passes everywhere.
+  builder.Restart();
+  fold.Restart();
+  EXPECT_NO_THROW(ValidateTaskRecord(good, 3, clean[299].entry_time));
+  EXPECT_NO_THROW(builder.Add(good));
+  EXPECT_NO_THROW(fold.Add(good));
+}
+
+TEST(RecordValidation, SamplerFreeFleetsThrowAtTheCloseThatTakesTheRecord) {
+  const std::vector<TaskRecord> clean = CleanRecords();
+  ShardedStreamingOptions options;
+  options.stream = ShortStemOptions();
+  options.stream.fast_path = FastPathMode::kMeanFieldOnly;
+  options.stream.pipeline = false;
+  // A negative entry is late; merging it keeps it in the stream until a close takes it.
+  options.stream.window.late_policy = LateRecordPolicy::kMergeIntoCurrent;
+  std::size_t emitted = 0;
+  options.stream.on_window = [&emitted](const WindowEstimate&) { ++emitted; };
+
+  // Windows that close before the one holding the record at `entry`.
+  VectorStream clean_stream(clean, 3);
+  const std::vector<WindowEstimate> reference =
+      ShardedStreamingEstimator({1.0, 1.0, 1.0}, 99, options).Run(clean_stream);
+  const auto windows_before = [&](double entry) {
+    std::size_t count = 0;
+    for (const WindowEstimate& estimate : reference) {
+      count += estimate.t1 <= entry ? 1 : 0;
+    }
+    return count;
+  };
+  // The late negative entry joins the window open when it arrives: record 299's.
+  ASSERT_EQ(windows_before(clean[299].entry_time), windows_before(clean[300].entry_time));
+  const std::size_t expected_before = windows_before(clean[300].entry_time);
+  ASSERT_GE(expected_before, 2u);
+  ASSERT_LT(expected_before, reference.size());
+
+  for (const std::size_t lanes : {1u, 2u}) {
+    options.lanes = lanes;
+    for (const BadRecord& bad : BadVariants(clean[300])) {
+      SCOPED_TRACE(bad.name + ", lanes " + std::to_string(lanes));
+      std::vector<TaskRecord> records = clean;
+      records[300] = bad.record;
+      VectorStream stream(std::move(records), 3);
+      ShardedStreamingEstimator fleet({1.0, 1.0, 1.0}, 99, options);
+      emitted = 0;
+      EXPECT_THROW(fleet.Run(stream), Error);
+      if (lanes == 1) {
+        // In-thread: every earlier window was emitted, and nothing after it.
+        EXPECT_EQ(emitted, expected_before);
+      }
+    }
   }
 }
 

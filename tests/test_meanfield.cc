@@ -5,12 +5,17 @@
 
 #include "qnet/infer/meanfield.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "support/counting_allocator.h"
+#include "support/overtaking_records.h"
 #include "qnet/infer/stem.h"
 #include "qnet/model/builders.h"
 #include "qnet/obs/observation.h"
@@ -193,6 +198,196 @@ TEST(MeanField, QueueWithNoEventsKeepsFallbackRate) {
   EXPECT_EQ(fit.rates[2], 3.25);
   // mu = lambda_q + 1/Rbar with lambda_q = 6 events / busy span [1.0, 6.25].
   EXPECT_NEAR(fit.rates[1], 6.0 / 5.25 + 1.0 / 0.25, 1e-9);
+}
+
+// --- Degenerate windows ------------------------------------------------------------------
+
+// Three tasks through a 2-queue tandem with every time unobserved, except the entry of
+// task `observed_task` (if any), which also observes its first arrival, the same instant.
+std::vector<TaskRecord> ThreeTaskRecords(int observed_task = -1) {
+  std::vector<TaskRecord> records(3);
+  for (int k = 0; k < 3; ++k) {
+    TaskRecord& record = records[static_cast<std::size_t>(k)];
+    record.entry_time = 1.0 + k;
+    double t = record.entry_time;
+    for (const int queue : {1, 2}) {
+      TaskVisit visit;
+      visit.state = queue;
+      visit.queue = queue;
+      visit.arrival = t;
+      visit.departure = t + 0.25;
+      visit.arrival_observed = false;
+      visit.departure_observed = false;
+      record.visits.push_back(visit);
+      t = visit.departure;
+    }
+    record.visits.front().arrival_observed = k == observed_task;
+  }
+  return records;
+}
+
+// Both routes to the closure: the built log and the record fold.
+std::vector<MeanFieldFit> FitBothWays(const std::vector<TaskRecord>& records,
+                                      int num_queues, const MeanFieldOptions& options) {
+  WindowLogBuilder builder(num_queues);
+  MeanFieldRecordFold fold(num_queues);
+  for (const TaskRecord& record : records) {
+    builder.Add(record);
+    fold.Add(record);
+  }
+  builder.Build();
+  MeanFieldEstimator estimator(options);
+  std::vector<MeanFieldFit> fits(2);
+  estimator.Fit(builder.Log(), builder.Obs(), 0.0, fits[0]);
+  estimator.Fit(fold.Stats(), 0.0, fits[1]);
+  return fits;
+}
+
+TEST(MeanField, WindowWithNoObservedTimeFitsNothing) {
+  // No observed entry pins no lambda, and no observed span turns no count into a rate:
+  // every rate stays the (finite) fallback and is flagged unfitted, so the caller keeps
+  // its chain's rates instead of adopting lambda = fallback and mu = n / min_span.
+  MeanFieldOptions options;
+  options.fallback_rate = 1.5;
+  for (const MeanFieldFit& fit : FitBothWays(ThreeTaskRecords(), 3, options)) {
+    EXPECT_EQ(fit.fitted, std::vector<char>(3, 0));
+    EXPECT_EQ(fit.rates, std::vector<double>(3, 1.5));
+    EXPECT_EQ(fit.mean_wait, std::vector<double>(3, 0.0));
+    EXPECT_EQ(fit.observed_responses, 0u);
+    EXPECT_FALSE(fit.AllQueuesFitted());
+  }
+}
+
+TEST(MeanField, OneObservedInstantFitsLambdaButNoQueue) {
+  // Task 1's entry (= its first arrival) is the only observed time: lambda is anchored on
+  // it, but one distinct time is no busy span, so the queues stay unfitted.
+  const MeanFieldOptions options;
+  for (const MeanFieldFit& fit : FitBothWays(ThreeTaskRecords(1), 3, options)) {
+    EXPECT_EQ(fit.fitted, (std::vector<char>{1, 0, 0}));
+    EXPECT_EQ(fit.rates[0], 3.0 / 2.0);
+    EXPECT_EQ(fit.rates[1], options.fallback_rate);
+    EXPECT_EQ(fit.rates[2], options.fallback_rate);
+  }
+}
+
+// --- Record fold == log fit --------------------------------------------------------------
+
+std::vector<std::uint64_t> Bits(const std::vector<double>& values) {
+  std::vector<std::uint64_t> bits;
+  for (const double v : values) {
+    bits.push_back(std::bit_cast<std::uint64_t>(v));
+  }
+  return bits;
+}
+
+// Builds `records` into a log and folds them, then checks the fold's counts against the
+// log's and the two fits field for field, bit for bit, at an absolute and a window-local
+// lambda anchor.
+void ExpectFoldMatchesLogFit(const std::vector<TaskRecord>& records, int num_queues) {
+  WindowLogBuilder builder(num_queues);
+  MeanFieldRecordFold fold(num_queues);
+  for (const TaskRecord& record : records) {
+    builder.Add(record);
+    fold.Add(record);
+  }
+  builder.Build();
+  EXPECT_EQ(fold.Stats().counts, builder.Log().PerQueueCount());
+  EXPECT_EQ(fold.Stats().NumTasks(), records.size());
+  MeanFieldEstimator estimator;
+  for (const double origin : {0.0, records.front().entry_time}) {
+    MeanFieldFit from_log;
+    MeanFieldFit from_fold;
+    estimator.Fit(builder.Log(), builder.Obs(), origin, from_log);
+    estimator.Fit(fold.Stats(), origin, from_fold);
+    EXPECT_EQ(Bits(from_fold.rates), Bits(from_log.rates)) << "origin " << origin;
+    EXPECT_EQ(Bits(from_fold.mean_wait), Bits(from_log.mean_wait)) << "origin " << origin;
+    EXPECT_EQ(from_fold.fitted, from_log.fitted) << "origin " << origin;
+    EXPECT_EQ(from_fold.observed_responses, from_log.observed_responses);
+  }
+}
+
+// Consecutive windows of growing size over `records`, then the whole sequence.
+void ExpectFoldMatchesLogFitOnWindows(const std::vector<TaskRecord>& records,
+                                      int num_queues) {
+  std::size_t first = 0;
+  for (const std::size_t size : {1u, 3u, 40u, 150u}) {
+    ASSERT_LE(first + size, records.size());
+    SCOPED_TRACE("window of " + std::to_string(size) + " from " + std::to_string(first));
+    ExpectFoldMatchesLogFit({records.begin() + static_cast<std::ptrdiff_t>(first),
+                             records.begin() + static_cast<std::ptrdiff_t>(first + size)},
+                            num_queues);
+    first += size;
+  }
+  ExpectFoldMatchesLogFit(records, num_queues);
+}
+
+TEST(MeanFieldRecordFold, MatchesLogFitOnTandemAndThreeTierAtEveryObservedFraction) {
+  ThreeTierConfig tiers;
+  tiers.tier_sizes = {1, 2, 4};
+  tiers.arrival_rate = 10.0;
+  tiers.service_rate = 16.0;
+  for (const bool three_tier : {false, true}) {
+    const QueueingNetwork net =
+        three_tier ? MakeThreeTierNetwork(tiers) : MakeTandemNetwork(4.0, {8.0, 9.0});
+    Rng rng(31);
+    const EventLog truth = SimulateWorkload(
+        net, PoissonArrivals(three_tier ? tiers.arrival_rate : 4.0, 400), rng);
+    for (const double fraction : {0.0, 0.05, 0.2, 1.0}) {
+      SCOPED_TRACE("queues " + std::to_string(truth.NumQueues()) + ", fraction " +
+                   std::to_string(fraction));
+      TaskSamplingScheme scheme;
+      scheme.fraction = fraction;
+      const Observation obs = scheme.Apply(truth, rng);
+      std::vector<TaskRecord> records;
+      for (int k = 0; k < truth.NumTasks(); ++k) {
+        records.push_back(MakeTaskRecord(truth, obs, k));
+      }
+      ExpectFoldMatchesLogFitOnWindows(records, truth.NumQueues());
+    }
+  }
+}
+
+TEST(MeanFieldRecordFold, MatchesLogFitOnOvertakingTiedAndPartiallyObservedRecords) {
+  ExpectFoldMatchesLogFitOnWindows(qnet_testing::OvertakingRecords(240), 4);
+}
+
+TEST(MeanFieldRecordFold, MatchesLogFitOnAMergedTailWindow) {
+  // The end-of-stream re-close: the previous window's records, then the tail's, in the
+  // order TakeDecisionRecords hands them to the lane.
+  const std::vector<TaskRecord> records = qnet_testing::OvertakingRecords(60);
+  std::vector<TaskRecord> last_window(records.begin(), records.begin() + 54);
+  std::vector<TaskRecord> pending(records.begin() + 54, records.end());
+  WindowSpanTracker::SpanDecision decision;
+  decision.t0 = 0.0;
+  decision.t1 = 40.0;
+  decision.count = records.size();
+  decision.merged_tail_tasks = pending.size();
+  decision.take_all = true;
+  const std::vector<TaskRecord> merged = TakeDecisionRecords(decision, pending, last_window);
+  ASSERT_EQ(merged, records);
+  ExpectFoldMatchesLogFit(merged, 4);
+}
+
+TEST(MeanFieldRecordFold, RestartStartsAFreshWindow) {
+  const std::vector<TaskRecord> records = qnet_testing::OvertakingRecords(30);
+  MeanFieldRecordFold reused(4);
+  for (const TaskRecord& record : records) {
+    reused.Add(record);
+  }
+  reused.Restart();
+  MeanFieldRecordFold fresh(4);
+  // Entry order restarts with the window: an earlier record is fine after Restart.
+  for (std::size_t k = 2; k < 10; ++k) {
+    reused.Add(records[k]);
+    fresh.Add(records[k]);
+  }
+  EXPECT_EQ(reused.Stats().counts, fresh.Stats().counts);
+  EXPECT_EQ(Bits(reused.Stats().resp_sum), Bits(fresh.Stats().resp_sum));
+  EXPECT_EQ(reused.Stats().resp_count, fresh.Stats().resp_count);
+  EXPECT_EQ(reused.Stats().t_min, fresh.Stats().t_min);
+  EXPECT_EQ(reused.Stats().t_max, fresh.Stats().t_max);
+  EXPECT_EQ(reused.Stats().last_entry, fresh.Stats().last_entry);
+  EXPECT_EQ(reused.Stats().entry_observed, fresh.Stats().entry_observed);
 }
 
 // --- Zero allocations per fit ------------------------------------------------------------

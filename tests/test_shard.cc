@@ -15,11 +15,15 @@
 #include <cmath>
 #include <cstdint>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "support/vector_stream.h"
+#include "qnet/infer/meanfield.h"
+#include "qnet/infer/sharded_sweep.h"
+#include "qnet/infer/stem.h"
 #include "qnet/model/builders.h"
 #include "qnet/obs/observation.h"
 #include "qnet/shard/lane_router.h"
@@ -31,6 +35,7 @@
 #include "qnet/support/check.h"
 #include "qnet/support/rng.h"
 #include "qnet/support/task_hash.h"
+#include "qnet/telemetry/metrics.h"
 #include "qnet/trace/window_csv.h"
 
 namespace qnet {
@@ -678,6 +683,192 @@ TEST(ShardedStreaming, FastPathPooledEstimatesBitIdenticalAcrossThreadsAndPipeli
       EXPECT_LT(degraded, per_lane_count[0].size());
     }
   }
+}
+
+// --- Sampler-free windows fold their records ---------------------------------------------
+
+// The single-lane fleet as it would run if every window were built into a log: the same
+// span tracker, record selection, fit chain, degrade rule and StEM configuration as the
+// lane, but each window goes through WindowLogBuilder and the mean-field fit reads the
+// built log. K = 1 pools verbatim, so the fleet must match it bit for bit.
+std::vector<WindowEstimate> BuildEveryWindowReference(const Fixture& f,
+                                                      const StreamingEstimatorOptions& options,
+                                                      std::uint64_t seed) {
+  WindowSpanTracker tracker(options.window);
+  std::vector<TaskRecord> buffer;
+  std::vector<TaskRecord> last_window;
+  WindowLogBuilder builder(f.truth.NumQueues());
+  WindowFitChain chain({1.0, 1.0, 1.0}, seed, options.window_local_arrival_rate);
+  MeanFieldEstimator mean_field(options.mean_field);
+  MeanFieldFit mf_fit;
+  // The lane's scheduler cache for the default batched sweep.
+  ShardedSweepOptions cache_options;
+  cache_options.shards = 1;
+  cache_options.threads = 1;
+  ShardedSweepScheduler scheduler_cache(cache_options);
+  std::vector<WindowEstimate> estimates;
+  const auto close = [&](const WindowSpanTracker::SpanDecision& decision) {
+    std::vector<TaskRecord> records = TakeDecisionRecords(decision, buffer, last_window);
+    builder.Restart();
+    for (const TaskRecord& record : records) {
+      builder.Add(record);
+    }
+    builder.Build();
+    const std::vector<std::size_t> counts = builder.Log().PerQueueCount();
+    EXPECT_EQ(std::count(counts.begin(), counts.end(), std::size_t{0}), 0);
+    WindowFitChain::Plan plan =
+        chain.PlanFit(decision.window_index, decision.merged_tail_tasks > 0, decision.t0);
+    mean_field.Fit(builder.Log(), builder.Obs(), plan.arrival_time_origin, mf_fit);
+    for (std::size_t q = 0; q < plan.warm_start.size(); ++q) {
+      if (mf_fit.fitted[q] != 0) {
+        plan.warm_start[q] = mf_fit.rates[q];
+      }
+    }
+    WindowEstimate estimate;
+    estimate.t0 = decision.t0;
+    estimate.t1 = decision.t1;
+    estimate.tasks = records.size();
+    estimate.merged_tail_tasks = decision.merged_tail_tasks;
+    estimate.window_local_arrival_rate = options.window_local_arrival_rate;
+    estimate.degraded = options.fast_path == FastPathMode::kMeanFieldOnly ||
+                        decision.count > options.degrade_task_budget;
+    if (estimate.degraded) {
+      estimate.rates = plan.warm_start;
+      estimate.mean_wait = mf_fit.mean_wait;
+    } else {
+      StemOptions stem = options.stem;
+      stem.arrival_time_origin = plan.arrival_time_origin;
+      stem.scheduler_cache = &scheduler_cache;
+      Rng rng(plan.seed);
+      StemResult result = StemEstimator(stem).Run(builder.Log(), builder.Obs(),
+                                                  std::move(plan.warm_start), rng);
+      estimate.rates = std::move(result.rates);
+      estimate.mean_wait = std::move(result.mean_wait);
+      estimate.fit_iterations = result.iterations_run;
+    }
+    chain.Complete(estimate.rates);
+    if (decision.merged_tail_tasks > 0) {
+      estimates.back() = std::move(estimate);
+    } else {
+      estimates.push_back(std::move(estimate));
+    }
+    if (decision.merged_tail_tasks == 0 && options.window.merge_trailing_window) {
+      last_window = std::move(records);
+    }
+  };
+  LogReplayStream stream(f.truth, f.obs);
+  TaskRecord record;
+  while (stream.Next(record)) {
+    if (tracker.Push(record.entry_time) == WindowSpanTracker::PushVerdict::kLateDropped) {
+      continue;
+    }
+    buffer.push_back(record);
+    while (tracker.HasClosed()) {
+      close(tracker.PopClosed());
+    }
+  }
+  tracker.Finish();
+  while (tracker.HasClosed()) {
+    close(tracker.PopClosed());
+  }
+  return estimates;
+}
+
+TEST(ShardedStreaming, SingleLaneRecordFoldMatchesBuildEveryWindowReference) {
+  const Fixture f;
+  for (const FastPathMode mode : {FastPathMode::kMeanFieldOnly, FastPathMode::kDegrade}) {
+    for (const bool window_local : {false, true}) {
+      SCOPED_TRACE(std::string(mode == FastPathMode::kDegrade ? "degrade" : "only") +
+                   (window_local ? ", window-local" : ", absolute"));
+      ShardedStreamingOptions options;
+      options.lanes = 1;
+      options.stream = ShortStemOptions();
+      options.stream.fast_path = mode;
+      options.stream.degrade_task_budget = 100;
+      options.stream.window_local_arrival_rate = window_local;
+      const std::vector<WindowEstimate> reference =
+          BuildEveryWindowReference(f, options.stream, 61);
+      ASSERT_GE(reference.size(), 3u);
+      const auto degraded = static_cast<std::size_t>(
+          std::count_if(reference.begin(), reference.end(),
+                        [](const WindowEstimate& e) { return e.degraded; }));
+      if (mode == FastPathMode::kDegrade) {
+        EXPECT_GT(degraded, 0u) << "budget chosen so the busiest windows degrade";
+        EXPECT_LT(degraded, reference.size()) << "and the quiet ones still sample";
+      }
+      ExpectEstimatesIdentical(reference, RunFleet(f, options, 61));
+    }
+  }
+}
+
+TEST(ShardedStreaming, SamplerFreeLaneWindowsNeverBuildALog) {
+  const Fixture f;
+  const Counter& logs_built = *StreamCounters::Get().window_logs_built;
+  for (const std::size_t lanes : {1u, 2u}) {
+    for (const bool pipeline : {false, true}) {
+      ShardedStreamingOptions options;
+      options.lanes = lanes;
+      options.stream = ShortStemOptions();
+      options.stream.fast_path = FastPathMode::kMeanFieldOnly;
+      options.stream.pipeline = pipeline;
+      const std::uint64_t before = logs_built.Value();
+      ASSERT_GE(RunFleet(f, options, 5).size(), 3u);
+      EXPECT_EQ(logs_built.Value(), before) << "lanes " << lanes << ", pipeline " << pipeline;
+    }
+  }
+  // Under kDegrade exactly the lane windows that StEM fits are built.
+  ShardedStreamingOptions options;
+  options.lanes = 2;
+  options.stream = ShortStemOptions();
+  options.stream.fast_path = FastPathMode::kDegrade;
+  options.stream.degrade_task_budget = 100;
+  const std::uint64_t before = logs_built.Value();
+  FleetStats stats;
+  ASSERT_GE(RunFleet(f, options, 5, &stats).size(), 3u);
+  std::size_t stem_fits = 0;
+  for (const LaneStats& lane : stats.lane) {
+    stem_fits +=
+        lane.windows_closed - lane.empty_windows - lane.degraded_fits - lane.skipped_fits;
+  }
+  EXPECT_GT(stem_fits, 0u);
+  EXPECT_EQ(logs_built.Value() - before, stem_fits);
+}
+
+TEST(ShardedStreaming, UnobservedWindowKeepsTheChainRatesUnderMeanFieldOnly) {
+  // Window [50, 75) has no observed time at all. Its mean-field fit pins nothing, so the
+  // lane emits its chain's rates — the previous window's — rather than the fallback
+  // lambda and a service rate of n / min_span.
+  const Fixture f;
+  std::vector<TaskRecord> records;
+  for (int k = 0; k < f.truth.NumTasks(); ++k) {
+    TaskRecord record = MakeTaskRecord(f.truth, f.obs, k);
+    if (record.entry_time >= 50.0 && record.entry_time < 75.0) {
+      for (TaskVisit& visit : record.visits) {
+        visit.arrival_observed = false;
+        visit.departure_observed = false;
+      }
+    }
+    records.push_back(std::move(record));
+  }
+  ShardedStreamingOptions options;
+  options.lanes = 1;
+  options.stream = ShortStemOptions();
+  options.stream.fast_path = FastPathMode::kMeanFieldOnly;
+  qnet_testing::VectorStream stream(std::move(records), f.truth.NumQueues());
+  const std::vector<WindowEstimate> estimates =
+      ShardedStreamingEstimator({1.0, 1.0, 1.0}, 7, options).Run(stream);
+  ASSERT_GE(estimates.size(), 4u);
+  ASSERT_EQ(estimates[2].t0, 50.0);
+  ASSERT_EQ(estimates[2].t1, 75.0);
+  EXPECT_GT(estimates[2].tasks, 0u);
+  EXPECT_TRUE(estimates[2].degraded);
+  EXPECT_EQ(estimates[2].rates, estimates[1].rates);
+  for (const double rate : estimates[2].rates) {
+    EXPECT_TRUE(std::isfinite(rate));
+  }
+  EXPECT_EQ(estimates[2].mean_wait, std::vector<double>(3, 0.0));
+  // The next observed window is fitted again.
+  EXPECT_NE(estimates[3].rates, estimates[2].rates);
 }
 
 // --- Cross-lane bias correction ----------------------------------------------------------

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "support/overtaking_records.h"
 #include "support/vector_stream.h"
 #include "qnet/infer/stem.h"
 #include "qnet/model/builders.h"
@@ -32,6 +33,8 @@
 
 namespace qnet {
 namespace {
+
+using qnet_testing::OvertakingRecords;
 
 struct Fixture {
   EventLog truth;
@@ -129,44 +132,6 @@ TEST(WindowLogBuilder, IsReusableAcrossWindows) {
 }
 
 // --- In-place window build ---------------------------------------------------------------
-
-// Hand-built records whose per-queue arrival order is NOT their id order, so every sort
-// fallback runs: pairs of tasks share an entry time (entry = task / 2), tasks of type 0
-// hold queue 1 long and are overtaken at queue 3 by type-1 tasks that took the short
-// queue 2, and some pairs tie on their arrival at queue 1. Observation flags vary.
-std::vector<TaskRecord> OvertakingRecords(std::size_t count) {
-  std::vector<TaskRecord> records(count);
-  Rng rng(11);
-  for (std::size_t k = 0; k < count; ++k) {
-    TaskRecord& record = records[k];
-    record.entry_time = static_cast<double>(k / 2);
-    std::vector<std::pair<int, double>> route;  // (queue, service)
-    switch (k % 3) {
-      case 0:
-        route = {{1, 1.0 + static_cast<double>(k % 5)}, {3, 0.5}};
-        break;
-      case 1:
-        route = {{2, 0.25}, {3, 0.5}};
-        break;
-      default:
-        route = {{1, 0.5}};
-        break;
-    }
-    double t = record.entry_time;
-    for (const auto& [queue, service] : route) {
-      TaskVisit visit;
-      visit.state = queue;
-      visit.queue = queue;
-      visit.arrival = t;
-      visit.departure = t + service;
-      visit.arrival_observed = rng.Uniform() < 0.5;
-      visit.departure_observed = rng.Uniform() < 0.5;
-      record.visits.push_back(visit);
-      t = visit.departure;
-    }
-  }
-  return records;
-}
 
 // Field-for-field window equality: every Event field (ExpectLogsIdentical), every queue
 // order and task chain, both masks and observed_tasks.
