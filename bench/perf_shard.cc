@@ -1,6 +1,7 @@
 // Sharded streaming front-end benchmarks: lane-ingest throughput, fleet end-to-end
-// estimation throughput vs the plain StreamingEstimator, and the per-task allocation
-// footprint across lane counts (google-benchmark).
+// estimation throughput vs the plain StreamingEstimator, the sampler-free (mean-field)
+// fleet's ingest rate, and the per-task allocation footprint across lane counts
+// (google-benchmark).
 //
 // Workflow (tracked in CI as BENCH_shard.json):
 //   ./build/perf_shard --benchmark_format=json > BENCH_shard.json
@@ -13,16 +14,27 @@
 //                                           per-window warm-started StEM fits per lane
 //                                           (shows lane scaling on multi-core hardware;
 //                                           flat on the 1-core CI box);
-//   BM_PlainStreamEstimate items_per_second — the StreamingEstimator baseline with the
-//                                           SAME options; CI gates BM_FleetEstimate/1
-//                                           within 10% of it (the plain estimator runs
-//                                           as the single-lane fleet, so both take the
-//                                           same in-thread path: router, one lane and
-//                                           merger on the caller's thread);
-//   BM_FleetAllocations/K allocs_per_task — global operator-new calls per ingested task;
-//                                           CI gates a bound AND flatness across K (the
-//                                           queue ring reuses slot capacity, so lane
-//                                           count must not buy per-task allocations).
+//   BM_FleetVsPlainK1 fleet_over_plain    — the K=1 overhead pin: plain StreamingEstimator
+//                                           and K=1 fleet passes with the SAME options,
+//                                           interleaved in one benchmark so host drift
+//                                           hits both; CI gates the in-run rate ratio
+//                                           >= 0.9 (the plain estimator runs as the
+//                                           single-lane fleet, so both take the same
+//                                           in-thread path: router, one lane and merger
+//                                           on the caller's thread);
+//   BM_FleetAllocations/K allocs_per_task — global operator-new calls per ingested task
+//                                           (StEM windows); CI gates a bound AND
+//                                           flatness across K (lane count must not buy
+//                                           per-task allocations);
+//   BM_FleetMeanFieldIngest/K items_per_second — tasks/s of a kMeanFieldOnly fleet at
+//                                           ~1k tasks per window: routing, the lane
+//                                           queues' record handoff, span tracking and
+//                                           the record fold do the work;
+//   BM_FleetMeanFieldAllocations/K allocs_per_task — operator-new calls per extra task
+//                                           of that fleet once every ring slot has
+//                                           wrapped; records move by swap and lanes
+//                                           recycle their capacity, so only windows
+//                                           allocate. CI gates a bound.
 
 #include <benchmark/benchmark.h>
 
@@ -36,6 +48,7 @@
 #include "qnet/stream/replay_stream.h"
 #include "qnet/stream/streaming_estimator.h"
 #include "qnet/support/rng.h"
+#include "qnet/support/stopwatch.h"
 
 namespace {
 
@@ -117,21 +130,47 @@ void BM_FleetEstimate(benchmark::State& state) {
 BENCHMARK(BM_FleetEstimate)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()->UseRealTime();
 
-// The plain-estimator baseline for the K=1 overhead gate (same fixture, same options).
-void BM_PlainStreamEstimate(benchmark::State& state) {
+// The K=1 overhead pin: plain-estimator and K=1 fleet passes over the same fixture and
+// options, interleaved (the order alternates every iteration) so drift of a shared host
+// falls on both. Reports both rates and their ratio; CI gates fleet_over_plain >= 0.9.
+void BM_FleetVsPlainK1(benchmark::State& state) {
   const Fixture fixture = MakeFixture(2000);
-  const qnet::ShardedStreamingOptions reference = FleetOptions(1, 12, 4);
+  const qnet::ShardedStreamingOptions options = FleetOptions(1, 12, 4);
   const std::vector<double> init = InitRates(fixture);
-  for (auto _ : state) {
+  const auto plain_pass = [&] {
     qnet::LogReplayStream stream(fixture.truth, fixture.obs);
-    qnet::StreamingEstimator estimator(init, 17, reference.stream);
-    const auto estimates = estimator.Run(stream);
-    benchmark::DoNotOptimize(estimates.size());
+    qnet::StreamingEstimator estimator(init, 17, options.stream);
+    const qnet::Stopwatch watch;
+    benchmark::DoNotOptimize(estimator.Run(stream).size());
+    return watch.ElapsedSeconds();
+  };
+  const auto fleet_pass = [&] {
+    qnet::LogReplayStream stream(fixture.truth, fixture.obs);
+    qnet::ShardedStreamingEstimator fleet(init, 17, options);
+    const qnet::Stopwatch watch;
+    benchmark::DoNotOptimize(fleet.Run(stream).size());
+    return watch.ElapsedSeconds();
+  };
+  double plain_seconds = 0.0;
+  double fleet_seconds = 0.0;
+  bool plain_first = true;
+  for (auto _ : state) {
+    if (plain_first) {
+      plain_seconds += plain_pass();
+      fleet_seconds += fleet_pass();
+    } else {
+      fleet_seconds += fleet_pass();
+      plain_seconds += plain_pass();
+    }
+    plain_first = !plain_first;
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2000);
+  const double tasks = static_cast<double>(state.iterations()) * 2000.0;
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 * 2000);
+  state.counters["plain_tasks_per_s"] = tasks / plain_seconds;
+  state.counters["fleet_tasks_per_s"] = tasks / fleet_seconds;
+  state.counters["fleet_over_plain"] = plain_seconds / fleet_seconds;
 }
-BENCHMARK(BM_PlainStreamEstimate)->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()->UseRealTime();
+BENCHMARK(BM_FleetVsPlainK1)->MinTime(0.5)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Allocation counter: operator-new calls per ingested task, per lane count. The StEM
 // fits allocate by design (samplers, per-window results); each lane rebuilds its window
@@ -162,5 +201,111 @@ void BM_FleetAllocations(benchmark::State& state) {
       tasks > 0 ? static_cast<double>(after - before) / static_cast<double>(tasks) : 0.0;
 }
 BENCHMARK(BM_FleetAllocations)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
+
+// --- Sampler-free fleet: the record path -----------------------------------------------
+
+// A three-tier stream at lambda = 100 with 10 s windows (~1k tasks per window); the
+// default 1024-slot rings wrap within the first few thousand tasks per lane.
+constexpr std::size_t kMeanFieldTasks = 20000;
+
+struct MeanFieldFixture {
+  std::vector<qnet::TaskRecord> records;
+  int num_queues = 0;
+};
+
+MeanFieldFixture MakeMeanFieldFixture() {
+  qnet::ThreeTierConfig config;
+  config.tier_sizes = {1, 2, 4};
+  config.arrival_rate = 100.0;
+  config.service_rate = 160.0;
+  const qnet::QueueingNetwork net = qnet::MakeThreeTierNetwork(config);
+  qnet::Rng rng(4242);
+  const qnet::EventLog truth =
+      qnet::SimulateWorkload(net, qnet::PoissonArrivals(100.0, 2 * kMeanFieldTasks), rng);
+  qnet::TaskSamplingScheme scheme;
+  scheme.fraction = 0.2;
+  const qnet::Observation obs = scheme.Apply(truth, rng);
+  MeanFieldFixture fixture;
+  fixture.num_queues = truth.NumQueues();
+  for (int k = 0; k < truth.NumTasks(); ++k) {
+    fixture.records.push_back(qnet::MakeTaskRecord(truth, obs, k));
+  }
+  return fixture;
+}
+
+qnet::ShardedStreamingOptions MeanFieldFleetOptions(std::size_t lanes) {
+  qnet::ShardedStreamingOptions options;
+  options.lanes = lanes;
+  options.stream.window.window_duration = 10.0;
+  options.stream.fast_path = qnet::FastPathMode::kMeanFieldOnly;
+  return options;
+}
+
+// Replays the first `tasks` fixture records; Next copy-assigns into the caller's record,
+// so the stream itself allocates nothing per task.
+class PrefixStream : public qnet::TraceStream {
+ public:
+  PrefixStream(const MeanFieldFixture& fixture, std::size_t tasks)
+      : fixture_(fixture), tasks_(tasks) {}
+  bool Next(qnet::TaskRecord& out) override {
+    if (at_ == tasks_) {
+      return false;
+    }
+    out = fixture_.records[at_++];
+    return true;
+  }
+  int NumQueues() const override { return fixture_.num_queues; }
+
+ private:
+  const MeanFieldFixture& fixture_;
+  std::size_t tasks_;
+  std::size_t at_ = 0;
+};
+
+std::size_t RunMeanFieldFleet(const MeanFieldFixture& fixture, std::size_t tasks,
+                              const qnet::ShardedStreamingOptions& options) {
+  PrefixStream stream(fixture, tasks);
+  qnet::ShardedStreamingEstimator fleet(
+      std::vector<double>(static_cast<std::size_t>(fixture.num_queues), 1.0), 17, options);
+  return fleet.Run(stream).size();
+}
+
+void BM_FleetMeanFieldIngest(benchmark::State& state) {
+  const auto lanes = static_cast<std::size_t>(state.range(0));
+  const MeanFieldFixture fixture = MakeMeanFieldFixture();
+  const qnet::ShardedStreamingOptions options = MeanFieldFleetOptions(lanes);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(RunMeanFieldFleet(fixture, kMeanFieldTasks, options));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kMeanFieldTasks));
+  state.counters["lanes"] = static_cast<double>(lanes);
+}
+BENCHMARK(BM_FleetMeanFieldIngest)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond)
+    ->MeasureProcessCPUTime()->UseRealTime();
+
+// Marginal allocations: each iteration runs the fleet over N and over 2N tasks and
+// charges the difference to the N extra tasks, so fleet setup and the first wrap of
+// every ring slot (which sizes the circulating record capacity) cancel out.
+void BM_FleetMeanFieldAllocations(benchmark::State& state) {
+  const auto lanes = static_cast<std::size_t>(state.range(0));
+  const MeanFieldFixture fixture = MakeMeanFieldFixture();
+  const qnet::ShardedStreamingOptions options = MeanFieldFleetOptions(lanes);
+  double extra_allocations = 0.0;
+  for (auto _ : state) {
+    const std::size_t start = AllocationCount();
+    benchmark::DoNotOptimize(RunMeanFieldFleet(fixture, kMeanFieldTasks, options));
+    const std::size_t middle = AllocationCount();
+    benchmark::DoNotOptimize(RunMeanFieldFleet(fixture, 2 * kMeanFieldTasks, options));
+    const std::size_t end = AllocationCount();
+    extra_allocations += static_cast<double>(end - middle) - static_cast<double>(middle - start);
+  }
+  state.counters["lanes"] = static_cast<double>(lanes);
+  state.counters["allocs_per_task"] =
+      extra_allocations /
+      (static_cast<double>(state.iterations()) * static_cast<double>(kMeanFieldTasks));
+}
+BENCHMARK(BM_FleetMeanFieldAllocations)->Arg(1)->Arg(2)->Arg(4)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -6,15 +6,20 @@
 // lane's view of which records precede a window close is exactly the router's — lane
 // processing is a pure function of the item sequence, never of timing.
 //
-// The ring is fixed-capacity and slots are reused by copy-assignment (a TaskRecord's
-// visit vector keeps its capacity across wraps, as do the consumer's pop targets), so
-// the steady-state queue hop itself allocates nothing. Producer and consumer move items
-// in BATCHES (PushMany/PopMany) — one lock + one wake per batch, not per record — which
-// keeps the hop cheap next to the fits. (A single lane without pipelining uses no queue
-// at all: the router calls it directly.) Batching never reorders items, so results are
-// bit-identical for any batch size. A full ring blocks the producer — that is the
-// fleet's backpressure, and PushMany returns the seconds it spent blocked so the router
-// can account it (FleetStats::router_blocked_seconds).
+// Records move through the queue by ownership, not by copy: PushMany SWAPS each record
+// item's TaskRecord into its ring slot (the caller's item gets the slot's old record
+// back — stale content, but its visit capacity) and PopMany swaps ring records into the
+// consumer's targets the same way. The fleet's one deep copy is the router's
+// copy-assignment into its batch slot; after that a record's visit vector only changes
+// hands, and the capacity the consumer hands back circulates to the producer through
+// the ring, so the steady-state hop allocates nothing and copies no visits. Producer
+// and consumer move items in BATCHES (PushMany/PopMany) — one lock + one wake per
+// batch, not per record — which keeps the hop cheap next to the fits. (A single lane
+// without pipelining uses no queue at all: the router calls it directly.) Batching
+// never reorders items, so results are bit-identical for any batch size. A full ring
+// blocks the producer — that is the fleet's backpressure, and PushMany returns the
+// seconds it spent blocked so the router can account it
+// (FleetStats::router_blocked_seconds).
 //
 // CloseConsumer is the abnormal-exit valve: a lane worker that dies calls it so a
 // blocked producer wakes up and discovers the fleet is unwinding instead of deadlocking.
@@ -26,6 +31,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "qnet/stream/task_record.h"
@@ -53,11 +59,13 @@ class LaneQueue {
   LaneQueue(const LaneQueue&) = delete;
   LaneQueue& operator=(const LaneQueue&) = delete;
 
-  // Enqueues copies of items[0..count) in order (slot capacity is reused), blocking
-  // whenever the ring is full. Returns the seconds spent blocked. If the consumer side
-  // has been closed the remaining items are silently dropped — the fleet is unwinding
-  // and will surface the lane's error.
-  double PushMany(const LaneItem* items, std::size_t count) {
+  // Enqueues items[0..count) in order, blocking whenever the ring is full. A record
+  // item's TaskRecord is swapped with its ring slot's, so items[at].record comes back
+  // holding the slot's previous record (unspecified content, reusable capacity); token
+  // items are copied and keep their record untouched. Returns the seconds spent blocked.
+  // If the consumer side has been closed the remaining items are silently dropped — the
+  // fleet is unwinding and will surface the lane's error.
+  double PushMany(LaneItem* items, std::size_t count) {
     ScopedSpan push_span(SpanStage::kLanePush);
     ShardCounters::Get().queue_push_batches->Increment();
     double blocked = 0.0;
@@ -74,7 +82,7 @@ class LaneQueue {
         return blocked;
       }
       while (at < count && size_ < ring_.size()) {
-        ring_[head_] = items[at++];
+        Hand(items[at++], ring_[head_]);
         head_ = (head_ + 1) % ring_.size();
         ++size_;
       }
@@ -84,12 +92,14 @@ class LaneQueue {
     return blocked;
   }
 
-  double Push(const LaneItem& item) { return PushMany(&item, 1); }
+  // Enqueues a copy of one item: for close and finish tokens, which carry no record.
+  double Push(LaneItem item) { return PushMany(&item, 1); }
 
-  // Dequeues up to `max` items into out[0..returned) (copy-assignment: element capacity
-  // is reused; out grows once to `max` and is never shrunk), blocking while the ring is
-  // empty. The producer always terminates the stream with a kFinish item, so consumers
-  // never wait forever on an orderly shutdown.
+  // Dequeues up to `max` items into out[0..returned), blocking while the ring is empty.
+  // Record items are swapped out of the ring the same way PushMany swaps them in, so
+  // the records out[] held go back to the producer as slot capacity; out grows once to
+  // `max` and is never shrunk. The producer always terminates the stream with a kFinish
+  // item, so consumers never wait forever on an orderly shutdown.
   std::size_t PopMany(std::vector<LaneItem>& out, std::size_t max) {
     QNET_CHECK(max > 0, "PopMany needs a positive batch size");
     ScopedSpan pop_span(SpanStage::kLanePop);
@@ -101,7 +111,7 @@ class LaneQueue {
       out.resize(count);
     }
     for (std::size_t at = 0; at < count; ++at) {
-      out[at] = ring_[tail_];
+      Hand(ring_[tail_], out[at]);
       tail_ = (tail_ + 1) % ring_.size();
     }
     size_ -= count;
@@ -125,6 +135,17 @@ class LaneQueue {
   }
 
  private:
+  // Moves `from` into `to`: a record swaps its TaskRecord (capacity travels back to
+  // `from`), a token copies its decision.
+  static void Hand(LaneItem& from, LaneItem& to) {
+    to.kind = from.kind;
+    if (from.kind == LaneItem::Kind::kRecord) {
+      std::swap(to.record, from.record);
+    } else {
+      to.close = from.close;
+    }
+  }
+
   mutable std::mutex mu_;
   std::condition_variable not_full_;
   std::condition_variable not_empty_;

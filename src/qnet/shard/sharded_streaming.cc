@@ -24,6 +24,14 @@ namespace {
 // decision; the router calls them directly (one lane, no pipelining) or a worker thread
 // calls them from the lane's queue (Drain). Everything the lane does is a pure function
 // of its item sequence, which the router makes a pure function of the stream.
+//
+// Records arrive by move, not by copy: Accept moves the routed record into the buffer and
+// hands the caller a record from the lane's spare pool in exchange. Records
+// that leave the lane at a close (a window that is not kept for a merged tail, or the
+// retained window it replaces) go back into the pool, so record capacity circulates
+// router -> lane -> pool -> router and the steady-state record path allocates nothing
+// per task. The pool holds at most the lane's peak of live records: it grows only when
+// Accept finds it empty, i.e. when every record the lane owns is live.
 class LaneWorker {
  public:
   LaneWorker(std::size_t lane, int num_queues, const ShardedStreamingOptions& options,
@@ -58,13 +66,19 @@ class LaneWorker {
   double ConsumedWatermark() const { return watermark_.load(std::memory_order_relaxed); }
   LaneStats& Stats() { return stats_; }
 
-  // Buffers one routed record until the close that takes it.
-  void Accept(const TaskRecord& record) {
+  // Buffers one routed record until the close that takes it. The record moves into the
+  // buffer and `record` takes a spare record's capacity (unspecified content) for the
+  // caller to overwrite.
+  void Accept(TaskRecord& record) {
     ++stats_.tasks_routed;
     ShardCounters::Get().records_routed->Increment();
     // max: a late-merged record can sit behind the close-token advance in Close.
     AdvanceWatermark(record.entry_time);
-    buffer_.push_back(record);
+    buffer_.push_back(std::move(record));
+    if (!spare_.empty()) {
+      record = std::move(spare_.back());
+      spare_.pop_back();
+    }
     const std::size_t buffered = buffer_.size() + last_window_.size();
     if (buffered > stats_.peak_buffered_tasks) {
       stats_.peak_buffered_tasks = buffered;
@@ -94,7 +108,10 @@ class LaneWorker {
     // an empty one — the global merged-tail re-close targets the last GLOBAL window, and
     // this lane's share of it may well be empty).
     if (decision.merged_tail_tasks == 0 && options_.stream.window.merge_trailing_window) {
+      Recycle(last_window_);
       last_window_ = std::move(records);
+    } else {
+      Recycle(records);
     }
     // Processing the close IS event-time progress: an idle lane that answers every
     // decision is fully caught up to t1 even though it consumed no records (the lag stat
@@ -106,13 +123,14 @@ class LaneWorker {
   // Threaded arrangement: consumes `queue` until the finish token.
   void Drain(LaneQueue& queue) {
     try {
-      // Batched pops mirror the router's batched pushes: one lock per ~64 items. The
-      // batch elements keep their record capacity across reuse.
+      // Batched pops mirror the router's batched pushes: one lock per ~64 items. Accept
+      // leaves spare capacity in the batch elements, which the next pop swaps back into
+      // the ring for the router to reuse.
       std::vector<LaneItem> batch;
       for (;;) {
         const std::size_t count = queue.PopMany(batch, 64);
         for (std::size_t at = 0; at < count; ++at) {
-          const LaneItem& item = batch[at];
+          LaneItem& item = batch[at];
           if (item.kind == LaneItem::Kind::kFinish) {
             return;  // nothing follows a finish token
           }
@@ -135,6 +153,14 @@ class LaneWorker {
   }
 
  private:
+  // Moves records that left the lane into the spare pool, keeping their capacity.
+  void Recycle(std::vector<TaskRecord>& records) {
+    for (TaskRecord& record : records) {
+      spare_.push_back(std::move(record));
+    }
+    records.clear();
+  }
+
   void AdvanceWatermark(double t) {
     watermark_.store(std::max(watermark_.load(std::memory_order_relaxed), t),
                      std::memory_order_relaxed);
@@ -238,6 +264,7 @@ class LaneWorker {
   MeanFieldFit mf_fit_;
   std::vector<TaskRecord> buffer_;
   std::vector<TaskRecord> last_window_;
+  std::vector<TaskRecord> spare_;  // recycled records: capacity for the next Accepts
   std::atomic<double> watermark_{0.0};
   LaneStats stats_;
 };
@@ -292,8 +319,9 @@ std::vector<WindowEstimate> ShardedStreamingEstimator::Run(TraceStream& stream) 
   std::vector<WindowEstimate> estimates;
 
   // Per-lane record batches of the threaded arrangement: one queue lock per
-  // `router_batch` records. Slots are recycled by copy-assignment, so the steady-state
-  // routing path allocates nothing.
+  // `router_batch` records. Copy-assigning the stream's record into a slot is the
+  // fleet's one deep copy of it; PushMany swaps the record into the ring and hands the
+  // slot back recycled capacity, so the steady-state routing path allocates nothing.
   const std::size_t batch_size = std::max<std::size_t>(options_.router_batch, 1);
   struct RouterBatch {
     std::vector<LaneItem> items;
@@ -317,10 +345,14 @@ std::vector<WindowEstimate> ShardedStreamingEstimator::Run(TraceStream& stream) 
     }
   };
 
+  // The in-thread arrangement's one deep copy: the lane swaps it in and hands back a
+  // spare record's capacity for the next copy.
+  TaskRecord handoff;
   const auto route = [&](const TaskRecord& record) {
     const std::size_t lane = router.Route(record);
     if (!threaded) {
-      workers[lane]->Accept(record);
+      handoff = record;
+      workers[lane]->Accept(handoff);
       return;
     }
     RouterBatch& batch = batches[lane];

@@ -3,10 +3,16 @@
 //
 // One ingest (router) thread pulls TaskRecords from any TraceStream and hash-partitions
 // them across K lanes (LaneRouter over support/task_hash.h). Each lane is an independent
-// worker — record intake, per-window log build, and a warm-started windowed StEM fit
-// chain (WindowFitChain). A LaneMerger pools the K per-window fits into one
-// WindowEstimate per global window. This is the only streaming window loop: the plain
-// StreamingEstimator runs as the single-lane fleet.
+// worker — record intake, per-window record fold (plus a log build for windows StEM
+// fits), and a warm-started windowed fit chain (WindowFitChain). A LaneMerger pools the
+// K per-window fits into one WindowEstimate per global window. This is the only
+// streaming window loop: the plain StreamingEstimator runs as the single-lane fleet.
+//
+// Record handoff: the router deep-copies each record once, into recycled capacity; from
+// there the record moves by swap (lane queue, shard/lane_queue.h) into the lane, and the
+// lane returns records that leave its windows to a spare pool whose capacity flows back
+// to the router. The steady-state record path therefore allocates per window, not per
+// task.
 //
 // Execution arrangement: with one lane and `stream.pipeline` off, the router calls the
 // lane's intake and close handling directly on the Run() caller's thread — no router

@@ -52,6 +52,31 @@ void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
 
+// The nothrow forms (std::get_temporary_buffer, behind std::stable_partition and
+// std::stable_sort, uses them) must be replaced as well: every block is released with
+// std::free below, so every block must come from the counting operators above.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new(size);
+  } catch (...) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+void* operator new(std::size_t size, std::align_val_t align, const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new(size, align);
+  } catch (...) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, align, tag);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
@@ -60,5 +85,11 @@ void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 #endif  // QNET_TESTS_SUPPORT_COUNTING_ALLOCATOR_H_

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "support/counting_allocator.h"
+#include "support/vector_stream.h"
 
 #include "qnet/detect/change_monitor.h"
 #include "qnet/infer/conditional.h"
@@ -17,6 +18,7 @@
 #include "qnet/infer/meanfield.h"
 #include "qnet/model/builders.h"
 #include "qnet/obs/observation.h"
+#include "qnet/shard/sharded_streaming.h"
 #include "qnet/sim/sim_scratch.h"
 #include "qnet/sim/simulator.h"
 #include "qnet/stream/task_record.h"
@@ -299,6 +301,57 @@ TEST(AllocFree, WarmMeanFieldFoldDoesNotAllocate) {
   EXPECT_EQ(AllocationCount(), before);
   EXPECT_EQ(fold.Stats().NumTasks(), records.size());
   EXPECT_TRUE(fit.AllQueuesFitted());
+}
+
+TEST(AllocFree, SamplerFreeFleetAllocatesPerWindowNotPerTask) {
+  // A kMeanFieldOnly fleet makes one deep copy of each record (at the router, into
+  // recycled capacity) and then moves it by swap through the lane queue into the lane's
+  // window, whose records return to a spare pool. Once every ring slot and buffer has
+  // carried a record, more tasks add allocations only per window (its record list, the
+  // lane fits, the pooled estimate). Runs over N and 2N tasks at the same window size
+  // must therefore differ by far less than one allocation per extra task. With 256-slot
+  // rings every slot has wrapped within N tasks at K = 4.
+  ThreeTierConfig config;
+  config.tier_sizes = {1, 2, 4};
+  config.arrival_rate = 100.0;
+  config.service_rate = 160.0;
+  const QueueingNetwork net = MakeThreeTierNetwork(config);
+  constexpr std::size_t kTasks = 8000;
+  Rng rng(31);
+  const EventLog truth = SimulateWorkload(net, PoissonArrivals(100.0, 2 * kTasks), rng);
+  TaskSamplingScheme scheme;
+  scheme.fraction = 0.2;
+  const Observation obs = scheme.Apply(truth, rng);
+  std::vector<TaskRecord> records;
+  for (int k = 0; k < truth.NumTasks(); ++k) {
+    records.push_back(MakeTaskRecord(truth, obs, k));
+  }
+  for (const std::size_t lanes : {1u, 2u, 4u}) {
+    ShardedStreamingOptions options;
+    options.lanes = lanes;
+    options.lane_queue_capacity = 256;
+    options.stream.window.window_duration = 10.0;  // ~1000 tasks per window
+    options.stream.fast_path = FastPathMode::kMeanFieldOnly;
+    const auto run_allocations = [&](std::size_t tasks) {
+      qnet_testing::VectorStream stream(
+          std::vector<TaskRecord>(records.begin(),
+                                  records.begin() + static_cast<std::ptrdiff_t>(tasks)),
+          truth.NumQueues());
+      ShardedStreamingEstimator fleet(
+          std::vector<double>(static_cast<std::size_t>(truth.NumQueues()), 1.0), 3, options);
+      const std::size_t before = AllocationCount();
+      const std::size_t windows = fleet.Run(stream).size();
+      const std::size_t allocations = AllocationCount() - before;
+      EXPECT_GE(windows, tasks / 1000 - 1);
+      return allocations;
+    };
+    const std::size_t once = run_allocations(kTasks);
+    const std::size_t twice = run_allocations(2 * kTasks);
+    const double per_extra_task =
+        (static_cast<double>(twice) - static_cast<double>(once)) / static_cast<double>(kTasks);
+    EXPECT_LT(per_extra_task, 0.1) << "lanes " << lanes << ": " << once << " allocations over "
+                                   << kTasks << " tasks, " << twice << " over " << 2 * kTasks;
+  }
 }
 
 TEST(AllocFree, TelemetryUpdatesDoNotAllocate) {

@@ -14,8 +14,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -26,6 +28,8 @@
 #include "qnet/infer/stem.h"
 #include "qnet/model/builders.h"
 #include "qnet/obs/observation.h"
+#include "qnet/shard/lane_merger.h"
+#include "qnet/shard/lane_queue.h"
 #include "qnet/shard/lane_router.h"
 #include "qnet/shard/sharded_streaming.h"
 #include "qnet/sim/simulator.h"
@@ -687,95 +691,156 @@ TEST(ShardedStreaming, FastPathPooledEstimatesBitIdenticalAcrossThreadsAndPipeli
 
 // --- Sampler-free windows fold their records ---------------------------------------------
 
-// The single-lane fleet as it would run if every window were built into a log: the same
-// span tracker, record selection, fit chain, degrade rule and StEM configuration as the
-// lane, but each window goes through WindowLogBuilder and the mean-field fit reads the
-// built log. K = 1 pools verbatim, so the fleet must match it bit for bit.
-std::vector<WindowEstimate> BuildEveryWindowReference(const Fixture& f,
-                                                      const StreamingEstimatorOptions& options,
-                                                      std::uint64_t seed) {
-  WindowSpanTracker tracker(options.window);
-  std::vector<TaskRecord> buffer;
-  std::vector<TaskRecord> last_window;
-  WindowLogBuilder builder(f.truth.NumQueues());
-  WindowFitChain chain({1.0, 1.0, 1.0}, seed, options.window_local_arrival_rate);
-  MeanFieldEstimator mean_field(options.mean_field);
-  MeanFieldFit mf_fit;
-  // The lane's scheduler cache for the default batched sweep.
+// The fleet as it would run if every lane window were built into a log and records were
+// plain copies: the same span tracker, hash routing, record selection, fit chains,
+// degrade rule, StEM configuration and merger as the lanes, but each lane buffers its own
+// copy of every routed record (no queues, no swaps, no recycled capacity), every lane
+// window goes through WindowLogBuilder, and the mean-field fit reads the built log. The
+// fleet must match it bit for bit at any K and in every execution arrangement.
+// `lane_counts`, when given, receives each lane's per-queue event counts (the counts a
+// lane posts to the merger) summed over the windows the pooled sequence keeps.
+std::vector<WindowEstimate> BuildEveryWindowReference(
+    const std::vector<TaskRecord>& stream, int num_queues,
+    const ShardedStreamingOptions& fleet, std::uint64_t seed,
+    std::vector<std::vector<std::size_t>>* lane_counts = nullptr) {
+  const StreamingEstimatorOptions& options = fleet.stream;
+  struct Lane {
+    std::vector<TaskRecord> buffer;
+    std::vector<TaskRecord> last_window;
+    WindowLogBuilder builder;
+    WindowFitChain chain;
+    ShardedSweepScheduler scheduler_cache;  // the lane's cache for the default batched sweep
+    std::vector<std::vector<std::size_t>> window_counts;  // one entry per kept window
+  };
   ShardedSweepOptions cache_options;
   cache_options.shards = 1;
   cache_options.threads = 1;
-  ShardedSweepScheduler scheduler_cache(cache_options);
-  std::vector<WindowEstimate> estimates;
-  const auto close = [&](const WindowSpanTracker::SpanDecision& decision) {
-    std::vector<TaskRecord> records = TakeDecisionRecords(decision, buffer, last_window);
-    builder.Restart();
-    for (const TaskRecord& record : records) {
-      builder.Add(record);
-    }
-    builder.Build();
-    const std::vector<std::size_t> counts = builder.Log().PerQueueCount();
-    EXPECT_EQ(std::count(counts.begin(), counts.end(), std::size_t{0}), 0);
-    WindowFitChain::Plan plan =
-        chain.PlanFit(decision.window_index, decision.merged_tail_tasks > 0, decision.t0);
-    mean_field.Fit(builder.Log(), builder.Obs(), plan.arrival_time_origin, mf_fit);
-    for (std::size_t q = 0; q < plan.warm_start.size(); ++q) {
-      if (mf_fit.fitted[q] != 0) {
-        plan.warm_start[q] = mf_fit.rates[q];
+  std::vector<std::unique_ptr<Lane>> lanes;
+  for (std::size_t l = 0; l < fleet.lanes; ++l) {
+    lanes.push_back(std::unique_ptr<Lane>(new Lane{
+        {}, {}, WindowLogBuilder(num_queues),
+        WindowFitChain(std::vector<double>(static_cast<std::size_t>(num_queues), 1.0), seed,
+                       options.window_local_arrival_rate, /*salted=*/fleet.lanes > 1, l),
+        ShardedSweepScheduler(cache_options), {}}));
+  }
+  WindowSpanTracker tracker(options.window);
+  LaneMerger merger(fleet.lanes, num_queues, options.window_local_arrival_rate,
+                    fleet.cross_lane_bias_correction);
+  MeanFieldEstimator mean_field(options.mean_field);
+  MeanFieldFit mf_fit;
+  const auto fit_lane = [&](Lane& lane, const WindowSpanTracker::SpanDecision& decision) {
+    std::vector<TaskRecord> records =
+        TakeDecisionRecords(decision, lane.buffer, lane.last_window);
+    LaneWindowFit fit;
+    fit.tasks = records.size();
+    if (!records.empty()) {
+      lane.builder.Restart();
+      for (const TaskRecord& record : records) {
+        lane.builder.Add(record);
       }
+      lane.builder.Build();
+      fit.queue_counts = lane.builder.Log().PerQueueCount();
+      EXPECT_EQ(std::count(fit.queue_counts.begin(), fit.queue_counts.end(), std::size_t{0}),
+                0);
+      WindowFitChain::Plan plan = lane.chain.PlanFit(
+          decision.window_index, decision.merged_tail_tasks > 0, decision.t0);
+      mean_field.Fit(lane.builder.Log(), lane.builder.Obs(), plan.arrival_time_origin,
+                     mf_fit);
+      for (std::size_t q = 0; q < plan.warm_start.size(); ++q) {
+        if (mf_fit.fitted[q] != 0) {
+          plan.warm_start[q] = mf_fit.rates[q];
+        }
+      }
+      fit.fitted = true;
+      fit.degraded = options.fast_path == FastPathMode::kMeanFieldOnly ||
+                     (options.fast_path == FastPathMode::kDegrade &&
+                      decision.count > options.degrade_task_budget);
+      if (fit.degraded) {
+        fit.rates = plan.warm_start;
+        fit.mean_wait = mf_fit.mean_wait;
+      } else {
+        StemOptions stem = options.stem;
+        stem.arrival_time_origin = plan.arrival_time_origin;
+        stem.scheduler_cache = &lane.scheduler_cache;
+        Rng rng(plan.seed);
+        StemResult result = StemEstimator(stem).Run(lane.builder.Log(), lane.builder.Obs(),
+                                                    std::move(plan.warm_start), rng);
+        fit.rates = std::move(result.rates);
+        fit.mean_wait = std::move(result.mean_wait);
+        fit.fit_iterations = result.iterations_run;
+      }
+      lane.chain.Complete(fit.rates);
     }
-    WindowEstimate estimate;
-    estimate.t0 = decision.t0;
-    estimate.t1 = decision.t1;
-    estimate.tasks = records.size();
-    estimate.merged_tail_tasks = decision.merged_tail_tasks;
-    estimate.window_local_arrival_rate = options.window_local_arrival_rate;
-    estimate.degraded = options.fast_path == FastPathMode::kMeanFieldOnly ||
-                        decision.count > options.degrade_task_budget;
-    if (estimate.degraded) {
-      estimate.rates = plan.warm_start;
-      estimate.mean_wait = mf_fit.mean_wait;
-    } else {
-      StemOptions stem = options.stem;
-      stem.arrival_time_origin = plan.arrival_time_origin;
-      stem.scheduler_cache = &scheduler_cache;
-      Rng rng(plan.seed);
-      StemResult result = StemEstimator(stem).Run(builder.Log(), builder.Obs(),
-                                                  std::move(plan.warm_start), rng);
-      estimate.rates = std::move(result.rates);
-      estimate.mean_wait = std::move(result.mean_wait);
-      estimate.fit_iterations = result.iterations_run;
-    }
-    chain.Complete(estimate.rates);
     if (decision.merged_tail_tasks > 0) {
-      estimates.back() = std::move(estimate);
+      lane.window_counts.back() = fit.queue_counts;
     } else {
-      estimates.push_back(std::move(estimate));
+      lane.window_counts.push_back(fit.queue_counts);
     }
     if (decision.merged_tail_tasks == 0 && options.window.merge_trailing_window) {
-      last_window = std::move(records);
+      lane.last_window = std::move(records);
+    }
+    return fit;
+  };
+  std::vector<WindowEstimate> estimates;
+  const auto close_all = [&] {
+    while (tracker.HasClosed()) {
+      const WindowSpanTracker::SpanDecision decision = tracker.PopClosed();
+      merger.ExpectWindow(decision);
+      for (std::size_t l = 0; l < lanes.size(); ++l) {
+        merger.Post(l, fit_lane(*lanes[l], decision));
+      }
+      PooledWindow pooled;
+      while (merger.Pop(pooled, /*block=*/false)) {
+        if (pooled.replaces_previous) {
+          estimates.back() = std::move(pooled.estimate);
+        } else {
+          estimates.push_back(std::move(pooled.estimate));
+        }
+      }
     }
   };
-  LogReplayStream stream(f.truth, f.obs);
-  TaskRecord record;
-  while (stream.Next(record)) {
+  for (const TaskRecord& record : stream) {
     if (tracker.Push(record.entry_time) == WindowSpanTracker::PushVerdict::kLateDropped) {
       continue;
     }
-    buffer.push_back(record);
-    while (tracker.HasClosed()) {
-      close(tracker.PopClosed());
-    }
+    lanes[TaskLane(TaskHash(record), fleet.lanes)]->buffer.push_back(record);
+    close_all();
   }
   tracker.Finish();
-  while (tracker.HasClosed()) {
-    close(tracker.PopClosed());
+  close_all();
+  if (lane_counts != nullptr) {
+    lane_counts->assign(lanes.size(), std::vector<std::size_t>(num_queues, 0));
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
+      for (const std::vector<std::size_t>& counts : lanes[l]->window_counts) {
+        for (std::size_t q = 0; q < counts.size(); ++q) {
+          (*lane_counts)[l][q] += counts[q];
+        }
+      }
+    }
   }
   return estimates;
 }
 
+std::vector<TaskRecord> FixtureRecords(const Fixture& f) {
+  std::vector<TaskRecord> records;
+  for (int k = 0; k < f.truth.NumTasks(); ++k) {
+    records.push_back(MakeTaskRecord(f.truth, f.obs, k));
+  }
+  return records;
+}
+
+std::vector<WindowEstimate> RunFleetOn(const std::vector<TaskRecord>& records, int num_queues,
+                                       const ShardedStreamingOptions& options,
+                                       std::uint64_t seed) {
+  qnet_testing::VectorStream stream(records, num_queues);
+  ShardedStreamingEstimator fleet(std::vector<double>(static_cast<std::size_t>(num_queues), 1.0),
+                                  seed, options);
+  return fleet.Run(stream);
+}
+
 TEST(ShardedStreaming, SingleLaneRecordFoldMatchesBuildEveryWindowReference) {
   const Fixture f;
+  const std::vector<TaskRecord> records = FixtureRecords(f);
   for (const FastPathMode mode : {FastPathMode::kMeanFieldOnly, FastPathMode::kDegrade}) {
     for (const bool window_local : {false, true}) {
       SCOPED_TRACE(std::string(mode == FastPathMode::kDegrade ? "degrade" : "only") +
@@ -787,7 +852,7 @@ TEST(ShardedStreaming, SingleLaneRecordFoldMatchesBuildEveryWindowReference) {
       options.stream.degrade_task_budget = 100;
       options.stream.window_local_arrival_rate = window_local;
       const std::vector<WindowEstimate> reference =
-          BuildEveryWindowReference(f, options.stream, 61);
+          BuildEveryWindowReference(records, f.truth.NumQueues(), options, 61);
       ASSERT_GE(reference.size(), 3u);
       const auto degraded = static_cast<std::size_t>(
           std::count_if(reference.begin(), reference.end(),
@@ -799,6 +864,163 @@ TEST(ShardedStreaming, SingleLaneRecordFoldMatchesBuildEveryWindowReference) {
       ExpectEstimatesIdentical(reference, RunFleet(f, options, 61));
     }
   }
+}
+
+// Records of a single-queue retry network, picked in entry order so that they alternate
+// between one visit and at least five. A lane's recycled record slots therefore bring
+// capacity that is sometimes larger and sometimes smaller than the incoming record's.
+std::vector<TaskRecord> AlternatingVisitRecords(std::size_t count, int* num_queues) {
+  const QueueingNetwork net = MakeFeedbackNetwork(4.0, 24.0, 0.75);
+  Rng rng(23);
+  const EventLog truth = SimulateWorkload(net, PoissonArrivals(4.0, count * 8), rng);
+  TaskSamplingScheme scheme;
+  scheme.fraction = 0.5;
+  const Observation obs = scheme.Apply(truth, rng);
+  *num_queues = truth.NumQueues();
+  std::vector<TaskRecord> records;
+  for (int k = 0; k < truth.NumTasks() && records.size() < count; ++k) {
+    TaskRecord record = MakeTaskRecord(truth, obs, k);
+    const bool want_one = records.size() % 2 == 0;
+    if (want_one ? record.visits.size() == 1 : record.visits.size() >= 5) {
+      records.push_back(std::move(record));
+    }
+  }
+  EXPECT_EQ(records.size(), count);
+  return records;
+}
+
+TEST(ShardedStreaming, RecordHandoffMatchesBuildEveryWindowReferenceAtEveryLaneCount) {
+  // Records reach a lane by swap and lanes recycle record capacity, so a slot that kept
+  // stale visits or lost part of the incoming record would change a lane's counts or
+  // fits. Every arrangement is pinned bit for bit to the copying reference: in-thread
+  // (K = 1), threaded, pipelined, and behind tiny queues whose rings wrap every few
+  // records and receive batches larger than themselves. Cross-lane bias correction
+  // makes the pooled estimates read every lane's posted queue counts.
+  int num_queues = 0;
+  const std::vector<TaskRecord> records = AlternatingVisitRecords(400, &num_queues);
+  for (const FastPathMode mode : {FastPathMode::kMeanFieldOnly, FastPathMode::kWarmStart}) {
+    for (const std::size_t lanes : {1u, 2u, 4u}) {
+      SCOPED_TRACE(std::string(mode == FastPathMode::kWarmStart ? "warm-start" : "only") +
+                   ", lanes " + std::to_string(lanes));
+      ShardedStreamingOptions options;
+      options.lanes = lanes;
+      options.cross_lane_bias_correction = true;
+      options.stream = ShortStemOptions(50.0);
+      options.stream.fast_path = mode;
+      std::vector<std::vector<std::size_t>> lane_counts;
+      const std::vector<WindowEstimate> reference =
+          BuildEveryWindowReference(records, num_queues, options, 13, &lane_counts);
+      ASSERT_GE(reference.size(), 5u);
+      if (mode == FastPathMode::kWarmStart) {
+        EXPECT_GT(reference.front().fit_iterations, 0u) << "StEM fits these windows";
+      }
+      // Each lane's posted counts add up to the visits of the records routed to it.
+      std::vector<std::vector<std::size_t>> routed(lanes,
+                                                   std::vector<std::size_t>(num_queues, 0));
+      for (const TaskRecord& record : records) {
+        std::vector<std::size_t>& counts = routed[TaskLane(TaskHash(record), lanes)];
+        ++counts[0];
+        for (const TaskVisit& visit : record.visits) {
+          ++counts[static_cast<std::size_t>(visit.queue)];
+        }
+      }
+      EXPECT_EQ(lane_counts, routed);
+      struct Arrangement {
+        bool pipeline;
+        std::size_t capacity;
+        std::size_t batch;
+      };
+      for (const Arrangement& arrangement : {Arrangement{false, 1024, 32},
+                                             Arrangement{true, 1024, 32},
+                                             Arrangement{false, 5, 3},
+                                             Arrangement{true, 3, 8}}) {
+        SCOPED_TRACE("pipeline " + std::to_string(arrangement.pipeline) + ", capacity " +
+                     std::to_string(arrangement.capacity) + ", batch " +
+                     std::to_string(arrangement.batch));
+        options.stream.pipeline = arrangement.pipeline;
+        options.lane_queue_capacity = arrangement.capacity;
+        options.router_batch = arrangement.batch;
+        ExpectEstimatesIdentical(reference, RunFleetOn(records, num_queues, options, 13));
+      }
+    }
+  }
+}
+
+TEST(LaneQueue, SwapHandoffKeepsOrderAndPayloadAcrossWrapsAndOversizedBatches) {
+  // A 5-slot ring fed by a producer that reuses its batch slots the way the router does
+  // (copy-assign into whatever capacity the last PushMany handed back) and drained by a
+  // consumer popping 3 at a time: batches of 3 and 4 wrap the ring, batches of 12 exceed
+  // it. Every item must come out in order with its whole payload.
+  std::vector<LaneItem> expected;
+  for (std::size_t i = 0; i < 300; ++i) {
+    LaneItem item;
+    if (i % 7 == 6) {
+      item.kind = LaneItem::Kind::kClose;
+      item.close.t1 = static_cast<double>(i);
+      item.close.window_index = i;
+    } else {
+      item.record.entry_time = static_cast<double>(i);
+      const std::size_t visits = i % 2 == 0 ? 1 : 5 + i % 3;
+      for (std::size_t v = 0; v < visits; ++v) {
+        TaskVisit visit;
+        visit.state = static_cast<std::int32_t>(v);
+        visit.queue = 1;
+        visit.arrival = static_cast<double>(i) + 0.1 * static_cast<double>(v);
+        visit.departure = visit.arrival + 0.1;
+        visit.arrival_observed = v % 2 == 0;
+        item.record.visits.push_back(visit);
+      }
+    }
+    expected.push_back(std::move(item));
+  }
+  LaneItem finish;
+  finish.kind = LaneItem::Kind::kFinish;
+  expected.push_back(finish);
+
+  LaneQueue queue(5);
+  std::vector<LaneItem> received;
+  std::thread consumer([&] {
+    std::vector<LaneItem> out;
+    for (;;) {
+      const std::size_t count = queue.PopMany(out, 3);
+      for (std::size_t at = 0; at < count; ++at) {
+        received.push_back(out[at]);
+        if (out[at].kind == LaneItem::Kind::kFinish) {
+          return;
+        }
+      }
+    }
+  });
+  std::vector<LaneItem> batch(12);
+  const std::size_t sizes[] = {3, 12, 1, 4};
+  std::size_t next = 0;
+  for (std::size_t round = 0; next < expected.size(); ++round) {
+    const std::size_t count = std::min(sizes[round % 4], expected.size() - next);
+    for (std::size_t k = 0; k < count; ++k) {
+      const LaneItem& item = expected[next + k];
+      batch[k].kind = item.kind;
+      if (item.kind == LaneItem::Kind::kRecord) {
+        batch[k].record = item.record;
+      } else {
+        batch[k].close = item.close;
+      }
+    }
+    queue.PushMany(batch.data(), count);
+    next += count;
+  }
+  consumer.join();
+  ASSERT_EQ(received.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(received[i].kind, expected[i].kind) << "item " << i;
+    if (expected[i].kind == LaneItem::Kind::kRecord) {
+      EXPECT_EQ(received[i].record, expected[i].record) << "item " << i;
+    } else if (expected[i].kind == LaneItem::Kind::kClose) {
+      EXPECT_EQ(received[i].close.t1, expected[i].close.t1) << "item " << i;
+      EXPECT_EQ(received[i].close.window_index, expected[i].close.window_index)
+          << "item " << i;
+    }
+  }
+  EXPECT_LE(queue.PeakDepth(), 5u);
 }
 
 TEST(ShardedStreaming, SamplerFreeLaneWindowsNeverBuildALog) {
