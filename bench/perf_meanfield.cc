@@ -27,6 +27,16 @@
 //                                          stop (Arg 1). CI gates Arg 1 >= 1.5x Arg 0
 //                                          items_per_second within the same run;
 //                                          fit_iterations_total witnesses the savings.
+//   BM_StemWindow                        — one monitor-shaped StEM window (three-tier
+//                                          {1,2,4}, lambda 10, mu 16, 20% observed, 360
+//                                          tasks, 60/20/20 iterations/burn-in/wait, no
+//                                          early stop) run again and again through one
+//                                          reused StemWorkspace and scheduler cache, as a
+//                                          streaming lane runs its windows. Reports
+//                                          ms_per_window, ns_per_move (per latent arrival
+//                                          per sweep, perfbench's infer.stem_ns_per_move)
+//                                          and allocs_per_window, which CI gates: a warm
+//                                          window allocates only its StemResult.
 
 #include <benchmark/benchmark.h>
 
@@ -43,6 +53,7 @@
 #include "qnet/stream/task_record.h"
 #include "qnet/stream/window_assembler.h"
 #include "qnet/support/rng.h"
+#include "qnet/support/stopwatch.h"
 
 namespace {
 
@@ -216,5 +227,55 @@ void BM_WarmStartedStemWindow(benchmark::State& state) {
 }
 BENCHMARK(BM_WarmStartedStemWindow)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()->UseRealTime();
+
+// One warm StEM window of the monitor's shape through a reused workspace.
+void BM_StemWindow(benchmark::State& state) {
+  qnet::ThreeTierConfig config;
+  config.tier_sizes = {1, 2, 4};
+  config.arrival_rate = 10.0;
+  config.service_rate = 16.0;
+  const qnet::QueueingNetwork net = qnet::MakeThreeTierNetwork(config);
+  qnet::Rng rng(2024);
+  const qnet::EventLog truth =
+      qnet::SimulateWorkload(net, qnet::PoissonArrivals(10.0, 360), rng);
+  qnet::TaskSamplingScheme scheme;
+  scheme.fraction = 0.2;
+  const qnet::Observation obs = scheme.Apply(truth, rng);
+
+  qnet::ShardedSweepScheduler scheduler_cache({.shards = 1, .threads = 1});
+  qnet::StemOptions options;
+  options.iterations = 60;
+  options.burn_in = 20;
+  options.wait_sweeps = 20;
+  options.scheduler_cache = &scheduler_cache;
+  const qnet::StemEstimator estimator(options);
+  const std::vector<double> init = net.ExponentialRates();
+  qnet::StemWorkspace workspace;
+  const auto run_window = [&] {
+    qnet::Rng window_rng(17);
+    return estimator.Run(truth, obs, init, window_rng, workspace);
+  };
+  const qnet::StemResult warm = run_window();  // warm-up sizes the workspace
+  const double moves_per_window = static_cast<double>(
+      warm.latent_arrivals * (warm.iterations_run + options.wait_sweeps));
+
+  std::size_t windows = 0;
+  double seconds = 0.0;
+  const std::size_t before = AllocationCount();
+  for (auto _ : state) {
+    const qnet::Stopwatch watch;
+    const qnet::StemResult result = run_window();
+    seconds += watch.ElapsedSeconds();
+    benchmark::DoNotOptimize(result.rates.data());
+    ++windows;
+  }
+  const std::size_t allocations = AllocationCount() - before;
+  const double count = static_cast<double>(windows);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 360);
+  state.counters["ms_per_window"] = 1e3 * seconds / count;
+  state.counters["ns_per_move"] = 1e9 * seconds / (count * moves_per_window);
+  state.counters["allocs_per_window"] = static_cast<double>(allocations) / count;
+}
+BENCHMARK(BM_StemWindow)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -172,10 +172,11 @@ void BM_FleetVsPlainK1(benchmark::State& state) {
 }
 BENCHMARK(BM_FleetVsPlainK1)->MinTime(0.5)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// Allocation counter: operator-new calls per ingested task, per lane count. The StEM
-// fits allocate by design (samplers, per-window results); each lane rebuilds its window
-// log in place. What the gate protects is that lane count does not multiply the
-// per-task cost — queue slots and pop targets recycle their record capacity.
+// Allocation counter: operator-new calls per ingested task, per lane count. Each lane
+// rebuilds its window log in place and runs its StEM windows through one reused
+// StemWorkspace, so what is left is each lane's cold first window and the per-window
+// results. What the gate protects is that lane count does not multiply the per-task
+// cost — queue slots and pop targets recycle their record capacity.
 void BM_FleetAllocations(benchmark::State& state) {
   const auto lanes = static_cast<std::size_t>(state.range(0));
   const Fixture fixture = MakeFixture(2000);

@@ -96,12 +96,13 @@ inline double RateAt(std::span<const double> rates, int queue) {
 
 }  // namespace conditional_detail
 
-// Inline gather core (rate-span size is the caller's responsibility — the batched kernel
-// validates once per bucket and then runs a whole tile of these back to back, letting the
-// compiler overlap the pointer chases of neighboring moves). GatherArrivalMove is this
-// plus a per-call size check.
-inline ArrivalMove GatherArrivalMoveUnchecked(const EventLog& log, EventId e,
-                                              std::span<const double> rates) {
+// Inline gather core over resolved geometry (rate-span size is the caller's
+// responsibility — the batched kernel validates once per bucket and then runs a whole tile
+// of these back to back, letting the compiler overlap the loads of neighboring moves).
+// Every neighbour id comes from `g`, so the only Event struct read is e's own (d_e and the
+// initial-event check); the neighbours contribute their times.
+inline ArrivalMove GatherArrivalMoveFrom(const EventLog& log, EventId e, const MoveGeometry& g,
+                                         std::span<const double> rates) {
   using conditional_detail::RateAt;
   // Inner-loop contract: every access below is *Unchecked (bounds DCHECK-only); this is
   // called once per latent coordinate per sweep.
@@ -111,34 +112,34 @@ inline ArrivalMove GatherArrivalMoveUnchecked(const EventLog& log, EventId e,
   ArrivalMove move;
   move.event = e;
   move.d_e = ev.departure;
-  move.mu_e = RateAt(rates, ev.queue);
+  move.mu_e = RateAt(rates, g.queue);
+  move.mu_pi = RateAt(rates, g.pi_queue);
+  // c_pi = BeginService(pi) = max(a_pi, d_rho(pi)), the same expression.
+  const double a_pi = log.ArrivalUnchecked(g.pi);
+  move.c_pi = g.rho_pi == kNoEvent ? a_pi : std::max(a_pi, log.DepartureUnchecked(g.rho_pi));
 
-  const Event& pi = log.AtUnchecked(ev.pi);
-  move.mu_pi = RateAt(rates, pi.queue);
-  move.c_pi = log.BeginServiceUnchecked(ev.pi);
-
-  move.rho_is_pi = (ev.rho == ev.pi);
-  if (ev.rho != kNoEvent && !move.rho_is_pi) {
+  move.rho_is_pi = (g.rho == g.pi);
+  if (g.rho != kNoEvent && !move.rho_is_pi) {
     move.has_t1 = true;
-    move.t1 = log.DepartureUnchecked(ev.rho);
+    move.t1 = log.DepartureUnchecked(g.rho);
   }
 
   // nu(pi): the next arrival at pi's queue. When it is e itself (consecutive same-queue
   // visits) its service time is s_e, already accounted for by the first term.
-  if (pi.nu != kNoEvent && pi.nu != e) {
+  if (g.nu_pi != kNoEvent && g.nu_pi != e) {
     move.has_nu_pi = true;
-    move.t2 = log.ArrivalUnchecked(pi.nu);
-    move.d_nu_pi = log.DepartureUnchecked(pi.nu);
+    move.t2 = log.ArrivalUnchecked(g.nu_pi);
+    move.d_nu_pi = log.DepartureUnchecked(g.nu_pi);
   }
 
   // Bounds: L = max{c_pi, a_rho(e)}; U = min{d_e, a_nu(e), d_nu(pi)}.
   double lower = move.c_pi;
-  if (ev.rho != kNoEvent) {
-    lower = std::max(lower, log.ArrivalUnchecked(ev.rho));
+  if (g.rho != kNoEvent) {
+    lower = std::max(lower, log.ArrivalUnchecked(g.rho));
   }
   double upper = move.d_e;
-  if (ev.nu != kNoEvent) {
-    upper = std::min(upper, log.ArrivalUnchecked(ev.nu));
+  if (g.nu != kNoEvent) {
+    upper = std::min(upper, log.ArrivalUnchecked(g.nu));
   }
   if (move.has_nu_pi) {
     upper = std::min(upper, move.d_nu_pi);
@@ -146,6 +147,13 @@ inline ArrivalMove GatherArrivalMoveUnchecked(const EventLog& log, EventId e,
   move.lower = lower;
   move.upper = upper;
   return move;
+}
+
+// The per-move form: resolve the geometry from the links, then the geometry gather.
+// GatherArrivalMove is this plus a per-call rate-size check.
+inline ArrivalMove GatherArrivalMoveUnchecked(const EventLog& log, EventId e,
+                                              std::span<const double> rates) {
+  return GatherArrivalMoveFrom(log, e, log.ResolveArrivalGeometryUnchecked(e), rates);
 }
 
 // Geometry-only variant with all rates set to 1 (LogG is then not meaningful); used by the
@@ -156,9 +164,13 @@ ArrivalMove GatherArrivalGeometry(const EventLog& log, EventId e);
 // Emits the conditional's segments into any density sink with an
 // AddSegment(lo, hi, alpha, beta) surface — PiecewiseExpDensity for the scalar path, an
 // open PiecewiseExpBatch move slot for the batched kernel. One definition of the
-// breakpoint/slope logic keeps the two paths identical by construction.
+// breakpoint/slope logic keeps the two paths identical by construction. Forced inline:
+// GCC otherwise compiles the batch instance out of line, so every move of the tile loop
+// pays a call and round-trips its ArrivalMove through memory (inlining measured ~1.1x
+// on a whole StEM window, same bits).
 template <typename Density>
-void BuildArrivalSegmentsInto(const ArrivalMove& move, Density& density) {
+[[gnu::always_inline]] inline void BuildArrivalSegmentsInto(const ArrivalMove& move,
+                                                            Density& density) {
   QNET_CHECK(move.lower < move.upper, "empty conditional window: L=", move.lower,
              " U=", move.upper);
   // Breakpoints inside (L, U) where a max() changes branch: at most lower, t1, t2, upper.
@@ -246,20 +258,23 @@ struct FinalDepartureMove {
 FinalDepartureMove GatherFinalDepartureMove(const EventLog& log, EventId e,
                                             std::span<const double> rates);
 
-// Inline gather core for the final-departure move; see GatherArrivalMoveUnchecked.
-inline FinalDepartureMove GatherFinalDepartureMoveUnchecked(const EventLog& log, EventId e,
-                                                            std::span<const double> rates) {
+// Geometry gather for the final-departure move; see GatherArrivalMoveFrom.
+inline FinalDepartureMove GatherFinalDepartureMoveFrom(const EventLog& log, EventId e,
+                                                       const MoveGeometry& g,
+                                                       std::span<const double> rates) {
   const Event& ev = log.AtUnchecked(e);
   QNET_CHECK(ev.tau == kNoEvent,
              "event has a within-task successor; use the arrival move on tau instead");
   FinalDepartureMove move;
   move.event = e;
-  move.mu_e = conditional_detail::RateAt(rates, ev.queue);
-  move.c_e = log.BeginServiceUnchecked(e);
-  if (ev.nu != kNoEvent) {
+  move.mu_e = conditional_detail::RateAt(rates, g.queue);
+  // c_e = BeginService(e) = max(a_e, d_rho(e)), the same expression.
+  move.c_e = g.rho == kNoEvent ? ev.arrival
+                               : std::max(ev.arrival, log.DepartureUnchecked(g.rho));
+  if (g.nu != kNoEvent) {
     move.has_nu = true;
-    move.t_nu = log.ArrivalUnchecked(ev.nu);
-    move.d_nu = log.DepartureUnchecked(ev.nu);
+    move.t_nu = log.ArrivalUnchecked(g.nu);
+    move.d_nu = log.DepartureUnchecked(g.nu);
     move.upper = move.d_nu;
   } else {
     move.upper = kPosInf;
@@ -268,12 +283,20 @@ inline FinalDepartureMove GatherFinalDepartureMoveUnchecked(const EventLog& log,
   return move;
 }
 
+// Resolve from the links, then the geometry gather; see GatherArrivalMoveUnchecked.
+inline FinalDepartureMove GatherFinalDepartureMoveUnchecked(const EventLog& log, EventId e,
+                                                            std::span<const double> rates) {
+  return GatherFinalDepartureMoveFrom(log, e, log.ResolveFinalDepartureGeometryUnchecked(e),
+                                      rates);
+}
+
 // Geometry-only variant (rates set to 1), mirroring GatherArrivalGeometry.
 FinalDepartureMove GatherFinalDepartureGeometry(const EventLog& log, EventId e);
 
 // Segment emission for the final-departure conditional; see BuildArrivalSegmentsInto.
 template <typename Density>
-void BuildFinalDepartureSegmentsInto(const FinalDepartureMove& move, Density& density) {
+[[gnu::always_inline]] inline void BuildFinalDepartureSegmentsInto(
+    const FinalDepartureMove& move, Density& density) {
   QNET_CHECK(move.lower < move.upper, "empty conditional window");
   // Below t_nu the second service still starts at t_nu: slope -mu_e. Above, the two terms
   // cancel: slope 0 (the nu(e) service shrinks exactly as s_e grows).

@@ -12,47 +12,69 @@ namespace qnet {
 
 GibbsSampler::GibbsSampler(EventLog state, const Observation& obs, std::vector<double> rates,
                            GibbsOptions options)
-    : state_(std::move(state)), rates_(std::move(rates)), options_(options) {
-  obs.Validate(state_);
-  QNET_CHECK(rates_.size() == static_cast<std::size_t>(state_.NumQueues()),
-             "rates size mismatch");
-  std::string why;
-  QNET_CHECK(state_.IsFeasible(1e-6, &why), "initial Gibbs state infeasible: ", why);
-  CollectLatentMoves(state_, obs, arrival_moves_, final_moves_);
+    : state_(std::move(state)) {
+  Retarget(obs, rates, options);
 }
 
-void GibbsSampler::SetRates(std::vector<double> rates) {
+// The smallest valid log (the arrival queue plus one), empty until the first write.
+GibbsSampler::GibbsSampler() : state_(/*num_queues=*/2) {}
+
+void GibbsSampler::Retarget(const Observation& obs, std::span<const double> rates,
+                            const GibbsOptions& options) {
+  options_ = options;
+  obs.Validate(state_);
+  QNET_CHECK(rates.size() == static_cast<std::size_t>(state_.NumQueues()),
+             "rates size mismatch");
+  rates_.assign(rates.begin(), rates.end());
+  std::string why;
+  QNET_CHECK(state_.IsFeasible(1e-6, &why), "initial Gibbs state infeasible: ", why);
+  arrival_moves_.clear();
+  final_moves_.clear();
+  CollectLatentMoves(state_, obs, arrival_moves_, final_moves_);
+  scheduler_.reset();
+  external_scheduler_ = nullptr;
+  rebuilt_for_ = nullptr;
+  service_cache_.clear();
+}
+
+void GibbsSampler::SetRates(std::span<const double> rates) {
   QNET_CHECK(rates.size() == rates_.size(), "rates size mismatch");
   for (double r : rates) {
     QNET_CHECK(r > 0.0, "rates must be positive");
   }
-  rates_ = std::move(rates);
+  rates_.assign(rates.begin(), rates.end());
+}
+
+void GibbsSampler::RebuildSchedule(ShardedSweepScheduler& scheduler) {
+  schedule_input_.assign(arrival_moves_.begin(), arrival_moves_.end());
+  if (options_.resample_final_departures) {
+    schedule_input_.insert(schedule_input_.end(), final_moves_.begin(), final_moves_.end());
+  }
+  scheduler.Rebuild(state_, schedule_input_);
+  rebuilt_for_ = &scheduler;
 }
 
 ShardedSweepScheduler* GibbsSampler::EffectiveScheduler(bool build_batch_schedule) {
-  if (external_scheduler_ != nullptr) {
-    return external_scheduler_;
+  ShardedSweepScheduler* scheduler =
+      external_scheduler_ != nullptr ? external_scheduler_ : scheduler_.get();
+  if (scheduler == nullptr) {
+    if (!build_batch_schedule) {
+      return nullptr;
+    }
+    if (batch_scheduler_ == nullptr) {
+      ShardedSweepOptions options;
+      options.shards = 1;
+      options.threads = 1;
+      batch_scheduler_ = std::make_unique<ShardedSweepScheduler>(options);
+    }
+    scheduler = batch_scheduler_.get();
   }
-  if (scheduler_ != nullptr) {
-    return scheduler_.get();
+  if (rebuilt_for_ != scheduler) {
+    // The coloring and the move geometry are functions of the links, which
+    // MutableState() may have changed since this scheduler was last built.
+    RebuildSchedule(*scheduler);
   }
-  if (!build_batch_schedule) {
-    return nullptr;
-  }
-  if (batch_scheduler_ == nullptr) {
-    ShardedSweepOptions options;
-    options.shards = 1;
-    options.threads = 1;
-    const std::vector<SweepMove> moves = SweepMoves();
-    batch_scheduler_ = std::make_unique<ShardedSweepScheduler>(state_, moves, options);
-  } else if (batch_schedule_stale_) {
-    // MutableState() may have rerouted events since the last sweep; the move list is
-    // link-independent but the conflict coloring is not, so recolor before batching.
-    const std::vector<SweepMove> moves = SweepMoves();
-    batch_scheduler_->Rebuild(state_, moves);
-  }
-  batch_schedule_stale_ = false;
-  return batch_scheduler_.get();
+  return scheduler;
 }
 
 void GibbsSampler::Sweep(Rng& rng) {
@@ -62,14 +84,18 @@ void GibbsSampler::Sweep(Rng& rng) {
     const BatchedExponentialMoveKernel kernel(rates_, options_.batch_width, cache);
     if (options_.batched_reference) {
       scheduler->RunBuckets(
-          [&](std::span<const SweepMove> bucket, std::uint64_t bucket_seed) {
-            kernel.RunBucketReference(state_, bucket, bucket_seed);
+          [&](const SweepBucket& bucket) {
+            kernel.RunBucketReference(state_, bucket.moves, bucket.seed);
           },
           rng.NextU64());
     } else {
+      if (tile_batches_.size() < scheduler->NumThreads()) {
+        tile_batches_.resize(scheduler->NumThreads());
+      }
       scheduler->RunBuckets(
-          [&](std::span<const SweepMove> bucket, std::uint64_t bucket_seed) {
-            kernel.RunBucket(state_, bucket, bucket_seed);
+          [&](const SweepBucket& bucket) {
+            kernel.RunBucket(state_, bucket.moves, bucket.geometry, bucket.seed,
+                             tile_batches_[bucket.participant]);
           },
           rng.NextU64());
     }
@@ -108,8 +134,8 @@ void GibbsSampler::EnableShardedSweeps(const ShardedSweepOptions& options) {
   QNET_CHECK(!options_.shuffle_scan,
              "sharded sweeps are incompatible with shuffle_scan: the colored schedule is "
              "frozen per trace");
-  const std::vector<SweepMove> moves = SweepMoves();
-  scheduler_ = std::make_unique<ShardedSweepScheduler>(state_, moves, options);
+  scheduler_ = std::make_unique<ShardedSweepScheduler>(options);
+  RebuildSchedule(*scheduler_);
 }
 
 void GibbsSampler::UseScheduler(ShardedSweepScheduler* scheduler) {
@@ -117,8 +143,7 @@ void GibbsSampler::UseScheduler(ShardedSweepScheduler* scheduler) {
     QNET_CHECK(!options_.shuffle_scan,
                "sharded sweeps are incompatible with shuffle_scan: the colored schedule is "
                "frozen per trace");
-    const std::vector<SweepMove> moves = SweepMoves();
-    scheduler->Rebuild(state_, moves);
+    RebuildSchedule(*scheduler);
   }
   external_scheduler_ = scheduler;
 }

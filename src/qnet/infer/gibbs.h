@@ -63,19 +63,33 @@ class GibbsSampler {
   GibbsSampler(EventLog state, const Observation& obs, std::vector<double> rates,
                GibbsOptions options = {});
 
+  // A sampler with no trace yet: write the trace into MutableState() in place (e.g.
+  // InitializeFeasibleInto), then Retarget before the first Sweep. Long-lived owners
+  // (StemWorkspace) keep one sampler and re-target it per trace, so its move lists,
+  // schedule input, service cache and tile scratch keep their capacity.
+  GibbsSampler();
+
+  // Points the sampler at the trace now in MutableState(), with `rates` and `options`:
+  // the constructor's checks and latent-move collection, reusing every buffer. Detaches
+  // any scheduler the previous trace swept through (call EnableShardedSweeps /
+  // UseScheduler again) and turns sufficient-statistics tracking off.
+  void Retarget(const Observation& obs, std::span<const double> rates,
+                const GibbsOptions& options);
+
   const EventLog& State() const { return state_; }
   // Mutating the state through this handle may change the link structure (e.g. route
-  // Metropolis-Hastings reassigning queues), so it marks the internal batched schedule
-  // stale; the next Sweep recolors it against the current links. Caller-supplied
-  // schedulers (EnableShardedSweeps / UseScheduler) keep their documented frozen-per-trace
-  // contract and are NOT rebuilt here.
+  // Metropolis-Hastings reassigning queues), and the schedule's coloring and move
+  // geometry are functions of the links. So this marks the schedule stale, and the next
+  // Sweep rebuilds whichever scheduler it drives — the internal batch schedule or one
+  // attached by EnableShardedSweeps / UseScheduler — against the current links.
   EventLog& MutableState() {
-    batch_schedule_stale_ = true;
+    rebuilt_for_ = nullptr;
     return state_;
   }
 
   const std::vector<double>& Rates() const { return rates_; }
-  void SetRates(std::vector<double> rates);
+  // Copies `rates` into the sampler's rate vector (no allocation once sized).
+  void SetRates(std::span<const double> rates);
 
   // One systematic scan over all latent variables: sequential by default, the colored
   // sharded schedule after EnableShardedSweeps (which consumes exactly one NextU64 from
@@ -127,8 +141,10 @@ class GibbsSampler {
  private:
   // The scheduler Sweep should route through: the caller-owned cache, then the owned one;
   // for batched sweeps with neither, the lazily-built internal single-shard schedule
-  // (batching needs a coloring even when nothing runs in parallel).
+  // (batching needs a coloring even when nothing runs in parallel). Rebuilt first unless
+  // it already holds this trace's current links.
   ShardedSweepScheduler* EffectiveScheduler(bool build_batch_schedule);
+  void RebuildSchedule(ShardedSweepScheduler& scheduler);
 
   EventLog state_;
   std::vector<double> rates_;
@@ -136,15 +152,19 @@ class GibbsSampler {
   std::vector<SweepMove> arrival_moves_;
   std::vector<SweepMove> final_moves_;
   std::vector<SweepMove> scan_buffer_;
+  std::vector<SweepMove> schedule_input_;  // SweepMoves(), reused by every Rebuild
   std::unique_ptr<ShardedSweepScheduler> scheduler_;
   ShardedSweepScheduler* external_scheduler_ = nullptr;
   // Internal shards=1/threads=1 schedule for the default batched path; built on first
-  // use so non-batched samplers never pay for it, recolored when MutableState() may have
-  // changed the link structure out from under the coloring.
+  // use so non-batched samplers never pay for it.
   std::unique_ptr<ShardedSweepScheduler> batch_scheduler_;
-  bool batch_schedule_stale_ = false;
+  // The scheduler last rebuilt on the current links; null once MutableState() or
+  // Retarget may have changed them.
+  const ShardedSweepScheduler* rebuilt_for_ = nullptr;
   // Per-event service times, kept coherent by move scatter when tracking is enabled.
   std::vector<double> service_cache_;
+  // Batched-kernel tile scratch, one per scheduler participant thread.
+  std::vector<PiecewiseExpBatch> tile_batches_;
 };
 
 }  // namespace qnet

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <vector>
 
 #include "qnet/lp/problem.h"
@@ -13,77 +12,88 @@
 namespace qnet {
 namespace {
 
-// Successor adjacency of the constraint graph on departure variables. Edge u -> v encodes
-// x_u <= x_v.
-std::vector<std::vector<EventId>> BuildConstraintEdges(const EventLog& log) {
-  const std::size_t n = log.NumEvents();
-  std::vector<std::vector<EventId>> succ(n);
+// The constraint graph on departure variables as one CSR: edge u -> v encodes x_u <= x_v,
+// and u's successors are succ[succ_offsets[u] .. succ_offsets[u + 1]). Two passes over the
+// same edge emission (count, then fill) keep every successor list in emission order, so
+// Kahn's algorithm visits exactly the order the list-of-lists build produced.
+template <typename EmitEdge>
+void ForEachConstraintEdge(const EventLog& log, EmitEdge&& emit) {
   // Per-event inner loop over the whole log: *Unchecked accessors under DCHECK, per the
   // hot-path contract (ids come straight from the iteration bounds and the links).
-  for (EventId e = 0; static_cast<std::size_t>(e) < n; ++e) {
+  for (EventId e = 0; static_cast<std::size_t>(e) < log.NumEvents(); ++e) {
     const Event& ev = log.AtUnchecked(e);
     if (!ev.initial) {
-      succ[static_cast<std::size_t>(ev.pi)].push_back(e);  // x_pi <= x_e
+      emit(ev.pi, e);  // x_pi <= x_e
     }
     if (ev.rho != kNoEvent) {
-      succ[static_cast<std::size_t>(ev.rho)].push_back(e);  // x_rho <= x_e
+      emit(ev.rho, e);  // x_rho <= x_e
       const Event& rho = log.AtUnchecked(ev.rho);
       if (!ev.initial && !rho.initial) {
-        // Arrival order: x_pi(rho(e)) <= x_pi(e).
-        succ[static_cast<std::size_t>(rho.pi)].push_back(ev.pi);
+        emit(rho.pi, ev.pi);  // arrival order: x_pi(rho(e)) <= x_pi(e)
       }
     }
   }
-  return succ;
+}
+
+void BuildConstraintGraph(const EventLog& log, InitializerScratch& scratch) {
+  const std::size_t n = log.NumEvents();
+  scratch.succ_offsets.assign(n + 1, 0);
+  ForEachConstraintEdge(log, [&](EventId u, EventId) {
+    ++scratch.succ_offsets[static_cast<std::size_t>(u) + 1];
+  });
+  for (std::size_t u = 0; u < n; ++u) {
+    scratch.succ_offsets[u + 1] += scratch.succ_offsets[u];
+  }
+  scratch.succ.resize(static_cast<std::size_t>(scratch.succ_offsets[n]));
+  scratch.cursor.assign(scratch.succ_offsets.begin(), scratch.succ_offsets.end() - 1);
+  ForEachConstraintEdge(log, [&](EventId u, EventId v) {
+    scratch.succ[static_cast<std::size_t>(scratch.cursor[static_cast<std::size_t>(u)]++)] = v;
+  });
+}
+
+std::span<const EventId> Successors(const InitializerScratch& scratch, EventId u) {
+  const auto begin = static_cast<std::size_t>(scratch.succ_offsets[static_cast<std::size_t>(u)]);
+  const auto end =
+      static_cast<std::size_t>(scratch.succ_offsets[static_cast<std::size_t>(u) + 1]);
+  return {scratch.succ.data() + begin, end - begin};
+}
+
+// Kahn's algorithm with scratch.order as its FIFO queue: the queue's pop sequence IS the
+// topological order, so one index walks it.
+void TopologicalOrderInto(std::size_t n, InitializerScratch& scratch) {
+  scratch.cursor.assign(n, 0);  // in-degrees
+  for (EventId v : scratch.succ) {
+    ++scratch.cursor[static_cast<std::size_t>(v)];
+  }
+  scratch.order.clear();
+  for (EventId e = 0; static_cast<std::size_t>(e) < n; ++e) {
+    if (scratch.cursor[static_cast<std::size_t>(e)] == 0) {
+      scratch.order.push_back(e);
+    }
+  }
+  for (std::size_t head = 0; head < scratch.order.size(); ++head) {
+    for (EventId v : Successors(scratch, scratch.order[head])) {
+      if (--scratch.cursor[static_cast<std::size_t>(v)] == 0) {
+        scratch.order.push_back(v);
+      }
+    }
+  }
+  QNET_CHECK(scratch.order.size() == n, "constraint graph has a cycle; corrupt event log?");
 }
 
 }  // namespace
 
 std::vector<EventId> ConstraintTopologicalOrder(const EventLog& log) {
-  const std::size_t n = log.NumEvents();
-  const auto succ = BuildConstraintEdges(log);
-  std::vector<int> indegree(n, 0);
-  for (const auto& out : succ) {
-    for (EventId v : out) {
-      ++indegree[static_cast<std::size_t>(v)];
-    }
-  }
-  std::deque<EventId> frontier;
-  for (EventId e = 0; static_cast<std::size_t>(e) < n; ++e) {
-    if (indegree[static_cast<std::size_t>(e)] == 0) {
-      frontier.push_back(e);
-    }
-  }
-  std::vector<EventId> order;
-  order.reserve(n);
-  while (!frontier.empty()) {
-    const EventId u = frontier.front();
-    frontier.pop_front();
-    order.push_back(u);
-    for (EventId v : succ[static_cast<std::size_t>(u)]) {
-      if (--indegree[static_cast<std::size_t>(v)] == 0) {
-        frontier.push_back(v);
-      }
-    }
-  }
-  QNET_CHECK(order.size() == n, "constraint graph has a cycle; corrupt event log?");
-  return order;
+  InitializerScratch scratch;
+  BuildConstraintGraph(log, scratch);
+  TopologicalOrderInto(log.NumEvents(), scratch);
+  return std::move(scratch.order);
 }
 
 namespace {
 
-struct Windows {
-  std::vector<double> lower;
-  std::vector<double> upper;
-  std::vector<char> pinned;
-  std::vector<double> pin_value;
-};
-
-Windows ComputeWindows(const EventLog& log, const Observation& obs,
-                       const std::vector<EventId>& topo,
-                       const std::vector<std::vector<EventId>>& succ) {
+void ComputeWindows(const EventLog& log, const Observation& obs, InitializerScratch& w) {
   const std::size_t n = log.NumEvents();
-  Windows w;
   w.lower.assign(n, 0.0);
   w.upper.assign(n, kPosInf);
   w.pinned.assign(n, 0);
@@ -95,23 +105,23 @@ Windows ComputeWindows(const EventLog& log, const Observation& obs,
     }
   }
   // Forward pass: lower bounds.
-  for (EventId u : topo) {
+  for (EventId u : w.order) {
     auto& lb = w.lower[static_cast<std::size_t>(u)];
     if (w.pinned[static_cast<std::size_t>(u)] != 0) {
       QNET_CHECK(w.pin_value[static_cast<std::size_t>(u)] >= lb - 1e-6,
                  "observed departure violates lower bound at event ", u);
       lb = w.pin_value[static_cast<std::size_t>(u)];
     }
-    for (EventId v : succ[static_cast<std::size_t>(u)]) {
+    for (EventId v : Successors(w, u)) {
       auto& lb_v = w.lower[static_cast<std::size_t>(v)];
       lb_v = std::max(lb_v, lb);
     }
   }
   // Backward pass: upper bounds.
-  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+  for (auto it = w.order.rbegin(); it != w.order.rend(); ++it) {
     const EventId u = *it;
     auto& ub = w.upper[static_cast<std::size_t>(u)];
-    for (EventId v : succ[static_cast<std::size_t>(u)]) {
+    for (EventId v : Successors(w, u)) {
       ub = std::min(ub, w.upper[static_cast<std::size_t>(v)]);
     }
     if (w.pinned[static_cast<std::size_t>(u)] != 0) {
@@ -122,45 +132,41 @@ Windows ComputeWindows(const EventLog& log, const Observation& obs,
     QNET_CHECK(w.lower[static_cast<std::size_t>(u)] <= ub + 1e-6,
                "infeasible window at event ", u);
   }
-  return w;
 }
 
-std::vector<double> AssignGreedy(const EventLog& log, const Windows& windows,
-                                 const std::vector<EventId>& topo,
-                                 const std::vector<std::vector<EventId>>& succ,
-                                 std::span<const double> rates, Rng& rng) {
+void AssignGreedy(const EventLog& log, std::span<const double> rates, Rng& rng,
+                  InitializerScratch& w) {
   const std::size_t n = log.NumEvents();
   // Incoming max of assigned predecessor values, maintained while walking the topo order.
-  std::vector<double> pred_max(n, 0.0);
-  std::vector<double> x(n, 0.0);
-  for (EventId u : topo) {
+  w.pred_max.assign(n, 0.0);
+  w.x.assign(n, 0.0);
+  for (EventId u : w.order) {
     const std::size_t ui = static_cast<std::size_t>(u);
     double value;
-    if (windows.pinned[ui] != 0) {
-      value = windows.pin_value[ui];
-      QNET_CHECK(value >= pred_max[ui] - 1e-6,
+    if (w.pinned[ui] != 0) {
+      value = w.pin_value[ui];
+      QNET_CHECK(value >= w.pred_max[ui] - 1e-6,
                  "observed time below assigned predecessors at event ", u);
     } else {
-      const double base = std::max(pred_max[ui], windows.lower[ui]);
+      const double base = std::max(w.pred_max[ui], w.lower[ui]);
       const double rate = rates[static_cast<std::size_t>(log.AtUnchecked(u).queue)];
       double value_try = base + rng.Exponential(rate);
-      const double ub = windows.upper[ui];
+      const double ub = w.upper[ui];
       if (value_try > ub) {
         // Clip into the window, placing the point strictly inside when possible.
         value_try = (std::isfinite(ub) && ub > base) ? base + 0.95 * (ub - base) : ub;
       }
       value = std::min(std::max(value_try, base), ub);
     }
-    x[ui] = value;
-    for (EventId v : succ[ui]) {
-      auto& pm = pred_max[static_cast<std::size_t>(v)];
+    w.x[ui] = value;
+    for (EventId v : Successors(w, u)) {
+      auto& pm = w.pred_max[static_cast<std::size_t>(v)];
       pm = std::max(pm, value);
     }
   }
-  return x;
 }
 
-std::vector<double> AssignLp(const EventLog& log, const Windows& windows,
+std::vector<double> AssignLp(const EventLog& log, const InitializerScratch& windows,
                              std::span<const double> rates, double epsilon) {
   const std::size_t n = log.NumEvents();
   LpProblem lp;
@@ -277,33 +283,43 @@ std::vector<double> AssignLp(const EventLog& log, const Windows& windows,
 
 }  // namespace
 
-EventLog InitializeFeasible(const EventLog& truth, const Observation& obs,
+void InitializeFeasibleInto(const EventLog& truth, const Observation& obs,
                             std::span<const double> rates, Rng& rng,
-                            const InitializerOptions& options) {
+                            const InitializerOptions& options, InitializerScratch& scratch,
+                            EventLog& state) {
   obs.Validate(truth);
   QNET_CHECK(static_cast<std::size_t>(truth.NumQueues()) == rates.size(),
              "rates size mismatch");
-  const auto topo = ConstraintTopologicalOrder(truth);
-  const auto succ = BuildConstraintEdges(truth);
-  const Windows windows = ComputeWindows(truth, obs, topo, succ);
+  BuildConstraintGraph(truth, scratch);
+  TopologicalOrderInto(truth.NumEvents(), scratch);
+  ComputeWindows(truth, obs, scratch);
+  if (options.method == InitMethod::kGreedy) {
+    AssignGreedy(truth, rates, rng, scratch);
+  } else {
+    scratch.x = AssignLp(truth, scratch, rates, options.lp_epsilon);
+  }
 
-  const std::vector<double> x = options.method == InitMethod::kGreedy
-                                    ? AssignGreedy(truth, windows, topo, succ, rates, rng)
-                                    : AssignLp(truth, windows, rates, options.lp_epsilon);
-
-  EventLog state = truth;  // copies structure; all times overwritten below
+  state.CopyFrom(truth);  // structure; all times overwritten below
   for (EventId e = 0; static_cast<std::size_t>(e) < truth.NumEvents(); ++e) {
     const Event& ev = truth.AtUnchecked(e);
-    state.SetDepartureUnchecked(e, x[static_cast<std::size_t>(e)]);
+    state.SetDepartureUnchecked(e, scratch.x[static_cast<std::size_t>(e)]);
     if (ev.initial) {
       state.SetArrivalUnchecked(e, 0.0);
     } else {
-      state.SetArrivalUnchecked(e, x[static_cast<std::size_t>(ev.pi)]);
+      state.SetArrivalUnchecked(e, scratch.x[static_cast<std::size_t>(ev.pi)]);
     }
   }
   std::string why;
   QNET_CHECK(state.IsFeasible(options.tol, &why), "initializer produced infeasible state: ",
              why);
+}
+
+EventLog InitializeFeasible(const EventLog& truth, const Observation& obs,
+                            std::span<const double> rates, Rng& rng,
+                            const InitializerOptions& options) {
+  InitializerScratch scratch;
+  EventLog state(truth.NumQueues());
+  InitializeFeasibleInto(truth, obs, rates, rng, options, scratch, state);
   return state;
 }
 

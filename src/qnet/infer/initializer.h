@@ -24,7 +24,9 @@
 #ifndef QNET_INFER_INITIALIZER_H_
 #define QNET_INFER_INITIALIZER_H_
 
+#include <cstdint>
 #include <span>
+#include <vector>
 
 #include "qnet/model/event.h"
 #include "qnet/obs/observation.h"
@@ -41,6 +43,34 @@ struct InitializerOptions {
   // Feasibility tolerance for the final state check.
   double tol = 1e-6;
 };
+
+// Reusable working memory of InitializeFeasibleInto: the constraint graph as one CSR
+// (built once per call and shared by the topological sort, the window passes and the
+// greedy assignment), the topological order (which doubles as Kahn's queue), the feasible
+// windows and the assigned values. Every buffer is assign()ed, so an owner that keeps one
+// across calls (StemWorkspace) initializes a same-sized or smaller trace without
+// allocating.
+struct InitializerScratch {
+  std::vector<std::int32_t> succ_offsets;  // n + 1 entries
+  std::vector<EventId> succ;
+  std::vector<std::int32_t> cursor;  // CSR fill cursor, then Kahn in-degrees
+  std::vector<EventId> order;
+  std::vector<double> lower;
+  std::vector<double> upper;
+  std::vector<char> pinned;
+  std::vector<double> pin_value;
+  std::vector<double> pred_max;
+  std::vector<double> x;  // assigned departure of every event
+};
+
+// Writes into `state` a copy of `truth` whose unobserved times are replaced with a
+// feasible assignment (see InitializeFeasible), using `scratch` for all working memory
+// and reusing `state`'s buffers (EventLog::CopyFrom). Same values and the same draws from
+// `rng` as InitializeFeasible.
+void InitializeFeasibleInto(const EventLog& truth, const Observation& obs,
+                            std::span<const double> rates, Rng& rng,
+                            const InitializerOptions& options, InitializerScratch& scratch,
+                            EventLog& state);
 
 // Returns a copy of `truth` whose unobserved times are replaced with a feasible assignment.
 // Only observed times and the structure (routes, per-queue order) of `truth` are consulted;

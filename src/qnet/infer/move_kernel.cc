@@ -68,10 +68,13 @@ BatchedExponentialMoveKernel::BatchedExponentialMoveKernel(std::span<const doubl
 
 void BatchedExponentialMoveKernel::RunBucket(EventLog& state,
                                              std::span<const SweepMove> moves,
-                                             std::uint64_t bucket_seed) const {
-  // One rate-vector check per bucket; the tile loop then uses the unchecked gathers so
-  // the compiler can overlap neighboring moves' pointer chases.
+                                             std::span<const MoveGeometry> geometry,
+                                             std::uint64_t bucket_seed,
+                                             PiecewiseExpBatch& batch) const {
+  // One rate-vector check per bucket; the tile loop then uses the unchecked geometry
+  // gathers so the compiler can overlap neighboring moves' loads.
   QNET_CHECK(static_cast<std::size_t>(state.NumQueues()) == rates_.size(), "rate vector size");
+  QNET_CHECK(geometry.size() == moves.size(), "geometry must be parallel to the moves");
   if (moves.empty()) {
     return;
   }
@@ -79,7 +82,6 @@ void BatchedExponentialMoveKernel::RunBucket(EventLog& state,
   // width never advances the upper lanes — skip seeding them. The modulus (and with it
   // every move's stream) is width_ regardless of the lane count seeded here.
   BatchRng lanes(bucket_seed, std::min(width_, moves.size()));
-  PiecewiseExpBatch batch;
   std::array<double, kMaxBatchWidth> picks;
   std::array<double, kMaxBatchWidth> invs;
   std::array<double, kMaxBatchWidth> sampled;
@@ -98,17 +100,17 @@ void BatchedExponentialMoveKernel::RunBucket(EventLog& state,
     // every prefetch variant as pure instruction overhead (1-2% slower).
     for (std::size_t l = 0; l < tile; ++l) {
       const SweepMove& move = moves[tile_start + l];
+      const MoveGeometry& g = geometry[tile_start + l];
       batch.BeginMove();
       if (move.kind == MoveKind::kArrival) {
-        const ArrivalMove m = GatherArrivalMoveUnchecked(state, move.event, rates_);
+        const ArrivalMove m = GatherArrivalMoveFrom(state, move.event, g, rates_);
         if (!(m.upper - m.lower > kDegenerateWindow)) {
           sampled[l] = 0.5 * (m.lower + m.upper);
         } else {
           BuildArrivalSegmentsInto(m, batch);
         }
       } else {
-        const FinalDepartureMove m =
-            GatherFinalDepartureMoveUnchecked(state, move.event, rates_);
+        const FinalDepartureMove m = GatherFinalDepartureMoveFrom(state, move.event, g, rates_);
         if (std::isfinite(m.upper) && !(m.upper - m.lower > kDegenerateWindow)) {
           sampled[l] = 0.5 * (m.lower + m.upper);
         } else {
@@ -128,7 +130,8 @@ void BatchedExponentialMoveKernel::RunBucket(EventLog& state,
                     std::span<const double>(invs.data(), tile),
                     std::span<double>(sampled.data(), tile));
     for (std::size_t l = 0; l < tile; ++l) {
-      ScatterMoveResult(state, moves[tile_start + l], sampled[l], service_cache_);
+      ScatterMoveResult(state, moves[tile_start + l], geometry[tile_start + l], sampled[l],
+                        service_cache_);
     }
   }
 }

@@ -52,12 +52,15 @@ std::vector<SweepMove> ConcatSweepMoves(std::span<const SweepMove> arrival_moves
 
 // Refreshes one event's entry in a fused sufficient-statistics cache: the derived service
 // time d_e - BeginService(e), stored per event id so the M-step can re-derive per-queue
-// sums without walking the event structs. The expression is the same as
-// EventLog::ServiceTime, so cache entries are bitwise equal to a fresh scan's terms.
-inline void RefreshServiceCacheEntry(const EventLog& state, EventId e,
+// sums without walking the event structs. `rho` is rho(e), which the caller's geometry
+// already holds. The expression is the same as EventLog::ServiceTime, so cache entries
+// are bitwise equal to a fresh scan's terms.
+inline void RefreshServiceCacheEntry(const EventLog& state, EventId e, EventId rho,
                                      std::span<double> cache) {
-  cache[static_cast<std::size_t>(e)] =
-      state.DepartureUnchecked(e) - state.BeginServiceUnchecked(e);
+  const double arrival = state.ArrivalUnchecked(e);
+  const double begin =
+      rho == kNoEvent ? arrival : std::max(arrival, state.DepartureUnchecked(rho));
+  cache[static_cast<std::size_t>(e)] = state.DepartureUnchecked(e) - begin;
 }
 
 // Writes a sampled move result back into the log and keeps the optional service cache
@@ -65,31 +68,38 @@ inline void RefreshServiceCacheEntry(const EventLog& state, EventId e,
 // {e, pi, nu(pi)}; a final-departure move changes d_e, affecting {e, nu(e)}. All of these
 // lie inside the move's footprint, so concurrent scatter of conflict-free moves never
 // races on cache entries. Shared by the scalar and batched kernels — the scatter is the
-// one place move results touch the log.
-inline void ScatterMoveResult(EventLog& state, const SweepMove& move, double sampled,
-                              std::span<double> service_cache) {
+// one place move results touch the log. The neighbour ids come from `g` (the batched
+// kernel passes the schedule's resolved geometry).
+inline void ScatterMoveResult(EventLog& state, const SweepMove& move, const MoveGeometry& g,
+                              double sampled, std::span<double> service_cache) {
   if (move.kind == MoveKind::kArrival) {
     state.SetArrivalUnchecked(move.event, sampled);
-    const EventId pi = state.AtUnchecked(move.event).pi;
-    state.SetDepartureUnchecked(pi, sampled);
+    state.SetDepartureUnchecked(g.pi, sampled);
     if (!service_cache.empty()) {
-      RefreshServiceCacheEntry(state, move.event, service_cache);
-      RefreshServiceCacheEntry(state, pi, service_cache);
-      const EventId nu_pi = state.AtUnchecked(pi).nu;
-      if (nu_pi != kNoEvent && nu_pi != move.event) {
-        RefreshServiceCacheEntry(state, nu_pi, service_cache);
+      RefreshServiceCacheEntry(state, move.event, g.rho, service_cache);
+      RefreshServiceCacheEntry(state, g.pi, g.rho_pi, service_cache);
+      if (g.nu_pi != kNoEvent && g.nu_pi != move.event) {
+        RefreshServiceCacheEntry(state, g.nu_pi, /*rho=*/g.pi, service_cache);
       }
     }
   } else {
     state.SetDepartureUnchecked(move.event, sampled);
     if (!service_cache.empty()) {
-      RefreshServiceCacheEntry(state, move.event, service_cache);
-      const EventId nu = state.AtUnchecked(move.event).nu;
-      if (nu != kNoEvent) {
-        RefreshServiceCacheEntry(state, nu, service_cache);
+      RefreshServiceCacheEntry(state, move.event, g.rho, service_cache);
+      if (g.nu != kNoEvent) {
+        RefreshServiceCacheEntry(state, g.nu, /*rho=*/move.event, service_cache);
       }
     }
   }
+}
+
+// The per-move form: resolve the geometry from the links, then the geometry scatter.
+inline void ScatterMoveResult(EventLog& state, const SweepMove& move, double sampled,
+                              std::span<double> service_cache) {
+  const MoveGeometry g = move.kind == MoveKind::kArrival
+                             ? state.ResolveArrivalGeometryUnchecked(move.event)
+                             : state.ResolveFinalDepartureGeometryUnchecked(move.event);
+  ScatterMoveResult(state, move, g, sampled, service_cache);
 }
 
 // Exponential-service kernel: exact three-piece conditional, inverse-CDF sampling. Fully
@@ -125,6 +135,13 @@ class ExponentialMoveKernel {
 // runs as two contiguous vmath sweeps (PiecewiseExpBatch::FinalizeAll) instead of being
 // interleaved with gather/scatter control flow.
 //
+// Geometry: RunBucket takes each move's neighbour ids from the schedule
+// (ShardedSweepScheduler resolves them once per Rebuild), so a sweep reads only times from
+// the log. RunBucketReference keeps the per-move link walk (GatherArrivalMove /
+// ScatterMoveResult resolve the geometry from the links at move time), which keeps it an
+// independent oracle for a stale or mis-resolved schedule geometry as well as for the
+// tile arithmetic.
+//
 // Stream protocol (a pure function of the schedule): the bucket owns `width` lanes, lane
 // l seeded Rng(MixSeed(bucket_seed, l)); the move at bucket rank r draws from lane
 // r % width, and every move — including degenerate-window moves, which discard them —
@@ -143,9 +160,13 @@ class BatchedExponentialMoveKernel {
                                         std::size_t width = kDefaultWidth,
                                         std::span<double> service_cache = {});
 
-  // Processes one conflict-free bucket in SIMD-width tiles.
+  // Processes one conflict-free bucket in SIMD-width tiles. geometry[i] must be
+  // moves[i]'s resolved geometry on `state`'s current links. `batch` is tile scratch:
+  // its contents on entry never affect the result (every tile Clears it, and slots a
+  // tile leaves dead self-neutralize), so one batch serves every bucket a thread runs.
   void RunBucket(EventLog& state, std::span<const SweepMove> moves,
-                 std::uint64_t bucket_seed) const;
+                 std::span<const MoveGeometry> geometry, std::uint64_t bucket_seed,
+                 PiecewiseExpBatch& batch) const;
 
   // Move-at-a-time reference consuming the identical lane streams; kept as the readable
   // specification of RunBucket and pinned bit-identical to it by tests.

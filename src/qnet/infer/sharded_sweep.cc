@@ -56,9 +56,12 @@ void ShardedSweepScheduler::Rebuild(const EventLog& log, std::span<const SweepMo
     bucket_offsets_[b + 1] += bucket_offsets_[b];
   }
   schedule_.resize(moves.size());
+  geometry_.resize(moves.size());
   cursor_.assign(bucket_offsets_.begin(), bucket_offsets_.end() - 1);
   for (std::size_t i = 0; i < moves.size(); ++i) {
-    schedule_[cursor_[bucket_of_[i]]++] = moves[i];
+    const std::size_t slot = cursor_[bucket_of_[i]]++;
+    schedule_[slot] = moves[i];
+    geometry_[slot] = coloring_scratch_.geometry[i];
   }
 }
 
@@ -83,23 +86,27 @@ std::span<const SweepMove> ShardedSweepScheduler::Bucket(std::size_t color,
   return {schedule_.data() + bucket_offsets_[b], bucket_offsets_[b + 1] - bucket_offsets_[b]};
 }
 
+std::span<const MoveGeometry> ShardedSweepScheduler::BucketGeometry(std::size_t color,
+                                                                    std::size_t shard) const {
+  const std::span<const SweepMove> moves = Bucket(color, shard);
+  return {geometry_.data() + (moves.data() - schedule_.data()), moves.size()};
+}
+
 void ShardedSweepScheduler::Run(FunctionRef<void(const SweepMove&, Rng&)> apply,
                                 std::uint64_t sweep_seed) {
   // Per-move execution is the bucket-granular loop with the bucket's stream threaded
   // through its moves in order — the historical semantics, bit for bit.
-  const auto per_move = [&apply](std::span<const SweepMove> bucket, std::uint64_t seed) {
-    Rng rng(seed);
-    for (const SweepMove& move : bucket) {
+  const auto per_move = [&apply](const SweepBucket& bucket) {
+    Rng rng(bucket.seed);
+    for (const SweepMove& move : bucket.moves) {
       apply(move, rng);
     }
   };
-  RunBuckets(FunctionRef<void(std::span<const SweepMove>, std::uint64_t)>(per_move),
-             sweep_seed);
+  RunBuckets(FunctionRef<void(const SweepBucket&)>(per_move), sweep_seed);
 }
 
-void ShardedSweepScheduler::RunBuckets(
-    FunctionRef<void(std::span<const SweepMove>, std::uint64_t)> run_bucket,
-    std::uint64_t sweep_seed) {
+void ShardedSweepScheduler::RunBuckets(FunctionRef<void(const SweepBucket&)> run_bucket,
+                                       std::uint64_t sweep_seed) {
   SweepCounters::Get().sweeps->Increment();
   SweepCounters::Get().moves->Add(schedule_.size());
   if (threads_ <= 1) {
@@ -107,7 +114,7 @@ void ShardedSweepScheduler::RunBuckets(
     for (std::size_t c = 0; c < num_colors_; ++c) {
       ScopedSpan color_span(SpanStage::kSweepColor);
       for (std::size_t s = 0; s < shards_; ++s) {
-        RunBucket(c, s, run_bucket, sweep_seed);
+        RunBucket(c, s, /*participant=*/0, run_bucket, sweep_seed);
       }
     }
     return;
@@ -145,7 +152,7 @@ void ShardedSweepScheduler::RunParticipant(std::size_t t) {
         // barrier, so barrier wait shows up as the gap between color spans in a trace.
         ScopedSpan color_span(SpanStage::kSweepColor);
         for (std::size_t s = t; s < shards_; s += threads_) {
-          RunBucket(c, s, *run_bucket_, sweep_seed_);
+          RunBucket(c, s, t, *run_bucket_, sweep_seed_);
         }
       } catch (...) {
         errors_[t] = std::current_exception();
@@ -176,10 +183,10 @@ void ShardedSweepScheduler::WorkerLoop(std::size_t t) {
   }
 }
 
-void ShardedSweepScheduler::RunBucket(
-    std::size_t color, std::size_t shard,
-    FunctionRef<void(std::span<const SweepMove>, std::uint64_t)> run_bucket,
-    std::uint64_t sweep_seed) const {
+void ShardedSweepScheduler::RunBucket(std::size_t color, std::size_t shard,
+                                      std::size_t participant,
+                                      FunctionRef<void(const SweepBucket&)> run_bucket,
+                                      std::uint64_t sweep_seed) const {
   const std::size_t b = color * shards_ + shard;
   const std::size_t begin = bucket_offsets_[b];
   const std::size_t end = bucket_offsets_[b + 1];
@@ -187,7 +194,10 @@ void ShardedSweepScheduler::RunBucket(
     return;
   }
   ScopedSpan bucket_span(SpanStage::kSweepBucket);
-  run_bucket({schedule_.data() + begin, end - begin}, MixSeed(MixSeed(sweep_seed, color), shard));
+  run_bucket(SweepBucket{{schedule_.data() + begin, end - begin},
+                         {geometry_.data() + begin, end - begin},
+                         MixSeed(MixSeed(sweep_seed, color), shard),
+                         participant});
 }
 
 }  // namespace qnet

@@ -30,6 +30,14 @@
 // caller in one piece, which is what the batched SoA kernel needs to process a bucket in
 // SIMD-width tiles. Both walk the identical schedule, so the choice of entry point never
 // changes which moves share a bucket.
+//
+// Move geometry: Rebuild already walks every move's links to build its footprint, and it
+// keeps what that walk resolved — one MoveGeometry per scheduled move, in a buffer
+// parallel to the schedule. A bucket therefore arrives with its moves' neighbour ids, and
+// the batched kernel's sweeps read only times. The geometry is a function of the links,
+// so a schedule is only valid for the link structure it was rebuilt on: whoever changes
+// the links (route Metropolis-Hastings through GibbsSampler::MutableState) must Rebuild
+// before the next sweep, even on one thread.
 
 #ifndef QNET_INFER_SHARDED_SWEEP_H_
 #define QNET_INFER_SHARDED_SWEEP_H_
@@ -61,6 +69,18 @@ struct ShardedSweepOptions {
   std::size_t threads = 0;
 };
 
+// One non-empty bucket of a sweep, as RunBuckets hands it out.
+struct SweepBucket {
+  std::span<const SweepMove> moves;
+  // geometry[i] is moves[i]'s neighbour ids, resolved at Rebuild.
+  std::span<const MoveGeometry> geometry;
+  // The bucket's stream seed, MixSeed(MixSeed(sweep_seed, color), shard).
+  std::uint64_t seed = 0;
+  // Index (< NumThreads()) of the participant running the bucket. Lets the callback use
+  // per-thread scratch; it never decides which stream samples which move.
+  std::size_t participant = 0;
+};
+
 class ShardedSweepScheduler {
  public:
   // Resolves shard/thread counts and launches the worker pool; the schedule is empty
@@ -88,11 +108,10 @@ class ShardedSweepScheduler {
   void Run(FunctionRef<void(const SweepMove&, Rng&)> apply, std::uint64_t sweep_seed);
 
   // Executes one sweep at bucket granularity: `run_bucket` receives each non-empty
-  // bucket's move slice and its stream seed MixSeed(MixSeed(sweep_seed, color), shard),
-  // and must consume that stream deterministically (the batched kernel's lane protocol).
+  // bucket (moves, their geometry, its stream seed and the running participant) and must
+  // consume the bucket's stream deterministically (the batched kernel's lane protocol).
   // Same schedule, same concurrency rules, and the same barrier structure as Run.
-  void RunBuckets(FunctionRef<void(std::span<const SweepMove>, std::uint64_t)> run_bucket,
-                  std::uint64_t sweep_seed);
+  void RunBuckets(FunctionRef<void(const SweepBucket&)> run_bucket, std::uint64_t sweep_seed);
 
   std::size_t NumMoves() const { return schedule_.size(); }
   std::size_t NumColors() const { return num_colors_; }
@@ -101,10 +120,12 @@ class ShardedSweepScheduler {
 
   // Moves of bucket (color, shard) in execution order — diagnostics and tests.
   std::span<const SweepMove> Bucket(std::size_t color, std::size_t shard) const;
+  // Their geometry, parallel to Bucket(color, shard).
+  std::span<const MoveGeometry> BucketGeometry(std::size_t color, std::size_t shard) const;
 
  private:
-  void RunBucket(std::size_t color, std::size_t shard,
-                 FunctionRef<void(std::span<const SweepMove>, std::uint64_t)> run_bucket,
+  void RunBucket(std::size_t color, std::size_t shard, std::size_t participant,
+                 FunctionRef<void(const SweepBucket&)> run_bucket,
                  std::uint64_t sweep_seed) const;
   // One sweep's worth of work for participant t: its shards of every color class, with
   // the class barrier after each. Exceptions are parked in errors_[t] and the thread
@@ -116,6 +137,7 @@ class ShardedSweepScheduler {
   std::size_t threads_;
   std::size_t num_colors_ = 0;
   std::vector<SweepMove> schedule_;          // moves grouped by (color, shard)
+  std::vector<MoveGeometry> geometry_;       // parallel to schedule_
   std::vector<std::size_t> bucket_offsets_;  // num_colors_ * shards_ + 1 entries
 
   // Rebuild scratch, kept as members so per-trace rescheduling reuses capacity.
@@ -139,7 +161,7 @@ class ShardedSweepScheduler {
   std::uint64_t generation_ = 0;
   std::size_t inflight_workers_ = 0;
   bool stop_ = false;
-  const FunctionRef<void(std::span<const SweepMove>, std::uint64_t)>* run_bucket_ = nullptr;
+  const FunctionRef<void(const SweepBucket&)>* run_bucket_ = nullptr;
   std::uint64_t sweep_seed_ = 0;
   std::optional<std::barrier<>> class_barrier_;
   std::vector<std::exception_ptr> errors_;

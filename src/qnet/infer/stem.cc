@@ -43,6 +43,13 @@ void StemEstimator::MStepFromSums(std::span<const double> sums,
 
 StemResult StemEstimator::Run(const EventLog& truth, const Observation& obs,
                               std::vector<double> init_rates, Rng& rng) const {
+  StemWorkspace workspace;
+  return Run(truth, obs, std::move(init_rates), rng, workspace);
+}
+
+StemResult StemEstimator::Run(const EventLog& truth, const Observation& obs,
+                              std::vector<double> init_rates, Rng& rng,
+                              StemWorkspace& ws) const {
   ScopedSpan span(SpanStage::kStemFit);
   FitCounters::Get().stem_fits->Increment();
   if (init_rates.empty()) {
@@ -54,8 +61,12 @@ StemResult StemEstimator::Run(const EventLog& truth, const Observation& obs,
              "need iterations > burn_in; iterations=", options_.iterations,
              " burn_in=", options_.burn_in);
 
-  EventLog state = InitializeFeasible(truth, obs, init_rates, rng, options_.init);
-  GibbsSampler gibbs(std::move(state), obs, init_rates, options_.gibbs);
+  // The initial state is written straight into the sampler's log, which is then
+  // re-targeted at it: no EventLog is copied or constructed per window once warm.
+  GibbsSampler& gibbs = ws.sampler_;
+  InitializeFeasibleInto(truth, obs, init_rates, rng, options_.init, ws.init_,
+                         gibbs.MutableState());
+  gibbs.Retarget(obs, init_rates, options_.gibbs);
   if (options_.scheduler_cache != nullptr) {
     gibbs.UseScheduler(options_.scheduler_cache);
   } else if (options_.sharded_sweeps) {
@@ -66,16 +77,26 @@ StemResult StemEstimator::Run(const EventLog& truth, const Observation& obs,
   // PerQueueServiceSum scan) and the counts — constant under the fixed link structure —
   // are gathered exactly once.
   gibbs.EnableSuffStatsTracking();
-  const std::vector<std::size_t> counts = gibbs.State().PerQueueCount();
-
   const std::size_t num_queues = init_rates.size();
-  std::vector<double> sums(num_queues, 0.0);
-  std::vector<double> rates = std::move(init_rates);
-  std::vector<double> rate_accum(num_queues, 0.0);
+  std::vector<std::size_t>& counts = ws.counts_;
+  counts.assign(num_queues, 0);
+  for (EventId e = 0; static_cast<std::size_t>(e) < gibbs.State().NumEvents(); ++e) {
+    ++counts[static_cast<std::size_t>(gibbs.State().AtUnchecked(e).queue)];
+  }
+
+  std::vector<double>& sums = ws.sums_;
+  sums.assign(num_queues, 0.0);
+  std::vector<double>& rates = ws.rates_;
+  rates.assign(init_rates.begin(), init_rates.end());
+  std::vector<double>& new_rates = ws.new_rates_;
+  new_rates.assign(num_queues, 0.0);
+  std::vector<double>& rate_accum = ws.rate_accum_;
+  rate_accum.assign(num_queues, 0.0);
   std::size_t accum_count = 0;
   // Early-stop state: previous post-burn-in running mean and the consecutive-stable
   // streak. Pure functions of the rate trace (see StemOptions::convergence_tol).
-  std::vector<double> prev_mean(num_queues, 0.0);
+  std::vector<double>& prev_mean = ws.prev_mean_;
+  prev_mean.assign(num_queues, 0.0);
   std::size_t stable_streak = 0;
 
   StemResult result;
@@ -90,13 +111,12 @@ StemResult StemEstimator::Run(const EventLog& truth, const Observation& obs,
     }
     // M-step: complete-data MLE on the fused statistics of the imputed log.
     gibbs.PerQueueServiceSumsInto(sums);
-    std::vector<double> new_rates(num_queues, 0.0);
     MStepFromSums(sums, counts, new_rates, options_.service_sum_floor,
                   options_.arrival_time_origin);
     if (!options_.estimate_arrival_rate) {
       new_rates[0] = rates[0];
     }
-    rates = std::move(new_rates);
+    rates.swap(new_rates);
     result.rate_trace.push_back(rates);
     if (iter >= options_.burn_in) {
       for (std::size_t q = 0; q < num_queues; ++q) {
@@ -136,14 +156,17 @@ StemResult StemEstimator::Run(const EventLog& truth, const Observation& obs,
   }
 
   // Waiting-time phase: freeze the averaged rates and average per-queue waits over sweeps.
+  // Each sweep's per-queue mean is its wait sum over the (link-constant, nonzero — the
+  // M-step checked them) counts: PerQueueMeanWait's arithmetic without its vectors.
   if (options_.wait_sweeps > 0) {
     gibbs.SetRates(result.rates);
-    std::vector<double> wait_accum(num_queues, 0.0);
+    std::vector<double>& wait_accum = ws.wait_accum_;
+    wait_accum.assign(num_queues, 0.0);
     for (std::size_t s = 0; s < options_.wait_sweeps; ++s) {
       gibbs.Sweep(rng);
-      const std::vector<double> waits = gibbs.State().PerQueueMeanWait();
+      gibbs.State().PerQueueWaitSumInto(sums);
       for (std::size_t q = 0; q < num_queues; ++q) {
-        wait_accum[q] += waits[q];
+        wait_accum[q] += sums[q] / static_cast<double>(counts[q]);
       }
     }
     result.mean_wait.resize(num_queues);
@@ -151,8 +174,6 @@ StemResult StemEstimator::Run(const EventLog& truth, const Observation& obs,
       result.mean_wait[q] = wait_accum[q] / static_cast<double>(options_.wait_sweeps);
     }
   }
-
-  result.final_state = gibbs.State();
   return result;
 }
 

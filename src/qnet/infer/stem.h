@@ -11,7 +11,6 @@
 #define QNET_INFER_STEM_H_
 
 #include <cstddef>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -82,13 +81,37 @@ struct StemResult {
   std::vector<double> mean_wait;
   // Rate trajectory, one vector per StEM iteration (for diagnostics).
   std::vector<std::vector<double>> rate_trace;
-  // Final latent state (the last Gibbs sample).
-  std::optional<EventLog> final_state;
 
   std::size_t latent_arrivals = 0;
   // StEM iterations actually executed (== rate_trace.size()); less than
   // StemOptions::iterations when the convergence_tol early stop fired.
   std::size_t iterations_run = 0;
+};
+
+// Reusable working memory for StemEstimator::Run. A streaming lane fits its windows
+// strictly one after another, so it owns one workspace, and each window reuses the
+// initializer's scratch, one sampler (re-targeted per window: its state log, move lists,
+// service cache and schedule input keep their capacity) and the M-step and wait-phase
+// buffers instead of rebuilding them. A warm window whose trace is no larger than an
+// earlier one therefore allocates only its StemResult. Results are bit-identical to a
+// fresh workspace. One Run at a time per workspace.
+class StemWorkspace {
+ public:
+  // The last Run's final latent state (its last Gibbs sample); valid until the next Run.
+  const EventLog& State() const { return sampler_.State(); }
+
+ private:
+  friend class StemEstimator;
+
+  InitializerScratch init_;
+  GibbsSampler sampler_;
+  std::vector<std::size_t> counts_;
+  std::vector<double> sums_;
+  std::vector<double> rates_;
+  std::vector<double> new_rates_;
+  std::vector<double> rate_accum_;
+  std::vector<double> prev_mean_;
+  std::vector<double> wait_accum_;
 };
 
 class StemEstimator {
@@ -102,6 +125,10 @@ class StemEstimator {
   // converge very slowly without a scale-correct start.
   StemResult Run(const EventLog& truth, const Observation& obs,
                  std::vector<double> init_rates, Rng& rng) const;
+  // The same run on `workspace`'s reusable buffers (the overload above uses a call-local
+  // one); afterwards workspace.State() holds the final latent state.
+  StemResult Run(const EventLog& truth, const Observation& obs,
+                 std::vector<double> init_rates, Rng& rng, StemWorkspace& workspace) const;
 
   // Complete-data MLE of all rates from an event log: mu_q = n_q / sum s_e. The arrival
   // rate (queue 0) measures its service sum from `arrival_time_origin` (see StemOptions).

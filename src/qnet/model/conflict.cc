@@ -22,10 +22,12 @@ void ColorSweepMovesInto(const EventLog& log, std::span<const SweepMove> moves,
   // Two passes (count, then fill in move order) keep each slice in ascending move order —
   // exactly the order the list-of-lists build produced — so first-fit colors identically.
   const std::size_t num_events = log.NumEvents();
+  scratch.geometry.resize(n);
   scratch.footprints.resize(n);
   scratch.touch_offsets.assign(num_events + 1, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    scratch.footprints[i] = log.ComputeMoveFootprint(moves[i]);
+    scratch.geometry[i] = log.ResolveMoveGeometry(moves[i]);
+    scratch.footprints[i] = MoveFootprintOf(moves[i], scratch.geometry[i]);
     for (EventId e : scratch.footprints[i].Events()) {
       ++scratch.touch_offsets[static_cast<std::size_t>(e) + 1];
     }

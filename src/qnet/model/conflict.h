@@ -34,6 +34,9 @@ struct MoveColoring {
 // sharded sweep scheduler keeps one per instance) makes a same-shaped recoloring
 // allocation-free: every vector is assign()ed, so capacity persists.
 struct ColoringScratch {
+  // Per move, in move order: its resolved neighbour ids and the footprint derived from
+  // them. The sweep scheduler keeps the geometry, so one link walk per move serves both.
+  std::vector<MoveGeometry> geometry;
   std::vector<MoveFootprint> footprints;
   // CSR incidence event -> move indices: the moves touching event e are
   // touch_moves[touch_offsets[e] .. touch_offsets[e + 1]).

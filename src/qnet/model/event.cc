@@ -90,6 +90,27 @@ EventId EventLog::AddVisit(int task, int state, int queue, double arrival, doubl
   return id;
 }
 
+void EventLog::CopyFrom(const EventLog& other) {
+  if (this == &other) {
+    return;
+  }
+  num_queues_ = other.num_queues_;
+  links_built_ = other.links_built_;
+  num_tasks_ = other.num_tasks_;
+  events_.assign(other.events_.begin(), other.events_.end());
+  const auto tasks = static_cast<std::size_t>(other.num_tasks_);
+  if (task_events_.size() < tasks) {
+    task_events_.resize(tasks);
+  }
+  for (std::size_t k = 0; k < tasks; ++k) {
+    task_events_[k].assign(other.task_events_[k].begin(), other.task_events_[k].end());
+  }
+  queue_order_.resize(other.queue_order_.size());
+  for (std::size_t q = 0; q < other.queue_order_.size(); ++q) {
+    queue_order_[q].assign(other.queue_order_[q].begin(), other.queue_order_[q].end());
+  }
+}
+
 void EventLog::BuildQueueLinks() {
   QNET_CHECK(!links_built_, "BuildQueueLinks called twice");
   for (auto& order : queue_order_) {
@@ -188,8 +209,14 @@ const std::vector<EventId>& EventLog::QueueOrder(int queue) const {
   return queue_order_[static_cast<std::size_t>(queue)];
 }
 
-MoveFootprint EventLog::ComputeMoveFootprint(const SweepMove& move) const {
+MoveGeometry EventLog::ResolveMoveGeometry(const SweepMove& move) const {
   QNET_CHECK(links_built_, "queue links not built");
+  Check(move.event);
+  return move.kind == MoveKind::kArrival ? ResolveArrivalGeometryUnchecked(move.event)
+                                         : ResolveFinalDepartureGeometryUnchecked(move.event);
+}
+
+MoveFootprint MoveFootprintOf(const SweepMove& move, const MoveGeometry& g) {
   MoveFootprint fp;
   const auto add = [&fp](EventId e) {
     if (e == kNoEvent || fp.Contains(e)) {
@@ -197,23 +224,22 @@ MoveFootprint EventLog::ComputeMoveFootprint(const SweepMove& move) const {
     }
     fp.events[fp.count++] = e;
   };
-  const Event& ev = At(move.event);
   add(move.event);
   if (move.kind == MoveKind::kArrival) {
-    QNET_CHECK(!ev.initial, "arrival moves target non-initial events; got ", move.event);
-    const Event& pi = events_[static_cast<std::size_t>(ev.pi)];
-    add(ev.pi);   // d_pi is written (d_pi = a_e); a_pi is read via BeginService(pi)
-    add(pi.rho);  // BeginService(pi) reads d_rho(pi)
-    add(ev.rho);  // t1 = d_rho(e); L reads a_rho(e)
-    add(ev.nu);   // U reads a_nu(e)
-    add(pi.nu);   // s_nu(pi) reads a_nu(pi), d_nu(pi) (== e dedups on revisits)
+    add(g.pi);      // d_pi is written (d_pi = a_e); a_pi is read via BeginService(pi)
+    add(g.rho_pi);  // BeginService(pi) reads d_rho(pi)
+    add(g.rho);     // t1 = d_rho(e); L reads a_rho(e)
+    add(g.nu);      // U reads a_nu(e)
+    add(g.nu_pi);   // s_nu(pi) reads a_nu(pi), d_nu(pi) (== e dedups on revisits)
   } else {
-    QNET_CHECK(ev.tau == kNoEvent,
-               "final-departure moves target a task's last event; got ", move.event);
-    add(ev.rho);  // BeginService(e) reads d_rho(e)
-    add(ev.nu);   // the two-piece tail reads a_nu(e), d_nu(e)
+    add(g.rho);  // BeginService(e) reads d_rho(e)
+    add(g.nu);   // the two-piece tail reads a_nu(e), d_nu(e)
   }
   return fp;
+}
+
+MoveFootprint EventLog::ComputeMoveFootprint(const SweepMove& move) const {
+  return MoveFootprintOf(move, ResolveMoveGeometry(move));
 }
 
 double EventLog::BeginService(EventId e) const {
@@ -320,18 +346,22 @@ std::vector<double> EventLog::PerQueueMeanService() const {
 
 std::vector<double> EventLog::PerQueueMeanWait() const {
   std::vector<double> sums(static_cast<std::size_t>(num_queues_), 0.0);
-  std::vector<std::size_t> counts(static_cast<std::size_t>(num_queues_), 0);
-  for (EventId e = 0; static_cast<std::size_t>(e) < events_.size(); ++e) {
-    const auto q = static_cast<std::size_t>(events_[Check(e)].queue);
-    sums[q] += WaitTime(e);
-    ++counts[q];
-  }
+  PerQueueWaitSumInto(sums);
+  const std::vector<std::size_t> counts = PerQueueCount();
   for (std::size_t q = 0; q < sums.size(); ++q) {
     if (counts[q] > 0) {
       sums[q] /= static_cast<double>(counts[q]);
     }
   }
   return sums;
+}
+
+void EventLog::PerQueueWaitSumInto(std::span<double> sums) const {
+  QNET_CHECK(sums.size() == static_cast<std::size_t>(num_queues_), "sums size mismatch");
+  std::fill(sums.begin(), sums.end(), 0.0);
+  for (EventId e = 0; static_cast<std::size_t>(e) < events_.size(); ++e) {
+    sums[static_cast<std::size_t>(events_[Check(e)].queue)] += WaitTime(e);
+  }
 }
 
 std::vector<std::size_t> EventLog::PerQueueCount() const {

@@ -69,6 +69,23 @@ struct SweepMove {
   friend bool operator==(const SweepMove&, const SweepMove&) = default;
 };
 
+// The neighbour ids a move's conditional reads, resolved from the link structure. Like
+// the footprint it is a pure function of the links, so one resolution stays valid while a
+// sampler mutates times in place: the sweep scheduler resolves every move once per
+// schedule and the batched kernel then reads only times. Arrival moves fill every field;
+// final-departure moves fill rho, nu and queue and leave the pi-side fields kNoEvent / -1.
+struct MoveGeometry {
+  EventId pi = kNoEvent;      // pi(e)
+  EventId rho = kNoEvent;     // rho(e)
+  EventId nu = kNoEvent;      // nu(e)
+  EventId rho_pi = kNoEvent;  // rho(pi(e)): BeginService(pi) reads its departure
+  EventId nu_pi = kNoEvent;   // nu(pi(e)): may be e itself on a same-queue revisit
+  std::int32_t queue = -1;     // q_e
+  std::int32_t pi_queue = -1;  // q_pi(e)
+
+  friend bool operator==(const MoveGeometry&, const MoveGeometry&) = default;
+};
+
 // The set of events whose stored times a move reads or writes. Bounded by construction:
 // an arrival move touches {e, pi(e), rho(pi), rho(e), nu(e), nu(pi)} and a final-departure
 // move {e, rho(e), nu(e)} — deduplicated, with missing neighbors dropped. Two moves with
@@ -101,6 +118,10 @@ struct MoveFootprint {
   }
 };
 
+// The footprint of a move from its resolved geometry: the move's event, then (arrival)
+// pi, rho(pi), rho, nu, nu(pi) or (final departure) rho, nu, deduplicated in that order.
+MoveFootprint MoveFootprintOf(const SweepMove& move, const MoveGeometry& geometry);
+
 class EventLog {
  public:
   explicit EventLog(int num_queues);
@@ -120,6 +141,11 @@ class EventLog {
   // Appends the next queue visit of `task` in route order. The first visit's arrival must
   // equal the task's entry time; later arrivals must equal the previous departure.
   EventId AddVisit(int task, int state, int queue, double arrival, double departure);
+
+  // Makes this log a copy of `other` (the same result as copy-assignment) while keeping
+  // every buffer's capacity, including per-task chain slots beyond other's task count, so
+  // copying a same-shaped or smaller log into a warm one allocates nothing.
+  void CopyFrom(const EventLog& other);
 
   // Establishes rho/nu links from the arrival order (ties broken by event id, which keeps
   // queue-0 initial events in task order). Must be called once after construction; the
@@ -182,6 +208,29 @@ class EventLog {
   // initial event, final-departure move on an event with a within-task successor).
   MoveFootprint ComputeMoveFootprint(const SweepMove& move) const;
 
+  // The move's neighbour ids (see MoveGeometry). Same contract and checks as
+  // ComputeMoveFootprint, which is the deduplicated id set of this geometry.
+  MoveGeometry ResolveMoveGeometry(const SweepMove& move) const;
+
+  // Inline link walks behind ResolveMoveGeometry for the scalar per-move gathers: bounds
+  // are DCHECK-only, the move-kind checks stay on.
+  MoveGeometry ResolveArrivalGeometryUnchecked(EventId e) const {
+    const Event& ev = AtUnchecked(e);
+    QNET_CHECK(!ev.initial, "cannot resample the arrival of an initial event");
+    const Event& pi = AtUnchecked(ev.pi);
+    return MoveGeometry{ev.pi, ev.rho, ev.nu, pi.rho, pi.nu, ev.queue, pi.queue};
+  }
+  MoveGeometry ResolveFinalDepartureGeometryUnchecked(EventId e) const {
+    const Event& ev = AtUnchecked(e);
+    QNET_CHECK(ev.tau == kNoEvent,
+               "event has a within-task successor; use the arrival move on tau instead");
+    MoveGeometry g;
+    g.rho = ev.rho;
+    g.nu = ev.nu;
+    g.queue = ev.queue;
+    return g;
+  }
+
   // Time at which e begins service: max(a_e, d_rho(e)).
   double BeginService(EventId e) const;
   // Derived service time s_e = d_e - BeginService(e).
@@ -212,6 +261,9 @@ class EventLog {
   std::vector<double> PerQueueMeanService() const;
   // Per-queue mean waiting time.
   std::vector<double> PerQueueMeanWait() const;
+  // Per-queue sum of waiting times, written into `sums` (one slot per queue): the
+  // numerator of PerQueueMeanWait, accumulated in the same event order.
+  void PerQueueWaitSumInto(std::span<double> sums) const;
   // Per-queue event counts.
   std::vector<std::size_t> PerQueueCount() const;
   // Sum of service times per queue (the M-step sufficient statistic).

@@ -242,8 +242,8 @@ class LaneWorker {
     const StemEstimator estimator(stem);
     Rng rng(plan.seed);
     Stopwatch fitting;
-    StemResult result =
-        estimator.Run(builder_.Log(), builder_.Obs(), std::move(plan.warm_start), rng);
+    StemResult result = estimator.Run(builder_.Log(), builder_.Obs(),
+                                      std::move(plan.warm_start), rng, stem_workspace_);
     stats_.fit_seconds += fitting.ElapsedSeconds();
     stats_.fit_iterations_total += result.iterations_run;
     chain_.Complete(result.rates);
@@ -260,6 +260,9 @@ class LaneWorker {
   MeanFieldRecordFold fold_;
   WindowFitChain chain_;
   std::unique_ptr<ShardedSweepScheduler> scheduler_cache_;
+  // The lane's StEM working memory, reused by every window it fits (same exclusivity
+  // argument as scheduler_cache_). Its buffers stay empty until the first StEM fit.
+  StemWorkspace stem_workspace_;
   MeanFieldEstimator mean_field_;
   MeanFieldFit mf_fit_;
   std::vector<TaskRecord> buffer_;

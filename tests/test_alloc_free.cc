@@ -16,6 +16,7 @@
 #include "qnet/infer/gibbs.h"
 #include "qnet/infer/initializer.h"
 #include "qnet/infer/meanfield.h"
+#include "qnet/infer/stem.h"
 #include "qnet/model/builders.h"
 #include "qnet/obs/observation.h"
 #include "qnet/shard/sharded_streaming.h"
@@ -272,6 +273,59 @@ TEST(AllocFree, WarmWindowBuildDoesNotAllocate) {
   }
   EXPECT_EQ(AllocationCount(), before);
   EXPECT_EQ(builder.Log().NumTasks(), fixture.truth.NumTasks());
+}
+
+TEST(AllocFree, WarmStemWindowAllocationsDoNotGrowWithTheWindow) {
+  // A lane's StEM windows run through one StemWorkspace and one scheduler cache. Once a
+  // window has sized them, a later window rebuilds the initializer graph, the sampler's
+  // state, move lists and schedule in place, so what it allocates is its StemResult
+  // alone — the same count for a ~300-task and a ~3000-task window (fixed iterations, so
+  // both results have the same shape).
+  ThreeTierConfig config;
+  config.tier_sizes = {1, 2, 4};
+  config.arrival_rate = 10.0;
+  config.service_rate = 16.0;
+  const QueueingNetwork net = MakeThreeTierNetwork(config);
+  struct Window {
+    EventLog truth;
+    Observation obs;
+  };
+  const auto make_window = [&](std::size_t tasks, std::uint64_t seed) {
+    Rng rng(seed);
+    EventLog truth = SimulateWorkload(net, PoissonArrivals(10.0, tasks), rng);
+    TaskSamplingScheme scheme;
+    scheme.fraction = 0.2;
+    Observation obs = scheme.Apply(truth, rng);
+    return Window{std::move(truth), std::move(obs)};
+  };
+  const Window small = make_window(300, 41);
+  const Window large = make_window(3000, 43);
+  ShardedSweepScheduler scheduler_cache({.shards = 1, .threads = 1});
+  StemOptions options;
+  options.iterations = 12;
+  options.burn_in = 4;
+  options.wait_sweeps = 4;
+  options.convergence_tol = 0.0;
+  options.scheduler_cache = &scheduler_cache;
+  const StemEstimator estimator(options);
+  const std::vector<double> rates = net.ExponentialRates();
+  StemWorkspace workspace;
+  const auto window_allocations = [&](const Window& window) {
+    Rng rng(5);
+    const std::size_t before = AllocationCount();
+    const StemResult result = estimator.Run(window.truth, window.obs, rates, rng, workspace);
+    const std::size_t allocations = AllocationCount() - before;
+    EXPECT_EQ(result.iterations_run, options.iterations);
+    return allocations;
+  };
+  window_allocations(large);  // first window: sizes the workspace
+  window_allocations(small);
+  const std::size_t small_count = window_allocations(small);
+  const std::size_t large_count = window_allocations(large);
+  EXPECT_EQ(small_count, large_count);
+  // The StemResult: three per-queue vectors, the rate trace and its rows, and the
+  // init-rate copy the call takes by value.
+  EXPECT_LE(large_count, options.iterations + 8);
 }
 
 TEST(AllocFree, WarmMeanFieldFoldDoesNotAllocate) {

@@ -180,8 +180,8 @@ TEST(Gibbs, RejectsMismatchedRates) {
   const EventLog truth = SimulateWorkload(net, PoissonArrivals(2.0, 10), rng);
   const Observation obs = Observation::FullyObserved(truth);
   GibbsSampler sampler(truth, obs, net.ExponentialRates());
-  EXPECT_THROW(sampler.SetRates({1.0}), Error);
-  EXPECT_THROW(sampler.SetRates({1.0, -2.0}), Error);
+  EXPECT_THROW(sampler.SetRates(std::vector<double>{1.0}), Error);
+  EXPECT_THROW(sampler.SetRates(std::vector<double>{1.0, -2.0}), Error);
 }
 
 }  // namespace

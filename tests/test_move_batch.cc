@@ -435,6 +435,65 @@ TEST(BatchedKernel, TinyAndEmptyBucketsMatchReference) {
   ExpectStatesBitEqual(a, b, "tiny buckets");
 }
 
+TEST(BatchedKernel, ScheduleGeometryMatchesLinkWalkOnFeedbackRevisits) {
+  // RunBucket reads every neighbour id from the schedule's geometry, resolved once per
+  // Rebuild; RunBucketReference walks the links per move. A single queue with retries
+  // gives the geometry cases a tandem or tier network never does: consecutive same-queue
+  // visits where rho(e) == pi(e) and nu(pi) == e, next to moves whose pi-side and e-side
+  // neighbours differ, plus final departures with a bounded (nu(e) present) and an
+  // unbounded (last arrival at the queue) tail.
+  const QueueingNetwork net = MakeFeedbackNetwork(2.0, 6.0, 0.4);
+  Rng rng(62);
+  const EventLog truth = SimulateWorkload(net, PoissonArrivals(2.0, 150), rng);
+  TaskSamplingScheme scheme;
+  scheme.fraction = 0.3;
+  const Observation obs = scheme.Apply(truth, rng);
+  const std::vector<double> rates = net.ExponentialRates();
+  const Fixture fixture{truth, obs, rates, InitializeFeasible(truth, obs, rates, rng)};
+
+  std::size_t rho_is_pi = 0;
+  std::size_t nu_pi_is_e = 0;
+  std::size_t distinct_neighbours = 0;
+  std::size_t bounded_finals = 0;
+  std::size_t unbounded_finals = 0;
+  const GibbsSampler probe(fixture.init, fixture.obs, fixture.rates);
+  for (const SweepMove& move : probe.SweepMoves()) {
+    const Event& ev = fixture.init.At(move.event);
+    if (move.kind == MoveKind::kArrival) {
+      rho_is_pi += ev.rho == ev.pi ? 1 : 0;
+      nu_pi_is_e += fixture.init.At(ev.pi).nu == move.event ? 1 : 0;
+      distinct_neighbours += (ev.rho != ev.pi && ev.rho != kNoEvent) ? 1 : 0;
+    } else {
+      (ev.nu == kNoEvent ? unbounded_finals : bounded_finals) += 1;
+    }
+  }
+  ASSERT_GT(rho_is_pi, 0u);
+  ASSERT_GT(nu_pi_is_e, 0u);
+  ASSERT_GT(distinct_neighbours, 0u);
+  ASSERT_GT(bounded_finals, 0u);
+  ASSERT_GT(unbounded_finals, 0u);
+
+  for (const std::size_t width : {std::size_t{1}, std::size_t{7}, kMaxBatchWidth}) {
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+        if (threads > shards) {
+          continue;
+        }
+        SCOPED_TRACE(testing::Message() << "width " << width << " shards " << shards
+                                        << " threads " << threads);
+        GibbsOptions batched;
+        batched.batch_width = width;
+        GibbsOptions reference = batched;
+        reference.batched_reference = true;
+        const ShardedSweepOptions sharded{.shards = shards, .threads = threads};
+        const EventLog a = RunSweeps(fixture, batched, 20, 4321, &sharded);
+        const EventLog b = RunSweeps(fixture, reference, 20, 4321, &sharded);
+        ExpectStatesBitEqual(a, b, "geometry vs link walk");
+      }
+    }
+  }
+}
+
 TEST(BatchedKernel, FullyObservedTraceSweepsAsNoOp) {
   // fraction = 1 observes every task: zero latent moves, so a batched sweep must run
   // (and do nothing) without tripping the schedule build or the kernel's empty-bucket

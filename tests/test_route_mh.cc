@@ -174,6 +174,82 @@ TEST(RouteMh, ComposesWithTimeGibbsSweeps) {
   }
 }
 
+// A reroute through MutableState() changes the link structure that a sweep schedule's
+// coloring and move geometry were built on. The next Sweep must rebuild whichever
+// scheduler the sampler drives, so k further sweeps equal, bit for bit, those of a
+// sampler freshly built on the mutated state with the same RNG — for the internal batch
+// schedule, an owned sharded scheduler (EnableShardedSweeps) and a caller-owned one
+// (UseScheduler), on one thread and on several.
+TEST(RouteMh, SweepsAfterRerouteMatchAFreshSamplerForEverySchedulerKind) {
+  ThreeTierConfig config;
+  config.tier_sizes = {1, 3};
+  const QueueingNetwork net = MakeThreeTierNetwork(config);
+  const auto rates = net.ExponentialRates();
+  Rng setup_rng(17);
+  const EventLog truth = SimulateWorkload(net, PoissonArrivals(10.0, 150), setup_rng);
+  TaskSamplingScheme scheme;
+  scheme.fraction = 0.3;
+  const Observation obs = scheme.Apply(truth, setup_rng);
+  const EventLog init = InitializeFeasible(truth, obs, rates, setup_rng);
+  std::vector<char> task_observed(static_cast<std::size_t>(truth.NumTasks()), 0);
+  for (int task : obs.observed_tasks) {
+    task_observed[static_cast<std::size_t>(task)] = 1;
+  }
+  std::vector<int> unobserved_tasks;
+  for (int task = 0; task < truth.NumTasks(); ++task) {
+    if (task_observed[static_cast<std::size_t>(task)] == 0) {
+      unobserved_tasks.push_back(task);
+    }
+  }
+  const std::vector<EventId> route_latents = RouteLatentEvents(init, unobserved_tasks);
+  ASSERT_FALSE(route_latents.empty());
+
+  enum class Kind { kBatch, kOwned, kExternal };
+  struct Case {
+    Kind kind;
+    std::size_t threads;
+  };
+  for (const Case c : {Case{Kind::kBatch, 1}, Case{Kind::kOwned, 1}, Case{Kind::kOwned, 3},
+                       Case{Kind::kExternal, 1}, Case{Kind::kExternal, 3}}) {
+    SCOPED_TRACE(testing::Message() << "kind " << static_cast<int>(c.kind) << " threads "
+                                    << c.threads);
+    const ShardedSweepOptions sharded{.shards = 3, .threads = c.threads};
+    // Declared before the samplers that borrow them.
+    ShardedSweepScheduler external(sharded);
+    ShardedSweepScheduler fresh_external(sharded);
+    const auto attach = [&](GibbsSampler& sampler, ShardedSweepScheduler& scheduler) {
+      if (c.kind == Kind::kOwned) {
+        sampler.EnableShardedSweeps(sharded);
+      } else if (c.kind == Kind::kExternal) {
+        sampler.UseScheduler(&scheduler);
+      }
+    };
+    GibbsSampler sampler(init, obs, rates);
+    attach(sampler, external);
+    Rng rng(23);
+    for (int sweep = 0; sweep < 3; ++sweep) {
+      sampler.Sweep(rng);
+    }
+    const RouteMhStats stats =
+        RouteMhSweep(sampler.MutableState(), route_latents, net.GetFsm(), rates, rng);
+    ASSERT_GT(stats.accepted, 0u) << "no reroute, nothing to test";
+
+    GibbsSampler fresh(sampler.State(), obs, rates);
+    attach(fresh, fresh_external);
+    Rng rng_fresh = rng;
+    for (int sweep = 0; sweep < 4; ++sweep) {
+      sampler.Sweep(rng);
+      fresh.Sweep(rng_fresh);
+    }
+    for (EventId e = 0; static_cast<std::size_t>(e) < init.NumEvents(); ++e) {
+      ASSERT_EQ(sampler.State().Arrival(e), fresh.State().Arrival(e)) << "event " << e;
+      ASSERT_EQ(sampler.State().Departure(e), fresh.State().Departure(e)) << "event " << e;
+    }
+    std::string why;
+    EXPECT_TRUE(sampler.State().IsFeasible(1e-6, &why)) << why;
+  }
+}
+
 TEST(RouteMh, SingleEmissionStatesAreSkipped) {
   const QueueingNetwork net = MakeTandemNetwork(2.0, {4.0, 4.0});
   const auto rates = net.ExponentialRates();

@@ -238,6 +238,33 @@ TEST(ShardedSweep, RunVisitsEveryMoveOnceAndOnlyConflictFreeBucketsConcurrently)
   EXPECT_EQ(total, moves.size());
 }
 
+TEST(ShardedSweep, BucketGeometryIsEachMovesLinkWalkAcrossRebuilds) {
+  // The schedule stores every move's neighbour ids next to it; a Rebuild onto another
+  // trace (larger, then smaller, reusing the buffers) must re-resolve every one of them.
+  const Fixture small = MakeTandemFixture(60);
+  const Fixture large = MakeTandemFixture(240);
+  ShardedSweepScheduler scheduler({.shards = 3, .threads = 1});
+  for (const Fixture* fixture : {&small, &large, &small}) {
+    const GibbsSampler sampler(fixture->init, fixture->obs, fixture->rates);
+    const std::vector<SweepMove> moves = sampler.SweepMoves();
+    scheduler.Rebuild(sampler.State(), moves);
+    std::size_t checked = 0;
+    for (std::size_t c = 0; c < scheduler.NumColors(); ++c) {
+      for (std::size_t s = 0; s < scheduler.NumShards(); ++s) {
+        const auto bucket = scheduler.Bucket(c, s);
+        const auto geometry = scheduler.BucketGeometry(c, s);
+        ASSERT_EQ(bucket.size(), geometry.size());
+        for (std::size_t i = 0; i < bucket.size(); ++i) {
+          EXPECT_EQ(geometry[i], sampler.State().ResolveMoveGeometry(bucket[i]))
+              << "event " << bucket[i].event;
+          ++checked;
+        }
+      }
+    }
+    EXPECT_EQ(checked, moves.size());
+  }
+}
+
 TEST(ShardedSweep, EmptyMoveListRuns) {
   const Fixture fixture = MakeMm1Fixture();
   ShardedSweepScheduler scheduler(fixture.init, {}, {});
@@ -436,6 +463,68 @@ TEST(ShardedSweep, StemShardedSweepsAreDeterministic) {
   }
   // And the estimate is sane: true rates are lambda = 2, mu = 4.
   EXPECT_NEAR(a.rates[1], 4.0, 1.0);
+}
+
+TEST(ShardedSweep, ReusedStemWorkspaceMatchesAFreshRunPerWindow) {
+  // One lane's windows, in sequence through one workspace and one scheduler cache: a
+  // small window, a ten times larger one, then a small one again (the workspace's
+  // buffers grow, then are reused at a smaller size). Every window must equal a fresh
+  // StemEstimator::Run bit for bit, final latent state included; on 3 threads the
+  // schedule, its geometry and the tile scratch are shared across windows too.
+  ThreeTierConfig config;
+  config.tier_sizes = {1, 2, 4};
+  config.arrival_rate = 10.0;
+  config.service_rate = 16.0;
+  const QueueingNetwork net = MakeThreeTierNetwork(config);
+  std::vector<Fixture> windows;
+  for (const std::size_t tasks : {std::size_t{300}, std::size_t{3000}, std::size_t{300}}) {
+    windows.push_back(MakeFixture(net, 10.0, tasks, 0.2, 100 + tasks + windows.size()));
+  }
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    StemOptions options;
+    options.iterations = 16;
+    options.burn_in = 6;
+    options.wait_sweeps = 6;
+    options.sharded_sweeps = true;
+    options.sharded = {.shards = 3, .threads = threads};
+    StemOptions cached = options;
+    ShardedSweepScheduler cache(options.sharded);
+    cached.scheduler_cache = &cache;
+    StemWorkspace workspace;
+    for (std::size_t w = 0; w < windows.size(); ++w) {
+      const Fixture& window = windows[w];
+      Rng reused_rng(900 + w);
+      const StemResult reused =
+          StemEstimator(cached).Run(window.truth, window.obs, window.rates, reused_rng,
+                                    workspace);
+      Rng fresh_rng(900 + w);
+      StemWorkspace fresh_workspace;
+      const StemResult fresh = StemEstimator(options).Run(window.truth, window.obs,
+                                                          window.rates, fresh_rng,
+                                                          fresh_workspace);
+      Rng plain_rng(900 + w);
+      const StemResult plain =
+          StemEstimator(options).Run(window.truth, window.obs, window.rates, plain_rng);
+      for (const StemResult* other : {&fresh, &plain}) {
+        EXPECT_EQ(reused.rates, other->rates) << "window " << w;
+        EXPECT_EQ(reused.mean_service, other->mean_service) << "window " << w;
+        EXPECT_EQ(reused.mean_wait, other->mean_wait) << "window " << w;
+        EXPECT_EQ(reused.rate_trace, other->rate_trace) << "window " << w;
+        EXPECT_EQ(reused.iterations_run, other->iterations_run) << "window " << w;
+        EXPECT_EQ(reused.latent_arrivals, other->latent_arrivals) << "window " << w;
+      }
+      EXPECT_EQ(reused_rng.NextU64(), plain_rng.NextU64()) << "window " << w;
+      const EventLog& a = workspace.State();
+      const EventLog& b = fresh_workspace.State();
+      ASSERT_EQ(a.NumEvents(), window.truth.NumEvents());
+      ASSERT_EQ(a.NumEvents(), b.NumEvents());
+      for (EventId e = 0; static_cast<std::size_t>(e) < a.NumEvents(); ++e) {
+        ASSERT_EQ(a.Arrival(e), b.Arrival(e)) << "window " << w << " event " << e;
+        ASSERT_EQ(a.Departure(e), b.Departure(e)) << "window " << w << " event " << e;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -170,12 +170,14 @@ TEST(Stem, RateTraceHasExpectedShape) {
   options.iterations = 25;
   options.burn_in = 5;
   options.wait_sweeps = 0;
-  const StemResult result = StemEstimator(options).Run(truth, obs, {1.0, 1.0}, rng);
+  StemWorkspace workspace;
+  const StemResult result =
+      StemEstimator(options).Run(truth, obs, {1.0, 1.0}, rng, workspace);
   EXPECT_EQ(result.rate_trace.size(), 25u);
   EXPECT_EQ(result.rate_trace[0].size(), 2u);
-  ASSERT_TRUE(result.final_state.has_value());
+  ASSERT_EQ(workspace.State().NumEvents(), truth.NumEvents());
   std::string why;
-  EXPECT_TRUE(result.final_state->IsFeasible(1e-6, &why)) << why;
+  EXPECT_TRUE(workspace.State().IsFeasible(1e-6, &why)) << why;
   EXPECT_THROW(
       {
         StemOptions bad;
