@@ -34,9 +34,16 @@
 //                                           of that fleet once every ring slot has
 //                                           wrapped; records move by swap and lanes
 //                                           recycle their capacity, so only windows
-//                                           allocate. CI gates a bound.
+//                                           allocate. CI gates a bound;
+//   BM_TaskHash/V v2_over_v1              — TaskHash (contract version 2, four
+//                                           accumulators) against the version-1 serial
+//                                           chain on the same records of V visits, timed
+//                                           in the same run; CI gates the ratio < 0.8.
 
 #include <benchmark/benchmark.h>
+
+#include <bit>
+#include <cstdint>
 
 // Counting allocator (defines global operator new/delete; one TU per binary).
 #include "../tests/support/counting_allocator.h"
@@ -49,6 +56,7 @@
 #include "qnet/stream/streaming_estimator.h"
 #include "qnet/support/rng.h"
 #include "qnet/support/stopwatch.h"
+#include "qnet/support/task_hash.h"
 
 namespace {
 
@@ -308,5 +316,84 @@ void BM_FleetMeanFieldAllocations(benchmark::State& state) {
 }
 BENCHMARK(BM_FleetMeanFieldAllocations)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
+
+// --- TaskHash: contract version 2 against version 1 --------------------------------------
+
+std::uint64_t HashBits(double x) {
+  if (x == 0.0) {
+    x = 0.0;
+  }
+  return std::bit_cast<std::uint64_t>(x);
+}
+
+// Contract version 1 of TaskHash: the same words as version 2, folded into ONE
+// HashCombine chain, 2 + 3 * visits SplitMix64 steps in series. Kept only as the in-run
+// reference of BM_TaskHash.
+std::uint64_t TaskHashV1(const qnet::TaskRecord& record) {
+  std::uint64_t h = 0x71ee2bd356ad5e3fULL;
+  h = qnet::HashCombine(h, HashBits(record.entry_time));
+  h = qnet::HashCombine(h, static_cast<std::uint64_t>(record.visits.size()));
+  for (const qnet::TaskVisit& visit : record.visits) {
+    h = qnet::HashCombine(
+        h, (static_cast<std::uint64_t>(static_cast<std::uint32_t>(visit.queue)) << 32) |
+               static_cast<std::uint64_t>(static_cast<std::uint32_t>(visit.state)));
+    h = qnet::HashCombine(h, HashBits(visit.arrival));
+    h = qnet::HashCombine(h, HashBits(visit.departure));
+  }
+  return h;
+}
+
+// 1024 records of V visits hashed by each version in turn every iteration (the order
+// alternates), so host drift falls on both; the calls within a pass are independent, as
+// the router's are. Reports ns per record of each and v2_over_v1, their time ratio.
+void BM_TaskHash(benchmark::State& state) {
+  const auto visits = static_cast<std::size_t>(state.range(0));
+  qnet::Rng rng(99);
+  std::vector<qnet::TaskRecord> records(1024);
+  double t = 0.0;
+  for (qnet::TaskRecord& record : records) {
+    t += rng.Exponential(100.0);
+    record.entry_time = t;
+    double at = t;
+    for (std::size_t v = 0; v < visits; ++v) {
+      qnet::TaskVisit visit;
+      visit.state = static_cast<std::int32_t>(v);
+      visit.queue = static_cast<std::int32_t>(v + 1);
+      visit.arrival = at;
+      at += rng.Exponential(160.0);
+      visit.departure = at;
+      record.visits.push_back(visit);
+    }
+  }
+  const auto pass = [&](auto hash, double& seconds) {
+    const qnet::Stopwatch watch;
+    std::uint64_t sink = 0;
+    for (const qnet::TaskRecord& record : records) {
+      sink ^= hash(record);
+    }
+    benchmark::DoNotOptimize(sink);
+    seconds += watch.ElapsedSeconds();
+  };
+  const auto v2 = [](const qnet::TaskRecord& record) { return qnet::TaskHash(record); };
+  double v1_seconds = 0.0;
+  double v2_seconds = 0.0;
+  bool v2_first = true;
+  for (auto _ : state) {
+    if (v2_first) {
+      pass(v2, v2_seconds);
+      pass(TaskHashV1, v1_seconds);
+    } else {
+      pass(TaskHashV1, v1_seconds);
+      pass(v2, v2_seconds);
+    }
+    v2_first = !v2_first;
+  }
+  const double hashed = static_cast<double>(state.iterations()) * 1024.0;
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 * 1024);
+  state.counters["v2_ns_per_record"] = v2_seconds * 1e9 / hashed;
+  state.counters["v1_ns_per_record"] = v1_seconds * 1e9 / hashed;
+  state.counters["v2_over_v1"] = v2_seconds / v1_seconds;
+}
+BENCHMARK(BM_TaskHash)->Arg(1)->Arg(3)->Arg(8)->UseRealTime();
 
 }  // namespace

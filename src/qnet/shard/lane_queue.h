@@ -83,7 +83,7 @@ class LaneQueue {
       }
       while (at < count && size_ < ring_.size()) {
         Hand(items[at++], ring_[head_]);
-        head_ = (head_ + 1) % ring_.size();
+        head_ = Next(head_);
         ++size_;
       }
       peak_depth_ = std::max(peak_depth_, size_);
@@ -112,7 +112,7 @@ class LaneQueue {
     }
     for (std::size_t at = 0; at < count; ++at) {
       Hand(ring_[tail_], out[at]);
-      tail_ = (tail_ + 1) % ring_.size();
+      tail_ = Next(tail_);
     }
     size_ -= count;
     lock.unlock();
@@ -144,6 +144,11 @@ class LaneQueue {
     } else {
       to.close = from.close;
     }
+  }
+
+  // The ring index after `index`: a compare, not a per-record division.
+  std::size_t Next(std::size_t index) const {
+    return index + 1 == ring_.size() ? 0 : index + 1;
   }
 
   mutable std::mutex mu_;

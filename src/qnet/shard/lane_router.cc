@@ -13,8 +13,12 @@ LaneRouter::LaneRouter(LaneRouterOptions options)
 }
 
 std::size_t LaneRouter::Route(const TaskRecord& record) {
-  const std::size_t lane = options_.lane_of ? options_.lane_of(record)
-                                            : TaskLane(TaskHash(record), options_.lanes);
+  std::size_t lane = 0;  // one lane needs no hash: TaskLane(h, 1) == 0 for every h
+  if (options_.lane_of) {
+    lane = options_.lane_of(record);
+  } else if (options_.lanes > 1) {
+    lane = TaskLane(TaskHash(record), options_.lanes);
+  }
   QNET_CHECK(lane < options_.lanes, "partitioner returned lane ", lane, " of ",
              options_.lanes);
   ++counts_[lane];

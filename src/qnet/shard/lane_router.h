@@ -3,10 +3,10 @@
 // The router assigns every TaskRecord to lane TaskLane(TaskHash(record), lanes) — a pure
 // function of the record's physical identity (support/task_hash.h), so placement is
 // stable across runs, hosts, and external partitioners, and re-sharding to a different
-// lane count is a deterministic re-mapping of the same hashes. An optional `lane_of`
-// override substitutes a caller-defined partition (e.g. tenant- or entry-point-keyed
-// routing); it must be a pure function of the record for the fleet's determinism
-// contract to hold.
+// lane count is a deterministic re-mapping of the same hashes. A single lane skips the
+// hash (TaskLane(h, 1) == 0 for every h). An optional `lane_of` override substitutes a
+// caller-defined partition (e.g. tenant- or entry-point-keyed routing); it must be a
+// pure function of the record for the fleet's determinism contract to hold.
 //
 // The router is single-threaded (it runs on the fleet's ingest thread, upstream of the
 // per-lane queues) and keeps per-lane routed counts for FleetStats.

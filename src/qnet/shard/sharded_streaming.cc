@@ -70,8 +70,7 @@ class LaneWorker {
   // buffer and `record` takes a spare record's capacity (unspecified content) for the
   // caller to overwrite.
   void Accept(TaskRecord& record) {
-    ++stats_.tasks_routed;
-    ShardCounters::Get().records_routed->Increment();
+    ++stats_.tasks_routed;  // published to the registry by PublishRouted
     // max: a late-merged record can sit behind the close-token advance in Close.
     AdvanceWatermark(record.entry_time);
     buffer_.push_back(std::move(record));
@@ -117,7 +116,16 @@ class LaneWorker {
     // decision is fully caught up to t1 even though it consumed no records (the lag stat
     // must not report it as trailing by the whole stream).
     AdvanceWatermark(decision.t1);
+    PublishRouted();
     merger_->Post(lane_, std::move(fit));
+  }
+
+  // Adds the records accepted since the last call to the registry's records_routed: one
+  // atomic add per close (and one when the lane stops) instead of one per record. Only
+  // the thread that runs the lane may call it.
+  void PublishRouted() {
+    ShardCounters::Get().records_routed->Add(stats_.tasks_routed - routed_published_);
+    routed_published_ = stats_.tasks_routed;
   }
 
   // Threaded arrangement: consumes `queue` until the finish token.
@@ -132,6 +140,7 @@ class LaneWorker {
         for (std::size_t at = 0; at < count; ++at) {
           LaneItem& item = batch[at];
           if (item.kind == LaneItem::Kind::kFinish) {
+            PublishRouted();
             return;  // nothing follows a finish token
           }
           if (item.kind == LaneItem::Kind::kRecord) {
@@ -146,6 +155,7 @@ class LaneWorker {
     } catch (...) {
       // Unblock the router and wake the merger before surfacing the error through the
       // PipelineSlot (Run rethrows it from Wait()).
+      PublishRouted();
       queue.CloseConsumer();
       merger_->Abort();
       throw;
@@ -270,6 +280,7 @@ class LaneWorker {
   std::vector<TaskRecord> spare_;  // recycled records: capacity for the next Accepts
   std::atomic<double> watermark_{0.0};
   LaneStats stats_;
+  std::size_t routed_published_ = 0;  // stats_.tasks_routed as of the last PublishRouted
 };
 
 }  // namespace
@@ -317,6 +328,19 @@ std::vector<WindowEstimate> ShardedStreamingEstimator::Run(TraceStream& stream) 
       worker->Drain(*queue);
     });
   }
+  // Publishes the ingest-thread counts however Run exits, unwinding included: the
+  // tracker's pushes and, in-thread, the lane's routed records (a threaded lane
+  // publishes its own when it stops).
+  struct PublishOnExit {
+    WindowSpanTracker& tracker;
+    LaneWorker* in_thread_lane;
+    ~PublishOnExit() {
+      tracker.PublishCounts();
+      if (in_thread_lane != nullptr) {
+        in_thread_lane->PublishRouted();
+      }
+    }
+  } publish_on_exit{tracker, threaded ? nullptr : workers.front().get()};
 
   std::vector<double> max_watermark_lag(lanes, 0.0);
   std::vector<WindowEstimate> estimates;
@@ -425,6 +449,8 @@ std::vector<WindowEstimate> ShardedStreamingEstimator::Run(TraceStream& stream) 
   };
 
   TaskRecord record;
+  // Constructed once: Pop assigns every field of it.
+  PooledWindow pooled;
   try {
     while (stream.Next(record)) {
       // The tracker counts ingestion and late drops (and mirrors them to the registry);
@@ -435,7 +461,6 @@ std::vector<WindowEstimate> ShardedStreamingEstimator::Run(TraceStream& stream) 
       }
       route(record);
       broadcast_decisions();
-      PooledWindow pooled;
       while (merger.Pop(pooled, /*block=*/false)) {
         emit(std::move(pooled));
       }
@@ -456,7 +481,6 @@ std::vector<WindowEstimate> ShardedStreamingEstimator::Run(TraceStream& stream) 
   }
 
   broadcast_finish();
-  PooledWindow pooled;
   while (merger.Pop(pooled, /*block=*/true)) {
     emit(std::move(pooled));
   }

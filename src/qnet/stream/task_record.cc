@@ -1,7 +1,5 @@
 #include "qnet/stream/task_record.h"
 
-#include <cmath>
-
 #include "qnet/support/check.h"
 
 namespace qnet {
@@ -32,19 +30,10 @@ TaskRecord MakeTaskRecord(const EventLog& log, const Observation& obs, int task)
 }
 
 void ValidateTaskRecord(const TaskRecord& record, int num_queues, double previous_entry) {
-  QNET_CHECK(!record.visits.empty(), "task record has no visits");
-  QNET_CHECK(record.entry_time >= 0.0, "entry time must be nonnegative: ", record.entry_time);
-  QNET_CHECK(record.entry_time >= previous_entry,
-             "tasks must be added in entry-time order; entry=", record.entry_time,
-             " previous=", previous_entry);
+  CheckTaskRecordEntry(record, previous_entry);
   double previous_departure = record.entry_time;
   for (const TaskVisit& visit : record.visits) {
-    QNET_CHECK(visit.queue >= 1 && visit.queue < num_queues, "bad queue id ", visit.queue);
-    QNET_CHECK(visit.departure >= visit.arrival, "departure before arrival");
-    QNET_CHECK(std::abs(visit.arrival - previous_departure) < 1e-9,
-               "task continuity violated: arrival=", visit.arrival,
-               " but previous departure=", previous_departure);
-    previous_departure = visit.departure;
+    previous_departure = CheckTaskVisit(visit, num_queues, previous_departure);
   }
 }
 

@@ -17,11 +17,13 @@
 #ifndef QNET_STREAM_TASK_RECORD_H_
 #define QNET_STREAM_TASK_RECORD_H_
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "qnet/model/event.h"
 #include "qnet/obs/observation.h"
+#include "qnet/support/check.h"
 
 namespace qnet {
 
@@ -79,9 +81,32 @@ void FillTaskRecord(const EventLog& log, const Observation& obs, int task, TaskR
 // window's first record): no visits, an entry time below 0 or below previous_entry, a
 // queue outside [1, num_queues), a departure before its arrival, or a visit that does
 // not start within 1e-9 of where the entry or the previous visit ended. NaN times fail
-// the last two. WindowLogBuilder and MeanFieldRecordFold both apply it, so a window
-// that is folded without building its log skips none of the log's checks.
+// the last two. WindowLogBuilder applies it, and MeanFieldRecordFold runs the same two
+// pieces below inside its own visit loop, so a window that is folded without building
+// its log skips none of the log's checks.
 void ValidateTaskRecord(const TaskRecord& record, int num_queues, double previous_entry);
+
+// ValidateTaskRecord's record-level checks (visits, entry time), in its order.
+inline void CheckTaskRecordEntry(const TaskRecord& record, double previous_entry) {
+  QNET_CHECK(!record.visits.empty(), "task record has no visits");
+  QNET_CHECK(record.entry_time >= 0.0, "entry time must be nonnegative: ", record.entry_time);
+  QNET_CHECK(record.entry_time >= previous_entry,
+             "tasks must be added in entry-time order; entry=", record.entry_time,
+             " previous=", previous_entry);
+}
+
+// ValidateTaskRecord's checks of one visit, in its order; `previous_departure` is where
+// the entry (for the first visit) or the previous visit ended. Returns where this one
+// ends.
+inline double CheckTaskVisit(const TaskVisit& visit, int num_queues,
+                             double previous_departure) {
+  QNET_CHECK(visit.queue >= 1 && visit.queue < num_queues, "bad queue id ", visit.queue);
+  QNET_CHECK(visit.departure >= visit.arrival, "departure before arrival");
+  QNET_CHECK(std::abs(visit.arrival - previous_departure) < 1e-9,
+             "task continuity violated: arrival=", visit.arrival,
+             " but previous departure=", previous_departure);
+  return visit.departure;
+}
 
 }  // namespace qnet
 

@@ -77,16 +77,20 @@ void MeanFieldRecordFold::Restart() {
 }
 
 void MeanFieldRecordFold::Add(const TaskRecord& record) {
-  ValidateTaskRecord(record, num_queues_, last_entry_);
-  last_entry_ = record.entry_time;
+  // ValidateTaskRecord's checks, run in its order but inside the one pass over the
+  // visits that folds them.
+  CheckTaskRecordEntry(record, last_entry_);
   // The initial event lives on the arrival queue; its arrival is never read.
   stats_.Add(QueueingNetwork::kArrivalQueue, 0.0, record.entry_time, true,
              DepartureObserved(record, 0));
+  double previous_departure = record.entry_time;
   for (std::size_t i = 0; i < record.visits.size(); ++i) {
     const TaskVisit& visit = record.visits[i];
+    previous_departure = CheckTaskVisit(visit, num_queues_, previous_departure);
     stats_.Add(visit.queue, visit.arrival, visit.departure, visit.arrival_observed,
                DepartureObserved(record, i + 1));
   }
+  last_entry_ = record.entry_time;
 }
 
 std::pair<EventLog, Observation> ExtractTaskWindow(const EventLog& truth,
@@ -120,8 +124,7 @@ WindowSpanTracker::PushVerdict WindowSpanTracker::Push(double entry_time) {
   // loop's fast-forward bound to infinity (it would never exit), and a NaN would never
   // compare into any window.
   QNET_CHECK(std::isfinite(entry_time), "entry time must be finite: ", entry_time);
-  ++tasks_pushed_;
-  StreamCounters::Get().tasks_ingested->Increment();
+  ++tasks_pushed_;  // published to the registry by PublishCounts
   PushVerdict verdict = PushVerdict::kBuffered;
   if (entry_time < window_start_) {
     // Late: this record's window has already closed and been handed off.
@@ -143,10 +146,15 @@ void WindowSpanTracker::TryCloseWindows() {
   const std::size_t min_needed = std::max<std::size_t>(options_.min_tasks_per_window, 2);
   // At end of stream the watermark hold-back is released: nothing later can arrive.
   const double watermark = finished_ ? watermark_ : watermark_ - options_.allowed_lateness;
+  const auto in_window = [&](double entry) { return entry < window_end_; };
   while (watermark >= window_end_) {
+    // An entry-ordered stream leaves pending_ partitioned already, and a stable partition
+    // of partitioned input is the identity: find the boundary without the temporary
+    // buffer and the pass that moves every entry.
     const auto in_window_end =
-        std::stable_partition(pending_.begin(), pending_.end(),
-                              [&](double entry) { return entry < window_end_; });
+        std::is_partitioned(pending_.begin(), pending_.end(), in_window)
+            ? std::partition_point(pending_.begin(), pending_.end(), in_window)
+            : std::stable_partition(pending_.begin(), pending_.end(), in_window);
     const auto count = static_cast<std::size_t>(in_window_end - pending_.begin());
     if (count < min_needed) {
       // Too small: the window's span extends into the next duration (batch semantics).
@@ -175,6 +183,7 @@ void WindowSpanTracker::TryCloseWindows() {
 void WindowSpanTracker::Finish() {
   QNET_CHECK(!finished_, "Finish called twice");
   finished_ = true;
+  PublishCounts();  // every push is in: nothing can follow Finish
   TryCloseWindows();
   if (pending_.empty()) {
     return;
@@ -225,6 +234,12 @@ void WindowSpanTracker::QueueDecision(double t0, double t1, std::size_t count,
     }
   }
   closed_.push_back(decision);
+  PublishCounts();
+}
+
+void WindowSpanTracker::PublishCounts() {
+  StreamCounters::Get().tasks_ingested->Add(tasks_pushed_ - tasks_published_);
+  tasks_published_ = tasks_pushed_;
 }
 
 WindowSpanTracker::SpanDecision WindowSpanTracker::PopClosed() {

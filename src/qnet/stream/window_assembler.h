@@ -85,10 +85,12 @@ class WindowLogBuilder {
 // Folds TaskRecords straight into the mean-field statistics, without building a log: the
 // sampler-free windows' replacement for WindowLogBuilder. Add visits a record's events in
 // the order WindowLogBuilder::Add numbers them, with the same observation flags and the
-// same ValidateTaskRecord checks, so after the same records
+// same ValidateTaskRecord checks (run inside the same pass), so after the same records
 //   Stats().counts == builder.Log().PerQueueCount(), and
 //   MeanFieldEstimator::Fit(Stats(), ...) == Fit(builder.Log(), builder.Obs(), ...)
-// bit for bit. Restart keeps the statistics' capacity: a warm fold allocates nothing.
+// bit for bit. A record that fails a check throws part-way through its fold, so the
+// window's statistics are unspecified until the next Restart. Restart keeps the
+// statistics' capacity: a warm fold allocates nothing.
 class MeanFieldRecordFold {
  public:
   explicit MeanFieldRecordFold(int num_queues);
@@ -182,16 +184,24 @@ class WindowSpanTracker {
   std::size_t PendingCount() const { return pending_.size(); }
 
   // Decision counters. The tracker is the ONE increment site for the ingest-side
-  // counts that WindowAssemblerStats, StreamingStats, and FleetStats share — each
-  // increment also bumps the matching StreamCounters metric in the global registry,
-  // so the stats structs and the exported metrics cannot drift (they are literally
-  // the same count). Accessors are plain local reads: a tracker reports its OWN
-  // stream even when several trackers run in one process.
+  // counts that WindowAssemblerStats, StreamingStats, and FleetStats share, and each
+  // also reaches the matching StreamCounters metric in the global registry, so the
+  // stats structs and the exported metrics cannot drift. Drops and closes bump their
+  // metric as they happen. Pushes, one per record, are counted locally and published
+  // as one delta (PublishCounts) at each window decision and at Finish, so the record
+  // path pays no atomic; between those points the registry's tasks_ingested trails
+  // TasksPushed() by the open window's pushes. Accessors are plain local reads: a
+  // tracker reports its OWN stream even when several trackers run in one process.
   std::size_t TasksPushed() const { return tasks_pushed_; }
   std::size_t LateDropped() const { return late_dropped_; }
   std::size_t WindowsClosed() const { return windows_closed_; }
   // Records dropped at Finish (0/1-record remainder with nothing to merge into).
   std::size_t TailDropped() const { return tail_dropped_; }
+
+  // Adds the pushes not yet published to the registry's tasks_ingested. Decisions and
+  // Finish call it; an owner that stops before Finish (an unwinding run) calls it so the
+  // registry counts every record pulled.
+  void PublishCounts();
 
  private:
   void TryCloseWindows();
@@ -214,6 +224,7 @@ class WindowSpanTracker {
   std::size_t last_window_count_ = 0;
 
   std::size_t tasks_pushed_ = 0;
+  std::size_t tasks_published_ = 0;  // tasks_pushed_ as of the last PublishCounts
   std::size_t late_dropped_ = 0;
   std::size_t windows_closed_ = 0;
   std::size_t tail_dropped_ = 0;

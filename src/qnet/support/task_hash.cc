@@ -17,12 +17,49 @@ std::uint64_t DoubleBits(double x) {
   return std::bit_cast<std::uint64_t>(x);
 }
 
+// The four accumulators of the version-2 encoding (task_hash.h), held rotated so that
+// `next` is always the one the next word goes to: Feed folds the word into it and
+// rotates, which puts word k into accumulator k % 4 without indexing and leaves the four
+// chains independent for the CPU to run side by side.
+struct Accumulators {
+  // Accumulator k starts at kTag + k * kGolden: version 1's fixed domain tag stepped by
+  // SplitMix64's golden-ratio increment.
+  static constexpr std::uint64_t kTag = 0x71ee2bd356ad5e3fULL;
+  static constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
+  std::uint64_t next = kTag;
+  std::uint64_t second = kTag + kGolden;
+  std::uint64_t third = kTag + 2 * kGolden;
+  std::uint64_t fourth = kTag + 3 * kGolden;
+  std::uint64_t words = 0;
+
+  void Feed(std::uint64_t word) {
+    // One multiply-xorshift round: bijective in the accumulator for a fixed word.
+    std::uint64_t fed = (next ^ word) * 0xd6e8feb86659fd93ULL;
+    fed ^= fed >> 32;
+    next = second;
+    second = third;
+    third = fourth;
+    fourth = fed;
+    ++words;
+  }
+
+  // Undoes the rotation (slot i holds accumulator (i + words) % 4) and mixes the four
+  // accumulators through the strong finalizer.
+  std::uint64_t Finish() const {
+    const std::uint64_t slots[4] = {next, second, third, fourth};
+    const std::uint64_t shift = 4 - words % 4;
+    const auto acc = [&](std::uint64_t k) { return slots[(k + shift) % 4]; };
+    return HashCombine(acc(0) + std::rotl(acc(1), 16),
+                       std::rotl(acc(2), 32) + std::rotl(acc(3), 48));
+  }
+};
+
 }  // namespace
 
 std::uint64_t HashCombine(std::uint64_t h, std::uint64_t value) {
   // MixSeed's step: one SplitMix64 pass over h offset by (value + 1) golden-ratio
   // increments. Bijective in h for fixed value, and a strong finalizer, so every combined
-  // field avalanches through all later steps.
+  // field avalanches through the output.
   std::uint64_t x = h + (value + 1) * 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
@@ -30,20 +67,18 @@ std::uint64_t HashCombine(std::uint64_t h, std::uint64_t value) {
 }
 
 std::uint64_t TaskHash(const TaskRecord& record) {
-  std::uint64_t h = 0x71ee2bd356ad5e3fULL;  // arbitrary fixed domain tag
-  h = HashCombine(h, DoubleBits(record.entry_time));
-  h = HashCombine(h, static_cast<std::uint64_t>(record.visits.size()));
+  Accumulators acc;
+  acc.Feed(DoubleBits(record.entry_time));
+  acc.Feed(static_cast<std::uint64_t>(record.visits.size()));
   for (const TaskVisit& visit : record.visits) {
     // queue/state packed into one word: both are small nonnegative int32s in practice,
     // and -1 sentinels widen to well-defined 0xffffffff.
-    const std::uint64_t ids =
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(visit.queue)) << 32) |
-        static_cast<std::uint64_t>(static_cast<std::uint32_t>(visit.state));
-    h = HashCombine(h, ids);
-    h = HashCombine(h, DoubleBits(visit.arrival));
-    h = HashCombine(h, DoubleBits(visit.departure));
+    acc.Feed((static_cast<std::uint64_t>(static_cast<std::uint32_t>(visit.queue)) << 32) |
+             static_cast<std::uint64_t>(static_cast<std::uint32_t>(visit.state)));
+    acc.Feed(DoubleBits(visit.arrival));
+    acc.Feed(DoubleBits(visit.departure));
   }
-  return h;
+  return acc.Finish();
 }
 
 std::size_t TaskLane(std::uint64_t hash, std::size_t lanes) {

@@ -251,7 +251,8 @@ class MetricRegistry {
 // exactly one site each (WindowSpanTracker for the ingest-side counts, the estimators'
 // emit paths for the estimate-side counts); the stats structs are per-run deltas.
 struct StreamCounters {
-  Counter* tasks_ingested;      // WindowSpanTracker::Push calls (plain AND fleet path)
+  Counter* tasks_ingested;      // WindowSpanTracker::Push calls (plain AND fleet path),
+                                // added per window decision (PublishCounts)
   Counter* late_dropped;        // records discarded under LateRecordPolicy::kDrop
   Counter* tail_dropped;        // end-of-stream remainder with nothing to merge into
   Counter* windows_closed;      // span decisions (merged-tail re-closes excluded)
@@ -310,7 +311,7 @@ struct DetectCounters {
 
 // Shard fleet plumbing (lane_queue.h / sharded_streaming.cc).
 struct ShardCounters {
-  Counter* records_routed;     // records delivered to lane workers
+  Counter* records_routed;     // records delivered to lane workers, added per lane close
   Counter* queue_push_batches; // LaneQueue::PushMany calls
   Counter* queue_pop_batches;  // LaneQueue::PopMany returns
   static const ShardCounters& Get();

@@ -606,6 +606,41 @@ TEST(LaneRouter, HashRoutingIsStableAndCounted) {
   EXPECT_EQ(counted, total);
 }
 
+TEST(LaneRouter, SingleLaneSkipsTheHashWithUnchangedCounts) {
+  // One lane routes without hashing; the hashed route it replaces (TaskLane(h, 1) == 0)
+  // must give the same lane and the same counts. A caller's partition is still called.
+  const Fixture f(1.0, 100);
+  LaneRouterOptions options;
+  options.lanes = 1;
+  LaneRouter router(options);
+  LaneRouterOptions hashed_options;
+  hashed_options.lanes = 1;
+  hashed_options.lane_of = [](const TaskRecord& r) { return TaskLane(TaskHash(r), 1); };
+  LaneRouter hashed(hashed_options);
+  std::size_t override_calls = 0;
+  LaneRouterOptions override_options;
+  override_options.lanes = 1;
+  override_options.lane_of = [&](const TaskRecord&) {
+    ++override_calls;
+    return std::size_t{0};
+  };
+  LaneRouter overridden(override_options);
+  LogReplayStream stream(f.truth, f.obs);
+  TaskRecord record;
+  std::size_t total = 0;
+  while (stream.Next(record)) {
+    EXPECT_EQ(router.Route(record), 0u);
+    EXPECT_EQ(hashed.Route(record), 0u);
+    EXPECT_EQ(overridden.Route(record), 0u);
+    ++total;
+  }
+  ASSERT_GT(total, 0u);
+  EXPECT_EQ(router.LaneCounts(), std::vector<std::size_t>{total});
+  EXPECT_EQ(router.LaneCounts(), hashed.LaneCounts());
+  EXPECT_EQ(overridden.LaneCounts(), hashed.LaneCounts());
+  EXPECT_EQ(override_calls, total);
+}
+
 TEST(LaneRouter, RejectsOutOfRangePartitioner) {
   LaneRouterOptions options;
   options.lanes = 2;

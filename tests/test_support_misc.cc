@@ -132,11 +132,12 @@ TaskRecord HashFixtureRecord(double entry = 1.5, int visits = 2) {
 TEST(TaskHash, GoldenValuesPinCrossPlatformStability) {
   // The hash is pure 64-bit integer arithmetic over IEEE-754 bit patterns, so these
   // values must reproduce on every platform and standard library. A change here breaks
-  // every external partitioner's placement — bump deliberately or never.
-  EXPECT_EQ(TaskHash(HashFixtureRecord()), 0xbccbcad7fb12d1edULL);
-  EXPECT_EQ(TaskHash(HashFixtureRecord(2.5)), 0x6310d284114f6b71ULL);
-  EXPECT_EQ(TaskHash(HashFixtureRecord(1.5, 3)), 0x1d8a964f95bb2668ULL);
-  EXPECT_EQ(TaskLane(TaskHash(HashFixtureRecord()), 4), 2u);
+  // every external partitioner's placement — bump deliberately or never. These are the
+  // contract-version-2 values (four accumulators; see task_hash.h).
+  EXPECT_EQ(TaskHash(HashFixtureRecord()), 0x32d6a944302b6b5aULL);
+  EXPECT_EQ(TaskHash(HashFixtureRecord(2.5)), 0xdd0369815774a200ULL);
+  EXPECT_EQ(TaskHash(HashFixtureRecord(1.5, 3)), 0xb3e3eb4ee3414c1cULL);
+  EXPECT_EQ(TaskLane(TaskHash(HashFixtureRecord()), 4), 0u);
 }
 
 TEST(TaskHash, IgnoresObservationFlagsAndNegativeZero) {
@@ -190,6 +191,33 @@ TEST(TaskHash, AvalanchesOnSingleBitEntryTimeFlips) {
   const double mean_flips = total_flips / samples;
   EXPECT_GT(mean_flips, 24.0);
   EXPECT_LT(mean_flips, 40.0);
+}
+
+TEST(TaskHash, AvalanchesOnSingleBitVisitTimeFlips) {
+  // The same property for words that land in every accumulator: each visit's arrival and
+  // departure of a 3-visit record (words 3..10, so all four accumulators are hit).
+  double total_flips = 0.0;
+  int samples = 0;
+  for (const double entry : {1.5, 1000.25, 3.0e5}) {
+    const TaskRecord base_record = HashFixtureRecord(entry, 3);
+    const std::uint64_t base_hash = TaskHash(base_record);
+    for (std::size_t v = 0; v < base_record.visits.size(); ++v) {
+      for (const bool arrival : {true, false}) {
+        for (const int bit : {0, 7, 21, 36, 51, 63}) {
+          TaskRecord flipped = base_record;
+          double& time =
+              arrival ? flipped.visits[v].arrival : flipped.visits[v].departure;
+          time = std::bit_cast<double>(std::bit_cast<std::uint64_t>(time) ^
+                                       (std::uint64_t{1} << bit));
+          total_flips += std::popcount(base_hash ^ TaskHash(flipped));
+          ++samples;
+        }
+      }
+    }
+  }
+  const double mean_flips = total_flips / samples;
+  EXPECT_GT(mean_flips, 28.0);
+  EXPECT_LT(mean_flips, 36.0);
 }
 
 TEST(TaskHash, SpreadsUniformlyAcrossLaneCounts) {

@@ -508,6 +508,56 @@ TEST(RegistryDerivedStats, SingleLaneFleetStatsMatchPlainEstimatorStats) {
   EXPECT_EQ(fleet.lane[0].peak_buffered_tasks, plain.peak_buffered_tasks);
 }
 
+// Replays a fixture and fails from the Next after `limit` records, mid-window.
+class FailingStream : public TraceStream {
+ public:
+  FailingStream(const Fixture& f, std::size_t limit)
+      : replay_(f.truth, f.obs), limit_(limit) {}
+  bool Next(TaskRecord& out) override {
+    QNET_CHECK(pulled_ < limit_, "stream failed after ", limit_, " records");
+    const bool more = replay_.Next(out);
+    pulled_ += more ? 1 : 0;
+    return more;
+  }
+  int NumQueues() const override { return replay_.NumQueues(); }
+
+ private:
+  LogReplayStream replay_;
+  std::size_t limit_;
+  std::size_t pulled_ = 0;
+};
+
+// The tracker and the lanes publish their per-record counts in deltas (per window and
+// when they stop), so a run that dies mid-window must still publish every record it
+// pulled and routed before the error reaches the caller.
+TEST(RegistryDerivedStats, FailedRunPublishesEveryRecordPulledAndRouted) {
+  const Fixture f;
+  constexpr std::size_t kPulled = 250;  // ~100 tasks per window: mid-way through one
+  struct Arrangement {
+    std::size_t lanes;
+    bool pipeline;
+  };
+  for (const Arrangement arrangement :
+       {Arrangement{1, false}, Arrangement{1, true}, Arrangement{2, false}}) {
+    SCOPED_TRACE("lanes " + std::to_string(arrangement.lanes) +
+                 (arrangement.pipeline ? ", pipelined" : ""));
+    ShardedStreamingOptions options;
+    options.lanes = arrangement.lanes;
+    options.stream = ShortStemOptions();
+    options.stream.pipeline = arrangement.pipeline;
+    options.stream.fast_path = FastPathMode::kMeanFieldOnly;
+    const StreamCounterBaseline baseline = StreamCounterBaseline::Capture();
+    const std::uint64_t routed_before = ShardCounters::Get().records_routed->Value();
+    FailingStream stream(f, kPulled);
+    ShardedStreamingEstimator fleet({1.0, 1.0, 1.0}, 99, options);
+    EXPECT_THROW(fleet.Run(stream), Error);
+    // An entry-ordered replay drops nothing late, so every pulled record was routed.
+    EXPECT_EQ(baseline.TasksIngestedDelta(), kPulled);
+    EXPECT_EQ(baseline.LateDroppedDelta(), 0u);
+    EXPECT_EQ(ShardCounters::Get().records_routed->Value() - routed_before, kPulled);
+  }
+}
+
 // --- lateness / tail-drop counters -------------------------------------------------------
 
 TaskRecord TinyRecord(double entry, double service = 0.01) {
