@@ -1,6 +1,6 @@
 // Gamma service distribution in shape/rate parameterization (mean = shape/rate). Shape < 1
 // gives decreasing densities (burstier than exponential); large shapes approach
-// deterministic service. Used by the general-service sampler and the BIC model selector.
+// deterministic service.
 
 #ifndef QNET_DIST_GAMMA_H_
 #define QNET_DIST_GAMMA_H_

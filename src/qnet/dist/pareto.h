@@ -1,7 +1,7 @@
 // Pareto type II (Lomax) service distribution, supported on [0, inf): survival function
-// (1 + x/scale)^{-shape}. The genuinely heavy tail (polynomial, not exponential) used to
-// stress posterior predictive checks. Mean = scale/(shape-1); we require shape > 2 so the
-// variance is finite (SCV = shape/(shape-2) > 1 always).
+// (1 + x/scale)^{-shape}: a genuinely heavy (polynomial, not exponential) tail.
+// Mean = scale/(shape-1); we require shape > 2 so the variance is finite
+// (SCV = shape/(shape-2) > 1 always).
 
 #ifndef QNET_DIST_PARETO_H_
 #define QNET_DIST_PARETO_H_

@@ -14,10 +14,6 @@ ArrivalMove GatherArrivalMove(const EventLog& log, EventId e, std::span<const do
   return GatherArrivalMoveUnchecked(log, e, rates);
 }
 
-ArrivalMove GatherArrivalGeometry(const EventLog& log, EventId e) {
-  return GatherArrivalMoveUnchecked(log, e, {});
-}
-
 PiecewiseExpDensity BuildArrivalDensity(const ArrivalMove& move) {
   PiecewiseExpDensity density;
   BuildArrivalSegmentsInto(move, density);
@@ -98,10 +94,6 @@ FinalDepartureMove GatherFinalDepartureMove(const EventLog& log, EventId e,
                                             std::span<const double> rates) {
   QNET_CHECK(static_cast<std::size_t>(log.NumQueues()) == rates.size(), "rate vector size");
   return GatherFinalDepartureMoveUnchecked(log, e, rates);
-}
-
-FinalDepartureMove GatherFinalDepartureGeometry(const EventLog& log, EventId e) {
-  return GatherFinalDepartureMoveUnchecked(log, e, {});
 }
 
 PiecewiseExpDensity BuildFinalDepartureDensity(const FinalDepartureMove& move) {

@@ -86,16 +86,6 @@ struct ArrivalMove {
 // queue (index 0 = lambda). CHECK-fails if e is an initial event.
 ArrivalMove GatherArrivalMove(const EventLog& log, EventId e, std::span<const double> rates);
 
-namespace conditional_detail {
-
-// Empty span = unit rates. Only the Gather*Geometry wrappers pass an empty span (so no
-// ones vector is ever materialized); the rate-taking entry points validate size up front.
-inline double RateAt(std::span<const double> rates, int queue) {
-  return rates.empty() ? 1.0 : rates[static_cast<std::size_t>(queue)];
-}
-
-}  // namespace conditional_detail
-
 // Inline gather core over resolved geometry (rate-span size is the caller's
 // responsibility — the batched kernel validates once per bucket and then runs a whole tile
 // of these back to back, letting the compiler overlap the loads of neighboring moves).
@@ -103,7 +93,6 @@ inline double RateAt(std::span<const double> rates, int queue) {
 // initial-event check); the neighbours contribute their times.
 inline ArrivalMove GatherArrivalMoveFrom(const EventLog& log, EventId e, const MoveGeometry& g,
                                          std::span<const double> rates) {
-  using conditional_detail::RateAt;
   // Inner-loop contract: every access below is *Unchecked (bounds DCHECK-only); this is
   // called once per latent coordinate per sweep.
   const Event& ev = log.AtUnchecked(e);
@@ -112,8 +101,8 @@ inline ArrivalMove GatherArrivalMoveFrom(const EventLog& log, EventId e, const M
   ArrivalMove move;
   move.event = e;
   move.d_e = ev.departure;
-  move.mu_e = RateAt(rates, g.queue);
-  move.mu_pi = RateAt(rates, g.pi_queue);
+  move.mu_e = rates[static_cast<std::size_t>(g.queue)];
+  move.mu_pi = rates[static_cast<std::size_t>(g.pi_queue)];
   // c_pi = BeginService(pi) = max(a_pi, d_rho(pi)), the same expression.
   const double a_pi = log.ArrivalUnchecked(g.pi);
   move.c_pi = g.rho_pi == kNoEvent ? a_pi : std::max(a_pi, log.DepartureUnchecked(g.rho_pi));
@@ -155,11 +144,6 @@ inline ArrivalMove GatherArrivalMoveUnchecked(const EventLog& log, EventId e,
                                               std::span<const double> rates) {
   return GatherArrivalMoveFrom(log, e, log.ResolveArrivalGeometryUnchecked(e), rates);
 }
-
-// Geometry-only variant with all rates set to 1 (LogG is then not meaningful); used by the
-// general-service sampler, which evaluates its own densities on the same geometry.
-// Allocation-free: forwards an empty rate span instead of building a ones vector.
-ArrivalMove GatherArrivalGeometry(const EventLog& log, EventId e);
 
 // Emits the conditional's segments into any density sink with an
 // AddSegment(lo, hi, alpha, beta) surface — PiecewiseExpDensity for the scalar path, an
@@ -267,7 +251,7 @@ inline FinalDepartureMove GatherFinalDepartureMoveFrom(const EventLog& log, Even
              "event has a within-task successor; use the arrival move on tau instead");
   FinalDepartureMove move;
   move.event = e;
-  move.mu_e = conditional_detail::RateAt(rates, g.queue);
+  move.mu_e = rates[static_cast<std::size_t>(g.queue)];
   // c_e = BeginService(e) = max(a_e, d_rho(e)), the same expression.
   move.c_e = g.rho == kNoEvent ? ev.arrival
                                : std::max(ev.arrival, log.DepartureUnchecked(g.rho));
@@ -289,9 +273,6 @@ inline FinalDepartureMove GatherFinalDepartureMoveUnchecked(const EventLog& log,
   return GatherFinalDepartureMoveFrom(log, e, log.ResolveFinalDepartureGeometryUnchecked(e),
                                       rates);
 }
-
-// Geometry-only variant (rates set to 1), mirroring GatherArrivalGeometry.
-FinalDepartureMove GatherFinalDepartureGeometry(const EventLog& log, EventId e);
 
 // Segment emission for the final-departure conditional; see BuildArrivalSegmentsInto.
 template <typename Density>

@@ -4,35 +4,9 @@
 #include <cmath>
 
 #include "qnet/support/check.h"
-#include "qnet/support/logspace.h"
 #include "qnet/telemetry/timeline.h"
 
 namespace qnet {
-namespace {
-
-// When the current point has zero density (e.g. a boundary-clipped initial state under a
-// distribution whose pdf vanishes at 0, like a log-normal), probe the window for a usable
-// slice start.
-double FindSliceStart(FunctionRef<double(double)> log_density, double x0, double lo,
-                      double hi, Rng& rng) {
-  if (log_density(x0) > kNegInf) {
-    return x0;
-  }
-  double best = x0;
-  double best_value = kNegInf;
-  for (int i = 0; i < 32; ++i) {
-    const double x = lo + (hi - lo) * rng.Uniform();
-    const double value = log_density(x);
-    if (value > best_value) {
-      best_value = value;
-      best = x;
-    }
-  }
-  return best_value > kNegInf ? best : x0;
-}
-
-}  // namespace
-
 void CollectLatentMoves(const EventLog& log, const Observation& obs,
                         std::vector<SweepMove>& arrival_moves,
                         std::vector<SweepMove>& final_moves) {
@@ -171,71 +145,6 @@ void BatchedExponentialMoveKernel::RunBucketReference(EventLog& state,
     }
     ScatterMoveResult(state, move, sampled, service_cache_);
   }
-}
-
-void GeneralMoveKernel::Apply(EventLog& state, const SweepMove& move, Rng& rng) const {
-  if (move.kind == MoveKind::kArrival) {
-    ApplyArrival(state, move.event, rng);
-  } else {
-    ApplyFinalDeparture(state, move.event, rng);
-  }
-}
-
-void GeneralMoveKernel::ApplyArrival(EventLog& state, EventId e, Rng& rng) const {
-  const ArrivalMove geom = GatherArrivalGeometry(state, e);
-  if (!(geom.upper - geom.lower > kDegenerateWindow)) {
-    return;
-  }
-  const Event& ev = state.AtUnchecked(e);
-  const ServiceDistribution& f_e = net_->Service(ev.queue);
-  const int pi_queue = state.AtUnchecked(ev.pi).queue;
-  const ServiceDistribution& f_pi = net_->Service(pi_queue);
-
-  const auto log_density = [&](double a) {
-    const double s_e = geom.has_t1 ? geom.d_e - std::max(a, geom.t1) : geom.d_e - a;
-    double total = f_e.LogPdf(s_e);
-    total += f_pi.LogPdf(a - geom.c_pi);
-    if (geom.has_nu_pi) {
-      total += f_pi.LogPdf(geom.d_nu_pi - std::max(a, geom.t2));
-    }
-    return total;
-  };
-
-  const double x0 =
-      FindSliceStart(log_density, state.ArrivalUnchecked(e), geom.lower, geom.upper, rng);
-  if (log_density(x0) == kNegInf) {
-    return;  // Nothing in the window has positive density under the current parameters.
-  }
-  SliceOptions slice = slice_;
-  slice.width = std::min(slice.width, 0.5 * (geom.upper - geom.lower));
-  const double a = SliceSample(log_density, x0, geom.lower, geom.upper, rng, slice);
-  state.SetArrivalUnchecked(e, a);
-  state.SetDepartureUnchecked(ev.pi, a);
-}
-
-void GeneralMoveKernel::ApplyFinalDeparture(EventLog& state, EventId e, Rng& rng) const {
-  const FinalDepartureMove geom = GatherFinalDepartureGeometry(state, e);
-  const ServiceDistribution& f_e = net_->Service(state.AtUnchecked(e).queue);
-  const auto log_density = [&](double d) {
-    double total = f_e.LogPdf(d - geom.c_e);
-    if (geom.has_nu) {
-      total += f_e.LogPdf(geom.d_nu - std::max(geom.t_nu, d));
-    }
-    return total;
-  };
-  const double hi =
-      std::isfinite(geom.upper) ? geom.upper : geom.c_e + 64.0 * f_e.Mean() + 1.0;
-  if (!(hi - geom.lower > kDegenerateWindow)) {
-    return;
-  }
-  const double x0 =
-      FindSliceStart(log_density, state.DepartureUnchecked(e), geom.lower, hi, rng);
-  if (log_density(x0) == kNegInf) {
-    return;
-  }
-  SliceOptions slice = slice_;
-  slice.width = std::min(slice.width, 0.5 * (hi - geom.lower));
-  state.SetDepartureUnchecked(e, SliceSample(log_density, x0, geom.lower, hi, rng, slice));
 }
 
 }  // namespace qnet

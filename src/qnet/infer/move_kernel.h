@@ -1,13 +1,12 @@
 // Unified per-move Gibbs kernel — the one sampler core.
 //
-// A latent move is always the same shape: gather the move's fixed neighborhood, build (or
-// evaluate) the conditional on the feasible window, sample, write the new time(s) back in
-// place. The exponential sampler realizes it with the paper's exact piecewise-exponential
-// conditional (Figure 3); the general-service sampler with slice sampling over the same
-// geometry. Both are packaged here as kernels with an identical `Apply(state, move, rng)`
-// surface so every sweep driver — the sequential scans in GibbsSampler and
-// GeneralGibbsSampler, the colored sharded scheduler, and the StEM/online re-sweeps — runs
-// the exact same per-move code instead of each sampler hard-coding its own copy.
+// A latent move is always the same shape: gather the move's fixed neighborhood, build the
+// conditional on the feasible window, sample, write the new time(s) back in place. The
+// kernels here realize it with the paper's exact piecewise-exponential conditional
+// (Figure 3): ExponentialMoveKernel move-at-a-time with an `Apply(state, move, rng)`
+// surface, BatchedExponentialMoveKernel bucket-at-a-time in SIMD-width tiles. Every sweep
+// driver — GibbsSampler's sequential scan, the colored sharded scheduler, and the StEM
+// re-sweeps — runs this same per-move code instead of hard-coding its own copy.
 //
 // Contracts:
 //  * Apply is const and touches only the move's footprint
@@ -15,8 +14,8 @@
 //    with disjoint footprints — this is what the sharded sweep scheduler relies on;
 //  * Apply performs zero heap allocations (the PR-1 hot-path contract, enforced by
 //    tests/test_alloc_free.cc);
-//  * kernels are non-owning views over the parameters (rates span / network reference);
-//    the referents must outlive the kernel.
+//  * kernels are non-owning views over the parameters (the rates span, the optional
+//    service cache); the referents must outlive the kernel.
 
 #ifndef QNET_INFER_MOVE_KERNEL_H_
 #define QNET_INFER_MOVE_KERNEL_H_
@@ -28,9 +27,7 @@
 
 #include "qnet/infer/conditional.h"
 #include "qnet/infer/piecewise_exp.h"
-#include "qnet/infer/slice.h"
 #include "qnet/model/event.h"
-#include "qnet/model/network.h"
 #include "qnet/obs/observation.h"
 #include "qnet/support/batch_rng.h"
 #include "qnet/support/rng.h"
@@ -181,24 +178,7 @@ class BatchedExponentialMoveKernel {
   std::size_t width_;
 };
 
-// General-service kernel: the same move geometry, conditional evaluated through the
-// network's service distributions and sampled with a window-restricted slice sampler.
-class GeneralMoveKernel {
- public:
-  GeneralMoveKernel(const QueueingNetwork& net, const SliceOptions& slice)
-      : net_(&net), slice_(slice) {}
-
-  void Apply(EventLog& state, const SweepMove& move, Rng& rng) const;
-
- private:
-  void ApplyArrival(EventLog& state, EventId e, Rng& rng) const;
-  void ApplyFinalDeparture(EventLog& state, EventId e, Rng& rng) const;
-
-  const QueueingNetwork* net_;
-  SliceOptions slice_;
-};
-
-// Sequential sweep driver: one RNG stream, moves in scan order. The samplers' default
+// Sequential sweep driver: one RNG stream, moves in scan order. GibbsSampler's scalar
 // Sweep is this loop; the sharded scheduler is the parallel alternative.
 template <typename Kernel>
 void RunSweep(EventLog& state, std::span<const SweepMove> moves, const Kernel& kernel,

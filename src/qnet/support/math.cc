@@ -127,41 +127,6 @@ double QuantileSorted(std::span<const double> sorted, double q) {
 
 double Median(std::span<const double> xs) { return Quantile(xs, 0.5); }
 
-double Digamma(double x) {
-  QNET_CHECK(x > 0.0, "Digamma domain requires x > 0; x=", x);
-  double result = 0.0;
-  // Upward recurrence until the asymptotic series reaches ~1e-14 accuracy.
-  while (x < 12.0) {
-    result -= 1.0 / x;
-    x += 1.0;
-  }
-  const double inv = 1.0 / x;
-  const double inv2 = inv * inv;
-  // ln x - 1/(2x) - sum_n B_2n / (2n x^{2n}).
-  result += std::log(x) - 0.5 * inv -
-            inv2 * (1.0 / 12.0 -
-                    inv2 * (1.0 / 120.0 -
-                            inv2 * (1.0 / 252.0 - inv2 * (1.0 / 240.0 - inv2 / 132.0))));
-  return result;
-}
-
-double Trigamma(double x) {
-  QNET_CHECK(x > 0.0, "Trigamma domain requires x > 0; x=", x);
-  double result = 0.0;
-  while (x < 12.0) {
-    result += 1.0 / (x * x);
-    x += 1.0;
-  }
-  const double inv = 1.0 / x;
-  const double inv2 = inv * inv;
-  // 1/x + 1/(2x^2) + sum_n B_2n / x^{2n+1}.
-  result += inv * (1.0 +
-                   inv * (0.5 + inv * (1.0 / 6.0 -
-                                       inv2 * (1.0 / 30.0 -
-                                               inv2 * (1.0 / 42.0 - inv2 / 30.0)))));
-  return result;
-}
-
 double KsStatistic(std::vector<double> samples, const std::function<double(double)>& cdf) {
   QNET_CHECK(!samples.empty(), "KS statistic of empty sample");
   std::sort(samples.begin(), samples.end());

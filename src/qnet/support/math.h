@@ -1,4 +1,4 @@
-// Small statistics toolbox: streaming moments, quantiles, special functions, and the
+// Small statistics toolbox: streaming moments, quantiles, and the
 // Kolmogorov-Smirnov machinery used by the distribution-identity property tests.
 
 #ifndef QNET_SUPPORT_MATH_H_
@@ -59,11 +59,6 @@ double Quantile(std::span<const double> xs, double q);
 // bit-identical to repeated Quantile calls).
 double QuantileSorted(std::span<const double> sorted, double q);
 double Median(std::span<const double> xs);
-
-// Digamma (psi) function, valid for x > 0; asymptotic series with upward recurrence.
-double Digamma(double x);
-// Trigamma (psi') function, valid for x > 0.
-double Trigamma(double x);
 
 // One-sample Kolmogorov-Smirnov statistic against a CDF.
 double KsStatistic(std::vector<double> samples, const std::function<double(double)>& cdf);

@@ -1,9 +1,9 @@
 // Counting-allocator proof that the Gibbs hot path is allocation-free: every global
 // operator new in this binary bumps a counter, and the tests assert the counter does not
 // move across gather->build->sample cycles and across whole sweeps. This pins the
-// perf-critical property (PiecewiseExpDensity inline storage, stack cut arrays, empty-span
-// geometry gathers, FunctionRef slice callbacks) so a regression that reintroduces a heap
-// allocation per move fails CI instead of just slowing the benchmarks.
+// perf-critical property (PiecewiseExpDensity inline storage, stack cut arrays) so a
+// regression that reintroduces a heap allocation per move fails CI instead of just
+// slowing the benchmarks.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 
 #include "qnet/detect/change_monitor.h"
 #include "qnet/infer/conditional.h"
-#include "qnet/infer/general_gibbs.h"
 #include "qnet/infer/gibbs.h"
 #include "qnet/infer/initializer.h"
 #include "qnet/infer/meanfield.h"
@@ -76,19 +75,6 @@ TEST(AllocFree, SampleArrivalFastPathDoesNotAllocate) {
   for (int i = 0; i < 1000; ++i) {
     const ArrivalMove move = GatherArrivalMove(fixture.init, target, fixture.rates);
     sink += SampleArrival(move, rng);
-  }
-  EXPECT_EQ(AllocationCount(), before) << "sink=" << sink;
-}
-
-TEST(AllocFree, GeometryGathersDoNotAllocate) {
-  const Fixture fixture = MakeFixture();
-  const EventId target = FirstLatentArrival(fixture);
-  ASSERT_NE(target, kNoEvent);
-  const std::size_t before = AllocationCount();
-  double sink = 0.0;
-  for (int i = 0; i < 1000; ++i) {
-    const ArrivalMove geom = GatherArrivalGeometry(fixture.init, target);
-    sink += geom.upper - geom.lower;
   }
   EXPECT_EQ(AllocationCount(), before) << "sink=" << sink;
 }
@@ -486,22 +472,6 @@ TEST(AllocFree, ChangeMonitorObserveDoesNotAllocate) {
   // clean too: replace the last window in place.
   e.merged_tail_tasks = 40;
   monitor.Observe(e);
-  EXPECT_EQ(AllocationCount(), before);
-}
-
-TEST(AllocFree, GeneralGibbsSweepDoesNotAllocate) {
-  // The slice-sampling path (FunctionRef callbacks, geometry gathers) must also stay
-  // allocation-free; exponential services keep LogPdf itself trivially clean.
-  const Fixture fixture = MakeFixture();
-  const QueueingNetwork net = MakeTandemNetwork(2.0, {4.0, 3.0});
-  GeneralGibbsSampler sampler(fixture.init, fixture.obs, net);
-  ASSERT_GT(sampler.NumLatentArrivals(), 0u);
-  Rng rng(11);
-  sampler.Sweep(rng);  // warm-up
-  const std::size_t before = AllocationCount();
-  for (int sweep = 0; sweep < 5; ++sweep) {
-    sampler.Sweep(rng);
-  }
   EXPECT_EQ(AllocationCount(), before);
 }
 

@@ -88,25 +88,6 @@ TEST(Summarize, PopulatesAllFields) {
   EXPECT_DOUBLE_EQ(s.q75, 4.0);
 }
 
-TEST(Digamma, KnownValues) {
-  constexpr double kEulerGamma = 0.5772156649015329;
-  EXPECT_NEAR(Digamma(1.0), -kEulerGamma, 1e-10);
-  EXPECT_NEAR(Digamma(2.0), 1.0 - kEulerGamma, 1e-10);
-  EXPECT_NEAR(Digamma(0.5), -kEulerGamma - 2.0 * std::log(2.0), 1e-10);
-  // Recurrence: psi(x+1) = psi(x) + 1/x.
-  for (double x : {0.3, 1.7, 4.2, 11.0}) {
-    EXPECT_NEAR(Digamma(x + 1.0), Digamma(x) + 1.0 / x, 1e-10) << "x=" << x;
-  }
-}
-
-TEST(Trigamma, KnownValues) {
-  EXPECT_NEAR(Trigamma(1.0), M_PI * M_PI / 6.0, 1e-9);
-  EXPECT_NEAR(Trigamma(0.5), M_PI * M_PI / 2.0, 1e-9);
-  for (double x : {0.4, 2.3, 7.7}) {
-    EXPECT_NEAR(Trigamma(x + 1.0), Trigamma(x) - 1.0 / (x * x), 1e-9) << "x=" << x;
-  }
-}
-
 TEST(KsStatistic, PerfectFitIsSmall) {
   // Deterministic uniform grid against the uniform CDF.
   std::vector<double> xs;

@@ -253,7 +253,7 @@ TEST(ShardedStreaming, PooledRatesStatisticallyConsistentAcrossLaneCounts) {
   // trace. The decomposition is accurate in light traffic and biases service estimates
   // up as utilization grows (a lane's sub-log attributes cross-lane queueing delay to
   // service; see docs/architecture.md), so this pins the light-traffic regime: rho = 0.1
-  // per stage, where waits are ~1% of service.
+  // per stage, where waits are ~10% of service.
   QueueingNetwork net = MakeTandemNetwork(4.0, {40.0, 45.0});
   Rng sim_rng(3);
   const EventLog truth = SimulateWorkload(net, PoissonArrivals(4.0, 800), sim_rng);
@@ -270,6 +270,21 @@ TEST(ShardedStreaming, PooledRatesStatisticallyConsistentAcrossLaneCounts) {
     runs.push_back(RunFleet(f, options, 17));
   }
   ASSERT_GE(runs.front().size(), 2u);
+  // Cross-K agreement is checked on each queue's window-averaged mean service time: a
+  // per-window comparison is a lottery over which tasks the hash sends to which lane.
+  // Over 2000 salted hash partitions (lane = TaskLane(HashCombine(TaskHash, salt), K))
+  // the K = 2/4 averages sit 0.0008-0.0016 above K = 1 (about the other lanes' share of
+  // the ~0.0026 mean wait, which a lane's sub-log counts as service), with a partition sd
+  // of ~0.0002 and a worst |difference| of 0.00229; the bound is that worst case plus
+  // one sd.
+  constexpr double kCrossLaneServiceBound = 0.0025;
+  const auto mean_service = [](const std::vector<WindowEstimate>& run, std::size_t q) {
+    double sum = 0.0;
+    for (const WindowEstimate& estimate : run) {
+      sum += 1.0 / estimate.rates[q];
+    }
+    return sum / static_cast<double>(run.size());
+  };
   for (const auto& run : runs) {
     ASSERT_EQ(run.size(), runs.front().size());
     for (std::size_t w = 0; w < run.size(); ++w) {
@@ -278,9 +293,10 @@ TEST(ShardedStreaming, PooledRatesStatisticallyConsistentAcrossLaneCounts) {
       EXPECT_NEAR(run[w].rates[0], 4.0, 1.0) << "window " << w;
       EXPECT_NEAR(1.0 / run[w].rates[1], 1.0 / 40.0, 0.006) << "window " << w;
       EXPECT_NEAR(1.0 / run[w].rates[2], 1.0 / 45.0, 0.006) << "window " << w;
-      // Cross-K agreement on service rates (disjoint shares of the same windows).
-      EXPECT_NEAR(1.0 / run[w].rates[1], 1.0 / runs.front()[w].rates[1], 0.003);
-      EXPECT_NEAR(1.0 / run[w].rates[2], 1.0 / runs.front()[w].rates[2], 0.003);
+    }
+    for (const std::size_t q : {1u, 2u}) {
+      EXPECT_NEAR(mean_service(run, q), mean_service(runs.front(), q), kCrossLaneServiceBound)
+          << "q=" << q;
     }
   }
 }
