@@ -9,16 +9,15 @@
 // Headline metrics:
 //   BM_GibbsSweep/N items_per_second   — latent arrival moves per second (N tasks,
 //                                        three-tier {1,2,4} fixture, 10% tasks observed;
-//                                        batched SoA kernel — the default sweep path);
-//   BM_GibbsSweepScalar/N              — same fixture on the scalar move-at-a-time kernel
-//                                        (batched = false), the historical sweep path;
-//   BM_GibbsSweepReference/N           — the batched schedule driven through the
+//                                        the batched SoA kernel on the single-shard
+//                                        colored schedule — the one sweep path);
+//   BM_GibbsSweepReference/N           — the same schedule driven through the
 //                                        move-at-a-time reference kernel
-//                                        (batched_reference = true): identical buckets,
-//                                        identical lane streams, bit-identical states.
-//                                        CI gates the batched kernel's items_per_second
-//                                        against both scalar rows on the in-run A/B
-//                                        pairs (see .github/workflows/ci.yml);
+//                                        (tests/support/reference_sweep.h): identical
+//                                        buckets, identical lane streams, bit-identical
+//                                        states. CI gates BM_GibbsSweep/500's
+//                                        items_per_second against this row's in-run
+//                                        (see .github/workflows/ci.yml);
 //   BM_ParallelChains/T draws_per_sec  — pooled post-burn-in draws per wall second with
 //                                        4 chains on T threads (scaling curve);
 //   BM_ShardedSweep/T items_per_second — one chain's colored sharded sweep on T worker
@@ -33,6 +32,7 @@
 // Counting allocator (defines global operator new/delete; one TU per binary): lets the
 // allocation benchmarks report exact counts alongside timings.
 #include "../tests/support/counting_allocator.h"
+#include "../tests/support/reference_sweep.h"
 
 #include "qnet/infer/gibbs.h"
 #include "qnet/infer/initializer.h"
@@ -85,49 +85,25 @@ void BM_GibbsSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_GibbsSweep)->Arg(100)->Arg(500)->Arg(2000)->Unit(benchmark::kMillisecond);
 
-// Scalar kernel (batched = false): the historical move-at-a-time sequential sweep. Runs
-// in the same process as BM_GibbsSweep so the pair is an in-run A/B, immune to the
-// machine-level drift that makes cross-run absolute numbers unusable; CI gates the
-// batched kernel's items_per_second against this row (see .github/workflows/ci.yml).
-void BM_GibbsSweepScalar(benchmark::State& state) {
-  const auto tasks = static_cast<std::size_t>(state.range(0));
-  const Fixture fixture = MakeFixture(tasks, 0.1);
-  qnet::GibbsOptions options;
-  options.batched = false;
-  qnet::GibbsSampler sampler(fixture.init, fixture.obs, fixture.rates, options);
-  qnet::Rng rng(7);
-  for (auto _ : state) {
-    sampler.Sweep(rng);
-    benchmark::DoNotOptimize(sampler.State().Arrival(1));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(sampler.NumLatentArrivals()));
-  state.counters["latent_arrivals"] =
-      static_cast<double>(sampler.NumLatentArrivals());
-}
-BENCHMARK(BM_GibbsSweepScalar)->Arg(500)->Arg(2000)->Unit(benchmark::kMillisecond);
-
 // The batched kernel's protocol-matched A/B partner: the SAME colored schedule and the
 // SAME per-lane streams as BM_GibbsSweep, executed move-at-a-time through the reference
-// kernel (batched_reference = true), so the two rows produce bit-identical states (the
-// equality the tests in tests/test_move_batch.cc pin down) and their throughput ratio
+// kernel (qnet_testing::ReferenceSweeper), so the two rows produce bit-identical states
+// (the equality the tests in tests/test_move_batch.cc pin down) and their throughput ratio
 // isolates exactly what batch-at-a-time execution buys: SoA finalize/sample vmath sweeps
 // versus per-move scalar transcendentals over an identical gather/scatter stream.
 void BM_GibbsSweepReference(benchmark::State& state) {
   const auto tasks = static_cast<std::size_t>(state.range(0));
   const Fixture fixture = MakeFixture(tasks, 0.1);
-  qnet::GibbsOptions options;
-  options.batched_reference = true;
-  qnet::GibbsSampler sampler(fixture.init, fixture.obs, fixture.rates, options);
+  qnet_testing::ReferenceSweeper reference(fixture.init, fixture.obs, fixture.rates);
   qnet::Rng rng(7);
   for (auto _ : state) {
-    sampler.Sweep(rng);
-    benchmark::DoNotOptimize(sampler.State().Arrival(1));
+    reference.Sweep(rng);
+    benchmark::DoNotOptimize(reference.State().Arrival(1));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(sampler.NumLatentArrivals()));
+                          static_cast<std::int64_t>(reference.NumLatentArrivals()));
   state.counters["latent_arrivals"] =
-      static_cast<double>(sampler.NumLatentArrivals());
+      static_cast<double>(reference.NumLatentArrivals());
 }
 BENCHMARK(BM_GibbsSweepReference)->Arg(500)->Unit(benchmark::kMillisecond);
 
@@ -207,7 +183,7 @@ BENCHMARK(BM_ShardedSweep)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond
 // Allocation gate for the colored sweep path (threads = 1 keeps the counter exact: with
 // workers the count is still 0 after warm-up — see tests/test_alloc_free.cc — but worker
 // wake-ups could jitter the timing columns). Expected value: 0, enforced by CI alongside
-// the sequential-sweep counter.
+// the single-shard sweep counter.
 void BM_ShardedSweepAllocations(benchmark::State& state) {
   const Fixture fixture = MakeFixture(500, 0.1);
   qnet::GibbsSampler sampler(fixture.init, fixture.obs, fixture.rates);

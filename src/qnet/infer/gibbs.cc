@@ -31,7 +31,9 @@ void GibbsSampler::Retarget(const Observation& obs, std::span<const double> rate
   arrival_moves_.clear();
   final_moves_.clear();
   CollectLatentMoves(state_, obs, arrival_moves_, final_moves_);
-  scheduler_.reset();
+  if (scheduler_ != nullptr && scheduler_->NumShards() != 1) {
+    scheduler_.reset();  // the next Sweep builds the single-shard schedule
+  }
   external_scheduler_ = nullptr;
   rebuilt_for_ = nullptr;
   service_cache_.clear();
@@ -52,22 +54,19 @@ void GibbsSampler::RebuildSchedule(ShardedSweepScheduler& scheduler) {
   }
   scheduler.Rebuild(state_, schedule_input_);
   rebuilt_for_ = &scheduler;
+  if (tile_batches_.size() < scheduler.NumThreads()) {
+    tile_batches_.resize(scheduler.NumThreads());
+  }
 }
 
-ShardedSweepScheduler* GibbsSampler::EffectiveScheduler(bool build_batch_schedule) {
-  ShardedSweepScheduler* scheduler =
-      external_scheduler_ != nullptr ? external_scheduler_ : scheduler_.get();
+ShardedSweepScheduler* GibbsSampler::EffectiveScheduler() {
+  ShardedSweepScheduler* scheduler = external_scheduler_;
   if (scheduler == nullptr) {
-    if (!build_batch_schedule) {
-      return nullptr;
+    if (scheduler_ == nullptr) {
+      scheduler_ = std::make_unique<ShardedSweepScheduler>(
+          ShardedSweepOptions{.shards = 1, .threads = 1});
     }
-    if (batch_scheduler_ == nullptr) {
-      ShardedSweepOptions options;
-      options.shards = 1;
-      options.threads = 1;
-      batch_scheduler_ = std::make_unique<ShardedSweepScheduler>(options);
-    }
-    scheduler = batch_scheduler_.get();
+    scheduler = scheduler_.get();
   }
   if (rebuilt_for_ != scheduler) {
     // The coloring and the move geometry are functions of the links, which
@@ -78,71 +77,23 @@ ShardedSweepScheduler* GibbsSampler::EffectiveScheduler(bool build_batch_schedul
 }
 
 void GibbsSampler::Sweep(Rng& rng) {
-  const std::span<double> cache(service_cache_);
-  if (options_.batched && !options_.shuffle_scan) {
-    ShardedSweepScheduler* scheduler = EffectiveScheduler(/*build_batch_schedule=*/true);
-    const BatchedExponentialMoveKernel kernel(rates_, options_.batch_width, cache);
-    if (options_.batched_reference) {
-      scheduler->RunBuckets(
-          [&](const SweepBucket& bucket) {
-            kernel.RunBucketReference(state_, bucket.moves, bucket.seed);
-          },
-          rng.NextU64());
-    } else {
-      if (tile_batches_.size() < scheduler->NumThreads()) {
-        tile_batches_.resize(scheduler->NumThreads());
-      }
-      scheduler->RunBuckets(
-          [&](const SweepBucket& bucket) {
-            kernel.RunBucket(state_, bucket.moves, bucket.geometry, bucket.seed,
-                             tile_batches_[bucket.participant]);
-          },
-          rng.NextU64());
-    }
-    return;
-  }
-  const ExponentialMoveKernel kernel(rates_, cache);
-  ShardedSweepScheduler* scheduler = EffectiveScheduler(/*build_batch_schedule=*/false);
-  if (scheduler != nullptr) {
-    scheduler->Run(
-        [&](const SweepMove& move, Rng& move_rng) { kernel.Apply(state_, move, move_rng); },
-        rng.NextU64());
-    return;
-  }
-  // Systematic scans iterate the move lists in place; only the shuffled scan needs a
-  // mutable copy, and scan_buffer_ persists across sweeps so the copy reuses its capacity
-  // after the first sweep (no per-sweep allocation either way).
-  std::span<const SweepMove> scan = arrival_moves_;
-  if (options_.shuffle_scan) {
-    scan_buffer_.assign(arrival_moves_.begin(), arrival_moves_.end());
-    rng.Shuffle(scan_buffer_);
-    scan = scan_buffer_;
-  }
-  RunSweep(state_, scan, kernel, rng);
-  if (options_.resample_final_departures) {
-    scan = final_moves_;
-    if (options_.shuffle_scan) {
-      scan_buffer_.assign(final_moves_.begin(), final_moves_.end());
-      rng.Shuffle(scan_buffer_);
-      scan = scan_buffer_;
-    }
-    RunSweep(state_, scan, kernel, rng);
-  }
+  ShardedSweepScheduler* scheduler = EffectiveScheduler();
+  const BatchedExponentialMoveKernel kernel(rates_, options_.batch_width, service_cache_);
+  scheduler->RunBuckets(
+      [&](const SweepBucket& bucket) {
+        kernel.RunBucket(state_, bucket.moves, bucket.geometry, bucket.seed,
+                         tile_batches_[bucket.participant]);
+      },
+      rng.NextU64());
 }
 
 void GibbsSampler::EnableShardedSweeps(const ShardedSweepOptions& options) {
-  QNET_CHECK(!options_.shuffle_scan,
-             "sharded sweeps are incompatible with shuffle_scan: the colored schedule is "
-             "frozen per trace");
   scheduler_ = std::make_unique<ShardedSweepScheduler>(options);
   RebuildSchedule(*scheduler_);
 }
 
 void GibbsSampler::UseScheduler(ShardedSweepScheduler* scheduler) {
   if (scheduler != nullptr) {
-    QNET_CHECK(!options_.shuffle_scan,
-               "sharded sweeps are incompatible with shuffle_scan: the colored schedule is "
-               "frozen per trace");
     RebuildSchedule(*scheduler);
   }
   external_scheduler_ = scheduler;

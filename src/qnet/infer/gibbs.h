@@ -8,11 +8,12 @@
 //    departure is unobserved (the arrival move never touches these because nothing arrives
 //    when a task leaves the system).
 //
-// The per-move logic lives in ExponentialMoveKernel (infer/move_kernel.h); this class is a
-// thin sweep driver: it owns the state, the move list, and the scan policy. By default a
-// sweep is the sequential scan over one RNG stream; EnableShardedSweeps switches it to the
-// colored sharded schedule (infer/sharded_sweep.h), which runs conflict-free moves in
-// parallel with bit-identical results for any thread count.
+// The per-move logic lives in BatchedExponentialMoveKernel (infer/move_kernel.h); this
+// class is a thin sweep driver: it owns the state, the move list and a scheduler slot.
+// Every sweep is one systematic scan over the colored schedule (infer/sharded_sweep.h):
+// color classes in sequence, each class's conflict-free buckets through the batched
+// kernel. The schedule has one shard unless EnableShardedSweeps / UseScheduler asks for
+// more, and results are bit-identical for any thread count.
 //
 // The per-queue arrival order and the FSM routes are held fixed throughout (the paper's
 // standing assumptions); every accepted move preserves feasibility by construction because
@@ -37,23 +38,10 @@ namespace qnet {
 struct GibbsOptions {
   // Also resample unobserved task exit times. Disable only for the ablation bench.
   bool resample_final_departures = true;
-  // Visit latent events in random order each sweep instead of id order.
-  bool shuffle_scan = false;
-  // Execute sweeps through the batched SoA kernel: moves run in conflict-free buckets
-  // (colored once per trace) processed in `batch_width`-move tiles, with the per-segment
-  // transcendentals evaluated as contiguous vmath sweeps. Bit-identical for any thread
-  // count (the batch composition is a pure function of the schedule), but a different —
-  // equally distributed — stream layout than the scalar scan. Ignored under shuffle_scan,
-  // whose per-sweep random order has no fixed schedule to color.
-  bool batched = true;
   // Tile width of the batched kernel (1..kMaxBatchWidth). Part of the stream layout.
   std::size_t batch_width = BatchedExponentialMoveKernel::kDefaultWidth;
-  // Drive the batched schedule through the move-at-a-time reference kernel instead of
-  // the SIMD tiles: same buckets, same lane streams, bit-identical states. This is the
-  // batched kernel's A/B partner — the bit-equality tests and the benchmark gate compare
-  // the two executions of the identical algorithm — and is never faster, so production
-  // samplers leave it off. Only meaningful when `batched` is set.
-  bool batched_reference = false;
+  // Sweeps always run the batched kernel; kept only for perfbench/src/traced.cc's check.
+  static constexpr bool batched = true;
 };
 
 class GibbsSampler {
@@ -71,8 +59,9 @@ class GibbsSampler {
 
   // Points the sampler at the trace now in MutableState(), with `rates` and `options`:
   // the constructor's checks and latent-move collection, reusing every buffer. Detaches
-  // any scheduler the previous trace swept through (call EnableShardedSweeps /
-  // UseScheduler again) and turns sufficient-statistics tracking off.
+  // a caller-owned scheduler and returns the owned slot to the single-shard schedule
+  // (call EnableShardedSweeps / UseScheduler again for more shards), and turns
+  // sufficient-statistics tracking off.
   void Retarget(const Observation& obs, std::span<const double> rates,
                 const GibbsOptions& options);
 
@@ -80,8 +69,8 @@ class GibbsSampler {
   // Mutating the state through this handle may change the link structure (e.g. route
   // Metropolis-Hastings reassigning queues), and the schedule's coloring and move
   // geometry are functions of the links. So this marks the schedule stale, and the next
-  // Sweep rebuilds whichever scheduler it drives — the internal batch schedule or one
-  // attached by EnableShardedSweeps / UseScheduler — against the current links.
+  // Sweep rebuilds whichever scheduler it drives — the owned one or one attached by
+  // UseScheduler — against the current links.
   EventLog& MutableState() {
     rebuilt_for_ = nullptr;
     return state_;
@@ -91,19 +80,17 @@ class GibbsSampler {
   // Copies `rates` into the sampler's rate vector (no allocation once sized).
   void SetRates(std::span<const double> rates);
 
-  // One systematic scan over all latent variables: sequential by default, the colored
-  // sharded schedule after EnableShardedSweeps (which consumes exactly one NextU64 from
-  // `rng` per sweep to seed the per-bucket streams).
+  // One systematic scan over all latent variables: the colored schedule's buckets through
+  // the batched kernel. Consumes exactly one NextU64 from `rng` per sweep, which seeds
+  // the per-bucket streams.
   void Sweep(Rng& rng);
 
-  // Switches Sweep to the ShardedSweepScheduler. Results depend on options.shards but
-  // never on options.threads (bit-identical for any thread count); incompatible with
-  // shuffle_scan, whose per-sweep random scan order has no fixed schedule to color.
+  // Replaces the owned scheduler with one of `options`. Results depend on options.shards
+  // but never on options.threads (bit-identical for any thread count).
   void EnableShardedSweeps(const ShardedSweepOptions& options = {});
-  bool ShardedSweepsEnabled() const {
-    return scheduler_ != nullptr || external_scheduler_ != nullptr;
-  }
-  // Non-null iff sharded sweeps are enabled (coloring/shard diagnostics).
+  // The scheduler sweeps run through: the caller-owned one, else the owned one (coloring
+  // and shard diagnostics). Null only before the first Sweep of a sampler that was never
+  // given one.
   const ShardedSweepScheduler* Scheduler() const {
     return external_scheduler_ != nullptr ? external_scheduler_ : scheduler_.get();
   }
@@ -127,8 +114,8 @@ class GibbsSampler {
   // sums.size() must equal the queue count. CHECK-fails unless tracking is enabled.
   void PerQueueServiceSumsInto(std::span<double> sums) const;
 
-  // The sweep's moves in sequential scan order: arrival moves, then final-departure moves
-  // when enabled. The sharded schedule is a reordering of exactly this list.
+  // The sweep's moves in event-id order: arrival moves, then final-departure moves when
+  // enabled. The colored schedule is a reordering of exactly this list.
   std::vector<SweepMove> SweepMoves() const;
 
   std::size_t NumLatentArrivals() const { return arrival_moves_.size(); }
@@ -139,11 +126,10 @@ class GibbsSampler {
   double LogJointExponential() const;
 
  private:
-  // The scheduler Sweep should route through: the caller-owned cache, then the owned one;
-  // for batched sweeps with neither, the lazily-built internal single-shard schedule
-  // (batching needs a coloring even when nothing runs in parallel). Rebuilt first unless
-  // it already holds this trace's current links.
-  ShardedSweepScheduler* EffectiveScheduler(bool build_batch_schedule);
+  // The scheduler Sweep routes through: the caller-owned one, else the owned one, built
+  // single-shard on first use (batching needs a coloring even when nothing runs in
+  // parallel). Rebuilt first unless it already holds this trace's current links.
+  ShardedSweepScheduler* EffectiveScheduler();
   void RebuildSchedule(ShardedSweepScheduler& scheduler);
 
   EventLog state_;
@@ -151,13 +137,10 @@ class GibbsSampler {
   GibbsOptions options_;
   std::vector<SweepMove> arrival_moves_;
   std::vector<SweepMove> final_moves_;
-  std::vector<SweepMove> scan_buffer_;
   std::vector<SweepMove> schedule_input_;  // SweepMoves(), reused by every Rebuild
+  // Owned schedule: single-shard by default, EnableShardedSweeps' options after it.
   std::unique_ptr<ShardedSweepScheduler> scheduler_;
   ShardedSweepScheduler* external_scheduler_ = nullptr;
-  // Internal shards=1/threads=1 schedule for the default batched path; built on first
-  // use so non-batched samplers never pay for it.
-  std::unique_ptr<ShardedSweepScheduler> batch_scheduler_;
   // The scheduler last rebuilt on the current links; null once MutableState() or
   // Retarget may have changed them.
   const ShardedSweepScheduler* rebuilt_for_ = nullptr;

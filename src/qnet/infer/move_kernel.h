@@ -1,21 +1,20 @@
-// Unified per-move Gibbs kernel — the one sampler core.
+// The Gibbs move kernel — the one sampler core.
 //
 // A latent move is always the same shape: gather the move's fixed neighborhood, build the
-// conditional on the feasible window, sample, write the new time(s) back in place. The
-// kernels here realize it with the paper's exact piecewise-exponential conditional
-// (Figure 3): ExponentialMoveKernel move-at-a-time with an `Apply(state, move, rng)`
-// surface, BatchedExponentialMoveKernel bucket-at-a-time in SIMD-width tiles. Every sweep
-// driver — GibbsSampler's sequential scan, the colored sharded scheduler, and the StEM
-// re-sweeps — runs this same per-move code instead of hard-coding its own copy.
+// conditional on the feasible window, sample, write the new time(s) back in place.
+// BatchedExponentialMoveKernel realizes it with the paper's exact piecewise-exponential
+// conditional (Figure 3), one conflict-free bucket of the colored schedule at a time, in
+// SIMD-width tiles. Every sweep — GibbsSampler's, and through it StEM's and the parallel
+// chains' — runs this kernel over ShardedSweepScheduler::RunBuckets.
 //
 // Contracts:
-//  * Apply is const and touches only the move's footprint
-//    (EventLog::ComputeMoveFootprint), so kernels are safe to call concurrently on moves
-//    with disjoint footprints — this is what the sharded sweep scheduler relies on;
-//  * Apply performs zero heap allocations (the PR-1 hot-path contract, enforced by
+//  * RunBucket is const and touches only its moves' footprints
+//    (EventLog::ComputeMoveFootprint), so it is safe to call concurrently on buckets
+//    whose footprints are disjoint — this is what the sharded sweep scheduler relies on;
+//  * RunBucket performs zero heap allocations (the hot-path contract, enforced by
 //    tests/test_alloc_free.cc);
-//  * kernels are non-owning views over the parameters (the rates span, the optional
-//    service cache); the referents must outlive the kernel.
+//  * the kernel is a non-owning view over the parameters (the rates span, the optional
+//    service cache); the referents must outlive it.
 
 #ifndef QNET_INFER_MOVE_KERNEL_H_
 #define QNET_INFER_MOVE_KERNEL_H_
@@ -36,13 +35,13 @@ namespace qnet {
 
 // The latent coordinates of (log, obs) as sweep moves, in scan (event id) order: an
 // arrival move for every non-initial event whose arrival is unobserved, a final-departure
-// move for every task-final event whose departure is unobserved. Shared by every sweep
-// driver so move eligibility is defined exactly once.
+// move for every task-final event whose departure is unobserved. Shared by the sampler
+// and the reference sweep so move eligibility is defined exactly once.
 void CollectLatentMoves(const EventLog& log, const Observation& obs,
                         std::vector<SweepMove>& arrival_moves,
                         std::vector<SweepMove>& final_moves);
 
-// The sequential scan order: arrival moves, then (optionally) final-departure moves.
+// The sweep's move list: arrival moves, then (optionally) final-departure moves.
 std::vector<SweepMove> ConcatSweepMoves(std::span<const SweepMove> arrival_moves,
                                         std::span<const SweepMove> final_moves,
                                         bool include_finals);
@@ -64,8 +63,8 @@ inline void RefreshServiceCacheEntry(const EventLog& state, EventId e, EventId r
 // coherent. An arrival move changes a_e and d_pi, so the affected service times are
 // {e, pi, nu(pi)}; a final-departure move changes d_e, affecting {e, nu(e)}. All of these
 // lie inside the move's footprint, so concurrent scatter of conflict-free moves never
-// races on cache entries. Shared by the scalar and batched kernels — the scatter is the
-// one place move results touch the log. The neighbour ids come from `g` (the batched
+// races on cache entries. Shared by RunBucket and RunBucketReference — the scatter is
+// the one place move results touch the log. The neighbour ids come from `g` (the batched
 // kernel passes the schedule's resolved geometry).
 inline void ScatterMoveResult(EventLog& state, const SweepMove& move, const MoveGeometry& g,
                               double sampled, std::span<double> service_cache) {
@@ -98,32 +97,6 @@ inline void ScatterMoveResult(EventLog& state, const SweepMove& move, double sam
                              : state.ResolveFinalDepartureGeometryUnchecked(move.event);
   ScatterMoveResult(state, move, g, sampled, service_cache);
 }
-
-// Exponential-service kernel: exact three-piece conditional, inverse-CDF sampling. Fully
-// inline — the sequential sweep compiles to the same code as the pre-kernel loop.
-class ExponentialMoveKernel {
- public:
-  // `rates` holds mu_q for every queue (index 0 = lambda) and must outlive the kernel.
-  // A non-empty `service_cache` (one slot per event) is kept coherent on every apply —
-  // the fused M-step statistics; see GibbsSampler::EnableSuffStatsTracking.
-  explicit ExponentialMoveKernel(std::span<const double> rates,
-                                 std::span<double> service_cache = {})
-      : rates_(rates), service_cache_(service_cache) {}
-
-  void Apply(EventLog& state, const SweepMove& move, Rng& rng) const {
-    if (move.kind == MoveKind::kArrival) {
-      const ArrivalMove m = GatherArrivalMove(state, move.event, rates_);
-      ScatterMoveResult(state, move, SampleArrival(m, rng), service_cache_);
-    } else {
-      const FinalDepartureMove m = GatherFinalDepartureMove(state, move.event, rates_);
-      ScatterMoveResult(state, move, SampleFinalDeparture(m, rng), service_cache_);
-    }
-  }
-
- private:
-  std::span<const double> rates_;
-  std::span<double> service_cache_;
-};
 
 // Batched SoA kernel over one conflict-free bucket: the moves of a (color, shard) bucket
 // have pairwise disjoint footprints, so no gather depends on another move's scatter and
@@ -166,7 +139,8 @@ class BatchedExponentialMoveKernel {
                  PiecewiseExpBatch& batch) const;
 
   // Move-at-a-time reference consuming the identical lane streams; kept as the readable
-  // specification of RunBucket and pinned bit-identical to it by tests.
+  // specification of RunBucket and pinned bit-identical to it by tests, which sweep it
+  // over a whole schedule through tests/support/reference_sweep.h.
   void RunBucketReference(EventLog& state, std::span<const SweepMove> moves,
                           std::uint64_t bucket_seed) const;
 
@@ -177,16 +151,6 @@ class BatchedExponentialMoveKernel {
   std::span<double> service_cache_;
   std::size_t width_;
 };
-
-// Sequential sweep driver: one RNG stream, moves in scan order. GibbsSampler's scalar
-// Sweep is this loop; the sharded scheduler is the parallel alternative.
-template <typename Kernel>
-void RunSweep(EventLog& state, std::span<const SweepMove> moves, const Kernel& kernel,
-              Rng& rng) {
-  for (const SweepMove& move : moves) {
-    kernel.Apply(state, move, rng);
-  }
-}
 
 }  // namespace qnet
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "qnet/support/check.h"
+#include "qnet/support/rng.h"
 #include "qnet/telemetry/metrics.h"
 #include "qnet/telemetry/timeline.h"
 
@@ -90,19 +91,6 @@ std::span<const MoveGeometry> ShardedSweepScheduler::BucketGeometry(std::size_t 
                                                                     std::size_t shard) const {
   const std::span<const SweepMove> moves = Bucket(color, shard);
   return {geometry_.data() + (moves.data() - schedule_.data()), moves.size()};
-}
-
-void ShardedSweepScheduler::Run(FunctionRef<void(const SweepMove&, Rng&)> apply,
-                                std::uint64_t sweep_seed) {
-  // Per-move execution is the bucket-granular loop with the bucket's stream threaded
-  // through its moves in order — the historical semantics, bit for bit.
-  const auto per_move = [&apply](const SweepBucket& bucket) {
-    Rng rng(bucket.seed);
-    for (const SweepMove& move : bucket.moves) {
-      apply(move, rng);
-    }
-  };
-  RunBuckets(FunctionRef<void(const SweepBucket&)>(per_move), sweep_seed);
 }
 
 void ShardedSweepScheduler::RunBuckets(FunctionRef<void(const SweepBucket&)> run_bucket,

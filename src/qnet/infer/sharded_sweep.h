@@ -1,16 +1,19 @@
-// Colored sharded sweep scheduler: intra-chain parallelism for one Gibbs chain.
+// Colored sweep scheduler: the schedule every Gibbs sweep runs on, and intra-chain
+// parallelism for one chain.
 //
 // The single-site moves of a sweep touch only bounded footprints of the event graph
 // (EventLog::ComputeMoveFootprint), so moves with disjoint footprints commute. The
 // scheduler colors the sweep's conflict graph once per trace (model/conflict.h), then
 // executes each sweep as: color classes in sequence, and within a class the moves split
-// round-robin across S logical shards that run in parallel.
+// round-robin across S logical shards that may run in parallel. With one shard the
+// colored classes are still the unit of work: the batched kernel processes each
+// conflict-free bucket in SIMD-width tiles.
 //
 // Threading: workers are created once at construction and parked on a condition variable
 // between sweeps (a sweep is ~100 microseconds of work — spawning threads per sweep would
 // cost as much as the sweep itself). The caller participates as worker 0; a reusable
 // std::barrier separates color classes. With threads == 1 there are no workers at all and
-// Run is a plain sequential loop.
+// RunBuckets is a plain loop over the buckets in (color, shard) order.
 //
 // Determinism contract (mirrors the PR-1 multi-chain contract):
 //  * bucket (color c, shard s) of a sweep with seed w consumes its own xoshiro stream
@@ -18,18 +21,16 @@
 //  * the move -> (color, shard) assignment is frozen at Rebuild (round-robin by rank
 //    within the color class), so which stream samples which move never changes;
 //  * threads only decide which CPU runs a bucket; results are bit-identical for every
-//    thread count, including 1. After the pool is warm, Run performs zero heap
+//    thread count, including 1. After the pool is warm, RunBuckets performs zero heap
 //    allocations for any thread count (the per-move hot-path contract of
 //    tests/test_alloc_free.cc), and a same-shaped Rebuild reuses every buffer's capacity
 //    (the streaming estimators re-schedule every window).
 // Changing `shards` (or the move order) legitimately changes the stream layout and hence
 // the sampled values; it does not change the stationary distribution.
 //
-// Execution granularity: Run applies one move at a time from the bucket's stream;
-// RunBuckets hands each non-empty bucket (its move slice plus its stream seed) to the
-// caller in one piece, which is what the batched SoA kernel needs to process a bucket in
-// SIMD-width tiles. Both walk the identical schedule, so the choice of entry point never
-// changes which moves share a bucket.
+// Execution granularity: RunBuckets hands each non-empty bucket (its move slice, their
+// geometry and the bucket's stream seed) to the caller in one piece, which is what the
+// batched SoA kernel needs to process a bucket in SIMD-width tiles.
 //
 // Move geometry: Rebuild already walks every move's links to build its footprint, and it
 // keeps what that walk resolved — one MoveGeometry per scheduled move, in a buffer
@@ -56,7 +57,6 @@
 #include "qnet/model/conflict.h"
 #include "qnet/model/event.h"
 #include "qnet/support/function_ref.h"
-#include "qnet/support/rng.h"
 
 namespace qnet {
 
@@ -101,16 +101,12 @@ class ShardedSweepScheduler {
   // Reuses all internal buffers; a same-shaped rebuild allocates nothing once warm.
   void Rebuild(const EventLog& log, std::span<const SweepMove> moves);
 
-  // Executes one sweep, one move at a time. `apply` must be safe to call concurrently on
-  // moves with disjoint footprints (MoveKernel::Apply is). `sweep_seed` must change every
-  // sweep — the sweep drivers draw it from their chain stream (rng.NextU64()) so sweep
-  // seeds form a deterministic sequence per chain.
-  void Run(FunctionRef<void(const SweepMove&, Rng&)> apply, std::uint64_t sweep_seed);
-
-  // Executes one sweep at bucket granularity: `run_bucket` receives each non-empty
-  // bucket (moves, their geometry, its stream seed and the running participant) and must
-  // consume the bucket's stream deterministically (the batched kernel's lane protocol).
-  // Same schedule, same concurrency rules, and the same barrier structure as Run.
+  // Executes one sweep: `run_bucket` receives each non-empty bucket (moves, their
+  // geometry, its stream seed and the running participant) and must consume the bucket's
+  // stream deterministically (the batched kernel's lane protocol). It must be safe to
+  // call concurrently on buckets of one color class, whose footprints are disjoint.
+  // `sweep_seed` must change every sweep — GibbsSampler draws it from its chain stream
+  // (rng.NextU64()) so sweep seeds form a deterministic sequence per chain.
   void RunBuckets(FunctionRef<void(const SweepBucket&)> run_bucket, std::uint64_t sweep_seed);
 
   std::size_t NumMoves() const { return schedule_.size(); }

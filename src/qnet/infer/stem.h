@@ -59,9 +59,10 @@ struct StemOptions {
   std::size_t convergence_patience = 3;
   GibbsOptions gibbs;
   InitializerOptions init;
-  // Run the E-step (and waiting-time) sweeps through the colored sharded scheduler
-  // instead of the sequential scan. Same contract as GibbsSampler::EnableShardedSweeps;
-  // streaming windowed estimation inherits this through StreamingEstimatorOptions::stem.
+  // Run the E-step (and waiting-time) sweeps on a `sharded` schedule (several shards,
+  // optionally on worker threads) instead of the single-shard one. Same contract as
+  // GibbsSampler::EnableShardedSweeps; streaming windowed estimation inherits this through
+  // StreamingEstimatorOptions::stem.
   bool sharded_sweeps = false;
   ShardedSweepOptions sharded;
   // Caller-owned scheduler this run's sampler is rebuilt onto (see

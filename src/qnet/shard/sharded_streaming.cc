@@ -43,24 +43,10 @@ class LaneWorker {
         fold_(num_queues),
         chain_(std::move(init_rates), seed, options.stream.window_local_arrival_rate,
                /*salted=*/options.lanes > 1, /*lane=*/lane),
-        mean_field_(options.stream.mean_field) {
-    // One scheduler per lane, rebuilt per window fit: windows on a lane are strictly
-    // sequential, so the cache is exclusively owned and every fit reuses the lane's
-    // coloring/bucket buffers (and worker pool, under sharded sweeps) instead of
-    // constructing a scheduler per window. Only wired when a fit would build a scheduler
-    // anyway, so a plain sequential configuration keeps its historical stream layout
-    // untouched.
-    if (options_.stream.stem.gibbs.batched || options_.stream.stem.sharded_sweeps) {
-      ShardedSweepOptions cache_options;
-      if (options_.stream.stem.sharded_sweeps) {
-        cache_options = options_.stream.stem.sharded;
-      } else {
-        cache_options.shards = 1;
-        cache_options.threads = 1;
-      }
-      scheduler_cache_ = std::make_unique<ShardedSweepScheduler>(cache_options);
-    }
-  }
+        scheduler_cache_(options.stream.stem.sharded_sweeps
+                             ? options.stream.stem.sharded
+                             : ShardedSweepOptions{.shards = 1, .threads = 1}),
+        mean_field_(options.stream.mean_field) {}
 
   // Event-time progress of the lane, sampled by the router for lag stats.
   double ConsumedWatermark() const { return watermark_.load(std::memory_order_relaxed); }
@@ -248,7 +234,7 @@ class LaneWorker {
     }
     StemOptions stem = options_.stream.stem;
     stem.arrival_time_origin = plan.arrival_time_origin;
-    stem.scheduler_cache = scheduler_cache_.get();
+    stem.scheduler_cache = &scheduler_cache_;
     const StemEstimator estimator(stem);
     Rng rng(plan.seed);
     Stopwatch fitting;
@@ -269,7 +255,11 @@ class LaneWorker {
   WindowLogBuilder builder_;
   MeanFieldRecordFold fold_;
   WindowFitChain chain_;
-  std::unique_ptr<ShardedSweepScheduler> scheduler_cache_;
+  // One scheduler per lane, rebuilt per window fit: windows on a lane are strictly
+  // sequential, so the cache is exclusively owned and every fit reuses the lane's
+  // coloring/bucket buffers (and worker pool, under sharded sweeps) instead of
+  // constructing a scheduler per window.
+  ShardedSweepScheduler scheduler_cache_;
   // The lane's StEM working memory, reused by every window it fits (same exclusivity
   // argument as scheduler_cache_). Its buffers stay empty until the first StEM fit.
   StemWorkspace stem_workspace_;

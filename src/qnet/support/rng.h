@@ -57,19 +57,6 @@ class Rng {
   // Index sampled proportionally to exp(log_weights), stable in log space.
   std::size_t CategoricalFromLogs(std::span<const double> log_weights);
 
-  // Fisher-Yates shuffle.
-  template <typename T>
-  void Shuffle(std::vector<T>& v) {
-    if (v.empty()) {
-      return;
-    }
-    for (std::size_t i = v.size() - 1; i > 0; --i) {
-      const std::size_t j = static_cast<std::size_t>(UniformInt(i + 1));
-      using std::swap;
-      swap(v[i], v[j]);
-    }
-  }
-
   // k distinct indices drawn uniformly from [0, n), returned sorted (Floyd's algorithm).
   std::vector<std::size_t> SampleWithoutReplacement(std::size_t n, std::size_t k);
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "support/counting_allocator.h"
+#include "support/reference_sweep.h"
 #include "support/vector_stream.h"
 
 #include "qnet/detect/change_monitor.h"
@@ -109,8 +110,8 @@ TEST(AllocFree, WholeGibbsSweepDoesNotAllocate) {
 
 TEST(AllocFree, ShardedSweepDoesNotAllocate) {
   // The colored sweep path must preserve the hot-path contract: the schedule and all
-  // buffers are frozen at EnableShardedSweeps, per-bucket Rng streams live on the stack,
-  // and with threads == 1 Run is a plain sequential loop — so a warmed-up sharded sweep
+  // buffers are frozen at EnableShardedSweeps, per-bucket lane streams live on the stack,
+  // and with threads == 1 RunBuckets is a plain loop — so a warmed-up sharded sweep
   // performs zero allocations.
   const Fixture fixture = MakeFixture();
   GibbsSampler sampler(fixture.init, fixture.obs, fixture.rates);
@@ -131,7 +132,8 @@ TEST(AllocFree, ShardedSweepDoesNotAllocate) {
 TEST(AllocFree, ShardedSweepWithWorkersDoesNotAllocate) {
   // Workers are persistent (launched once at EnableShardedSweeps, parked on a condition
   // variable between sweeps), so the zero-allocation contract holds for threads > 1 too:
-  // a sweep is a notify + barrier-phased bucket execution, nothing more.
+  // a sweep is a notify + barrier-phased bucket execution, with the batched kernel
+  // running inside the pool's bucket callbacks, nothing more.
   const Fixture fixture = MakeFixture();
   GibbsSampler sampler(fixture.init, fixture.obs, fixture.rates);
   ShardedSweepOptions options;
@@ -150,34 +152,15 @@ TEST(AllocFree, ShardedSweepWithWorkersDoesNotAllocate) {
 TEST(AllocFree, BatchedSweepAtFullWidthDoesNotAllocate) {
   // The batched SoA kernel's whole per-tile machinery — BatchRng lane states, the
   // PiecewiseExpBatch arrays, the pick/inv/sampled rows — lives on the stack, and the
-  // internal single-shard schedule is built on the first sweep; warmed up, a batched
-  // sweep at the widest tile performs zero allocations.
+  // owned single-shard schedule is built on the first sweep; warmed up, a sweep at the
+  // widest tile performs zero allocations.
   const Fixture fixture = MakeFixture();
   GibbsOptions options;
   options.batch_width = kMaxBatchWidth;
   GibbsSampler sampler(fixture.init, fixture.obs, fixture.rates, options);
   ASSERT_GT(sampler.NumLatentArrivals(), 0u);
   Rng rng(9);
-  sampler.Sweep(rng);  // warm-up (builds the internal batch schedule)
-  const std::size_t before = AllocationCount();
-  for (int sweep = 0; sweep < 20; ++sweep) {
-    sampler.Sweep(rng);
-  }
-  EXPECT_EQ(AllocationCount(), before);
-}
-
-TEST(AllocFree, BatchedShardedSweepWithWorkersDoesNotAllocate) {
-  // Batched execution over the 4-shard schedule with parked worker threads: the
-  // zero-allocation contract must survive the batched kernel running inside the
-  // persistent-pool bucket callbacks.
-  const Fixture fixture = MakeFixture();
-  GibbsSampler sampler(fixture.init, fixture.obs, fixture.rates);
-  ShardedSweepOptions options;
-  options.shards = 4;
-  options.threads = 2;
-  sampler.EnableShardedSweeps(options);
-  Rng rng(9);
-  sampler.Sweep(rng);  // warm-up
+  sampler.Sweep(rng);  // warm-up (builds the single-shard schedule)
   const std::size_t before = AllocationCount();
   for (int sweep = 0; sweep < 20; ++sweep) {
     sampler.Sweep(rng);
@@ -189,14 +172,12 @@ TEST(AllocFree, ReferenceKernelSweepDoesNotAllocate) {
   // The A/B partner must obey the same contract, or bit-equality tests and benchmark
   // gates would compare against a path with different allocation behavior.
   const Fixture fixture = MakeFixture();
-  GibbsOptions options;
-  options.batched_reference = true;
-  GibbsSampler sampler(fixture.init, fixture.obs, fixture.rates, options);
+  qnet_testing::ReferenceSweeper reference(fixture.init, fixture.obs, fixture.rates);
   Rng rng(9);
-  sampler.Sweep(rng);  // warm-up
+  reference.Sweep(rng);  // warm-up
   const std::size_t before = AllocationCount();
   for (int sweep = 0; sweep < 20; ++sweep) {
-    sampler.Sweep(rng);
+    reference.Sweep(rng);
   }
   EXPECT_EQ(AllocationCount(), before);
 }

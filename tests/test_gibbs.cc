@@ -59,24 +59,6 @@ TEST(Gibbs, SweepsPreserveFeasibilityAndObservations) {
   }
 }
 
-TEST(Gibbs, ShuffledScanAlsoPreservesInvariants) {
-  const QueueingNetwork net = MakeTandemNetwork(2.0, {4.0, 6.0});
-  const auto rates = net.ExponentialRates();
-  Rng rng(7);
-  const EventLog truth = SimulateWorkload(net, PoissonArrivals(2.0, 100), rng);
-  TaskSamplingScheme scheme;
-  scheme.fraction = 0.1;
-  const Observation obs = scheme.Apply(truth, rng);
-  GibbsOptions options;
-  options.shuffle_scan = true;
-  GibbsSampler sampler(InitializeFeasible(truth, obs, rates, rng), obs, rates, options);
-  for (int sweep = 0; sweep < 10; ++sweep) {
-    sampler.Sweep(rng);
-  }
-  std::string why;
-  EXPECT_TRUE(sampler.State().IsFeasible(1e-6, &why)) << why;
-}
-
 // Exact posterior check. Network: single M/M/1 queue, lambda = 1, mu = 2.
 // Task 0 fully observed: entry 1.0, service start 1.0, departure 2.0.
 // Task 1 fully latent: entry a, departure d, constrained by a >= 1, d >= max(a, 2).

@@ -9,8 +9,9 @@
 //    PiecewiseExpDensity::Finalize + SampleWith on the same segments and uniforms,
 //    across every segment-shape regime the Gibbs builders can emit;
 // and top-down: sweeps through the batched kernel are bit-identical to the
-// move-at-a-time reference kernel on the same schedule and streams, for every batch
-// width, thread count, and bucket shape (including empty and one-move buckets).
+// move-at-a-time reference kernel on the same schedule and streams
+// (tests/support/reference_sweep.h), for every batch width, thread count, and bucket
+// shape (including empty and one-move buckets).
 
 #include <bit>
 #include <cmath>
@@ -19,6 +20,8 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "support/reference_sweep.h"
 
 #include "qnet/infer/gibbs.h"
 #include "qnet/infer/initializer.h"
@@ -358,8 +361,8 @@ Fixture MakeFixture(std::size_t tasks, double fraction, std::uint64_t seed) {
   return Fixture{std::move(truth), std::move(obs), std::move(rates), std::move(init)};
 }
 
-EventLog RunSweeps(const Fixture& fixture, const GibbsOptions& options, int sweeps,
-                   std::uint64_t seed, const ShardedSweepOptions* sharded = nullptr) {
+EventLog SamplerSweeps(const Fixture& fixture, const GibbsOptions& options, int sweeps,
+                       std::uint64_t seed, const ShardedSweepOptions* sharded = nullptr) {
   GibbsSampler sampler(fixture.init, fixture.obs, fixture.rates, options);
   if (sharded != nullptr) {
     sampler.EnableShardedSweeps(*sharded);
@@ -369,6 +372,19 @@ EventLog RunSweeps(const Fixture& fixture, const GibbsOptions& options, int swee
     sampler.Sweep(rng);
   }
   return sampler.State();
+}
+
+// The same sweeps through the move-at-a-time reference kernel on the same schedule.
+EventLog ReferenceSweeps(const Fixture& fixture, const GibbsOptions& options, int sweeps,
+                         std::uint64_t seed,
+                         const ShardedSweepOptions& sharded = {.shards = 1, .threads = 1}) {
+  qnet_testing::ReferenceSweeper reference(fixture.init, fixture.obs, fixture.rates, options,
+                                           sharded);
+  Rng rng(seed);
+  for (int s = 0; s < sweeps; ++s) {
+    reference.Sweep(rng);
+  }
+  return reference.State();
 }
 
 void ExpectStatesBitEqual(const EventLog& a, const EventLog& b, const char* what) {
@@ -386,37 +402,33 @@ TEST(BatchedKernel, BitIdenticalToReferenceAcrossBatchWidths) {
   // that never divides the bucket sizes evenly, the default, and neighbors of 8.
   for (std::size_t width : {std::size_t{1}, std::size_t{5}, std::size_t{8}, std::size_t{9},
                             kMaxBatchWidth}) {
-    GibbsOptions batched;
-    batched.batch_width = width;
-    GibbsOptions reference = batched;
-    reference.batched_reference = true;
-    const EventLog a = RunSweeps(fixture, batched, 25, 1234);
-    const EventLog b = RunSweeps(fixture, reference, 25, 1234);
+    GibbsOptions options;
+    options.batch_width = width;
+    const EventLog a = SamplerSweeps(fixture, options, 25, 1234);
+    const EventLog b = ReferenceSweeps(fixture, options, 25, 1234);
     ExpectStatesBitEqual(a, b, "batched vs reference");
   }
 }
 
 TEST(BatchedKernel, BitIdenticalAcrossThreadCountsAndToReference) {
   const Fixture fixture = MakeFixture(120, 0.1, 99);
-  GibbsOptions options;  // batched by default
+  GibbsOptions options;
   ShardedSweepOptions sharded;
   sharded.shards = 4;
 
   sharded.threads = 1;
-  const EventLog one = RunSweeps(fixture, options, 25, 88, &sharded);
+  const EventLog one = SamplerSweeps(fixture, options, 25, 88, &sharded);
   sharded.threads = 2;
-  const EventLog two = RunSweeps(fixture, options, 25, 88, &sharded);
+  const EventLog two = SamplerSweeps(fixture, options, 25, 88, &sharded);
   sharded.threads = 4;
-  const EventLog four = RunSweeps(fixture, options, 25, 88, &sharded);
+  const EventLog four = SamplerSweeps(fixture, options, 25, 88, &sharded);
   ExpectStatesBitEqual(one, two, "1 vs 2 threads");
   ExpectStatesBitEqual(one, four, "1 vs 4 threads");
 
   // The reference kernel on the same 4-shard schedule must also match: thread count and
   // execution style (tiles vs move-at-a-time) are both invisible to the result.
-  GibbsOptions reference = options;
-  reference.batched_reference = true;
   sharded.threads = 2;
-  const EventLog ref = RunSweeps(fixture, reference, 25, 88, &sharded);
+  const EventLog ref = ReferenceSweeps(fixture, options, 25, 88, sharded);
   ExpectStatesBitEqual(one, ref, "batched vs reference on shards");
 }
 
@@ -424,14 +436,12 @@ TEST(BatchedKernel, TinyAndEmptyBucketsMatchReference) {
   // A small trace over many shards produces buckets far narrower than the batch width —
   // including empty and one-move buckets; every tile is then a tail tile.
   const Fixture fixture = MakeFixture(8, 0.3, 41);
-  GibbsOptions batched;
-  GibbsOptions reference;
-  reference.batched_reference = true;
+  const GibbsOptions options;
   ShardedSweepOptions sharded;
   sharded.shards = 8;
   sharded.threads = 1;
-  const EventLog a = RunSweeps(fixture, batched, 30, 5, &sharded);
-  const EventLog b = RunSweeps(fixture, reference, 30, 5, &sharded);
+  const EventLog a = SamplerSweeps(fixture, options, 30, 5, &sharded);
+  const EventLog b = ReferenceSweeps(fixture, options, 30, 5, sharded);
   ExpectStatesBitEqual(a, b, "tiny buckets");
 }
 
@@ -481,13 +491,11 @@ TEST(BatchedKernel, ScheduleGeometryMatchesLinkWalkOnFeedbackRevisits) {
         }
         SCOPED_TRACE(testing::Message() << "width " << width << " shards " << shards
                                         << " threads " << threads);
-        GibbsOptions batched;
-        batched.batch_width = width;
-        GibbsOptions reference = batched;
-        reference.batched_reference = true;
+        GibbsOptions options;
+        options.batch_width = width;
         const ShardedSweepOptions sharded{.shards = shards, .threads = threads};
-        const EventLog a = RunSweeps(fixture, batched, 20, 4321, &sharded);
-        const EventLog b = RunSweeps(fixture, reference, 20, 4321, &sharded);
+        const EventLog a = SamplerSweeps(fixture, options, 20, 4321, &sharded);
+        const EventLog b = ReferenceSweeps(fixture, options, 20, 4321, sharded);
         ExpectStatesBitEqual(a, b, "geometry vs link walk");
       }
     }

@@ -176,9 +176,9 @@ TEST(OnlineStem, ProducesPerWindowEstimates) {
 }
 
 TEST(OnlineStem, ShardedWindowSweepsAreDeterministicAndAccurate) {
-  // Streaming windows ride the same MoveKernel/sweep-driver core as batch StEM, so
+  // Streaming windows ride the same move-kernel/sweep-driver core as batch StEM, so
   // flipping on sharded sweeps must keep estimates deterministic (thread count cannot
-  // change them) and as accurate as the sequential scan.
+  // change them) and as accurate as the single-shard schedule.
   const QueueingNetwork net = MakeSingleQueueNetwork(4.0, 8.0);
   Rng rng(7);
   const EventLog truth = SimulateWorkload(net, PoissonArrivals(4.0, 400), rng);

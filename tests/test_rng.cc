@@ -191,16 +191,6 @@ TEST(Rng, SampleWithoutReplacementIsUniform) {
   EXPECT_LT(MaxFrequencyDeviation(counts, expected), 0.01);
 }
 
-TEST(Rng, ShuffleIsPermutation) {
-  Rng rng(47);
-  std::vector<int> v = {1, 2, 3, 4, 5, 6, 7, 8};
-  auto shuffled = v;
-  rng.Shuffle(shuffled);
-  auto sorted = shuffled;
-  std::sort(sorted.begin(), sorted.end());
-  EXPECT_EQ(sorted, v);
-}
-
 TEST(Rng, ForkProducesDistinctStream) {
   Rng parent(53);
   Rng child = parent.Fork();

@@ -285,12 +285,21 @@ TEST(ShardedStreaming, PooledRatesStatisticallyConsistentAcrossLaneCounts) {
     }
     return sum / static_cast<double>(run.size());
   };
+  // Window-local anchoring keeps each window's pooled lambda on that window's realized
+  // arrival rate, tasks / (t1 - t0), for every K. The nominal rate 4 is no anchor: window
+  // 0 holds 241 tasks in 50 s, a +2.9 sd Poisson excursion. Each lane's fit measures n_k
+  // over (its last entry - t0), so the pooled sum sits above the realized rate. Over
+  // 2000 salted hash partitions per K (16000 windows) lambda - realized averaged +0.043
+  // (sd 0.030) at K = 2 and +0.078 (sd 0.043) at K = 4, with a worst |difference| of
+  // 0.342; the bound is that worst case plus one sd, rounded up.
+  constexpr double kRealizedArrivalRateBound = 0.4;
   for (const auto& run : runs) {
     ASSERT_EQ(run.size(), runs.front().size());
     for (std::size_t w = 0; w < run.size(); ++w) {
-      // True rates: lambda 4, mu1 40, mu2 45. Window-local anchoring keeps the pooled
-      // lambda tracking the true arrival rate for every K.
-      EXPECT_NEAR(run[w].rates[0], 4.0, 1.0) << "window " << w;
+      // True rates: lambda 4, mu1 40, mu2 45.
+      const double realized =
+          static_cast<double>(run[w].tasks) / (run[w].t1 - run[w].t0);
+      EXPECT_NEAR(run[w].rates[0], realized, kRealizedArrivalRateBound) << "window " << w;
       EXPECT_NEAR(1.0 / run[w].rates[1], 1.0 / 40.0, 0.006) << "window " << w;
       EXPECT_NEAR(1.0 / run[w].rates[2], 1.0 / 45.0, 0.006) << "window " << w;
     }

@@ -1,6 +1,6 @@
 // Colored sharded sweeps: the conflict-coloring invariant (no two same-color moves share
 // a footprint event), schedule partition integrity, bit-identical results for any thread
-// count on M/M/1 and a 3-queue tandem, posterior agreement with the sequential driver,
+// count on M/M/1 and a 3-queue tandem, posterior agreement with the single-shard schedule,
 // and the K-chains × S-shards composition through RunParallelChains / StEM.
 
 #include "qnet/infer/sharded_sweep.h"
@@ -223,10 +223,12 @@ TEST(ShardedSweep, RunVisitsEveryMoveOnceAndOnlyConflictFreeBucketsConcurrently)
   options.threads = 1;
   ShardedSweepScheduler scheduler(sampler.State(), moves, options);
   std::vector<int> visits(fixture.init.NumEvents() * 2, 0);
-  scheduler.Run(
-      [&](const SweepMove& move, Rng&) {
-        ++visits[static_cast<std::size_t>(move.event) * 2 +
-                 (move.kind == MoveKind::kFinalDeparture ? 1 : 0)];
+  scheduler.RunBuckets(
+      [&](const SweepBucket& bucket) {
+        for (const SweepMove& move : bucket.moves) {
+          ++visits[static_cast<std::size_t>(move.event) * 2 +
+                   (move.kind == MoveKind::kFinalDeparture ? 1 : 0)];
+        }
       },
       /*sweep_seed=*/1);
   std::size_t total = 0;
@@ -267,7 +269,7 @@ TEST(ShardedSweep, BucketGeometryIsEachMovesLinkWalkAcrossRebuilds) {
 TEST(ShardedSweep, EmptyMoveListRuns) {
   const Fixture fixture = MakeMm1Fixture();
   ShardedSweepScheduler scheduler(fixture.init, {}, {});
-  scheduler.Run([](const SweepMove&, Rng&) { FAIL() << "no moves to apply"; }, 3);
+  scheduler.RunBuckets([](const SweepBucket&) { FAIL() << "no buckets to run"; }, 3);
   EXPECT_EQ(scheduler.NumMoves(), 0u);
   EXPECT_EQ(scheduler.NumColors(), 0u);
 }
@@ -281,13 +283,13 @@ struct SweepRunResult {
 };
 
 SweepRunResult RunSharded(const Fixture& fixture, std::size_t threads, std::size_t shards,
-                          std::uint64_t seed, int sweeps, const GibbsOptions& gibbs = {}) {
-  GibbsSampler sampler(fixture.init, fixture.obs, fixture.rates, gibbs);
+                          std::uint64_t seed, int sweeps) {
+  GibbsSampler sampler(fixture.init, fixture.obs, fixture.rates);
   ShardedSweepOptions options;
   options.shards = shards;
   options.threads = threads;
   sampler.EnableShardedSweeps(options);
-  EXPECT_TRUE(sampler.ShardedSweepsEnabled());
+  EXPECT_EQ(sampler.Scheduler()->NumShards(), shards);
   Rng rng(seed);
   PosteriorSummary summary(fixture.init.NumQueues());
   for (int sweep = 0; sweep < sweeps; ++sweep) {
@@ -329,25 +331,6 @@ TEST(ShardedSweep, BitIdenticalForAnyThreadCountTandem) {
   ExpectBitIdentical(one, four);
 }
 
-TEST(ShardedSweep, ScalarKernelBitIdenticalAcrossThreadCounts) {
-  // batched = false routes sharded sweeps through the scheduler's per-move Run: each
-  // (color, shard) bucket threads its own stream through one RNG-consuming kernel apply
-  // per move, so the state must not depend on which thread runs which bucket.
-  const Fixture fixture = MakeTandemFixture();
-  GibbsOptions scalar;
-  scalar.batched = false;
-  const SweepRunResult one = RunSharded(fixture, 1, 4, 99, 15, scalar);
-  const SweepRunResult two = RunSharded(fixture, 2, 4, 99, 15, scalar);
-  const SweepRunResult four = RunSharded(fixture, 4, 4, 99, 15, scalar);
-  ExpectBitIdentical(one, two);
-  ExpectBitIdentical(one, four);
-  bool moved = false;  // the sweeps changed the latent times: the check is not vacuous
-  for (EventId e = 0; static_cast<std::size_t>(e) < fixture.init.NumEvents(); ++e) {
-    moved = moved || one.final_state.Arrival(e) != fixture.init.Arrival(e);
-  }
-  EXPECT_TRUE(moved);
-}
-
 TEST(ShardedSweep, SweepsStayFeasible) {
   const Fixture fixture = MakeTandemFixture();
   GibbsSampler sampler(fixture.init, fixture.obs, fixture.rates);
@@ -360,23 +343,24 @@ TEST(ShardedSweep, SweepsStayFeasible) {
   EXPECT_TRUE(sampler.State().IsFeasible(1e-6, &why)) << why;
 }
 
-// --- Statistical agreement with the sequential driver ----------------------------------
+// --- Statistical agreement with the single-shard schedule -------------------------------
 
-TEST(ShardedSweep, MatchesSequentialPosteriorOnMm1) {
-  // Same posterior two ways: the colored sharded scan and the sequential scan are both
-  // valid systematic Gibbs scans, so their post-burn-in means must agree within Monte
-  // Carlo error (and sit near the true mean service 1/mu = 0.25).
+TEST(ShardedSweep, MatchesSingleShardPosteriorOnMm1) {
+  // Same posterior two ways: the 4-shard and the default single-shard schedules are both
+  // valid systematic Gibbs scans with different stream layouts, so their post-burn-in
+  // means must agree within Monte Carlo error (and sit near the true mean service
+  // 1/mu = 0.25).
   const Fixture fixture = MakeMm1Fixture(150, 0.25);
   const int kSweeps = 1200;
   const int kBurnIn = 200;
 
-  GibbsSampler sequential(fixture.init, fixture.obs, fixture.rates);
-  Rng seq_rng(41);
-  PosteriorSummary seq_summary(fixture.init.NumQueues());
+  GibbsSampler single(fixture.init, fixture.obs, fixture.rates);
+  Rng single_rng(41);
+  PosteriorSummary single_summary(fixture.init.NumQueues());
   for (int sweep = 0; sweep < kSweeps; ++sweep) {
-    sequential.Sweep(seq_rng);
+    single.Sweep(single_rng);
     if (sweep >= kBurnIn) {
-      seq_summary.Accumulate(sequential.State());
+      single_summary.Accumulate(single.State());
     }
   }
 
@@ -391,21 +375,13 @@ TEST(ShardedSweep, MatchesSequentialPosteriorOnMm1) {
     }
   }
 
-  const auto seq_service = seq_summary.MeanService();
+  const auto single_service = single_summary.MeanService();
   const auto shard_service = shard_summary.MeanService();
-  EXPECT_NEAR(shard_service[1], seq_service[1], 0.02);
+  EXPECT_NEAR(shard_service[1], single_service[1], 0.02);
   EXPECT_NEAR(shard_service[1], 0.25, 0.05);
 }
 
 // --- Driver integration ----------------------------------------------------------------
-
-TEST(ShardedSweep, RejectsShuffleScan) {
-  const Fixture fixture = MakeMm1Fixture();
-  GibbsOptions gibbs;
-  gibbs.shuffle_scan = true;
-  GibbsSampler sampler(fixture.init, fixture.obs, fixture.rates, gibbs);
-  EXPECT_THROW(sampler.EnableShardedSweeps({}), Error);
-}
 
 TEST(ShardedSweep, ParallelChainsComposeWithShardedSweeps) {
   // K chains × S shards: pooled output must stay bit-identical across every combination
@@ -520,6 +496,47 @@ TEST(ShardedSweep, ReusedStemWorkspaceMatchesAFreshRunPerWindow) {
       }
     }
   }
+}
+
+TEST(ShardedSweep, PlainFitAfterShardedFitOnOneWorkspaceMatchesAFreshRun) {
+  // The sampler owns one scheduler slot: EnableShardedSweeps fills it with a sharded
+  // schedule, and Retarget returns it to the single-shard one. So a workspace that fits
+  // plain, then sharded (3 shards on 2 threads), then plain again must give every fit
+  // exactly what a fresh workspace gives it: rates, rate trace and final latent state.
+  const Fixture fixture = MakeTandemFixture(200, 0.2);
+  StemOptions plain;
+  plain.iterations = 16;
+  plain.burn_in = 6;
+  plain.wait_sweeps = 6;
+  StemOptions sharded = plain;
+  sharded.sharded_sweeps = true;
+  sharded.sharded = {.shards = 3, .threads = 2};
+  StemWorkspace workspace;
+  std::vector<std::vector<double>> plain_rates;
+  for (const StemOptions* options : {&plain, &sharded, &plain}) {
+    SCOPED_TRACE(testing::Message() << "fit " << plain_rates.size());
+    Rng reused_rng(61);
+    const StemResult reused = StemEstimator(*options).Run(fixture.truth, fixture.obs,
+                                                          fixture.rates, reused_rng, workspace);
+    Rng fresh_rng(61);
+    StemWorkspace fresh_workspace;
+    const StemResult fresh = StemEstimator(*options).Run(
+        fixture.truth, fixture.obs, fixture.rates, fresh_rng, fresh_workspace);
+    EXPECT_EQ(reused.rates, fresh.rates);
+    EXPECT_EQ(reused.mean_wait, fresh.mean_wait);
+    EXPECT_EQ(reused.rate_trace, fresh.rate_trace);
+    const EventLog& a = workspace.State();
+    const EventLog& b = fresh_workspace.State();
+    ASSERT_EQ(a.NumEvents(), b.NumEvents());
+    for (EventId e = 0; static_cast<std::size_t>(e) < a.NumEvents(); ++e) {
+      ASSERT_EQ(a.Arrival(e), b.Arrival(e)) << "event " << e;
+      ASSERT_EQ(a.Departure(e), b.Departure(e)) << "event " << e;
+    }
+    plain_rates.push_back(reused.rates);
+  }
+  // Not vacuous: the sharded schedule's stream layout gives a different estimate.
+  EXPECT_EQ(plain_rates[0], plain_rates[2]);
+  EXPECT_NE(plain_rates[0], plain_rates[1]);
 }
 
 }  // namespace
