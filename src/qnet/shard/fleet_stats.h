@@ -32,7 +32,8 @@ struct LaneStats {
   std::size_t peak_buffered_tasks = 0;
   // High-water mark of the lane's ingest queue (records + tokens awaiting the worker);
   // pinned at the configured capacity when the router had to block (backpressure).
-  // 0 in the in-thread arrangement (one lane, no pipelining), which has no queue.
+  // 0 in the in-thread arrangement (a single lane or sampler-free lanes without
+  // pipelining, at any K), which has no queue.
   std::size_t peak_queue_depth = 0;
   // Wall-clock spent inside this lane's StEM fits.
   double fit_seconds = 0.0;
@@ -52,7 +53,8 @@ struct FleetStats {
   double total_wall_seconds = 0.0;
   double tasks_per_second = 0.0;  // end-to-end sustained ingest rate
   // Total wall-clock the router spent blocked on full lane queues (backpressure: the
-  // fleet ingested faster than its slowest lane could fit).
+  // fleet ingested faster than its slowest lane could fit). 0 in the in-thread
+  // arrangement at any K, which has no queues.
   double router_blocked_seconds = 0.0;
   // Longest a closed window waited between its close broadcast and the last lane
   // delivering its fit — StreamingStats::max_sweep_lag_seconds is this figure of the

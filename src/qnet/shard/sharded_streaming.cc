@@ -21,9 +21,9 @@ namespace {
 
 // One lane: record buffer + per-window record fold (and log build, for StEM windows) +
 // warm-started fit chain. Accept takes one routed record and Close answers one span
-// decision; the router calls them directly (one lane, no pipelining) or a worker thread
-// calls them from the lane's queue (Drain). Everything the lane does is a pure function
-// of its item sequence, which the router makes a pure function of the stream.
+// decision; the router calls them directly (the in-thread arrangement) or a worker
+// thread calls them from the lane's queue (Drain). Everything the lane does is a pure
+// function of its item sequence, which the router makes a pure function of the stream.
 //
 // Records arrive by move, not by copy: Accept moves the routed record into the buffer and
 // hands the caller a record from the lane's spare pool in exchange. Records
@@ -285,10 +285,14 @@ ShardedStreamingEstimator::ShardedStreamingEstimator(std::vector<double> init_ra
 std::vector<WindowEstimate> ShardedStreamingEstimator::Run(TraceStream& stream) {
   stats_ = FleetStats{};
   const std::size_t lanes = options_.lanes;
-  // One lane without pipelining runs on the caller's thread: the router calls the lane's
-  // Accept/Close directly, with no batches, queue or worker thread. Otherwise every lane
-  // drains its own bounded queue on its own thread.
-  const bool threaded = lanes > 1 || options_.stream.pipeline;
+  // The work picks the arrangement. Without pipelining, a single lane, and lanes that
+  // never reach StEM at any K, run on the caller's thread: the router calls each lane's
+  // Accept/Close directly, with no batches, queues or worker threads (a mean-field lane
+  // does ~50 ns of work per record, less than a queue hand-off costs). Otherwise every
+  // lane drains its own bounded queue on its own thread.
+  const bool threaded =
+      options_.stream.pipeline ||
+      (lanes > 1 && options_.stream.fast_path != FastPathMode::kMeanFieldOnly);
   Stopwatch total;
 
   WindowSpanTracker tracker(options_.stream.window);
@@ -319,18 +323,21 @@ std::vector<WindowEstimate> ShardedStreamingEstimator::Run(TraceStream& stream) 
     });
   }
   // Publishes the ingest-thread counts however Run exits, unwinding included: the
-  // tracker's pushes and, in-thread, the lane's routed records (a threaded lane
+  // tracker's pushes and, in-thread, every lane's routed records (a threaded lane
   // publishes its own when it stops).
   struct PublishOnExit {
     WindowSpanTracker& tracker;
-    LaneWorker* in_thread_lane;
+    const std::vector<std::unique_ptr<LaneWorker>>& workers;
+    bool in_thread;
     ~PublishOnExit() {
       tracker.PublishCounts();
-      if (in_thread_lane != nullptr) {
-        in_thread_lane->PublishRouted();
+      if (in_thread) {
+        for (const std::unique_ptr<LaneWorker>& worker : workers) {
+          worker->PublishRouted();
+        }
       }
     }
-  } publish_on_exit{tracker, threaded ? nullptr : workers.front().get()};
+  } publish_on_exit{tracker, workers, !threaded};
 
   std::vector<double> max_watermark_lag(lanes, 0.0);
   std::vector<WindowEstimate> estimates;
@@ -419,7 +426,9 @@ std::vector<WindowEstimate> ShardedStreamingEstimator::Run(TraceStream& stream) 
           stats_.router_blocked_seconds += queue->Push(token);
         }
       } else {
-        workers.front()->Close(decision);
+        for (const std::unique_ptr<LaneWorker>& worker : workers) {
+          worker->Close(decision);
+        }
       }
       for (std::size_t lane = 0; lane < lanes; ++lane) {
         max_watermark_lag[lane] =

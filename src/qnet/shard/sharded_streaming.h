@@ -14,10 +14,13 @@
 // to the router. The steady-state record path therefore allocates per window, not per
 // task.
 //
-// Execution arrangement: with one lane and `stream.pipeline` off, the router calls the
-// lane's intake and close handling directly on the Run() caller's thread — no router
-// batches, lane queue or worker thread — so each window is fitted and emitted the moment
-// the record that closes it arrives. Otherwise (K > 1, or pipelining) every lane runs on
+// Execution arrangement: the work picks it, not K. With `stream.pipeline` off, a single
+// lane, and lanes that never reach StEM (FastPathMode::kMeanFieldOnly) at any K, run on
+// the Run() caller's thread: the router calls each lane's intake directly and answers
+// each close decision by closing every lane in lane order — no router batches, lane
+// queues or worker threads — so each window is fitted, merged and emitted before the
+// next record is pulled. A sampler-free lane does ~50 ns of work per record, less than a
+// queue hand-off costs. Otherwise (pipelining, or StEM lanes at K > 1) every lane runs on
 // its own PipelineSlot thread (infer/thread_pool.h) behind a bounded queue, and its fits
 // overlap the router's ingestion.
 //
@@ -61,12 +64,14 @@ struct ShardedStreamingOptions {
   // Number of hash lanes K (the estimation decomposition width; see file comment).
   std::size_t lanes = 1;
   // Bounded per-lane ingest queue capacity (records + tokens). A full queue blocks the
-  // router — backpressure, reported in FleetStats::router_blocked_seconds.
+  // router — backpressure, reported in FleetStats::router_blocked_seconds. Applies to
+  // the threaded arrangement only; in-thread lanes have no queue.
   std::size_t lane_queue_capacity = 1024;
   // Records are handed to a lane in batches of up to this size (one lock + one wake per
   // batch instead of per record). Window-close tokens flush every lane's batch first, so
   // item order — and therefore every estimate — is bit-identical for any value; this is
-  // a pure wall-clock knob.
+  // a pure wall-clock knob of the threaded arrangement (in-thread, the router hands each
+  // record over directly).
   std::size_t router_batch = 32;
   // Optional partition override (default TaskLane(TaskHash(record), lanes)); must be a
   // pure function of the record. See shard/lane_router.h.
@@ -79,8 +84,9 @@ struct ShardedStreamingOptions {
   // path is never corrected, so a K = 1 fleet's estimates are unaffected.
   bool cross_lane_bias_correction = false;
   // Window, StEM, lambda-anchoring and on_window options, shared by every lane.
-  // `stream.pipeline` selects the threaded arrangement for a single lane (see file
-  // comment; K > 1 is always threaded); estimates are bit-identical either way.
+  // `stream.pipeline` selects the threaded arrangement at any K; without it, StEM lanes
+  // at K > 1 run threaded and a single lane or sampler-free lanes run in-thread (see
+  // file comment). Estimates are bit-identical in every arrangement.
   // `stream.on_window` fires on the Run() caller's thread with the POOLED estimates, in
   // window order — WindowForecaster rides the merged stream unchanged.
   // `stream.fast_path` applies per lane: kDegrade triggers on the GLOBAL window task

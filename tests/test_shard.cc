@@ -108,6 +108,15 @@ std::vector<WindowEstimate> RunFleet(const Fixture& f, const ShardedStreamingOpt
   return estimates;
 }
 
+// Pins the arrangement a run used: an in-thread run has no lane queues, so every lane's
+// peak queue depth is 0; a threaded lane's queue carries at least the close and finish
+// tokens.
+void ExpectArrangement(const FleetStats& stats, bool in_thread) {
+  for (std::size_t lane = 0; lane < stats.lane.size(); ++lane) {
+    EXPECT_EQ(stats.lane[lane].peak_queue_depth == 0, in_thread) << "lane " << lane;
+  }
+}
+
 // --- Single-lane equivalence -------------------------------------------------------------
 
 TEST(ShardedStreaming, SingleLaneMatchesStreamingEstimatorBitExactly) {
@@ -527,27 +536,41 @@ TEST(ShardedStreaming, TrailingTailMergeReplacesLastPooledEstimate) {
 }
 
 TEST(ShardedStreaming, FleetStatsAccountTasksAndWindows) {
+  // StEM lanes at K = 4 run threaded behind queues; sampler-free lanes run on the
+  // caller's thread, with no queue to fill and no router to block.
   const Fixture f;
-  ShardedStreamingOptions options;
-  options.lanes = 4;
-  options.stream = ShortStemOptions();
-  FleetStats stats;
-  const auto pooled = RunFleet(f, options, 2, &stats);
+  for (const FastPathMode mode : {FastPathMode::kOff, FastPathMode::kMeanFieldOnly}) {
+    const bool in_thread = mode == FastPathMode::kMeanFieldOnly;
+    SCOPED_TRACE(in_thread ? "mean-field only, in-thread" : "StEM, threaded");
+    ShardedStreamingOptions options;
+    options.lanes = 4;
+    options.stream = ShortStemOptions();
+    options.stream.fast_path = mode;
+    FleetStats stats;
+    const auto pooled = RunFleet(f, options, 2, &stats);
 
-  EXPECT_EQ(stats.lanes, 4u);
-  EXPECT_EQ(stats.tasks_ingested, static_cast<std::size_t>(f.truth.NumTasks()));
-  EXPECT_EQ(stats.windows_estimated, pooled.size());
-  EXPECT_GT(stats.tasks_per_second, 0.0);
-  std::size_t routed = 0;
-  for (const LaneStats& lane : stats.lane) {
-    routed += lane.tasks_routed;
-    EXPECT_EQ(lane.windows_closed, stats.lane.front().windows_closed);
-    EXPECT_GT(lane.peak_queue_depth, 0u);
-  }
-  EXPECT_EQ(routed, stats.tasks_ingested - stats.late_dropped);
-  // The hash spreads a 400-task trace over 4 lanes without collapsing onto one.
-  for (const LaneStats& lane : stats.lane) {
-    EXPECT_GT(lane.tasks_routed, 40u);
+    EXPECT_EQ(stats.lanes, 4u);
+    EXPECT_EQ(stats.tasks_ingested, static_cast<std::size_t>(f.truth.NumTasks()));
+    EXPECT_EQ(stats.windows_estimated, pooled.size());
+    EXPECT_GT(stats.tasks_per_second, 0.0);
+    std::size_t routed = 0;
+    for (const LaneStats& lane : stats.lane) {
+      routed += lane.tasks_routed;
+      EXPECT_EQ(lane.windows_closed, stats.lane.front().windows_closed);
+    }
+    ExpectArrangement(stats, in_thread);
+    // Every close is an emitted window, or the merged tail that replaced the last one.
+    ASSERT_FALSE(pooled.empty());
+    EXPECT_EQ(stats.lane.front().windows_closed,
+              pooled.size() + (pooled.back().merged_tail_tasks > 0 ? 1u : 0u));
+    if (in_thread) {
+      EXPECT_EQ(stats.router_blocked_seconds, 0.0);
+    }
+    EXPECT_EQ(routed, stats.tasks_ingested - stats.late_dropped);
+    // The hash spreads a 400-task trace over 4 lanes without collapsing onto one.
+    for (const LaneStats& lane : stats.lane) {
+      EXPECT_GT(lane.tasks_routed, 40u);
+    }
   }
 }
 
@@ -704,7 +727,9 @@ TEST(ShardedStreaming, FastPathPooledEstimatesBitIdenticalAcrossThreadsAndPipeli
   // The fleet's determinism contract holds verbatim in degraded and all-variational
   // modes: for a FIXED lane count, sharded-sweep threads and pipelining never change a
   // bit. Across lane counts the degraded flags still agree, because the degrade trigger
-  // is the GLOBAL window task count, not any lane-local share.
+  // is the GLOBAL window task count, not any lane-local share. Without pipelining,
+  // all-variational lanes run on the caller's thread at every K, so that sub-grid
+  // compares in-thread K = 2/4 against threaded K = 2/4.
   const Fixture f;
   for (const FastPathMode mode : {FastPathMode::kDegrade, FastPathMode::kMeanFieldOnly}) {
     std::vector<std::vector<WindowEstimate>> per_lane_count;
@@ -721,7 +746,10 @@ TEST(ShardedStreaming, FastPathPooledEstimatesBitIdenticalAcrossThreadsAndPipeli
           options.stream.stem.sharded.shards = 2;
           options.stream.stem.sharded.threads = threads;
           options.stream.pipeline = pipeline;
-          runs.push_back(RunFleet(f, options, 21));
+          FleetStats stats;
+          runs.push_back(RunFleet(f, options, 21, &stats));
+          ExpectArrangement(stats,
+                            !pipeline && (lanes == 1 || mode == FastPathMode::kMeanFieldOnly));
         }
       }
       ASSERT_GE(runs.front().size(), 3u);
@@ -891,11 +919,15 @@ std::vector<TaskRecord> FixtureRecords(const Fixture& f) {
 
 std::vector<WindowEstimate> RunFleetOn(const std::vector<TaskRecord>& records, int num_queues,
                                        const ShardedStreamingOptions& options,
-                                       std::uint64_t seed) {
+                                       std::uint64_t seed, FleetStats* stats = nullptr) {
   qnet_testing::VectorStream stream(records, num_queues);
   ShardedStreamingEstimator fleet(std::vector<double>(static_cast<std::size_t>(num_queues), 1.0),
                                   seed, options);
-  return fleet.Run(stream);
+  auto estimates = fleet.Run(stream);
+  if (stats != nullptr) {
+    *stats = fleet.Stats();
+  }
+  return estimates;
 }
 
 TEST(ShardedStreaming, SingleLaneRecordFoldMatchesBuildEveryWindowReference) {
@@ -953,9 +985,10 @@ TEST(ShardedStreaming, RecordHandoffMatchesBuildEveryWindowReferenceAtEveryLaneC
   // Records reach a lane by swap and lanes recycle record capacity, so a slot that kept
   // stale visits or lost part of the incoming record would change a lane's counts or
   // fits. Every arrangement is pinned bit for bit to the copying reference: in-thread
-  // (K = 1), threaded, pipelined, and behind tiny queues whose rings wrap every few
-  // records and receive batches larger than themselves. Cross-lane bias correction
-  // makes the pooled estimates read every lane's posted queue counts.
+  // (K = 1, and sampler-free lanes at every K), threaded, pipelined, and behind tiny
+  // queues whose rings wrap every few records and receive batches larger than
+  // themselves. Cross-lane bias correction makes the pooled estimates read every lane's
+  // posted queue counts.
   int num_queues = 0;
   const std::vector<TaskRecord> records = AlternatingVisitRecords(400, &num_queues);
   for (const FastPathMode mode : {FastPathMode::kMeanFieldOnly, FastPathMode::kWarmStart}) {
@@ -1000,7 +1033,11 @@ TEST(ShardedStreaming, RecordHandoffMatchesBuildEveryWindowReferenceAtEveryLaneC
         options.stream.pipeline = arrangement.pipeline;
         options.lane_queue_capacity = arrangement.capacity;
         options.router_batch = arrangement.batch;
-        ExpectEstimatesIdentical(reference, RunFleetOn(records, num_queues, options, 13));
+        FleetStats stats;
+        ExpectEstimatesIdentical(reference,
+                                 RunFleetOn(records, num_queues, options, 13, &stats));
+        ExpectArrangement(stats, !arrangement.pipeline &&
+                                     (lanes == 1 || mode == FastPathMode::kMeanFieldOnly));
       }
     }
   }

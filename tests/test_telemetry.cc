@@ -528,8 +528,11 @@ class FailingStream : public TraceStream {
 };
 
 // The tracker and the lanes publish their per-record counts in deltas (per window and
-// when they stop), so a run that dies mid-window must still publish every record it
-// pulled and routed before the error reaches the caller.
+// when they stop), so a run that dies mid-window must still unwind, rethrow the stream's
+// error and publish every record it pulled and routed before the error reaches the
+// caller. Sampler-free lanes run on the caller's thread unless pipelined, so the grid
+// covers both arrangements at K = 1 and K = 4; in-thread at K = 4, the records the last
+// window routed to lanes 1-3 are published only when Run exits.
 TEST(RegistryDerivedStats, FailedRunPublishesEveryRecordPulledAndRouted) {
   const Fixture f;
   constexpr std::size_t kPulled = 250;  // ~100 tasks per window: mid-way through one
@@ -537,8 +540,8 @@ TEST(RegistryDerivedStats, FailedRunPublishesEveryRecordPulledAndRouted) {
     std::size_t lanes;
     bool pipeline;
   };
-  for (const Arrangement arrangement :
-       {Arrangement{1, false}, Arrangement{1, true}, Arrangement{2, false}}) {
+  for (const Arrangement arrangement : {Arrangement{1, false}, Arrangement{1, true},
+                                        Arrangement{4, false}, Arrangement{4, true}}) {
     SCOPED_TRACE("lanes " + std::to_string(arrangement.lanes) +
                  (arrangement.pipeline ? ", pipelined" : ""));
     ShardedStreamingOptions options;
