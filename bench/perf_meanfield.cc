@@ -242,12 +242,10 @@ void BM_StemWindow(benchmark::State& state) {
   scheme.fraction = 0.2;
   const qnet::Observation obs = scheme.Apply(truth, rng);
 
-  qnet::ShardedSweepScheduler scheduler_cache({.shards = 1, .threads = 1});
   qnet::StemOptions options;
   options.iterations = 60;
   options.burn_in = 20;
   options.wait_sweeps = 20;
-  options.scheduler_cache = &scheduler_cache;
   const qnet::StemEstimator estimator(options);
   const std::vector<double> init = net.ExponentialRates();
   qnet::StemWorkspace workspace;

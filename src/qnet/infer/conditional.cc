@@ -21,13 +21,6 @@ PiecewiseExpDensity BuildArrivalDensity(const ArrivalMove& move) {
   return density;
 }
 
-double SampleArrival(const ArrivalMove& move, Rng& rng) {
-  if (!(move.upper - move.lower > kDegenerateWindow)) {
-    return 0.5 * (move.lower + move.upper);
-  }
-  return BuildArrivalDensity(move).Sample(rng);
-}
-
 double SampleArrivalClosedForm(const ArrivalMove& move, Rng& rng) {
   QNET_CHECK(move.has_t1 && move.has_nu_pi && !move.rho_is_pi,
              "closed form requires the full Figure-3 neighborhood");
@@ -101,13 +94,6 @@ PiecewiseExpDensity BuildFinalDepartureDensity(const FinalDepartureMove& move) {
   BuildFinalDepartureSegmentsInto(move, density);
   density.Finalize();
   return density;
-}
-
-double SampleFinalDeparture(const FinalDepartureMove& move, Rng& rng) {
-  if (std::isfinite(move.upper) && !(move.upper - move.lower > kDegenerateWindow)) {
-    return 0.5 * (move.lower + move.upper);
-  }
-  return BuildFinalDepartureDensity(move).Sample(rng);
 }
 
 }  // namespace qnet

@@ -42,8 +42,8 @@
 namespace qnet {
 
 // Windows no wider than this are resampled as their midpoint without drawing a density
-// (shared by the scalar samplers below and the batched kernel, which must agree on what
-// "degenerate" means).
+// (shared by the batched kernel and its move-at-a-time reference in infer/move_kernel.h,
+// which must agree on what "degenerate" means).
 inline constexpr double kDegenerateWindow = 1e-12;
 
 struct ArrivalMove {
@@ -198,21 +198,19 @@ template <typename Density>
   }
 }
 
-// Builds the normalized piecewise-exponential conditional. Requires lower < upper. The
-// returned density lives entirely on the stack (inline segment storage); the whole
-// gather→build→sample path performs zero heap allocations.
+// Builds the normalized piecewise-exponential conditional a_e | everything else; its
+// Sample(rng) draws the move. Requires lower < upper (the kernels resample degenerate
+// windows as their midpoint instead). The returned density lives entirely on the stack
+// (inline segment storage); the whole gather→build→sample path performs zero heap
+// allocations.
 PiecewiseExpDensity BuildArrivalDensity(const ArrivalMove& move);
-
-// Samples a_e | everything else. Degenerate windows (upper - lower below tolerance) return
-// the midpoint. This is the production path.
-double SampleArrival(const ArrivalMove& move, Rng& rng);
 
 // Literal transcription of the paper's Figure 3 closed form (cases Z1/Z2/Z3 with the
 // inverse-CDF expressions (3) and the A2 cases (4)). Requires the fully-populated
 // neighborhood the paper assumes (has_t1 && has_nu_pi && !rho_is_pi). Used by property
 // tests to pin the generic sampler to the published algorithm; note the published formulas
 // exponentiate mu*t directly and therefore overflow for large times — production code uses
-// SampleArrival.
+// BuildArrivalDensity.
 double SampleArrivalClosedForm(const ArrivalMove& move, Rng& rng);
 
 struct FinalDepartureMove {
@@ -300,9 +298,9 @@ template <typename Density>
   }
 }
 
+// The conditional d_e | everything else, as BuildArrivalDensity: requires a
+// non-degenerate window.
 PiecewiseExpDensity BuildFinalDepartureDensity(const FinalDepartureMove& move);
-
-double SampleFinalDeparture(const FinalDepartureMove& move, Rng& rng);
 
 }  // namespace qnet
 

@@ -31,9 +31,6 @@ void GibbsSampler::Retarget(const Observation& obs, std::span<const double> rate
   arrival_moves_.clear();
   final_moves_.clear();
   CollectLatentMoves(state_, obs, arrival_moves_, final_moves_);
-  if (scheduler_ != nullptr && scheduler_->NumShards() != 1) {
-    scheduler_.reset();  // the next Sweep builds the single-shard schedule
-  }
   external_scheduler_ = nullptr;
   rebuilt_for_ = nullptr;
   service_cache_.clear();
@@ -54,20 +51,11 @@ void GibbsSampler::RebuildSchedule(ShardedSweepScheduler& scheduler) {
   }
   scheduler.Rebuild(state_, schedule_input_);
   rebuilt_for_ = &scheduler;
-  if (tile_batches_.size() < scheduler.NumThreads()) {
-    tile_batches_.resize(scheduler.NumThreads());
-  }
 }
 
 ShardedSweepScheduler* GibbsSampler::EffectiveScheduler() {
-  ShardedSweepScheduler* scheduler = external_scheduler_;
-  if (scheduler == nullptr) {
-    if (scheduler_ == nullptr) {
-      scheduler_ = std::make_unique<ShardedSweepScheduler>(
-          ShardedSweepOptions{.shards = 1, .threads = 1});
-    }
-    scheduler = scheduler_.get();
-  }
+  ShardedSweepScheduler* scheduler =
+      external_scheduler_ != nullptr ? external_scheduler_ : &scheduler_;
   if (rebuilt_for_ != scheduler) {
     // The coloring and the move geometry are functions of the links, which
     // MutableState() may have changed since this scheduler was last built.
@@ -81,15 +69,9 @@ void GibbsSampler::Sweep(Rng& rng) {
   const BatchedExponentialMoveKernel kernel(rates_, options_.batch_width, service_cache_);
   scheduler->RunBuckets(
       [&](const SweepBucket& bucket) {
-        kernel.RunBucket(state_, bucket.moves, bucket.geometry, bucket.seed,
-                         tile_batches_[bucket.participant]);
+        kernel.RunBucket(state_, bucket.moves, bucket.geometry, bucket.seed, tile_batch_);
       },
       rng.NextU64());
-}
-
-void GibbsSampler::EnableShardedSweeps(const ShardedSweepOptions& options) {
-  scheduler_ = std::make_unique<ShardedSweepScheduler>(options);
-  RebuildSchedule(*scheduler_);
 }
 
 void GibbsSampler::UseScheduler(ShardedSweepScheduler* scheduler) {

@@ -10,10 +10,9 @@
 //
 // The per-move logic lives in BatchedExponentialMoveKernel (infer/move_kernel.h); this
 // class is a thin sweep driver: it owns the state, the move list and a scheduler slot.
-// Every sweep is one systematic scan over the colored schedule (infer/sharded_sweep.h):
-// color classes in sequence, each class's conflict-free buckets through the batched
-// kernel. The schedule has one shard unless EnableShardedSweeps / UseScheduler asks for
-// more, and results are bit-identical for any thread count.
+// Every sweep is one systematic scan over the colored schedule (infer/sharded_sweep.h) on
+// the caller's thread: color classes in sequence, each class one conflict-free bucket
+// through the batched kernel.
 //
 // The per-queue arrival order and the FSM routes are held fixed throughout (the paper's
 // standing assumptions); every accepted move preserves feasibility by construction because
@@ -23,7 +22,6 @@
 #define QNET_INFER_GIBBS_H_
 
 #include <cstddef>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -54,13 +52,12 @@ class GibbsSampler {
   // A sampler with no trace yet: write the trace into MutableState() in place (e.g.
   // InitializeFeasibleInto), then Retarget before the first Sweep. Long-lived owners
   // (StemWorkspace) keep one sampler and re-target it per trace, so its move lists,
-  // schedule input, service cache and tile scratch keep their capacity.
+  // schedule, service cache and tile scratch keep their capacity.
   GibbsSampler();
 
   // Points the sampler at the trace now in MutableState(), with `rates` and `options`:
   // the constructor's checks and latent-move collection, reusing every buffer. Detaches
-  // a caller-owned scheduler and returns the owned slot to the single-shard schedule
-  // (call EnableShardedSweeps / UseScheduler again for more shards), and turns
+  // a caller-owned scheduler (call UseScheduler again to keep using it) and turns
   // sufficient-statistics tracking off.
   void Retarget(const Observation& obs, std::span<const double> rates,
                 const GibbsOptions& options);
@@ -85,21 +82,17 @@ class GibbsSampler {
   // the per-bucket streams.
   void Sweep(Rng& rng);
 
-  // Replaces the owned scheduler with one of `options`. Results depend on options.shards
-  // but never on options.threads (bit-identical for any thread count).
-  void EnableShardedSweeps(const ShardedSweepOptions& options = {});
   // The scheduler sweeps run through: the caller-owned one, else the owned one (coloring
-  // and shard diagnostics). Null only before the first Sweep of a sampler that was never
-  // given one.
+  // diagnostics). Its schedule is built by the first Sweep.
   const ShardedSweepScheduler* Scheduler() const {
-    return external_scheduler_ != nullptr ? external_scheduler_ : scheduler_.get();
+    return external_scheduler_ != nullptr ? external_scheduler_ : &scheduler_;
   }
 
-  // Like EnableShardedSweeps, but drives sweeps through a caller-owned scheduler that is
-  // Rebuilt here against this sampler's trace. Long-lived callers (the streaming window
-  // loop) pass the same scheduler to every sampler they create, so rescheduling reuses
-  // its buffers and thread pool instead of paying a fresh construction per window.
-  // Non-owning: `scheduler` must outlive the sampler; nullptr detaches.
+  // Drives sweeps through a caller-owned scheduler, Rebuilt here against this sampler's
+  // trace. The schedule, and so every sampled value, is the same as with the owned one;
+  // a caller that builds a sampler per trace can hand each the same scheduler, so
+  // rescheduling reuses its buffers. Non-owning: `scheduler` must outlive the sampler;
+  // nullptr detaches.
   void UseScheduler(ShardedSweepScheduler* scheduler);
 
   // Fused M-step sufficient statistics. When enabled, every sweep keeps a per-event
@@ -126,9 +119,8 @@ class GibbsSampler {
   double LogJointExponential() const;
 
  private:
-  // The scheduler Sweep routes through: the caller-owned one, else the owned one, built
-  // single-shard on first use (batching needs a coloring even when nothing runs in
-  // parallel). Rebuilt first unless it already holds this trace's current links.
+  // The scheduler Sweep routes through: the caller-owned one, else the owned one. Rebuilt
+  // first unless it already holds this trace's current links.
   ShardedSweepScheduler* EffectiveScheduler();
   void RebuildSchedule(ShardedSweepScheduler& scheduler);
 
@@ -138,16 +130,15 @@ class GibbsSampler {
   std::vector<SweepMove> arrival_moves_;
   std::vector<SweepMove> final_moves_;
   std::vector<SweepMove> schedule_input_;  // SweepMoves(), reused by every Rebuild
-  // Owned schedule: single-shard by default, EnableShardedSweeps' options after it.
-  std::unique_ptr<ShardedSweepScheduler> scheduler_;
+  ShardedSweepScheduler scheduler_;
   ShardedSweepScheduler* external_scheduler_ = nullptr;
   // The scheduler last rebuilt on the current links; null once MutableState() or
   // Retarget may have changed them.
   const ShardedSweepScheduler* rebuilt_for_ = nullptr;
   // Per-event service times, kept coherent by move scatter when tracking is enabled.
   std::vector<double> service_cache_;
-  // Batched-kernel tile scratch, one per scheduler participant thread.
-  std::vector<PiecewiseExpBatch> tile_batches_;
+  // Batched-kernel tile scratch.
+  PiecewiseExpBatch tile_batch_;
 };
 
 }  // namespace qnet

@@ -9,8 +9,7 @@
 //
 // Contracts:
 //  * RunBucket is const and touches only its moves' footprints
-//    (EventLog::ComputeMoveFootprint), so it is safe to call concurrently on buckets
-//    whose footprints are disjoint — this is what the sharded sweep scheduler relies on;
+//    (EventLog::ComputeMoveFootprint), so buckets whose footprints are disjoint commute;
 //  * RunBucket performs zero heap allocations (the hot-path contract, enforced by
 //    tests/test_alloc_free.cc);
 //  * the kernel is a non-owning view over the parameters (the rates span, the optional
@@ -98,8 +97,8 @@ inline void ScatterMoveResult(EventLog& state, const SweepMove& move, double sam
   ScatterMoveResult(state, move, g, sampled, service_cache);
 }
 
-// Batched SoA kernel over one conflict-free bucket: the moves of a (color, shard) bucket
-// have pairwise disjoint footprints, so no gather depends on another move's scatter and
+// Batched SoA kernel over one conflict-free bucket: the moves of a color class have
+// pairwise disjoint footprints, so no gather depends on another move's scatter and
 // the bucket can be processed gather-all / finalize-all / sample-all / scatter-all in
 // fixed-width tiles. Per tile the transcendental work (one exp and one expm1 per segment)
 // runs as two contiguous vmath sweeps (PiecewiseExpBatch::FinalizeAll) instead of being

@@ -1,7 +1,6 @@
 #include "qnet/infer/parallel_chains.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "qnet/infer/diagnostics.h"
 #include "qnet/infer/thread_pool.h"
@@ -10,14 +9,6 @@
 
 namespace qnet {
 namespace {
-
-std::size_t ResolveThreads(std::size_t requested, std::size_t chains) {
-  if (requested == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    requested = hw == 0 ? 1 : static_cast<std::size_t>(hw);
-  }
-  return std::max<std::size_t>(1, std::min(requested, chains));
-}
 
 // Derives one independent stream seed per chain from the master seed, in chain order —
 // the c-th chain's stream is a pure function of (seed, c).
@@ -45,7 +36,7 @@ ParallelChainsResult RunParallelChains(const EventLog& truth, const Observation&
              " burn_in=", options.burn_in);
   const Stopwatch total;
   const int num_queues = truth.NumQueues();
-  const std::size_t threads = ResolveThreads(options.threads, options.chains);
+  const std::size_t threads = ResolveThreadCount(options.threads, options.chains);
   const std::vector<std::uint64_t> chain_seeds = DeriveChainSeeds(seed, options.chains);
 
   ParallelChainsResult result(num_queues, options.tail_quantile);
@@ -59,9 +50,6 @@ ParallelChainsResult RunParallelChains(const EventLog& truth, const Observation&
     // be an honest convergence check).
     GibbsSampler sampler(InitializeFeasible(truth, obs, rates, chain_rng, options.init), obs,
                          rates, options.gibbs);
-    if (options.sharded_sweeps) {
-      sampler.EnableShardedSweeps(options.sharded);
-    }
     PosteriorSummary& summary = result.per_chain[c];
     for (std::size_t sweep = 0; sweep < options.sweeps; ++sweep) {
       sampler.Sweep(chain_rng);
@@ -118,7 +106,7 @@ ParallelStemResult RunParallelStem(const EventLog& truth, const Observation& obs
   ParallelStemResult result;
   result.per_chain.assign(chains, StemResult{});
 
-  RunOnThreadPool(chains, ResolveThreads(threads, chains), [&](std::size_t c) {
+  RunOnThreadPool(chains, ResolveThreadCount(threads, chains), [&](std::size_t c) {
     Rng chain_rng(chain_seeds[c]);
     result.per_chain[c] =
         StemEstimator(stem_options).Run(truth, obs, init_rates, chain_rng);

@@ -15,7 +15,8 @@
 //  * pooled summaries are merged on the calling thread in chain-index order after join,
 //    so the pooled output is bit-identical for a fixed (seed, chains) regardless of T.
 // Consequence: results are reproducible across machines and thread counts; T only changes
-// wall-clock time.
+// wall-clock time. A chain sweeps on the thread that runs it (infer/sharded_sweep.h), so
+// chains are the only parallel axis.
 
 #ifndef QNET_INFER_PARALLEL_CHAINS_H_
 #define QNET_INFER_PARALLEL_CHAINS_H_
@@ -43,13 +44,6 @@ struct ParallelChainsOptions {
   double tail_quantile = 0.95;
   GibbsOptions gibbs;
   InitializerOptions init;
-  // Intra-chain parallelism: run each chain's sweeps through the colored sharded
-  // scheduler (infer/sharded_sweep.h), composing K chains × S shards. Total worker
-  // threads ≈ threads × sharded.threads — size both for the host. Draws change when
-  // sharding is toggled or sharded.shards changes (different deterministic stream
-  // layout), but stay bit-identical across every (threads, sharded.threads) pair.
-  bool sharded_sweeps = false;
-  ShardedSweepOptions sharded;
 };
 
 struct ChainStats {

@@ -69,8 +69,6 @@ StemResult StemEstimator::Run(const EventLog& truth, const Observation& obs,
   gibbs.Retarget(obs, init_rates, options_.gibbs);
   if (options_.scheduler_cache != nullptr) {
     gibbs.UseScheduler(options_.scheduler_cache);
-  } else if (options_.sharded_sweeps) {
-    gibbs.EnableShardedSweeps(options_.sharded);
   }
   // Fused sufficient statistics: sweeps keep the per-event service cache coherent, so the
   // per-iteration M-step reads per-queue sums off the cache (bit-equal to the historical

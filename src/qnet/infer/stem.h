@@ -59,17 +59,14 @@ struct StemOptions {
   std::size_t convergence_patience = 3;
   GibbsOptions gibbs;
   InitializerOptions init;
-  // Run the E-step (and waiting-time) sweeps on a `sharded` schedule (several shards,
-  // optionally on worker threads) instead of the single-shard one. Same contract as
-  // GibbsSampler::EnableShardedSweeps; streaming windowed estimation inherits this through
-  // StreamingEstimatorOptions::stem.
-  bool sharded_sweeps = false;
-  ShardedSweepOptions sharded;
+  // Sweeps always run one shard on the caller's thread; kept only for
+  // perfbench/src/traced.cc's check, like GibbsOptions::batched.
+  static constexpr bool sharded_sweeps = false;
   // Caller-owned scheduler this run's sampler is rebuilt onto (see
-  // GibbsSampler::UseScheduler), overriding sharded_sweeps/sharded. The streaming
-  // estimators keep one per lane so every window reuses its buffers and worker pool
-  // instead of constructing a scheduler per fit. Non-owning; runs sharing a cache must
-  // not execute concurrently.
+  // GibbsSampler::UseScheduler); the estimate is the same with or without it. A
+  // StemWorkspace's sampler already keeps its schedule buffers across runs, so this
+  // helps only callers that run without a workspace. Non-owning; runs sharing a cache
+  // must not execute concurrently.
   ShardedSweepScheduler* scheduler_cache = nullptr;
 };
 

@@ -7,13 +7,13 @@
 // worker surfaces to the caller instead of terminating the process.
 //
 // This spawn-per-call helper fits coarse work units (a whole chain per item, as in
-// parallel_chains). For fine-grained repeated dispatch — e.g. one sweep per call, many
-// thousands of calls — use a persistent pool instead (see ShardedSweepScheduler, which
-// parks its workers on a condition variable between sweeps).
+// parallel_chains). It is not meant for fine-grained repeated dispatch — e.g. one sweep
+// per call, many thousands of calls — where spawning threads costs as much as the work.
 
 #ifndef QNET_INFER_THREAD_POOL_H_
 #define QNET_INFER_THREAD_POOL_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <exception>
 #include <thread>
@@ -23,6 +23,16 @@
 #include "qnet/support/check.h"
 
 namespace qnet {
+
+// Worker count for `items` work units: `requested`, or the hardware concurrency when it
+// is 0, capped at `items` and at least 1.
+inline std::size_t ResolveThreadCount(std::size_t requested, std::size_t items) {
+  if (requested == 0) {
+    const unsigned hw = std::thread::hardware_concurrency();
+    requested = hw == 0 ? 1 : static_cast<std::size_t>(hw);
+  }
+  return std::max<std::size_t>(1, std::min(requested, items));
+}
 
 // Runs work(i) for every i in [0, items) on a static round-robin partition over T
 // threads. threads <= 1 degenerates to a plain sequential loop on the calling thread.

@@ -1,17 +1,17 @@
 // Conflict graph and greedy coloring over a sweep's Gibbs moves.
 //
 // Two moves conflict when their footprints (EventLog::ComputeMoveFootprint) share an
-// event: one may then read a time the other writes, so they must not run concurrently.
+// event: one may then read a time the other writes, so they must not share a batch.
 // Moves with disjoint footprints commute — this is the locality the paper's single-site
 // conditionals provide (each move touches only the departure being moved, its queue
-// predecessors/successors, and the downstream arrival), and it is what makes an
-// intra-chain parallel sweep possible.
+// predecessors/successors, and the downstream arrival), and it is what lets the batched
+// kernel sample a whole color class tile by tile.
 //
 // ColorSweepMoves partitions a move list into conflict-free color classes with a greedy
 // first-fit pass in move order. The result is a pure function of the link structure and
 // the move order (times are never read), so a coloring computed once per trace stays
 // valid for every subsequent sweep, and identical inputs color identically on every
-// machine — the determinism the sharded sweep scheduler builds on.
+// machine — the determinism the colored sweep schedule builds on.
 
 #ifndef QNET_MODEL_CONFLICT_H_
 #define QNET_MODEL_CONFLICT_H_
@@ -31,7 +31,7 @@ struct MoveColoring {
 };
 
 // Reusable buffers for ColorSweepMovesInto. Holding one of these across recolorings (the
-// sharded sweep scheduler keeps one per instance) makes a same-shaped recoloring
+// sweep scheduler keeps one per instance) makes a same-shaped recoloring
 // allocation-free: every vector is assign()ed, so capacity persists.
 struct ColoringScratch {
   // Per move, in move order: its resolved neighbour ids and the footprint derived from

@@ -43,9 +43,6 @@ class LaneWorker {
         fold_(num_queues),
         chain_(std::move(init_rates), seed, options.stream.window_local_arrival_rate,
                /*salted=*/options.lanes > 1, /*lane=*/lane),
-        scheduler_cache_(options.stream.stem.sharded_sweeps
-                             ? options.stream.stem.sharded
-                             : ShardedSweepOptions{.shards = 1, .threads = 1}),
         mean_field_(options.stream.mean_field) {}
 
   // Event-time progress of the lane, sampled by the router for lag stats.
@@ -234,7 +231,6 @@ class LaneWorker {
     }
     StemOptions stem = options_.stream.stem;
     stem.arrival_time_origin = plan.arrival_time_origin;
-    stem.scheduler_cache = &scheduler_cache_;
     const StemEstimator estimator(stem);
     Rng rng(plan.seed);
     Stopwatch fitting;
@@ -255,13 +251,9 @@ class LaneWorker {
   WindowLogBuilder builder_;
   MeanFieldRecordFold fold_;
   WindowFitChain chain_;
-  // One scheduler per lane, rebuilt per window fit: windows on a lane are strictly
-  // sequential, so the cache is exclusively owned and every fit reuses the lane's
-  // coloring/bucket buffers (and worker pool, under sharded sweeps) instead of
-  // constructing a scheduler per window.
-  ShardedSweepScheduler scheduler_cache_;
-  // The lane's StEM working memory, reused by every window it fits (same exclusivity
-  // argument as scheduler_cache_). Its buffers stay empty until the first StEM fit.
+  // The lane's StEM working memory, reused by every window it fits: windows on a lane are
+  // strictly sequential, so it is exclusively owned, and its sampler's sweep schedule
+  // keeps its buffers across windows. Its buffers stay empty until the first StEM fit.
   StemWorkspace stem_workspace_;
   MeanFieldEstimator mean_field_;
   MeanFieldFit mf_fit_;

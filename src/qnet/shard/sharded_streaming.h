@@ -38,8 +38,7 @@
 // (for K >= 2; a single lane elides the lane salt, which is the plain
 // StreamingEstimator's MixSeed(base, w)). Seeds, warm starts, window membership, and
 // pooling order are pure functions of (stream contents, options, base seed, K) — never of
-// thread scheduling, queue timing, sharded-sweep thread counts under each lane, or
-// pipelining. Pooled estimates are therefore bit-identical across every execution
+// thread scheduling, queue timing, or pipelining. Pooled estimates are therefore bit-identical across every execution
 // arrangement for a FIXED K. Across DIFFERENT K the estimates are statistically
 // consistent but not bit-identical: each lane fits its own hash-thinned sub-stream (the
 // mean-field-flavored decomposition that buys horizontal scaling), so K, like the chain

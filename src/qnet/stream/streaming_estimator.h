@@ -17,9 +17,9 @@
 // Determinism contract (extends the PR-1/PR-2 contracts): window w's StEM run consumes
 // an Rng seeded MixSeed(seed, w) — a pure function of the base seed and the window's
 // emission index, never of ingestion timing. Combined with the tracker's
-// order-preserving close and StEM's sharded-sweep contract, the estimate sequence is
-// bit-identical for any pipeline setting and any sharded-sweep thread count; only
-// wall-clock changes. The warm-start chain and seed discipline live in WindowFitChain.
+// order-preserving close and the sweep's seed layout (infer/sharded_sweep.h), the
+// estimate sequence is bit-identical for any pipeline setting; only wall-clock
+// changes. The warm-start chain and seed discipline live in WindowFitChain.
 //
 // Pipelining: without `pipeline`, every window is built and fitted on the caller's
 // thread the moment the record that closes it arrives, and its estimate is emitted as

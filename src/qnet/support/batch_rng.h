@@ -1,7 +1,7 @@
 // Lane-parallel RNG facade for the batched move kernel.
 //
-// A (color, shard) bucket of the sharded sweep schedule owns one seed; the batched kernel
-// executes the bucket's moves in fixed-width tiles, and each move consumes uniforms from
+// A bucket (one color class) of the colored sweep schedule owns one seed; the batched
+// kernel executes the bucket's moves in fixed-width tiles, and each move consumes uniforms from
 // the xoshiro stream of its *lane* — lane(rank) = rank mod width, stream seeded
 // MixSeed(bucket_seed, lane). Which stream feeds which move is therefore a pure function
 // of (bucket_seed, rank, width): never of tile shape, batch timing, or thread placement.

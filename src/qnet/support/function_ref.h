@@ -1,7 +1,7 @@
 // Non-owning, trivially-copyable callable reference (the std::function_ref of P0792,
 // reduced to what this library needs). Unlike std::function it never heap-allocates:
 // a capturing lambda bigger than the small-object buffer would make every
-// ShardedSweepScheduler::Run/RunBuckets call allocate. The referenced callable must
+// ShardedSweepScheduler::RunBuckets call allocate. The referenced callable must
 // outlive the FunctionRef — pass it straight down the call stack only.
 
 #ifndef QNET_SUPPORT_FUNCTION_REF_H_

@@ -8,9 +8,9 @@
 // written so that the *N-element batch form is literally a loop over the scalar inline
 // form*: every lane performs the identical operation sequence, so scalar and batched
 // evaluation are bit-identical by construction — the same discipline that keeps the
-// sharded sweep bit-identical across thread counts. The build pins -ffp-contract=off
-// globally so no TU can fuse a*b+c into an FMA and break that contract between a
-// vectorized library TU and a scalar test TU.
+// batched kernel bit-identical to its move-at-a-time reference. The build pins
+// -ffp-contract=off globally so no TU can fuse a*b+c into an FMA and break that contract
+// between a vectorized library TU and a scalar test TU.
 //
 // Accuracy: a few ulp (argument reduction is Cody–Waite, polynomials are Taylor with one
 // guard term past the target precision; see the per-function notes). That is far below

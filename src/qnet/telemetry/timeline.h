@@ -10,8 +10,7 @@
 // Stage taxonomy and detail levels (Timeline::SetLevel, default 1):
 //   level 1 — pipeline lifecycle: window assemble, StEM fit, mean-field fit,
 //             lane merge, emit, lane blocked, scenario cell, DES run.
-//   level 2 — shard plumbing and sweep structure: lane push/pop, sweep color class,
-//             sweep bucket.
+//   level 2 — shard plumbing and sweep structure: lane push/pop, sweep color class.
 //   level 3 — batched move-kernel tile (per-tile; very hot, off by default).
 // A stage above the current level costs one relaxed atomic load and no clock read —
 // that is how the ≤5% sweep-overhead gate holds with instrumentation compiled in.
@@ -47,8 +46,7 @@ enum class SpanStage : std::uint8_t {
   kDetectObserve,       // ChangeMonitor consuming one WindowEstimate
   kLanePush,            // LaneQueue::PushMany batch
   kLanePop,             // LaneQueue::PopMany batch
-  kSweepColor,          // one color class of a sharded sweep
-  kSweepBucket,         // one (color, shard) bucket
+  kSweepColor,          // one color class of a sweep (one batched-kernel bucket)
   kSweepTile,           // one batched move-kernel tile
   kNumStages,
 };

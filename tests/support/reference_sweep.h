@@ -23,15 +23,10 @@ namespace qnet_testing {
 
 class ReferenceSweeper {
  public:
-  // Mirrors a GibbsSampler(state, obs, rates, options) swept on a `sharded` schedule
-  // (the sampler's default is one shard).
+  // Mirrors a GibbsSampler(state, obs, rates, options).
   ReferenceSweeper(qnet::EventLog state, const qnet::Observation& obs,
-                   std::vector<double> rates, const qnet::GibbsOptions& options = {},
-                   const qnet::ShardedSweepOptions& sharded = {.shards = 1, .threads = 1})
-      : state_(std::move(state)),
-        rates_(std::move(rates)),
-        width_(options.batch_width),
-        scheduler_(sharded) {
+                   std::vector<double> rates, const qnet::GibbsOptions& options = {})
+      : state_(std::move(state)), rates_(std::move(rates)), width_(options.batch_width) {
     std::vector<qnet::SweepMove> arrival_moves;
     std::vector<qnet::SweepMove> final_moves;
     qnet::CollectLatentMoves(state_, obs, arrival_moves, final_moves);

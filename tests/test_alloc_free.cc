@@ -61,7 +61,7 @@ EventId FirstLatentArrival(const Fixture& fixture) {
   return kNoEvent;
 }
 
-TEST(AllocFree, SampleArrivalFastPathDoesNotAllocate) {
+TEST(AllocFree, ArrivalGatherBuildSampleDoesNotAllocate) {
   const Fixture fixture = MakeFixture();
   const EventId target = FirstLatentArrival(fixture);
   ASSERT_NE(target, kNoEvent);
@@ -69,13 +69,14 @@ TEST(AllocFree, SampleArrivalFastPathDoesNotAllocate) {
   // Warm-up exercises every branch object once before counting.
   {
     const ArrivalMove move = GatherArrivalMove(fixture.init, target, fixture.rates);
-    (void)SampleArrival(move, rng);
+    ASSERT_LT(move.lower, move.upper);
+    (void)BuildArrivalDensity(move).Sample(rng);
   }
   const std::size_t before = AllocationCount();
   double sink = 0.0;
   for (int i = 0; i < 1000; ++i) {
     const ArrivalMove move = GatherArrivalMove(fixture.init, target, fixture.rates);
-    sink += SampleArrival(move, rng);
+    sink += BuildArrivalDensity(move).Sample(rng);
   }
   EXPECT_EQ(AllocationCount(), before) << "sink=" << sink;
 }
@@ -99,47 +100,6 @@ TEST(AllocFree, WholeGibbsSweepDoesNotAllocate) {
   const Fixture fixture = MakeFixture();
   GibbsSampler sampler(fixture.init, fixture.obs, fixture.rates);
   ASSERT_GT(sampler.NumLatentArrivals(), 0u);
-  Rng rng(9);
-  sampler.Sweep(rng);  // warm-up
-  const std::size_t before = AllocationCount();
-  for (int sweep = 0; sweep < 20; ++sweep) {
-    sampler.Sweep(rng);
-  }
-  EXPECT_EQ(AllocationCount(), before);
-}
-
-TEST(AllocFree, ShardedSweepDoesNotAllocate) {
-  // The colored sweep path must preserve the hot-path contract: the schedule and all
-  // buffers are frozen at EnableShardedSweeps, per-bucket lane streams live on the stack,
-  // and with threads == 1 RunBuckets is a plain loop — so a warmed-up sharded sweep
-  // performs zero allocations.
-  const Fixture fixture = MakeFixture();
-  GibbsSampler sampler(fixture.init, fixture.obs, fixture.rates);
-  ShardedSweepOptions options;
-  options.shards = 4;
-  options.threads = 1;
-  sampler.EnableShardedSweeps(options);
-  ASSERT_GT(sampler.Scheduler()->NumColors(), 0u);
-  Rng rng(9);
-  sampler.Sweep(rng);  // warm-up
-  const std::size_t before = AllocationCount();
-  for (int sweep = 0; sweep < 20; ++sweep) {
-    sampler.Sweep(rng);
-  }
-  EXPECT_EQ(AllocationCount(), before);
-}
-
-TEST(AllocFree, ShardedSweepWithWorkersDoesNotAllocate) {
-  // Workers are persistent (launched once at EnableShardedSweeps, parked on a condition
-  // variable between sweeps), so the zero-allocation contract holds for threads > 1 too:
-  // a sweep is a notify + barrier-phased bucket execution, with the batched kernel
-  // running inside the pool's bucket callbacks, nothing more.
-  const Fixture fixture = MakeFixture();
-  GibbsSampler sampler(fixture.init, fixture.obs, fixture.rates);
-  ShardedSweepOptions options;
-  options.shards = 4;
-  options.threads = 2;
-  sampler.EnableShardedSweeps(options);
   Rng rng(9);
   sampler.Sweep(rng);  // warm-up
   const std::size_t before = AllocationCount();
@@ -243,9 +203,9 @@ TEST(AllocFree, WarmWindowBuildDoesNotAllocate) {
 }
 
 TEST(AllocFree, WarmStemWindowAllocationsDoNotGrowWithTheWindow) {
-  // A lane's StEM windows run through one StemWorkspace and one scheduler cache. Once a
-  // window has sized them, a later window rebuilds the initializer graph, the sampler's
-  // state, move lists and schedule in place, so what it allocates is its StemResult
+  // A lane's StEM windows run through one StemWorkspace. Once a window has sized it, a
+  // later window rebuilds the initializer graph, the sampler's state, move lists and
+  // schedule in place, so what it allocates is its StemResult
   // alone — the same count for a ~300-task and a ~3000-task window (fixed iterations, so
   // both results have the same shape).
   ThreeTierConfig config;
@@ -267,13 +227,11 @@ TEST(AllocFree, WarmStemWindowAllocationsDoNotGrowWithTheWindow) {
   };
   const Window small = make_window(300, 41);
   const Window large = make_window(3000, 43);
-  ShardedSweepScheduler scheduler_cache({.shards = 1, .threads = 1});
   StemOptions options;
   options.iterations = 12;
   options.burn_in = 4;
   options.wait_sweeps = 4;
   options.convergence_tol = 0.0;
-  options.scheduler_cache = &scheduler_cache;
   const StemEstimator estimator(options);
   const std::vector<double> rates = net.ExponentialRates();
   StemWorkspace workspace;
@@ -398,17 +356,13 @@ TEST(AllocFree, TelemetryUpdatesDoNotAllocate) {
   Timeline::SetLevel(1);
 }
 
-TEST(AllocFree, InstrumentedShardedSweepDoesNotAllocate) {
+TEST(AllocFree, InstrumentedSweepDoesNotAllocate) {
   // The observability acceptance gate: a warmed-up colored sweep stays allocation-free
-  // with EVERY span level armed (color, bucket, and tile spans recording into the
-  // thread ring plus their stage histograms). Telemetry that allocated per sweep would
-  // fail here before it ever showed up as benchmark noise.
+  // with EVERY span level armed (color and tile spans recording into the thread ring
+  // plus their stage histograms). Telemetry that allocated per sweep would fail here
+  // before it ever showed up as benchmark noise.
   const Fixture fixture = MakeFixture();
   GibbsSampler sampler(fixture.init, fixture.obs, fixture.rates);
-  ShardedSweepOptions options;
-  options.shards = 4;
-  options.threads = 1;
-  sampler.EnableShardedSweeps(options);
   Timeline::SetLevel(3);
   Rng rng(9);
   sampler.Sweep(rng);  // warm-up (ring registration, stage-histogram table)

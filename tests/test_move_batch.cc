@@ -10,8 +10,8 @@
 //    across every segment-shape regime the Gibbs builders can emit;
 // and top-down: sweeps through the batched kernel are bit-identical to the
 // move-at-a-time reference kernel on the same schedule and streams
-// (tests/support/reference_sweep.h), for every batch width, thread count, and bucket
-// shape (including empty and one-move buckets).
+// (tests/support/reference_sweep.h), for every batch width and bucket shape (including
+// buckets narrower than one tile and degenerate-window moves).
 
 #include <bit>
 #include <cmath>
@@ -23,8 +23,10 @@
 
 #include "support/reference_sweep.h"
 
+#include "qnet/infer/conditional.h"
 #include "qnet/infer/gibbs.h"
 #include "qnet/infer/initializer.h"
+#include "qnet/infer/move_kernel.h"
 #include "qnet/infer/piecewise_exp.h"
 #include "qnet/model/builders.h"
 #include "qnet/obs/observation.h"
@@ -362,11 +364,8 @@ Fixture MakeFixture(std::size_t tasks, double fraction, std::uint64_t seed) {
 }
 
 EventLog SamplerSweeps(const Fixture& fixture, const GibbsOptions& options, int sweeps,
-                       std::uint64_t seed, const ShardedSweepOptions* sharded = nullptr) {
+                       std::uint64_t seed) {
   GibbsSampler sampler(fixture.init, fixture.obs, fixture.rates, options);
-  if (sharded != nullptr) {
-    sampler.EnableShardedSweeps(*sharded);
-  }
   Rng rng(seed);
   for (int s = 0; s < sweeps; ++s) {
     sampler.Sweep(rng);
@@ -376,10 +375,8 @@ EventLog SamplerSweeps(const Fixture& fixture, const GibbsOptions& options, int 
 
 // The same sweeps through the move-at-a-time reference kernel on the same schedule.
 EventLog ReferenceSweeps(const Fixture& fixture, const GibbsOptions& options, int sweeps,
-                         std::uint64_t seed,
-                         const ShardedSweepOptions& sharded = {.shards = 1, .threads = 1}) {
-  qnet_testing::ReferenceSweeper reference(fixture.init, fixture.obs, fixture.rates, options,
-                                           sharded);
+                         std::uint64_t seed) {
+  qnet_testing::ReferenceSweeper reference(fixture.init, fixture.obs, fixture.rates, options);
   Rng rng(seed);
   for (int s = 0; s < sweeps; ++s) {
     reference.Sweep(rng);
@@ -410,39 +407,45 @@ TEST(BatchedKernel, BitIdenticalToReferenceAcrossBatchWidths) {
   }
 }
 
-TEST(BatchedKernel, BitIdenticalAcrossThreadCountsAndToReference) {
-  const Fixture fixture = MakeFixture(120, 0.1, 99);
-  GibbsOptions options;
-  ShardedSweepOptions sharded;
-  sharded.shards = 4;
-
-  sharded.threads = 1;
-  const EventLog one = SamplerSweeps(fixture, options, 25, 88, &sharded);
-  sharded.threads = 2;
-  const EventLog two = SamplerSweeps(fixture, options, 25, 88, &sharded);
-  sharded.threads = 4;
-  const EventLog four = SamplerSweeps(fixture, options, 25, 88, &sharded);
-  ExpectStatesBitEqual(one, two, "1 vs 2 threads");
-  ExpectStatesBitEqual(one, four, "1 vs 4 threads");
-
-  // The reference kernel on the same 4-shard schedule must also match: thread count and
-  // execution style (tiles vs move-at-a-time) are both invisible to the result.
-  sharded.threads = 2;
-  const EventLog ref = ReferenceSweeps(fixture, options, 25, 88, sharded);
-  ExpectStatesBitEqual(one, ref, "batched vs reference on shards");
-}
-
-TEST(BatchedKernel, TinyAndEmptyBucketsMatchReference) {
-  // A small trace over many shards produces buckets far narrower than the batch width —
-  // including empty and one-move buckets; every tile is then a tail tile.
+TEST(BatchedKernel, TinyBucketsMatchReference) {
+  // A small trace has color classes far narrower than the batch width, down to one-move
+  // buckets; every tile is then a tail tile.
   const Fixture fixture = MakeFixture(8, 0.3, 41);
   const GibbsOptions options;
-  ShardedSweepOptions sharded;
-  sharded.shards = 8;
-  sharded.threads = 1;
-  const EventLog a = SamplerSweeps(fixture, options, 30, 5, &sharded);
-  const EventLog b = ReferenceSweeps(fixture, options, 30, 5, sharded);
+  const EventLog a = SamplerSweeps(fixture, options, 30, 5);
+  const EventLog b = ReferenceSweeps(fixture, options, 30, 5);
   ExpectStatesBitEqual(a, b, "tiny buckets");
+}
+
+TEST(BatchedKernel, DegenerateWindowReturnsMidpoint) {
+  // One task through a two-queue tandem whose second arrival a_e may only move inside a
+  // window narrower than kDegenerateWindow: [c_pi, d_e] = [2, 2 + 4e-13]. Both kernels
+  // resample it as the window's midpoint, which differs from the current a_e, instead of
+  // drawing from a density.
+  EventLog log(3);
+  log.AddTask(2.0);
+  log.AddVisit(0, 0, 1, 2.0, 2.0 + 1e-13);
+  const EventId e = log.AddVisit(0, 1, 2, 2.0 + 1e-13, 2.0 + 4e-13);
+  log.BuildQueueLinks();
+  const std::vector<double> rates = {1.0, 2.0, 3.0};
+  const ArrivalMove gathered = GatherArrivalMove(log, e, rates);
+  ASSERT_EQ(gathered.lower, 2.0);
+  ASSERT_EQ(gathered.upper, 2.0 + 4e-13);
+  const double midpoint = 0.5 * (gathered.lower + gathered.upper);
+  ASSERT_NE(log.Arrival(e), midpoint);
+
+  const SweepMove move{MoveKind::kArrival, e};
+  const MoveGeometry geometry = log.ResolveMoveGeometry(move);
+  const BatchedExponentialMoveKernel kernel(rates);
+  EventLog batched = log;
+  PiecewiseExpBatch batch;
+  kernel.RunBucket(batched, {&move, 1}, {&geometry, 1}, /*bucket_seed=*/7, batch);
+  EventLog reference = log;
+  kernel.RunBucketReference(reference, {&move, 1}, /*bucket_seed=*/7);
+  for (const EventLog* state : {&batched, &reference}) {
+    EXPECT_EQ(state->Arrival(e), midpoint);
+    EXPECT_EQ(state->Departure(state->At(e).pi), midpoint);
+  }
 }
 
 TEST(BatchedKernel, ScheduleGeometryMatchesLinkWalkOnFeedbackRevisits) {
@@ -484,21 +487,12 @@ TEST(BatchedKernel, ScheduleGeometryMatchesLinkWalkOnFeedbackRevisits) {
   ASSERT_GT(unbounded_finals, 0u);
 
   for (const std::size_t width : {std::size_t{1}, std::size_t{7}, kMaxBatchWidth}) {
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-        if (threads > shards) {
-          continue;
-        }
-        SCOPED_TRACE(testing::Message() << "width " << width << " shards " << shards
-                                        << " threads " << threads);
-        GibbsOptions options;
-        options.batch_width = width;
-        const ShardedSweepOptions sharded{.shards = shards, .threads = threads};
-        const EventLog a = SamplerSweeps(fixture, options, 20, 4321, &sharded);
-        const EventLog b = ReferenceSweeps(fixture, options, 20, 4321, sharded);
-        ExpectStatesBitEqual(a, b, "geometry vs link walk");
-      }
-    }
+    SCOPED_TRACE(testing::Message() << "width " << width);
+    GibbsOptions options;
+    options.batch_width = width;
+    const EventLog a = SamplerSweeps(fixture, options, 20, 4321);
+    const EventLog b = ReferenceSweeps(fixture, options, 20, 4321);
+    ExpectStatesBitEqual(a, b, "geometry vs link walk");
   }
 }
 

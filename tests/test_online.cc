@@ -175,39 +175,6 @@ TEST(OnlineStem, ProducesPerWindowEstimates) {
   }
 }
 
-TEST(OnlineStem, ShardedWindowSweepsAreDeterministicAndAccurate) {
-  // Streaming windows ride the same move-kernel/sweep-driver core as batch StEM, so
-  // flipping on sharded sweeps must keep estimates deterministic (thread count cannot
-  // change them) and as accurate as the single-shard schedule.
-  const QueueingNetwork net = MakeSingleQueueNetwork(4.0, 8.0);
-  Rng rng(7);
-  const EventLog truth = SimulateWorkload(net, PoissonArrivals(4.0, 400), rng);
-  TaskSamplingScheme scheme;
-  scheme.fraction = 0.5;
-  const Observation obs = scheme.Apply(truth, rng);
-
-  StreamingEstimatorOptions options = WindowedStemOptions(30.0);
-  options.stem.sharded_sweeps = true;
-  options.stem.sharded.shards = 2;
-
-  options.stem.sharded.threads = 1;
-  Rng rng_a(21);
-  const auto serial = RunWindowedStem(truth, obs, rng_a, options);
-  options.stem.sharded.threads = 2;
-  Rng rng_b(21);
-  const auto parallel = RunWindowedStem(truth, obs, rng_b, options);
-
-  ASSERT_GE(serial.size(), 3u);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t w = 0; w < serial.size(); ++w) {
-    ASSERT_EQ(serial[w].rates.size(), parallel[w].rates.size());
-    for (std::size_t q = 0; q < serial[w].rates.size(); ++q) {
-      EXPECT_EQ(serial[w].rates[q], parallel[w].rates[q]) << "window " << w << " q=" << q;
-    }
-    EXPECT_NEAR(1.0 / serial[w].rates[1], 1.0 / 8.0, 0.08) << "window at " << serial[w].t0;
-  }
-}
-
 TEST(OnlineStem, TracksMidStreamServiceDegradation) {
   // The queue slows down 4x halfway through; window estimates should reflect it.
   const QueueingNetwork net = MakeSingleQueueNetwork(2.0, 10.0);

@@ -177,9 +177,8 @@ TEST(RouteMh, ComposesWithTimeGibbsSweeps) {
 // A reroute through MutableState() changes the link structure that a sweep schedule's
 // coloring and move geometry were built on. The next Sweep must rebuild whichever
 // scheduler the sampler drives, so k further sweeps equal, bit for bit, those of a
-// sampler freshly built on the mutated state with the same RNG — for the internal batch
-// schedule, an owned sharded scheduler (EnableShardedSweeps) and a caller-owned one
-// (UseScheduler), on one thread and on several.
+// sampler freshly built on the mutated state with the same RNG — for the sampler's owned
+// scheduler and for a caller-owned one (UseScheduler).
 TEST(RouteMh, SweepsAfterRerouteMatchAFreshSamplerForEverySchedulerKind) {
   ThreeTierConfig config;
   config.tier_sizes = {1, 3};
@@ -204,23 +203,13 @@ TEST(RouteMh, SweepsAfterRerouteMatchAFreshSamplerForEverySchedulerKind) {
   const std::vector<EventId> route_latents = RouteLatentEvents(init, unobserved_tasks);
   ASSERT_FALSE(route_latents.empty());
 
-  enum class Kind { kBatch, kOwned, kExternal };
-  struct Case {
-    Kind kind;
-    std::size_t threads;
-  };
-  for (const Case c : {Case{Kind::kBatch, 1}, Case{Kind::kOwned, 1}, Case{Kind::kOwned, 3},
-                       Case{Kind::kExternal, 1}, Case{Kind::kExternal, 3}}) {
-    SCOPED_TRACE(testing::Message() << "kind " << static_cast<int>(c.kind) << " threads "
-                                    << c.threads);
-    const ShardedSweepOptions sharded{.shards = 3, .threads = c.threads};
+  for (const bool caller_owned : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "caller-owned " << caller_owned);
     // Declared before the samplers that borrow them.
-    ShardedSweepScheduler external(sharded);
-    ShardedSweepScheduler fresh_external(sharded);
+    ShardedSweepScheduler external;
+    ShardedSweepScheduler fresh_external;
     const auto attach = [&](GibbsSampler& sampler, ShardedSweepScheduler& scheduler) {
-      if (c.kind == Kind::kOwned) {
-        sampler.EnableShardedSweeps(sharded);
-      } else if (c.kind == Kind::kExternal) {
+      if (caller_owned) {
         sampler.UseScheduler(&scheduler);
       }
     };

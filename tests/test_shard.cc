@@ -4,8 +4,7 @@
 // The load-bearing assertions are bit-exactness ones, mirroring the repo's established
 // threading contracts: (i) a single-lane fleet reproduces the plain StreamingEstimator
 // bit-exactly; (ii) for a FIXED lane count K the pooled estimate sequence is
-// bit-identical across sharded-sweep thread counts, pipelining, queue capacities
-// (backpressure), and repeated runs; (iii) window spans, counts, and emission indices
+// bit-identical across pipelining, queue capacities (backpressure), and repeated runs; (iii) window spans, counts, and emission indices
 // are bit-identical across DIFFERENT lane counts (the span tracker is global). Across
 // lane counts the pooled fits themselves are statistically consistent, not bit-equal —
 // each lane fits its own hash-thinned sub-stream by design — which a tolerance test
@@ -24,7 +23,6 @@
 
 #include "support/vector_stream.h"
 #include "qnet/infer/meanfield.h"
-#include "qnet/infer/sharded_sweep.h"
 #include "qnet/infer/stem.h"
 #include "qnet/model/builders.h"
 #include "qnet/obs/observation.h"
@@ -138,31 +136,12 @@ TEST(ShardedStreaming, SingleLaneMatchesStreamingEstimatorBitExactly) {
   }
 }
 
-TEST(ShardedStreaming, SingleLaneEquivalenceHoldsUnderShardedSweepsAndPipelining) {
-  const Fixture f;
-  StreamingEstimatorOptions stream_options = ShortStemOptions();
-  stream_options.stem.sharded_sweeps = true;
-  stream_options.stem.sharded.shards = 2;
-  stream_options.stem.sharded.threads = 2;
-  stream_options.pipeline = true;
-
-  LogReplayStream plain_stream(f.truth, f.obs);
-  StreamingEstimator plain({1.0, 1.0, 1.0}, 5, stream_options);
-  const auto reference = plain.Run(plain_stream);
-
-  ShardedStreamingOptions fleet_options;
-  fleet_options.lanes = 1;
-  fleet_options.stream = stream_options;
-  const auto pooled = RunFleet(f, fleet_options, 5);
-  ExpectEstimatesIdentical(reference, pooled);
-}
-
 // --- Fixed-K determinism across every execution arrangement ------------------------------
 
-TEST(ShardedStreaming, PooledEstimatesBitIdenticalAcrossThreadsAndPipelining) {
-  // The acceptance grid: K in {1,2,4} lanes x {1,2,4} sharded-sweep threads per lane x
-  // pipelining on/off. For each K the pooled sequence must be bit-identical across the
-  // whole (threads, pipelining) sub-grid; only wall-clock may change.
+TEST(ShardedStreaming, PooledEstimatesBitIdenticalAcrossPipelining) {
+  // The acceptance grid: K in {1,2,4} lanes x pipelining on/off. For each K the pooled
+  // sequence must be bit-identical with and without pipelining; only wall-clock may
+  // change.
   // At K = 1 the plain estimator runs the same grid: pipelining off runs its lane on the
   // caller's thread (no lane queue), on runs it behind a queue on a worker thread, and
   // both arrangements must also agree on every stats count.
@@ -170,25 +149,20 @@ TEST(ShardedStreaming, PooledEstimatesBitIdenticalAcrossThreadsAndPipelining) {
   for (const std::size_t lanes : {1u, 2u, 4u}) {
     std::vector<std::vector<WindowEstimate>> runs;
     std::vector<StreamingStats> plain_stats;
-    for (const std::size_t threads : {1u, 2u, 4u}) {
-      for (const bool pipeline : {false, true}) {
-        ShardedStreamingOptions options;
-        options.lanes = lanes;
-        options.stream = ShortStemOptions();
-        options.stream.stem.sharded_sweeps = true;
-        options.stream.stem.sharded.shards = 2;
-        options.stream.stem.sharded.threads = threads;
-        options.stream.pipeline = pipeline;
-        FleetStats fleet_stats;
-        runs.push_back(RunFleet(f, options, 42, &fleet_stats));
-        if (lanes == 1) {
-          EXPECT_EQ(fleet_stats.lane[0].peak_queue_depth == 0, !pipeline)
-              << "threads=" << threads << " pipeline=" << pipeline;
-          LogReplayStream stream(f.truth, f.obs);
-          StreamingEstimator plain({1.0, 1.0, 1.0}, 42, options.stream);
-          runs.push_back(plain.Run(stream));
-          plain_stats.push_back(plain.Stats());
-        }
+    for (const bool pipeline : {false, true}) {
+      ShardedStreamingOptions options;
+      options.lanes = lanes;
+      options.stream = ShortStemOptions();
+      options.stream.pipeline = pipeline;
+      FleetStats fleet_stats;
+      runs.push_back(RunFleet(f, options, 42, &fleet_stats));
+      if (lanes == 1) {
+        EXPECT_EQ(fleet_stats.lane[0].peak_queue_depth == 0, !pipeline)
+            << "pipeline=" << pipeline;
+        LogReplayStream stream(f.truth, f.obs);
+        StreamingEstimator plain({1.0, 1.0, 1.0}, 42, options.stream);
+        runs.push_back(plain.Run(stream));
+        plain_stats.push_back(plain.Stats());
       }
     }
     ASSERT_GE(runs.front().size(), 3u) << "lanes=" << lanes;
@@ -723,10 +697,9 @@ TEST(ShardedStreaming, SingleLaneFastPathMatchesStreamingEstimatorBitExactly) {
   }
 }
 
-TEST(ShardedStreaming, FastPathPooledEstimatesBitIdenticalAcrossThreadsAndPipelining) {
+TEST(ShardedStreaming, FastPathPooledEstimatesBitIdenticalAcrossPipelining) {
   // The fleet's determinism contract holds verbatim in degraded and all-variational
-  // modes: for a FIXED lane count, sharded-sweep threads and pipelining never change a
-  // bit. Across lane counts the degraded flags still agree, because the degrade trigger
+  // modes: for a FIXED lane count, pipelining never changes a bit. Across lane counts the degraded flags still agree, because the degrade trigger
   // is the GLOBAL window task count, not any lane-local share. Without pipelining,
   // all-variational lanes run on the caller's thread at every K, so that sub-grid
   // compares in-thread K = 2/4 against threaded K = 2/4.
@@ -735,22 +708,17 @@ TEST(ShardedStreaming, FastPathPooledEstimatesBitIdenticalAcrossThreadsAndPipeli
     std::vector<std::vector<WindowEstimate>> per_lane_count;
     for (const std::size_t lanes : {1u, 2u, 4u}) {
       std::vector<std::vector<WindowEstimate>> runs;
-      for (const std::size_t threads : {1u, 2u}) {
-        for (const bool pipeline : {false, true}) {
-          ShardedStreamingOptions options;
-          options.lanes = lanes;
-          options.stream = ShortStemOptions();
-          options.stream.fast_path = mode;
-          options.stream.degrade_task_budget = 100;
-          options.stream.stem.sharded_sweeps = true;
-          options.stream.stem.sharded.shards = 2;
-          options.stream.stem.sharded.threads = threads;
-          options.stream.pipeline = pipeline;
-          FleetStats stats;
-          runs.push_back(RunFleet(f, options, 21, &stats));
-          ExpectArrangement(stats,
-                            !pipeline && (lanes == 1 || mode == FastPathMode::kMeanFieldOnly));
-        }
+      for (const bool pipeline : {false, true}) {
+        ShardedStreamingOptions options;
+        options.lanes = lanes;
+        options.stream = ShortStemOptions();
+        options.stream.fast_path = mode;
+        options.stream.degrade_task_budget = 100;
+        options.stream.pipeline = pipeline;
+        FleetStats stats;
+        runs.push_back(RunFleet(f, options, 21, &stats));
+        ExpectArrangement(stats,
+                          !pipeline && (lanes == 1 || mode == FastPathMode::kMeanFieldOnly));
       }
       ASSERT_GE(runs.front().size(), 3u);
       for (std::size_t i = 1; i < runs.size(); ++i) {
@@ -797,19 +765,15 @@ std::vector<WindowEstimate> BuildEveryWindowReference(
     std::vector<TaskRecord> last_window;
     WindowLogBuilder builder;
     WindowFitChain chain;
-    ShardedSweepScheduler scheduler_cache;  // the lane's cache for the default batched sweep
     std::vector<std::vector<std::size_t>> window_counts;  // one entry per kept window
   };
-  ShardedSweepOptions cache_options;
-  cache_options.shards = 1;
-  cache_options.threads = 1;
   std::vector<std::unique_ptr<Lane>> lanes;
   for (std::size_t l = 0; l < fleet.lanes; ++l) {
     lanes.push_back(std::unique_ptr<Lane>(new Lane{
         {}, {}, WindowLogBuilder(num_queues),
         WindowFitChain(std::vector<double>(static_cast<std::size_t>(num_queues), 1.0), seed,
                        options.window_local_arrival_rate, /*salted=*/fleet.lanes > 1, l),
-        ShardedSweepScheduler(cache_options), {}}));
+        {}}));
   }
   WindowSpanTracker tracker(options.window);
   LaneMerger merger(fleet.lanes, num_queues, options.window_local_arrival_rate,
@@ -849,7 +813,6 @@ std::vector<WindowEstimate> BuildEveryWindowReference(
       } else {
         StemOptions stem = options.stem;
         stem.arrival_time_origin = plan.arrival_time_origin;
-        stem.scheduler_cache = &lane.scheduler_cache;
         Rng rng(plan.seed);
         StemResult result = StemEstimator(stem).Run(lane.builder.Log(), lane.builder.Obs(),
                                                     std::move(plan.warm_start), rng);

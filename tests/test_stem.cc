@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include <gtest/gtest.h>
 
@@ -321,6 +322,35 @@ TEST(Stem, EarlyStopRuleIsPureFunctionOfTrace) {
               StopPointFromTrace(result.rate_trace, options.burn_in, tol,
                                  options.convergence_patience))
         << "tol=" << tol;
+  }
+}
+
+TEST(Stem, GoldenTandemFitPinsTheSweepStreamLayout) {
+  // A fixed-seed tandem fit, compared bit for bit against hex-float values recorded when
+  // the colored schedule still had a shard axis (its single-shard layout). Bucket seeds,
+  // the color-class order, the tile lanes and the kernel's arithmetic all feed these
+  // values, so a change to any of them fails here, not only in downstream medians.
+  const QueueingNetwork net = MakeTandemNetwork(2.0, {4.0, 3.0});
+  Rng rng(2024);
+  const EventLog truth = SimulateWorkload(net, PoissonArrivals(2.0, 120), rng);
+  TaskSamplingScheme scheme;
+  scheme.fraction = 0.25;
+  const Observation obs = scheme.Apply(truth, rng);
+  StemOptions options;
+  options.iterations = 30;
+  options.burn_in = 10;
+  options.wait_sweeps = 10;
+  const StemResult result = StemEstimator(options).Run(truth, obs, {}, rng);
+
+  const double golden_rates[] = {0x1.fbe026301a0cbp+0, 0x1.e94295d4654bap+1,
+                                 0x1.74d4f6b51aa17p+1};
+  const double golden_waits[] = {0x1.dacde381c96a3p+4, 0x1.8c758268907b8p-3,
+                                 0x1.9c6aab5e4126ep-2};
+  ASSERT_EQ(result.rates.size(), std::size(golden_rates));
+  ASSERT_EQ(result.mean_wait.size(), std::size(golden_waits));
+  for (std::size_t q = 0; q < result.rates.size(); ++q) {
+    EXPECT_EQ(result.rates[q], golden_rates[q]) << "queue " << q;
+    EXPECT_EQ(result.mean_wait[q], golden_waits[q]) << "queue " << q;
   }
 }
 

@@ -2,8 +2,8 @@
 // pipelined windowed StEM estimator.
 //
 // The load-bearing assertions are bit-exactness ones: the streaming engine must
-// reproduce the batch windowed estimator exactly — same windows, same estimates — for
-// any sharded-sweep thread count and any pipelining, and the window logs built
+// reproduce the batch windowed estimator exactly — same windows, same estimates — with
+// or without pipelining, and the window logs built
 // incrementally from TaskRecords must equal the ones ExtractTaskWindow builds from the
 // batch log.
 
@@ -707,25 +707,20 @@ TEST(StreamingEstimator, MatchesBatchReferenceBitIdentically) {
   ExpectEstimatesIdentical(reference, streamed);
 }
 
-TEST(StreamingEstimator, BitIdenticalAcrossThreadCountsAndPipelining) {
-  // The acceptance bar: 1/2/4 sharded-sweep threads, pipelining on or off — the window
-  // estimate sequence is bit-identical; only wall-clock may change.
+TEST(StreamingEstimator, BitIdenticalAcrossPipelining) {
+  // The acceptance bar: pipelining on or off — the window estimate sequence is
+  // bit-identical; only wall-clock may change.
   const Fixture f;
   const std::vector<double> init = {1.0, 1.0, 1.0};
   const std::uint64_t seed = 5;
   StreamingEstimatorOptions options = ShortStemOptions();
-  options.stem.sharded_sweeps = true;
-  options.stem.sharded.shards = 2;
 
   std::vector<std::vector<WindowEstimate>> runs;
-  for (const std::size_t threads : {1u, 2u, 4u}) {
-    for (const bool pipeline : {false, true}) {
-      options.stem.sharded.threads = threads;
-      options.pipeline = pipeline;
-      LogReplayStream stream(f.truth, f.obs);
-      StreamingEstimator estimator(init, seed, options);
-      runs.push_back(estimator.Run(stream));
-    }
+  for (const bool pipeline : {false, true}) {
+    options.pipeline = pipeline;
+    LogReplayStream stream(f.truth, f.obs);
+    StreamingEstimator estimator(init, seed, options);
+    runs.push_back(estimator.Run(stream));
   }
   ASSERT_GE(runs.front().size(), 3u);
   for (std::size_t i = 1; i < runs.size(); ++i) {
@@ -945,21 +940,16 @@ TEST(StreamingEstimator, WarmStartFastPathSavesIterationsDeterministically) {
   warm.stem.convergence_tol = 0.05;
   warm.stem.convergence_patience = 2;
 
-  // Bit-identical across pipelining and sharded thread counts, like the sampler path.
+  // Bit-identical across pipelining, like the sampler path.
   std::vector<std::vector<WindowEstimate>> runs;
   std::size_t iterations_total = 0;
-  for (const std::size_t threads : {1u, 2u}) {
-    for (const bool pipeline : {false, true}) {
-      StreamingEstimatorOptions options = warm;
-      options.stem.sharded_sweeps = true;
-      options.stem.sharded.shards = 2;
-      options.stem.sharded.threads = threads;
-      options.pipeline = pipeline;
-      LogReplayStream stream(f.truth, f.obs);
-      StreamingEstimator estimator(init, 67, options);
-      runs.push_back(estimator.Run(stream));
-      iterations_total = estimator.Stats().fit_iterations_total;
-    }
+  for (const bool pipeline : {false, true}) {
+    StreamingEstimatorOptions options = warm;
+    options.pipeline = pipeline;
+    LogReplayStream stream(f.truth, f.obs);
+    StreamingEstimator estimator(init, 67, options);
+    runs.push_back(estimator.Run(stream));
+    iterations_total = estimator.Stats().fit_iterations_total;
   }
   for (std::size_t i = 1; i < runs.size(); ++i) {
     ExpectEstimatesIdentical(runs.front(), runs[i]);
