@@ -40,9 +40,9 @@
 //                                           the same run; CI gates their ratio
 //                                           inthread_over_threaded at K = 2/4;
 //   BM_FleetMeanFieldAllocations/K allocs_per_task — operator-new calls per extra task
-//                                           of that fleet once every ring slot has
-//                                           wrapped; records move by swap and lanes
-//                                           recycle their capacity, so only windows
+//                                           of that fleet (in-thread): lanes fold each
+//                                           record and keep none, reusing their
+//                                           buffers' capacity, so only windows
 //                                           allocate. CI gates a bound;
 //   BM_TaskHash/V v2_over_v1              — TaskHash (contract version 2, four
 //                                           accumulators) against the version-1 serial
@@ -337,8 +337,8 @@ BENCHMARK(BM_FleetMeanFieldIngest)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMil
     ->MeasureProcessCPUTime()->UseRealTime();
 
 // Marginal allocations: each iteration runs the fleet over N and over 2N tasks and
-// charges the difference to the N extra tasks, so fleet setup and the first wrap of
-// every ring slot (which sizes the circulating record capacity) cancel out.
+// charges the difference to the N extra tasks, so fleet setup and the growth of each
+// lane's buffers to the widest window cancel out.
 void BM_FleetMeanFieldAllocations(benchmark::State& state) {
   const auto lanes = static_cast<std::size_t>(state.range(0));
   const MeanFieldFixture fixture = MakeMeanFieldFixture();

@@ -22,12 +22,13 @@
 // Every statistic is a per-event quantity, and an event's contribution depends only on
 // its own task, so the statistics accumulate one event at a time from any source that
 // visits the events in the same order. Fit(log, obs) accumulates over a built window's
-// events; the streaming lanes accumulate straight from their TaskRecords
-// (MeanFieldRecordFold in stream/window_assembler.h) and never build a log for a
-// sampler-free window. Both paths then run the one closure, Fit(stats), so they agree
+// events; the streaming lanes accumulate straight from their TaskRecords, as each record
+// arrives (MeanFieldRecordFold in stream/window_assembler.h), and never build a log for
+// a sampler-free window. Both paths then run the one closure, Fit(stats), so they agree
 // bit for bit by construction: only the response sums depend on the order, and the
-// record fold visits events in the builder's numbering. Both are O(events) with zero
-// allocations once the statistics and the output vectors are warm.
+// record fold sums them in the builder's numbering of the window's sorted records,
+// whatever order the records arrived in. Both are O(events) with zero allocations once
+// the statistics and the output vectors are warm.
 //
 // Compared to StEM the estimate is biased by the M/M/1 closure (exact for Poisson-fed
 // exponential queues, approximate otherwise) and noisier at low observation fractions

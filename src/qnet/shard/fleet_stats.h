@@ -26,9 +26,13 @@ struct LaneStats {
   std::size_t degraded_fits = 0;
   // Sum of StEM iterations this lane's fits actually ran (early-stop savings witness).
   std::size_t fit_iterations_total = 0;
-  // High-water mark of records buffered in the lane (open-window buffer plus the
-  // previous window retained for the trailing merge) — each lane's bounded-memory
-  // witness, mirroring WindowAssemblerStats::peak_buffered_tasks.
+  // High-water mark of records buffered in the lane — each lane's bounded-memory
+  // witness. A lane whose windows may reach StEM keeps its records: the open window's
+  // buffer plus the previous window retained for the trailing merge, mirroring
+  // WindowAssemblerStats::peak_buffered_tasks. A sampler-free lane (kMeanFieldOnly)
+  // folds each record as it takes it and buffers only the records it holds past the
+  // open span (allowed_lateness > 0), so it reads 0 on an entry-ordered stream without
+  // lateness.
   std::size_t peak_buffered_tasks = 0;
   // High-water mark of the lane's ingest queue (records + tokens awaiting the worker);
   // pinned at the configured capacity when the router had to block (backpressure).

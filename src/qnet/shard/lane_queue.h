@@ -11,8 +11,9 @@
 // back — stale content, but its visit capacity) and PopMany swaps ring records into the
 // consumer's targets the same way. The fleet's one deep copy is the router's
 // copy-assignment into its batch slot; after that a record's visit vector only changes
-// hands, and the capacity the consumer hands back circulates to the producer through
-// the ring, so the steady-state hop allocates nothing and copies no visits. Producer
+// hands (a sampler-free lane folds the popped record and keeps none), and the capacity
+// the consumer hands back circulates to the producer through the ring, so the
+// steady-state hop allocates nothing and copies no visits. Producer
 // and consumer move items in BATCHES (PushMany/PopMany) — one lock + one wake per
 // batch, not per record — which keeps the hop cheap next to the fits. (A single lane
 // without pipelining uses no queue at all: the router calls it directly.) Batching
@@ -47,6 +48,9 @@ struct LaneItem {
   enum class Kind { kRecord, kClose, kFinish };
   Kind kind = Kind::kRecord;
   TaskRecord record;                      // kRecord
+  // kRecord: the end of the span open when the record was routed; kClose: the end of
+  // the span open after the decision, or -infinity when another decision follows.
+  double span_end = 0.0;
   WindowSpanTracker::SpanDecision close;  // kClose
 };
 
@@ -136,9 +140,10 @@ class LaneQueue {
 
  private:
   // Moves `from` into `to`: a record swaps its TaskRecord (capacity travels back to
-  // `from`), a token copies its decision.
+  // `from`), a token copies its decision; both copy the span end.
   static void Hand(LaneItem& from, LaneItem& to) {
     to.kind = from.kind;
+    to.span_end = from.span_end;
     if (from.kind == LaneItem::Kind::kRecord) {
       std::swap(to.record, from.record);
     } else {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <utility>
 
@@ -19,19 +20,40 @@
 namespace qnet {
 namespace {
 
-// One lane: record buffer + per-window record fold (and log build, for StEM windows) +
-// warm-started fit chain. Accept takes one routed record and Close answers one span
-// decision; the router calls them directly (the in-thread arrangement) or a worker
-// thread calls them from the lane's queue (Drain). Everything the lane does is a pure
-// function of its item sequence, which the router makes a pure function of the stream.
+// Whether lanes keep their records: only a window that StEM fits needs them, for its log.
+bool KeepsRecords(const ShardedStreamingOptions& options) {
+  return options.stream.fast_path != FastPathMode::kMeanFieldOnly;
+}
+
+// One lane: a per-window record fold (plus a record buffer and log build, for lanes
+// that may fit StEM) and a warm-started fit chain. Accept takes one routed record and
+// Close answers one span decision; the router calls them directly (the in-thread
+// arrangement) or a worker thread calls them from the lane's queue (Drain). Everything
+// the lane does is a pure function of its item sequence, which the router makes a pure
+// function of the stream.
 //
-// Records arrive by move, not by copy: Accept moves the routed record into the buffer and
-// hands the caller a record from the lane's spare pool in exchange. Records
+// The lane folds each record into its open window's MeanFieldRecordFold when it takes
+// it. The router passes the end of the span that was open when it routed the record: a
+// record below that end belongs to the next decision, and one at or past it is held,
+// with its arrival index, until the span it belongs to opens (the router passes the
+// new span's end with a push's last decision) or, failing that, until the close that
+// takes it. The fold sums responses in (entry, arrival) order, so the window's
+// statistics are bit-identical to folding its sorted records at the close; a record
+// folded in arrival order costs no sort. A sampler-free lane (kMeanFieldOnly) gets each
+// record after the close decisions its push made, so it holds a record only past the
+// open span under allowed_lateness > 0, and it keeps no other record: nothing is
+// buffered, selected or re-folded at the close.
+//
+// A lane whose windows may reach StEM also keeps its records for the log build:
+// TakeDecisionRecords selects and sorts them at the close. Such a lane gets each record
+// before the decisions its push made (see Run), so it also holds the record that closes
+// a window, which then opens the next one. Records arrive by swap from the
+// lane queue or by one copy from the router's record into recycled capacity. Records
 // that leave the lane at a close (a window that is not kept for a merged tail, or the
-// retained window it replaces) go back into the pool, so record capacity circulates
-// router -> lane -> pool -> router and the steady-state record path allocates nothing
-// per task. The pool holds at most the lane's peak of live records: it grows only when
-// Accept finds it empty, i.e. when every record the lane owns is live.
+// retained window it replaces) go back into a spare pool, so record capacity circulates
+// and the steady-state record path allocates nothing per task. The pool holds at most
+// the lane's peak of live records: it grows only when the lane finds it empty, i.e.
+// when every record the lane owns is live.
 class LaneWorker {
  public:
   LaneWorker(std::size_t lane, int num_queues, const ShardedStreamingOptions& options,
@@ -39,6 +61,7 @@ class LaneWorker {
       : lane_(lane),
         options_(options),
         merger_(merger),
+        keep_records_(KeepsRecords(options)),
         builder_(num_queues),
         fold_(num_queues),
         chain_(std::move(init_rates), seed, options.stream.window_local_arrival_rate,
@@ -49,47 +72,50 @@ class LaneWorker {
   double ConsumedWatermark() const { return watermark_.load(std::memory_order_relaxed); }
   LaneStats& Stats() { return stats_; }
 
-  // Buffers one routed record until the close that takes it. The record moves into the
-  // buffer and `record` takes a spare record's capacity (unspecified content) for the
-  // caller to overwrite.
-  void Accept(TaskRecord& record) {
-    ++stats_.tasks_routed;  // published to the registry by PublishRouted
-    // max: a late-merged record can sit behind the close-token advance in Close.
-    AdvanceWatermark(record.entry_time);
-    buffer_.push_back(std::move(record));
-    if (!spare_.empty()) {
-      record = std::move(spare_.back());
-      spare_.pop_back();
-    }
-    const std::size_t buffered = buffer_.size() + last_window_.size();
-    if (buffered > stats_.peak_buffered_tasks) {
-      stats_.peak_buffered_tasks = buffered;
-      StreamCounters::Get().peak_buffered_tasks->SetMax(static_cast<double>(buffered));
+  // In-thread intake: `record` is the stream's own, copied only into a lane that keeps
+  // records. `span_end` is the open span's end when the router routed it.
+  void Accept(const TaskRecord& record, double span_end) {
+    if (Take(record, span_end)) {
+      Keep() = record;
     }
   }
 
-  // Answers one span decision: selects the lane's share of the window, fits it, and
-  // posts the fit to the merger.
-  void Close(const WindowSpanTracker::SpanDecision& decision) {
+  // Answers one span decision: completes the lane's share of the window, fits it, and
+  // posts the fit to the merger. `next_span_end` is the end of the span open after the
+  // decision when the router knows it (-infinity when another decision follows): held
+  // records below it belong to that span and join it at once, ahead of its other
+  // records.
+  void Close(const WindowSpanTracker::SpanDecision& decision, double next_span_end) {
     ++stats_.windows_closed;
+    ReleaseHeld(decision.take_all, decision.t1);
+    const bool merged_tail = decision.merged_tail_tasks > 0;
+    if (merged_tail) {
+      fold_.MergePrevious();
+    }
     std::vector<TaskRecord> records;
-    {
-      // Selection only; the fold, the log build (StEM windows only) and the fits below
-      // have their own spans.
+    if (keep_records_) {
+      // Selection only; the log build (StEM windows only) and the fits below have their
+      // own spans. The lane-local application of the global membership rule — the SAME
+      // helper the assembler materializes with, applied to this lane's sub-sequence.
       ScopedSpan span(SpanStage::kWindowAssemble);
-      // The lane-local application of the global membership rule — the SAME helper the
-      // assembler materializes with, applied to this lane's sub-sequence.
       records = TakeDecisionRecords(decision, buffer_, last_window_);
     }
-    LaneWindowFit fit = records.empty() ? LaneWindowFit{} : Fit(decision, records);
-    fit.tasks = records.size();
-    if (records.empty()) {
+    const MeanFieldStats& window_stats = fold_.Stats();
+    const std::size_t tasks = window_stats.NumTasks();
+    QNET_DCHECK(!keep_records_ || records.size() == tasks, "lane fold holds ", tasks,
+                " records, the selection ", records.size());
+    LaneWindowFit fit = tasks == 0 ? LaneWindowFit{} : Fit(decision, window_stats, records);
+    fit.tasks = tasks;
+    if (tasks == 0) {
       ++stats_.empty_windows;
     }
     // Mirror the assembler: every normal close becomes the trailing-merge target (even
     // an empty one — the global merged-tail re-close targets the last GLOBAL window, and
     // this lane's share of it may well be empty).
-    if (decision.merged_tail_tasks == 0 && options_.stream.window.merge_trailing_window) {
+    const bool retain = !merged_tail && options_.stream.window.merge_trailing_window;
+    fold_.Restart(retain);
+    ReleaseHeld(/*all=*/false, next_span_end);
+    if (retain) {
       Recycle(last_window_);
       last_window_ = std::move(records);
     } else {
@@ -114,9 +140,9 @@ class LaneWorker {
   // Threaded arrangement: consumes `queue` until the finish token.
   void Drain(LaneQueue& queue) {
     try {
-      // Batched pops mirror the router's batched pushes: one lock per ~64 items. Accept
-      // leaves spare capacity in the batch elements, which the next pop swaps back into
-      // the ring for the router to reuse.
+      // Batched pops mirror the router's batched pushes: one lock per ~64 items. A lane
+      // that keeps records swaps one out of its batch element and leaves spare capacity
+      // there, which the next pop swaps back into the ring for the router to reuse.
       std::vector<LaneItem> batch;
       for (;;) {
         const std::size_t count = queue.PopMany(batch, 64);
@@ -127,9 +153,11 @@ class LaneWorker {
             return;  // nothing follows a finish token
           }
           if (item.kind == LaneItem::Kind::kRecord) {
-            Accept(item.record);
+            if (Take(item.record, item.span_end)) {
+              std::swap(Keep(), item.record);
+            }
           } else {
-            Close(item.close);
+            Close(item.close, item.span_end);
           }
         }
       }
@@ -146,6 +174,69 @@ class LaneWorker {
   }
 
  private:
+  // A record held past the open span's end, with the index the lane took it at.
+  struct HeldRecord {
+    TaskRecord record;
+    std::uint64_t arrival = 0;
+  };
+
+  // Counts and folds (or holds) one routed record; returns whether the lane also keeps
+  // it, in which case the caller fills Keep()'s slot with it.
+  bool Take(const TaskRecord& record, double span_end) {
+    const std::uint64_t arrival = stats_.tasks_routed++;  // published by PublishRouted
+    // max: a late-merged record can sit behind the close-token advance in Close.
+    AdvanceWatermark(record.entry_time);
+    if (record.entry_time < span_end) {
+      fold_.Add(record, arrival);
+    } else {
+      // Into a released slot's capacity when there is one.
+      if (held_count_ == held_.size()) {
+        held_.emplace_back();
+      }
+      held_[held_count_].record = record;
+      held_[held_count_].arrival = arrival;
+      ++held_count_;
+      if (!keep_records_) {
+        NotePeakBuffered(held_count_);
+      }
+    }
+    return keep_records_;
+  }
+
+  // Appends a record slot to the window buffer, from the spare pool when it has one
+  // (unspecified content, reusable capacity), for the caller to overwrite.
+  TaskRecord& Keep() {
+    if (spare_.empty()) {
+      buffer_.emplace_back();
+    } else {
+      buffer_.push_back(std::move(spare_.back()));
+      spare_.pop_back();
+    }
+    NotePeakBuffered(buffer_.size() + last_window_.size());
+    return buffer_.back();
+  }
+
+  // Folds the held records with entry < `below` (or all) into the open window, in any
+  // order: each carries its arrival index. Their slots keep their capacity for the next
+  // holds.
+  void ReleaseHeld(bool all, double below) {
+    const auto held_end = held_.begin() + static_cast<std::ptrdiff_t>(held_count_);
+    const auto stays_end = std::partition(held_.begin(), held_end, [&](const HeldRecord& h) {
+      return !all && h.record.entry_time >= below;
+    });
+    for (auto it = stays_end; it != held_end; ++it) {
+      fold_.Add(it->record, it->arrival);
+    }
+    held_count_ = static_cast<std::size_t>(stays_end - held_.begin());
+  }
+
+  void NotePeakBuffered(std::size_t buffered) {
+    if (buffered > stats_.peak_buffered_tasks) {
+      stats_.peak_buffered_tasks = buffered;
+      StreamCounters::Get().peak_buffered_tasks->SetMax(static_cast<double>(buffered));
+    }
+  }
+
   // Moves records that left the lane into the spare pool, keeping their capacity.
   void Recycle(std::vector<TaskRecord>& records) {
     for (TaskRecord& record : records) {
@@ -159,20 +250,14 @@ class LaneWorker {
                      std::memory_order_relaxed);
   }
 
-  // Fits the window `records` make up. The fast-path mode selection and degrade decision
-  // of every streaming estimate live here. Every window is folded into the mean-field
-  // statistics; only a window that StEM will fit is built into the lane's log.
+  // Fits the window whose statistics the lane folded; `records` are its records in
+  // TakeDecisionRecords order when the lane keeps them. The fast-path mode selection and
+  // degrade decision of every streaming estimate live here. Only a window that StEM will
+  // fit is built into the lane's log.
   LaneWindowFit Fit(const WindowSpanTracker::SpanDecision& decision,
+                    const MeanFieldStats& window_stats,
                     const std::vector<TaskRecord>& records) {
     LaneWindowFit fit;
-    {
-      ScopedSpan span(SpanStage::kMeanFieldFit);
-      fold_.Restart();
-      for (const TaskRecord& record : records) {
-        fold_.Add(record);
-      }
-    }
-    const MeanFieldStats& window_stats = fold_.Stats();
     // The sub-log's per-queue counts feed the merger's bias correction (lambda_q is
     // reconstructed from the summed counts — exact, fit or no fit).
     fit.queue_counts = window_stats.counts;
@@ -248,6 +333,7 @@ class LaneWorker {
   const std::size_t lane_;
   const ShardedStreamingOptions& options_;
   LaneMerger* merger_;
+  const bool keep_records_;  // the lane's windows may reach StEM, which builds a log
   WindowLogBuilder builder_;
   MeanFieldRecordFold fold_;
   WindowFitChain chain_;
@@ -257,9 +343,15 @@ class LaneWorker {
   StemWorkspace stem_workspace_;
   MeanFieldEstimator mean_field_;
   MeanFieldFit mf_fit_;
+  // Records past the open span when routed: the first held_count_ slots; the rest are
+  // released slots kept for their capacity.
+  std::vector<HeldRecord> held_;
+  std::size_t held_count_ = 0;
+  // Lanes that keep records only: the open window's records (held ones too), the last
+  // window's (the trailing-merge target) and recycled records for the next Keeps.
   std::vector<TaskRecord> buffer_;
   std::vector<TaskRecord> last_window_;
-  std::vector<TaskRecord> spare_;  // recycled records: capacity for the next Accepts
+  std::vector<TaskRecord> spare_;
   std::atomic<double> watermark_{0.0};
   LaneStats stats_;
   std::size_t routed_published_ = 0;  // stats_.tasks_routed as of the last PublishRouted
@@ -282,9 +374,8 @@ std::vector<WindowEstimate> ShardedStreamingEstimator::Run(TraceStream& stream) 
   // Accept/Close directly, with no batches, queues or worker threads (a mean-field lane
   // does ~50 ns of work per record, less than a queue hand-off costs). Otherwise every
   // lane drains its own bounded queue on its own thread.
-  const bool threaded =
-      options_.stream.pipeline ||
-      (lanes > 1 && options_.stream.fast_path != FastPathMode::kMeanFieldOnly);
+  const bool keep_records = KeepsRecords(options_);
+  const bool threaded = options_.stream.pipeline || (lanes > 1 && keep_records);
   Stopwatch total;
 
   WindowSpanTracker tracker(options_.stream.window);
@@ -361,20 +452,19 @@ std::vector<WindowEstimate> ShardedStreamingEstimator::Run(TraceStream& stream) 
     }
   };
 
-  // The in-thread arrangement's one deep copy: the lane swaps it in and hands back a
-  // spare record's capacity for the next copy.
-  TaskRecord handoff;
-  const auto route = [&](const TaskRecord& record) {
+  // Hands the record to its lane with the end of the span that was open when it was
+  // routed. In-thread, the lane takes the stream's record by reference.
+  const auto route = [&](const TaskRecord& record, double span_end) {
     const std::size_t lane = router.Route(record);
     if (!threaded) {
-      handoff = record;
-      workers[lane]->Accept(handoff);
+      workers[lane]->Accept(record, span_end);
       return;
     }
     RouterBatch& batch = batches[lane];
     LaneItem& slot = batch.items[batch.count++];
     slot.kind = LaneItem::Kind::kRecord;
     slot.record = record;
+    slot.span_end = span_end;
     if (batch.count == batch_size) {
       flush_lane(lane);
     }
@@ -409,17 +499,22 @@ std::vector<WindowEstimate> ShardedStreamingEstimator::Run(TraceStream& stream) 
     while (tracker.HasClosed()) {
       flush_all();
       const WindowSpanTracker::SpanDecision decision = tracker.PopClosed();
+      // The span open after the push's last decision is the tracker's open span.
+      const double next_span_end = tracker.HasClosed()
+                                       ? -std::numeric_limits<double>::infinity()
+                                       : tracker.OpenSpanEnd();
       merger.ExpectWindow(decision);
       if (threaded) {
         LaneItem token;
         token.kind = LaneItem::Kind::kClose;
         token.close = decision;
+        token.span_end = next_span_end;
         for (const std::unique_ptr<LaneQueue>& queue : queues) {
           stats_.router_blocked_seconds += queue->Push(token);
         }
       } else {
         for (const std::unique_ptr<LaneWorker>& worker : workers) {
-          worker->Close(decision);
+          worker->Close(decision, next_span_end);
         }
       }
       for (std::size_t lane = 0; lane < lanes; ++lane) {
@@ -444,19 +539,32 @@ std::vector<WindowEstimate> ShardedStreamingEstimator::Run(TraceStream& stream) 
   PooledWindow pooled;
   try {
     while (stream.Next(record)) {
+      const double open_span_end = tracker.OpenSpanEnd();
       // The tracker counts ingestion and late drops (and mirrors them to the registry);
       // the fleet stats read them back from the tracker after the run.
       const WindowSpanTracker::PushVerdict verdict = tracker.Push(record.entry_time);
       if (verdict == WindowSpanTracker::PushVerdict::kLateDropped) {
         continue;
       }
-      route(record);
+      // The decisions this push made close spans that end at or before the record's
+      // entry time, so they do not take it. Lanes that keep records take it first, with
+      // the span end read before the push: their buffered peak counts the record that
+      // closes a window, and their fold holds that record until the next span opens.
+      // Sampler-free lanes take it after the decisions (and, in-thread, after the emits
+      // they complete), with the span end after the push, so they hold it only when it
+      // lies past the open span (allowed_lateness > 0).
+      if (keep_records) {
+        route(record, open_span_end);
+      }
       broadcast_decisions();
       while (merger.Pop(pooled, /*block=*/false)) {
         emit(std::move(pooled));
       }
       if (merger.Aborted()) {
         break;
+      }
+      if (!keep_records) {
+        route(record, tracker.OpenSpanEnd());
       }
     }
     if (!merger.Aborted()) {

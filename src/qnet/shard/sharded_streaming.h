@@ -8,11 +8,20 @@
 // K per-window fits into one WindowEstimate per global window. This is the only
 // streaming window loop: the plain StreamingEstimator runs as the single-lane fleet.
 //
-// Record handoff: the router deep-copies each record once, into recycled capacity; from
-// there the record moves by swap (lane queue, shard/lane_queue.h) into the lane, and the
-// lane returns records that leave its windows to a spare pool whose capacity flows back
-// to the router. The steady-state record path therefore allocates per window, not per
-// task.
+// Record path: every lane folds each record into its open window's mean-field statistics
+// (MeanFieldRecordFold) when it takes it, and only a lane whose windows may reach StEM
+// keeps records, for the log build. A sampler-free lane (kMeanFieldOnly) on the caller's
+// thread therefore takes the stream's record by reference: no copy, no record buffer, no
+// selection or re-fold at the close. The router passes the open span's end with each
+// record; a record at or past it (possible only with allowed_lateness > 0, or for a lane
+// that keeps records, which gets the record that closes a window before the close) is
+// held until the span it belongs to opens, and the fold sums responses in the sorted
+// window's order, so estimates are bit-identical to folding each window's sorted
+// records. Threaded
+// lanes get their records through the lane queue (shard/lane_queue.h): the router copies
+// each record once into recycled capacity and it moves by swap from there; a lane that
+// keeps records returns those that leave its windows to a spare pool. The steady-state
+// record path therefore allocates per window, not per task.
 //
 // Execution arrangement: the work picks it, not K. With `stream.pipeline` off, a single
 // lane, and lanes that never reach StEM (FastPathMode::kMeanFieldOnly) at any K, run on

@@ -122,6 +122,8 @@ struct StreamingStats {
   std::size_t windows_estimated = 0;
   std::size_t late_dropped = 0;
   std::size_t tail_dropped = 0;
+  // The single lane's LaneStats::peak_buffered_tasks (shard/fleet_stats.h): 0 under
+  // kMeanFieldOnly on an entry-ordered stream without lateness.
   std::size_t peak_buffered_tasks = 0;
   double total_wall_seconds = 0.0;
   double tasks_per_second = 0.0;  // end-to-end sustained ingest rate

@@ -30,7 +30,10 @@ TaskRecord MakeTaskRecord(const EventLog& log, const Observation& obs, int task)
 }
 
 void ValidateTaskRecord(const TaskRecord& record, int num_queues, double previous_entry) {
-  CheckTaskRecordEntry(record, previous_entry);
+  CheckTaskRecordEntry(record);
+  QNET_CHECK(record.entry_time >= previous_entry,
+             "tasks must be added in entry-time order; entry=", record.entry_time,
+             " previous=", previous_entry);
   double previous_departure = record.entry_time;
   for (const TaskVisit& visit : record.visits) {
     previous_departure = CheckTaskVisit(visit, num_queues, previous_departure);

@@ -81,18 +81,17 @@ void FillTaskRecord(const EventLog& log, const Observation& obs, int task, TaskR
 // window's first record): no visits, an entry time below 0 or below previous_entry, a
 // queue outside [1, num_queues), a departure before its arrival, or a visit that does
 // not start within 1e-9 of where the entry or the previous visit ended. NaN times fail
-// the last two. WindowLogBuilder applies it, and MeanFieldRecordFold runs the same two
-// pieces below inside its own visit loop, so a window that is folded without building
-// its log skips none of the log's checks.
+// the last two. WindowLogBuilder applies it. MeanFieldRecordFold runs the same pieces
+// below inside its own visit loop, all but the entry order (it folds records in any
+// order), so a window that is folded without building its log skips none of the checks
+// of the log it stands for.
 void ValidateTaskRecord(const TaskRecord& record, int num_queues, double previous_entry);
 
-// ValidateTaskRecord's record-level checks (visits, entry time), in its order.
-inline void CheckTaskRecordEntry(const TaskRecord& record, double previous_entry) {
+// ValidateTaskRecord's record-level checks (visits, entry time), in its order, without
+// the entry order against the previous record.
+inline void CheckTaskRecordEntry(const TaskRecord& record) {
   QNET_CHECK(!record.visits.empty(), "task record has no visits");
   QNET_CHECK(record.entry_time >= 0.0, "entry time must be nonnegative: ", record.entry_time);
-  QNET_CHECK(record.entry_time >= previous_entry,
-             "tasks must be added in entry-time order; entry=", record.entry_time,
-             " previous=", previous_entry);
 }
 
 // ValidateTaskRecord's checks of one visit, in its order; `previous_departure` is where

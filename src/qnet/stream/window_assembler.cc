@@ -68,29 +68,97 @@ std::pair<EventLog, Observation> WindowLogBuilder::Finish() {
 }
 
 MeanFieldRecordFold::MeanFieldRecordFold(int num_queues) : num_queues_(num_queues) {
-  Restart();
+  Clear(open_);
+  Clear(retained_);
 }
 
-void MeanFieldRecordFold::Restart() {
-  stats_.Reset(num_queues_);
-  last_entry_ = 0.0;
+bool MeanFieldRecordFold::TermBefore(const Term& a, const Term& b) {
+  if (a.entry_time != b.entry_time) {
+    return a.entry_time < b.entry_time;
+  }
+  return a.arrival != b.arrival ? a.arrival < b.arrival : a.visit < b.visit;
 }
 
-void MeanFieldRecordFold::Add(const TaskRecord& record) {
-  // ValidateTaskRecord's checks, run in its order but inside the one pass over the
-  // visits that folds them.
-  CheckTaskRecordEntry(record, last_entry_);
+void MeanFieldRecordFold::Clear(Window& window) const {
+  window.stats.Reset(num_queues_);
+  window.terms.clear();
+  window.sorted = true;
+}
+
+void MeanFieldRecordFold::Resum(Window& window) {
+  std::fill(window.stats.resp_sum.begin(), window.stats.resp_sum.end(), 0.0);
+  for (const Term& term : window.terms) {
+    window.stats.resp_sum[static_cast<std::size_t>(term.queue)] += term.response;
+  }
+}
+
+void MeanFieldRecordFold::Restart(bool retain) {
+  if (retain) {
+    std::swap(open_, retained_);
+  }
+  Clear(open_);
+}
+
+void MeanFieldRecordFold::Add(const TaskRecord& record, std::uint64_t arrival) {
+  // ValidateTaskRecord's checks but the entry order, run in its order but inside the one
+  // pass over the visits that folds them.
+  CheckTaskRecordEntry(record);
+  next_arrival_ = std::max(next_arrival_, arrival + 1);
+  MeanFieldStats& stats = open_.stats;
   // The initial event lives on the arrival queue; its arrival is never read.
-  stats_.Add(QueueingNetwork::kArrivalQueue, 0.0, record.entry_time, true,
-             DepartureObserved(record, 0));
+  stats.Add(QueueingNetwork::kArrivalQueue, 0.0, record.entry_time, true,
+            DepartureObserved(record, 0));
   double previous_departure = record.entry_time;
   for (std::size_t i = 0; i < record.visits.size(); ++i) {
     const TaskVisit& visit = record.visits[i];
     previous_departure = CheckTaskVisit(visit, num_queues_, previous_departure);
-    stats_.Add(visit.queue, visit.arrival, visit.departure, visit.arrival_observed,
-               DepartureObserved(record, i + 1));
+    const bool departure_observed = DepartureObserved(record, i + 1);
+    stats.Add(visit.queue, visit.arrival, visit.departure, visit.arrival_observed,
+              departure_observed);
+    if (visit.arrival_observed && departure_observed) {
+      const Term term{record.entry_time, arrival, static_cast<std::uint32_t>(i), visit.queue,
+                      visit.departure - visit.arrival};
+      // Out of order from here on: stats.Add's running sum is no longer the sorted sum.
+      if (open_.sorted && !open_.terms.empty() && TermBefore(term, open_.terms.back())) {
+        open_.sorted = false;
+      }
+      open_.terms.push_back(term);
+    }
   }
-  last_entry_ = record.entry_time;
+}
+
+void MeanFieldRecordFold::MergePrevious() {
+  MeanFieldStats& merged = retained_.stats;
+  const MeanFieldStats& tail = open_.stats;
+  for (std::size_t q = 0; q < merged.counts.size(); ++q) {
+    merged.counts[q] += tail.counts[q];
+    merged.resp_count[q] += tail.resp_count[q];
+  }
+  merged.observed_responses += tail.observed_responses;
+  merged.t_min = std::min(merged.t_min, tail.t_min);
+  merged.t_max = std::max(merged.t_max, tail.t_max);
+  merged.last_entry = std::max(merged.last_entry, tail.last_entry);
+  merged.entry_observed = merged.entry_observed || tail.entry_observed;
+  retained_.sorted = retained_.sorted && open_.sorted &&
+                     (retained_.terms.empty() || open_.terms.empty() ||
+                      !TermBefore(open_.terms.front(), retained_.terms.back()));
+  retained_.terms.insert(retained_.terms.end(), open_.terms.begin(), open_.terms.end());
+  std::swap(open_, retained_);
+  Clear(retained_);
+  if (open_.sorted) {
+    Resum(open_);
+  }
+}
+
+const MeanFieldStats& MeanFieldRecordFold::Stats() {
+  if (!open_.sorted) {
+    // Keys are unique (arrival indices differ between records, visits within one), so
+    // the unstable sort has one result.
+    std::sort(open_.terms.begin(), open_.terms.end(), TermBefore);
+    Resum(open_);
+    open_.sorted = true;
+  }
+  return open_.stats;
 }
 
 std::pair<EventLog, Observation> ExtractTaskWindow(const EventLog& truth,

@@ -32,6 +32,7 @@
 #define QNET_STREAM_WINDOW_ASSEMBLER_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <utility>
 #include <vector>
@@ -83,29 +84,77 @@ class WindowLogBuilder {
 };
 
 // Folds TaskRecords straight into the mean-field statistics, without building a log: the
-// sampler-free windows' replacement for WindowLogBuilder. Add visits a record's events in
-// the order WindowLogBuilder::Add numbers them, with the same observation flags and the
-// same ValidateTaskRecord checks (run inside the same pass), so after the same records
+// sampler-free windows' replacement for WindowLogBuilder, and every fleet lane's record
+// intake (a lane folds each record when it takes it, shard/sharded_streaming.cc). Add
+// visits a record's events in the order WindowLogBuilder::Add numbers them, with the
+// same observation flags and the same checks except the entry order, run inside the same
+// pass: records may arrive in any order.
+//
+// Every statistic but the per-queue response sums is a count, a min, a max or an or, so
+// it does not depend on the order. The fold keeps each measured response as a term
+// (entry time, arrival index, visit, departure - arrival), and Stats() sums each queue's
+// terms in (entry time, arrival index) order: the order TakeDecisionRecords sorts a
+// window into, whose stable sort breaks entry-time ties by arrival. While the terms
+// arrive in that order the sums are kept as they go; only a window whose terms arrived
+// out of order is sorted (once, without allocating) and re-summed. So after the same
+// records, in any order,
 //   Stats().counts == builder.Log().PerQueueCount(), and
 //   MeanFieldEstimator::Fit(Stats(), ...) == Fit(builder.Log(), builder.Obs(), ...)
-// bit for bit. A record that fails a check throws part-way through its fold, so the
-// window's statistics are unspecified until the next Restart. Restart keeps the
-// statistics' capacity: a warm fold allocates nothing.
+// bit for bit, where the builder was fed the records in that sorted order.
+//
+// A merged trailing window is the retained window's statistics and terms followed by the
+// tail's (Restart(true), then MergePrevious at the re-close). A tail record that ties a
+// retained one on entry time reached the window after the retained window closed, so
+// with arrival indices that grow as records arrive the merged terms sort exactly as
+// TakeDecisionRecords orders the merged records (the retained window's first).
+//
+// A record that fails a check throws part-way through its fold, so the window's
+// statistics are unspecified until the next Restart. Restart keeps the statistics' and
+// the terms' capacity: a warm fold allocates nothing.
 class MeanFieldRecordFold {
  public:
   explicit MeanFieldRecordFold(int num_queues);
 
-  // Starts the next window.
-  void Restart();
+  // Starts the next window. With `retain`, the window folded so far becomes the merge
+  // target of MergePrevious, replacing any earlier one; otherwise it is dropped.
+  void Restart(bool retain = false);
 
-  void Add(const TaskRecord& record);
+  // Folds one record into the open window. `arrival` must differ between the records a
+  // fold sees; of two records with equal entry times the smaller index is summed first.
+  // Add(record) takes the index after the largest one seen so far.
+  void Add(const TaskRecord& record, std::uint64_t arrival);
+  void Add(const TaskRecord& record) { Add(record, next_arrival_); }
 
-  const MeanFieldStats& Stats() const { return stats_; }
+  // Puts the retained window in front of the open one and consumes it: the open window
+  // becomes the merged trailing window. With no retained window it changes nothing.
+  void MergePrevious();
+
+  // The open window's statistics, its response sums in (entry time, arrival) order.
+  const MeanFieldStats& Stats();
 
  private:
+  struct Term {
+    double entry_time;
+    std::uint64_t arrival;
+    std::uint32_t visit;  // orders a record's own terms
+    std::int32_t queue;
+    double response;      // departure - arrival
+  };
+  struct Window {
+    MeanFieldStats stats;
+    std::vector<Term> terms;
+    // Terms are in key order, and stats.resp_sum is their running sum.
+    bool sorted = true;
+  };
+
+  static bool TermBefore(const Term& a, const Term& b);
+  void Clear(Window& window) const;
+  static void Resum(Window& window);
+
   int num_queues_;
-  MeanFieldStats stats_;
-  double last_entry_ = 0.0;  // entry time of the window's latest record
+  Window open_;
+  Window retained_;
+  std::uint64_t next_arrival_ = 0;
 };
 
 // Extracts the sub-log of `truth` containing exactly `tasks` (sorted, unique; renumbered
@@ -181,6 +230,11 @@ class WindowSpanTracker {
 
   // Raw max-entry-time watermark (no lateness subtracted).
   double Watermark() const { return watermark_; }
+  // End of the open span. Every decision queued after this is read has t1 at least
+  // this, so a record pushed after the read with an entry time below it belongs to the
+  // first such decision. Read after a Push, it is above the pushed entry time unless
+  // allowed_lateness > 0.
+  double OpenSpanEnd() const { return window_end_; }
   std::size_t PendingCount() const { return pending_.size(); }
 
   // Decision counters. The tracker is the ONE increment site for the ingest-side
@@ -234,8 +288,11 @@ class WindowSpanTracker {
 // entry < t1, or every remaining record for take_all — prepending and consuming
 // `last_window` for a merged-tail re-close, and returns them sorted by entry time
 // (stably: ties keep arrival order), ready for WindowLogBuilder. Shared by
-// WindowAssembler and the sharded fleet's lane workers (shard/) so the two close paths
-// cannot drift: a lane applies the identical membership rule to its sub-sequence.
+// WindowAssembler and the sharded fleet's lanes that keep records (shard/; those whose
+// windows may reach StEM) so the two close paths cannot drift: a lane applies the
+// identical membership rule to its sub-sequence. Sampler-free lanes keep no records and
+// never call it; the order it returns is the one MeanFieldRecordFold sums a window's
+// responses in, so their folded windows equal a fold of its output bit for bit.
 std::vector<TaskRecord> TakeDecisionRecords(const WindowSpanTracker::SpanDecision& decision,
                                             std::vector<TaskRecord>& pending,
                                             std::vector<TaskRecord>& last_window);

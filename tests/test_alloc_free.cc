@@ -283,13 +283,14 @@ TEST(AllocFree, WarmMeanFieldFoldDoesNotAllocate) {
 }
 
 TEST(AllocFree, SamplerFreeFleetAllocatesPerWindowNotPerTask) {
-  // A kMeanFieldOnly fleet makes one deep copy of each record (at the router, into
-  // recycled capacity) and then moves it by swap through the lane queue into the lane's
-  // window, whose records return to a spare pool. Once every ring slot and buffer has
-  // carried a record, more tasks add allocations only per window (its record list, the
-  // lane fits, the pooled estimate). Runs over N and 2N tasks at the same window size
-  // must therefore differ by far less than one allocation per extra task. With 256-slot
-  // rings every slot has wrapped within N tasks at K = 4.
+  // A kMeanFieldOnly fleet keeps no records: each lane folds the stream's record, by
+  // reference, into its window's statistics and response terms, whose capacity it keeps
+  // across windows. Once those buffers have grown to the widest window, more tasks add
+  // allocations only per window (the lane fits, the pooled estimate). Runs over N and 2N
+  // tasks at the same window size must therefore differ by far less than one allocation
+  // per extra task. The lanes run on the caller's thread here; pipelined, they would
+  // take records by swap from 256-slot rings, every slot of which has wrapped within N
+  // tasks at K = 4.
   ThreeTierConfig config;
   config.tier_sizes = {1, 2, 4};
   config.arrival_rate = 100.0;

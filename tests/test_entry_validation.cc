@@ -10,10 +10,14 @@
 // Malformed records (no visits, negative entry, bad queue, departure before arrival,
 // broken continuity, NaN visit times): ValidateTaskRecord rejects them for the window
 // log builder and the mean-field record fold alike, so a sampler-free window that never
-// builds a log still raises qnet::Error at the close that takes the record.
+// builds a log still raises qnet::Error, when its lane takes the record.
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -177,28 +181,63 @@ TEST(RecordValidation, BuilderAndFoldRejectTheSameRecords) {
     EXPECT_THROW(builder.Add(bad.record), Error);
     EXPECT_THROW(fold.Add(bad.record), Error);
   }
-  // Entry order within a window: a record may not enter before its predecessor.
+  // Entry order within a window: the builder rejects a record that enters before its
+  // predecessor.
   WindowLogBuilder builder(3);
-  MeanFieldRecordFold fold(3);
   builder.Add(clean[301]);
-  fold.Add(clean[301]);
   EXPECT_THROW(builder.Add(good), Error);
-  EXPECT_THROW(fold.Add(good), Error);
+  // The fold takes records in any order instead: fed a permutation of a window's records
+  // (each with its index in the sorted window as its arrival index), it equals a fold
+  // fed the sorted records, bit for bit.
+  const std::vector<TaskRecord> window(clean.begin() + 250, clean.begin() + 350);
+  MeanFieldRecordFold sorted(3);
+  for (std::size_t k = 0; k < window.size(); ++k) {
+    sorted.Add(window[k], k);
+  }
+  std::vector<std::size_t> order(window.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::reverse(order.begin(), order.begin() + 10);  // a reversed run, then a shuffle
+  Rng rng(5);
+  for (std::size_t k = order.size() - 1; k > 10; --k) {
+    std::swap(order[k], order[10 + rng.UniformInt(k - 9)]);
+  }
+  MeanFieldRecordFold permuted(3);
+  for (const std::size_t k : order) {
+    permuted.Add(window[k], k);
+  }
+  const MeanFieldStats& a = sorted.Stats();
+  const MeanFieldStats& b = permuted.Stats();
+  EXPECT_EQ(a.counts, b.counts);
+  ASSERT_EQ(a.resp_sum.size(), b.resp_sum.size());
+  for (std::size_t q = 0; q < a.resp_sum.size(); ++q) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.resp_sum[q]),
+              std::bit_cast<std::uint64_t>(b.resp_sum[q]))
+        << "queue " << q;
+  }
+  EXPECT_EQ(a.resp_count, b.resp_count);
+  EXPECT_EQ(a.observed_responses, b.observed_responses);
+  EXPECT_GT(a.observed_responses, 20u);
+  EXPECT_EQ(a.t_min, b.t_min);
+  EXPECT_EQ(a.t_max, b.t_max);
+  EXPECT_EQ(a.last_entry, b.last_entry);
+  EXPECT_EQ(a.entry_observed, b.entry_observed);
   // The unmodified record passes everywhere.
   builder.Restart();
-  fold.Restart();
+  MeanFieldRecordFold fold(3);
   EXPECT_NO_THROW(ValidateTaskRecord(good, 3, clean[299].entry_time));
   EXPECT_NO_THROW(builder.Add(good));
   EXPECT_NO_THROW(fold.Add(good));
 }
 
-TEST(RecordValidation, SamplerFreeFleetsThrowAtTheCloseThatTakesTheRecord) {
+// A sampler-free lane folds each record when it takes it, so a bad record throws when
+// it is routed, before any later window closes: every earlier window was emitted.
+TEST(RecordValidation, SamplerFreeFleetsThrowWhenTheLaneTakesTheRecord) {
   const std::vector<TaskRecord> clean = CleanRecords();
   ShardedStreamingOptions options;
   options.stream = ShortStemOptions();
   options.stream.fast_path = FastPathMode::kMeanFieldOnly;
   options.stream.pipeline = false;
-  // A negative entry is late; merging it keeps it in the stream until a close takes it.
+  // A negative entry is late; merging it routes it into the open window.
   options.stream.window.late_policy = LateRecordPolicy::kMergeIntoCurrent;
   std::size_t emitted = 0;
   options.stream.on_window = [&emitted](const WindowEstimate&) { ++emitted; };

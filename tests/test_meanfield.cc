@@ -280,15 +280,14 @@ std::vector<std::uint64_t> Bits(const std::vector<double>& values) {
   return bits;
 }
 
-// Builds `records` into a log and folds them, then checks the fold's counts against the
+// Builds `records` (in entry order) into a log, then checks `fold`'s counts against the
 // log's and the two fits field for field, bit for bit, at an absolute and a window-local
 // lambda anchor.
-void ExpectFoldMatchesLogFit(const std::vector<TaskRecord>& records, int num_queues) {
+void ExpectFoldStatsMatchLogFit(MeanFieldRecordFold& fold,
+                                const std::vector<TaskRecord>& records, int num_queues) {
   WindowLogBuilder builder(num_queues);
-  MeanFieldRecordFold fold(num_queues);
   for (const TaskRecord& record : records) {
     builder.Add(record);
-    fold.Add(record);
   }
   builder.Build();
   EXPECT_EQ(fold.Stats().counts, builder.Log().PerQueueCount());
@@ -304,6 +303,15 @@ void ExpectFoldMatchesLogFit(const std::vector<TaskRecord>& records, int num_que
     EXPECT_EQ(from_fold.fitted, from_log.fitted) << "origin " << origin;
     EXPECT_EQ(from_fold.observed_responses, from_log.observed_responses);
   }
+}
+
+// Folds `records` in order and checks the fold against their log.
+void ExpectFoldMatchesLogFit(const std::vector<TaskRecord>& records, int num_queues) {
+  MeanFieldRecordFold fold(num_queues);
+  for (const TaskRecord& record : records) {
+    fold.Add(record);
+  }
+  ExpectFoldStatsMatchLogFit(fold, records, num_queues);
 }
 
 // Consecutive windows of growing size over `records`, then the whole sequence.
@@ -368,6 +376,46 @@ TEST(MeanFieldRecordFold, MatchesLogFitOnAMergedTailWindow) {
   ExpectFoldMatchesLogFit(merged, 4);
 }
 
+TEST(MeanFieldRecordFold, MergePreviousMatchesLogFitOfTheMergedRecordsInAnyArrivalOrder) {
+  // A lane's merged trailing window: the previous window folded as its records arrived
+  // (adjacent records of different entry times swapped) and retained, then the tail
+  // folded in reverse entry order and merged into it. Records 52 and 53 tie on entry
+  // time across the boundary, and the tail's record goes behind, as TakeDecisionRecords
+  // orders the merged records.
+  const std::vector<TaskRecord> records = qnet_testing::OvertakingRecords(60);
+  std::vector<TaskRecord> previous(records.begin(), records.begin() + 53);
+  for (std::size_t k = 1; k + 1 < previous.size(); k += 2) {
+    std::swap(previous[k], previous[k + 1]);
+  }
+  std::vector<TaskRecord> tail(records.rbegin(), records.rbegin() + 7);
+  MeanFieldRecordFold fold(4);
+  for (const TaskRecord& record : previous) {
+    fold.Add(record);
+  }
+  fold.Stats();
+  fold.Restart(/*retain=*/true);
+  for (const TaskRecord& record : tail) {
+    fold.Add(record);
+  }
+  fold.MergePrevious();
+  // The reference: the previous window's selection, then the merged re-close over it.
+  WindowSpanTracker::SpanDecision close;
+  close.t1 = 27.0;
+  std::vector<TaskRecord> none;
+  std::vector<TaskRecord> last_window = TakeDecisionRecords(close, previous, none);
+  ASSERT_EQ(last_window.size(), 53u);
+  WindowSpanTracker::SpanDecision merged_close;
+  merged_close.t1 = 40.0;
+  merged_close.merged_tail_tasks = tail.size();
+  merged_close.take_all = true;
+  const std::vector<TaskRecord> merged = TakeDecisionRecords(merged_close, tail, last_window);
+  ASSERT_EQ(merged.size(), records.size());
+  ExpectFoldStatsMatchLogFit(fold, merged, 4);
+  // The merge consumed the retained window: merging again changes nothing.
+  fold.MergePrevious();
+  ExpectFoldStatsMatchLogFit(fold, merged, 4);
+}
+
 TEST(MeanFieldRecordFold, RestartStartsAFreshWindow) {
   const std::vector<TaskRecord> records = qnet_testing::OvertakingRecords(30);
   MeanFieldRecordFold reused(4);
@@ -376,7 +424,7 @@ TEST(MeanFieldRecordFold, RestartStartsAFreshWindow) {
   }
   reused.Restart();
   MeanFieldRecordFold fresh(4);
-  // Entry order restarts with the window: an earlier record is fine after Restart.
+  // Restart drops the window: the same records, in any order, fold to the same bits.
   for (std::size_t k = 2; k < 10; ++k) {
     reused.Add(records[k]);
     fresh.Add(records[k]);

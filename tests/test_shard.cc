@@ -544,6 +544,14 @@ TEST(ShardedStreaming, FleetStatsAccountTasksAndWindows) {
     // The hash spreads a 400-task trace over 4 lanes without collapsing onto one.
     for (const LaneStats& lane : stats.lane) {
       EXPECT_GT(lane.tasks_routed, 40u);
+      // A sampler-free lane folds each record as it takes it and buffers only records
+      // held past the open span, which an entry-ordered stream without lateness never
+      // routes; a StEM lane buffers its windows' records.
+      if (in_thread) {
+        EXPECT_EQ(lane.peak_buffered_tasks, 0u);
+      } else {
+        EXPECT_GT(lane.peak_buffered_tasks, 0u);
+      }
     }
   }
 }
@@ -944,6 +952,48 @@ std::vector<TaskRecord> AlternatingVisitRecords(std::size_t count, int* num_queu
   return records;
 }
 
+// Records of a heavily loaded retry network, nearly all observed, reordered the ways a
+// live collector reorders them, over spans of `span` seconds. With about eight tasks in
+// the system, a window's per-queue response sum grows past its entry times, so its
+// additions round, and in another order they round differently. The records entering
+// in [2 span, 3.5 span) are thinned to every eighth, so spans there hold too few records
+// and extend. The stream is cut 6 records past a span boundary, leaving a tail too small
+// for its own window. Every fifth record then swaps with its successor when both enter
+// in the same span, and every 23rd is moved 200 records later, behind the span it
+// entered in, which has closed by then.
+std::vector<TaskRecord> DisorderedRecords(double span, int* num_queues) {
+  const QueueingNetwork net = MakeFeedbackNetwork(4.0, 18.0, 0.75);
+  Rng rng(29);
+  const EventLog truth = SimulateWorkload(net, PoissonArrivals(4.0, 1000), rng);
+  TaskSamplingScheme scheme;
+  scheme.fraction = 0.9;
+  const Observation obs = scheme.Apply(truth, rng);
+  *num_queues = truth.NumQueues();
+  std::vector<TaskRecord> records;
+  std::size_t sparse = 0;
+  for (int k = 0; k < truth.NumTasks(); ++k) {
+    const double entry = truth.TaskEntryTime(k);
+    if (entry < 2.0 * span || entry >= 3.5 * span || sparse++ % 8 == 0) {
+      records.push_back(MakeTaskRecord(truth, obs, k));
+    }
+  }
+  const double cut = span * std::floor(0.8 * records.back().entry_time / span);
+  const auto tail = std::find_if(records.begin(), records.end(),
+                                 [&](const TaskRecord& r) { return r.entry_time >= cut; });
+  records.erase(tail + 6, records.end());
+  const auto span_of = [&](const TaskRecord& r) { return std::floor(r.entry_time / span); };
+  for (std::size_t i = 0; i + 1 < records.size(); i += 5) {
+    if (span_of(records[i]) == span_of(records[i + 1])) {
+      std::swap(records[i], records[i + 1]);
+    }
+  }
+  for (std::size_t i = 11; i + 200 < records.size(); i += 23) {
+    const auto from = records.begin() + static_cast<std::ptrdiff_t>(i);
+    std::rotate(from, from + 1, from + 201);
+  }
+  return records;
+}
+
 TEST(ShardedStreaming, RecordHandoffMatchesBuildEveryWindowReferenceAtEveryLaneCount) {
   // Records reach a lane by swap and lanes recycle record capacity, so a slot that kept
   // stale visits or lost part of the incoming record would change a lane's counts or
@@ -952,55 +1002,115 @@ TEST(ShardedStreaming, RecordHandoffMatchesBuildEveryWindowReferenceAtEveryLaneC
   // queues whose rings wrap every few records and receive batches larger than
   // themselves. Cross-lane bias correction makes the pooled estimates read every lane's
   // posted queue counts.
+  //
+  // Lanes fold each record when they take it, while the reference sorts each window's
+  // records at its close. The disordered stream checks that the two agree on everything
+  // arrival order can do to a window: swaps inside a span (the fold's response sums must
+  // follow entry order), records late behind a closed span (merged into the open window,
+  // or dropped), records held past the open span's end under allowed lateness (folded
+  // only at the close that takes them), spans extended by min_tasks_per_window, and a
+  // trailing window merged into the previous one.
   int num_queues = 0;
   const std::vector<TaskRecord> records = AlternatingVisitRecords(400, &num_queues);
-  for (const FastPathMode mode : {FastPathMode::kMeanFieldOnly, FastPathMode::kWarmStart}) {
-    for (const std::size_t lanes : {1u, 2u, 4u}) {
-      SCOPED_TRACE(std::string(mode == FastPathMode::kWarmStart ? "warm-start" : "only") +
-                   ", lanes " + std::to_string(lanes));
-      ShardedStreamingOptions options;
-      options.lanes = lanes;
-      options.cross_lane_bias_correction = true;
-      options.stream = ShortStemOptions(50.0);
-      options.stream.fast_path = mode;
-      std::vector<std::vector<std::size_t>> lane_counts;
-      const std::vector<WindowEstimate> reference =
-          BuildEveryWindowReference(records, num_queues, options, 13, &lane_counts);
-      ASSERT_GE(reference.size(), 5u);
-      if (mode == FastPathMode::kWarmStart) {
-        EXPECT_GT(reference.front().fit_iterations, 0u) << "StEM fits these windows";
-      }
-      // Each lane's posted counts add up to the visits of the records routed to it.
-      std::vector<std::vector<std::size_t>> routed(lanes,
-                                                   std::vector<std::size_t>(num_queues, 0));
-      for (const TaskRecord& record : records) {
-        std::vector<std::size_t>& counts = routed[TaskLane(TaskHash(record), lanes)];
-        ++counts[0];
-        for (const TaskVisit& visit : record.visits) {
-          ++counts[static_cast<std::size_t>(visit.queue)];
+  struct Input {
+    std::string name;
+    const std::vector<TaskRecord>* records;
+    WindowAssemblerOptions window;
+  };
+  std::vector<Input> inputs;
+  inputs.push_back({"ordered", &records, ShortStemOptions(50.0).window});
+  int disordered_queues = 0;
+  const std::vector<TaskRecord> disordered = DisorderedRecords(25.0, &disordered_queues);
+  ASSERT_EQ(disordered_queues, num_queues);
+  for (const LateRecordPolicy policy :
+       {LateRecordPolicy::kMergeIntoCurrent, LateRecordPolicy::kDrop}) {
+    for (const double lateness : {0.0, 2.0}) {
+      WindowAssemblerOptions window = ShortStemOptions(25.0).window;
+      window.min_tasks_per_window = 20;
+      window.allowed_lateness = lateness;
+      window.late_policy = policy;
+      inputs.push_back({std::string("disordered, ") +
+                            (policy == LateRecordPolicy::kDrop ? "drop" : "merge") +
+                            ", lateness " + std::to_string(lateness),
+                        &disordered, window});
+    }
+  }
+  for (const Input& input : inputs) {
+    const bool ordered = input.records == &records;
+    for (const FastPathMode mode : {FastPathMode::kMeanFieldOnly, FastPathMode::kWarmStart}) {
+      for (const std::size_t lanes : {1u, 2u, 4u}) {
+        SCOPED_TRACE(input.name + ", " +
+                     (mode == FastPathMode::kWarmStart ? "warm-start" : "only") + ", lanes " +
+                     std::to_string(lanes));
+        ShardedStreamingOptions options;
+        options.lanes = lanes;
+        options.cross_lane_bias_correction = true;
+        options.stream = ShortStemOptions(50.0);
+        options.stream.window = input.window;
+        options.stream.fast_path = mode;
+        std::vector<std::vector<std::size_t>> lane_counts;
+        const std::vector<WindowEstimate> reference = BuildEveryWindowReference(
+            *input.records, num_queues, options, 13, &lane_counts);
+        ASSERT_GE(reference.size(), 5u);
+        if (mode == FastPathMode::kWarmStart) {
+          EXPECT_GT(reference.front().fit_iterations, 0u) << "StEM fits these windows";
         }
-      }
-      EXPECT_EQ(lane_counts, routed);
-      struct Arrangement {
-        bool pipeline;
-        std::size_t capacity;
-        std::size_t batch;
-      };
-      for (const Arrangement& arrangement : {Arrangement{false, 1024, 32},
-                                             Arrangement{true, 1024, 32},
-                                             Arrangement{false, 5, 3},
-                                             Arrangement{true, 3, 8}}) {
-        SCOPED_TRACE("pipeline " + std::to_string(arrangement.pipeline) + ", capacity " +
-                     std::to_string(arrangement.capacity) + ", batch " +
-                     std::to_string(arrangement.batch));
-        options.stream.pipeline = arrangement.pipeline;
-        options.lane_queue_capacity = arrangement.capacity;
-        options.router_batch = arrangement.batch;
-        FleetStats stats;
-        ExpectEstimatesIdentical(reference,
-                                 RunFleetOn(records, num_queues, options, 13, &stats));
-        ExpectArrangement(stats, !arrangement.pipeline &&
-                                     (lanes == 1 || mode == FastPathMode::kMeanFieldOnly));
+        if (ordered) {
+          // Each lane's posted counts add up to the visits of the records routed to it.
+          std::vector<std::vector<std::size_t>> routed(
+              lanes, std::vector<std::size_t>(num_queues, 0));
+          for (const TaskRecord& record : records) {
+            std::vector<std::size_t>& counts = routed[TaskLane(TaskHash(record), lanes)];
+            ++counts[0];
+            for (const TaskVisit& visit : record.visits) {
+              ++counts[static_cast<std::size_t>(visit.queue)];
+            }
+          }
+          EXPECT_EQ(lane_counts, routed);
+        } else {
+          EXPECT_GT(reference.back().merged_tail_tasks, 0u) << "the cut leaves a merged tail";
+          EXPECT_TRUE(std::any_of(reference.begin(), reference.end() - 1,
+                                  [&](const WindowEstimate& e) {
+                                    return e.t1 - e.t0 > input.window.window_duration;
+                                  }))
+              << "the sparse stretch extends a span";
+        }
+        struct Arrangement {
+          bool pipeline;
+          std::size_t capacity;
+          std::size_t batch;
+        };
+        for (const Arrangement& arrangement : {Arrangement{false, 1024, 32},
+                                               Arrangement{true, 1024, 32},
+                                               Arrangement{false, 5, 3},
+                                               Arrangement{true, 3, 8}}) {
+          if (!ordered && arrangement.capacity < 1024) {
+            continue;  // the tiny rings carry the ordered stream only
+          }
+          SCOPED_TRACE("pipeline " + std::to_string(arrangement.pipeline) + ", capacity " +
+                       std::to_string(arrangement.capacity) + ", batch " +
+                       std::to_string(arrangement.batch));
+          options.stream.pipeline = arrangement.pipeline;
+          options.lane_queue_capacity = arrangement.capacity;
+          options.router_batch = arrangement.batch;
+          FleetStats stats;
+          ExpectEstimatesIdentical(
+              reference, RunFleetOn(*input.records, num_queues, options, 13, &stats));
+          ExpectArrangement(stats, !arrangement.pipeline &&
+                                       (lanes == 1 || mode == FastPathMode::kMeanFieldOnly));
+          if (!ordered && input.window.late_policy == LateRecordPolicy::kDrop) {
+            EXPECT_GT(stats.late_dropped, 0u);
+          }
+          if (mode == FastPathMode::kMeanFieldOnly) {
+            // A sampler-free lane buffers only the records it holds past the open span,
+            // which needs allowed lateness.
+            std::size_t held = 0;
+            for (const LaneStats& lane : stats.lane) {
+              held = std::max(held, lane.peak_buffered_tasks);
+            }
+            EXPECT_EQ(held > 0, input.window.allowed_lateness > 0.0);
+          }
+        }
       }
     }
   }
