@@ -10,15 +10,12 @@
 //                                           per-lane window assembly with a minimal StEM
 //                                           (2 iterations), isolating the partition/queue/
 //                                           assembly cost;
-//   BM_FleetEstimate/K unpipelined_tasks_per_s — end-to-end tasks/s including
-//                                           realistic per-window warm-started StEM fits
-//                                           per lane (shows lane scaling on multi-core
-//                                           hardware; flat on the 1-core CI box), next to
-//                                           pipelined_tasks_per_s, the same fleet with
-//                                           `stream.pipeline` set, timed in the same run;
-//                                           default_over_pipelined is their ratio
-//                                           (ungated: StEM lanes are threaded either way
-//                                           at K > 1, so there it reads the pair's noise);
+//   BM_FleetEstimate/K items_per_second    — end-to-end tasks/s including realistic
+//                                           per-window warm-started StEM fits per lane:
+//                                           the lane on the caller's thread at K = 1,
+//                                           each lane on its own thread at K = 2/4 (shows
+//                                           lane scaling on multi-core hardware; flat on
+//                                           the 1-core CI box);
 //   BM_FleetVsPlainK1 fleet_over_plain    — the K=1 overhead pin: plain StreamingEstimator
 //                                           and K=1 fleet passes with the SAME options,
 //                                           interleaved in one benchmark so host drift
@@ -31,14 +28,10 @@
 //                                           (StEM windows); CI gates a bound AND
 //                                           flatness across K (lane count must not buy
 //                                           per-task allocations);
-//   BM_FleetMeanFieldIngest/K unpipelined_tasks_per_s — tasks/s of a kMeanFieldOnly
-//                                           fleet at ~1k tasks per window, whose lanes
-//                                           run on the caller's thread: routing, span
-//                                           tracking and the record fold do the work.
-//                                           pipelined_tasks_per_s is the same fleet with
-//                                           every lane threaded behind a queue, timed in
-//                                           the same run; CI gates their ratio
-//                                           inthread_over_threaded at K = 2/4;
+//   BM_FleetMeanFieldIngest/K items_per_second — tasks/s of a kMeanFieldOnly fleet at
+//                                           ~1k tasks per window, whose lanes run on the
+//                                           caller's thread at every K: routing, span
+//                                           tracking and the record fold do the work;
 //   BM_FleetMeanFieldAllocations/K allocs_per_task — operator-new calls per extra task
 //                                           of that fleet (in-thread): lanes fold each
 //                                           record and keep none, reusing their
@@ -126,54 +119,19 @@ void BM_LaneIngest(benchmark::State& state) {
 BENCHMARK(BM_LaneIngest)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()->UseRealTime();
 
-// The arrangement pair: every iteration runs `pass` once with `options` (the arrangement
-// the fleet picks without pipelining) and once with `stream.pipeline` set (every lane on
-// its own thread behind a queue), alternating which goes first so drift of a shared host
-// falls on both. `pass` runs one fleet over `tasks` tasks and returns its wall seconds.
-// Reports both rates and `ratio`, the unpipelined rate over the pipelined one.
-template <typename Pass>
-void RunArrangementPair(benchmark::State& state, const qnet::ShardedStreamingOptions& options,
-                        std::size_t tasks, const char* ratio, Pass pass) {
-  qnet::ShardedStreamingOptions pipelined = options;
-  pipelined.stream.pipeline = true;
-  double unpipelined_seconds = 0.0;
-  double pipelined_seconds = 0.0;
-  bool unpipelined_first = true;
-  for (auto _ : state) {
-    if (unpipelined_first) {
-      unpipelined_seconds += pass(options);
-      pipelined_seconds += pass(pipelined);
-    } else {
-      pipelined_seconds += pass(pipelined);
-      unpipelined_seconds += pass(options);
-    }
-    unpipelined_first = !unpipelined_first;
-  }
-  const double run_tasks = static_cast<double>(state.iterations()) * static_cast<double>(tasks);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 *
-                          static_cast<std::int64_t>(tasks));
-  state.counters["lanes"] = static_cast<double>(options.lanes);
-  state.counters["unpipelined_tasks_per_s"] = run_tasks / unpipelined_seconds;
-  state.counters["pipelined_tasks_per_s"] = run_tasks / pipelined_seconds;
-  state.counters[ratio] = pipelined_seconds / unpipelined_seconds;
-}
-
-// End-to-end fleet estimation with realistic per-window fits, as an arrangement pair.
-// StEM lanes run threaded at K > 1 with or without pipelining, so there the two arms run
-// the same code and default_over_pipelined reads the pair's noise around 1; at K = 1 it
-// is the in-thread lane against the threaded one.
+// End-to-end fleet estimation with realistic per-window fits.
 void BM_FleetEstimate(benchmark::State& state) {
   const auto lanes = static_cast<std::size_t>(state.range(0));
   const Fixture fixture = MakeFixture(2000);
+  const qnet::ShardedStreamingOptions options = FleetOptions(lanes, 12, 4);
   const std::vector<double> init = InitRates(fixture);
-  RunArrangementPair(state, FleetOptions(lanes, 12, 4), 2000, "default_over_pipelined",
-                     [&](const qnet::ShardedStreamingOptions& options) {
-                       qnet::LogReplayStream stream(fixture.truth, fixture.obs);
-                       qnet::ShardedStreamingEstimator fleet(init, 17, options);
-                       const qnet::Stopwatch watch;
-                       benchmark::DoNotOptimize(fleet.Run(stream).size());
-                       return watch.ElapsedSeconds();
-                     });
+  for (auto _ : state) {
+    qnet::LogReplayStream stream(fixture.truth, fixture.obs);
+    qnet::ShardedStreamingEstimator fleet(init, 17, options);
+    benchmark::DoNotOptimize(fleet.Run(stream).size());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2000);
+  state.counters["lanes"] = static_cast<double>(lanes);
 }
 BENCHMARK(BM_FleetEstimate)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()->UseRealTime();
@@ -253,8 +211,7 @@ BENCHMARK(BM_FleetAllocations)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillise
 
 // --- Sampler-free fleet: the record path -----------------------------------------------
 
-// A three-tier stream at lambda = 100 with 10 s windows (~1k tasks per window); the
-// default 1024-slot rings wrap within the first few thousand tasks per lane.
+// A three-tier stream at lambda = 100 with 10 s windows (~1k tasks per window).
 constexpr std::size_t kMeanFieldTasks = 20000;
 
 struct MeanFieldFixture {
@@ -319,19 +276,17 @@ std::size_t RunMeanFieldFleet(const MeanFieldFixture& fixture, std::size_t tasks
   return fleet.Run(stream).size();
 }
 
-// Sampler-free lanes run on the caller's thread at any K unless pipelined, so the pair is
-// in-thread against threaded; CI gates inthread_over_threaded.
+// The sampler-free fleet's ingest rate; its lanes run on the caller's thread at any K.
 void BM_FleetMeanFieldIngest(benchmark::State& state) {
   const auto lanes = static_cast<std::size_t>(state.range(0));
   const MeanFieldFixture fixture = MakeMeanFieldFixture();
-  RunArrangementPair(state, MeanFieldFleetOptions(lanes), kMeanFieldTasks,
-                     "inthread_over_threaded",
-                     [&](const qnet::ShardedStreamingOptions& options) {
-                       const qnet::Stopwatch watch;
-                       benchmark::DoNotOptimize(
-                           RunMeanFieldFleet(fixture, kMeanFieldTasks, options));
-                       return watch.ElapsedSeconds();
-                     });
+  const qnet::ShardedStreamingOptions options = MeanFieldFleetOptions(lanes);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(RunMeanFieldFleet(fixture, kMeanFieldTasks, options));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kMeanFieldTasks));
+  state.counters["lanes"] = static_cast<double>(lanes);
 }
 BENCHMARK(BM_FleetMeanFieldIngest)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()->UseRealTime();

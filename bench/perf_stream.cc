@@ -3,25 +3,27 @@
 //
 // Workflow (tracked in CI as BENCH_stream.json):
 //   ./build/perf_stream --benchmark_format=json > BENCH_stream.json
+// Every row runs the production window path: a StreamingEstimator, the single-lane
+// fleet on the caller's thread. Except in BM_StreamEstimate its lane keeps its records
+// (the record path of windows StEM may fit: buffer, selection, trailing-merge copy) but
+// fits every window by mean field (FastPathMode::kDegrade with a 0-task budget), so the
+// rows time and count the window path, not the sampler.
 // Headline metrics:
-//   BM_StreamAssemble/N items_per_second — tasks/s through replay -> WindowAssembler ->
-//                                          per-window EventLog+Observation build (no StEM);
-//   BM_StreamEstimate/P items_per_second — end-to-end tasks/s including the per-window
-//                                          warm-started StEM runs (P=1 pipelines window
-//                                          N's sweeps with window N+1's ingestion);
-//   BM_StreamBoundedMemory/N peak_buffered_tasks — assembler high-water mark on a
-//                                          uniformly spaced synthetic stream; MUST be
+//   BM_StreamAssemble/N items_per_second — tasks/s through replay -> span tracker ->
+//                                          lane record fold, buffer and selection ->
+//                                          mean-field window fit (no StEM);
+//   BM_StreamEstimate/0 items_per_second — end-to-end tasks/s including the per-window
+//                                          warm-started StEM runs (CI floor);
+//   BM_StreamBoundedMemory/N peak_buffered_tasks — the lane's buffer high-water mark on
+//                                          a uniformly spaced synthetic stream; MUST be
 //                                          identical across N (CI gates equality: memory
 //                                          is bounded by the window, not the trace);
 //   BM_StreamSteadyStateAllocations allocs_per_task — global operator-new calls per
 //                                          ingested task in steady state; CI gates an
-//                                          upper bound. The plain assembler hands each
-//                                          window an owned log (a pipelined fit may
-//                                          still hold the previous one), so its window
-//                                          build allocates; the cost per task must stay
-//                                          small and constant. Lane workers rebuild one
-//                                          log in place and allocate nothing for it
-//                                          once warm (AllocFree.WarmWindowBuild...).
+//                                          upper bound. The lane recycles its record
+//                                          capacity, so what is left is per window (the
+//                                          fits and the estimate) plus each run's setup,
+//                                          amortized over its tasks.
 
 #include <benchmark/benchmark.h>
 
@@ -34,7 +36,6 @@
 #include "qnet/stream/live_stream.h"
 #include "qnet/stream/replay_stream.h"
 #include "qnet/stream/streaming_estimator.h"
-#include "qnet/stream/window_assembler.h"
 #include "qnet/support/rng.h"
 
 namespace {
@@ -58,14 +59,37 @@ Fixture MakeFixture(std::size_t tasks) {
   return Fixture{std::move(truth), std::move(obs)};
 }
 
-qnet::WindowAssemblerOptions AssemblerOptions() {
+qnet::WindowAssemblerOptions WindowOptions() {
   qnet::WindowAssemblerOptions options;
   options.window_duration = 5.0;  // ~50 tasks per window at rate 10
   options.min_tasks_per_window = 8;
   return options;
 }
 
-// Replay -> assembler -> per-window log build, windows discarded (isolates ingest cost).
+// The window path without the sampler: the lane keeps its records, as a lane whose
+// windows may reach StEM does, and every window degrades to its mean-field fit.
+qnet::StreamingEstimatorOptions WindowPathOptions() {
+  qnet::StreamingEstimatorOptions options;
+  options.window = WindowOptions();
+  options.fast_path = qnet::FastPathMode::kDegrade;
+  options.degrade_task_budget = 0;
+  return options;
+}
+
+// One pass of `stream` through the window path; returns the estimator's stats.
+qnet::StreamingStats RunWindowPath(qnet::TraceStream& stream, std::size_t* windows = nullptr) {
+  qnet::StreamingEstimator estimator(
+      std::vector<double>(static_cast<std::size_t>(stream.NumQueues()), 1.0), 17,
+      WindowPathOptions());
+  const std::size_t estimated = estimator.Run(stream).size();
+  benchmark::DoNotOptimize(estimated);
+  if (windows != nullptr) {
+    *windows += estimated;
+  }
+  return estimator.Stats();
+}
+
+// Replay -> window path, windows discarded (isolates ingest and window assembly cost).
 void BM_StreamAssemble(benchmark::State& state) {
   const auto tasks = static_cast<std::size_t>(state.range(0));
   const Fixture fixture = MakeFixture(tasks);
@@ -73,22 +97,7 @@ void BM_StreamAssemble(benchmark::State& state) {
   std::size_t peak = 0;
   for (auto _ : state) {
     qnet::LogReplayStream stream(fixture.truth, fixture.obs);
-    qnet::WindowAssembler assembler(stream.NumQueues(), AssemblerOptions());
-    qnet::TaskRecord record;
-    while (stream.Next(record)) {
-      assembler.Push(record);
-      while (assembler.HasClosed()) {
-        const qnet::ClosedWindow window = assembler.PopClosed();
-        benchmark::DoNotOptimize(window.log.NumEvents());
-        ++windows;
-      }
-    }
-    assembler.FinishStream();
-    while (assembler.HasClosed()) {
-      assembler.PopClosed();
-      ++windows;
-    }
-    peak = assembler.Stats().peak_buffered_tasks;
+    peak = RunWindowPath(stream, &windows).peak_buffered_tasks;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(tasks));
@@ -98,16 +107,15 @@ void BM_StreamAssemble(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamAssemble)->Arg(2000)->Arg(16000)->Unit(benchmark::kMillisecond);
 
-// End-to-end: replay -> assembler -> warm-started windowed StEM. range(0) toggles
-// pipelining (results are bit-identical either way; only wall-clock changes).
+// End-to-end: replay -> windows -> warm-started windowed StEM, every window fitted and
+// emitted on the caller's thread before the next record is pulled.
 void BM_StreamEstimate(benchmark::State& state) {
   const Fixture fixture = MakeFixture(2000);
   qnet::StreamingEstimatorOptions options;
-  options.window = AssemblerOptions();
+  options.window = WindowOptions();
   options.stem.iterations = 12;
   options.stem.burn_in = 4;
   options.stem.wait_sweeps = 0;
-  options.pipeline = state.range(0) != 0;
   const std::vector<double> init(
       static_cast<std::size_t>(fixture.truth.NumQueues()), 1.0);
   double tasks_per_second = 0.0;
@@ -123,12 +131,12 @@ void BM_StreamEstimate(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2000);
   state.counters["tasks_per_sec_last_pass"] = tasks_per_second;
   state.counters["max_sweep_lag_ms"] = max_lag * 1e3;
-  state.counters["pipeline"] = static_cast<double>(state.range(0));
 }
-BENCHMARK(BM_StreamEstimate)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond)
+BENCHMARK(BM_StreamEstimate)->Arg(0)->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()->UseRealTime();
 
-// Live incremental simulation feeding the assembler: the sim-layer backend's throughput.
+// Live incremental simulation feeding the window path: the sim-layer backend's
+// throughput.
 void BM_StreamLiveSim(benchmark::State& state) {
   qnet::ThreeTierConfig config;
   config.tier_sizes = {1, 2, 4};
@@ -140,53 +148,48 @@ void BM_StreamLiveSim(benchmark::State& state) {
   std::uint64_t seed = 1;
   for (auto _ : state) {
     qnet::LiveSimStream stream(net, options, seed++);
-    qnet::WindowAssembler assembler(stream.NumQueues(), AssemblerOptions());
-    qnet::TaskRecord record;
-    while (stream.Next(record)) {
-      assembler.Push(record);
-      while (assembler.HasClosed()) {
-        benchmark::DoNotOptimize(assembler.PopClosed().log.NumEvents());
-      }
-    }
-    assembler.FinishStream();
-    while (assembler.HasClosed()) {
-      assembler.PopClosed();
-    }
+    RunWindowPath(stream);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(options.max_tasks));
 }
 BENCHMARK(BM_StreamLiveSim)->Unit(benchmark::kMillisecond);
 
+// Uniformly spaced single-visit records, one per second; Next reuses the caller's record.
+class UniformStream : public qnet::TraceStream {
+ public:
+  explicit UniformStream(std::size_t tasks) : tasks_(tasks) {}
+  bool Next(qnet::TaskRecord& out) override {
+    if (at_ == tasks_) {
+      return false;
+    }
+    const double entry = 0.5 + static_cast<double>(at_++);
+    out.entry_time = entry;
+    out.visits.resize(1);
+    qnet::TaskVisit& visit = out.visits[0];
+    visit.state = 0;
+    visit.queue = 1;
+    visit.arrival = entry;
+    visit.departure = entry + 0.01;
+    return true;
+  }
+  int NumQueues() const override { return 2; }
+
+ private:
+  std::size_t tasks_;
+  std::size_t at_ = 0;
+};
+
 // Bounded-memory witness: uniformly spaced entries, one task per second, 5 s windows.
-// peak_buffered_tasks must be IDENTICAL for every N — the assembler retains one open
-// window plus the last closed window (trailing-merge copy), never the trace. CI gates
-// the equality across the two Args.
+// peak_buffered_tasks must be IDENTICAL for every N — the lane retains one open window
+// plus the last closed window (trailing-merge copy), never the trace. CI gates the
+// equality across the two Args.
 void BM_StreamBoundedMemory(benchmark::State& state) {
   const auto tasks = static_cast<std::size_t>(state.range(0));
-  qnet::TaskRecord record;
-  qnet::TaskVisit visit;
-  visit.state = 0;
-  visit.queue = 1;
-  record.visits.push_back(visit);
   std::size_t peak = 0;
   for (auto _ : state) {
-    qnet::WindowAssembler assembler(2, AssemblerOptions());
-    for (std::size_t k = 0; k < tasks; ++k) {
-      const double entry = 0.5 + static_cast<double>(k);
-      record.entry_time = entry;
-      record.visits[0].arrival = entry;
-      record.visits[0].departure = entry + 0.01;
-      assembler.Push(record);
-      while (assembler.HasClosed()) {
-        benchmark::DoNotOptimize(assembler.PopClosed().num_tasks);
-      }
-    }
-    assembler.FinishStream();
-    while (assembler.HasClosed()) {
-      assembler.PopClosed();
-    }
-    peak = assembler.Stats().peak_buffered_tasks;
+    UniformStream stream(tasks);
+    peak = RunWindowPath(stream).peak_buffered_tasks;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(tasks));
@@ -195,39 +198,19 @@ void BM_StreamBoundedMemory(benchmark::State& state) {
 BENCHMARK(BM_StreamBoundedMemory)->Arg(4000)->Arg(32000)->Unit(benchmark::kMillisecond);
 
 // Steady-state allocation counter: operator-new calls per ingested task once the replay
-// loop is warm (TaskRecord reuse means the per-task cost is the per-window log build
-// amortized over its tasks). Gated in CI.
+// loop is warm. Gated in CI.
 void BM_StreamSteadyStateAllocations(benchmark::State& state) {
   const Fixture fixture = MakeFixture(4000);
   // Warm-up pass outside the counted region.
   {
     qnet::LogReplayStream stream(fixture.truth, fixture.obs);
-    qnet::WindowAssembler assembler(stream.NumQueues(), AssemblerOptions());
-    qnet::TaskRecord record;
-    while (stream.Next(record)) {
-      assembler.Push(record);
-      while (assembler.HasClosed()) {
-        assembler.PopClosed();
-      }
-    }
+    RunWindowPath(stream);
   }
   std::size_t tasks = 0;
   const std::size_t before = AllocationCount();
   for (auto _ : state) {
     qnet::LogReplayStream stream(fixture.truth, fixture.obs);
-    qnet::WindowAssembler assembler(stream.NumQueues(), AssemblerOptions());
-    qnet::TaskRecord record;
-    while (stream.Next(record)) {
-      assembler.Push(record);
-      ++tasks;
-      while (assembler.HasClosed()) {
-        assembler.PopClosed();
-      }
-    }
-    assembler.FinishStream();
-    while (assembler.HasClosed()) {
-      assembler.PopClosed();
-    }
+    tasks += RunWindowPath(stream).tasks_ingested;
   }
   const std::size_t after = AllocationCount();
   state.counters["allocs_per_task"] =

@@ -7,9 +7,10 @@
 // consumer can trace every alert back to the exact WindowEstimate that caused it.
 //
 // Determinism contract: alerts are a pure function of the WindowEstimate sequence a
-// ChangeMonitor observes. The pooled estimate sequence is bit-identical across
-// pipelining and lane execution arrangements at a fixed lane count K (the standing
-// streaming invariant), so the alert sequence is too. Nothing in this layer feeds back into sampling.
+// ChangeMonitor observes. The pooled estimate sequence is a pure function of the
+// stream, the options and the seed at a fixed lane count K (the standing streaming
+// invariant), so the alert sequence is too. Nothing in this layer feeds back into
+// sampling.
 //
 // AlertKind doubles as a bitmask (1u << kind) so a window's alert set packs into the
 // WindowEstimate::alerts field and survives the trace/window_csv round-trip.

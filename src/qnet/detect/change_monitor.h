@@ -15,9 +15,9 @@
 //   * an edge trigger on the estimator's degraded flag  -> kDegradedRun
 //
 // One-way-tap invariant: the monitor is a pure function of the WindowEstimate
-// sequence. The pooled sequence is bit-identical across pipelining and lane execution
-// arrangements at a fixed lane count K (the standing streaming contract), so the alert
-// log and per-window masks are too — and nothing here feeds back into sampling or estimation.
+// sequence. The pooled sequence is a pure function of the stream, the options and the
+// seed at a fixed lane count K (the standing streaming contract), so the alert log and
+// per-window masks are too — and nothing here feeds back into sampling or estimation.
 //
 // Merged-tail semantics: a merged-tail re-fit REPLACES the previous window's estimate
 // (see StreamingEstimatorOptions::on_window). The monitor snapshots its full detector

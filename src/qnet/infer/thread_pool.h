@@ -69,12 +69,12 @@ void RunOnThreadPool(std::size_t items, std::size_t threads, const Work& work) {
 }
 
 // One-deep pipeline stage: runs a single coarse work unit on a background thread while
-// the caller keeps producing (e.g. the streaming estimator overlaps window N's StEM
-// sweeps with window N+1's ingestion). Spawn-per-submit, matching RunOnThreadPool's
-// coarse-unit philosophy — a window estimate is milliseconds-to-seconds of work, so
-// thread spawn cost is noise. Exceptions thrown by the work unit are rethrown from
-// Wait(); a slot destroyed while busy joins first and swallows the exception (call
-// Wait() before destruction to observe it).
+// the caller keeps producing (e.g. each StEM lane of a multi-lane fleet drains its
+// queue and fits its windows on a slot while the router keeps ingesting).
+// Spawn-per-submit, matching RunOnThreadPool's coarse-unit philosophy — a lane runs for
+// a whole stream, so thread spawn cost is noise. Exceptions thrown by the work unit are
+// rethrown from Wait(); a slot destroyed while busy joins first and swallows the
+// exception (call Wait() before destruction to observe it).
 class PipelineSlot {
  public:
   PipelineSlot() = default;

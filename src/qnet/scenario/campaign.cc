@@ -192,7 +192,6 @@ CampaignResult RunCampaign(const Campaign& campaign,
   StreamingEstimatorOptions est_options;
   est_options.window.window_duration = options.window_duration;
   est_options.window.min_tasks_per_window = options.min_tasks_per_window;
-  est_options.pipeline = options.pipeline;
   est_options.window_local_arrival_rate = true;
   est_options.fast_path = options.fast_path;
   est_options.on_window = monitor.Hook();

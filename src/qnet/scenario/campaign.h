@@ -87,7 +87,6 @@ struct CampaignRunOptions {
   ChangeMonitorOptions monitor;
   std::uint64_t sim_seed = 1234;
   std::uint64_t fit_seed = 99;
-  bool pipeline = false;
 };
 
 // How one ground-truth event was (or was not) detected.

@@ -4,8 +4,8 @@
 //
 // WindowForecaster adapts ScenarioEngine to StreamingEstimatorOptions::on_window. Window
 // w's grid evaluation is seeded MixSeed(seed, w) — forecasts inherit the streaming
-// engine's determinism contract (bit-identical for any pipeline setting and any
-// forecaster thread count). A merged-tail re-fit (see
+// engine's determinism contract (bit-identical across runs and for any forecaster
+// thread count). A merged-tail re-fit (see
 // WindowEstimate::merged_tail_tasks) REPLACES the last forecast with a re-evaluation at
 // the same window seed, mirroring how the estimator replaces the estimate itself.
 

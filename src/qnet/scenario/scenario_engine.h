@@ -5,7 +5,7 @@
 // servers?").
 //
 // Per cell, per draw: the grid realizes the (cell, draw) network, a fresh DES run
-// (shared DesArrival/QueueFrontier kernels via SimulateWorkload) generates
+// (the staged SimScratch arena, sim/sim_scratch.h) generates
 // tasks_per_draw tasks, and the run reduces to mean/tail end-to-end latency, per-queue
 // utilization, and time-average queue lengths. Across draws the engine reports
 // mean + [band_lo, band_hi] posterior-predictive bands, a bottleneck ranking by mean

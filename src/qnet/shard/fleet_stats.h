@@ -28,16 +28,17 @@ struct LaneStats {
   std::size_t fit_iterations_total = 0;
   // High-water mark of records buffered in the lane — each lane's bounded-memory
   // witness. A lane whose windows may reach StEM keeps its records: the open window's
-  // buffer plus the previous window retained for the trailing merge, mirroring
-  // WindowAssemblerStats::peak_buffered_tasks. A sampler-free lane (kMeanFieldOnly)
+  // buffer plus the previous window retained for the trailing merge, so the mark is
+  // bounded by the widest window, never by the trace length. A sampler-free lane
+  // (kMeanFieldOnly)
   // folds each record as it takes it and buffers only the records it holds past the
   // open span (allowed_lateness > 0), so it reads 0 on an entry-ordered stream without
   // lateness.
   std::size_t peak_buffered_tasks = 0;
   // High-water mark of the lane's ingest queue (records + tokens awaiting the worker);
   // pinned at the configured capacity when the router had to block (backpressure).
-  // 0 in the in-thread arrangement (a single lane or sampler-free lanes without
-  // pipelining, at any K), which has no queue.
+  // 0 in the in-thread arrangement (a single lane, or sampler-free lanes at any K),
+  // which has no queue.
   std::size_t peak_queue_depth = 0;
   // Wall-clock spent inside this lane's StEM fits.
   double fit_seconds = 0.0;

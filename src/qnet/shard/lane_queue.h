@@ -11,16 +11,15 @@
 // back — stale content, but its visit capacity) and PopMany swaps ring records into the
 // consumer's targets the same way. The fleet's one deep copy is the router's
 // copy-assignment into its batch slot; after that a record's visit vector only changes
-// hands (a sampler-free lane folds the popped record and keeps none), and the capacity
-// the consumer hands back circulates to the producer through the ring, so the
-// steady-state hop allocates nothing and copies no visits. Producer
+// hands, and the capacity the consumer hands back circulates to the producer through
+// the ring, so the steady-state hop allocates nothing and copies no visits. Producer
 // and consumer move items in BATCHES (PushMany/PopMany) — one lock + one wake per
-// batch, not per record — which keeps the hop cheap next to the fits. (A single lane
-// without pipelining uses no queue at all: the router calls it directly.) Batching
-// never reorders items, so results are bit-identical for any batch size. A full ring
-// blocks the producer — that is the fleet's backpressure, and PushMany returns the
-// seconds it spent blocked so the router can account it
-// (FleetStats::router_blocked_seconds).
+// batch, not per record — which keeps the hop cheap next to the fits. Only StEM lanes
+// of a fleet with K > 1 run behind a queue; a single lane, and sampler-free lanes at
+// any K, use none: the router calls them directly. Batching never reorders items, so
+// results are bit-identical for any batch size. A full ring blocks the producer — that
+// is the fleet's backpressure, and PushMany returns the seconds it spent blocked so the
+// router can account it (FleetStats::router_blocked_seconds).
 //
 // CloseConsumer is the abnormal-exit valve: a lane worker that dies calls it so a
 // blocked producer wakes up and discovers the fleet is unwinding instead of deadlocking.

@@ -28,9 +28,9 @@ bool KeepsRecords(const ShardedStreamingOptions& options) {
 // One lane: a per-window record fold (plus a record buffer and log build, for lanes
 // that may fit StEM) and a warm-started fit chain. Accept takes one routed record and
 // Close answers one span decision; the router calls them directly (the in-thread
-// arrangement) or a worker thread calls them from the lane's queue (Drain). Everything
-// the lane does is a pure function of its item sequence, which the router makes a pure
-// function of the stream.
+// arrangement) or, for a lane that keeps records in a fleet of K > 1, a worker thread
+// calls them from the lane's queue (Drain). Everything the lane does is a pure function
+// of its item sequence, which the router makes a pure function of the stream.
 //
 // The lane folds each record into its open window's MeanFieldRecordFold when it takes
 // it. The router passes the end of the span that was open when it routed the record: a
@@ -48,7 +48,7 @@ bool KeepsRecords(const ShardedStreamingOptions& options) {
 // TakeDecisionRecords selects and sorts them at the close. Such a lane gets each record
 // before the decisions its push made (see Run), so it also holds the record that closes
 // a window, which then opens the next one. Records arrive by swap from the
-// lane queue or by one copy from the router's record into recycled capacity. Records
+// lane queue or by one copy from the stream's record into recycled capacity. Records
 // that leave the lane at a close (a window that is not kept for a merged tail, or the
 // retained window it replaces) go back into a spare pool, so record capacity circulates
 // and the steady-state record path allocates nothing per task. The pool holds at most
@@ -75,7 +75,8 @@ class LaneWorker {
   // In-thread intake: `record` is the stream's own, copied only into a lane that keeps
   // records. `span_end` is the open span's end when the router routed it.
   void Accept(const TaskRecord& record, double span_end) {
-    if (Take(record, span_end)) {
+    Take(record, span_end);
+    if (keep_records_) {
       Keep() = record;
     }
   }
@@ -95,8 +96,8 @@ class LaneWorker {
     std::vector<TaskRecord> records;
     if (keep_records_) {
       // Selection only; the log build (StEM windows only) and the fits below have their
-      // own spans. The lane-local application of the global membership rule — the SAME
-      // helper the assembler materializes with, applied to this lane's sub-sequence.
+      // own spans. The lane-local application of the global membership rule to this
+      // lane's sub-sequence.
       ScopedSpan span(SpanStage::kWindowAssemble);
       records = TakeDecisionRecords(decision, buffer_, last_window_);
     }
@@ -109,9 +110,9 @@ class LaneWorker {
     if (tasks == 0) {
       ++stats_.empty_windows;
     }
-    // Mirror the assembler: every normal close becomes the trailing-merge target (even
-    // an empty one — the global merged-tail re-close targets the last GLOBAL window, and
-    // this lane's share of it may well be empty).
+    // Every normal close becomes the trailing-merge target (even an empty one — the
+    // global merged-tail re-close targets the last GLOBAL window, and this lane's share
+    // of it may well be empty).
     const bool retain = !merged_tail && options_.stream.window.merge_trailing_window;
     fold_.Restart(retain);
     ReleaseHeld(/*all=*/false, next_span_end);
@@ -140,9 +141,9 @@ class LaneWorker {
   // Threaded arrangement: consumes `queue` until the finish token.
   void Drain(LaneQueue& queue) {
     try {
-      // Batched pops mirror the router's batched pushes: one lock per ~64 items. A lane
-      // that keeps records swaps one out of its batch element and leaves spare capacity
-      // there, which the next pop swaps back into the ring for the router to reuse.
+      // Batched pops mirror the router's batched pushes: one lock per ~64 items. The
+      // lane swaps each record out of its batch element and leaves spare capacity there,
+      // which the next pop swaps back into the ring for the router to reuse.
       std::vector<LaneItem> batch;
       for (;;) {
         const std::size_t count = queue.PopMany(batch, 64);
@@ -153,9 +154,8 @@ class LaneWorker {
             return;  // nothing follows a finish token
           }
           if (item.kind == LaneItem::Kind::kRecord) {
-            if (Take(item.record, item.span_end)) {
-              std::swap(Keep(), item.record);
-            }
+            Take(item.record, item.span_end);
+            std::swap(Keep(), item.record);
           } else {
             Close(item.close, item.span_end);
           }
@@ -180,9 +180,9 @@ class LaneWorker {
     std::uint64_t arrival = 0;
   };
 
-  // Counts and folds (or holds) one routed record; returns whether the lane also keeps
-  // it, in which case the caller fills Keep()'s slot with it.
-  bool Take(const TaskRecord& record, double span_end) {
+  // Counts and folds (or holds) one routed record. A lane that keeps records then fills
+  // Keep()'s slot with it.
+  void Take(const TaskRecord& record, double span_end) {
     const std::uint64_t arrival = stats_.tasks_routed++;  // published by PublishRouted
     // max: a late-merged record can sit behind the close-token advance in Close.
     AdvanceWatermark(record.entry_time);
@@ -200,7 +200,6 @@ class LaneWorker {
         NotePeakBuffered(held_count_);
       }
     }
-    return keep_records_;
   }
 
   // Appends a record slot to the window buffer, from the spare pool when it has one
@@ -369,13 +368,13 @@ ShardedStreamingEstimator::ShardedStreamingEstimator(std::vector<double> init_ra
 std::vector<WindowEstimate> ShardedStreamingEstimator::Run(TraceStream& stream) {
   stats_ = FleetStats{};
   const std::size_t lanes = options_.lanes;
-  // The work picks the arrangement. Without pipelining, a single lane, and lanes that
-  // never reach StEM at any K, run on the caller's thread: the router calls each lane's
-  // Accept/Close directly, with no batches, queues or worker threads (a mean-field lane
-  // does ~50 ns of work per record, less than a queue hand-off costs). Otherwise every
-  // lane drains its own bounded queue on its own thread.
+  // The work picks the arrangement. A single lane, and lanes that never reach StEM at any
+  // K, run on the caller's thread: the router calls each lane's Accept/Close directly,
+  // with no batches, queues or worker threads (a mean-field lane does ~50 ns of work per
+  // record, less than a queue hand-off costs). StEM lanes at K > 1 each drain their own
+  // bounded queue on their own thread, so their fits run in parallel.
   const bool keep_records = KeepsRecords(options_);
-  const bool threaded = options_.stream.pipeline || (lanes > 1 && keep_records);
+  const bool threaded = lanes > 1 && keep_records;
   Stopwatch total;
 
   WindowSpanTracker tracker(options_.stream.window);

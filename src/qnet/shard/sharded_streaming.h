@@ -17,43 +17,41 @@
 // that keeps records, which gets the record that closes a window before the close) is
 // held until the span it belongs to opens, and the fold sums responses in the sorted
 // window's order, so estimates are bit-identical to folding each window's sorted
-// records. Threaded
-// lanes get their records through the lane queue (shard/lane_queue.h): the router copies
-// each record once into recycled capacity and it moves by swap from there; a lane that
-// keeps records returns those that leave its windows to a spare pool. The steady-state
-// record path therefore allocates per window, not per task.
+// records. Threaded lanes get their records through the lane queue
+// (shard/lane_queue.h): the router copies each record once into recycled capacity and
+// it moves by swap from there; a lane that keeps records returns those that leave its
+// windows to a spare pool. The steady-state record path therefore allocates per window,
+// not per task.
 //
-// Execution arrangement: the work picks it, not K. With `stream.pipeline` off, a single
-// lane, and lanes that never reach StEM (FastPathMode::kMeanFieldOnly) at any K, run on
-// the Run() caller's thread: the router calls each lane's intake directly and answers
-// each close decision by closing every lane in lane order — no router batches, lane
-// queues or worker threads — so each window is fitted, merged and emitted before the
-// next record is pulled. A sampler-free lane does ~50 ns of work per record, less than a
-// queue hand-off costs. Otherwise (pipelining, or StEM lanes at K > 1) every lane runs on
-// its own PipelineSlot thread (infer/thread_pool.h) behind a bounded queue, and its fits
-// overlap the router's ingestion.
+// Execution arrangement: the work picks it; no option does. A single lane, and lanes
+// that never reach StEM (FastPathMode::kMeanFieldOnly) at any K, run on the Run()
+// caller's thread: the router calls each lane's intake directly and answers each close
+// decision by closing every lane in lane order — no router batches, lane queues or
+// worker threads — so each window is fitted, merged and emitted before the next record
+// is pulled. A sampler-free lane does ~50 ns of work per record, less than a queue
+// hand-off costs. StEM lanes at K > 1 each run on their own PipelineSlot thread
+// (infer/thread_pool.h) behind a bounded queue, so the K lanes' fits run in parallel and
+// overlap the router's ingestion. At a fixed K, then, exactly one arrangement runs.
 //
-// Window coordination: the router runs the WindowSpanTracker (the exact decision core of
-// WindowAssembler) over the GLOBAL entry-time sequence, so window spans, counts, and
-// emission indices are bit-identical to a single assembler's for ANY lane count. Close
-// decisions travel in band through every lane's queue (or are direct calls in the
-// in-thread arrangement) — no lane can close window w before it has consumed every
-// record the router placed ahead of the token — and the
-// merger releases window w only when all K lanes have answered it: the pooled stream
-// advances as the min over lane progress (an idle lane answers immediately and never
-// stalls the fleet).
+// Window coordination: the router runs one WindowSpanTracker over the GLOBAL entry-time
+// sequence, so window spans, counts, and emission indices are bit-identical for ANY lane
+// count. Close decisions travel in band through every lane's queue (or are direct calls
+// in the in-thread arrangement) — no lane can close window w before it has consumed
+// every record the router placed ahead of the token — and the merger releases window w
+// only when all K lanes have answered it: the pooled stream advances as the min over
+// lane progress (an idle lane answers immediately and never stalls the fleet).
 //
 // Determinism contract: lane l's fit of window w is seeded MixSeed(MixSeed(base, w), l)
 // (for K >= 2; a single lane elides the lane salt, which is the plain
 // StreamingEstimator's MixSeed(base, w)). Seeds, warm starts, window membership, and
 // pooling order are pure functions of (stream contents, options, base seed, K) — never of
-// thread scheduling, queue timing, or pipelining. Pooled estimates are therefore bit-identical across every execution
-// arrangement for a FIXED K. Across DIFFERENT K the estimates are statistically
-// consistent but not bit-identical: each lane fits its own hash-thinned sub-stream (the
-// mean-field-flavored decomposition that buys horizontal scaling), so K, like the chain
-// count in parallel_chains, is part of the estimator's statistical definition. The
-// merge weighting (lambda sums; service rates and waits task-count-weighted) is
-// documented in shard/lane_merger.h.
+// thread scheduling, queue timing, queue capacity or router batch size. Pooled estimates
+// are therefore bit-identical across repeated runs for a FIXED K. Across DIFFERENT K the
+// estimates are statistically consistent but not bit-identical: each lane fits its own
+// hash-thinned sub-stream (the mean-field-flavored decomposition that buys horizontal
+// scaling), so K, like the chain count in parallel_chains, is part of the estimator's
+// statistical definition. The merge weighting (lambda sums; service rates and waits
+// task-count-weighted) is documented in shard/lane_merger.h.
 
 #ifndef QNET_SHARD_SHARDED_STREAMING_H_
 #define QNET_SHARD_SHARDED_STREAMING_H_
@@ -73,7 +71,7 @@ struct ShardedStreamingOptions {
   std::size_t lanes = 1;
   // Bounded per-lane ingest queue capacity (records + tokens). A full queue blocks the
   // router — backpressure, reported in FleetStats::router_blocked_seconds. Applies to
-  // the threaded arrangement only; in-thread lanes have no queue.
+  // the threaded arrangement (StEM lanes at K > 1) only; in-thread lanes have no queue.
   std::size_t lane_queue_capacity = 1024;
   // Records are handed to a lane in batches of up to this size (one lock + one wake per
   // batch instead of per record). Window-close tokens flush every lane's batch first, so
@@ -91,10 +89,9 @@ struct ShardedStreamingOptions {
   // pooled estimates are preserved bit-exactly. The single-contributing-lane verbatim
   // path is never corrected, so a K = 1 fleet's estimates are unaffected.
   bool cross_lane_bias_correction = false;
-  // Window, StEM, lambda-anchoring and on_window options, shared by every lane.
-  // `stream.pipeline` selects the threaded arrangement at any K; without it, StEM lanes
-  // at K > 1 run threaded and a single lane or sampler-free lanes run in-thread (see
-  // file comment). Estimates are bit-identical in every arrangement.
+  // Window, StEM, lambda-anchoring and on_window options, shared by every lane. StEM
+  // lanes at K > 1 run threaded; a single lane or sampler-free lanes run in-thread (see
+  // file comment).
   // `stream.on_window` fires on the Run() caller's thread with the POOLED estimates, in
   // window order — WindowForecaster rides the merged stream unchanged.
   // `stream.fast_path` applies per lane: kDegrade triggers on the GLOBAL window task

@@ -47,8 +47,9 @@ void RunDesCore(int num_queues, SimScratch& scratch, const ServiceSampler& sampl
   // heap top yields the same global-minimum pop sequence as a heap seeded with every
   // arrival — (time, task, step) is a strict total order, no two pending events ever
   // compare equal — while keeping the heap at O(tasks in service) instead of O(tasks).
-  // Pop order (hence service-draw consumption) matches the legacy std::priority_queue
-  // bit-for-bit.
+  // Pop order (hence service-draw consumption) matches an all-arrivals
+  // std::priority_queue bit for bit; the goldens in tests/test_simulator.cc were recorded
+  // from one.
   scratch.heap.clear();
   // Hard bound — each task has at most one pending event — so the in-flight high-water
   // mark (which varies with stochastic congestion) can never outgrow a warm arena.

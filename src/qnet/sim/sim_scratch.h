@@ -1,22 +1,23 @@
 // Allocation-free DES core: a reusable simulation arena (SimScratch) plus staged
 // run/convert entry points.
 //
-// The batch simulator (simulator.h) allocates per call: an entry-time vector, one route
-// vector per task, a nested visit-times structure, the arrival heap, and the EventLog.
-// SimScratch replaces all of that with flat SoA storage — one contiguous RouteStep buffer
-// with per-task offsets (CSR layout), parallel begin/departure arrays, and a recycled
-// heap vector — so repeated simulations of same-shaped workloads allocate nothing once
-// the buffers are warm. The scenario engine leans on this for its (cell x draw) loop;
-// tests/test_alloc_free.cc pins the zero-allocation contract.
+// This is the one batch DES core: Simulate, SimulateWorkload and SimulateWithRoutes
+// (simulator.h) stage their inputs into a thread-local SimScratch and run it. The arena
+// is flat SoA storage — one contiguous RouteStep buffer with per-task offsets (CSR
+// layout), parallel begin/departure arrays, and a recycled heap vector — so repeated
+// simulations of same-shaped workloads allocate nothing once the buffers are warm. The
+// scenario engine leans on this for its (cell x draw) loop; tests/test_alloc_free.cc
+// pins the zero-allocation contract.
 //
-// Bit-identity contract: for the same inputs and Rng state, the staged pipeline
+// Draw-order contract: for the same inputs and Rng state, the staged pipeline
 //   GenerateInto -> SampleRoutesIntoScratch -> RunStagedDes -> ScratchToEventLog
-// consumes the RNG draw-for-draw like SimulateWorkload/Simulate/SimulateWithRoutes and
-// produces a bit-identical EventLog (same event times, same link structure). The DES pop
-// order is the strict total order (time, task, step) — no ties are possible — so merging
-// the sorted entry list against a recycled push_heap/pop_heap continuation heap pops in
-// exactly the order of the legacy all-arrivals std::priority_queue.
-// tests/test_simulator.cc pins this equivalence.
+// consumes the RNG draw-for-draw like SimulateWorkload: arrivals, then one route per
+// task in task order, then one service time per step in DES pop order. The pop order is
+// the strict total order (time, task, step) — no ties are possible — realized by merging
+// the sorted entry list against a recycled push_heap/pop_heap continuation heap.
+// tests/test_simulator.cc pins the resulting logs to hex-float goldens recorded from an
+// all-arrivals std::priority_queue simulator, and the convenience wrappers to each
+// other.
 
 #ifndef QNET_SIM_SIM_SCRATCH_H_
 #define QNET_SIM_SIM_SCRATCH_H_
@@ -129,7 +130,7 @@ void SimulateWorkloadIntoScratch(const QueueingNetwork& net, const ArrivalProces
                                  const SimOptions& options = {});
 
 // Materializes a completed scratch run as an EventLog (Reset + rebuild, so a warm log
-// allocates nothing). Bit-identical to the log SimulateWithRoutes would have built.
+// allocates nothing). The convenience wrappers in simulator.h return exactly this log.
 void ScratchToEventLog(const SimScratch& scratch, int num_queues, EventLog& log);
 
 }  // namespace qnet

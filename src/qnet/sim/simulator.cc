@@ -1,71 +1,9 @@
 #include "qnet/sim/simulator.h"
 
-#include <queue>
-
 #include "qnet/sim/sim_scratch.h"
 #include "qnet/support/check.h"
 
 namespace qnet {
-namespace {
-
-struct VisitTimes {
-  double arrival = 0.0;
-  double departure = 0.0;
-};
-
-}  // namespace
-
-EventLog SimulateWithRoutes(const QueueingNetwork& net, const std::vector<double>& entry_times,
-                            const std::vector<std::vector<RouteStep>>& routes, Rng& rng,
-                            const SimOptions& options) {
-  QNET_CHECK(entry_times.size() == routes.size(), "one route per task required");
-  for (std::size_t k = 0; k < entry_times.size(); ++k) {
-    QNET_CHECK(entry_times[k] > 0.0, "entry times must be positive");
-    if (k > 0) {
-      QNET_CHECK(entry_times[k] >= entry_times[k - 1], "entry times must be nondecreasing");
-    }
-    QNET_CHECK(!routes[k].empty(), "task ", k, " has an empty route");
-  }
-
-  const int num_tasks = static_cast<int>(entry_times.size());
-  std::vector<std::vector<VisitTimes>> visit_times(entry_times.size());
-  for (std::size_t k = 0; k < routes.size(); ++k) {
-    visit_times[k].resize(routes[k].size());
-  }
-
-  std::priority_queue<DesArrival, std::vector<DesArrival>, std::greater<>> heap;
-  for (int k = 0; k < num_tasks; ++k) {
-    heap.push(DesArrival{entry_times[static_cast<std::size_t>(k)], k, 0});
-  }
-
-  QueueFrontier frontier(net.NumQueues());
-  while (!heap.empty()) {
-    const DesArrival next = heap.top();
-    heap.pop();
-    const auto k = static_cast<std::size_t>(next.task);
-    const RouteStep& step = routes[k][next.step];
-    const double departure =
-        frontier.ProcessArrival(net, step.queue, next.time, rng, options.faults);
-    visit_times[k][next.step] = VisitTimes{next.time, departure};
-    if (next.step + 1 < routes[k].size()) {
-      heap.push(DesArrival{departure, next.task, next.step + 1});
-    }
-  }
-
-  EventLog log(net.NumQueues());
-  for (int k = 0; k < num_tasks; ++k) {
-    log.AddTask(entry_times[static_cast<std::size_t>(k)]);
-    const auto ku = static_cast<std::size_t>(k);
-    for (std::size_t step = 0; step < routes[ku].size(); ++step) {
-      log.AddVisit(k, routes[ku][step].state, routes[ku][step].queue,
-                   visit_times[ku][step].arrival, visit_times[ku][step].departure);
-    }
-  }
-  log.BuildQueueLinks();
-  QNET_DCHECK(log.IsFeasible(1e-6), "simulator produced an infeasible log");
-  return log;
-}
-
 namespace {
 
 // Shared per-thread arena for the allocating convenience entry points below: repeated
@@ -77,6 +15,12 @@ SimScratch& ThreadLocalSimScratch() {
   return scratch;
 }
 
+EventLog ScratchLog(const QueueingNetwork& net, const SimScratch& scratch) {
+  EventLog log(net.NumQueues());
+  ScratchToEventLog(scratch, net.NumQueues(), log);
+  return log;
+}
+
 }  // namespace
 
 EventLog Simulate(const QueueingNetwork& net, const std::vector<double>& entry_times,
@@ -84,9 +28,30 @@ EventLog Simulate(const QueueingNetwork& net, const std::vector<double>& entry_t
   SimScratch& scratch = ThreadLocalSimScratch();
   scratch.entry_times.assign(entry_times.begin(), entry_times.end());
   SimulateIntoScratch(net, scratch, rng, options);
-  EventLog log(net.NumQueues());
-  ScratchToEventLog(scratch, net.NumQueues(), log);
-  return log;
+  return ScratchLog(net, scratch);
+}
+
+EventLog SimulateWithRoutes(const QueueingNetwork& net, const std::vector<double>& entry_times,
+                            const std::vector<std::vector<RouteStep>>& routes, Rng& rng,
+                            const SimOptions& options) {
+  QNET_CHECK(entry_times.size() == routes.size(), "one route per task required");
+  // The arena's own checks of these are debug-only, so the caller's input is checked
+  // here, before it is staged.
+  SimScratch& scratch = ThreadLocalSimScratch();
+  scratch.entry_times.assign(entry_times.begin(), entry_times.end());
+  scratch.route_steps.clear();
+  scratch.route_offsets.assign(1, 0);
+  for (std::size_t k = 0; k < entry_times.size(); ++k) {
+    QNET_CHECK(entry_times[k] > 0.0, "entry times must be positive");
+    if (k > 0) {
+      QNET_CHECK(entry_times[k] >= entry_times[k - 1], "entry times must be nondecreasing");
+    }
+    QNET_CHECK(!routes[k].empty(), "task ", k, " has an empty route");
+    scratch.route_steps.insert(scratch.route_steps.end(), routes[k].begin(), routes[k].end());
+    scratch.route_offsets.push_back(scratch.route_steps.size());
+  }
+  RunStagedDes(net, scratch, rng, options);
+  return ScratchLog(net, scratch);
 }
 
 EventLog SimulateWorkload(const QueueingNetwork& net, const ArrivalProcess& workload,
@@ -94,9 +59,7 @@ EventLog SimulateWorkload(const QueueingNetwork& net, const ArrivalProcess& work
   SimScratch& scratch = ThreadLocalSimScratch();
   workload.GenerateInto(scratch.entry_times, rng);
   SimulateIntoScratch(net, scratch, rng, options);
-  EventLog log(net.NumQueues());
-  ScratchToEventLog(scratch, net.NumQueues(), log);
-  return log;
+  return ScratchLog(net, scratch);
 }
 
 }  // namespace qnet

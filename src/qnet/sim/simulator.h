@@ -28,9 +28,9 @@ struct SimOptions {
 };
 
 // One pending (task, step) arrival in the DES heap. Min-heap by (time, task, step):
-// global arrival order with a deterministic tie-break. Shared by the batch simulator and
-// the live streaming adapter (stream/live_stream.h) so both process events in the same
-// order.
+// global arrival order with a deterministic tie-break. Shared by the batch DES core
+// (sim/sim_scratch.h) and the live streaming adapter (stream/live_stream.h) so both
+// process events in the same order.
 struct DesArrival {
   double time = 0.0;
   int task = -1;
@@ -41,11 +41,11 @@ struct DesArrival {
   }
 };
 
-// The DES physics, shared by the batch simulator and the live streaming adapter: one
+// The DES physics step of the live streaming adapter (stream/live_stream.h): one
 // per-queue last-departure frontier advanced through d_e = s_e + max(a_e, d_rho(e)) with
-// fault scaling. Keeping the single step here means the two drivers cannot diverge on
-// the generative model (they deliberately differ in RNG draw *order*, so a behavioral
-// divergence would be invisible to bit-equality tests).
+// fault scaling. The batch DES core (RunDesCore in sim/sim_scratch.cc) applies the same
+// recursion to its flat frontier; the two deliberately differ in RNG draw *order*, so a
+// behavioral divergence between them would be invisible to bit-equality tests.
 class QueueFrontier {
  public:
   explicit QueueFrontier(int num_queues)
@@ -76,7 +76,10 @@ EventLog Simulate(const QueueingNetwork& net, const std::vector<double>& entry_t
                   Rng& rng, const SimOptions& options = {});
 
 // As Simulate, but with caller-fixed routes (routes[k] is task k's (state, queue) route).
-// Used by tests and by workloads that need deterministic or skewed routing.
+// Used by tests and by workloads that need deterministic or skewed routing. Stages the
+// entries and routes into the thread's SimScratch arena and runs RunStagedDes, so it
+// draws service times exactly like SimulateWorkload does after sampling the same routes.
+// Entries must be positive and nondecreasing, with one non-empty route per task.
 EventLog SimulateWithRoutes(const QueueingNetwork& net, const std::vector<double>& entry_times,
                             const std::vector<std::vector<RouteStep>>& routes, Rng& rng,
                             const SimOptions& options = {});

@@ -5,7 +5,7 @@
 // (= entry-time) order — how a batch log runs through the streaming engine.
 //
 // CsvReplayStream reads a WriteEventLog CSV *incrementally*, one task at a time, so a
-// multi-gigabyte trace streams through the window assembler in bounded memory. The
+// multi-gigabyte trace streams through the streaming estimator in bounded memory. The
 // network size comes from the `# queues=N` header WriteEventLog emits; headerless legacy
 // files pass num_queues explicitly. An optional observation CSV (WriteObservation
 // format) is consumed in lockstep — its rows are in event-id order, which is exactly the

@@ -1,8 +1,8 @@
 // Streaming windowed StEM: warm-started per-window estimation over a TraceStream.
 //
 // The estimator pulls TaskRecords from any TraceStream (replay, CSV, live simulator),
-// partitions them into watermark-closed event-time windows (the WindowSpanTracker
-// decision core of WindowAssembler), and runs a short StEM fit on every closed window
+// partitions them into watermark-closed event-time windows (WindowSpanTracker, see
+// stream/window_assembler.h), and runs a short StEM fit on every closed window
 // through the same MoveKernel/sweep-driver core as the batch estimators — windows cannot
 // drift from batch sampler behavior. Each window is warm-started from the previous
 // window's rate estimate, yielding the rate trajectory the paper's "what happened five
@@ -14,20 +14,17 @@
 // selection, degradation, emission and the merged-tail replacement therefore exist
 // once, and a single-lane fleet reproduces this estimator by construction.
 //
-// Determinism contract (extends the PR-1/PR-2 contracts): window w's StEM run consumes
-// an Rng seeded MixSeed(seed, w) — a pure function of the base seed and the window's
-// emission index, never of ingestion timing. Combined with the tracker's
-// order-preserving close and the sweep's seed layout (infer/sharded_sweep.h), the
-// estimate sequence is bit-identical for any pipeline setting; only wall-clock
-// changes. The warm-start chain and seed discipline live in WindowFitChain.
+// Determinism contract: window w's StEM run consumes an Rng seeded MixSeed(seed, w) — a
+// pure function of the base seed and the window's emission index, never of ingestion
+// timing. Combined with the tracker's order-preserving close and the sweep's seed layout
+// (infer/sharded_sweep.h), the estimate sequence is a pure function of (stream, options,
+// seed) and bit-identical across runs. The warm-start chain and seed discipline live in
+// WindowFitChain.
 //
-// Pipelining: without `pipeline`, every window is built and fitted on the caller's
-// thread the moment the record that closes it arrives, and its estimate is emitted as
-// soon as the fit returns — before the stream is asked for another record. With
-// `pipeline` set, the lane runs on its own thread behind a bounded queue, so window N's
-// fit overlaps window N+1's ingestion (warm starts serialize the fits themselves, so
-// one lane thread is the maximal useful depth). Stats() reports ingest throughput,
-// merge lag, and the late/dropped/peak-buffer counters.
+// Every window is built and fitted on the caller's thread the moment the record that
+// closes it arrives, and its estimate is emitted as soon as the fit returns — before
+// the stream is asked for another record. Stats() reports ingest throughput, fit lag,
+// and the late/dropped/peak-buffer counters.
 
 #ifndef QNET_STREAM_STREAMING_ESTIMATOR_H_
 #define QNET_STREAM_STREAMING_ESTIMATOR_H_
@@ -94,8 +91,6 @@ struct WindowEstimate {
 struct StreamingEstimatorOptions {
   WindowAssemblerOptions window;
   StemOptions stem;
-  // Overlap window N's StEM sweeps with window N+1's ingestion.
-  bool pipeline = false;
   // Anchor each window's StEM lambda iterate to the window start (StemOptions::
   // arrival_time_origin = t0), so rates[0] estimates the window's own arrival rate
   // instead of the absolute-time-anchored iterate that decays as the stream ages.
@@ -105,9 +100,8 @@ struct StreamingEstimatorOptions {
   // order — the continuous-forecasting hook (see scenario/forecast.h). A merged-tail
   // re-fit invokes it once more with merged_tail_tasks > 0; such an estimate REPLACES
   // the previous window's, and consumers should replace their derived state the same
-  // way. The caller's thread also ingests, so a slow hook delays ingestion (and, when
-  // pipelined, the next close), never changes results (the estimate sequence stays
-  // bit-identical with or without a hook).
+  // way. The caller's thread also ingests, so a slow hook delays ingestion, never
+  // changes results (the estimate sequence stays bit-identical with or without a hook).
   std::function<void(const WindowEstimate&)> on_window;
   // Mean-field fast path (see FastPathMode). kOff preserves the StEM-only estimate
   // sequence bit-exactly.
@@ -127,9 +121,9 @@ struct StreamingStats {
   std::size_t peak_buffered_tasks = 0;
   double total_wall_seconds = 0.0;
   double tasks_per_second = 0.0;  // end-to-end sustained ingest rate
-  // Longest span between a window's close and its fit's delivery — queueing behind
-  // earlier records and fits when pipelined, plus the fit itself (FleetStats::
-  // max_merge_lag_seconds of the single-lane fleet this estimator runs as).
+  // Longest span between a window's close and its fit's delivery — the fit itself, on
+  // the caller's thread (FleetStats::max_merge_lag_seconds of the single-lane fleet this
+  // estimator runs as).
   double max_sweep_lag_seconds = 0.0;
   // Windows that emitted a mean-field-only estimate (degraded = true).
   std::size_t degraded_windows = 0;

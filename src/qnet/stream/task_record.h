@@ -11,7 +11,7 @@
 // A TraceStream yields records in nondecreasing entry-time order (the same order
 // EventLog::AddTask requires). Sources with bounded reordering — e.g. a live collector
 // whose tasks complete out of entry order — must do their own bounded buffering; the
-// WindowAssembler additionally tolerates records up to `allowed_lateness` behind the
+// WindowSpanTracker additionally tolerates records up to `allowed_lateness` behind the
 // watermark.
 
 #ifndef QNET_STREAM_TASK_RECORD_H_

@@ -6,7 +6,6 @@
 
 #include "qnet/support/check.h"
 #include "qnet/telemetry/metrics.h"
-#include "qnet/telemetry/timeline.h"
 
 namespace qnet {
 
@@ -317,48 +316,6 @@ WindowSpanTracker::SpanDecision WindowSpanTracker::PopClosed() {
   return decision;
 }
 
-// --- WindowAssembler ---------------------------------------------------------------------
-
-WindowAssembler::WindowAssembler(int num_queues, const WindowAssemblerOptions& options)
-    : options_(options), tracker_(options), builder_(num_queues) {}
-
-void WindowAssembler::Push(const TaskRecord& record) {
-  const WindowSpanTracker::PushVerdict verdict = tracker_.Push(record.entry_time);
-  if (verdict == WindowSpanTracker::PushVerdict::kLateDropped) {
-    return;
-  }
-  pending_.push_back(record);
-  const std::size_t buffered = pending_.size() + last_window_records_.size();
-  if (buffered > peak_buffered_tasks_) {
-    peak_buffered_tasks_ = buffered;
-    StreamCounters::Get().peak_buffered_tasks->SetMax(static_cast<double>(buffered));
-  }
-  while (tracker_.HasClosed()) {
-    MaterializeDecision(tracker_.PopClosed());
-  }
-}
-
-void WindowAssembler::FinishStream() {
-  tracker_.Finish();
-  while (tracker_.HasClosed()) {
-    MaterializeDecision(tracker_.PopClosed());
-  }
-  // Whatever the decisions did not consume is the dropped tail (0 or 1 records with no
-  // window to merge into); the tracker already counted it.
-  QNET_DCHECK(pending_.size() == tracker_.TailDropped(), "tracker/assembler tail mismatch");
-  pending_.clear();
-}
-
-WindowAssemblerStats WindowAssembler::Stats() const {
-  WindowAssemblerStats stats;
-  stats.tasks_ingested = tracker_.TasksPushed();
-  stats.late_dropped = tracker_.LateDropped();
-  stats.tail_dropped = tracker_.TailDropped();
-  stats.windows_closed = tracker_.WindowsClosed();
-  stats.peak_buffered_tasks = peak_buffered_tasks_;
-  return stats;
-}
-
 std::vector<TaskRecord> TakeDecisionRecords(const WindowSpanTracker::SpanDecision& decision,
                                             std::vector<TaskRecord>& pending,
                                             std::vector<TaskRecord>& last_window) {
@@ -392,39 +349,6 @@ std::vector<TaskRecord> TakeDecisionRecords(const WindowSpanTracker::SpanDecisio
     std::stable_sort(records.begin(), records.end(), entry_before);
   }
   return records;
-}
-
-void WindowAssembler::MaterializeDecision(const WindowSpanTracker::SpanDecision& decision) {
-  ScopedSpan span(SpanStage::kWindowAssemble);
-  std::vector<TaskRecord> records =
-      TakeDecisionRecords(decision, pending_, last_window_records_);
-  QNET_DCHECK(records.size() == decision.count, "decision count ", decision.count,
-              " != materialized records ", records.size());
-  for (const TaskRecord& record : records) {
-    builder_.Add(record);
-  }
-  ClosedWindow window;
-  window.t0 = decision.t0;
-  window.t1 = decision.t1;
-  window.num_tasks = records.size();
-  window.merged_tail_tasks = decision.merged_tail_tasks;
-  window.window_index = decision.window_index;
-  auto [log, obs] = builder_.Finish();
-  window.log = std::move(log);
-  window.obs = std::move(obs);
-  closed_.push_back(std::move(window));
-  // A merged re-close replaces the previous window; only a normal close becomes the
-  // next trailing-merge target (the tracker already did the windows_closed counting).
-  if (decision.merged_tail_tasks == 0 && options_.merge_trailing_window) {
-    last_window_records_ = std::move(records);
-  }
-}
-
-ClosedWindow WindowAssembler::PopClosed() {
-  QNET_CHECK(!closed_.empty(), "no closed window to pop");
-  ClosedWindow window = std::move(closed_.front());
-  closed_.pop_front();
-  return window;
 }
 
 }  // namespace qnet

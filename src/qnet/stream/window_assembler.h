@@ -1,11 +1,17 @@
-// Watermark-driven window assembly for streaming inference.
+// Watermark-driven window assembly for streaming inference: the pieces every streaming
+// lane (shard/sharded_streaming.h) assembles its windows from.
 //
-// The assembler consumes TaskRecords and partitions them into consecutive event-time
-// windows of `window_duration` by entry time — the same per-window approximation as the
-// batch online estimator (cross-window queueing interactions are cut at the boundary).
-// Memory is bounded by the widest window ever open, never by the trace length: records
-// are buffered only until their window closes, and each closed window's EventLog +
-// Observation is built from the buffered records and handed off.
+//   * WindowSpanTracker decides the windows from the entry times alone: spans, counts,
+//     late drops, small-window merging and the trailing merge.
+//   * MeanFieldRecordFold folds each record into its window's mean-field statistics.
+//   * TakeDecisionRecords selects and sorts a window's records for a lane that keeps
+//     them, and WindowLogBuilder builds them into the EventLog + Observation StEM fits.
+//
+// Windows partition the stream into consecutive event-time spans of `window_duration`
+// by entry time — the same per-window approximation as the batch online estimator
+// (cross-window queueing interactions are cut at the boundary). Memory is bounded by the
+// widest window ever open, never by the trace length: records are kept only until their
+// window closes.
 //
 // Watermark semantics: the watermark is max(entry time seen) - allowed_lateness. A window
 // [t0, t1) closes when the watermark reaches t1. With allowed_lateness == 0 and an
@@ -14,19 +20,19 @@
 // that records up to that much behind the newest entry still land in their window.
 //
 // Late-record policy (documented contract): a record is *late* when its entry time falls
-// before the currently open span's start — its window has already closed and been handed
-// off. LateRecordPolicy::kDrop counts and discards it (stats().late_dropped);
+// before the currently open span's start — its window has already closed.
+// LateRecordPolicy::kDrop counts and discards it (late_dropped);
 // LateRecordPolicy::kMergeIntoCurrent folds it into the currently open window, trading a
 // small boundary error for not losing the task. Records that are merely out of order
 // within the open span are always handled exactly (windows are sorted on close).
 //
 // Small-window merging matches the batch estimator: a window with fewer than
 // max(min_tasks_per_window, 2) records is not closed; its span extends by whole
-// window_durations until enough records accumulate. At end of stream (FinishStream) a
-// trailing remainder with too few records is NOT dropped: it is merged into the previous
-// window's span and re-emitted as one final window (merged_tail_tasks > 0 marks the
-// replacement), or emitted alone when at least 2 records exist and no previous window
-// does. Only a 0/1-record remainder with no previous window is dropped (tail_dropped).
+// window_durations until enough records accumulate. At end of stream a trailing
+// remainder with too few records is NOT dropped: it is merged into the previous window's
+// span and re-emitted as one final window (merged_tail_tasks > 0 marks the replacement),
+// or emitted alone when at least 2 records exist and no previous window does. Only a
+// 0/1-record remainder with no previous window is dropped (tail_dropped).
 
 #ifndef QNET_STREAM_WINDOW_ASSEMBLER_H_
 #define QNET_STREAM_WINDOW_ASSEMBLER_H_
@@ -170,6 +176,8 @@ enum class LateRecordPolicy {
   kMergeIntoCurrent,
 };
 
+// The window rules above, as WindowSpanTracker applies them
+// (StreamingEstimatorOptions::window).
 struct WindowAssemblerOptions {
   double window_duration = 60.0;
   // Windows with fewer records than max(this, 2) are merged into the next window.
@@ -177,19 +185,19 @@ struct WindowAssemblerOptions {
   // How far behind the newest entry time the watermark trails (event-time seconds).
   double allowed_lateness = 0.0;
   LateRecordPolicy late_policy = LateRecordPolicy::kDrop;
-  // Retain the last closed window's records so FinishStream can merge a too-small
-  // trailing remainder into it. Costs one extra window of memory.
+  // Retain the last closed window so the end of the stream can merge a too-small
+  // trailing remainder into it. Costs one extra window of memory in a lane that keeps
+  // records.
   bool merge_trailing_window = true;
 };
 
-// The decision core of WindowAssembler: consumes entry times only and produces exactly
-// the close/extend/late/merge decisions the assembler makes — window spans, per-span
-// record counts, emission indices, and the trailing-merge/tail-drop outcome — without
-// buffering records or building logs. WindowAssembler delegates to this class, and the
-// sharded streaming front-end (shard/) runs its own instance on the ingest thread, so a
-// K-lane fleet's window boundaries are structurally guaranteed to be bit-identical to a
-// single assembler's for ANY lane count: span decisions are a pure function of the
-// global entry-time sequence and the options, never of the partition.
+// The window decision core: consumes entry times only and produces the close/extend/
+// late/merge decisions — window spans, per-span record counts, emission indices, and the
+// trailing-merge/tail-drop outcome — without buffering records or building logs. The
+// streaming fleet (shard/) runs one instance on the ingest thread over the GLOBAL
+// entry-time sequence, so a K-lane fleet's window boundaries are structurally
+// bit-identical for ANY lane count: span decisions are a pure function of that sequence
+// and the options, never of the partition.
 class WindowSpanTracker {
  public:
   // What Push decided about one record.
@@ -238,10 +246,9 @@ class WindowSpanTracker {
   std::size_t PendingCount() const { return pending_.size(); }
 
   // Decision counters. The tracker is the ONE increment site for the ingest-side
-  // counts that WindowAssemblerStats, StreamingStats, and FleetStats share, and each
-  // also reaches the matching StreamCounters metric in the global registry, so the
-  // stats structs and the exported metrics cannot drift. Drops and closes bump their
-  // metric as they happen. Pushes, one per record, are counted locally and published
+  // counts that StreamingStats and FleetStats share, and each also reaches the matching
+  // StreamCounters metric in the global registry, so the stats structs and the exported
+  // metrics cannot drift. Drops and closes bump their metric as they happen. Pushes, one per record, are counted locally and published
   // as one delta (PublishCounts) at each window decision and at Finish, so the record
   // path pays no atomic; between those points the registry's tasks_ingested trails
   // TasksPushed() by the open window's pushes. Accessors are plain local reads: a
@@ -287,83 +294,14 @@ class WindowSpanTracker {
 // Selects and removes from `pending` the records `decision` names — stable partition by
 // entry < t1, or every remaining record for take_all — prepending and consuming
 // `last_window` for a merged-tail re-close, and returns them sorted by entry time
-// (stably: ties keep arrival order), ready for WindowLogBuilder. Shared by
-// WindowAssembler and the sharded fleet's lanes that keep records (shard/; those whose
-// windows may reach StEM) so the two close paths cannot drift: a lane applies the
-// identical membership rule to its sub-sequence. Sampler-free lanes keep no records and
-// never call it; the order it returns is the one MeanFieldRecordFold sums a window's
-// responses in, so their folded windows equal a fold of its output bit for bit.
+// (stably: ties keep arrival order), ready for WindowLogBuilder. The fleet's lanes that
+// keep records (shard/; those whose windows may reach StEM) select with it: a lane
+// applies the global membership rule to its sub-sequence. Sampler-free lanes keep no
+// records and never call it; the order it returns is the one MeanFieldRecordFold sums a
+// window's responses in, so their folded windows equal a fold of its output bit for bit.
 std::vector<TaskRecord> TakeDecisionRecords(const WindowSpanTracker::SpanDecision& decision,
                                             std::vector<TaskRecord>& pending,
                                             std::vector<TaskRecord>& last_window);
-
-struct ClosedWindow {
-  double t0 = 0.0;
-  double t1 = 0.0;
-  std::size_t num_tasks = 0;
-  // > 0: this window REPLACES the previously emitted one — it is the previous window
-  // re-closed with `merged_tail_tasks` trailing records merged in (end of stream only).
-  std::size_t merged_tail_tasks = 0;
-  // Emission index from the span tracker (a merged-tail re-close reuses the replaced
-  // window's index) — the per-window seed salt of the streaming estimators.
-  std::size_t window_index = 0;
-  EventLog log;
-  Observation obs;
-
-  // The log is replaced on close; 2 is the smallest valid EventLog placeholder.
-  ClosedWindow() : log(2) {}
-};
-
-// Derived on demand from the assembler's own WindowSpanTracker counters (plus the
-// assembler-local buffering high-water mark) — see the tracker's counter accessors for
-// why these fields cannot drift from the registry metrics.
-struct WindowAssemblerStats {
-  std::size_t tasks_ingested = 0;
-  std::size_t late_dropped = 0;
-  std::size_t tail_dropped = 0;
-  std::size_t windows_closed = 0;
-  // High-water mark of retained records (open-window buffer PLUS the previous window's
-  // records kept for the trailing merge) — the bounded-memory witness: independent of
-  // trace length, proportional to the widest window.
-  std::size_t peak_buffered_tasks = 0;
-};
-
-class WindowAssembler {
- public:
-  WindowAssembler(int num_queues, const WindowAssemblerOptions& options = {});
-
-  // Ingests one record; may close zero or more windows (drain with PopClosed).
-  void Push(const TaskRecord& record);
-
-  // Signals end of stream: closes the final window under the trailing-merge policy
-  // above. Push must not be called afterwards.
-  void FinishStream();
-
-  bool HasClosed() const { return !closed_.empty(); }
-  ClosedWindow PopClosed();
-
-  std::size_t BufferedTasks() const { return pending_.size(); }
-  WindowAssemblerStats Stats() const;
-
- private:
-  // Materializes one tracker decision: selects the buffered records the decision's
-  // membership rule names, sorts them by entry time (stably: ties keep arrival order),
-  // builds the window, and queues it.
-  void MaterializeDecision(const WindowSpanTracker::SpanDecision& decision);
-
-  WindowAssemblerOptions options_;
-  WindowSpanTracker tracker_;  // all close/extend/late/merge decisions live here
-  WindowLogBuilder builder_;
-
-  std::vector<TaskRecord> pending_;
-  std::deque<ClosedWindow> closed_;
-
-  // Last closed window's records, retained for the trailing merge.
-  std::vector<TaskRecord> last_window_records_;
-
-  // See WindowAssemblerStats::peak_buffered_tasks.
-  std::size_t peak_buffered_tasks_ = 0;
-};
 
 }  // namespace qnet
 

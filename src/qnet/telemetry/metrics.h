@@ -16,9 +16,10 @@
 //    Counters count deterministic events only; every wall-clock read lives in the
 //    telemetry layer (timeline.h spans feeding stage histograms) or the legacy stats
 //    stopwatches, and none of it feeds sampling or estimates.
-//  * Single source for stats structs. StreamingStats / FleetStats / WindowAssemblerStats
-//    shared fields are computed as per-run deltas of these counters (RunningCounts
-//    below), so the exported metrics and the stats structs cannot drift.
+//  * Single source for stats structs. StreamingStats / FleetStats shared fields are
+//    read from the one increment site that also feeds these counters (see
+//    StreamCounters below), so the exported metrics and the stats structs cannot
+//    drift.
 //
 // Compile-time switch: building with -DQNET_TELEMETRY=0 compiles every *timing* surface
 // (histograms, spans, trace rings — see timeline.h) down to no-ops. Counters and gauges
@@ -247,7 +248,7 @@ class MetricRegistry {
 // a pointer read. Hot paths hold the bundle reference, not names.
 
 // The streaming pipeline's shared counters — the single source for the fields that
-// StreamingStats, FleetStats and WindowAssemblerStats have in common. Incremented at
+// StreamingStats and FleetStats have in common. Incremented at
 // exactly one site each (WindowSpanTracker for the ingest-side counts, the estimators'
 // emit paths for the estimate-side counts); the stats structs are per-run deltas.
 struct StreamCounters {
@@ -260,7 +261,7 @@ struct StreamCounters {
   Counter* degraded_windows;    // estimates emitted with degraded = true
   Counter* fit_iterations;      // summed WindowEstimate::fit_iterations
   Counter* window_logs_built;   // WindowLogBuilder::Build calls (lanes build StEM windows only)
-  Gauge* peak_buffered_tasks;   // high-water mark across assemblers / lanes
+  Gauge* peak_buffered_tasks;   // high-water mark across lanes
   Gauge* peak_queue_depth;      // high-water mark across lane ingest queues
   static const StreamCounters& Get();
 };

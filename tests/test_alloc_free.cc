@@ -288,9 +288,8 @@ TEST(AllocFree, SamplerFreeFleetAllocatesPerWindowNotPerTask) {
   // across windows. Once those buffers have grown to the widest window, more tasks add
   // allocations only per window (the lane fits, the pooled estimate). Runs over N and 2N
   // tasks at the same window size must therefore differ by far less than one allocation
-  // per extra task. The lanes run on the caller's thread here; pipelined, they would
-  // take records by swap from 256-slot rings, every slot of which has wrapped within N
-  // tasks at K = 4.
+  // per extra task. Sampler-free lanes run on the caller's thread at every K, so no
+  // lane queue is involved.
   ThreeTierConfig config;
   config.tier_sizes = {1, 2, 4};
   config.arrival_rate = 100.0;
@@ -309,7 +308,6 @@ TEST(AllocFree, SamplerFreeFleetAllocatesPerWindowNotPerTask) {
   for (const std::size_t lanes : {1u, 2u, 4u}) {
     ShardedStreamingOptions options;
     options.lanes = lanes;
-    options.lane_queue_capacity = 256;
     options.stream.window.window_duration = 10.0;  // ~1000 tasks per window
     options.stream.fast_path = FastPathMode::kMeanFieldOnly;
     const auto run_allocations = [&](std::size_t tasks) {

@@ -72,7 +72,6 @@ StreamingEstimatorOptions ShortStemOptions() {
   options.stem.iterations = 30;
   options.stem.burn_in = 10;
   options.stem.wait_sweeps = 5;
-  options.pipeline = true;  // a fit is in flight when the error unwinds Run
   return options;
 }
 
@@ -103,31 +102,36 @@ TEST(EntryValidation, StreamingEstimatorThrowsInsteadOfHanging) {
   }
 }
 
+// StEM lanes at K = 2/4 run on their own threads, so a fit is in flight when the error
+// unwinds Run.
 TEST(EntryValidation, FleetThrowsAndItsLanesUnwind) {
   const std::vector<TaskRecord> clean = CleanRecords();
-  ShardedStreamingOptions options;
-  options.lanes = 2;
-  options.stream = ShortStemOptions();
-  VectorStream reference_stream(clean, 3);
-  const std::vector<WindowEstimate> reference =
-      ShardedStreamingEstimator({1.0, 1.0, 1.0}, 99, options).Run(reference_stream);
-  ASSERT_GE(reference.size(), 3u);
-  for (const double bad : kBadEntries) {
-    ShardedStreamingEstimator fleet({1.0, 1.0, 1.0}, 99, options);
-    VectorStream bad_stream(WithBadEntry(clean, 300, bad), 3);
-    // Run returning at all means every lane thread was joined.
-    EXPECT_THROW(fleet.Run(bad_stream), Error) << bad;
-    // Nothing of the failed run leaks into the next: the same fleet then reproduces a
-    // fresh fleet's estimates on the clean stream.
-    VectorStream clean_stream(clean, 3);
-    const std::vector<WindowEstimate> rerun = fleet.Run(clean_stream);
-    ASSERT_EQ(rerun.size(), reference.size());
-    for (std::size_t w = 0; w < rerun.size(); ++w) {
-      EXPECT_EQ(rerun[w].t1, reference[w].t1) << "window " << w;
-      EXPECT_EQ(rerun[w].rates, reference[w].rates) << "window " << w;
-      EXPECT_EQ(rerun[w].mean_wait, reference[w].mean_wait) << "window " << w;
+  for (const std::size_t lanes : {2u, 4u}) {
+    ShardedStreamingOptions options;
+    options.lanes = lanes;
+    options.stream = ShortStemOptions();
+    VectorStream reference_stream(clean, 3);
+    const std::vector<WindowEstimate> reference =
+        ShardedStreamingEstimator({1.0, 1.0, 1.0}, 99, options).Run(reference_stream);
+    ASSERT_GE(reference.size(), 3u);
+    for (const double bad : kBadEntries) {
+      SCOPED_TRACE("lanes " + std::to_string(lanes));
+      ShardedStreamingEstimator fleet({1.0, 1.0, 1.0}, 99, options);
+      VectorStream bad_stream(WithBadEntry(clean, 300, bad), 3);
+      // Run returning at all means every lane thread was joined.
+      EXPECT_THROW(fleet.Run(bad_stream), Error) << bad;
+      // Nothing of the failed run leaks into the next: the same fleet then reproduces a
+      // fresh fleet's estimates on the clean stream.
+      VectorStream clean_stream(clean, 3);
+      const std::vector<WindowEstimate> rerun = fleet.Run(clean_stream);
+      ASSERT_EQ(rerun.size(), reference.size());
+      for (std::size_t w = 0; w < rerun.size(); ++w) {
+        EXPECT_EQ(rerun[w].t1, reference[w].t1) << "window " << w;
+        EXPECT_EQ(rerun[w].rates, reference[w].rates) << "window " << w;
+        EXPECT_EQ(rerun[w].mean_wait, reference[w].mean_wait) << "window " << w;
+      }
+      EXPECT_EQ(fleet.Stats().tasks_ingested, clean.size());
     }
-    EXPECT_EQ(fleet.Stats().tasks_ingested, clean.size());
   }
 }
 
@@ -236,7 +240,6 @@ TEST(RecordValidation, SamplerFreeFleetsThrowWhenTheLaneTakesTheRecord) {
   ShardedStreamingOptions options;
   options.stream = ShortStemOptions();
   options.stream.fast_path = FastPathMode::kMeanFieldOnly;
-  options.stream.pipeline = false;
   // A negative entry is late; merging it routes it into the open window.
   options.stream.window.late_policy = LateRecordPolicy::kMergeIntoCurrent;
   std::size_t emitted = 0;

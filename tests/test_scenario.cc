@@ -354,14 +354,13 @@ TEST(WindowForecaster, HooksIntoStreamingEstimatorDeterministically) {
   forecast_options.common_random_numbers = true;
   const ScenarioGrid grid({LoadAxis({1.0, 2.0})});
 
-  const auto run = [&](bool pipeline) {
+  const auto run = [&] {
     WindowForecaster forecaster(net, grid, forecast_options, /*seed=*/5);
     StreamingEstimatorOptions options;
     options.window.window_duration = 25.0;
     options.stem.iterations = 20;
     options.stem.burn_in = 5;
     options.stem.wait_sweeps = 0;
-    options.pipeline = pipeline;
     options.on_window = forecaster.Hook();
     std::vector<double> init(static_cast<std::size_t>(net.NumQueues()), 1.0);
     init[0] = 4.0;
@@ -371,7 +370,7 @@ TEST(WindowForecaster, HooksIntoStreamingEstimatorDeterministically) {
     return std::make_pair(estimates, forecaster.Reports());
   };
 
-  const auto [estimates, reports] = run(false);
+  const auto [estimates, reports] = run();
   ASSERT_FALSE(estimates.empty());
   ASSERT_EQ(reports.size(), estimates.size());  // merged-tail re-fit replaced, not appended
   for (std::size_t w = 0; w < reports.size(); ++w) {
@@ -390,12 +389,12 @@ TEST(WindowForecaster, HooksIntoStreamingEstimatorDeterministically) {
     EXPECT_GT(util_1x, 0.15);  // lambda ~4 against mu ~10
     EXPECT_GT(util_2x, 1.4 * util_1x);
   }
-  // The forecast sequence inherits the streaming determinism contract: pipelining must
-  // not change a single bit of any report.
-  const auto [estimates_piped, reports_piped] = run(true);
-  ASSERT_EQ(estimates_piped.size(), estimates.size());
+  // The forecast sequence inherits the streaming determinism contract: a second run
+  // must not change a single bit of any report.
+  const auto [estimates_again, reports_again] = run();
+  ASSERT_EQ(estimates_again.size(), estimates.size());
   for (std::size_t w = 0; w < reports.size(); ++w) {
-    EXPECT_EQ(reports[w], reports_piped[w]);
+    EXPECT_EQ(reports[w], reports_again[w]);
   }
 }
 

@@ -4,11 +4,12 @@
 // The load-bearing assertions are bit-exactness ones, mirroring the repo's established
 // threading contracts: (i) a single-lane fleet reproduces the plain StreamingEstimator
 // bit-exactly; (ii) for a FIXED lane count K the pooled estimate sequence is
-// bit-identical across pipelining, queue capacities (backpressure), and repeated runs; (iii) window spans, counts, and emission indices
-// are bit-identical across DIFFERENT lane counts (the span tracker is global). Across
-// lane counts the pooled fits themselves are statistically consistent, not bit-equal —
-// each lane fits its own hash-thinned sub-stream by design — which a tolerance test
-// pins.
+// bit-identical across queue capacities (backpressure), router batch sizes and repeated
+// runs, and exactly one execution arrangement runs; (iii) window spans, counts, and
+// emission indices are bit-identical across DIFFERENT lane counts (the span tracker is
+// global). Across lane counts the pooled fits themselves are statistically consistent,
+// not bit-equal — each lane fits its own hash-thinned sub-stream by design — which a
+// tolerance test pins.
 
 #include <algorithm>
 #include <cmath>
@@ -136,49 +137,35 @@ TEST(ShardedStreaming, SingleLaneMatchesStreamingEstimatorBitExactly) {
   }
 }
 
-// --- Fixed-K determinism across every execution arrangement ------------------------------
+// --- Fixed-K determinism and the arrangement ------------------------------------------
 
-TEST(ShardedStreaming, PooledEstimatesBitIdenticalAcrossPipelining) {
-  // The acceptance grid: K in {1,2,4} lanes x pipelining on/off. For each K the pooled
-  // sequence must be bit-identical with and without pipelining; only wall-clock may
-  // change.
-  // At K = 1 the plain estimator runs the same grid: pipelining off runs its lane on the
-  // caller's thread (no lane queue), on runs it behind a queue on a worker thread, and
-  // both arrangements must also agree on every stats count.
+TEST(ShardedStreaming, PooledEstimatesBitIdenticalAcrossRepeatedRuns) {
+  // The acceptance grid: K in {1,2,4} lanes, each run twice. For each K the pooled
+  // sequence must be bit-identical run to run; StEM lanes run on the caller's thread at
+  // K = 1 (no lane queue) and behind queues on their own threads at K = 2/4. At K = 1 the
+  // plain estimator is the same fleet and must agree bit for bit, stats counts included.
   const Fixture f;
   for (const std::size_t lanes : {1u, 2u, 4u}) {
-    std::vector<std::vector<WindowEstimate>> runs;
-    std::vector<StreamingStats> plain_stats;
-    for (const bool pipeline : {false, true}) {
-      ShardedStreamingOptions options;
-      options.lanes = lanes;
-      options.stream = ShortStemOptions();
-      options.stream.pipeline = pipeline;
-      FleetStats fleet_stats;
-      runs.push_back(RunFleet(f, options, 42, &fleet_stats));
-      if (lanes == 1) {
-        EXPECT_EQ(fleet_stats.lane[0].peak_queue_depth == 0, !pipeline)
-            << "pipeline=" << pipeline;
-        LogReplayStream stream(f.truth, f.obs);
-        StreamingEstimator plain({1.0, 1.0, 1.0}, 42, options.stream);
-        runs.push_back(plain.Run(stream));
-        plain_stats.push_back(plain.Stats());
-      }
-    }
-    ASSERT_GE(runs.front().size(), 3u) << "lanes=" << lanes;
-    for (std::size_t i = 1; i < runs.size(); ++i) {
-      ExpectEstimatesIdentical(runs.front(), runs[i]);
-    }
-    for (std::size_t i = 1; i < plain_stats.size(); ++i) {
-      const StreamingStats& a = plain_stats.front();
-      const StreamingStats& b = plain_stats[i];
-      EXPECT_EQ(a.tasks_ingested, b.tasks_ingested) << "run " << i;
-      EXPECT_EQ(a.windows_estimated, b.windows_estimated) << "run " << i;
-      EXPECT_EQ(a.late_dropped, b.late_dropped) << "run " << i;
-      EXPECT_EQ(a.tail_dropped, b.tail_dropped) << "run " << i;
-      EXPECT_EQ(a.peak_buffered_tasks, b.peak_buffered_tasks) << "run " << i;
-      EXPECT_EQ(a.degraded_windows, b.degraded_windows) << "run " << i;
-      EXPECT_EQ(a.fit_iterations_total, b.fit_iterations_total) << "run " << i;
+    ShardedStreamingOptions options;
+    options.lanes = lanes;
+    options.stream = ShortStemOptions();
+    FleetStats fleet_stats;
+    const std::vector<WindowEstimate> first = RunFleet(f, options, 42, &fleet_stats);
+    ASSERT_GE(first.size(), 3u) << "lanes=" << lanes;
+    ExpectArrangement(fleet_stats, /*in_thread=*/lanes == 1);
+    ExpectEstimatesIdentical(first, RunFleet(f, options, 42));
+    if (lanes == 1) {
+      LogReplayStream stream(f.truth, f.obs);
+      StreamingEstimator plain({1.0, 1.0, 1.0}, 42, options.stream);
+      ExpectEstimatesIdentical(first, plain.Run(stream));
+      const StreamingStats& stats = plain.Stats();
+      EXPECT_EQ(stats.tasks_ingested, fleet_stats.tasks_ingested);
+      EXPECT_EQ(stats.windows_estimated, fleet_stats.windows_estimated);
+      EXPECT_EQ(stats.late_dropped, fleet_stats.late_dropped);
+      EXPECT_EQ(stats.tail_dropped, fleet_stats.tail_dropped);
+      EXPECT_EQ(stats.peak_buffered_tasks, fleet_stats.lane[0].peak_buffered_tasks);
+      EXPECT_EQ(stats.degraded_windows, fleet_stats.degraded_windows);
+      EXPECT_EQ(stats.fit_iterations_total, fleet_stats.fit_iterations_total);
     }
   }
 }
@@ -558,10 +545,12 @@ TEST(ShardedStreaming, FleetStatsAccountTasksAndWindows) {
 
 // --- Span tracker ------------------------------------------------------------------------
 
-TEST(WindowSpanTracker, MatchesAssemblerDecisionsOnABurstyStream) {
-  // Property check: a standalone tracker fed the same entry times as a WindowAssembler
-  // produces exactly the windows the assembler closes (spans, counts, emission order),
-  // including deferred closes, small-window extension, and the trailing merge.
+TEST(WindowSpanTracker, DecisionsMatchTheEstimatorWindowsOnABurstyStream) {
+  // Property check: a standalone tracker fed the same entry times as the plain
+  // estimator decides exactly the windows the estimator emits (spans, counts, emission
+  // order), including deferred closes, small-window extension, late merges and the
+  // trailing merge. The estimator's lane keeps its records and selects each window's
+  // share itself, so its task counts check that selection against the tracker's.
   WindowAssemblerOptions options;
   options.window_duration = 10.0;
   options.min_tasks_per_window = 3;
@@ -578,37 +567,41 @@ TEST(WindowSpanTracker, MatchesAssemblerDecisionsOnABurstyStream) {
     records.push_back(TinyRecord(std::max(0.0, t + jitter)));
   }
 
-  WindowAssembler assembler(2, options);
   WindowSpanTracker tracker(options);
-  std::vector<ClosedWindow> windows;
   std::vector<WindowSpanTracker::SpanDecision> decisions;
-  const auto drain = [&] {
-    while (assembler.HasClosed()) {
-      windows.push_back(assembler.PopClosed());
-    }
+  for (const TaskRecord& record : records) {
+    tracker.Push(record.entry_time);
     while (tracker.HasClosed()) {
       decisions.push_back(tracker.PopClosed());
     }
-  };
-  for (const TaskRecord& record : records) {
-    assembler.Push(record);
-    tracker.Push(record.entry_time);
-    drain();
   }
-  assembler.FinishStream();
   tracker.Finish();
-  drain();
+  while (tracker.HasClosed()) {
+    decisions.push_back(tracker.PopClosed());
+  }
+
+  StreamingEstimatorOptions estimator_options;
+  estimator_options.window = options;
+  estimator_options.fast_path = FastPathMode::kDegrade;
+  estimator_options.degrade_task_budget = 0;  // keeps records, fits by mean field
+  std::vector<WindowEstimate> windows;  // every emission, merged-tail re-fit included
+  estimator_options.on_window = [&windows](const WindowEstimate& estimate) {
+    windows.push_back(estimate);
+  };
+  qnet_testing::VectorStream stream(records, 2);
+  StreamingEstimator estimator({1.0, 1.0}, 5, estimator_options);
+  estimator.Run(stream);
 
   ASSERT_GE(windows.size(), 5u);
   ASSERT_EQ(windows.size(), decisions.size());
   for (std::size_t w = 0; w < windows.size(); ++w) {
     EXPECT_EQ(windows[w].t0, decisions[w].t0) << "window " << w;
     EXPECT_EQ(windows[w].t1, decisions[w].t1) << "window " << w;
-    EXPECT_EQ(windows[w].num_tasks, decisions[w].count) << "window " << w;
+    EXPECT_EQ(windows[w].tasks, decisions[w].count) << "window " << w;
     EXPECT_EQ(windows[w].merged_tail_tasks, decisions[w].merged_tail_tasks);
-    EXPECT_EQ(windows[w].window_index, decisions[w].window_index);
   }
-  EXPECT_EQ(assembler.Stats().tail_dropped, tracker.TailDropped());
+  EXPECT_EQ(estimator.Stats().tail_dropped, tracker.TailDropped());
+  EXPECT_EQ(estimator.Stats().windows_estimated, tracker.WindowsClosed());
 }
 
 // --- Lane router -------------------------------------------------------------------------
@@ -705,34 +698,24 @@ TEST(ShardedStreaming, SingleLaneFastPathMatchesStreamingEstimatorBitExactly) {
   }
 }
 
-TEST(ShardedStreaming, FastPathPooledEstimatesBitIdenticalAcrossPipelining) {
-  // The fleet's determinism contract holds verbatim in degraded and all-variational
-  // modes: for a FIXED lane count, pipelining never changes a bit. Across lane counts the degraded flags still agree, because the degrade trigger
-  // is the GLOBAL window task count, not any lane-local share. Without pipelining,
-  // all-variational lanes run on the caller's thread at every K, so that sub-grid
-  // compares in-thread K = 2/4 against threaded K = 2/4.
+TEST(ShardedStreaming, FastPathDegradedFlagsAgreeAcrossLaneCounts) {
+  // Across lane counts the degraded flags agree, because the degrade trigger is the
+  // GLOBAL window task count, not any lane-local share. All-variational lanes run on
+  // the caller's thread at every K; degrade lanes, which may fit StEM, run threaded at
+  // K = 2/4.
   const Fixture f;
   for (const FastPathMode mode : {FastPathMode::kDegrade, FastPathMode::kMeanFieldOnly}) {
     std::vector<std::vector<WindowEstimate>> per_lane_count;
     for (const std::size_t lanes : {1u, 2u, 4u}) {
-      std::vector<std::vector<WindowEstimate>> runs;
-      for (const bool pipeline : {false, true}) {
-        ShardedStreamingOptions options;
-        options.lanes = lanes;
-        options.stream = ShortStemOptions();
-        options.stream.fast_path = mode;
-        options.stream.degrade_task_budget = 100;
-        options.stream.pipeline = pipeline;
-        FleetStats stats;
-        runs.push_back(RunFleet(f, options, 21, &stats));
-        ExpectArrangement(stats,
-                          !pipeline && (lanes == 1 || mode == FastPathMode::kMeanFieldOnly));
-      }
-      ASSERT_GE(runs.front().size(), 3u);
-      for (std::size_t i = 1; i < runs.size(); ++i) {
-        ExpectEstimatesIdentical(runs.front(), runs[i]);
-      }
-      per_lane_count.push_back(std::move(runs.front()));
+      ShardedStreamingOptions options;
+      options.lanes = lanes;
+      options.stream = ShortStemOptions();
+      options.stream.fast_path = mode;
+      options.stream.degrade_task_budget = 100;
+      FleetStats stats;
+      per_lane_count.push_back(RunFleet(f, options, 21, &stats));
+      ASSERT_GE(per_lane_count.back().size(), 3u);
+      ExpectArrangement(stats, lanes == 1 || mode == FastPathMode::kMeanFieldOnly);
     }
     ASSERT_EQ(per_lane_count[0].size(), per_lane_count[1].size());
     ASSERT_EQ(per_lane_count[0].size(), per_lane_count[2].size());
@@ -760,7 +743,7 @@ TEST(ShardedStreaming, FastPathPooledEstimatesBitIdenticalAcrossPipelining) {
 // degrade rule, StEM configuration and merger as the lanes, but each lane buffers its own
 // copy of every routed record (no queues, no swaps, no recycled capacity), every lane
 // window goes through WindowLogBuilder, and the mean-field fit reads the built log. The
-// fleet must match it bit for bit at any K and in every execution arrangement.
+// fleet must match it bit for bit at any K, queue capacity and router batch size.
 // `lane_counts`, when given, receives each lane's per-queue event counts (the counts a
 // lane posts to the merger) summed over the windows the pooled sequence keeps.
 std::vector<WindowEstimate> BuildEveryWindowReference(
@@ -997,11 +980,11 @@ std::vector<TaskRecord> DisorderedRecords(double span, int* num_queues) {
 TEST(ShardedStreaming, RecordHandoffMatchesBuildEveryWindowReferenceAtEveryLaneCount) {
   // Records reach a lane by swap and lanes recycle record capacity, so a slot that kept
   // stale visits or lost part of the incoming record would change a lane's counts or
-  // fits. Every arrangement is pinned bit for bit to the copying reference: in-thread
-  // (K = 1, and sampler-free lanes at every K), threaded, pipelined, and behind tiny
-  // queues whose rings wrap every few records and receive batches larger than
-  // themselves. Cross-lane bias correction makes the pooled estimates read every lane's
-  // posted queue counts.
+  // fits. Both arrangements are pinned bit for bit to the copying reference: in-thread
+  // (K = 1, and sampler-free lanes at every K) and threaded (StEM lanes at K = 2/4),
+  // the latter also behind tiny queues whose rings wrap every few records and receive
+  // batches larger than themselves. Cross-lane bias correction makes the pooled
+  // estimates read every lane's posted queue counts.
   //
   // Lanes fold each record when they take it, while the reference sorts each window's
   // records at its close. The disordered stream checks that the two agree on everything
@@ -1075,29 +1058,23 @@ TEST(ShardedStreaming, RecordHandoffMatchesBuildEveryWindowReferenceAtEveryLaneC
                                   }))
               << "the sparse stretch extends a span";
         }
-        struct Arrangement {
-          bool pipeline;
+        const bool in_thread = lanes == 1 || mode == FastPathMode::kMeanFieldOnly;
+        struct Ring {
           std::size_t capacity;
           std::size_t batch;
         };
-        for (const Arrangement& arrangement : {Arrangement{false, 1024, 32},
-                                               Arrangement{true, 1024, 32},
-                                               Arrangement{false, 5, 3},
-                                               Arrangement{true, 3, 8}}) {
-          if (!ordered && arrangement.capacity < 1024) {
-            continue;  // the tiny rings carry the ordered stream only
+        for (const Ring& ring : {Ring{1024, 32}, Ring{5, 3}, Ring{3, 8}}) {
+          if ((in_thread || !ordered) && ring.capacity < 1024) {
+            continue;  // the tiny rings carry the ordered stream to threaded lanes only
           }
-          SCOPED_TRACE("pipeline " + std::to_string(arrangement.pipeline) + ", capacity " +
-                       std::to_string(arrangement.capacity) + ", batch " +
-                       std::to_string(arrangement.batch));
-          options.stream.pipeline = arrangement.pipeline;
-          options.lane_queue_capacity = arrangement.capacity;
-          options.router_batch = arrangement.batch;
+          SCOPED_TRACE("capacity " + std::to_string(ring.capacity) + ", batch " +
+                       std::to_string(ring.batch));
+          options.lane_queue_capacity = ring.capacity;
+          options.router_batch = ring.batch;
           FleetStats stats;
           ExpectEstimatesIdentical(
               reference, RunFleetOn(*input.records, num_queues, options, 13, &stats));
-          ExpectArrangement(stats, !arrangement.pipeline &&
-                                       (lanes == 1 || mode == FastPathMode::kMeanFieldOnly));
+          ExpectArrangement(stats, in_thread);
           if (!ordered && input.window.late_policy == LateRecordPolicy::kDrop) {
             EXPECT_GT(stats.late_dropped, 0u);
           }
@@ -1197,16 +1174,13 @@ TEST(ShardedStreaming, SamplerFreeLaneWindowsNeverBuildALog) {
   const Fixture f;
   const Counter& logs_built = *StreamCounters::Get().window_logs_built;
   for (const std::size_t lanes : {1u, 2u}) {
-    for (const bool pipeline : {false, true}) {
-      ShardedStreamingOptions options;
-      options.lanes = lanes;
-      options.stream = ShortStemOptions();
-      options.stream.fast_path = FastPathMode::kMeanFieldOnly;
-      options.stream.pipeline = pipeline;
-      const std::uint64_t before = logs_built.Value();
-      ASSERT_GE(RunFleet(f, options, 5).size(), 3u);
-      EXPECT_EQ(logs_built.Value(), before) << "lanes " << lanes << ", pipeline " << pipeline;
-    }
+    ShardedStreamingOptions options;
+    options.lanes = lanes;
+    options.stream = ShortStemOptions();
+    options.stream.fast_path = FastPathMode::kMeanFieldOnly;
+    const std::uint64_t before = logs_built.Value();
+    ASSERT_GE(RunFleet(f, options, 5).size(), 3u);
+    EXPECT_EQ(logs_built.Value(), before) << "lanes " << lanes;
   }
   // Under kDegrade exactly the lane windows that StEM fits are built.
   ShardedStreamingOptions options;

@@ -1,6 +1,6 @@
 // Simulator validation: FIFO/event-graph invariants, agreement with classical M/M/1
-// steady-state theory, Little's law, network composition, fault injection, and
-// bit-equality of the SimScratch arena path against the legacy per-run-allocating path.
+// steady-state theory, Little's law, network composition, fault injection, and the
+// SimScratch arena's logs pinned to goldens and across its entry points.
 
 #include "qnet/sim/simulator.h"
 
@@ -12,6 +12,7 @@
 #include "qnet/infer/mm1.h"
 #include "qnet/model/builders.h"
 #include "qnet/sim/sim_scratch.h"
+#include "qnet/support/check.h"
 #include "qnet/support/math.h"
 #include "qnet/support/rng.h"
 
@@ -201,34 +202,85 @@ std::vector<QueueingNetwork> ScratchFixtures() {
   return nets;
 }
 
-TEST(SimScratchPath, MatchesLegacySimulateWithRoutesBitwise) {
-  for (const QueueingNetwork& net : ScratchFixtures()) {
+// Per-queue (wait sum over QueueOrder, last departure) of each ScratchFixtures network
+// under PoissonArrivals(1.0, 300) with Rng(91): arrivals, routes sampled task by task,
+// then services in DES pop order. Recorded as hex floats from an all-arrivals
+// std::priority_queue simulator that consumed the same draws, before the arena became
+// the only DES core.
+struct QueueGolden {
+  double wait_sum;
+  double last_departure;
+};
+const std::vector<std::vector<QueueGolden>> kDesGoldens = {
+    {{0x1.2cb55bc1a8bc8p+4, 0x1.148090c0e5b41p+8}},
+    {{0x1.3986ffc26bde4p+5, 0x1.146512472d23p+8},
+     {0x1.386cba451dbcap+4, 0x1.146db346b3357p+8}},
+    {{0x1.88ee1b62b52b5p+7, 0x1.163b00e41e3aap+8}},
+    {{0x1.800b23afb8c98p+1, 0x1.145fa6577a745p+8},
+     {0x1.3813f4dc85f9ep+2, 0x1.1327345bf042dp+8},
+     {0x1.5b79a5645a8fp+0, 0x1.146847570086cp+8},
+     {0x1.f77d916a09363p+2, 0x1.136b8d173abc6p+8}},
+};
+
+TEST(SimScratchPath, HandSampledRoutesMatchGoldensAndSimulateWorkload) {
+  const std::vector<QueueingNetwork> nets = ScratchFixtures();
+  ASSERT_EQ(nets.size(), kDesGoldens.size());
+  for (std::size_t n = 0; n < nets.size(); ++n) {
+    const QueueingNetwork& net = nets[n];
     SCOPED_TRACE(net.NumQueues());
     const PoissonArrivals workload(1.0, 300);
-    // Legacy path: materialize entries and per-task route vectors, then the historical
-    // allocating simulator. Draw order (arrivals, routes task-by-task, services in pop
-    // order) matches the arena path, so a same-seeded Rng must yield identical logs.
-    Rng rng_legacy(91);
-    const std::vector<double> entries = workload.Generate(rng_legacy);
+    // Entries and per-task route vectors sampled by hand, in the draw order
+    // SimulateWorkload uses (arrivals, then routes task by task), so a same-seeded Rng
+    // then draws the same services and must yield the same log.
+    Rng rng_routes(91);
+    const std::vector<double> entries = workload.Generate(rng_routes);
     std::vector<std::vector<RouteStep>> routes;
     routes.reserve(entries.size());
     for (std::size_t k = 0; k < entries.size(); ++k) {
-      routes.push_back(net.GetFsm().SampleRoute(rng_legacy));
+      routes.push_back(net.GetFsm().SampleRoute(rng_routes));
     }
-    const EventLog legacy = SimulateWithRoutes(net, entries, routes, rng_legacy);
+    const EventLog with_routes = SimulateWithRoutes(net, entries, routes, rng_routes);
+
+    ASSERT_EQ(static_cast<std::size_t>(net.NumQueues()), kDesGoldens[n].size() + 1);
+    for (int q = 1; q < net.NumQueues(); ++q) {
+      const QueueGolden& golden = kDesGoldens[n][static_cast<std::size_t>(q - 1)];
+      double wait_sum = 0.0;
+      for (const EventId e : with_routes.QueueOrder(q)) {
+        wait_sum += with_routes.WaitTime(e);
+      }
+      ASSERT_FALSE(with_routes.QueueOrder(q).empty()) << "queue " << q;
+      EXPECT_EQ(wait_sum, golden.wait_sum) << "queue " << q;
+      EXPECT_EQ(with_routes.Departure(with_routes.QueueOrder(q).back()),
+                golden.last_departure)
+          << "queue " << q;
+    }
 
     Rng rng_scratch(91);
     SimScratch scratch;
     SimulateWorkloadIntoScratch(net, workload, scratch, rng_scratch);
     EventLog from_scratch(net.NumQueues());
     ScratchToEventLog(scratch, net.NumQueues(), from_scratch);
-    ExpectLogsBitIdentical(legacy, from_scratch);
+    ExpectLogsBitIdentical(with_routes, from_scratch);
 
-    // The public convenience wrapper now routes through the arena — same contract.
     Rng rng_public(91);
     const EventLog from_public = SimulateWorkload(net, workload, rng_public);
-    ExpectLogsBitIdentical(legacy, from_public);
+    ExpectLogsBitIdentical(with_routes, from_public);
   }
+}
+
+TEST(Simulator, SimulateWithRoutesRejectsBadInput) {
+  const QueueingNetwork net = MakeTandemNetwork(1.0, {3.0, 3.0});
+  const std::vector<std::vector<RouteStep>> one = {{{1, 1}}};
+  const std::vector<std::vector<RouteStep>> two = {{{1, 1}}, {{1, 1}}};
+  Rng rng(5);
+  EXPECT_THROW(SimulateWithRoutes(net, {1.0, 2.0}, one, rng), Error);  // route count
+  EXPECT_THROW(SimulateWithRoutes(net, {0.0}, one, rng), Error);       // not positive
+  EXPECT_THROW(SimulateWithRoutes(net, {2.0, 1.0}, two, rng), Error);  // decreasing
+  EXPECT_THROW(SimulateWithRoutes(net, {1.0, 2.0}, {{{1, 1}}, {}}, rng), Error);  // empty
+  // A valid call after the rejected ones still simulates from a clean arena.
+  const EventLog log = SimulateWithRoutes(net, {1.0, 2.0}, two, rng);
+  EXPECT_EQ(log.NumTasks(), 2);
+  EXPECT_EQ(log.PerQueueCount()[1], 2u);
 }
 
 TEST(SimScratchPath, ReusedScratchMatchesFreshScratch) {

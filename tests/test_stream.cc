@@ -1,11 +1,10 @@
 // Streaming inference engine: trace streams, watermark-driven window assembly, and the
-// pipelined windowed StEM estimator.
+// windowed StEM estimator.
 //
 // The load-bearing assertions are bit-exactness ones: the streaming engine must
-// reproduce the batch windowed estimator exactly — same windows, same estimates — with
-// or without pipelining, and the window logs built
-// incrementally from TaskRecords must equal the ones ExtractTaskWindow builds from the
-// batch log.
+// reproduce the batch windowed estimator exactly — same windows, same estimates — and
+// the window logs built incrementally from TaskRecords must equal the ones
+// ExtractTaskWindow builds from the batch log.
 
 #include <algorithm>
 #include <cmath>
@@ -381,7 +380,7 @@ TEST(CsvReplayStream, HeaderlessFilesNeedExplicitNumQueues) {
   EXPECT_THROW(CsvReplayStream(with_header2, f.truth.NumQueues() + 1), Error);
 }
 
-// --- WindowAssembler -------------------------------------------------------------------
+// --- Window assembly on the streaming path ------------------------------------------
 
 TaskRecord TinyRecord(double entry, double service = 0.01) {
   TaskRecord record;
@@ -395,216 +394,247 @@ TaskRecord TinyRecord(double entry, double service = 0.01) {
   return record;
 }
 
-TEST(WindowAssembler, ClosesWindowsAtWatermarkAndMergesSmallOnes) {
+// Counts the records the estimator has asked for.
+class CountingStream : public TraceStream {
+ public:
+  explicit CountingStream(TraceStream& inner) : inner_(inner) {}
+  bool Next(TaskRecord& out) override {
+    const bool more = inner_.Next(out);
+    pulls_ += more ? 1 : 0;
+    return more;
+  }
+  int NumQueues() const override { return inner_.NumQueues(); }
+  std::size_t Pulls() const { return pulls_; }
+
+ private:
+  TraceStream& inner_;
+  std::size_t pulls_ = 0;
+};
+
+// A hand-built stream of TinyRecords entering at `entries`, in that order, through the
+// plain estimator with a lane that keeps its records (the record selection StEM windows
+// use) but fits every window by mean field (a 0-task degrade budget): the production
+// window path at the cost of a fold.
+struct TinyRun {
+  std::vector<WindowEstimate> emitted;  // every on_window call, merged-tail re-fit included
+  std::vector<std::size_t> pulls;       // records pulled when each was emitted
+  std::vector<WindowEstimate> estimates;
+  StreamingStats stats;
+};
+
+TinyRun RunTinyStream(const std::vector<double>& entries, const WindowAssemblerOptions& window) {
+  std::vector<TaskRecord> records;
+  for (const double t : entries) {
+    records.push_back(TinyRecord(t));
+  }
+  qnet_testing::VectorStream replay(std::move(records), 2);
+  CountingStream stream(replay);
+  TinyRun run;
+  StreamingEstimatorOptions options;
+  options.window = window;
+  options.fast_path = FastPathMode::kDegrade;
+  options.degrade_task_budget = 0;
+  options.on_window = [&](const WindowEstimate& estimate) {
+    run.emitted.push_back(estimate);
+    run.pulls.push_back(stream.Pulls());
+  };
+  StreamingEstimator estimator({1.0, 1.0}, 1, options);
+  run.estimates = estimator.Run(stream);
+  run.stats = estimator.Stats();
+  return run;
+}
+
+WindowAssemblerOptions TenSecondWindows(std::size_t min_tasks) {
   WindowAssemblerOptions options;
   options.window_duration = 10.0;
-  options.min_tasks_per_window = 3;
-  WindowAssembler assembler(2, options);
+  options.min_tasks_per_window = min_tasks;
+  return options;
+}
 
-  // Window [0,10): 3 tasks; [10,20): only 2 tasks -> merges into [10,30).
-  for (const double t : {1.0, 2.0, 3.0, 11.0, 12.0}) {
-    assembler.Push(TinyRecord(t));
-  }
-  EXPECT_TRUE(assembler.HasClosed());  // [0,10) closed when the 11.0 record arrived
-  assembler.Push(TinyRecord(21.0));  // watermark 21 >= 20, but [10,20) has 2 < 3 tasks
-  assembler.Push(TinyRecord(25.0));
-  assembler.Push(TinyRecord(29.5));
-  assembler.Push(TinyRecord(31.0));  // watermark 31 >= 30: closes [10,30) with 5 tasks
-
-  std::vector<ClosedWindow> closed;
-  while (assembler.HasClosed()) {
-    closed.push_back(assembler.PopClosed());
-  }
-  ASSERT_EQ(closed.size(), 2u);
-  EXPECT_EQ(closed[0].t0, 0.0);
-  EXPECT_EQ(closed[0].t1, 10.0);
-  EXPECT_EQ(closed[0].num_tasks, 3u);
-  EXPECT_EQ(closed[1].t0, 10.0);
-  EXPECT_EQ(closed[1].t1, 30.0);  // span extended over the too-small [10,20)
-  EXPECT_EQ(closed[1].num_tasks, 5u);
-
-  assembler.FinishStream();  // single remaining task (31.0), previous window exists
-  ASSERT_TRUE(assembler.HasClosed());
-  const ClosedWindow tail = assembler.PopClosed();
+TEST(WindowAssembly, ClosesWindowsAtWatermarkAndMergesSmallOnes) {
+  // Window [0,10): 3 tasks; [10,20): only 2 tasks -> merges into [10,30). The 31.0
+  // record is left over and merges into [10,30) at the end of the stream.
+  const TinyRun run =
+      RunTinyStream({1.0, 2.0, 3.0, 11.0, 12.0, 21.0, 25.0, 29.5, 31.0}, TenSecondWindows(3));
+  ASSERT_EQ(run.emitted.size(), 3u);
+  EXPECT_EQ(run.emitted[0].t0, 0.0);
+  EXPECT_EQ(run.emitted[0].t1, 10.0);
+  EXPECT_EQ(run.emitted[0].tasks, 3u);
+  EXPECT_EQ(run.pulls[0], 4u);  // [0,10) closed when the 11.0 record arrived
+  EXPECT_EQ(run.emitted[1].t0, 10.0);
+  EXPECT_EQ(run.emitted[1].t1, 30.0);  // span extended over the too-small [10,20)
+  EXPECT_EQ(run.emitted[1].tasks, 5u);
+  EXPECT_EQ(run.pulls[1], 9u);  // 21.0 did not close it (2 < 3 tasks), 31.0 did
+  const WindowEstimate& tail = run.emitted[2];
   EXPECT_EQ(tail.merged_tail_tasks, 1u);
   EXPECT_EQ(tail.t0, 10.0);  // replaces the previous window, span extended
-  EXPECT_EQ(tail.num_tasks, 6u);
-  EXPECT_EQ(assembler.Stats().tail_dropped, 0u);
+  EXPECT_EQ(tail.tasks, 6u);
+  ASSERT_EQ(run.estimates.size(), 2u);
+  EXPECT_EQ(run.estimates.back().merged_tail_tasks, 1u);
+  EXPECT_EQ(run.stats.windows_estimated, 2u);
+  EXPECT_EQ(run.stats.tail_dropped, 0u);
 }
 
-TEST(WindowAssembler, FirstWindowClosesOnArrivalPastEnd) {
-  WindowAssemblerOptions options;
-  options.window_duration = 10.0;
-  options.min_tasks_per_window = 2;
-  WindowAssembler assembler(2, options);
-  assembler.Push(TinyRecord(1.0));
-  assembler.Push(TinyRecord(2.0));
-  EXPECT_FALSE(assembler.HasClosed());
-  assembler.Push(TinyRecord(10.5));
-  ASSERT_TRUE(assembler.HasClosed());
-  EXPECT_EQ(assembler.PopClosed().num_tasks, 2u);
+TEST(WindowAssembly, FirstWindowClosesOnArrivalPastEnd) {
+  const TinyRun run = RunTinyStream({1.0, 2.0, 10.5}, TenSecondWindows(2));
+  ASSERT_GE(run.emitted.size(), 1u);
+  EXPECT_EQ(run.emitted[0].tasks, 2u);
+  EXPECT_EQ(run.pulls[0], 3u);
 }
 
-TEST(WindowAssembler, LateRecordPolicies) {
-  WindowAssemblerOptions options;
-  options.window_duration = 10.0;
-  options.min_tasks_per_window = 2;
+TEST(WindowAssembly, LateRecordPolicies) {
+  WindowAssemblerOptions options = TenSecondWindows(2);
   options.late_policy = LateRecordPolicy::kDrop;
+  // [0,10) closes when 11.0 arrives; the 5.0 record after it is late.
+  const std::vector<double> entries = {1.0, 2.0, 11.0, 5.0, 12.0};
   {
-    WindowAssembler assembler(2, options);
-    assembler.Push(TinyRecord(1.0));
-    assembler.Push(TinyRecord(2.0));
-    assembler.Push(TinyRecord(11.0));  // closes [0,10)
-    ASSERT_TRUE(assembler.HasClosed());
-    assembler.PopClosed();
-    assembler.Push(TinyRecord(5.0));  // late: belongs to the closed [0,10)
-    EXPECT_EQ(assembler.Stats().late_dropped, 1u);
-    assembler.Push(TinyRecord(12.0));
-    assembler.FinishStream();
-    ASSERT_TRUE(assembler.HasClosed());
-    EXPECT_EQ(assembler.PopClosed().num_tasks, 2u);  // the late record is gone
+    const TinyRun run = RunTinyStream(entries, options);
+    EXPECT_EQ(run.stats.late_dropped, 1u);
+    EXPECT_EQ(run.stats.tasks_ingested, 5u);
+    ASSERT_EQ(run.estimates.size(), 2u);
+    EXPECT_EQ(run.estimates[1].t0, 10.0);
+    EXPECT_EQ(run.estimates[1].tasks, 2u);  // the late record is gone
   }
   options.late_policy = LateRecordPolicy::kMergeIntoCurrent;
   {
-    WindowAssembler assembler(2, options);
-    assembler.Push(TinyRecord(1.0));
-    assembler.Push(TinyRecord(2.0));
-    assembler.Push(TinyRecord(11.0));
-    assembler.PopClosed();
-    assembler.Push(TinyRecord(5.0));  // late: folded into the open [10,...) window
-    assembler.Push(TinyRecord(12.0));
-    assembler.FinishStream();
-    EXPECT_EQ(assembler.Stats().late_dropped, 0u);
-    ASSERT_TRUE(assembler.HasClosed());
-    const ClosedWindow window = assembler.PopClosed();
-    EXPECT_EQ(window.num_tasks, 3u);
-    // The late record sorts first within the window's log.
-    EXPECT_EQ(window.log.TaskEntryTime(0), 5.0);
+    const TinyRun run = RunTinyStream(entries, options);
+    EXPECT_EQ(run.stats.late_dropped, 0u);
+    ASSERT_EQ(run.estimates.size(), 2u);
+    EXPECT_EQ(run.estimates[1].t0, 10.0);
+    EXPECT_EQ(run.estimates[1].tasks, 3u);  // folded into the open [10,...) window
   }
 }
 
-TEST(WindowAssembler, AllowedLatenessHoldsWindowsOpen) {
-  WindowAssemblerOptions options;
-  options.window_duration = 10.0;
-  options.min_tasks_per_window = 2;
+TEST(WindowAssembly, AllowedLatenessHoldsWindowsOpen) {
+  WindowAssemblerOptions options = TenSecondWindows(2);
   options.allowed_lateness = 5.0;
-  WindowAssembler assembler(2, options);
-  assembler.Push(TinyRecord(1.0));
-  assembler.Push(TinyRecord(2.0));
-  assembler.Push(TinyRecord(11.0));  // watermark 11 - 5 = 6 < 10: stays open
-  EXPECT_FALSE(assembler.HasClosed());
-  assembler.Push(TinyRecord(9.0));  // within lateness: sorted into [0,10)
-  assembler.Push(TinyRecord(16.0));  // watermark 16 - 5 = 11 >= 10: closes
-  ASSERT_TRUE(assembler.HasClosed());
-  const ClosedWindow window = assembler.PopClosed();
-  EXPECT_EQ(window.num_tasks, 3u);
-  EXPECT_EQ(window.log.TaskEntryTime(2), 9.0);
-  EXPECT_EQ(assembler.Stats().late_dropped, 0u);
+  // 11.0: watermark 11 - 5 = 6 < 10, so [0,10) stays open and takes the 9.0 record;
+  // 16.0: watermark 11 >= 10 closes it.
+  const TinyRun run = RunTinyStream({1.0, 2.0, 11.0, 9.0, 16.0}, options);
+  ASSERT_GE(run.emitted.size(), 1u);
+  EXPECT_EQ(run.emitted[0].t1, 10.0);
+  EXPECT_EQ(run.emitted[0].tasks, 3u);
+  EXPECT_EQ(run.pulls[0], 5u);
+  EXPECT_EQ(run.stats.late_dropped, 0u);
 }
 
-TEST(WindowAssembler, TailMergesIntoWindowClosedDuringFinish) {
-  // Regression: with allowed_lateness > 0 a window's close can be deferred until
-  // FinishStream releases the watermark hold-back. The trailing merge must target THAT
-  // window — the true last one — not an earlier close retained during Push.
-  WindowAssemblerOptions options;
-  options.window_duration = 10.0;
-  options.min_tasks_per_window = 2;
+TEST(WindowAssembly, TailMergesIntoWindowClosedDuringFinish) {
+  // Regression: with allowed_lateness > 0 a window's close can be deferred until the end
+  // of the stream releases the watermark hold-back. The trailing merge must target THAT
+  // window — the true last one — not an earlier close retained while records arrived.
+  WindowAssemblerOptions options = TenSecondWindows(2);
   options.allowed_lateness = 5.0;
-  WindowAssembler assembler(2, options);
-  for (const double t : {1.0, 2.0, 11.0, 12.0, 21.0}) {
-    assembler.Push(TinyRecord(t));
-  }
-  // Watermark 21 - 5 = 16: only [0,10) has closed so far.
-  assembler.FinishStream();
-  std::vector<ClosedWindow> closed;
-  while (assembler.HasClosed()) {
-    closed.push_back(assembler.PopClosed());
-  }
-  ASSERT_EQ(closed.size(), 3u);
-  EXPECT_EQ(closed[0].t0, 0.0);
-  EXPECT_EQ(closed[0].num_tasks, 2u);
-  EXPECT_EQ(closed[1].t0, 10.0);  // deferred close, released by FinishStream
-  EXPECT_EQ(closed[1].t1, 20.0);
-  EXPECT_EQ(closed[1].num_tasks, 2u);
-  // The tail {21} merges into [10,20) — the window closed during FinishStream.
-  EXPECT_EQ(closed[2].merged_tail_tasks, 1u);
-  EXPECT_EQ(closed[2].t0, 10.0);
-  EXPECT_EQ(closed[2].num_tasks, 3u);
-  EXPECT_EQ(closed[2].log.TaskEntryTime(0), 11.0);
-  EXPECT_EQ(closed[2].log.TaskEntryTime(2), 21.0);
-  EXPECT_EQ(assembler.Stats().tail_dropped, 0u);
+  // Watermark 21 - 5 = 16: only [0,10) closes while records arrive.
+  const TinyRun run = RunTinyStream({1.0, 2.0, 11.0, 12.0, 21.0}, options);
+  ASSERT_EQ(run.emitted.size(), 3u);
+  EXPECT_EQ(run.emitted[0].t0, 0.0);
+  EXPECT_EQ(run.emitted[0].tasks, 2u);
+  EXPECT_EQ(run.emitted[1].t0, 10.0);  // deferred close, released at the end
+  EXPECT_EQ(run.emitted[1].t1, 20.0);
+  EXPECT_EQ(run.emitted[1].tasks, 2u);
+  // The tail {21} merges into [10,20) — the window closed at the end of the stream.
+  EXPECT_EQ(run.emitted[2].merged_tail_tasks, 1u);
+  EXPECT_EQ(run.emitted[2].t0, 10.0);
+  EXPECT_EQ(run.emitted[2].tasks, 3u);
+  EXPECT_EQ(run.stats.tail_dropped, 0u);
 }
 
-TEST(WindowAssembler, TailMergesWhenEveryWindowClosesAtFinish) {
-  // Regression: large lateness can defer every close to FinishStream; the 1-task tail
-  // must still find the previous window instead of being dropped.
-  WindowAssemblerOptions options;
-  options.window_duration = 10.0;
-  options.min_tasks_per_window = 2;
+TEST(WindowAssembly, TailMergesWhenEveryWindowClosesAtFinish) {
+  // Regression: large lateness can defer every close to the end of the stream; the
+  // 1-task tail must still find the previous window instead of being dropped.
+  WindowAssemblerOptions options = TenSecondWindows(2);
   options.allowed_lateness = 25.0;
-  WindowAssembler assembler(2, options);
-  for (const double t : {1.0, 2.0, 21.0}) {
-    assembler.Push(TinyRecord(t));
-  }
-  EXPECT_FALSE(assembler.HasClosed());
-  assembler.FinishStream();
-  std::vector<ClosedWindow> closed;
-  while (assembler.HasClosed()) {
-    closed.push_back(assembler.PopClosed());
-  }
-  ASSERT_EQ(closed.size(), 2u);
-  EXPECT_EQ(closed[0].num_tasks, 2u);
-  EXPECT_EQ(closed[1].merged_tail_tasks, 1u);
-  EXPECT_EQ(closed[1].num_tasks, 3u);
-  EXPECT_EQ(assembler.Stats().tail_dropped, 0u);
+  const TinyRun run = RunTinyStream({1.0, 2.0, 21.0}, options);
+  ASSERT_EQ(run.emitted.size(), 2u);
+  EXPECT_EQ(run.pulls[0], 3u);  // nothing closed before the stream ended
+  EXPECT_EQ(run.emitted[0].tasks, 2u);
+  EXPECT_EQ(run.emitted[1].merged_tail_tasks, 1u);
+  EXPECT_EQ(run.emitted[1].tasks, 3u);
+  EXPECT_EQ(run.stats.tail_dropped, 0u);
 }
 
-TEST(WindowAssembler, FastForwardsOverHugeIdleGaps) {
-  // Epoch-style timestamps far from t = 0 (or long idle gaps) must not cost one loop
-  // iteration per empty duration: ~28M empty 60 s windows precede these records.
+TEST(WindowAssembly, FastForwardsOverHugeIdleGaps) {
+  // Epoch-style timestamps far from t = 0 (or long idle gaps): ~28M empty 60 s windows
+  // precede these records. The tracker's close loop still steps once per empty duration
+  // (one addition each, keeping the batch grid's window ends bit for bit), but it does
+  // not re-partition the pending records at each step; an O(1) jump over the gap is
+  // still open (ROADMAP item 8).
   WindowAssemblerOptions options;
   options.window_duration = 60.0;
   options.min_tasks_per_window = 2;
-  WindowAssembler assembler(2, options);
   const double epoch = 1.7e9;
-  assembler.Push(TinyRecord(epoch + 1.0));
-  assembler.Push(TinyRecord(epoch + 2.0));
-  assembler.Push(TinyRecord(epoch + 70.0));
-  ASSERT_TRUE(assembler.HasClosed());
-  const ClosedWindow window = assembler.PopClosed();
-  EXPECT_EQ(window.num_tasks, 2u);
-  EXPECT_LE(window.t0, epoch + 1.0);
-  EXPECT_GT(window.t1, epoch + 2.0);
-  assembler.FinishStream();
-  ASSERT_TRUE(assembler.HasClosed());
-  EXPECT_EQ(assembler.PopClosed().merged_tail_tasks, 1u);
+  const TinyRun run = RunTinyStream({epoch + 1.0, epoch + 2.0, epoch + 70.0}, options);
+  ASSERT_EQ(run.emitted.size(), 2u);
+  EXPECT_EQ(run.emitted[0].tasks, 2u);
+  EXPECT_LE(run.emitted[0].t0, epoch + 1.0);
+  EXPECT_GT(run.emitted[0].t1, epoch + 2.0);
+  EXPECT_EQ(run.emitted[1].merged_tail_tasks, 1u);
 }
 
-TEST(WindowAssembler, PeakBufferIsIndependentOfTraceLength) {
-  // Uniformly spaced entries: the buffer high-water mark is one windowful regardless of
-  // how long the stream runs — the bounded-memory contract.
-  WindowAssemblerOptions options;
-  options.window_duration = 10.0;
-  options.min_tasks_per_window = 2;
+TEST(WindowAssembly, PeakBufferIsIndependentOfTraceLength) {
+  // Uniformly spaced entries: the lane's buffer high-water mark is one windowful
+  // regardless of how long the stream runs — the bounded-memory contract.
   std::size_t peak_short = 0;
   std::size_t peak_long = 0;
   for (const std::size_t tasks : {200u, 2000u}) {
-    WindowAssembler assembler(2, options);
+    std::vector<double> entries;
     for (std::size_t k = 0; k < tasks; ++k) {
-      assembler.Push(TinyRecord(0.5 + static_cast<double>(k)));
-      while (assembler.HasClosed()) {
-        assembler.PopClosed();
-      }
+      entries.push_back(0.5 + static_cast<double>(k));
     }
-    assembler.FinishStream();
-    while (assembler.HasClosed()) {
-      assembler.PopClosed();
-    }
-    (tasks == 200u ? peak_short : peak_long) = assembler.Stats().peak_buffered_tasks;
+    const TinyRun run = RunTinyStream(entries, TenSecondWindows(2));
+    EXPECT_EQ(run.stats.tasks_ingested, tasks);
+    (tasks == 200u ? peak_short : peak_long) = run.stats.peak_buffered_tasks;
   }
   EXPECT_EQ(peak_short, peak_long);
-  // One open windowful plus the previous window's records retained for the tail merge.
+  // One open windowful, the record that closes it, and the previous window's records
+  // retained for the tail merge.
+  EXPECT_GT(peak_long, 10u);
   EXPECT_LE(peak_long, 22u);
+}
+
+TEST(TakeDecisionRecords, SelectsAndSortsLateHeldAndMergedRecords) {
+  // A lane that keeps records builds each window's log from this selection, in this
+  // order, so late, held and merged-tail records land in entry-time order.
+  const auto entries = [](const std::vector<TaskRecord>& records) {
+    std::vector<double> out;
+    for (const TaskRecord& record : records) {
+      out.push_back(record.entry_time);
+    }
+    return out;
+  };
+  std::vector<TaskRecord> last_window;
+  WindowSpanTracker::SpanDecision decision;
+  // A record late behind a closed span, merged into the open window: it sorts first.
+  std::vector<TaskRecord> pending = {TinyRecord(11.0), TinyRecord(5.0), TinyRecord(12.0)};
+  decision.t0 = 10.0;
+  decision.t1 = 20.0;
+  decision.take_all = true;
+  std::vector<TaskRecord> window = TakeDecisionRecords(decision, pending, last_window);
+  EXPECT_EQ(entries(window), (std::vector<double>{5.0, 11.0, 12.0}));
+  EXPECT_TRUE(pending.empty());
+  // A record held under allowed lateness joins its span in order; the record past t1
+  // stays pending.
+  pending = {TinyRecord(1.0), TinyRecord(2.0), TinyRecord(11.0), TinyRecord(9.0)};
+  decision.t0 = 0.0;
+  decision.t1 = 10.0;
+  decision.take_all = false;
+  window = TakeDecisionRecords(decision, pending, last_window);
+  EXPECT_EQ(entries(window), (std::vector<double>{1.0, 2.0, 9.0}));
+  EXPECT_EQ(entries(pending), (std::vector<double>{11.0}));
+  // A merged-tail re-close puts the retained window's records first and consumes them;
+  // equal entry times keep their arrival order.
+  last_window = {TinyRecord(11.0), TinyRecord(12.0, 0.5)};
+  pending = {TinyRecord(21.0), TinyRecord(12.0, 0.25)};
+  decision.t0 = 10.0;
+  decision.t1 = 30.0;
+  decision.take_all = true;
+  decision.merged_tail_tasks = 2;
+  window = TakeDecisionRecords(decision, pending, last_window);
+  EXPECT_EQ(entries(window), (std::vector<double>{11.0, 12.0, 12.0, 21.0}));
+  EXPECT_EQ(window[1].visits[0].departure, 12.5);
+  EXPECT_EQ(window[2].visits[0].departure, 12.25);
+  EXPECT_TRUE(last_window.empty());
+  EXPECT_TRUE(pending.empty());
 }
 
 // --- StreamingEstimator ----------------------------------------------------------------
@@ -620,7 +650,7 @@ StreamingEstimatorOptions ShortStemOptions(double window_duration = 25.0) {
 
 // Reference implementation: batch windowing via ExtractTaskWindow with the same grouping,
 // seeding, and trailing-merge rules the streaming engine promises. Pins the semantics the
-// assembler + estimator must reproduce bit-for-bit.
+// estimator's windows and fits must reproduce bit-for-bit.
 std::vector<WindowEstimate> ReferenceWindowedStem(const EventLog& truth,
                                                   const Observation& obs,
                                                   std::vector<double> init_rates,
@@ -705,27 +735,6 @@ TEST(StreamingEstimator, MatchesBatchReferenceBitIdentically) {
 
   ASSERT_GE(reference.size(), 3u);
   ExpectEstimatesIdentical(reference, streamed);
-}
-
-TEST(StreamingEstimator, BitIdenticalAcrossPipelining) {
-  // The acceptance bar: pipelining on or off — the window estimate sequence is
-  // bit-identical; only wall-clock may change.
-  const Fixture f;
-  const std::vector<double> init = {1.0, 1.0, 1.0};
-  const std::uint64_t seed = 5;
-  StreamingEstimatorOptions options = ShortStemOptions();
-
-  std::vector<std::vector<WindowEstimate>> runs;
-  for (const bool pipeline : {false, true}) {
-    options.pipeline = pipeline;
-    LogReplayStream stream(f.truth, f.obs);
-    StreamingEstimator estimator(init, seed, options);
-    runs.push_back(estimator.Run(stream));
-  }
-  ASSERT_GE(runs.front().size(), 3u);
-  for (std::size_t i = 1; i < runs.size(); ++i) {
-    ExpectEstimatesIdentical(runs.front(), runs[i]);
-  }
 }
 
 TEST(StreamingEstimator, CsvReplayMatchesInMemoryReplay) {
@@ -940,33 +949,23 @@ TEST(StreamingEstimator, WarmStartFastPathSavesIterationsDeterministically) {
   warm.stem.convergence_tol = 0.05;
   warm.stem.convergence_patience = 2;
 
-  // Bit-identical across pipelining, like the sampler path.
-  std::vector<std::vector<WindowEstimate>> runs;
-  std::size_t iterations_total = 0;
-  for (const bool pipeline : {false, true}) {
-    StreamingEstimatorOptions options = warm;
-    options.pipeline = pipeline;
-    LogReplayStream stream(f.truth, f.obs);
-    StreamingEstimator estimator(init, 67, options);
-    runs.push_back(estimator.Run(stream));
-    iterations_total = estimator.Stats().fit_iterations_total;
-  }
-  for (std::size_t i = 1; i < runs.size(); ++i) {
-    ExpectEstimatesIdentical(runs.front(), runs[i]);
-  }
+  LogReplayStream stream(f.truth, f.obs);
+  StreamingEstimator estimator(init, 67, warm);
+  const std::vector<WindowEstimate> estimates = estimator.Run(stream);
+  const std::size_t iterations_total = estimator.Stats().fit_iterations_total;
 
   // Early stop must actually bite (that is the throughput win) ...
   EXPECT_LT(iterations_total, baseline.size() * 30u);
   EXPECT_GT(iterations_total, 0u);
-  for (const WindowEstimate& estimate : runs.front()) {
+  for (const WindowEstimate& estimate : estimates) {
     EXPECT_FALSE(estimate.degraded);
     EXPECT_GE(estimate.fit_iterations, warm.stem.burn_in + 3u);
   }
   // ... while the estimates stay close to the cold-started full-length run.
-  ASSERT_EQ(runs.front().size(), baseline.size());
+  ASSERT_EQ(estimates.size(), baseline.size());
   for (std::size_t w = 0; w < baseline.size(); ++w) {
     for (std::size_t q = 1; q < 3; ++q) {
-      EXPECT_NEAR(runs.front()[w].rates[q], baseline[w].rates[q],
+      EXPECT_NEAR(estimates[w].rates[q], baseline[w].rates[q],
                   0.2 * baseline[w].rates[q])
           << "window " << w << " q=" << q;
     }
@@ -981,14 +980,11 @@ TEST(StreamingEstimator, MeanFieldOnlyModeIsSamplerFreeAndBitIdentical) {
 
   std::vector<std::vector<WindowEstimate>> runs;
   std::size_t degraded = 0;
-  for (const bool pipeline : {false, true}) {
-    for (const std::uint64_t seed : {71u, 73u}) {
-      options.pipeline = pipeline;
-      LogReplayStream stream(f.truth, f.obs);
-      StreamingEstimator estimator(init, seed, options);
-      runs.push_back(estimator.Run(stream));
-      degraded = estimator.Stats().degraded_windows;
-    }
+  for (const std::uint64_t seed : {71u, 73u}) {
+    LogReplayStream stream(f.truth, f.obs);
+    StreamingEstimator estimator(init, seed, options);
+    runs.push_back(estimator.Run(stream));
+    degraded = estimator.Stats().degraded_windows;
   }
   // Sampler-free: the seed is never consumed, so even DIFFERENT seeds are bit-identical.
   ASSERT_GE(runs.front().size(), 3u);
@@ -1030,32 +1026,15 @@ TEST(StreamingEstimator, DegradeModeTriggersOnWindowTaskCount) {
   EXPECT_LT(degraded, estimates.size()) << "budget chosen so quiet windows still sample";
   EXPECT_EQ(estimator.Stats().degraded_windows, degraded);
 
-  // Deterministic: same stream, same options, same bits (with pipelining flipped).
-  options.pipeline = !options.pipeline;
+  // Deterministic: same stream, same options, same bits.
   LogReplayStream again_stream(f.truth, f.obs);
   StreamingEstimator again(init, 79, options);
   ExpectEstimatesIdentical(estimates, again.Run(again_stream));
 }
 
-// Counts the records the estimator has asked for.
-class CountingStream : public TraceStream {
- public:
-  explicit CountingStream(TraceStream& inner) : inner_(inner) {}
-  bool Next(TaskRecord& out) override {
-    ++pulls_;
-    return inner_.Next(out);
-  }
-  int NumQueues() const override { return inner_.NumQueues(); }
-  std::size_t Pulls() const { return pulls_; }
-
- private:
-  TraceStream& inner_;
-  std::size_t pulls_ = 0;
-};
-
-TEST(StreamingEstimator, NonPipelinedWindowIsEmittedBeforeTheNextPull) {
-  // Without pipelining, window w is fitted and handed to on_window while the record
-  // that closed it is the last one pulled: the stream is not asked for another first.
+TEST(StreamingEstimator, WindowIsEmittedBeforeTheNextPull) {
+  // Window w is fitted and handed to on_window while the record that closed it is the
+  // last one pulled: the stream is not asked for another first.
   const Fixture f;
   LogReplayStream replay(f.truth, f.obs);
   CountingStream stream(replay);
@@ -1147,7 +1126,7 @@ TEST(LiveSimStream, HorizonBoundsTheStream) {
 }
 
 TEST(LiveSimStream, DrivesTheStreamingEstimator) {
-  // End-to-end: live simulator -> assembler -> windowed StEM recovers the service rate.
+  // End-to-end: live simulator -> windows -> windowed StEM recovers the service rate.
   const QueueingNetwork net = MakeSingleQueueNetwork(4.0, 8.0);
   LiveSimOptions sim_options;
   sim_options.max_tasks = 600;
@@ -1160,7 +1139,6 @@ TEST(LiveSimStream, DrivesTheStreamingEstimator) {
   options.stem.iterations = 40;
   options.stem.burn_in = 15;
   options.stem.wait_sweeps = 0;
-  options.pipeline = true;
   StreamingEstimator estimator({1.0, 1.0}, 21, options);
   const auto estimates = estimator.Run(stream);
   ASSERT_GE(estimates.size(), 3u);

@@ -530,25 +530,27 @@ class FailingStream : public TraceStream {
 // The tracker and the lanes publish their per-record counts in deltas (per window and
 // when they stop), so a run that dies mid-window must still unwind, rethrow the stream's
 // error and publish every record it pulled and routed before the error reaches the
-// caller. Sampler-free lanes run on the caller's thread unless pipelined, so the grid
-// covers both arrangements at K = 1 and K = 4; in-thread at K = 4, the records the last
-// window routed to lanes 1-3 are published only when Run exits.
+// caller. Sampler-free lanes run on the caller's thread at any K and StEM lanes at
+// K > 1 on their own threads, so the grid covers both arrangements; in-thread at K = 4,
+// the records the last window routed to lanes 1-3 are published only when Run exits,
+// and threaded, each lane publishes its own when the router's finish token stops it.
 TEST(RegistryDerivedStats, FailedRunPublishesEveryRecordPulledAndRouted) {
   const Fixture f;
   constexpr std::size_t kPulled = 250;  // ~100 tasks per window: mid-way through one
   struct Arrangement {
     std::size_t lanes;
-    bool pipeline;
+    FastPathMode mode;
   };
-  for (const Arrangement arrangement : {Arrangement{1, false}, Arrangement{1, true},
-                                        Arrangement{4, false}, Arrangement{4, true}}) {
+  for (const Arrangement arrangement : {Arrangement{1, FastPathMode::kMeanFieldOnly},
+                                        Arrangement{4, FastPathMode::kMeanFieldOnly},
+                                        Arrangement{2, FastPathMode::kOff},
+                                        Arrangement{4, FastPathMode::kOff}}) {
     SCOPED_TRACE("lanes " + std::to_string(arrangement.lanes) +
-                 (arrangement.pipeline ? ", pipelined" : ""));
+                 (arrangement.mode == FastPathMode::kOff ? ", StEM, threaded" : ""));
     ShardedStreamingOptions options;
     options.lanes = arrangement.lanes;
     options.stream = ShortStemOptions();
-    options.stream.pipeline = arrangement.pipeline;
-    options.stream.fast_path = FastPathMode::kMeanFieldOnly;
+    options.stream.fast_path = arrangement.mode;
     const StreamCounterBaseline baseline = StreamCounterBaseline::Capture();
     const std::uint64_t routed_before = ShardCounters::Get().records_routed->Value();
     FailingStream stream(f, kPulled);
@@ -575,31 +577,37 @@ TaskRecord TinyRecord(double entry, double service = 0.01) {
   return record;
 }
 
-WindowAssemblerStats AssembleTinyStream(LateRecordPolicy policy,
-                                        StreamCounterBaseline* deltas = nullptr) {
+// A tiny stream through the plain estimator, whose lane keeps its records but fits
+// every window by mean field (a 0-task degrade budget).
+StreamingStats RunTinyStream(const std::vector<double>& entries,
+                             const WindowAssemblerOptions& window) {
+  std::vector<TaskRecord> records;
+  for (const double t : entries) {
+    records.push_back(TinyRecord(t));
+  }
+  VectorStream stream(std::move(records), 2);
+  StreamingEstimatorOptions options;
+  options.window = window;
+  options.fast_path = FastPathMode::kDegrade;
+  options.degrade_task_budget = 0;
+  StreamingEstimator estimator({1.0, 1.0}, 1, options);
+  estimator.Run(stream);
+  return estimator.Stats();
+}
+
+StreamingStats RunLateStream(LateRecordPolicy policy, StreamCounterBaseline* deltas) {
   WindowAssemblerOptions options;
   options.window_duration = 10.0;
   options.min_tasks_per_window = 2;
   options.late_policy = policy;
-  const StreamCounterBaseline baseline = StreamCounterBaseline::Capture();
-  WindowAssembler assembler(2, options);
+  *deltas = StreamCounterBaseline::Capture();
   // [0,10) closes when 11.0 arrives; the 1.5 record is then late.
-  for (const double t : {1.0, 2.0, 3.0, 11.0, 1.5, 12.0, 21.0, 22.0, 31.0}) {
-    assembler.Push(TinyRecord(t));
-  }
-  assembler.FinishStream();
-  while (assembler.HasClosed()) {
-    (void)assembler.PopClosed();
-  }
-  if (deltas != nullptr) {
-    *deltas = baseline;
-  }
-  return assembler.Stats();
+  return RunTinyStream({1.0, 2.0, 3.0, 11.0, 1.5, 12.0, 21.0, 22.0, 31.0}, options);
 }
 
 TEST(LatenessCounters, DropPolicyCountsLateRecordsExactlyOnce) {
   StreamCounterBaseline deltas;
-  const WindowAssemblerStats stats = AssembleTinyStream(LateRecordPolicy::kDrop, &deltas);
+  const StreamingStats stats = RunLateStream(LateRecordPolicy::kDrop, &deltas);
   EXPECT_EQ(stats.tasks_ingested, 9u);
   EXPECT_EQ(stats.late_dropped, 1u);
   EXPECT_EQ(stats.tail_dropped, 0u);
@@ -610,8 +618,7 @@ TEST(LatenessCounters, DropPolicyCountsLateRecordsExactlyOnce) {
 
 TEST(LatenessCounters, MergePolicyKeepsLateRecords) {
   StreamCounterBaseline deltas;
-  const WindowAssemblerStats stats =
-      AssembleTinyStream(LateRecordPolicy::kMergeIntoCurrent, &deltas);
+  const StreamingStats stats = RunLateStream(LateRecordPolicy::kMergeIntoCurrent, &deltas);
   EXPECT_EQ(stats.tasks_ingested, 9u);
   EXPECT_EQ(stats.late_dropped, 0u);
   EXPECT_EQ(deltas.LateDroppedDelta(), 0u);
@@ -623,13 +630,11 @@ TEST(LatenessCounters, TailDropCountsAnUnsalvageableRemainder) {
   options.min_tasks_per_window = 3;
   options.merge_trailing_window = false;  // nothing to merge the remainder into
   const StreamCounterBaseline baseline = StreamCounterBaseline::Capture();
-  WindowAssembler assembler(2, options);
-  assembler.Push(TinyRecord(1.0));  // a 1-task remainder cannot stand alone
-  assembler.FinishStream();
-  const WindowAssemblerStats stats = assembler.Stats();
+  // A 1-task remainder cannot stand alone.
+  const StreamingStats stats = RunTinyStream({1.0}, options);
   EXPECT_EQ(stats.tasks_ingested, 1u);
   EXPECT_EQ(stats.tail_dropped, 1u);
-  EXPECT_FALSE(assembler.HasClosed());
+  EXPECT_EQ(stats.windows_estimated, 0u);
   EXPECT_EQ(baseline.TailDroppedDelta(), 1u);
 }
 
@@ -714,18 +719,21 @@ TEST(DegradeCounters, DegradedFitsConsistentAcrossLaneCounts) {
 TEST(BackpressureCounters, PeakQueueDepthPinsAtCapacityWhenRouterBlocks) {
   const Fixture f;
   ShardedStreamingOptions options;
-  options.lanes = 1;
+  // StEM lanes at K = 2 run behind queues on their own threads.
+  options.lanes = 2;
   options.lane_queue_capacity = 8;  // tiny queue: the router must outrun the fits
   options.router_batch = 1;
   options.stream = ShortStemOptions();
-  // A single lane only runs behind a queue when pipelined; without pipelining the
-  // router calls it directly.
-  options.stream.pipeline = true;
   FleetStats stats;
   const auto pooled = RunFleet(f, options, 99, &stats);
   ASSERT_GE(pooled.size(), 3u);
-  ASSERT_EQ(stats.lane.size(), 1u);
-  EXPECT_EQ(stats.lane[0].peak_queue_depth, options.lane_queue_capacity);
+  ASSERT_EQ(stats.lane.size(), 2u);
+  std::size_t peak = 0;
+  for (const LaneStats& lane : stats.lane) {
+    EXPECT_LE(lane.peak_queue_depth, options.lane_queue_capacity);
+    peak = std::max(peak, lane.peak_queue_depth);
+  }
+  EXPECT_EQ(peak, options.lane_queue_capacity);
   EXPECT_GT(stats.router_blocked_seconds, 0.0);
   // The global gauge mirrors the per-lane high-water mark.
   const MetricsSnapshot snap = MetricRegistry::Global().Snapshot();
