@@ -1,4 +1,4 @@
-// Microbenchmarks: Gibbs sweep, parallel-chains and allocation-count throughput
+// Microbenchmarks: Gibbs sweep, initializer and allocation-count throughput
 // (google-benchmark).
 //
 // Workflow (tracked in CI as BENCH_gibbs.json; compare runs with benchmark's
@@ -19,8 +19,6 @@
 //                                        states. CI gates BM_GibbsSweep/500's
 //                                        items_per_second against this row's in-run
 //                                        (see .github/workflows/ci.yml);
-//   BM_ParallelChains/T draws_per_sec  — pooled post-burn-in draws per wall second with
-//                                        4 chains on T threads (scaling curve);
 //   BM_GibbsSweepAllocations allocs_per_sweep — global operator-new calls per sweep;
 //                                        must stay exactly 0 (see tests/test_alloc_free.cc
 //                                        for the hard assertion).
@@ -34,8 +32,6 @@
 
 #include "qnet/infer/gibbs.h"
 #include "qnet/infer/initializer.h"
-#include "qnet/infer/parallel_chains.h"
-#include "qnet/infer/route_mh.h"
 #include "qnet/model/builders.h"
 #include "qnet/obs/observation.h"
 #include "qnet/sim/simulator.h"
@@ -110,30 +106,6 @@ void BM_GibbsSweepReference(benchmark::State& state) {
 }
 BENCHMARK(BM_GibbsSweepReference)->Arg(500)->Unit(benchmark::kMillisecond);
 
-void BM_RouteMhSweep(benchmark::State& state) {
-  const Fixture fixture = MakeFixture(500, 0.1);
-  qnet::Rng rng(15);
-  // Route-resample every event of every task (worst case).
-  std::vector<int> all_tasks;
-  for (int k = 0; k < fixture.truth.NumTasks(); ++k) {
-    all_tasks.push_back(k);
-  }
-  qnet::EventLog log = fixture.init;
-  const std::vector<qnet::EventId> latents = qnet::RouteLatentEvents(log, all_tasks);
-  qnet::ThreeTierConfig config;
-  config.tier_sizes = {1, 2, 4};
-  const qnet::QueueingNetwork net = qnet::MakeThreeTierNetwork(config);
-  std::size_t accepted = 0;
-  for (auto _ : state) {
-    accepted +=
-        qnet::RouteMhSweep(log, latents, net.GetFsm(), fixture.rates, rng).accepted;
-  }
-  benchmark::DoNotOptimize(accepted);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(latents.size()));
-}
-BENCHMARK(BM_RouteMhSweep)->Unit(benchmark::kMillisecond);
-
 // Allocation count per sweep on the fast path. The counter is exact (every operator new in
 // the process), so the benchmark pauses timing around the measured region is unnecessary —
 // we simply diff the counter across the iteration. Expected value: 0.
@@ -153,34 +125,6 @@ void BM_GibbsSweepAllocations(benchmark::State& state) {
       sweeps > 0 ? static_cast<double>(after - before) / static_cast<double>(sweeps) : 0.0;
 }
 BENCHMARK(BM_GibbsSweepAllocations)->Unit(benchmark::kMillisecond);
-
-// Multi-chain scaling: 4 chains of the three-tier fixture on T = state.range(0) threads.
-// draws_per_sec is the pooled post-burn-in draw throughput; on a multi-core host it should
-// scale near-linearly in T up to the core count (chains are embarrassingly parallel and
-// share no mutable state).
-void BM_ParallelChains(benchmark::State& state) {
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  const Fixture fixture = MakeFixture(200, 0.1);
-  qnet::ParallelChainsOptions options;
-  options.chains = 4;
-  options.threads = threads;
-  options.sweeps = 40;
-  options.burn_in = 10;
-  std::uint64_t seed = 1;
-  std::size_t draws = 0;
-  for (auto _ : state) {
-    const qnet::ParallelChainsResult result = qnet::RunParallelChains(
-        fixture.truth, fixture.obs, fixture.rates, seed++, options);
-    draws += result.total_draws;
-    benchmark::DoNotOptimize(result.pooled.NumSamples());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(draws));
-  state.counters["draws_per_sec"] = benchmark::Counter(
-      static_cast<double>(draws), benchmark::Counter::kIsRate);
-  state.counters["threads"] = static_cast<double>(threads);
-}
-BENCHMARK(BM_ParallelChains)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()->UseRealTime();
 
 void BM_Initializer(benchmark::State& state) {
   const auto tasks = static_cast<std::size_t>(state.range(0));

@@ -31,8 +31,9 @@
 //                                          {1,2,4}, lambda 10, mu 16, 20% observed, 360
 //                                          tasks, 60/20/20 iterations/burn-in/wait, no
 //                                          early stop) run again and again through one
-//                                          reused StemWorkspace and scheduler cache, as a
-//                                          streaming lane runs its windows. Reports
+//                                          reused StemWorkspace (its sampler keeps the
+//                                          schedule's buffers), as a streaming lane runs
+//                                          its windows. Reports
 //                                          ms_per_window, ns_per_move (per latent arrival
 //                                          per sweep, perfbench's infer.stem_ns_per_move)
 //                                          and allocs_per_window, which CI gates: a warm

@@ -31,8 +31,7 @@ void GibbsSampler::Retarget(const Observation& obs, std::span<const double> rate
   arrival_moves_.clear();
   final_moves_.clear();
   CollectLatentMoves(state_, obs, arrival_moves_, final_moves_);
-  external_scheduler_ = nullptr;
-  rebuilt_for_ = nullptr;
+  schedule_stale_ = true;
   service_cache_.clear();
 }
 
@@ -44,41 +43,27 @@ void GibbsSampler::SetRates(std::span<const double> rates) {
   rates_.assign(rates.begin(), rates.end());
 }
 
-void GibbsSampler::RebuildSchedule(ShardedSweepScheduler& scheduler) {
+void GibbsSampler::RebuildSchedule() {
   schedule_input_.assign(arrival_moves_.begin(), arrival_moves_.end());
   if (options_.resample_final_departures) {
     schedule_input_.insert(schedule_input_.end(), final_moves_.begin(), final_moves_.end());
   }
-  scheduler.Rebuild(state_, schedule_input_);
-  rebuilt_for_ = &scheduler;
-}
-
-ShardedSweepScheduler* GibbsSampler::EffectiveScheduler() {
-  ShardedSweepScheduler* scheduler =
-      external_scheduler_ != nullptr ? external_scheduler_ : &scheduler_;
-  if (rebuilt_for_ != scheduler) {
-    // The coloring and the move geometry are functions of the links, which
-    // MutableState() may have changed since this scheduler was last built.
-    RebuildSchedule(*scheduler);
-  }
-  return scheduler;
+  scheduler_.Rebuild(state_, schedule_input_);
+  schedule_stale_ = false;
 }
 
 void GibbsSampler::Sweep(Rng& rng) {
-  ShardedSweepScheduler* scheduler = EffectiveScheduler();
+  if (schedule_stale_) {
+    // The coloring and the move geometry are functions of the links, which
+    // MutableState() or Retarget may have changed since the last build.
+    RebuildSchedule();
+  }
   const BatchedExponentialMoveKernel kernel(rates_, options_.batch_width, service_cache_);
-  scheduler->RunBuckets(
+  scheduler_.RunBuckets(
       [&](const SweepBucket& bucket) {
         kernel.RunBucket(state_, bucket.moves, bucket.geometry, bucket.seed, tile_batch_);
       },
       rng.NextU64());
-}
-
-void GibbsSampler::UseScheduler(ShardedSweepScheduler* scheduler) {
-  if (scheduler != nullptr) {
-    RebuildSchedule(*scheduler);
-  }
-  external_scheduler_ = scheduler;
 }
 
 void GibbsSampler::EnableSuffStatsTracking() {

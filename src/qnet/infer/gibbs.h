@@ -9,7 +9,7 @@
 //    when a task leaves the system).
 //
 // The per-move logic lives in BatchedExponentialMoveKernel (infer/move_kernel.h); this
-// class is a thin sweep driver: it owns the state, the move list and a scheduler slot.
+// class is a thin sweep driver: it owns the state, the move lists and the schedule.
 // Every sweep is one systematic scan over the colored schedule (infer/sharded_sweep.h) on
 // the caller's thread: color classes in sequence, each class one conflict-free bucket
 // through the batched kernel.
@@ -56,20 +56,18 @@ class GibbsSampler {
   GibbsSampler();
 
   // Points the sampler at the trace now in MutableState(), with `rates` and `options`:
-  // the constructor's checks and latent-move collection, reusing every buffer. Detaches
-  // a caller-owned scheduler (call UseScheduler again to keep using it) and turns
-  // sufficient-statistics tracking off.
+  // the constructor's checks and latent-move collection, reusing every buffer. Marks the
+  // schedule stale and turns sufficient-statistics tracking off.
   void Retarget(const Observation& obs, std::span<const double> rates,
                 const GibbsOptions& options);
 
   const EventLog& State() const { return state_; }
-  // Mutating the state through this handle may change the link structure (e.g. route
-  // Metropolis-Hastings reassigning queues), and the schedule's coloring and move
-  // geometry are functions of the links. So this marks the schedule stale, and the next
-  // Sweep rebuilds whichever scheduler it drives — the owned one or one attached by
-  // UseScheduler — against the current links.
+  // Mutating the state through this handle may change the link structure (e.g.
+  // EventLog::MoveEventToQueue reassigning an event), and the schedule's coloring and
+  // move geometry are functions of the links. So this marks the schedule stale, and the
+  // next Sweep rebuilds it against the current links.
   EventLog& MutableState() {
-    rebuilt_for_ = nullptr;
+    schedule_stale_ = true;
     return state_;
   }
 
@@ -81,19 +79,6 @@ class GibbsSampler {
   // the batched kernel. Consumes exactly one NextU64 from `rng` per sweep, which seeds
   // the per-bucket streams.
   void Sweep(Rng& rng);
-
-  // The scheduler sweeps run through: the caller-owned one, else the owned one (coloring
-  // diagnostics). Its schedule is built by the first Sweep.
-  const ShardedSweepScheduler* Scheduler() const {
-    return external_scheduler_ != nullptr ? external_scheduler_ : &scheduler_;
-  }
-
-  // Drives sweeps through a caller-owned scheduler, Rebuilt here against this sampler's
-  // trace. The schedule, and so every sampled value, is the same as with the owned one;
-  // a caller that builds a sampler per trace can hand each the same scheduler, so
-  // rescheduling reuses its buffers. Non-owning: `scheduler` must outlive the sampler;
-  // nullptr detaches.
-  void UseScheduler(ShardedSweepScheduler* scheduler);
 
   // Fused M-step sufficient statistics. When enabled, every sweep keeps a per-event
   // service-time cache coherent at move scatter, and PerQueueServiceSumsInto re-derives
@@ -119,10 +104,7 @@ class GibbsSampler {
   double LogJointExponential() const;
 
  private:
-  // The scheduler Sweep routes through: the caller-owned one, else the owned one. Rebuilt
-  // first unless it already holds this trace's current links.
-  ShardedSweepScheduler* EffectiveScheduler();
-  void RebuildSchedule(ShardedSweepScheduler& scheduler);
+  void RebuildSchedule();
 
   EventLog state_;
   std::vector<double> rates_;
@@ -131,10 +113,9 @@ class GibbsSampler {
   std::vector<SweepMove> final_moves_;
   std::vector<SweepMove> schedule_input_;  // SweepMoves(), reused by every Rebuild
   ShardedSweepScheduler scheduler_;
-  ShardedSweepScheduler* external_scheduler_ = nullptr;
-  // The scheduler last rebuilt on the current links; null once MutableState() or
-  // Retarget may have changed them.
-  const ShardedSweepScheduler* rebuilt_for_ = nullptr;
+  // Set once MutableState() or Retarget may have changed the links scheduler_ was built
+  // on; the next Sweep rebuilds it.
+  bool schedule_stale_ = true;
   // Per-event service times, kept coherent by move scatter when tracking is enabled.
   std::vector<double> service_cache_;
   // Batched-kernel tile scratch.

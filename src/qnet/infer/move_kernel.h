@@ -4,8 +4,8 @@
 // conditional on the feasible window, sample, write the new time(s) back in place.
 // BatchedExponentialMoveKernel realizes it with the paper's exact piecewise-exponential
 // conditional (Figure 3), one conflict-free bucket of the colored schedule at a time, in
-// SIMD-width tiles. Every sweep — GibbsSampler's, and through it StEM's and the parallel
-// chains' — runs this kernel over ShardedSweepScheduler::RunBuckets.
+// SIMD-width tiles. Every sweep — GibbsSampler's, and through it StEM's — runs this
+// kernel over ShardedSweepScheduler::RunBuckets.
 //
 // Contracts:
 //  * RunBucket is const and touches only its moves' footprints

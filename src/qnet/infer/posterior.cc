@@ -1,7 +1,5 @@
 #include "qnet/infer/posterior.h"
 
-#include "qnet/infer/diagnostics.h"
-#include "qnet/infer/initializer.h"
 #include "qnet/support/check.h"
 #include "qnet/support/math.h"
 
@@ -106,44 +104,6 @@ const std::vector<double>& PosteriorSummary::WaitSeries(int queue) const {
   QNET_CHECK(queue >= 0 && static_cast<std::size_t>(queue) < wait_series_.size(),
              "bad queue id");
   return wait_series_[static_cast<std::size_t>(queue)];
-}
-
-MultiChainResult RunMultiChainGibbs(const EventLog& truth, const Observation& obs,
-                                    const std::vector<double>& rates, Rng& rng,
-                                    const MultiChainOptions& options) {
-  QNET_CHECK(options.chains >= 2, "need at least two chains for R-hat");
-  QNET_CHECK(options.sweeps > options.burn_in, "sweeps must exceed burn-in");
-  const int num_queues = truth.NumQueues();
-  MultiChainResult result(num_queues);
-
-  std::vector<PosteriorSummary> chains;
-  for (std::size_t c = 0; c < options.chains; ++c) {
-    Rng chain_rng = rng.Fork();
-    // Independent random initializations diversify the chain starts.
-    GibbsSampler sampler(InitializeFeasible(truth, obs, rates, chain_rng), obs, rates,
-                         options.gibbs);
-    PosteriorSummary summary(num_queues);
-    for (std::size_t sweep = 0; sweep < options.sweeps; ++sweep) {
-      sampler.Sweep(chain_rng);
-      if (sweep >= options.burn_in) {
-        summary.Accumulate(sampler.State());
-        result.pooled.Accumulate(sampler.State());
-      }
-    }
-    chains.push_back(std::move(summary));
-  }
-
-  result.r_hat_service.assign(static_cast<std::size_t>(num_queues), 1.0);
-  for (int q = 1; q < num_queues; ++q) {
-    std::vector<std::vector<double>> series;
-    for (const auto& chain : chains) {
-      series.push_back(chain.ServiceSeries(q));
-    }
-    const double r_hat = GelmanRubin(series);
-    result.r_hat_service[static_cast<std::size_t>(q)] = r_hat;
-    result.max_r_hat = std::max(result.max_r_hat, r_hat);
-  }
-  return result;
 }
 
 }  // namespace qnet

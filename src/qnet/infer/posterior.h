@@ -1,8 +1,9 @@
 // Posterior summaries over Gibbs samples: per-queue mean/quantile estimates of service and
-// waiting times with credible intervals, plus a multi-chain runner that assesses
-// convergence with the Gelman-Rubin statistic. This turns the point estimates of the paper
-// into calibrated interval estimates — a capability the graphical-models viewpoint gives
-// for free and the classical analyses cannot provide.
+// waiting times with credible intervals. This turns the point estimates of the paper into
+// interval estimates — a capability the graphical-models viewpoint gives for free and the
+// classical analyses cannot provide. Feed it one GibbsSampler chain's post-burn-in states
+// (Accumulate after each Sweep); ParameterPosterior::FromSummary turns its draws into
+// scenario-engine input.
 
 #ifndef QNET_INFER_POSTERIOR_H_
 #define QNET_INFER_POSTERIOR_H_
@@ -10,10 +11,7 @@
 #include <cstddef>
 #include <vector>
 
-#include "qnet/infer/gibbs.h"
 #include "qnet/model/event.h"
-#include "qnet/obs/observation.h"
-#include "qnet/support/rng.h"
 
 namespace qnet {
 
@@ -27,8 +25,8 @@ class PosteriorSummary {
   void Accumulate(const EventLog& state);
 
   // Appends another summary's draws after this one's (chain-order pooling). Deterministic:
-  // merging the same summaries in the same order always yields identical series, which is
-  // what makes the parallel-chains engine's pooled output independent of thread timing.
+  // merging the same summaries in the same order always yields identical series, so a
+  // pool of chains is independent of the order in which the chains finished.
   void Merge(const PosteriorSummary& other);
 
   std::size_t NumSamples() const { return num_samples_; }
@@ -49,11 +47,10 @@ class PosteriorSummary {
   // reciprocal of that sweep's per-queue mean service time — the complete-data MLE
   // theta-hat(E_i) of the imputed event set, with index 0 the arrival rate lambda (queue
   // 0's "service" is the interarrival process). Draws are indexed in accumulation order
-  // (after Merge: chain-order, matching the parallel-chains pooling contract) and carry
-  // the usual MCMC autocorrelation — thin before treating them as independent. By
-  // construction 1/RateDraw(i) agrees with ServiceSeries(q)[i], so draw moments and
-  // quantiles are consistent with MeanService()/ServiceQuantile() on the reciprocal
-  // scale; tests pin this.
+  // (after Merge: chain order) and carry the usual MCMC autocorrelation — thin before
+  // treating them as independent. By construction 1/RateDraw(i) agrees with
+  // ServiceSeries(q)[i], so draw moments and quantiles are consistent with
+  // MeanService()/ServiceQuantile() on the reciprocal scale; tests pin this.
   std::vector<double> RateDraw(std::size_t draw) const;
 
  private:
@@ -63,29 +60,6 @@ class PosteriorSummary {
   std::vector<std::vector<double>> wait_series_;
   std::vector<std::vector<double>> tail_series_;
 };
-
-struct MultiChainOptions {
-  std::size_t chains = 4;
-  std::size_t sweeps = 200;
-  std::size_t burn_in = 50;
-  GibbsOptions gibbs;
-};
-
-struct MultiChainResult {
-  // Pooled posterior summary across chains (post burn-in).
-  PosteriorSummary pooled;
-  // Per-queue Gelman-Rubin statistics on the mean-service series.
-  std::vector<double> r_hat_service;
-  // Largest R-hat across queues (values near 1 indicate convergence).
-  double max_r_hat = 0.0;
-
-  explicit MultiChainResult(int num_queues) : pooled(num_queues) {}
-};
-
-// Runs several independently-initialized Gibbs chains at fixed rates and summarizes them.
-MultiChainResult RunMultiChainGibbs(const EventLog& truth, const Observation& obs,
-                                    const std::vector<double>& rates, Rng& rng,
-                                    const MultiChainOptions& options = {});
 
 }  // namespace qnet
 

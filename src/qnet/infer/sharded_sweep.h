@@ -24,8 +24,8 @@
 // parallel to the schedule. A bucket therefore arrives with its moves' neighbour ids, and
 // the batched kernel's sweeps read only times. The geometry is a function of the links,
 // so a schedule is only valid for the link structure it was rebuilt on: whoever changes
-// the links (route Metropolis-Hastings through GibbsSampler::MutableState) must Rebuild
-// before the next sweep.
+// the links must Rebuild before the next sweep (GibbsSampler does so after any change
+// through MutableState).
 
 #ifndef QNET_INFER_SHARDED_SWEEP_H_
 #define QNET_INFER_SHARDED_SWEEP_H_

@@ -67,9 +67,6 @@ StemResult StemEstimator::Run(const EventLog& truth, const Observation& obs,
   InitializeFeasibleInto(truth, obs, init_rates, rng, options_.init, ws.init_,
                          gibbs.MutableState());
   gibbs.Retarget(obs, init_rates, options_.gibbs);
-  if (options_.scheduler_cache != nullptr) {
-    gibbs.UseScheduler(options_.scheduler_cache);
-  }
   // Fused sufficient statistics: sweeps keep the per-event service cache coherent, so the
   // per-iteration M-step reads per-queue sums off the cache (bit-equal to the historical
   // PerQueueServiceSum scan) and the counts — constant under the fixed link structure —

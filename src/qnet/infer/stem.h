@@ -62,11 +62,9 @@ struct StemOptions {
   // Sweeps always run one shard on the caller's thread; kept only for
   // perfbench/src/traced.cc's check, like GibbsOptions::batched.
   static constexpr bool sharded_sweeps = false;
-  // Caller-owned scheduler this run's sampler is rebuilt onto (see
-  // GibbsSampler::UseScheduler); the estimate is the same with or without it. A
-  // StemWorkspace's sampler already keeps its schedule buffers across runs, so this
-  // helps only callers that run without a workspace. Non-owning; runs sharing a cache
-  // must not execute concurrently.
+  // Has no effect: the sampler always sweeps on its own schedule, which a StemWorkspace
+  // keeps across runs. Kept assignable only for perfbench/src/traced.cc, like
+  // ShardedSweepOptions::{shards, threads}.
   ShardedSweepScheduler* scheduler_cache = nullptr;
 };
 

@@ -1,13 +1,14 @@
-// Fork-join helper shared by the sampling engines.
+// Thread helpers for coarse work units: a fork-join loop (the scenario engine's cells)
+// and a one-deep pipeline stage (a StEM lane of a multi-lane fleet).
 //
-// The static item -> thread partition (item i runs on thread i mod T) makes the work
-// assignment — and therefore any per-item RNG stream consumption — a pure function of
-// (items, threads), never of scheduling. Worker exceptions are captured per thread and
-// the first (by thread index) is rethrown after join, so a QNET_CHECK failure inside a
-// worker surfaces to the caller instead of terminating the process.
+// RunOnThreadPool's static item -> worker partition (item i runs on worker i mod W) makes
+// the work assignment — and therefore any per-item RNG stream consumption — a pure
+// function of (items, threads), never of scheduling. Worker exceptions are captured per
+// worker and the first (by worker index) is rethrown after join, so a QNET_CHECK failure
+// inside a worker surfaces to the caller instead of terminating the process.
 //
-// This spawn-per-call helper fits coarse work units (a whole chain per item, as in
-// parallel_chains). It is not meant for fine-grained repeated dispatch — e.g. one sweep
+// Both spawn threads per call, which fits coarse work units (a whole scenario cell, a
+// whole lane). They are not meant for fine-grained repeated dispatch — e.g. one sweep
 // per call, many thousands of calls — where spawning threads costs as much as the work.
 
 #ifndef QNET_INFER_THREAD_POOL_H_
@@ -24,21 +25,19 @@
 
 namespace qnet {
 
-// Worker count for `items` work units: `requested`, or the hardware concurrency when it
-// is 0, capped at `items` and at least 1.
-inline std::size_t ResolveThreadCount(std::size_t requested, std::size_t items) {
-  if (requested == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    requested = hw == 0 ? 1 : static_cast<std::size_t>(hw);
-  }
-  return std::max<std::size_t>(1, std::min(requested, items));
+// The number of workers RunOnThreadPool starts: `threads`, capped at `items` (a worker
+// with no item is never started), and at least 1.
+inline std::size_t PoolWorkers(std::size_t items, std::size_t threads) {
+  return std::max<std::size_t>(1, std::min(threads, items));
 }
 
-// Runs work(i) for every i in [0, items) on a static round-robin partition over T
-// threads. threads <= 1 degenerates to a plain sequential loop on the calling thread.
+// Runs work(i) for every i in [0, items) on a static round-robin partition over
+// W = PoolWorkers(items, threads) workers: item i runs on worker i mod W. W == 1 is a
+// plain sequential loop on the calling thread.
 template <typename Work>
 void RunOnThreadPool(std::size_t items, std::size_t threads, const Work& work) {
-  if (threads <= 1) {
+  threads = PoolWorkers(items, threads);
+  if (threads == 1) {
     for (std::size_t i = 0; i < items; ++i) {
       work(i);
     }

@@ -155,9 +155,10 @@ class EventLog {
 
   // Reassigns event e to `new_queue`, splicing it out of its current queue's arrival order
   // and into the new queue's order at the position given by its (unchanged) arrival time.
-  // Used by the Metropolis-Hastings route-resampling move (paper Section 3: resampling
-  // unknown FSM paths); the caller is responsible for accept/reject — this method only
-  // requires the new position to respect arrival order, not FIFO feasibility.
+  // The building block of resampling unknown FSM paths (paper Section 3). It only
+  // requires the new position to respect arrival order, not FIFO feasibility; checking
+  // that is the caller's job. A GibbsSampler whose state is changed this way (through
+  // MutableState()) rebuilds its schedule before the next sweep.
   void MoveEventToQueue(EventId e, int new_queue);
 
   // --- Shape -------------------------------------------------------------------------

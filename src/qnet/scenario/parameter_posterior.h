@@ -3,8 +3,8 @@
 // posterior uncertainty instead of a point estimate.
 //
 // Sources:
-//  * FromSummary — one draw per accumulated Gibbs sweep via PosteriorSummary::RateDraw
-//    (the fitted-rates path of RunParallelChains / RunMultiChainGibbs);
+//  * FromSummary — one draw per accumulated Gibbs sweep via PosteriorSummary::RateDraw,
+//    in accumulation order (a GibbsSampler chain at fixed rates feeding a summary);
 //  * FromStem — the post-burn-in StEM iterates theta_t of StemResult::rate_trace, which
 //    are the sampler's stationary parameter draws (approximate posterior samples up to
 //    the StEM perturbation);

@@ -344,8 +344,9 @@ ScenarioReport ScenarioEngine::Evaluate(const QueueingNetwork& base,
   }
 
   // One persistent workspace per worker; the static RunOnThreadPool partition maps
-  // cell i to worker i % threads, so each workspace is touched by exactly one thread.
-  const std::size_t num_workers = std::max<std::size_t>(1, options_.threads);
+  // cell i to worker i % num_workers, so each workspace is touched by exactly one
+  // thread. A grid with fewer cells than threads starts (and sizes) one worker per cell.
+  const std::size_t num_workers = PoolWorkers(grid.NumCells(), options_.threads);
   while (workspaces_.size() < num_workers) {
     workspaces_.push_back(std::make_unique<ScenarioCellWorkspace>());
   }

@@ -110,7 +110,8 @@ struct ScenarioEngineOptions {
   double band_hi = 0.95;
   // Per-draw end-to-end latency tail quantile reported as tail_response.
   double tail_quantile = 0.95;
-  // Worker threads sharding cells; results are bit-identical for every value.
+  // Worker threads sharding cells, capped at the cell count; results are bit-identical
+  // for every value.
   std::size_t threads = 1;
   // Attach the analytic steady-state cross-check to each cell.
   bool analytic = true;
@@ -162,7 +163,7 @@ class ScenarioEngine {
  private:
   ScenarioEngineOptions options_;
   Stats stats_;
-  // One workspace per worker thread, indexed by (cell index % threads) — the static
+  // One workspace per worker thread, indexed by (cell index % workers) — the static
   // RunOnThreadPool partition guarantees exclusive ownership per worker.
   std::vector<std::unique_ptr<ScenarioCellWorkspace>> workspaces_;
 };

@@ -8,7 +8,7 @@
 // zero records in the window answers immediately with an empty fit, so idle lanes never
 // stall the fleet.
 //
-// Pooling discipline (the chain-order Merge discipline of parallel_chains, applied to
+// Pooling discipline (PosteriorSummary::Merge's chain-order discipline, applied to
 // lanes): contributions are combined in lane-index order — a pure function of the fits,
 // never of which lane answered first — with documented weights:
 //   * lambda (rates[0]) SUMS across lanes: each lane observes an independent

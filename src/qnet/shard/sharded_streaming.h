@@ -49,8 +49,7 @@
 // are therefore bit-identical across repeated runs for a FIXED K. Across DIFFERENT K the
 // estimates are statistically consistent but not bit-identical: each lane fits its own
 // hash-thinned sub-stream (the mean-field-flavored decomposition that buys horizontal
-// scaling), so K, like the chain count in parallel_chains, is part of the estimator's
-// statistical definition. The merge weighting (lambda sums; service rates and waits
+// scaling), so K is part of the estimator's statistical definition. The merge weighting (lambda sums; service rates and waits
 // task-count-weighted) is documented in shard/lane_merger.h.
 
 #ifndef QNET_SHARD_SHARDED_STREAMING_H_

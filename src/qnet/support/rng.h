@@ -120,8 +120,8 @@ inline std::size_t Rng::Categorical(std::span<const double> weights) {
 // Deterministically combines a seed with a salt (one SplitMix64 step over a golden-ratio
 // offset of the pair). Distinct salts yield distinct, well-mixed seeds for the same base
 // seed — used to derive independent per-color-class streams from a per-sweep seed, so
-// that a sweep is a pure function of (seed, color), and per-chain, per-lane and per-cell
-// streams from a run seed, never of scheduling.
+// that a sweep is a pure function of (seed, color), and per-lane and per-cell streams
+// from a run seed, never of scheduling.
 std::uint64_t MixSeed(std::uint64_t seed, std::uint64_t salt);
 
 // One SplitMix64 step: advances `x` and returns the mixed output. This is the seeding

@@ -1,5 +1,5 @@
 // Tests for the event-graph data structure: link construction, derived quantities, the
-// feasibility checker, and the joint density of eq. (1).
+// feasibility checker, the joint density of eq. (1), and queue reassignment.
 
 #include "qnet/model/event.h"
 
@@ -10,8 +10,10 @@
 
 #include "qnet/dist/exponential.h"
 #include "qnet/model/builders.h"
+#include "qnet/sim/simulator.h"
 #include "qnet/support/check.h"
 #include "qnet/support/logspace.h"
+#include "qnet/support/rng.h"
 
 namespace qnet {
 namespace {
@@ -179,6 +181,50 @@ TEST(EventLog, CopyIsIndependent) {
   copy.SetDeparture(copy.TaskEvents(0)[1], 3.3);
   EXPECT_DOUBLE_EQ(log.Departure(log.TaskEvents(0)[1]), 3.0);
   EXPECT_DOUBLE_EQ(copy.Departure(copy.TaskEvents(0)[1]), 3.3);
+}
+
+TEST(MoveEventToQueue, SpliceAndRestoreRoundTrips) {
+  ThreeTierConfig config;
+  config.tier_sizes = {2, 2};
+  const QueueingNetwork net = MakeThreeTierNetwork(config);
+  Rng rng(3);
+  EventLog log = SimulateWorkload(net, PoissonArrivals(10.0, 60), rng);
+  // Pick a tier-0 event and bounce it between the two tier-0 servers.
+  EventId target = kNoEvent;
+  for (EventId e = 0; static_cast<std::size_t>(e) < log.NumEvents(); ++e) {
+    if (!log.At(e).initial && log.At(e).queue == 1) {
+      target = e;
+      break;
+    }
+  }
+  ASSERT_NE(target, kNoEvent);
+  const auto order1_before = log.QueueOrder(1);
+  const auto order2_before = log.QueueOrder(2);
+  log.MoveEventToQueue(target, 2);
+  EXPECT_EQ(log.At(target).queue, 2);
+  EXPECT_EQ(log.QueueOrder(1).size(), order1_before.size() - 1);
+  EXPECT_EQ(log.QueueOrder(2).size(), order2_before.size() + 1);
+  // Arrival order still sorted in both queues.
+  for (int q : {1, 2}) {
+    const auto& order = log.QueueOrder(q);
+    for (std::size_t i = 1; i < order.size(); ++i) {
+      EXPECT_LE(log.At(order[i - 1]).arrival, log.At(order[i]).arrival);
+      EXPECT_EQ(log.At(order[i]).rho, order[i - 1]);
+      EXPECT_EQ(log.At(order[i - 1]).nu, order[i]);
+    }
+  }
+  // Moving back restores the original structure exactly.
+  log.MoveEventToQueue(target, 1);
+  EXPECT_EQ(log.QueueOrder(1), order1_before);
+  EXPECT_EQ(log.QueueOrder(2), order2_before);
+}
+
+TEST(MoveEventToQueue, GuardsMisuse) {
+  const QueueingNetwork net = MakeTandemNetwork(2.0, {4.0, 4.0});
+  Rng rng(5);
+  EventLog log = SimulateWorkload(net, PoissonArrivals(2.0, 10), rng);
+  EXPECT_THROW(log.MoveEventToQueue(log.TaskEvents(0)[0], 2), Error);  // initial event
+  EXPECT_THROW(log.MoveEventToQueue(log.TaskEvents(0)[1], 0), Error);  // arrival queue
 }
 
 }  // namespace

@@ -166,5 +166,66 @@ TEST(Gibbs, RejectsMismatchedRates) {
   EXPECT_THROW(sampler.SetRates(std::vector<double>{1.0, -2.0}), Error);
 }
 
+// Rerouting an event through MutableState() changes the link structure that the sweep
+// schedule's coloring and move geometry were built on. The next Sweep must rebuild the
+// schedule, so further sweeps equal, bit for bit, those of a sampler freshly built on the
+// rerouted state with the same RNG.
+TEST(Gibbs, SweepsAfterRerouteMatchAFreshSampler) {
+  ThreeTierConfig config;
+  config.tier_sizes = {1, 3};
+  const QueueingNetwork net = MakeThreeTierNetwork(config);
+  const auto rates = net.ExponentialRates();
+  Rng setup_rng(17);
+  const EventLog truth = SimulateWorkload(net, PoissonArrivals(10.0, 150), setup_rng);
+  TaskSamplingScheme scheme;
+  scheme.fraction = 0.3;
+  const Observation obs = scheme.Apply(truth, setup_rng);
+  GibbsSampler sampler(InitializeFeasible(truth, obs, rates, setup_rng), obs, rates);
+  Rng rng(23);
+  for (int sweep = 0; sweep < 3; ++sweep) {
+    sampler.Sweep(rng);
+  }
+
+  // Move one latent event to another replica of its tier (queues 2..4), keeping the
+  // first move whose times stay FIFO-feasible on the new queue.
+  std::vector<char> task_observed(static_cast<std::size_t>(truth.NumTasks()), 0);
+  for (int task : obs.observed_tasks) {
+    task_observed[static_cast<std::size_t>(task)] = 1;
+  }
+  EventLog& state = sampler.MutableState();
+  bool rerouted = false;
+  for (EventId e = 0; !rerouted && static_cast<std::size_t>(e) < state.NumEvents(); ++e) {
+    const Event& event = state.At(e);
+    if (event.queue < 2 || task_observed[static_cast<std::size_t>(event.task)] != 0) {
+      continue;
+    }
+    const int from = event.queue;
+    for (int to = 2; to <= 4 && !rerouted; ++to) {
+      if (to == from) {
+        continue;
+      }
+      state.MoveEventToQueue(e, to);
+      rerouted = state.IsFeasible(1e-6);
+      if (!rerouted) {
+        state.MoveEventToQueue(e, from);
+      }
+    }
+  }
+  ASSERT_TRUE(rerouted) << "no feasible reroute, nothing to test";
+
+  GibbsSampler fresh(sampler.State(), obs, rates);
+  Rng rng_fresh = rng;
+  for (int sweep = 0; sweep < 4; ++sweep) {
+    sampler.Sweep(rng);
+    fresh.Sweep(rng_fresh);
+  }
+  for (EventId e = 0; static_cast<std::size_t>(e) < truth.NumEvents(); ++e) {
+    ASSERT_EQ(sampler.State().Arrival(e), fresh.State().Arrival(e)) << "event " << e;
+    ASSERT_EQ(sampler.State().Departure(e), fresh.State().Departure(e)) << "event " << e;
+  }
+  std::string why;
+  EXPECT_TRUE(sampler.State().IsFeasible(1e-6, &why)) << why;
+}
+
 }  // namespace
 }  // namespace qnet

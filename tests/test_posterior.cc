@@ -1,9 +1,10 @@
-// Posterior summaries and multi-chain convergence assessment.
+// Posterior summaries over Gibbs chains: accumulation, credible intervals, rate draws.
 
 #include "qnet/infer/posterior.h"
 
 #include <gtest/gtest.h>
 
+#include "qnet/infer/gibbs.h"
 #include "qnet/infer/initializer.h"
 #include "qnet/model/builders.h"
 #include "qnet/obs/observation.h"
@@ -30,7 +31,23 @@ TEST(PosteriorSummary, AccumulatesAndSummarizes) {
   EXPECT_THROW(summary.ServiceSeries(7), Error);
 }
 
-TEST(MultiChain, ConvergesWithRhatNearOne) {
+// One Gibbs chain at fixed rates feeding a PosteriorSummary: `sweeps` sweeps from a
+// random feasible start, the first `burn_in` discarded.
+PosteriorSummary RunChain(const EventLog& truth, const Observation& obs,
+                          const std::vector<double>& rates, Rng& rng, int sweeps,
+                          int burn_in) {
+  GibbsSampler sampler(InitializeFeasible(truth, obs, rates, rng), obs, rates);
+  PosteriorSummary summary(truth.NumQueues());
+  for (int sweep = 0; sweep < sweeps; ++sweep) {
+    sampler.Sweep(rng);
+    if (sweep >= burn_in) {
+      summary.Accumulate(sampler.State());
+    }
+  }
+  return summary;
+}
+
+TEST(PosteriorSummary, OneChainMeanIsNearTruthAndInsideItsInterval) {
   const QueueingNetwork net = MakeTandemNetwork(2.0, {4.0, 3.0});
   const auto rates = net.ExponentialRates();
   Rng rng(5);
@@ -39,23 +56,18 @@ TEST(MultiChain, ConvergesWithRhatNearOne) {
   scheme.fraction = 0.3;
   const Observation obs = scheme.Apply(truth, rng);
 
-  MultiChainOptions options;
-  options.chains = 3;
-  options.sweeps = 150;
-  options.burn_in = 50;
-  const MultiChainResult result = RunMultiChainGibbs(truth, obs, rates, rng, options);
-  EXPECT_LT(result.max_r_hat, 1.3);
-  EXPECT_EQ(result.pooled.NumSamples(), 3u * 100u);
-  // Pooled posterior mean near the realized truth.
-  EXPECT_NEAR(result.pooled.MeanService()[1], truth.PerQueueMeanService()[1], 0.06);
+  const PosteriorSummary summary = RunChain(truth, obs, rates, rng, 350, 50);
+  EXPECT_EQ(summary.NumSamples(), 300u);
+  // Posterior mean near the realized truth.
+  EXPECT_NEAR(summary.MeanService()[1], truth.PerQueueMeanService()[1], 0.06);
   // Credible interval brackets the posterior mean.
-  const auto lo = result.pooled.ServiceQuantile(0.05);
-  const auto hi = result.pooled.ServiceQuantile(0.95);
-  EXPECT_LT(lo[1], result.pooled.MeanService()[1]);
-  EXPECT_GT(hi[1], result.pooled.MeanService()[1]);
+  const auto lo = summary.ServiceQuantile(0.05);
+  const auto hi = summary.ServiceQuantile(0.95);
+  EXPECT_LT(lo[1], summary.MeanService()[1]);
+  EXPECT_GT(hi[1], summary.MeanService()[1]);
 }
 
-TEST(MultiChain, IntervalWidthShrinksWithMoreData) {
+TEST(PosteriorSummary, OneChainIntervalWidthShrinksWithMoreData) {
   // Credible intervals at 60% observed should be no wider than at 10% observed.
   const QueueingNetwork net = MakeSingleQueueNetwork(2.0, 5.0);
   const auto rates = net.ExponentialRates();
@@ -65,12 +77,8 @@ TEST(MultiChain, IntervalWidthShrinksWithMoreData) {
     TaskSamplingScheme scheme;
     scheme.fraction = fraction;
     const Observation obs = scheme.Apply(truth, rng);
-    MultiChainOptions options;
-    options.chains = 2;
-    options.sweeps = 120;
-    options.burn_in = 40;
-    const MultiChainResult result = RunMultiChainGibbs(truth, obs, rates, rng, options);
-    return result.pooled.ServiceQuantile(0.95)[1] - result.pooled.ServiceQuantile(0.05)[1];
+    const PosteriorSummary summary = RunChain(truth, obs, rates, rng, 200, 40);
+    return summary.ServiceQuantile(0.95)[1] - summary.ServiceQuantile(0.05)[1];
   };
   EXPECT_LT(width_at(0.6), width_at(0.1) + 1e-6);
 }
@@ -85,14 +93,7 @@ TEST(PosteriorSummary, TailResponseEstimateTracksRealizedP95) {
   TaskSamplingScheme scheme;
   scheme.fraction = 0.3;
   const Observation obs = scheme.Apply(truth, rng);
-  GibbsSampler sampler(InitializeFeasible(truth, obs, rates, rng), obs, rates);
-  PosteriorSummary summary(net.NumQueues(), 0.95);
-  for (int sweep = 0; sweep < 120; ++sweep) {
-    sampler.Sweep(rng);
-    if (sweep >= 40) {
-      summary.Accumulate(sampler.State());
-    }
-  }
+  const PosteriorSummary summary = RunChain(truth, obs, rates, rng, 120, 40);
   const double realized_p95 = truth.PerQueueResponseQuantile(0.95)[1];
   EXPECT_NEAR(summary.MeanTailResponse()[1], realized_p95, 0.3 * realized_p95);
 }
@@ -157,16 +158,6 @@ TEST(PosteriorSummary, RateDrawsSurviveMergeInChainOrder) {
   ASSERT_EQ(first.NumSamples(), 2u);
   EXPECT_DOUBLE_EQ(first.RateDraw(0)[1], 1.0 / log_a.PerQueueMeanService()[1]);
   EXPECT_DOUBLE_EQ(first.RateDraw(1)[1], 1.0 / log_b.PerQueueMeanService()[1]);
-}
-
-TEST(MultiChain, GuardsBadOptions) {
-  const QueueingNetwork net = MakeSingleQueueNetwork(2.0, 5.0);
-  Rng rng(9);
-  const EventLog truth = SimulateWorkload(net, PoissonArrivals(2.0, 20), rng);
-  const Observation obs = Observation::FullyObserved(truth);
-  MultiChainOptions options;
-  options.chains = 1;
-  EXPECT_THROW(RunMultiChainGibbs(truth, obs, net.ExponentialRates(), rng, options), Error);
 }
 
 }  // namespace

@@ -141,6 +141,22 @@ TEST(ParameterPosterior, SourcesAgreeOnShapeAndMoments) {
   EXPECT_THROW(ParameterPosterior::FromPoint({2.0, -1.0}), Error); // nonpositive
 }
 
+TEST(ParameterPosterior, FromSummaryTakesTheRateDrawsInAccumulationOrder) {
+  const QueueingNetwork net = MakeTandemNetwork(2.0, {4.0, 3.0});
+  Rng rng(31);
+  PosteriorSummary summary(net.NumQueues());
+  EXPECT_THROW(ParameterPosterior::FromSummary(summary), Error);  // no draws yet
+  for (int i = 0; i < 4; ++i) {
+    summary.Accumulate(SimulateWorkload(net, PoissonArrivals(2.0, 60), rng));
+  }
+  const ParameterPosterior posterior = ParameterPosterior::FromSummary(summary);
+  ASSERT_EQ(posterior.NumDraws(), summary.NumSamples());
+  EXPECT_EQ(posterior.NumQueues(), net.NumQueues());
+  for (std::size_t i = 0; i < posterior.NumDraws(); ++i) {
+    EXPECT_EQ(posterior.Draw(i), summary.RateDraw(i)) << "draw " << i;
+  }
+}
+
 ScenarioReport EvaluateTandem(std::size_t threads, bool crn = false) {
   const QueueingNetwork base = MakeTandemNetwork(1.5, {6.0, 4.0});
   StemResult stem;
@@ -160,8 +176,11 @@ TEST(ScenarioEngine, ReportsBitIdenticalAcrossThreadCounts) {
   const ScenarioReport one = EvaluateTandem(1);
   const ScenarioReport two = EvaluateTandem(2);
   const ScenarioReport four = EvaluateTandem(4);
+  // More threads than the grid's 6 cells: one worker per cell.
+  const ScenarioReport eight = EvaluateTandem(8);
   EXPECT_EQ(one, two);
   EXPECT_EQ(one, four);
+  EXPECT_EQ(one, eight);
   // The serialized bytes are the determinism contract CI cares about — compare them too.
   std::ostringstream s1, s4;
   WriteScenarioReport(s1, one);

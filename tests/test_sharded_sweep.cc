@@ -280,12 +280,13 @@ TEST(ShardedSweep, RejectsShardsOrThreadsOtherThanOne) {
 
 // --- Driver integration ----------------------------------------------------------------
 
-TEST(ShardedSweep, ReusedStemWorkspaceMatchesAFreshRunPerWindow) {
-  // One lane's windows, in sequence through one workspace and one scheduler cache: a
-  // small window, a ten times larger one, then a small one again (the workspace's
-  // buffers grow, then are reused at a smaller size). Every window must equal a fresh
-  // StemEstimator::Run bit for bit, final latent state included, with the schedule, its
-  // geometry and the tile scratch shared across windows.
+TEST(ShardedSweep, ReusedStemWorkspaceMatchesAFreshRunWithOrWithoutSchedulerCache) {
+  // One lane's windows, in sequence through one workspace: a small window, a ten times
+  // larger one, then a small one again (the workspace's buffers grow, then are reused at
+  // a smaller size). Each window is fitted twice on the shared workspace, without and
+  // then with StemOptions::scheduler_cache assigned, which has no effect. Every fit must
+  // equal fresh StemEstimator::Runs without the field bit for bit, final latent state
+  // included, and the assigned scheduler must stay untouched.
   ThreeTierConfig config;
   config.tier_sizes = {1, 2, 4};
   config.arrival_rate = 10.0;
@@ -305,9 +306,6 @@ TEST(ShardedSweep, ReusedStemWorkspaceMatchesAFreshRunPerWindow) {
   StemWorkspace workspace;
   for (std::size_t w = 0; w < windows.size(); ++w) {
     const Fixture& window = windows[w];
-    Rng reused_rng(900 + w);
-    const StemResult reused = StemEstimator(cached).Run(window.truth, window.obs,
-                                                        window.rates, reused_rng, workspace);
     Rng fresh_rng(900 + w);
     StemWorkspace fresh_workspace;
     const StemResult fresh = StemEstimator(options).Run(window.truth, window.obs,
@@ -316,64 +314,33 @@ TEST(ShardedSweep, ReusedStemWorkspaceMatchesAFreshRunPerWindow) {
     Rng plain_rng(900 + w);
     const StemResult plain =
         StemEstimator(options).Run(window.truth, window.obs, window.rates, plain_rng);
-    for (const StemResult* other : {&fresh, &plain}) {
-      EXPECT_EQ(reused.rates, other->rates) << "window " << w;
-      EXPECT_EQ(reused.mean_service, other->mean_service) << "window " << w;
-      EXPECT_EQ(reused.mean_wait, other->mean_wait) << "window " << w;
-      EXPECT_EQ(reused.rate_trace, other->rate_trace) << "window " << w;
-      EXPECT_EQ(reused.iterations_run, other->iterations_run) << "window " << w;
-      EXPECT_EQ(reused.latent_arrivals, other->latent_arrivals) << "window " << w;
+    for (const StemOptions* reused_options : {&options, &cached}) {
+      SCOPED_TRACE(testing::Message() << "window " << w << " scheduler_cache "
+                                      << (reused_options->scheduler_cache != nullptr));
+      Rng reused_rng(900 + w);
+      const StemResult reused = StemEstimator(*reused_options).Run(
+          window.truth, window.obs, window.rates, reused_rng, workspace);
+      for (const StemResult* other : {&fresh, &plain}) {
+        EXPECT_EQ(reused.rates, other->rates);
+        EXPECT_EQ(reused.mean_service, other->mean_service);
+        EXPECT_EQ(reused.mean_wait, other->mean_wait);
+        EXPECT_EQ(reused.rate_trace, other->rate_trace);
+        EXPECT_EQ(reused.iterations_run, other->iterations_run);
+        EXPECT_EQ(reused.latent_arrivals, other->latent_arrivals);
+      }
+      EXPECT_EQ(reused_rng.NextU64(), Rng(plain_rng).NextU64());
+      const EventLog& a = workspace.State();
+      const EventLog& b = fresh_workspace.State();
+      ASSERT_EQ(a.NumEvents(), window.truth.NumEvents());
+      ASSERT_EQ(a.NumEvents(), b.NumEvents());
+      for (EventId e = 0; static_cast<std::size_t>(e) < a.NumEvents(); ++e) {
+        ASSERT_EQ(a.Arrival(e), b.Arrival(e)) << "event " << e;
+        ASSERT_EQ(a.Departure(e), b.Departure(e)) << "event " << e;
+      }
     }
-    EXPECT_EQ(reused_rng.NextU64(), plain_rng.NextU64()) << "window " << w;
-    const EventLog& a = workspace.State();
-    const EventLog& b = fresh_workspace.State();
-    ASSERT_EQ(a.NumEvents(), window.truth.NumEvents());
-    ASSERT_EQ(a.NumEvents(), b.NumEvents());
-    for (EventId e = 0; static_cast<std::size_t>(e) < a.NumEvents(); ++e) {
-      ASSERT_EQ(a.Arrival(e), b.Arrival(e)) << "window " << w << " event " << e;
-      ASSERT_EQ(a.Departure(e), b.Departure(e)) << "window " << w << " event " << e;
-    }
+    // Nothing was scheduled on the caller's scheduler.
+    EXPECT_EQ(cache.NumMoves(), 0u);
   }
-}
-
-TEST(ShardedSweep, PlainFitAfterCachedFitOnOneWorkspaceMatchesAFreshRun) {
-  // Retarget detaches a caller-owned scheduler, so a workspace that fits on its own
-  // schedule, then on a caller-owned one, then on its own again must give every fit
-  // exactly what a fresh workspace gives it: rates, rate trace and final latent state —
-  // and, the schedules being the same, the same estimate all three times.
-  const Fixture fixture = MakeTandemFixture(200, 0.2);
-  StemOptions plain;
-  plain.iterations = 16;
-  plain.burn_in = 6;
-  plain.wait_sweeps = 6;
-  StemOptions cached = plain;
-  ShardedSweepScheduler cache;
-  cached.scheduler_cache = &cache;
-  StemWorkspace workspace;
-  std::vector<std::vector<double>> fit_rates;
-  for (const StemOptions* options : {&plain, &cached, &plain}) {
-    SCOPED_TRACE(testing::Message() << "fit " << fit_rates.size());
-    Rng reused_rng(61);
-    const StemResult reused = StemEstimator(*options).Run(fixture.truth, fixture.obs,
-                                                          fixture.rates, reused_rng, workspace);
-    Rng fresh_rng(61);
-    StemWorkspace fresh_workspace;
-    const StemResult fresh = StemEstimator(*options).Run(
-        fixture.truth, fixture.obs, fixture.rates, fresh_rng, fresh_workspace);
-    EXPECT_EQ(reused.rates, fresh.rates);
-    EXPECT_EQ(reused.mean_wait, fresh.mean_wait);
-    EXPECT_EQ(reused.rate_trace, fresh.rate_trace);
-    const EventLog& a = workspace.State();
-    const EventLog& b = fresh_workspace.State();
-    ASSERT_EQ(a.NumEvents(), b.NumEvents());
-    for (EventId e = 0; static_cast<std::size_t>(e) < a.NumEvents(); ++e) {
-      ASSERT_EQ(a.Arrival(e), b.Arrival(e)) << "event " << e;
-      ASSERT_EQ(a.Departure(e), b.Departure(e)) << "event " << e;
-    }
-    fit_rates.push_back(reused.rates);
-  }
-  EXPECT_EQ(fit_rates[0], fit_rates[1]);
-  EXPECT_EQ(fit_rates[0], fit_rates[2]);
 }
 
 }  // namespace
