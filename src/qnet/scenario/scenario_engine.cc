@@ -301,8 +301,7 @@ ScenarioEngine::ScenarioEngine(ScenarioEngineOptions options) : options_(options
              "tail_quantile must be in (0, 1)");
 }
 
-// Out-of-line so the unique_ptr<ScenarioCellWorkspace> members destroy against the
-// complete type defined above.
+// Out-of-line so the pool destroys against the complete workspace type defined above.
 ScenarioEngine::~ScenarioEngine() = default;
 
 ScenarioReport ScenarioEngine::Evaluate(const QueueingNetwork& base,
@@ -343,21 +342,29 @@ ScenarioReport ScenarioEngine::Evaluate(const QueueingNetwork& base,
     analytic_ctx.mean_rates = posterior.MeanRates();
   }
 
-  // One persistent workspace per worker; the static RunOnThreadPool partition maps
-  // cell i to worker i % num_workers, so each workspace is touched by exactly one
-  // thread. A grid with fewer cells than threads starts (and sizes) one worker per cell.
-  const std::size_t num_workers = PoolWorkers(grid.NumCells(), options_.threads);
-  while (workspaces_.size() < num_workers) {
-    workspaces_.push_back(std::make_unique<ScenarioCellWorkspace>());
+  // Each cell is a job on the engine's pool, with its worker's workspace, and writes only
+  // its own report slot, so the report is bit-identical for any thread count.
+  if (pool_ == nullptr) {
+    pool_ = std::make_unique<OrderedPool<ScenarioCellWorkspace>>(options_.threads);
   }
-
-  // Static cell -> thread sharding; each cell writes only its own slot, so the report is
-  // bit-identical for any thread count.
-  RunOnThreadPool(grid.NumCells(), options_.threads, [&](std::size_t i) {
+  const auto evaluate = [&](std::size_t i, ScenarioCellWorkspace& ws) {
     EvaluateCellInto(base, posterior, grid, i, seed, report.draws, options_,
-                     options_.analytic ? &analytic_ctx : nullptr,
-                     *workspaces_[i % num_workers], report.cells[i]);
-  });
+                     options_.analytic ? &analytic_ctx : nullptr, ws, report.cells[i]);
+  };
+  try {
+    for (std::size_t i = 0; i < grid.NumCells(); ++i) {
+      if (pool_->InFlight() >= 2 * pool_->Workers()) {
+        pool_->WaitOldest();
+      }
+      pool_->Submit([&evaluate, i](ScenarioCellWorkspace& ws) { evaluate(i, ws); });
+    }
+    while (pool_->InFlight() > 0) {
+      pool_->WaitOldest();
+    }
+  } catch (...) {
+    pool_.reset();  // joins every worker; a pool stops at an error
+    throw;
+  }
 
   stats_.wall_seconds = watch.ElapsedSeconds();
   stats_.cells_per_second =

@@ -43,6 +43,8 @@ namespace qnet {
 // Per-worker reusable buffers (SimScratch arena, cell overlay, draw-metric matrices);
 // defined in scenario_engine.cc.
 struct ScenarioCellWorkspace;
+template <typename State>
+class OrderedPool;
 
 // Posterior-predictive band over draws: mean plus [lo, hi] draw quantiles.
 struct MetricBand {
@@ -110,8 +112,8 @@ struct ScenarioEngineOptions {
   double band_hi = 0.95;
   // Per-draw end-to-end latency tail quantile reported as tail_response.
   double tail_quantile = 0.95;
-  // Worker threads sharding cells, capped at the cell count; results are bit-identical
-  // for every value.
+  // Workers evaluating cells: the calling thread and threads - 1 more; results are
+  // bit-identical for every value.
   std::size_t threads = 1;
   // Attach the analytic steady-state cross-check to each cell.
   bool analytic = true;
@@ -163,9 +165,9 @@ class ScenarioEngine {
  private:
   ScenarioEngineOptions options_;
   Stats stats_;
-  // One workspace per worker thread, indexed by (cell index % workers) — the static
-  // RunOnThreadPool partition guarantees exclusive ownership per worker.
-  std::vector<std::unique_ptr<ScenarioCellWorkspace>> workspaces_;
+  // options.threads workers (infer/thread_pool.h), each owning one workspace; created at
+  // the first Evaluate and kept, and replaced after an Evaluate that threw.
+  std::unique_ptr<OrderedPool<ScenarioCellWorkspace>> pool_;
 };
 
 }  // namespace qnet

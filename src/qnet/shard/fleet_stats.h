@@ -1,6 +1,7 @@
 // Per-lane and fleet-wide throughput/backpressure counters for the sharded streaming
 // front-end (see shard/sharded_streaming.h). All values are collected after Run()
-// completes; nothing here is read concurrently.
+// completes, and every field is a pure function of the stream and the options except
+// the wall-clock ones (the seconds and the per-second rates).
 
 #ifndef QNET_SHARD_FLEET_STATS_H_
 #define QNET_SHARD_FLEET_STATS_H_
@@ -12,10 +13,10 @@ namespace qnet {
 
 struct LaneStats {
   std::size_t tasks_routed = 0;
-  // Close tokens processed (every global window, including merged-tail re-closes —
-  // identical across lanes by construction).
+  // Window decisions the lane closed (every global window, including merged-tail
+  // re-closes — identical across lanes by construction).
   std::size_t windows_closed = 0;
-  // Windows in which this lane held zero records (it still answers the close token
+  // Windows in which this lane held zero records (it still answers the decision
   // immediately, so an idle lane never stalls the global watermark).
   std::size_t empty_windows = 0;
   // Windows whose lane-local sub-log was missing a queue entirely, so no StEM fit ran
@@ -35,15 +36,13 @@ struct LaneStats {
   // open span (allowed_lateness > 0), so it reads 0 on an entry-ordered stream without
   // lateness.
   std::size_t peak_buffered_tasks = 0;
-  // High-water mark of the lane's ingest queue (records + tokens awaiting the worker);
-  // pinned at the configured capacity when the router had to block (backpressure).
-  // 0 in the in-thread arrangement (a single lane, or sampler-free lanes at any K),
-  // which has no queue.
+  // Always 0: lanes have no ingest queue (every record reaches its lane by a direct
+  // call on the caller's thread). Kept for readers written against queued lanes.
   std::size_t peak_queue_depth = 0;
-  // Wall-clock spent inside this lane's StEM fits.
+  // Wall-clock spent inside this lane's StEM fits, on whichever thread ran them.
   double fit_seconds = 0.0;
   // Largest event-time distance the lane's processing trailed the router's ingest
-  // watermark, sampled at every window-close broadcast.
+  // watermark, sampled after the lane closed each window decision.
   double max_watermark_lag = 0.0;
   // tasks_routed / fleet wall time.
   double tasks_per_second = 0.0;
@@ -57,13 +56,13 @@ struct FleetStats {
   std::size_t tail_dropped = 0;
   double total_wall_seconds = 0.0;
   double tasks_per_second = 0.0;  // end-to-end sustained ingest rate
-  // Total wall-clock the router spent blocked on full lane queues (backpressure: the
-  // fleet ingested faster than its slowest lane could fit). 0 in the in-thread
-  // arrangement at any K, which has no queues.
+  // Total wall-clock the caller spent waiting on the fit pool's in-flight bound
+  // (backpressure: 2W StEM fits were in flight, so the fleet ingested faster than the
+  // pool could fit). 0 when the pool has one worker (W = 1), whose fits run inline.
   double router_blocked_seconds = 0.0;
-  // Longest a closed window waited between its close broadcast and the last lane
-  // delivering its fit — StreamingStats::max_sweep_lag_seconds is this figure of the
-  // single-lane fleet.
+  // Longest a closed window waited between its announcement to the merger and the last
+  // lane's fit of it reaching the merger — StreamingStats::max_sweep_lag_seconds is this
+  // figure of the single-lane fleet.
   double max_merge_lag_seconds = 0.0;
   // Pooled estimates emitted with degraded = true (some contributing lane fit was
   // mean-field-only; a merged-tail re-fit counts again).

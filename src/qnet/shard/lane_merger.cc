@@ -20,77 +20,36 @@ LaneMerger::LaneMerger(std::size_t lanes, int num_queues, bool window_local_arri
 }
 
 void LaneMerger::ExpectWindow(const WindowSpanTracker::SpanDecision& decision) {
-  std::lock_guard<std::mutex> lock(mu_);
-  PendingWindow window;
+  PendingWindow& window = board_.emplace_back();
   window.decision = decision;
   window.fits.resize(lanes_);
-  window.answered.assign(lanes_, 0);
-  board_.push_back(std::move(window));
 }
 
 void LaneMerger::Post(std::size_t lane, LaneWindowFit fit) {
-  bool completed = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    QNET_CHECK(lane < lanes_, "bad lane ", lane);
-    for (PendingWindow& window : board_) {
-      if (window.answered[lane]) {
-        continue;
-      }
-      window.answered[lane] = 1;
-      window.fits[lane] = std::move(fit);
-      ++window.answers;
-      if (window.answers == lanes_) {
-        max_merge_lag_seconds_ =
-            std::max(max_merge_lag_seconds_, window.since_expected.ElapsedSeconds());
-        complete_windows_.fetch_add(1, std::memory_order_release);
-        completed = true;
-      }
-      break;
-    }
-  }
-  if (completed) {
-    ready_.notify_all();
+  const auto window = std::find_if(board_.begin(), board_.end(), [&](const PendingWindow& w) {
+    return w.answers < lanes_;
+  });
+  QNET_CHECK(window != board_.end() && window->answers == lane, "lane ", lane,
+             " posted out of (window, lane) order");
+  window->fits[lane] = std::move(fit);
+  if (++window->answers == lanes_) {
+    max_merge_lag_seconds_ =
+        std::max(max_merge_lag_seconds_, window->since_expected.ElapsedSeconds());
   }
 }
 
-bool LaneMerger::Pop(PooledWindow& out, bool block) {
-  if (!block && complete_windows_.load(std::memory_order_acquire) == 0) {
-    return false;  // lock-free fast path for the router's per-record polling
-  }
-  std::unique_lock<std::mutex> lock(mu_);
-  if (block) {
-    ready_.wait(lock, [&] {
-      return aborted_.load(std::memory_order_relaxed) || board_.empty() ||
-             board_.front().answers == lanes_;
-    });
-  }
+bool LaneMerger::Pop(PooledWindow& out, bool /*block*/) {
   if (board_.empty() || board_.front().answers < lanes_) {
     return false;
   }
-  const PendingWindow window = std::move(board_.front());
-  board_.pop_front();
-  complete_windows_.fetch_sub(1, std::memory_order_release);
-  lock.unlock();
   {
     ScopedSpan span(SpanStage::kLaneMerge);
-    out.estimate = Pool(window);
+    out.estimate = Pool(board_.front());
   }
-  out.window_index = window.decision.window_index;
-  out.replaces_previous = window.decision.merged_tail_tasks > 0;
+  out.window_index = board_.front().decision.window_index;
+  out.replaces_previous = board_.front().decision.merged_tail_tasks > 0;
+  board_.pop_front();
   return true;
-}
-
-void LaneMerger::Abort() {
-  aborted_.store(true, std::memory_order_release);
-  ready_.notify_all();
-}
-
-bool LaneMerger::Aborted() const { return aborted_.load(std::memory_order_acquire); }
-
-double LaneMerger::MaxMergeLagSeconds() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return max_merge_lag_seconds_;
 }
 
 WindowEstimate LaneMerger::Pool(const PendingWindow& window) const {

@@ -1,12 +1,14 @@
 // Pooling of per-lane window fits into one WindowEstimate per global window.
 //
-// The merger is the fleet's watermark coordinator on the estimation side: the router
-// announces every span decision in emission order (ExpectWindow), each lane answers it
-// with its lane-local fit (Post), and a window's pooled estimate is released only when
-// ALL K lanes have answered — the pooled stream therefore advances as the minimum over
-// lane progress, and no window is emitted before every lane has closed it. A lane with
-// zero records in the window answers immediately with an empty fit, so idle lanes never
-// stall the fleet.
+// The merger is the fleet's reorder buffer on the estimation side: the router announces
+// every span decision in emission order (ExpectWindow), each lane's fit of it is posted
+// (Post), and a window's pooled estimate is released only when ALL K lanes have answered —
+// the pooled stream therefore advances as the minimum over lane progress, and no window
+// is emitted before every lane's fit of it is in. A lane with zero records in the window
+// answers with an empty fit, so idle lanes never stall the fleet. Everything runs on the
+// fleet's caller thread: the fleet posts each lane's fit when it has it, in (window,
+// lane) order, including the StEM fits it collects from its fit pool
+// (shard/sharded_streaming.h).
 //
 // Pooling discipline (PosteriorSummary::Merge's chain-order discipline, applied to
 // lanes): contributions are combined in lane-index order — a pure function of the fits,
@@ -23,18 +25,15 @@
 //     runs as) emits its lane's StEM fit itself, with no 1.0-weighted arithmetic to
 //     perturb bits.
 // Per-lane fits on disjoint sub-streams are the mean-field-flavored decomposition the
-// fleet trades for horizontal scaling: pooled estimates are bit-identical across every
-// execution arrangement for a FIXED lane count, and statistically consistent (not
+// fleet trades for horizontal scaling: pooled estimates are bit-identical across repeated
+// runs and fit-pool widths for a FIXED lane count, and statistically consistent (not
 // bit-identical) across different lane counts. See docs/architecture.md.
 
 #ifndef QNET_SHARD_LANE_MERGER_H_
 #define QNET_SHARD_LANE_MERGER_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <mutex>
 #include <vector>
 
 #include "qnet/stream/streaming_estimator.h"
@@ -43,7 +42,7 @@
 
 namespace qnet {
 
-// One lane's answer to one close token.
+// One lane's answer to one window decision.
 struct LaneWindowFit {
   std::size_t tasks = 0;  // lane-local record count in the window
   bool fitted = false;    // a fit produced rates/mean_wait
@@ -79,34 +78,28 @@ class LaneMerger {
   LaneMerger(std::size_t lanes, int num_queues, bool window_local_arrival_rate,
              bool cross_lane_bias_correction = false);
 
-  // Router thread, in emission order: announce a decision every lane will answer.
+  // In emission order: announce a decision every lane will answer.
   void ExpectWindow(const WindowSpanTracker::SpanDecision& decision);
 
-  // Lane threads: deliver lane `lane`'s fit for its oldest unanswered window. Lanes
-  // process close tokens in order, so per-lane delivery order is emission order.
+  // Delivers lane `lane`'s fit for its oldest unanswered window. Fits are posted in
+  // (window, lane) order: every lane's answer to a window before the next window's.
   void Post(std::size_t lane, LaneWindowFit fit);
 
-  // Router thread: pops the next pooled window in emission order. With block=false,
-  // returns false when the oldest window is still incomplete (or none is pending); with
-  // block=true, waits until it completes, returning false only when nothing is pending
-  // or the fleet aborted.
-  bool Pop(PooledWindow& out, bool block);
+  // Pops the next pooled window in emission order; false when the oldest window is still
+  // incomplete or none is pending. `block` has no effect: every Post runs on the
+  // caller's thread, so there is nothing to wait for (the parameter stays for callers
+  // written against the threaded merger).
+  bool Pop(PooledWindow& out, bool block = false);
 
-  // A lane died: wake any blocked Pop so the fleet can unwind (the lane's exception is
-  // surfaced by its PipelineSlot).
-  void Abort();
-  bool Aborted() const;
-
-  // Longest span between a window's close broadcast and its last lane fit.
-  double MaxMergeLagSeconds() const;
+  // Longest span between a window's announcement and its last lane fit.
+  double MaxMergeLagSeconds() const { return max_merge_lag_seconds_; }
 
  private:
   struct PendingWindow {
     WindowSpanTracker::SpanDecision decision;
     Stopwatch since_expected;
     std::vector<LaneWindowFit> fits;
-    std::vector<char> answered;
-    std::size_t answers = 0;
+    std::size_t answers = 0;  // fits[0..answers) are in
   };
 
   WindowEstimate Pool(const PendingWindow& window) const;
@@ -116,13 +109,7 @@ class LaneMerger {
   const bool window_local_;
   const bool bias_correction_;
 
-  mutable std::mutex mu_;
-  std::condition_variable ready_;
   std::deque<PendingWindow> board_;  // emission order
-  // Windows complete in emission order (every lane answers its tokens in order), so a
-  // plain counter is an exact lock-free fast path for the router's per-record polling.
-  std::atomic<std::size_t> complete_windows_{0};
-  std::atomic<bool> aborted_{false};
   double max_merge_lag_seconds_ = 0.0;
 };
 

@@ -8,8 +8,8 @@
 // caller-defined partition (e.g. tenant- or entry-point-keyed routing); it must be a
 // pure function of the record for the fleet's determinism contract to hold.
 //
-// The router is single-threaded (it runs on the fleet's ingest thread, upstream of the
-// per-lane queues) and keeps per-lane routed counts for FleetStats.
+// The router is single-threaded (it runs on the fleet's Run() caller's thread, which hands
+// each record to its lane directly) and keeps per-lane routed counts for FleetStats.
 
 #ifndef QNET_SHARD_LANE_ROUTER_H_
 #define QNET_SHARD_LANE_ROUTER_H_

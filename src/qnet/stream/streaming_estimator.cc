@@ -11,14 +11,9 @@ WindowFitChain::Plan WindowFitChain::PlanFit(std::size_t window_index, bool merg
   Plan plan;
   const std::uint64_t window_seed = MixSeed(seed_, window_index);
   plan.seed = salted_ ? MixSeed(window_seed, lane_) : window_seed;
-  if (merged_tail) {
-    // The re-fit replaces the previous window's estimate, so it must start from the same
-    // rates that window's first fit did.
-    plan.warm_start = prev_input_rates_;
-  } else {
-    plan.warm_start = rates_;
-    prev_input_rates_ = rates_;
-  }
+  // A re-fit replaces the previous window's estimate, so it starts from the same rates
+  // that window's first fit did.
+  plan.warm_start = merged_tail ? prev_input_rates_ : rates_;
   plan.arrival_time_origin = window_local_ ? t0 : 0.0;
   return plan;
 }

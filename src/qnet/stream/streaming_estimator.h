@@ -21,9 +21,12 @@
 // seed) and bit-identical across runs. The warm-start chain and seed discipline live in
 // WindowFitChain.
 //
-// Every window is built and fitted on the caller's thread the moment the record that
-// closes it arrives, and its estimate is emitted as soon as the fit returns — before
-// the stream is asked for another record. Stats() reports ingest throughput, fit lag,
+// Every window is closed on the caller's thread the moment the record that closes it
+// arrives. On a caller pinned to one CPU its StEM fit runs right there and its estimate
+// is emitted as soon as the fit returns — before the stream is asked for another
+// record. With more CPUs the fit runs on the fleet's fit pool while the caller keeps
+// ingesting, and the estimate is emitted, still in window order, once the fit is
+// collected (see shard/sharded_streaming.h). Stats() reports ingest throughput, fit lag,
 // and the late/dropped/peak-buffer counters.
 
 #ifndef QNET_STREAM_STREAMING_ESTIMATOR_H_
@@ -32,6 +35,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "qnet/infer/meanfield.h"
@@ -136,6 +140,11 @@ struct StreamingStats {
 // StreamingEstimator, the single-lane fleet): which rates a window's fit starts from
 // (the previous window's result; a merged-tail re-fit restarts from the SAME input its
 // first fit consumed), which seed it consumes, and which lambda anchoring it applies.
+// Every PlanFit is followed by one Complete, in order; the rates a plan reads are those
+// of the Completes before it. A fleet whose fits run on a pool may plan a fit before the
+// previous one completes: a warm start wholly the window's own mean-field fit reads no
+// chain rate, and one that does read the chain takes those rates from the previous fit
+// itself, once it has finished (shard/sharded_streaming.h, "Dependency edge").
 //
 // Seed discipline: window w's fit is seeded
 //   MixSeed(base, w)                  — plain estimator / single-lane fleet, and
@@ -161,12 +170,15 @@ class WindowFitChain {
         rates_(init_rates),
         prev_input_rates_(std::move(init_rates)) {}
 
-  // Plans the fit of the window with emission index `window_index` starting at t0 and
-  // advances the warm-start bookkeeping; call Complete with the fitted rates before
-  // planning the next window. A merged-tail re-fit passes the REPLACED window's index
-  // (exactly what WindowSpanTracker emits) and restarts from that window's input.
+  // Plans the fit of the window with emission index `window_index` starting at t0: its
+  // warm start is the latest completed fit's rates. A merged-tail re-fit passes the
+  // REPLACED window's index (exactly what WindowSpanTracker emits) and restarts from that
+  // window's input, the rates completed before the latest.
   Plan PlanFit(std::size_t window_index, bool merged_tail, double t0);
-  void Complete(const std::vector<double>& fitted_rates) { rates_ = fitted_rates; }
+  void Complete(const std::vector<double>& fitted_rates) {
+    std::swap(prev_input_rates_, rates_);
+    rates_ = fitted_rates;
+  }
 
   bool WindowLocalArrivalRate() const { return window_local_; }
 
@@ -175,8 +187,8 @@ class WindowFitChain {
   bool window_local_;
   bool salted_;
   std::uint64_t lane_;
-  std::vector<double> rates_;             // most recent fit result (next warm start)
-  std::vector<double> prev_input_rates_;  // warm input of the most recent planned fit
+  std::vector<double> rates_;             // latest completed fit (next warm start)
+  std::vector<double> prev_input_rates_;  // the completed fit before it (its warm input)
 };
 
 class StreamingEstimator {
@@ -186,7 +198,7 @@ class StreamingEstimator {
   StreamingEstimator(std::vector<double> init_rates, std::uint64_t seed,
                      const StreamingEstimatorOptions& options = {});
 
-  // Drains `stream` to completion and returns the per-window estimate sequence (a
+  // Reads `stream` to its end and returns the per-window estimate sequence (a
   // merged-tail re-fit replaces the last entry in place; see WindowEstimate).
   std::vector<WindowEstimate> Run(TraceStream& stream);
 

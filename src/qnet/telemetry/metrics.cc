@@ -167,7 +167,6 @@ const StreamCounters& StreamCounters::Get() {
     b.fit_iterations = r.AddCounter("qnet_stream_fit_iterations_total");
     b.window_logs_built = r.AddCounter("qnet_stream_window_logs_built_total");
     b.peak_buffered_tasks = r.AddGauge("qnet_stream_peak_buffered_tasks");
-    b.peak_queue_depth = r.AddGauge("qnet_stream_peak_queue_depth");
     return b;
   }();
   return c;
@@ -240,8 +239,6 @@ const ShardCounters& ShardCounters::Get() {
     MetricRegistry& r = MetricRegistry::Global();
     ShardCounters b;
     b.records_routed = r.AddCounter("qnet_shard_records_routed_total");
-    b.queue_push_batches = r.AddCounter("qnet_shard_queue_push_batches_total");
-    b.queue_pop_batches = r.AddCounter("qnet_shard_queue_pop_batches_total");
     return b;
   }();
   return c;

@@ -262,7 +262,6 @@ struct StreamCounters {
   Counter* fit_iterations;      // summed WindowEstimate::fit_iterations
   Counter* window_logs_built;   // WindowLogBuilder::Build calls (lanes build StEM windows only)
   Gauge* peak_buffered_tasks;   // high-water mark across lanes
-  Gauge* peak_queue_depth;      // high-water mark across lane ingest queues
   static const StreamCounters& Get();
 };
 
@@ -310,11 +309,9 @@ struct DetectCounters {
   static const DetectCounters& Get();
 };
 
-// Shard fleet plumbing (lane_queue.h / sharded_streaming.cc).
+// Shard fleet plumbing (sharded_streaming.cc).
 struct ShardCounters {
-  Counter* records_routed;     // records delivered to lane workers, added per lane close
-  Counter* queue_push_batches; // LaneQueue::PushMany calls
-  Counter* queue_pop_batches;  // LaneQueue::PopMany returns
+  Counter* records_routed;  // records delivered to lanes, added per lane close
   static const ShardCounters& Get();
 };
 

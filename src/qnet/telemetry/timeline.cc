@@ -18,8 +18,7 @@ constexpr StageInfo kStageInfo[kNumSpanStages] = {
     {"window_assemble", 1}, {"stem_fit", 1},      {"meanfield_fit", 1},
     {"lane_merge", 1},      {"emit", 1},          {"lane_blocked", 1},
     {"scenario_cell", 1},   {"des_run", 1},       {"detect_observe", 1},
-    {"lane_push", 2},       {"lane_pop", 2},      {"sweep_color", 2},
-    {"sweep_tile", 3},
+    {"sweep_color", 2},     {"sweep_tile", 3},
 };
 
 // One ring per live thread that records spans. Rings are heap blocks owned by a

@@ -9,8 +9,8 @@
 //
 // Stage taxonomy and detail levels (Timeline::SetLevel, default 1):
 //   level 1 — pipeline lifecycle: window assemble, StEM fit, mean-field fit,
-//             lane merge, emit, lane blocked, scenario cell, DES run.
-//   level 2 — shard plumbing and sweep structure: lane push/pop, sweep color class.
+//             lane merge, emit, lane blocked, scenario cell, DES run, detect observe.
+//   level 2 — sweep structure: one span per sweep color class.
 //   level 3 — batched move-kernel tile (per-tile; very hot, off by default).
 // A stage above the current level costs one relaxed atomic load and no clock read —
 // that is how the ≤5% sweep-overhead gate holds with instrumentation compiled in.
@@ -40,12 +40,10 @@ enum class SpanStage : std::uint8_t {
   kMeanFieldFit,        // MeanFieldEstimator::Fit
   kLaneMerge,           // LaneMerger pooling lane results into a fleet estimate
   kEmit,                // delivering a WindowEstimate to the caller
-  kLaneBlocked,         // producer blocked on a full lane queue
+  kLaneBlocked,         // fleet caller waiting on the fit pool's in-flight bound
   kScenarioCell,        // ScenarioEngine evaluating one grid cell
   kDesRun,              // one DES arena run
   kDetectObserve,       // ChangeMonitor consuming one WindowEstimate
-  kLanePush,            // LaneQueue::PushMany batch
-  kLanePop,             // LaneQueue::PopMany batch
   kSweepColor,          // one color class of a sweep (one batched-kernel bucket)
   kSweepTile,           // one batched move-kernel tile
   kNumStages,

@@ -347,7 +347,7 @@ TEST(AllocFree, TelemetryUpdatesDoNotAllocate) {
   for (int i = 0; i < 1000; ++i) {
     counters.tasks_ingested->Increment();
     counters.fit_iterations->Add(3);
-    counters.peak_queue_depth->SetMax(static_cast<double>(i));
+    counters.peak_buffered_tasks->SetMax(static_cast<double>(i));
     h->Record(static_cast<std::uint64_t>(i));
     ScopedSpan span(SpanStage::kSweepTile);
   }

@@ -3,14 +3,16 @@
 // Non-finite entry times: a +inf entry once drove the window close loop's fast-forward
 // bound to infinity, so the stream hung forever; a NaN never compares into any window.
 // Both must be rejected with qnet::Error before they touch any state — by the span
-// tracker, the plain StreamingEstimator, and the lane fleet, whose lane threads must
-// unwind cleanly. ctest runs this suite with a TIMEOUT, so a regression to the hang
-// fails instead of stalling the run.
+// tracker, the plain StreamingEstimator, and the lane fleet, whose StEM fits in flight
+// on the fit pool must unwind cleanly. ctest runs this suite with a TIMEOUT, so a
+// regression to the hang fails instead of stalling the run.
 //
 // Malformed records (no visits, negative entry, bad queue, departure before arrival,
 // broken continuity, NaN visit times): ValidateTaskRecord rejects them for the window
 // log builder and the mean-field record fold alike, so a sampler-free window that never
-// builds a log still raises qnet::Error, when its lane takes the record.
+// builds a log still raises qnet::Error, when its lane takes the record; a lane that
+// keeps records for StEM holds the record that closes a window and folds it at that
+// close, so there the error is raised at the close, with earlier fits in flight.
 
 #include <algorithm>
 #include <bit>
@@ -18,12 +20,15 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "support/one_cpu.h"
 #include "support/vector_stream.h"
+#include "qnet/infer/thread_pool.h"
 #include "qnet/model/builders.h"
 #include "qnet/infer/meanfield.h"
 #include "qnet/obs/observation.h"
@@ -102,26 +107,50 @@ TEST(EntryValidation, StreamingEstimatorThrowsInsteadOfHanging) {
   }
 }
 
-// StEM lanes at K = 2/4 run on their own threads, so a fit is in flight when the error
-// unwinds Run.
+// Replays `records` and throws from the Next after `limit` of them.
+class ThrowingStream : public TraceStream {
+ public:
+  ThrowingStream(const std::vector<TaskRecord>& records, std::size_t limit)
+      : records_(records), limit_(limit) {}
+  bool Next(TaskRecord& out) override {
+    QNET_CHECK(at_ < limit_, "stream failed after ", limit_, " records");
+    if (at_ == records_.size()) {
+      return false;
+    }
+    out = records_[at_++];
+    return true;
+  }
+  int NumQueues() const override { return 3; }
+
+ private:
+  const std::vector<TaskRecord>& records_;
+  std::size_t limit_;
+  std::size_t at_ = 0;
+};
+
+// With more than one CPU, StEM fits are in flight on the fit pool when the error unwinds
+// Run: K = 2/4 lanes fit alongside each other, and a K = 1 kWarmStart lane, whose fits
+// read no chain rate, keeps up to 2W of its own in flight. Both a bad entry (rejected on
+// the caller's thread) and a stream that throws must unwind past them, and the same fleet
+// must then reproduce a fresh fleet's estimates.
 TEST(EntryValidation, FleetThrowsAndItsLanesUnwind) {
   const std::vector<TaskRecord> clean = CleanRecords();
-  for (const std::size_t lanes : {2u, 4u}) {
+  struct Shape {
+    std::size_t lanes;
+    FastPathMode mode;
+  };
+  for (const Shape shape : {Shape{1, FastPathMode::kWarmStart}, Shape{2, FastPathMode::kOff},
+                            Shape{4, FastPathMode::kOff}}) {
     ShardedStreamingOptions options;
-    options.lanes = lanes;
+    options.lanes = shape.lanes;
     options.stream = ShortStemOptions();
+    options.stream.fast_path = shape.mode;
     VectorStream reference_stream(clean, 3);
     const std::vector<WindowEstimate> reference =
         ShardedStreamingEstimator({1.0, 1.0, 1.0}, 99, options).Run(reference_stream);
     ASSERT_GE(reference.size(), 3u);
-    for (const double bad : kBadEntries) {
-      SCOPED_TRACE("lanes " + std::to_string(lanes));
-      ShardedStreamingEstimator fleet({1.0, 1.0, 1.0}, 99, options);
-      VectorStream bad_stream(WithBadEntry(clean, 300, bad), 3);
-      // Run returning at all means every lane thread was joined.
-      EXPECT_THROW(fleet.Run(bad_stream), Error) << bad;
-      // Nothing of the failed run leaks into the next: the same fleet then reproduces a
-      // fresh fleet's estimates on the clean stream.
+    const auto expect_rerun_matches = [&](ShardedStreamingEstimator& fleet) {
+      // Nothing of the failed run leaks into the next.
       VectorStream clean_stream(clean, 3);
       const std::vector<WindowEstimate> rerun = fleet.Run(clean_stream);
       ASSERT_EQ(rerun.size(), reference.size());
@@ -131,6 +160,26 @@ TEST(EntryValidation, FleetThrowsAndItsLanesUnwind) {
         EXPECT_EQ(rerun[w].mean_wait, reference[w].mean_wait) << "window " << w;
       }
       EXPECT_EQ(fleet.Stats().tasks_ingested, clean.size());
+    };
+    // The thread's full mask, then fit-pool widths 2 and 4 whatever the host's CPUs.
+    for (const std::size_t width : {0u, 2u, 4u}) {
+      SCOPED_TRACE("lanes " + std::to_string(shape.lanes) + ", fit pool width " +
+                   std::to_string(width == 0 ? AffinityWidth() : width));
+      std::optional<qnet_testing::ScopedFitPoolWidth> pool_width;
+      if (width > 0) {
+        pool_width.emplace(width);
+      }
+      for (const double bad : kBadEntries) {
+        ShardedStreamingEstimator fleet({1.0, 1.0, 1.0}, 99, options);
+        VectorStream bad_stream(WithBadEntry(clean, 300, bad), 3);
+        // Run returning at all means every pool worker was joined.
+        EXPECT_THROW(fleet.Run(bad_stream), Error) << bad;
+        expect_rerun_matches(fleet);
+      }
+      ShardedStreamingEstimator fleet({1.0, 1.0, 1.0}, 99, options);
+      ThrowingStream throwing(clean, 300);
+      EXPECT_THROW(fleet.Run(throwing), Error);
+      expect_rerun_matches(fleet);
     }
   }
 }
@@ -273,8 +322,65 @@ TEST(RecordValidation, SamplerFreeFleetsThrowWhenTheLaneTakesTheRecord) {
       emitted = 0;
       EXPECT_THROW(fleet.Run(stream), Error);
       if (lanes == 1) {
-        // In-thread: every earlier window was emitted, and nothing after it.
+        // On the caller's thread: every earlier window was emitted, and nothing after it.
         EXPECT_EQ(emitted, expected_before);
+      }
+    }
+  }
+}
+
+// A StEM lane takes the record that closes a window before the close and holds it, so a
+// record there that fails its visit check raises qnet::Error at that window's close —
+// after the window's fit was handed to the fit pool, which at W > 1 still has earlier
+// fits in flight (kWarmStart fits read no chain rate, so up to 2W run at once). The run
+// must unwind past them, and the fleet must be reusable afterwards.
+TEST(RecordValidation, StemFleetsThrowAtTheCloseWithFitsInFlight) {
+  const std::vector<TaskRecord> clean = CleanRecords();
+  ShardedStreamingOptions options;
+  options.stream = ShortStemOptions();
+  options.stream.fast_path = FastPathMode::kWarmStart;
+  VectorStream clean_stream(clean, 3);
+  const std::vector<WindowEstimate> reference =
+      ShardedStreamingEstimator({1.0, 1.0, 1.0}, 99, options).Run(clean_stream);
+  // The first record at or past 300 that closes a window: it reaches a window's end.
+  std::size_t closing = 0;
+  for (std::size_t at = 300; at < clean.size() && closing == 0; ++at) {
+    for (const WindowEstimate& estimate : reference) {
+      if (clean[at - 1].entry_time < estimate.t1 && clean[at].entry_time >= estimate.t1) {
+        closing = at;
+      }
+    }
+  }
+  ASSERT_GT(closing, 0u);
+  for (const std::size_t lanes : {1u, 2u}) {
+    options.lanes = lanes;
+    const std::vector<WindowEstimate> lane_reference = [&] {
+      VectorStream stream(clean, 3);
+      return ShardedStreamingEstimator({1.0, 1.0, 1.0}, 99, options).Run(stream);
+    }();
+    // The thread's full mask, then fit-pool widths 2 and 4 whatever the host's CPUs.
+    for (const std::size_t width : {0u, 2u, 4u}) {
+      std::optional<qnet_testing::ScopedFitPoolWidth> pool_width;
+      if (width > 0) {
+        pool_width.emplace(width);
+      }
+      for (const BadRecord& bad : BadVariants(clean[closing])) {
+        if (bad.record.entry_time != clean[closing].entry_time) {
+          continue;  // a moved entry no longer closes the window
+        }
+        SCOPED_TRACE(bad.name + ", lanes " + std::to_string(lanes) + ", fit pool width " +
+                     std::to_string(width == 0 ? AffinityWidth() : width));
+        std::vector<TaskRecord> records = clean;
+        records[closing] = bad.record;
+        VectorStream stream(std::move(records), 3);
+        ShardedStreamingEstimator fleet({1.0, 1.0, 1.0}, 99, options);
+        EXPECT_THROW(fleet.Run(stream), Error);
+        VectorStream rerun_stream(clean, 3);
+        const std::vector<WindowEstimate> rerun = fleet.Run(rerun_stream);
+        ASSERT_EQ(rerun.size(), lane_reference.size());
+        for (std::size_t w = 0; w < rerun.size(); ++w) {
+          EXPECT_EQ(rerun[w].rates, lane_reference[w].rates) << "window " << w;
+        }
       }
     }
   }

@@ -3,9 +3,9 @@
 //
 // The load-bearing assertions are bit-exactness ones, mirroring the repo's established
 // threading contracts: (i) a single-lane fleet reproduces the plain StreamingEstimator
-// bit-exactly; (ii) for a FIXED lane count K the pooled estimate sequence is
-// bit-identical across queue capacities (backpressure), router batch sizes and repeated
-// runs, and exactly one execution arrangement runs; (iii) window spans, counts, and
+// bit-exactly; (ii) for a FIXED lane count K the pooled estimate sequence and the
+// FleetStats counts are bit-identical across repeated runs and fit-pool widths (a
+// one-CPU mask against the full mask and widths 2 and 4); (iii) window spans, counts, and
 // emission indices are bit-identical across DIFFERENT lane counts (the span tracker is
 // global). Across lane counts the pooled fits themselves are statistically consistent,
 // not bit-equal — each lane fits its own hash-thinned sub-stream by design — which a
@@ -17,18 +17,18 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "support/one_cpu.h"
 #include "support/vector_stream.h"
 #include "qnet/infer/meanfield.h"
 #include "qnet/infer/stem.h"
+#include "qnet/infer/thread_pool.h"
 #include "qnet/model/builders.h"
 #include "qnet/obs/observation.h"
 #include "qnet/shard/lane_merger.h"
-#include "qnet/shard/lane_queue.h"
 #include "qnet/shard/lane_router.h"
 #include "qnet/shard/sharded_streaming.h"
 #include "qnet/sim/simulator.h"
@@ -107,12 +107,29 @@ std::vector<WindowEstimate> RunFleet(const Fixture& f, const ShardedStreamingOpt
   return estimates;
 }
 
-// Pins the arrangement a run used: an in-thread run has no lane queues, so every lane's
-// peak queue depth is 0; a threaded lane's queue carries at least the close and finish
-// tokens.
-void ExpectArrangement(const FleetStats& stats, bool in_thread) {
-  for (std::size_t lane = 0; lane < stats.lane.size(); ++lane) {
-    EXPECT_EQ(stats.lane[lane].peak_queue_depth == 0, in_thread) << "lane " << lane;
+// The fields of a run's FleetStats that are pure functions of the stream and the
+// options (every field but the wall-clock ones).
+void ExpectStatsCountsIdentical(const FleetStats& a, const FleetStats& b) {
+  EXPECT_EQ(a.lanes, b.lanes);
+  EXPECT_EQ(a.tasks_ingested, b.tasks_ingested);
+  EXPECT_EQ(a.windows_estimated, b.windows_estimated);
+  EXPECT_EQ(a.late_dropped, b.late_dropped);
+  EXPECT_EQ(a.tail_dropped, b.tail_dropped);
+  EXPECT_EQ(a.degraded_windows, b.degraded_windows);
+  EXPECT_EQ(a.fit_iterations_total, b.fit_iterations_total);
+  ASSERT_EQ(a.lane.size(), b.lane.size());
+  for (std::size_t lane = 0; lane < a.lane.size(); ++lane) {
+    SCOPED_TRACE("lane " + std::to_string(lane));
+    EXPECT_EQ(a.lane[lane].tasks_routed, b.lane[lane].tasks_routed);
+    EXPECT_EQ(a.lane[lane].windows_closed, b.lane[lane].windows_closed);
+    EXPECT_EQ(a.lane[lane].empty_windows, b.lane[lane].empty_windows);
+    EXPECT_EQ(a.lane[lane].skipped_fits, b.lane[lane].skipped_fits);
+    EXPECT_EQ(a.lane[lane].degraded_fits, b.lane[lane].degraded_fits);
+    EXPECT_EQ(a.lane[lane].fit_iterations_total, b.lane[lane].fit_iterations_total);
+    EXPECT_EQ(a.lane[lane].peak_buffered_tasks, b.lane[lane].peak_buffered_tasks);
+    EXPECT_EQ(a.lane[lane].peak_queue_depth, 0u);
+    EXPECT_EQ(b.lane[lane].peak_queue_depth, 0u);
+    EXPECT_EQ(a.lane[lane].max_watermark_lag, b.lane[lane].max_watermark_lag);
   }
 }
 
@@ -141,9 +158,9 @@ TEST(ShardedStreaming, SingleLaneMatchesStreamingEstimatorBitExactly) {
 
 TEST(ShardedStreaming, PooledEstimatesBitIdenticalAcrossRepeatedRuns) {
   // The acceptance grid: K in {1,2,4} lanes, each run twice. For each K the pooled
-  // sequence must be bit-identical run to run; StEM lanes run on the caller's thread at
-  // K = 1 (no lane queue) and behind queues on their own threads at K = 2/4. At K = 1 the
-  // plain estimator is the same fleet and must agree bit for bit, stats counts included.
+  // sequence must be bit-identical run to run, whatever the fit pool's width. At K = 1
+  // the plain estimator is the same fleet and must agree bit for bit, stats counts
+  // included.
   const Fixture f;
   for (const std::size_t lanes : {1u, 2u, 4u}) {
     ShardedStreamingOptions options;
@@ -152,7 +169,6 @@ TEST(ShardedStreaming, PooledEstimatesBitIdenticalAcrossRepeatedRuns) {
     FleetStats fleet_stats;
     const std::vector<WindowEstimate> first = RunFleet(f, options, 42, &fleet_stats);
     ASSERT_GE(first.size(), 3u) << "lanes=" << lanes;
-    ExpectArrangement(fleet_stats, /*in_thread=*/lanes == 1);
     ExpectEstimatesIdentical(first, RunFleet(f, options, 42));
     if (lanes == 1) {
       LogReplayStream stream(f.truth, f.obs);
@@ -170,26 +186,105 @@ TEST(ShardedStreaming, PooledEstimatesBitIdenticalAcrossRepeatedRuns) {
   }
 }
 
-TEST(ShardedStreaming, BackpressureTinyQueueIsBitIdentical) {
+// Runs `run` (one fleet run; fills its stats) under a one-CPU mask — W = 1, every fit
+// inline, in order — and then under the thread's full mask and at fit-pool widths 2 and 4
+// (the test seam, so those widths run on any host, a one-core one included). Every run
+// must match the first bit for bit, in the estimates and in every FleetStats count.
+template <typename Run>
+void ExpectEveryPoolWidthMatchesInline(const Run& run, std::size_t min_windows) {
+  FleetStats inline_stats;
+  std::vector<WindowEstimate> inline_run;
+  {
+    const qnet_testing::ScopedOneCpu one_cpu;
+    ASSERT_EQ(AffinityWidth(), 1u);
+    inline_run = run(&inline_stats);
+  }
+  ASSERT_GE(inline_run.size(), min_windows);
+  EXPECT_EQ(inline_stats.router_blocked_seconds, 0.0);
+  for (const std::size_t width : {0u, 2u, 4u}) {
+    SCOPED_TRACE(width == 0 ? "full mask, width " + std::to_string(AffinityWidth())
+                            : "width " + std::to_string(width));
+    FleetStats stats;
+    std::vector<WindowEstimate> pooled;
+    if (width == 0) {
+      pooled = run(&stats);
+    } else {
+      const qnet_testing::ScopedFitPoolWidth pool_width(width);
+      pooled = run(&stats);
+    }
+    ExpectEstimatesIdentical(inline_run, pooled);
+    ExpectStatsCountsIdentical(inline_stats, stats);
+  }
+}
+
+TEST(ShardedStreaming, EveryFitPoolWidthIsBitIdentical) {
+  // The fit pool's width W is the calling thread's CPU count, so a run at W > 1 (StEM fits
+  // on pool workers, out of order, up to 2W in flight) must match a run at W = 1 bit for
+  // bit, for every lane count and fast-path mode. kWarmStart's fits run alongside their
+  // lane's earlier ones; kOff's, and those whose mean-field fit left a queue unfit, start
+  // after their lane's previous fit and read its rates (the dependency edge); degraded
+  // windows and merged tails collect the fits in flight first; kMeanFieldOnly submits
+  // nothing.
   const Fixture f;
+  for (const FastPathMode mode : {FastPathMode::kOff, FastPathMode::kWarmStart,
+                                  FastPathMode::kDegrade, FastPathMode::kMeanFieldOnly}) {
+    for (const std::size_t lanes : {1u, 2u, 4u}) {
+      SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)) + ", lanes " +
+                   std::to_string(lanes));
+      ShardedStreamingOptions options;
+      options.lanes = lanes;
+      options.stream = ShortStemOptions();
+      options.stream.fast_path = mode;
+      options.stream.degrade_task_budget = 100;  // ~100 tasks/window: some degrade
+      options.stream.stem.convergence_tol = 0.05;
+      ExpectEveryPoolWidthMatchesInline(
+          [&](FleetStats* stats) { return RunFleet(f, options, 31, stats); }, 3);
+    }
+  }
+  // Short windows on a wide network: lane windows often miss a queue (a skipped fit) or
+  // hold few tasks, the caller outruns the pool and keeps hitting the bound of 2W
+  // unfinished fits, and each lane's kOff fits form a chain on the pool, each started
+  // after the one before it.
+  ThreeTierConfig config;
+  config.tier_sizes = {1, 2, 4};
+  const QueueingNetwork wide = MakeThreeTierNetwork(config);
+  Rng sim_rng(12345);
+  Fixture busy;
+  busy.truth = SimulateWorkload(wide, PoissonArrivals(10.0, 2000), sim_rng);
+  TaskSamplingScheme scheme;
+  scheme.fraction = 0.25;
+  busy.obs = scheme.Apply(busy.truth, sim_rng);
+  for (const FastPathMode mode : {FastPathMode::kOff, FastPathMode::kWarmStart}) {
+    for (const std::size_t lanes : {1u, 2u, 4u}) {
+      SCOPED_TRACE("wide network, mode " + std::to_string(static_cast<int>(mode)) +
+                   ", lanes " + std::to_string(lanes));
+      ShardedStreamingOptions options;
+      options.lanes = lanes;
+      options.stream = ShortStemOptions(5.0);
+      options.stream.stem.iterations = 12;
+      options.stream.stem.burn_in = 4;
+      options.stream.stem.wait_sweeps = 0;
+      options.stream.fast_path = mode;
+      std::vector<double> init(static_cast<std::size_t>(wide.NumQueues()), 1.0);
+      ExpectEveryPoolWidthMatchesInline(
+          [&](FleetStats* stats) {
+            LogReplayStream stream(busy.truth, busy.obs);
+            ShardedStreamingEstimator fleet(init, 17, options);
+            std::vector<WindowEstimate> estimates = fleet.Run(stream);
+            *stats = fleet.Stats();
+            return estimates;
+          },
+          10);
+    }
+  }
+  // The queue knobs of the deleted threaded lanes stay assignable and change nothing.
   ShardedStreamingOptions options;
   options.lanes = 2;
   options.stream = ShortStemOptions();
-
-  const auto roomy = RunFleet(f, options, 7);
+  const std::vector<WindowEstimate> reference = RunFleet(f, options, 7);
   options.lane_queue_capacity = 2;
   options.router_batch = 1;
-  FleetStats stats;
-  const auto cramped = RunFleet(f, options, 7, &stats);
-  ExpectEstimatesIdentical(roomy, cramped);
-  for (const LaneStats& lane : stats.lane) {
-    EXPECT_LE(lane.peak_queue_depth, 2u);
-  }
-  // A batch larger than the queue itself must also be bit-identical (PushMany splits).
-  options.lane_queue_capacity = 4;
-  options.router_batch = 64;
-  const auto oversized_batch = RunFleet(f, options, 7);
-  ExpectEstimatesIdentical(roomy, oversized_batch);
+  ExpectEstimatesIdentical(reference, RunFleet(f, options, 7));
 }
 
 // --- Cross-K contracts -------------------------------------------------------------------
@@ -497,12 +592,11 @@ TEST(ShardedStreaming, TrailingTailMergeReplacesLastPooledEstimate) {
 }
 
 TEST(ShardedStreaming, FleetStatsAccountTasksAndWindows) {
-  // StEM lanes at K = 4 run threaded behind queues; sampler-free lanes run on the
-  // caller's thread, with no queue to fill and no router to block.
+  // StEM lanes fit on the pool; sampler-free lanes submit nothing.
   const Fixture f;
   for (const FastPathMode mode : {FastPathMode::kOff, FastPathMode::kMeanFieldOnly}) {
-    const bool in_thread = mode == FastPathMode::kMeanFieldOnly;
-    SCOPED_TRACE(in_thread ? "mean-field only, in-thread" : "StEM, threaded");
+    const bool sampler_free = mode == FastPathMode::kMeanFieldOnly;
+    SCOPED_TRACE(sampler_free ? "mean-field only" : "StEM");
     ShardedStreamingOptions options;
     options.lanes = 4;
     options.stream = ShortStemOptions();
@@ -519,22 +613,22 @@ TEST(ShardedStreaming, FleetStatsAccountTasksAndWindows) {
       routed += lane.tasks_routed;
       EXPECT_EQ(lane.windows_closed, stats.lane.front().windows_closed);
     }
-    ExpectArrangement(stats, in_thread);
     // Every close is an emitted window, or the merged tail that replaced the last one.
     ASSERT_FALSE(pooled.empty());
     EXPECT_EQ(stats.lane.front().windows_closed,
               pooled.size() + (pooled.back().merged_tail_tasks > 0 ? 1u : 0u));
-    if (in_thread) {
-      EXPECT_EQ(stats.router_blocked_seconds, 0.0);
+    if (sampler_free) {
+      EXPECT_EQ(stats.router_blocked_seconds, 0.0);  // no fit was ever in flight
     }
     EXPECT_EQ(routed, stats.tasks_ingested - stats.late_dropped);
     // The hash spreads a 400-task trace over 4 lanes without collapsing onto one.
     for (const LaneStats& lane : stats.lane) {
       EXPECT_GT(lane.tasks_routed, 40u);
+      EXPECT_EQ(lane.peak_queue_depth, 0u);  // lanes have no queue
       // A sampler-free lane folds each record as it takes it and buffers only records
       // held past the open span, which an entry-ordered stream without lateness never
       // routes; a StEM lane buffers its windows' records.
-      if (in_thread) {
+      if (sampler_free) {
         EXPECT_EQ(lane.peak_buffered_tasks, 0u);
       } else {
         EXPECT_GT(lane.peak_buffered_tasks, 0u);
@@ -700,9 +794,7 @@ TEST(ShardedStreaming, SingleLaneFastPathMatchesStreamingEstimatorBitExactly) {
 
 TEST(ShardedStreaming, FastPathDegradedFlagsAgreeAcrossLaneCounts) {
   // Across lane counts the degraded flags agree, because the degrade trigger is the
-  // GLOBAL window task count, not any lane-local share. All-variational lanes run on
-  // the caller's thread at every K; degrade lanes, which may fit StEM, run threaded at
-  // K = 2/4.
+  // GLOBAL window task count, not any lane-local share.
   const Fixture f;
   for (const FastPathMode mode : {FastPathMode::kDegrade, FastPathMode::kMeanFieldOnly}) {
     std::vector<std::vector<WindowEstimate>> per_lane_count;
@@ -712,10 +804,8 @@ TEST(ShardedStreaming, FastPathDegradedFlagsAgreeAcrossLaneCounts) {
       options.stream = ShortStemOptions();
       options.stream.fast_path = mode;
       options.stream.degrade_task_budget = 100;
-      FleetStats stats;
-      per_lane_count.push_back(RunFleet(f, options, 21, &stats));
+      per_lane_count.push_back(RunFleet(f, options, 21));
       ASSERT_GE(per_lane_count.back().size(), 3u);
-      ExpectArrangement(stats, lanes == 1 || mode == FastPathMode::kMeanFieldOnly);
     }
     ASSERT_EQ(per_lane_count[0].size(), per_lane_count[1].size());
     ASSERT_EQ(per_lane_count[0].size(), per_lane_count[2].size());
@@ -832,7 +922,7 @@ std::vector<WindowEstimate> BuildEveryWindowReference(
         merger.Post(l, fit_lane(*lanes[l], decision));
       }
       PooledWindow pooled;
-      while (merger.Pop(pooled, /*block=*/false)) {
+      while (merger.Pop(pooled)) {
         if (pooled.replaces_previous) {
           estimates.back() = std::move(pooled.estimate);
         } else {
@@ -978,13 +1068,12 @@ std::vector<TaskRecord> DisorderedRecords(double span, int* num_queues) {
 }
 
 TEST(ShardedStreaming, RecordHandoffMatchesBuildEveryWindowReferenceAtEveryLaneCount) {
-  // Records reach a lane by swap and lanes recycle record capacity, so a slot that kept
-  // stale visits or lost part of the incoming record would change a lane's counts or
-  // fits. Both arrangements are pinned bit for bit to the copying reference: in-thread
-  // (K = 1, and sampler-free lanes at every K) and threaded (StEM lanes at K = 2/4),
-  // the latter also behind tiny queues whose rings wrap every few records and receive
-  // batches larger than themselves. Cross-lane bias correction makes the pooled
-  // estimates read every lane's posted queue counts.
+  // A lane that keeps records copies each one into recycled capacity, so a slot that
+  // kept stale visits or lost part of the incoming record would change a lane's counts
+  // or fits. Every lane count is pinned bit for bit to the copying reference, which
+  // buffers each lane's records in routing order: record order and payload per lane,
+  // and each lane's routed count. Cross-lane bias correction makes the pooled estimates
+  // read every lane's posted queue counts.
   //
   // Lanes fold each record when they take it, while the reference sorts each window's
   // records at its close. The disordered stream checks that the two agree on everything
@@ -1058,116 +1147,29 @@ TEST(ShardedStreaming, RecordHandoffMatchesBuildEveryWindowReferenceAtEveryLaneC
                                   }))
               << "the sparse stretch extends a span";
         }
-        const bool in_thread = lanes == 1 || mode == FastPathMode::kMeanFieldOnly;
-        struct Ring {
-          std::size_t capacity;
-          std::size_t batch;
-        };
-        for (const Ring& ring : {Ring{1024, 32}, Ring{5, 3}, Ring{3, 8}}) {
-          if ((in_thread || !ordered) && ring.capacity < 1024) {
-            continue;  // the tiny rings carry the ordered stream to threaded lanes only
+        FleetStats stats;
+        ExpectEstimatesIdentical(
+            reference, RunFleetOn(*input.records, num_queues, options, 13, &stats));
+        if (ordered) {
+          for (std::size_t lane = 0; lane < lanes; ++lane) {
+            EXPECT_EQ(stats.lane[lane].tasks_routed, lane_counts[lane][0]) << "lane " << lane;
           }
-          SCOPED_TRACE("capacity " + std::to_string(ring.capacity) + ", batch " +
-                       std::to_string(ring.batch));
-          options.lane_queue_capacity = ring.capacity;
-          options.router_batch = ring.batch;
-          FleetStats stats;
-          ExpectEstimatesIdentical(
-              reference, RunFleetOn(*input.records, num_queues, options, 13, &stats));
-          ExpectArrangement(stats, in_thread);
-          if (!ordered && input.window.late_policy == LateRecordPolicy::kDrop) {
-            EXPECT_GT(stats.late_dropped, 0u);
+        }
+        if (!ordered && input.window.late_policy == LateRecordPolicy::kDrop) {
+          EXPECT_GT(stats.late_dropped, 0u);
+        }
+        if (mode == FastPathMode::kMeanFieldOnly) {
+          // A sampler-free lane buffers only the records it holds past the open span,
+          // which needs allowed lateness.
+          std::size_t held = 0;
+          for (const LaneStats& lane : stats.lane) {
+            held = std::max(held, lane.peak_buffered_tasks);
           }
-          if (mode == FastPathMode::kMeanFieldOnly) {
-            // A sampler-free lane buffers only the records it holds past the open span,
-            // which needs allowed lateness.
-            std::size_t held = 0;
-            for (const LaneStats& lane : stats.lane) {
-              held = std::max(held, lane.peak_buffered_tasks);
-            }
-            EXPECT_EQ(held > 0, input.window.allowed_lateness > 0.0);
-          }
+          EXPECT_EQ(held > 0, input.window.allowed_lateness > 0.0);
         }
       }
     }
   }
-}
-
-TEST(LaneQueue, SwapHandoffKeepsOrderAndPayloadAcrossWrapsAndOversizedBatches) {
-  // A 5-slot ring fed by a producer that reuses its batch slots the way the router does
-  // (copy-assign into whatever capacity the last PushMany handed back) and drained by a
-  // consumer popping 3 at a time: batches of 3 and 4 wrap the ring, batches of 12 exceed
-  // it. Every item must come out in order with its whole payload.
-  std::vector<LaneItem> expected;
-  for (std::size_t i = 0; i < 300; ++i) {
-    LaneItem item;
-    if (i % 7 == 6) {
-      item.kind = LaneItem::Kind::kClose;
-      item.close.t1 = static_cast<double>(i);
-      item.close.window_index = i;
-    } else {
-      item.record.entry_time = static_cast<double>(i);
-      const std::size_t visits = i % 2 == 0 ? 1 : 5 + i % 3;
-      for (std::size_t v = 0; v < visits; ++v) {
-        TaskVisit visit;
-        visit.state = static_cast<std::int32_t>(v);
-        visit.queue = 1;
-        visit.arrival = static_cast<double>(i) + 0.1 * static_cast<double>(v);
-        visit.departure = visit.arrival + 0.1;
-        visit.arrival_observed = v % 2 == 0;
-        item.record.visits.push_back(visit);
-      }
-    }
-    expected.push_back(std::move(item));
-  }
-  LaneItem finish;
-  finish.kind = LaneItem::Kind::kFinish;
-  expected.push_back(finish);
-
-  LaneQueue queue(5);
-  std::vector<LaneItem> received;
-  std::thread consumer([&] {
-    std::vector<LaneItem> out;
-    for (;;) {
-      const std::size_t count = queue.PopMany(out, 3);
-      for (std::size_t at = 0; at < count; ++at) {
-        received.push_back(out[at]);
-        if (out[at].kind == LaneItem::Kind::kFinish) {
-          return;
-        }
-      }
-    }
-  });
-  std::vector<LaneItem> batch(12);
-  const std::size_t sizes[] = {3, 12, 1, 4};
-  std::size_t next = 0;
-  for (std::size_t round = 0; next < expected.size(); ++round) {
-    const std::size_t count = std::min(sizes[round % 4], expected.size() - next);
-    for (std::size_t k = 0; k < count; ++k) {
-      const LaneItem& item = expected[next + k];
-      batch[k].kind = item.kind;
-      if (item.kind == LaneItem::Kind::kRecord) {
-        batch[k].record = item.record;
-      } else {
-        batch[k].close = item.close;
-      }
-    }
-    queue.PushMany(batch.data(), count);
-    next += count;
-  }
-  consumer.join();
-  ASSERT_EQ(received.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_EQ(received[i].kind, expected[i].kind) << "item " << i;
-    if (expected[i].kind == LaneItem::Kind::kRecord) {
-      EXPECT_EQ(received[i].record, expected[i].record) << "item " << i;
-    } else if (expected[i].kind == LaneItem::Kind::kClose) {
-      EXPECT_EQ(received[i].close.t1, expected[i].close.t1) << "item " << i;
-      EXPECT_EQ(received[i].close.window_index, expected[i].close.window_index)
-          << "item " << i;
-    }
-  }
-  EXPECT_LE(queue.PeakDepth(), 5u);
 }
 
 TEST(ShardedStreaming, SamplerFreeLaneWindowsNeverBuildALog) {

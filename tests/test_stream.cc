@@ -14,11 +14,14 @@
 
 #include <gtest/gtest.h>
 
+#include "support/one_cpu.h"
 #include "support/overtaking_records.h"
 #include "support/vector_stream.h"
 #include "qnet/infer/stem.h"
+#include "qnet/infer/thread_pool.h"
 #include "qnet/model/builders.h"
 #include "qnet/obs/observation.h"
+#include "qnet/shard/sharded_streaming.h"
 #include "qnet/sim/fault.h"
 #include "qnet/sim/simulator.h"
 #include "qnet/stream/live_stream.h"
@@ -1033,35 +1036,80 @@ TEST(StreamingEstimator, DegradeModeTriggersOnWindowTaskCount) {
 }
 
 TEST(StreamingEstimator, WindowIsEmittedBeforeTheNextPull) {
-  // Window w is fitted and handed to on_window while the record that closed it is the
-  // last one pulled: the stream is not asked for another first.
+  // On a caller pinned to one CPU, window w is fitted and handed to on_window while the
+  // record that closed it is the last one pulled: the stream is not asked for another
+  // first. With a fit pool of W > 1 workers the fit runs there while the caller keeps
+  // pulling; the bound of 2W fits in flight then caps the delay: window w is emitted no
+  // earlier than its close and no later than the close of window w + 2W (one fit per
+  // window at K = 1). kWarmStart, because a single kOff lane always fits inline.
   const Fixture f;
-  LogReplayStream replay(f.truth, f.obs);
-  CountingStream stream(replay);
+  const auto run = [&](std::vector<std::size_t>* pulls_at_emit,
+                       std::vector<double>* window_ends) {
+    LogReplayStream replay(f.truth, f.obs);
+    CountingStream stream(replay);
+    StreamingEstimatorOptions options = ShortStemOptions(5.0);  // ~20 windows
+    options.fast_path = FastPathMode::kWarmStart;
+    options.on_window = [&](const WindowEstimate& estimate) {
+      pulls_at_emit->push_back(stream.Pulls());
+      window_ends->push_back(estimate.t1);
+    };
+    StreamingEstimator estimator({1.0, 1.0, 1.0}, 3, options);
+    return estimator.Run(stream).size();
+  };
+  // With zero lateness the closing record is the first whose entry reaches t1; a window
+  // closed only by the end of the stream has none (0).
+  const auto closing_pull = [&](double t1) {
+    for (int task = 0; task < f.truth.NumTasks(); ++task) {
+      if (f.truth.TaskEntryTime(task) >= t1) {
+        return static_cast<std::size_t>(task) + 1;
+      }
+    }
+    return std::size_t{0};
+  };
   std::vector<std::size_t> pulls_at_emit;
   std::vector<double> window_ends;
-  StreamingEstimatorOptions options = ShortStemOptions();
-  options.on_window = [&](const WindowEstimate& estimate) {
-    pulls_at_emit.push_back(stream.Pulls());
-    window_ends.push_back(estimate.t1);
-  };
-  StreamingEstimator estimator({1.0, 1.0, 1.0}, 3, options);
-  const auto estimates = estimator.Run(stream);
-  ASSERT_GE(estimates.size(), 3u);
-
+  std::size_t windows = 0;
+  {
+    const qnet_testing::ScopedOneCpu one_cpu;
+    windows = run(&pulls_at_emit, &window_ends);
+  }
+  ASSERT_GE(windows, 12u);
+  const std::vector<double> inline_ends = window_ends;
   std::size_t checked = 0;
   for (std::size_t w = 0; w < window_ends.size(); ++w) {
-    // With zero lateness the closing record is the first whose entry reaches t1; a
-    // window closed only by the end of the stream has none.
-    for (int task = 0; task < f.truth.NumTasks(); ++task) {
-      if (f.truth.TaskEntryTime(task) >= window_ends[w]) {
-        EXPECT_EQ(pulls_at_emit[w], static_cast<std::size_t>(task) + 1) << "window " << w;
-        ++checked;
-        break;
+    if (const std::size_t pull = closing_pull(window_ends[w]); pull > 0) {
+      EXPECT_EQ(pulls_at_emit[w], pull) << "window " << w;
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, windows - 1);
+
+  for (const std::size_t width : {0u, 2u, 4u}) {
+    const std::size_t pool_width = width == 0 ? AffinityWidth() : width;
+    SCOPED_TRACE("fit pool width " + std::to_string(pool_width));
+    pulls_at_emit.clear();
+    window_ends.clear();
+    if (width == 0) {
+      ASSERT_EQ(run(&pulls_at_emit, &window_ends), windows);
+    } else {
+      const qnet_testing::ScopedFitPoolWidth seam(width);
+      ASSERT_EQ(run(&pulls_at_emit, &window_ends), windows);
+    }
+    EXPECT_EQ(window_ends, inline_ends) << "emitted once each, in window order";
+    for (std::size_t w = 0; w < window_ends.size(); ++w) {
+      const std::size_t pull = closing_pull(window_ends[w]);
+      if (pull == 0) {
+        continue;
+      }
+      EXPECT_GE(pulls_at_emit[w], pull) << "window " << w;
+      const std::size_t bound_window = w + 2 * pool_width;
+      if (bound_window < window_ends.size()) {
+        if (const std::size_t bound = closing_pull(window_ends[bound_window]); bound > 0) {
+          EXPECT_LE(pulls_at_emit[w], bound) << "window " << w;
+        }
       }
     }
   }
-  EXPECT_GE(checked, estimates.size() - 1);
 }
 
 // --- LiveSimStream ---------------------------------------------------------------------

@@ -5,9 +5,8 @@
 //   (ii) the stats structs are views over the registry — a plain-estimator run's
 //        StreamingStats matches the registry counter deltas field for field, and a
 //        single-lane fleet's FleetStats matches the plain estimator's StreamingStats;
-//   (iii) the ingest-side counters (late_dropped / tail_dropped / degraded /
-//        peak_queue_depth) count exactly once across lateness policies, degrade modes,
-//        and forced backpressure.
+//   (iii) the ingest-side counters (late_dropped / tail_dropped / degraded) count
+//        exactly once across lateness policies and degrade modes.
 // Timing-surface assertions (histogram Record, span capture) are compiled out together
 // with the instrumentation under -DQNET_TELEMETRY=OFF; everything else runs in both
 // build modes.
@@ -20,7 +19,9 @@
 
 #include <gtest/gtest.h>
 
+#include "support/one_cpu.h"
 #include "support/vector_stream.h"
+#include "qnet/infer/thread_pool.h"
 #include "qnet/model/builders.h"
 #include "qnet/obs/observation.h"
 #include "qnet/shard/sharded_streaming.h"
@@ -202,10 +203,10 @@ TEST(Timeline, LevelGatesStagesByTaxonomy) {
   TraceLevelGuard guard;
   Timeline::SetLevel(1);
   EXPECT_TRUE(Timeline::StageEnabled(SpanStage::kEmit));
-  EXPECT_FALSE(Timeline::StageEnabled(SpanStage::kLanePush));   // level 2
-  EXPECT_FALSE(Timeline::StageEnabled(SpanStage::kSweepTile));  // level 3
+  EXPECT_FALSE(Timeline::StageEnabled(SpanStage::kSweepColor));  // level 2
+  EXPECT_FALSE(Timeline::StageEnabled(SpanStage::kSweepTile));   // level 3
   Timeline::SetLevel(2);
-  EXPECT_TRUE(Timeline::StageEnabled(SpanStage::kLanePush));
+  EXPECT_TRUE(Timeline::StageEnabled(SpanStage::kSweepColor));
   EXPECT_FALSE(Timeline::StageEnabled(SpanStage::kSweepTile));
   Timeline::SetLevel(3);
   EXPECT_TRUE(Timeline::StageEnabled(SpanStage::kSweepTile));
@@ -375,23 +376,30 @@ std::vector<WindowEstimate> RunFleet(const Fixture& f, const ShardedStreamingOpt
 #if QNET_TELEMETRY
 // The determinism firewall: span capture reads the clock but never feeds anything back
 // into sampling, so every trace level — including fully disabled — produces
-// bit-identical estimates.
+// bit-identical estimates, with fits on a fit pool of 4 workers on any host (a single
+// kOff lane fits inline; kWarmStart's fits go to the pool).
 TEST(TelemetryFirewall, PlainEstimatesBitIdenticalAcrossTraceLevels) {
   TraceLevelGuard guard;
+  const qnet_testing::ScopedFitPoolWidth pool_width(4);
   const Fixture f;
-  Timeline::SetLevel(0);
-  const auto disabled = RunPlain(f, ShortStemOptions(), 99);
-  ASSERT_GE(disabled.size(), 3u);
-  Timeline::SetLevel(3);  // every stage armed, tile spans included
-  const auto full = RunPlain(f, ShortStemOptions(), 99);
-  Timeline::SetLevel(1);
-  const auto normal = RunPlain(f, ShortStemOptions(), 99);
-  ExpectEstimatesIdentical(disabled, full);
-  ExpectEstimatesIdentical(disabled, normal);
+  for (const FastPathMode mode : {FastPathMode::kOff, FastPathMode::kWarmStart}) {
+    StreamingEstimatorOptions options = ShortStemOptions();
+    options.fast_path = mode;
+    Timeline::SetLevel(0);
+    const auto disabled = RunPlain(f, options, 99);
+    ASSERT_GE(disabled.size(), 3u);
+    Timeline::SetLevel(3);  // every stage armed, tile spans included
+    const auto full = RunPlain(f, options, 99);
+    Timeline::SetLevel(1);
+    const auto normal = RunPlain(f, options, 99);
+    ExpectEstimatesIdentical(disabled, full);
+    ExpectEstimatesIdentical(disabled, normal);
+  }
 }
 
 TEST(TelemetryFirewall, FleetEstimatesBitIdenticalAcrossTraceLevels) {
   TraceLevelGuard guard;
+  const qnet_testing::ScopedFitPoolWidth pool_width(4);
   const Fixture f;
   ShardedStreamingOptions options;
   options.lanes = 2;
@@ -446,6 +454,50 @@ TEST(SpanStages, WindowAssembleExcludesTheFitsAtEveryLaneCount) {
     EXPECT_EQ(nested, 0u);
   }
   Timeline::ClearSpans();
+}
+
+// A StEM fit's spans land on the thread that ran it: every fit records one stem_fit span,
+// on the caller's thread at W = 1 and on whichever fit-pool worker ran it at W > 1 (the
+// caller is worker 0, and test_thread_pool pins that each worker's state stays on its
+// own thread). Only the caller records window_assemble, which finds its ring.
+TEST(SpanStages, StemFitSpansLandOnTheThreadThatRanTheFit) {
+  TraceLevelGuard guard;
+  const Fixture f;
+  StreamingEstimatorOptions options = ShortStemOptions();
+  options.fast_path = FastPathMode::kWarmStart;
+  const Counter& stem_fits = *FitCounters::Get().stem_fits;
+  // Returns the stem_fit spans on the caller's ring; `spans` gets them on every ring.
+  const auto run = [&](std::size_t* spans) {
+    Timeline::SetLevel(1);
+    Timeline::ClearSpans();
+    const std::uint64_t fits_before = stem_fits.Value();
+    EXPECT_GE(RunPlain(f, options, 99).size(), 3u);
+    std::size_t on_caller = 0;
+    *spans = 0;
+    for (const Timeline::ThreadSpans& thread : Timeline::CollectSpans()) {
+      const bool caller = std::any_of(thread.spans.begin(), thread.spans.end(),
+                                      [](const SpanRecord& span) {
+                                        return span.stage == SpanStage::kWindowAssemble;
+                                      });
+      for (const SpanRecord& span : thread.spans) {
+        if (span.stage == SpanStage::kStemFit) {
+          ++*spans;
+          on_caller += caller ? 1 : 0;
+        }
+      }
+    }
+    EXPECT_EQ(*spans, stem_fits.Value() - fits_before) << "one span per fit";
+    EXPECT_GT(*spans, 0u);
+    Timeline::ClearSpans();
+    return on_caller;
+  };
+  std::size_t spans = 0;
+  {
+    const qnet_testing::ScopedOneCpu one_cpu;
+    EXPECT_EQ(run(&spans), spans);
+  }
+  const qnet_testing::ScopedFitPoolWidth pool_width(4);
+  EXPECT_LE(run(&spans), spans);
 }
 #endif  // QNET_TELEMETRY
 
@@ -528,29 +580,27 @@ class FailingStream : public TraceStream {
 };
 
 // The tracker and the lanes publish their per-record counts in deltas (per window and
-// when they stop), so a run that dies mid-window must still unwind, rethrow the stream's
+// when Run exits), so a run that dies mid-window must still unwind, rethrow the stream's
 // error and publish every record it pulled and routed before the error reaches the
-// caller. Sampler-free lanes run on the caller's thread at any K and StEM lanes at
-// K > 1 on their own threads, so the grid covers both arrangements; in-thread at K = 4,
-// the records the last window routed to lanes 1-3 are published only when Run exits,
-// and threaded, each lane publishes its own when the router's finish token stops it.
+// caller. At K = 4 the records the last window routed to lanes 1-3 are published only
+// when Run exits; the StEM rows unwind with fits in flight on a pool of 4 workers.
 TEST(RegistryDerivedStats, FailedRunPublishesEveryRecordPulledAndRouted) {
+  const qnet_testing::ScopedFitPoolWidth pool_width(4);
   const Fixture f;
   constexpr std::size_t kPulled = 250;  // ~100 tasks per window: mid-way through one
-  struct Arrangement {
+  struct Shape {
     std::size_t lanes;
     FastPathMode mode;
   };
-  for (const Arrangement arrangement : {Arrangement{1, FastPathMode::kMeanFieldOnly},
-                                        Arrangement{4, FastPathMode::kMeanFieldOnly},
-                                        Arrangement{2, FastPathMode::kOff},
-                                        Arrangement{4, FastPathMode::kOff}}) {
-    SCOPED_TRACE("lanes " + std::to_string(arrangement.lanes) +
-                 (arrangement.mode == FastPathMode::kOff ? ", StEM, threaded" : ""));
+  for (const Shape shape : {Shape{1, FastPathMode::kMeanFieldOnly},
+                            Shape{4, FastPathMode::kMeanFieldOnly},
+                            Shape{2, FastPathMode::kOff}, Shape{4, FastPathMode::kOff}}) {
+    SCOPED_TRACE("lanes " + std::to_string(shape.lanes) +
+                 (shape.mode == FastPathMode::kOff ? ", StEM" : ""));
     ShardedStreamingOptions options;
-    options.lanes = arrangement.lanes;
+    options.lanes = shape.lanes;
     options.stream = ShortStemOptions();
-    options.stream.fast_path = arrangement.mode;
+    options.stream.fast_path = shape.mode;
     const StreamCounterBaseline baseline = StreamCounterBaseline::Capture();
     const std::uint64_t routed_before = ShardCounters::Get().records_routed->Value();
     FailingStream stream(f, kPulled);
@@ -712,39 +762,6 @@ TEST(DegradeCounters, DegradedFitsConsistentAcrossLaneCounts) {
   EXPECT_GT(degraded_windows[0], 0u);
   EXPECT_EQ(degraded_windows[0], degraded_windows[1]);
   EXPECT_EQ(degraded_windows[0], degraded_windows[2]);
-}
-
-// --- backpressure ------------------------------------------------------------------------
-
-TEST(BackpressureCounters, PeakQueueDepthPinsAtCapacityWhenRouterBlocks) {
-  const Fixture f;
-  ShardedStreamingOptions options;
-  // StEM lanes at K = 2 run behind queues on their own threads.
-  options.lanes = 2;
-  options.lane_queue_capacity = 8;  // tiny queue: the router must outrun the fits
-  options.router_batch = 1;
-  options.stream = ShortStemOptions();
-  FleetStats stats;
-  const auto pooled = RunFleet(f, options, 99, &stats);
-  ASSERT_GE(pooled.size(), 3u);
-  ASSERT_EQ(stats.lane.size(), 2u);
-  std::size_t peak = 0;
-  for (const LaneStats& lane : stats.lane) {
-    EXPECT_LE(lane.peak_queue_depth, options.lane_queue_capacity);
-    peak = std::max(peak, lane.peak_queue_depth);
-  }
-  EXPECT_EQ(peak, options.lane_queue_capacity);
-  EXPECT_GT(stats.router_blocked_seconds, 0.0);
-  // The global gauge mirrors the per-lane high-water mark.
-  const MetricsSnapshot snap = MetricRegistry::Global().Snapshot();
-  bool found = false;
-  for (const GaugeSample& g : snap.gauges) {
-    if (g.name == "qnet_stream_peak_queue_depth") {
-      EXPECT_GE(g.value, static_cast<double>(options.lane_queue_capacity));
-      found = true;
-    }
-  }
-  EXPECT_TRUE(found);
 }
 
 }  // namespace
