@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "qnet/support/check.h"
 #include "qnet/support/logspace.h"
@@ -94,6 +96,111 @@ PiecewiseExpDensity BuildFinalDepartureDensity(const FinalDepartureMove& move) {
   BuildFinalDepartureSegmentsInto(move, density);
   density.Finalize();
   return density;
+}
+
+namespace {
+
+// Bit blends on all-ones / all-zero masks (see ConditionalTile).
+std::uint64_t MaskOf(bool c) { return c ? ~0ull : 0ull; }
+double Blend(std::uint64_t mask, double if_set, double if_clear) {
+  return std::bit_cast<double>((std::bit_cast<std::uint64_t>(if_set) & mask) |
+                               (std::bit_cast<std::uint64_t>(if_clear) & ~mask));
+}
+
+}  // namespace
+
+void BuildSegmentRows(const ConditionalTile& tile, std::size_t n,
+                      PiecewiseExpBatch::SegmentRows& rows) {
+  QNET_CHECK(n <= ConditionalTile::kLanes, "tile holds at most ", ConditionalTile::kLanes,
+             " moves");
+  constexpr std::size_t kW = PiecewiseExpBatch::kMaxMoves;
+  std::uint64_t bad = 0;
+  for (std::size_t l = 0; l < n; ++l) {
+    const double lo = tile.lower[l];
+    const double up = tile.upper[l];
+    const double mu_e = tile.mu_e[l];
+    const double mu_o = tile.mu_other[l];
+    const double d_e = tile.d_e[l];
+    const double start = tile.start[l];
+    const double t1 = tile.t1[l];
+    const double t2 = tile.t2[l];
+    const double d_next = tile.d_next[l];
+    const std::uint64_t has_t1 = tile.has_t1[l];
+    const std::uint64_t has_t2 = tile.has_t2[l];
+    const std::uint64_t final_move = tile.final_move[l];
+    const std::uint64_t live = tile.live[l];
+
+    // Arrival: the cuts strictly inside (L, U), ordered — BuildArrivalSegmentsInto's
+    // [L, t1?, t2?, U] with its one swap. Interior cuts can only coincide with each other
+    // (t1 == t2), whose zero-width middle segment the builder skips, leaving [L, t1] and
+    // [t2, U].
+    const std::uint64_t in1 = has_t1 & MaskOf(t1 > lo) & MaskOf(t1 < up);
+    const std::uint64_t in2 = has_t2 & MaskOf(t2 > lo) & MaskOf(t2 < up);
+    const std::uint64_t both = in1 & in2;
+    const std::uint64_t swap = both & MaskOf(t2 < t1);
+    const std::uint64_t equal = both & MaskOf(t1 == t2);
+    const std::uint64_t one_cut = in1 | in2;
+    const std::uint64_t two_cuts = both & ~equal;
+    const double cut_a = Blend(in1, Blend(swap, t2, t1), t2);  // first interior cut
+    const double cut_b = Blend(swap, t1, t2);                  // second, when two_cuts
+    const double hi0 = Blend(one_cut, cut_a, up);
+    const double lo1 = Blend(equal, t2, cut_a);
+    const double hi1 = Blend(two_cuts, cut_b, up);
+    // One arrival segment [sl, sh]: ArrivalMove::LogG and the builder's slope, each
+    // conditional term computed and blended in (the same operations, in the same order).
+    const auto arrival_segment = [&](double sl, double sh, double& alpha, double& beta) {
+      const double mid = 0.5 * (sl + sh);
+      double b = -mu_o;
+      b = Blend(~has_t1 | MaskOf(mid > t1), b + mu_e, b);
+      b = Blend(has_t2 & MaskOf(mid > t2), b + mu_o, b);
+      double log_g = Blend(has_t1, -mu_e * (d_e - std::max(mid, t1)), -mu_e * (d_e - mid));
+      log_g += -mu_o * (mid - start);
+      log_g = Blend(has_t2, log_g + -mu_o * (d_next - std::max(mid, t2)), log_g);
+      alpha = log_g - b * mid;
+      beta = b;
+    };
+    double arr_alpha0, arr_beta0, arr_alpha1, arr_beta1, arr_alpha2, arr_beta2;
+    arrival_segment(lo, hi0, arr_alpha0, arr_beta0);
+    arrival_segment(lo1, hi1, arr_alpha1, arr_beta1);
+    arrival_segment(cut_b, up, arr_alpha2, arr_beta2);
+
+    // Final departure: split at t_nu when it lies inside the window, else one segment.
+    const std::uint64_t split = has_t2 & MaskOf(t2 > lo) & MaskOf(t2 < up);
+    const auto final_log_g = [&](double d) {
+      const double log_g = -mu_e * (d - start);
+      return Blend(has_t2, log_g + -mu_e * (d_next - std::max(t2, d)), log_g);
+    };
+    const double mid1 = 0.5 * (lo + t2);
+    const double mid2 = 0.5 * (t2 + up);
+    const std::uint64_t bounded = MaskOf(std::isfinite(up));
+    const double probe = Blend(bounded, 0.5 * (lo + up), lo + 1.0);
+    const double whole_beta = Blend(has_t2 & MaskOf(t2 <= lo), 0.0, -mu_e);
+    const double split_alpha0 = final_log_g(mid1) + mu_e * mid1;
+    const double split_alpha1 = final_log_g(mid2);
+    const double whole_alpha = final_log_g(probe) - whole_beta * probe;
+    bad |= live & (~MaskOf(lo < up) |
+                   (final_move & ~split & ~bounded & ~MaskOf(whole_beta < 0.0)));
+
+    rows.lo[l] = lo;
+    rows.hi[l] = Blend(final_move, Blend(split, t2, up), hi0);
+    rows.alpha[l] = Blend(final_move, Blend(split, split_alpha0, whole_alpha), arr_alpha0);
+    rows.beta[l] = Blend(final_move, Blend(split, -mu_e, whole_beta), arr_beta0);
+    rows.lo[kW + l] = Blend(final_move, t2, lo1);
+    rows.hi[kW + l] = Blend(final_move, up, hi1);
+    rows.alpha[kW + l] = Blend(final_move, split_alpha1, arr_alpha1);
+    rows.beta[kW + l] = Blend(final_move, 0.0, arr_beta1);
+    rows.lo[2 * kW + l] = cut_b;
+    rows.hi[2 * kW + l] = up;
+    rows.alpha[2 * kW + l] = arr_alpha2;
+    rows.beta[2 * kW + l] = arr_beta2;
+    const std::uint64_t final_count = 1 + (split & 1);
+    const std::uint64_t arrival_count = 1 + (one_cut & 1) + (two_cuts & 1);
+    rows.counts[l] = static_cast<std::uint32_t>(
+        ((final_move & final_count) | (~final_move & arrival_count)) & live);
+  }
+  QNET_CHECK(bad == 0,
+             "empty conditional window, or an unbounded final-departure window whose "
+             "density does not decrease");
 }
 
 }  // namespace qnet

@@ -33,6 +33,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <span>
 
 #include "qnet/infer/piecewise_exp.h"
@@ -145,16 +146,12 @@ inline ArrivalMove GatherArrivalMoveUnchecked(const EventLog& log, EventId e,
   return GatherArrivalMoveFrom(log, e, log.ResolveArrivalGeometryUnchecked(e), rates);
 }
 
-// Emits the conditional's segments into any density sink with an
-// AddSegment(lo, hi, alpha, beta) surface — PiecewiseExpDensity for the scalar path, an
-// open PiecewiseExpBatch move slot for the batched kernel. One definition of the
-// breakpoint/slope logic keeps the two paths identical by construction. Forced inline:
-// GCC otherwise compiles the batch instance out of line, so every move of the tile loop
-// pays a call and round-trips its ArrivalMove through memory (inlining measured ~1.1x
-// on a whole StEM window, same bits).
-template <typename Density>
+// Emits the conditional's segments into a scalar density: the specification of the
+// breakpoint/slope logic. The reference kernel runs it move at a time, and the batched
+// kernel's fixed-rank form (BuildSegmentRows below) is pinned to it segment for segment.
+// Forced inline so the reference kernel's move loop keeps its ArrivalMove in registers.
 [[gnu::always_inline]] inline void BuildArrivalSegmentsInto(const ArrivalMove& move,
-                                                            Density& density) {
+                                                            PiecewiseExpDensity& density) {
   QNET_CHECK(move.lower < move.upper, "empty conditional window: L=", move.lower,
              " U=", move.upper);
   // Breakpoints inside (L, U) where a max() changes branch: at most lower, t1, t2, upper.
@@ -273,9 +270,8 @@ inline FinalDepartureMove GatherFinalDepartureMoveUnchecked(const EventLog& log,
 }
 
 // Segment emission for the final-departure conditional; see BuildArrivalSegmentsInto.
-template <typename Density>
 [[gnu::always_inline]] inline void BuildFinalDepartureSegmentsInto(
-    const FinalDepartureMove& move, Density& density) {
+    const FinalDepartureMove& move, PiecewiseExpDensity& density) {
   QNET_CHECK(move.lower < move.upper, "empty conditional window");
   // Below t_nu the second service still starts at t_nu: slope -mu_e. Above, the two terms
   // cancel: slope 0 (the nu(e) service shrinks exactly as s_e grows).
@@ -301,6 +297,82 @@ template <typename Density>
 // The conditional d_e | everything else, as BuildArrivalDensity: requires a
 // non-degenerate window.
 PiecewiseExpDensity BuildFinalDepartureDensity(const FinalDepartureMove& move);
+
+// One tile of gathered conditionals for the batched kernel, staged structure-of-arrays so
+// BuildSegmentRows runs as one branch-free loop over lanes. Lane l holds one move: an
+// arrival (mu_other = mu_pi, start = c_pi, t1 = d_rho(e), t2 = a_nu(pi), d_next =
+// d_nu(pi)) or a final departure (start = c_e, t2 = a_nu(e), d_next = d_nu(e); mu_other,
+// d_e and t1 unused). Flags are all-ones / all-zero masks, so the build's selects stay
+// integer bit blends, which gcc keeps straight-line where it would turn an FP select on
+// a bool into a branch (see support/vmath.h's Log).
+struct ConditionalTile {
+  static constexpr std::size_t kLanes = PiecewiseExpBatch::kMaxMoves;
+
+  std::array<double, kLanes> lower;
+  std::array<double, kLanes> upper;
+  std::array<double, kLanes> mu_e;
+  std::array<double, kLanes> mu_other;
+  std::array<double, kLanes> d_e;
+  std::array<double, kLanes> start;
+  std::array<double, kLanes> t1;
+  std::array<double, kLanes> t2;
+  std::array<double, kLanes> d_next;
+  std::array<std::uint64_t, kLanes> final_move;
+  std::array<std::uint64_t, kLanes> has_t1;
+  std::array<std::uint64_t, kLanes> has_t2;
+  std::array<std::uint64_t, kLanes> live;  // window wider than kDegenerateWindow
+
+  // Stage lane l and return whether its window is wide enough to sample; a lane that is
+  // not gets no segments, and the kernel writes its midpoint. The degenerate tests are
+  // the reference kernel's (RunBucketReference).
+  bool StageArrival(std::size_t l, const ArrivalMove& m) {
+    const bool sampled = m.upper - m.lower > kDegenerateWindow;
+    lower[l] = m.lower;
+    upper[l] = m.upper;
+    mu_e[l] = m.mu_e;
+    mu_other[l] = m.mu_pi;
+    d_e[l] = m.d_e;
+    start[l] = m.c_pi;
+    t1[l] = m.t1;
+    t2[l] = m.t2;
+    d_next[l] = m.d_nu_pi;
+    final_move[l] = 0;
+    has_t1[l] = m.has_t1 ? ~0ull : 0ull;
+    has_t2[l] = m.has_nu_pi ? ~0ull : 0ull;
+    live[l] = sampled ? ~0ull : 0ull;
+    return sampled;
+  }
+  bool StageFinalDeparture(std::size_t l, const FinalDepartureMove& m) {
+    const bool sampled = !std::isfinite(m.upper) || m.upper - m.lower > kDegenerateWindow;
+    lower[l] = m.lower;
+    upper[l] = m.upper;
+    mu_e[l] = m.mu_e;
+    mu_other[l] = 0.0;
+    d_e[l] = 0.0;
+    start[l] = m.c_e;
+    t1[l] = 0.0;
+    t2[l] = m.t_nu;
+    d_next[l] = m.d_nu;
+    final_move[l] = ~0ull;
+    has_t1[l] = 0;
+    has_t2[l] = m.has_nu ? ~0ull : 0ull;
+    live[l] = sampled ? ~0ull : 0ull;
+    return sampled;
+  }
+};
+
+// Fills the first n move slots of `rows` with the segments of the tile's staged
+// conditionals: for every lane, bit for bit the segments BuildArrivalSegmentsInto or
+// BuildFinalDepartureSegmentsInto emits for its move (none when the lane is not live).
+// It is their fixed-rank, branch-free form — every lane computes both move kinds' three
+// candidate ranks and keeps its own by bit-blend selects — so the whole tile builds as
+// one vector loop instead of per-move branches on the cut positions. The template
+// builders stay the specification: the reference kernel and the scalar densities run
+// them, and tests pin this form to them (tests/test_move_batch.cc). CHECK-fails on the
+// builders' conditions (a live window with lower >= upper, or an unbounded
+// final-departure window whose density does not decrease).
+void BuildSegmentRows(const ConditionalTile& tile, std::size_t n,
+                      PiecewiseExpBatch::SegmentRows& rows);
 
 }  // namespace qnet
 

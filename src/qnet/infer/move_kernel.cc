@@ -59,15 +59,16 @@ void BatchedExponentialMoveKernel::RunBucket(EventLog& state,
   std::array<double, kMaxBatchWidth> picks;
   std::array<double, kMaxBatchWidth> invs;
   std::array<double, kMaxBatchWidth> sampled;
+  ConditionalTile staged;
+  PiecewiseExpBatch::SegmentRows rows;
   for (std::size_t tile_start = 0; tile_start < moves.size(); tile_start += width_) {
     // Level-3 detail: one span per SoA tile. Off by default (Timeline level 1), where
     // the cost is a single relaxed load per tile.
     ScopedSpan tile_span(SpanStage::kSweepTile);
     const std::size_t tile = std::min(width_, moves.size() - tile_start);
-    batch.Clear();
-    // Gather: footprint geometry and segment parameters, SoA. Conflict-freedom means no
+    // Gather: each lane's neighborhood times, staged SoA. Conflict-freedom means no
     // gather here reads a time this tile's scatter phase will write. Degenerate-window
-    // moves leave their slot empty and pre-store the midpoint; SampleAll skips them.
+    // moves pre-store the midpoint and get no segments; SampleAll skips them.
     // No software prefetch here: the event log at bench scale is L2-resident and the
     // out-of-order window already overlaps neighboring lanes' pointer chases, so an
     // interleaved A/B of none / next-tile-record / two-distance prefetch schemes measured
@@ -75,23 +76,18 @@ void BatchedExponentialMoveKernel::RunBucket(EventLog& state,
     for (std::size_t l = 0; l < tile; ++l) {
       const SweepMove& move = moves[tile_start + l];
       const MoveGeometry& g = geometry[tile_start + l];
-      batch.BeginMove();
-      if (move.kind == MoveKind::kArrival) {
-        const ArrivalMove m = GatherArrivalMoveFrom(state, move.event, g, rates_);
-        if (!(m.upper - m.lower > kDegenerateWindow)) {
-          sampled[l] = 0.5 * (m.lower + m.upper);
-        } else {
-          BuildArrivalSegmentsInto(m, batch);
-        }
-      } else {
-        const FinalDepartureMove m = GatherFinalDepartureMoveFrom(state, move.event, g, rates_);
-        if (std::isfinite(m.upper) && !(m.upper - m.lower > kDegenerateWindow)) {
-          sampled[l] = 0.5 * (m.lower + m.upper);
-        } else {
-          BuildFinalDepartureSegmentsInto(m, batch);
-        }
+      const bool live =
+          move.kind == MoveKind::kArrival
+              ? staged.StageArrival(l, GatherArrivalMoveFrom(state, move.event, g, rates_))
+              : staged.StageFinalDeparture(
+                    l, GatherFinalDepartureMoveFrom(state, move.event, g, rates_));
+      if (!live) {
+        sampled[l] = 0.5 * (staged.lower[l] + staged.upper[l]);
       }
     }
+    // Build: every lane's segments as one branch-free vector loop, then load the tile.
+    BuildSegmentRows(staged, tile, rows);
+    batch.Load(rows, tile);
     // Normalize: the tile's transcendentals as contiguous vmath sweeps.
     batch.FinalizeAll();
     // Draw: one picks row, one quantiles row — lane l advances iff it has a move this

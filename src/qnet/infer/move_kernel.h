@@ -99,10 +99,12 @@ inline void ScatterMoveResult(EventLog& state, const SweepMove& move, double sam
 
 // Batched SoA kernel over one conflict-free bucket: the moves of a color class have
 // pairwise disjoint footprints, so no gather depends on another move's scatter and
-// the bucket can be processed gather-all / finalize-all / sample-all / scatter-all in
-// fixed-width tiles. Per tile the transcendental work (one exp and one expm1 per segment)
-// runs as two contiguous vmath sweeps (PiecewiseExpBatch::FinalizeAll) instead of being
-// interleaved with gather/scatter control flow.
+// the bucket can be processed gather-all / build-all / finalize-all / sample-all /
+// scatter-all in fixed-width tiles. Only the gather and the scatter walk the moves one
+// by one; the segment build (BuildSegmentRows), the normalization (two exps per segment,
+// PiecewiseExpBatch::FinalizeAll), the draws and the inverse CDF each run as whole-tile
+// vector loops at the host's full SIMD width, with the same bits at every width (the
+// contract in CMakeLists.txt).
 //
 // Geometry: RunBucket takes each move's neighbour ids from the schedule
 // (ShardedSweepScheduler resolves them once per Rebuild), so a sweep reads only times from
@@ -131,8 +133,9 @@ class BatchedExponentialMoveKernel {
 
   // Processes one conflict-free bucket in SIMD-width tiles. geometry[i] must be
   // moves[i]'s resolved geometry on `state`'s current links. `batch` is tile scratch:
-  // its contents on entry never affect the result (every tile Clears it, and slots a
-  // tile leaves dead self-neutralize), so one batch serves every bucket a thread runs.
+  // its contents on entry never affect the result (every tile Loads it afresh, and
+  // ranks a move leaves unused self-neutralize), so one batch serves every bucket a
+  // thread runs.
   void RunBucket(EventLog& state, std::span<const SweepMove> moves,
                  std::span<const MoveGeometry> geometry, std::uint64_t bucket_seed,
                  PiecewiseExpBatch& batch) const;

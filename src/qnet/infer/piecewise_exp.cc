@@ -197,23 +197,66 @@ double PiecewiseExpDensity::SupportHi() const {
   return segments_[num_segments_ - 1].hi;
 }
 
+void PiecewiseExpBatch::Load(const SegmentRows& rows, std::size_t num_moves) {
+  QNET_CHECK(num_moves <= kMaxMoves, "batch holds at most ", kMaxMoves, " moves");
+  std::uint32_t max_count = 0;
+  for (std::size_t m = 0; m < num_moves; ++m) {
+    counts_[m] = rows.counts[m];
+    max_count = std::max(max_count, rows.counts[m]);
+  }
+  // Always-on: FinalizeAll's passes index ranks up to max_count_.
+  QNET_CHECK(max_count <= kStride, "more than ", kStride,
+             " segments; the Gibbs conditionals never need this");
+  num_moves_ = num_moves;
+  max_count_ = max_count;
+  finalized_ = false;
+  // Rank 0 is written even in an all-empty batch, so FinalizeAll (which always runs rank
+  // 0) reads neutralized slots. The derived quantities use the same expressions as the
+  // scalar Finalize and SampleExpLinear, for bit-identical downstream branches: the peak
+  // value sits at hi only for a rising bounded segment (on the unbounded tail beta < 0,
+  // and at_hi's -inf is computed and discarded), width is +inf and u == -inf on that
+  // tail. Ranks above a move's count get the neutral -inf / 0 / 0 / 0.
+  const std::size_t ks = std::max<std::size_t>(max_count, 1);
+  for (std::size_t k = 0; k < ks; ++k) {
+    const std::size_t base = k * kMaxMoves;
+    for (std::size_t m = 0; m < num_moves; ++m) {
+      const std::size_t i = base + m;
+      const double lo = rows.lo[i];
+      const double hi = rows.hi[i];
+      const double alpha = rows.alpha[i];
+      const double beta = rows.beta[i];
+      const double width = hi - lo;
+      const double at_lo = alpha + beta * lo;
+      const double at_hi = alpha + beta * hi;
+      const bool live = k < rows.counts[m];
+      lo_[i] = lo;
+      hi_[i] = hi;
+      beta_[i] = beta;
+      value_[i] = live ? ((beta > 0.0 && hi != kPosInf) ? at_hi : at_lo) : kNegInf;
+      width_[i] = live ? width : 0.0;
+      u_[i] = live ? beta * width : 0.0;
+      abs_beta_[i] = live ? std::abs(beta) : 0.0;
+    }
+  }
+}
+
 void PiecewiseExpBatch::FinalizeAll() {
   QNET_CHECK(!finalized_, "FinalizeAll called twice");
   const std::size_t nm = num_moves_;
 
-  // AddSegment already derived everything per segment (value, width, u, |beta|), so this
+  // Load already derived everything per segment (value, width, u, |beta|), so this
   // starts at the per-move peak fold. Every rectangular pass stops at the batch's
   // highest live rank rather than kStride: a rank that is dead in every move would only
   // contribute exact zeros (masses) and -inf (peak candidates), so skipping it cannot
   // change a bit — and most conditionals have one or two segments, making rank 2 usually
-  // all-dead. Rank 0 is processed even in an all-empty batch (ks >= 1): BeginMove
-  // dropped its values to -inf, so it computes defined zeros rather than reading stale
-  // slots downstream.
+  // all-dead. Rank 0 is processed even in an all-empty batch (ks >= 1): Load dropped
+  // its values to -inf, so it computes defined zeros rather than reading stale slots
+  // downstream.
   const std::size_t ks = std::max<std::size_t>(max_count_, 1);
 
   // Per-move peak as an elementwise max fold across live ranks (max is exact, so any
-  // association matches the scalar loop bit for bit; a dead rank's -inf — pre-dropped by
-  // BeginMove — never wins). Empty moves anchor at 0 so their gaps stay -inf (mass 0)
+  // association matches the scalar loop bit for bit; a dead rank's -inf — set by Load —
+  // never wins). Empty moves anchor at 0 so their gaps stay -inf (mass 0)
   // instead of producing -inf - -inf = NaN. Validity accumulates as an OR-reduction (a
   // bool && chain would serialize the loop).
   std::array<double, kMaxMoves> anchor;
@@ -245,9 +288,8 @@ void PiecewiseExpBatch::FinalizeAll() {
   //  * bounded non-flat:        mass = (exp(gap) - exp(gap - |u|)) / |beta|;
   //  * unbounded tail (u == -inf, not flat because |u| == inf): exp(gap - inf) == 0
   //    exactly, so mass = exp(gap) / |beta| — the same bits as the scalar arm;
-  //  * dead rank below a live one: value -inf makes gap -inf and both exps exactly 0, so
-  //    the mass is 0 whichever arm the stale width/u/|beta| select (they are mutually
-  //    consistent: |u| tiny only with finite width and, when |beta| == 0, the flat arm).
+  //  * unused rank: value -inf makes gap -inf and both exps exactly 0, and Load's zero
+  //    u selects the flat arm, whose 0 * width (width 0) is an exact zero mass.
   for (std::size_t k = 0; k < ks; ++k) {
     const std::size_t base = k * kMaxMoves;
     for (std::size_t m = 0; m < nm; ++m) {
@@ -294,10 +336,10 @@ void PiecewiseExpBatch::SampleAll(std::span<const double> u_pick,
   // borderline rounding agrees bit for bit, clamped to the move's last live rank (the
   // scalar loop's count - 1 default; quantile u < total can survive all subtractions).
   // The picked segment's parameters are then rank-selects across the three contiguous
-  // rows (no gathers), and the lanes SampleExpLinear would route through a rare branch —
-  // numerically flat pick, large positive exponent — or that are empty are flagged for
-  // the scalar patch-up loop; their staged values flow through the common formula as
-  // garbage (possibly inf/NaN, never a trap) and are discarded by the merge.
+  // rows (no gathers). Only a live lane with a large positive exponent (u >= 30: 2,000 of
+  // 105M lanes in a 10 s seed-1 perfbench monitor-k1 run) is flagged for the scalar
+  // patch-up; its staged value flows through the vector formulas as garbage (possibly
+  // inf/NaN, never a trap) and is overwritten there.
   static_assert(kStride == 3, "the rank selects below assume stride 3");
   const std::size_t nm = num_moves_;
   std::array<double, kMaxMoves> su;      // exponent u of the picked segment
@@ -305,8 +347,7 @@ void PiecewiseExpBatch::SampleAll(std::span<const double> u_pick,
   std::array<double, kMaxMoves> shi;     // picked segment's hi
   std::array<double, kMaxMoves> sbeta;   // picked segment's beta
   std::array<double, kMaxMoves> swidth;  // picked segment's width
-  std::array<std::uint32_t, kMaxMoves> rare;
-  std::uint32_t any_rare = 0;
+  std::uint32_t any_big = 0;
   for (std::size_t m = 0; m < nm; ++m) {
     const std::uint32_t count = counts_[m];
     const double t1 = u_pick[m] * total_mass_[m] - mass_[m];
@@ -323,18 +364,22 @@ void PiecewiseExpBatch::SampleAll(std::span<const double> u_pick,
     swidth[m] = pick == 0 ? width_[m]
                 : pick == 1 ? width_[kMaxMoves + m]
                             : width_[2 * kMaxMoves + m];
-    const std::uint32_t r =
-        (bool(std::abs(uu) < 1e-12) | bool(uu >= 30.0) | bool(count == 0)) ? 1u : 0u;
-    rare[m] = r;
-    any_rare |= r;
+    any_big |= (bool(uu >= 30.0) & bool(count != 0)) ? 1u : 0u;
   }
-  // Pass 2: the tile's inverse-CDF transcendentals as one fused vectorized loop
-  // (vmath::Exp / vmath::Log are the same inline kernels SampleExpLinear runs, so lane
-  // values match it bit for bit): x = lo + log((1-v) + v*exp(u)) / beta. The
-  // semi-infinite tail needs no arm of its own because exp(-inf) == 0 bitwise. The store
-  // is unconditional into a staging row: blending into out[m] in the same loop (a load
-  // of out under a bool) defeats gcc's if-conversion of the Log kernel's selects,
-  // dropping the whole loop to scalar.
+  // Pass 2: the tile's inverse-CDF, both common arms of SampleExpLinear as whole-tile
+  // vector loops (vmath::Exp / vmath::Log are the same inline kernels SampleExpLinear
+  // runs, so lane values match it bit for bit):
+  //  * curved: x = lo + log((1-v) + v*exp(u)) / beta. The semi-infinite tail needs no
+  //    arm of its own because exp(-inf) == 0 bitwise. The store is unconditional into a
+  //    staging row: a select or a blend into out[m] in this loop defeats gcc's
+  //    if-conversion of the Log kernel's selects, dropping the whole loop to scalar.
+  //  * flat (|u| < 1e-12): x = lo + v*width, computed in the merge loop and picked by a
+  //    lane select. It is not rare: the beta == 0 segments that final-departure and
+  //    arrival conditionals emit make it 38% of the live lanes in that run (39.9M of
+  //    105.0M), in 96% of its tiles. The curved arm divides by that zero beta; its NaN
+  //    is computed and discarded by the select.
+  // The merge is a masked select too: an empty slot (a degenerate-window move, whose
+  // midpoint the kernel wrote itself) keeps its value.
   std::array<double, kMaxMoves> sres;
   for (std::size_t m = 0; m < nm; ++m) {
     const double v = u_inv[m];
@@ -343,25 +388,19 @@ void PiecewiseExpBatch::SampleAll(std::span<const double> u_pick,
     sres[m] = slo[m] + vmath::Log(arg) / sbeta[m];
   }
   for (std::size_t m = 0; m < nm; ++m) {
-    if (!rare[m]) {
-      out[m] = sres[m];
-    }
+    const double flat = slo[m] + u_inv[m] * swidth[m];
+    const double x = std::abs(su[m]) < 1e-12 ? flat : sres[m];
+    out[m] = counts_[m] != 0 ? x : out[m];
   }
-  if (any_rare == 0) {
-    return;  // Whole tile took the common branch — typical.
+  if (any_big == 0) {
+    return;  // No lane needs the overflow-safe arm — typical.
   }
-  // Scalar patch-up for the flagged lanes, on the staged parameters and the same vmath
-  // kernels as SampleExpLinear's corresponding arms. Empty slots stay untouched: the
-  // kernel writes the degenerate midpoint itself.
+  // Scalar patch-up for the large-exponent lanes, on the staged parameters and the same
+  // vmath kernels as SampleExpLinear's anchored-at-hi arm.
   for (std::size_t m = 0; m < nm; ++m) {
-    if (!rare[m] || counts_[m] == 0) {
-      continue;
-    }
     const double uu = su[m];
-    const double v = u_inv[m];
-    if (std::abs(uu) < 1e-12) {
-      out[m] = slo[m] + v * swidth[m];
-    } else {
+    if (uu >= 30.0 && counts_[m] != 0) {
+      const double v = u_inv[m];
       out[m] = shi[m] + vmath::Log(v + (1.0 - v) * vmath::Exp(-uu)) / sbeta[m];
     }
   }

@@ -93,32 +93,30 @@ class PiecewiseExpDensity {
   bool finalized_ = false;
 };
 
-// SoA build/finalize/sample path for one tile of the batched move kernel: up to kMaxMoves
-// densities held as per-segment arrays, so FinalizeAll runs as rectangular branchless
-// passes — the transcendental work (two exps per segment) as contiguous vmath sweeps, the
+// SoA load/finalize/sample path for one tile of the batched move kernel: up to kMaxMoves
+// densities held as per-segment arrays, so every pass runs as rectangular branchless
+// loops — the transcendental work (two exps per segment) as contiguous vmath sweeps, the
 // peak/mass combining as elementwise loops across moves — instead of ragged per-move
 // control flow.
 //
 // Every array shares one layout: move m's segment rank k lives at [k * kMaxMoves + m],
-// so segment rank k of every move forms one contiguous row of kMaxMoves lanes. AddSegment
-// derives the cheap per-segment quantities (endpoint peak value, width, u = beta * width,
-// |beta|) as it stores the geometry — a handful of scalar flops folded into the build
-// loop — so FinalizeAll starts directly at the per-move peak fold and the fused
-// exp/mass pass, with no transpose or re-derivation pass over the geometry.
+// so segment rank k of every move forms one contiguous row of kMaxMoves lanes. Load takes
+// a whole tile's segments in that layout (SegmentRows, which the kernel's fixed-rank
+// build fills: BuildSegmentRows in infer/conditional.h) and derives the per-segment
+// quantities FinalizeAll and SampleAll need (endpoint peak value, width, u = beta *
+// width, |beta|) in one vector pass.
 //
-// Unused (m, k) slots self-neutralize instead of being stored per segment: BeginMove
-// pre-drops the move's peak-value slots to -inf (three stores), AddSegment overwrites the
-// live ones, and a dead slot's -inf value makes both exps of the mass formula exactly
-// zero — zero mass, a peak candidate that never wins, arithmetic that cannot produce a
-// NaN against the (finite or zero-width) stale width/u/|beta| values left in the other
-// arrays, which are value-initialized so even first-tile dead slots read defined doubles.
+// Ranks a move does not use (k >= its count) self-neutralize: Load gives them a -inf
+// peak value and zero width/u/|beta|, so both exps of the mass formula are exactly zero
+// and the flat arm's 0 * 0 is a zero mass — a peak candidate that never wins, arithmetic
+// that cannot produce a NaN whatever the rows held there.
 //
 // Contract with the scalar class: for every move slot, FinalizeAll + Sample compute
 // arithmetic identical operation-for-operation to PiecewiseExpDensity::Finalize +
 // SampleWith (both run on vmath), so given the same segments and the same two uniforms
 // the sampled time is bit-identical — pinned by tests/test_move_batch.cc. A move slot may
-// be left empty (BeginMove with no AddSegment): that is the degenerate-window case, where
-// the kernel writes the midpoint and never calls Sample on the slot.
+// be empty (count 0): that is the degenerate-window case, where the kernel writes the
+// midpoint and SampleAll leaves the slot untouched.
 //
 // The object is fixed-capacity (no heap); the kernel keeps one per tile on the stack.
 class PiecewiseExpBatch {
@@ -127,75 +125,27 @@ class PiecewiseExpBatch {
   // One slot per segment the builders can actually emit (arrival conditionals cut the
   // window at most twice — 3 segments; final-departure at most once — 2). The scalar
   // class carries one extra headroom slot; here every slot costs a full lane of every
-  // finalize pass, so the batch stride is exact and AddSegment's always-on capacity
-  // check is the guard.
+  // finalize pass, so the batch stride is exact and Load's always-on count check is the
+  // guard.
   static constexpr std::size_t kStride = 3;
   static_assert(kStride < PiecewiseExpDensity::kMaxSegments,
                 "batch stride must cover every valid density minus the headroom slot");
   static constexpr std::size_t kMaxTotalSegments = kMaxMoves * kStride;
 
-  void Clear() {
-    num_moves_ = 0;
-    max_count_ = 0;
-    finalized_ = false;
-  }
+  // One tile's segments, rank-major ([k * kMaxMoves + m]): move m uses ranks
+  // 0..counts[m]-1, left to right, each with lo < hi, ordered and disjoint, hi == +inf
+  // only with beta < 0 (PiecewiseExpDensity::AddSegment's geometry). Entries at unused
+  // ranks are ignored.
+  struct SegmentRows {
+    std::array<double, kMaxTotalSegments> lo;
+    std::array<double, kMaxTotalSegments> hi;
+    std::array<double, kMaxTotalSegments> alpha;  // log-density intercept
+    std::array<double, kMaxTotalSegments> beta;   // log-density slope
+    std::array<std::uint32_t, kMaxMoves> counts;
+  };
 
-  // Opens the next move slot; returns its index. Segments added afterwards belong to it.
-  // Drops the slot's peak values to -inf so segment ranks the move never fills
-  // self-neutralize in FinalizeAll (zero mass, losing peak candidate).
-  std::size_t BeginMove() {
-    QNET_DCHECK(!finalized_, "BeginMove after FinalizeAll");
-    QNET_CHECK(num_moves_ < kMaxMoves, "batch is full");  // always-on: guards the stores
-    const std::size_t m = num_moves_;
-    counts_[m] = 0;
-    for (std::size_t k = 0; k < kStride; ++k) {
-      value_[k * kMaxMoves + m] = kNegInf;
-    }
-    return num_moves_++;
-  }
-
-  // Same semantics as PiecewiseExpDensity::AddSegment, scoped to the open move slot.
-  // Geometry validation is DCHECK-only here: this is the per-segment hot path, and the
-  // scalar reference kernel (which tests pin bit-identical to the batched one) runs the
-  // always-checked PiecewiseExpDensity::AddSegment on the very same segments.
-  void AddSegment(double lo, double hi, double alpha, double beta) {
-    QNET_DCHECK(num_moves_ > 0 && !finalized_, "no open move");
-    QNET_DCHECK(lo <= hi, "segment bounds reversed: lo=", lo, " hi=", hi);
-    if (!(lo < hi)) {
-      return;  // Zero width carries zero mass.
-    }
-    QNET_DCHECK(hi != kPosInf || beta < 0.0, "unbounded segment requires beta < 0");
-    const std::size_t m = num_moves_ - 1;
-    const std::size_t count = counts_[m];
-    QNET_DCHECK(count == 0 || hi_[(count - 1) * kMaxMoves + m] <= lo + 1e-12,
-                "segments must be ordered and disjoint");
-    // Always-on array-bound guard (cheap single compare; everything above is geometry).
-    QNET_CHECK(count < kStride, "more than ", kStride,
-               " segments; the Gibbs conditionals never need this");
-    const std::size_t i = count * kMaxMoves + m;
-    lo_[i] = lo;
-    hi_[i] = hi;
-    beta_[i] = beta;
-    alpha_[i] = alpha;
-    // Derive the finalize/sample inputs here (a few flops on values already in
-    // registers) so FinalizeAll never revisits the geometry. Same expressions as the
-    // scalar Finalize and SampleExpLinear, for bit-identical downstream branches: the
-    // peak value sits at hi only for a rising bounded segment (on the unbounded tail
-    // beta < 0, and at_hi's -inf is computed and discarded), width is +inf and u == -inf
-    // on that tail.
-    const double width = hi - lo;
-    const double at_lo = alpha + beta * lo;
-    value_[i] = (beta > 0.0 && hi != kPosInf) ? alpha + beta * hi : at_lo;
-    width_[i] = width;
-    u_[i] = beta * width;
-    abs_beta_[i] = std::abs(beta);
-    counts_[m] = count + 1;
-    // Highest live rank in the batch: FinalizeAll's rectangular passes stop there
-    // instead of at kStride (most conditionals have one or two segments, so the third
-    // rank is usually all-dead — and a dead rank contributes exact zeros, so skipping
-    // it cannot change a bit).
-    max_count_ = std::max<std::uint32_t>(max_count_, static_cast<std::uint32_t>(count) + 1);
-  }
+  // Replaces the batch's contents with the first `num_moves` move slots of `rows`.
+  void Load(const SegmentRows& rows, std::size_t num_moves);
 
   // Normalizes every non-empty move slot: two contiguous vmath exp sweeps plus
   // elementwise (vectorizable) peak/gap/mass/total passes.
@@ -204,11 +154,12 @@ class PiecewiseExpBatch {
   // Samples every non-empty move slot from its two uniforms, writing out[m]; empty slots
   // (degenerate-window moves) are left untouched for the caller to fill. Bit-identical to
   // calling Sample(m, ...) per slot: the segment pick runs as the same sequential
-  // mass subtractions, vectorized with rank-selects, and the common branch —
+  // mass subtractions, vectorized with rank-selects, and both common inverse-CDF arms —
   // lo + log((1-v) + v*exp(u)) / beta, which the semi-infinite tail folds into exactly
-  // because exp(-inf) == 0 — as fused vmath sweeps across the tile; only lanes needing a
-  // rare inverse-CDF arm (numerically flat segment, large positive exponent) fall back
-  // to a scalar patch-up on the same vmath kernels.
+  // because exp(-inf) == 0, and the flat lo + v*width (38% of live lanes on perfbench's
+  // monitor-k1, from beta == 0 segments) — as whole-tile vector loops joined by lane
+  // selects. Only a lane with a large positive exponent (u >= 30, ~2 in 100,000 there)
+  // falls back to a scalar patch-up on the same vmath kernels.
   void SampleAll(std::span<const double> u_pick, std::span<const double> u_inv,
                  std::span<double> out) const;
 
@@ -238,16 +189,14 @@ class PiecewiseExpBatch {
   }
 
  private:
-  // All arrays use the one layout: move m's segment rank k at [k * kMaxMoves + m].
-  // Geometry and the AddSegment-derived quantities are written for live slots only;
-  // value_ additionally holds -inf in a move's dead ranks (BeginMove pre-drops them).
-  // The derived arrays are value-initialized so the fused mass pass's full-row reads of
-  // never-written slots see defined (then self-neutralizing) doubles. The peak gaps and
+  // All arrays use the one layout: move m's segment rank k at [k * kMaxMoves + m]. Load
+  // writes ranks below the batch's live-rank bound (max_count_), neutralizing a move's
+  // unused ranks; the arrays are value-initialized so SampleAll's rank-selects, which
+  // read all three rows and keep one, never read an undefined double. The peak gaps and
   // their exps are never materialized: the fused pass evaluates both inline-vmath exps
   // of the two-exp formula in the same vectorized loop that combines them.
   std::array<double, kMaxTotalSegments> lo_{};
   std::array<double, kMaxTotalSegments> hi_{};
-  std::array<double, kMaxTotalSegments> alpha_{};
   std::array<double, kMaxTotalSegments> beta_{};
   std::array<double, kMaxTotalSegments> value_{};  // peak log value (at_hi or at_lo)
   std::array<double, kMaxTotalSegments> width_{};  // hi - lo (+inf on the unbounded tail)

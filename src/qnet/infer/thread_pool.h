@@ -20,9 +20,9 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -66,6 +66,11 @@ void SetAffinityWidthForTesting(std::size_t width);
 // stops the pool the same way, so a caller that unwinds past it joins every worker before
 // the storage its jobs write into is destroyed.
 //
+// Jobs sit in a ring of slots that are reused once collected: the ring grows only when
+// more jobs are in flight than ever before, so a warm pool run at a bounded depth (both
+// callers keep at most 2W jobs in flight) allocates nothing per job beyond what the job's
+// own std::function needs — nothing for the callers' pointer-sized captures.
+//
 // Submit, OldestFinished, WaitOldest and InFlight belong to one caller thread.
 template <typename State>
 class OrderedPool {
@@ -83,18 +88,18 @@ class OrderedPool {
   std::size_t Workers() const { return states_.size(); }
 
   // Jobs submitted and not yet collected.
-  std::size_t InFlight() const { return jobs_.size(); }
+  std::size_t InFlight() const { return count_; }
 
   // Submits `job` to start once the job with ticket `after` has finished, and returns its
   // own ticket: the number of jobs submitted before it.
   std::size_t Submit(Job job, std::size_t after = kNoJob) {
     QNET_CHECK(!stopped_, "OrderedPool::Submit after the pool stopped");
-    QNET_CHECK(after == kNoJob || after < collected_ + jobs_.size(),
+    QNET_CHECK(after == kNoJob || after < collected_ + count_,
                "OrderedPool::Submit after a job not yet submitted");
-    const std::size_t ticket = collected_ + jobs_.size();
+    const std::size_t ticket = collected_ + count_;
     if (states_.size() == 1) {
       // Every earlier job has finished: each ran inline in its own Submit.
-      Entry& entry = jobs_.emplace_back();
+      Entry& entry = PushBack();
       entry.started = true;
       entry.error = Run(job, states_.front());
       entry.done.store(true, std::memory_order_relaxed);
@@ -108,7 +113,7 @@ class OrderedPool {
     }
     {
       std::lock_guard<std::mutex> lock(mu_);
-      Entry& entry = jobs_.emplace_back();
+      Entry& entry = PushBack();
       entry.job = std::move(job);
       entry.after = after;
     }
@@ -118,25 +123,26 @@ class OrderedPool {
 
   // Whether the oldest uncollected job has finished (false when none is in flight).
   bool OldestFinished() const {
-    return !jobs_.empty() && jobs_.front().done.load(std::memory_order_acquire);
+    return count_ > 0 && At(0).done.load(std::memory_order_acquire);
   }
 
   // Blocks until the oldest uncollected job finishes, running the startable jobs no thread
   // has taken meanwhile, and collects it. If it threw, stops the pool (see the class
   // comment) and rethrows its exception.
   void WaitOldest() {
-    QNET_CHECK(!jobs_.empty() && !stopped_, "OrderedPool::WaitOldest with no job to wait on");
+    QNET_CHECK(count_ > 0 && !stopped_, "OrderedPool::WaitOldest with no job to wait on");
     std::unique_lock<std::mutex> lock(mu_);
-    while (!jobs_.front().done.load(std::memory_order_relaxed)) {
+    while (!At(0).done.load(std::memory_order_relaxed)) {
       const std::size_t next = NextStartable();
-      if (next < jobs_.size()) {
+      if (next < count_) {
         RunAt(lock, next, states_.front());
       } else {
         job_done_.wait(lock);
       }
     }
-    std::exception_ptr error = std::move(jobs_.front().error);
-    jobs_.pop_front();
+    std::exception_ptr error = std::move(At(0).error);
+    head_ = (head_ + 1) & (ring_.size() - 1);
+    --count_;
     ++collected_;
     lock.unlock();
     if (error) {
@@ -163,25 +169,51 @@ class OrderedPool {
     return nullptr;
   }
 
-  // Index in jobs_ of the oldest job from `from` on that has not started and whose `after`
-  // has finished (collected jobs all have), or jobs_.size(). Called with mu_ held.
+  // The i-th oldest uncollected job (ticket collected_ + i).
+  Entry& At(std::size_t i) const { return *ring_[(head_ + i) & (ring_.size() - 1)]; }
+
+  // Appends a cleared entry for the next job: a collected slot when one is free, else the
+  // ring doubles, moving only slot pointers, so entries keep their addresses. Called by
+  // the caller thread, with mu_ held when threads run.
+  Entry& PushBack() {
+    if (count_ == ring_.size()) {
+      std::vector<std::unique_ptr<Entry>> grown(std::max<std::size_t>(4, 2 * ring_.size()));
+      for (std::size_t i = 0; i < count_; ++i) {
+        grown[i] = std::move(ring_[(head_ + i) & (ring_.size() - 1)]);
+      }
+      for (std::size_t i = count_; i < grown.size(); ++i) {
+        grown[i] = std::make_unique<Entry>();
+      }
+      ring_ = std::move(grown);
+      head_ = 0;
+    }
+    Entry& entry = At(count_++);
+    entry.after = kNoJob;
+    entry.started = false;
+    entry.error = nullptr;
+    entry.done.store(false, std::memory_order_relaxed);
+    return entry;
+  }
+
+  // Index (from the oldest) of the oldest job from `from` on that has not started and
+  // whose `after` has finished (collected jobs all have), or count_. Called with mu_ held.
   std::size_t NextStartable(std::size_t from = 0) const {
-    for (std::size_t i = from; i < jobs_.size(); ++i) {
-      const Entry& entry = jobs_[i];
+    for (std::size_t i = from; i < count_; ++i) {
+      const Entry& entry = At(i);
       if (!entry.started &&
           (entry.after == kNoJob || entry.after < collected_ ||
-           jobs_[entry.after - collected_].done.load(std::memory_order_relaxed))) {
+           At(entry.after - collected_).done.load(std::memory_order_relaxed))) {
         return i;
       }
     }
-    return jobs_.size();
+    return count_;
   }
 
-  // Starts jobs_[index] on `state`, runs it unlocked and marks it done. Called with `lock`
-  // held, and returns with it held. The caller pops only finished entries and push_back
-  // keeps references, so the entry outlives the unlocked run.
+  // Starts the job at `index` on `state`, runs it unlocked and marks it done. Called with
+  // `lock` held, and returns with it held. The caller collects only finished entries and
+  // the ring never moves an entry, so the entry outlives the unlocked run.
   void RunAt(std::unique_lock<std::mutex>& lock, std::size_t index, State& state) {
-    Entry& entry = jobs_[index];
+    Entry& entry = At(index);
     entry.started = true;
     Job job = std::move(entry.job);
     lock.unlock();
@@ -194,17 +226,17 @@ class OrderedPool {
   void Work(State& state) {
     std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
-      std::size_t next = jobs_.size();
+      std::size_t next = count_;
       job_ready_.wait(lock, [&] {
         next = NextStartable();
-        return stopping_ || next < jobs_.size();
+        return stopping_ || next < count_;
       });
       if (stopping_) {
         return;
       }
       // More work than this worker takes (a finished job can make a second one startable):
       // wake another.
-      if (NextStartable(next + 1) < jobs_.size()) {
+      if (NextStartable(next + 1) < count_) {
         job_ready_.notify_one();
       }
       RunAt(lock, next, state);
@@ -229,9 +261,12 @@ class OrderedPool {
   std::mutex mu_;
   std::condition_variable job_ready_;
   std::condition_variable job_done_;  // only the caller waits on it
-  // Uncollected jobs, oldest first; jobs_[i] has ticket collected_ + i. The caller pushes
-  // and pops (under mu_); threads only index it, under mu_.
-  std::deque<Entry> jobs_;
+  // Uncollected jobs, oldest first: At(i) has ticket collected_ + i. A power-of-two ring
+  // of individually allocated slots, reused once collected. The caller pushes and pops
+  // (under mu_); threads only index it, under mu_.
+  std::vector<std::unique_ptr<Entry>> ring_;
+  std::size_t head_ = 0;       // ring_ index of the oldest uncollected job
+  std::size_t count_ = 0;      // uncollected jobs
   std::size_t collected_ = 0;  // jobs collected; written under mu_
   bool stopping_ = false;      // guarded by mu_: threads exit
   bool stopped_ = false;       // caller side: no more Submit or WaitOldest

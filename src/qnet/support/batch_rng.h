@@ -40,16 +40,20 @@ class BatchRng {
   // Seeds `width` independent lane streams: lane l runs Rng(MixSeed(bucket_seed, l)).
   BatchRng(std::uint64_t bucket_seed, std::size_t width) : width_(width) {
     QNET_CHECK(width >= 1 && width <= kMaxBatchWidth, "bad batch width: ", width);
+    // One branch-free integer sweep across the lanes (MixSeed is inline, so the loop
+    // vectorizes like the row fills).
     for (std::size_t l = 0; l < width_; ++l) {
-      // Mirrors Rng's constructor: four SplitMix64 words, with the same all-zero guard.
+      // Mirrors Rng's constructor: four SplitMix64 words, with the same all-zero guard
+      // written as a select.
       std::uint64_t sm = MixSeed(bucket_seed, static_cast<std::uint64_t>(l));
-      s0_[l] = SplitMix64Step(sm);
-      s1_[l] = SplitMix64Step(sm);
-      s2_[l] = SplitMix64Step(sm);
-      s3_[l] = SplitMix64Step(sm);
-      if (s0_[l] == 0 && s1_[l] == 0 && s2_[l] == 0 && s3_[l] == 0) {
-        s0_[l] = 0x9e3779b97f4a7c15ULL;
-      }
+      const std::uint64_t a = SplitMix64Step(sm);
+      const std::uint64_t b = SplitMix64Step(sm);
+      const std::uint64_t c = SplitMix64Step(sm);
+      const std::uint64_t d = SplitMix64Step(sm);
+      s0_[l] = (a | b | c | d) == 0 ? 0x9e3779b97f4a7c15ULL : a;
+      s1_[l] = b;
+      s2_[l] = c;
+      s3_[l] = d;
     }
   }
 

@@ -9,12 +9,6 @@
 
 namespace qnet {
 
-std::uint64_t MixSeed(std::uint64_t seed, std::uint64_t salt) {
-  // SplitMix64 is a bijection, so for a fixed seed distinct salts map to distinct outputs.
-  std::uint64_t x = seed + (salt + 1) * 0x9e3779b97f4a7c15ULL;
-  return SplitMix64Step(x);
-}
-
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& word : state_) {

@@ -117,13 +117,6 @@ inline std::size_t Rng::Categorical(std::span<const double> weights) {
   return weights.size() - 1;  // Floating-point slack lands on the last bin.
 }
 
-// Deterministically combines a seed with a salt (one SplitMix64 step over a golden-ratio
-// offset of the pair). Distinct salts yield distinct, well-mixed seeds for the same base
-// seed — used to derive independent per-color-class streams from a per-sweep seed, so
-// that a sweep is a pure function of (seed, color), and per-lane and per-cell streams
-// from a run seed, never of scheduling.
-std::uint64_t MixSeed(std::uint64_t seed, std::uint64_t salt);
-
 // One SplitMix64 step: advances `x` and returns the mixed output. This is the seeding
 // expansion of Rng's constructor, exposed so BatchRng can seed its SoA lane states
 // bit-identically to constructing Rng(MixSeed(seed, lane)) per lane.
@@ -133,6 +126,18 @@ inline std::uint64_t SplitMix64Step(std::uint64_t& x) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
+}
+
+// Deterministically combines a seed with a salt (one SplitMix64 step over a golden-ratio
+// offset of the pair). Distinct salts yield distinct, well-mixed seeds for the same base
+// seed — used to derive independent per-color-class streams from a per-sweep seed, so
+// that a sweep is a pure function of (seed, color), and per-lane and per-cell streams
+// from a run seed, never of scheduling. Inline, so a loop of calls (BatchRng's lane
+// seeding) folds into the caller and vectorizes.
+inline std::uint64_t MixSeed(std::uint64_t seed, std::uint64_t salt) {
+  // SplitMix64 is a bijection, so for a fixed seed distinct salts map to distinct outputs.
+  std::uint64_t x = seed + (salt + 1) * 0x9e3779b97f4a7c15ULL;
+  return SplitMix64Step(x);
 }
 
 }  // namespace qnet

@@ -17,6 +17,7 @@
 #include "qnet/infer/initializer.h"
 #include "qnet/infer/meanfield.h"
 #include "qnet/infer/stem.h"
+#include "qnet/infer/thread_pool.h"
 #include "qnet/model/builders.h"
 #include "qnet/obs/observation.h"
 #include "qnet/shard/sharded_streaming.h"
@@ -407,6 +408,41 @@ TEST(AllocFree, ChangeMonitorObserveDoesNotAllocate) {
   e.merged_tail_tasks = 40;
   monitor.Observe(e);
   EXPECT_EQ(AllocationCount(), before);
+}
+
+TEST(AllocFree, WarmOrderedPoolAllocatesNothingPerJob) {
+  // The fit pool's job ring reuses its slots: once warm at the callers' bounded depth
+  // (at most 2W jobs in flight), submitting and collecting jobs allocates nothing. Each
+  // job captures one pointer, as the fleet's and the scenario engine's jobs do, which
+  // std::function stores inline.
+  for (const std::size_t width : {std::size_t{1}, std::size_t{2}}) {
+    OrderedPool<std::size_t> pool(width);
+    std::vector<std::size_t> results(64, 0);
+    const auto run = [&](std::size_t jobs) {
+      for (std::size_t i = 0; i < jobs; ++i) {
+        if (pool.InFlight() >= 2 * pool.Workers()) {
+          pool.WaitOldest();
+        }
+        std::size_t* slot = &results[i % results.size()];
+        pool.Submit([slot](std::size_t& ran) {
+          ++ran;
+          ++*slot;
+        });
+      }
+      while (pool.InFlight() > 0) {
+        pool.WaitOldest();
+      }
+    };
+    run(16);  // warm: threads started, ring at its working size
+    const std::size_t before = AllocationCount();
+    run(1000);
+    EXPECT_EQ(AllocationCount() - before, 0u) << "width " << width;
+    std::size_t total = 0;
+    for (std::size_t r : results) {
+      total += r;
+    }
+    EXPECT_EQ(total, 1016u) << "width " << width;
+  }
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// The batched move kernel's three contracts, pinned bottom-up:
+// The batched move kernel's four contracts, pinned bottom-up:
 //  * vmath — the N-element batch forms are bitwise the scalar inline forms (the
 //    bit-identity-by-construction claim), the documented range semantics hold exactly,
 //    and accuracy tracks libm to a few ulp;
@@ -7,7 +7,9 @@
 //    advancing active lanes only;
 //  * PiecewiseExpBatch — FinalizeAll + Sample/SampleAll are bit-identical to
 //    PiecewiseExpDensity::Finalize + SampleWith on the same segments and uniforms,
-//    across every segment-shape regime the Gibbs builders can emit;
+//    across every segment-shape regime the Gibbs builders can emit, at every tile size;
+//  * BuildSegmentRows — the fixed-rank tile build emits the template builders'
+//    segments bit for bit;
 // and top-down: sweeps through the batched kernel are bit-identical to the
 // move-at-a-time reference kernel on the same schedule and streams
 // (tests/support/reference_sweep.h), for every batch width and bucket shape (including
@@ -248,19 +250,41 @@ const std::vector<std::vector<SegmentSpec>>& DensityCases() {
   return cases;
 }
 
+// Loads one density per move slot into the batch; an empty list is an empty
+// (degenerate-window) slot. Zero-width segments are skipped, as
+// PiecewiseExpDensity::AddSegment does.
+void LoadDensities(const std::vector<std::vector<SegmentSpec>>& densities,
+                   PiecewiseExpBatch& batch) {
+  PiecewiseExpBatch::SegmentRows rows{};
+  for (std::size_t m = 0; m < densities.size(); ++m) {
+    std::uint32_t count = 0;
+    for (const SegmentSpec& s : densities[m]) {
+      if (!(s.lo < s.hi)) {
+        continue;
+      }
+      const std::size_t i = count * PiecewiseExpBatch::kMaxMoves + m;
+      rows.lo[i] = s.lo;
+      rows.hi[i] = s.hi;
+      rows.alpha[i] = s.alpha;
+      rows.beta[i] = s.beta;
+      ++count;
+    }
+    rows.counts[m] = count;
+  }
+  batch.Load(rows, densities.size());
+}
+
 TEST(PiecewiseExpBatch, SampleIsBitIdenticalToScalarSampleWith) {
   const auto& cases = DensityCases();
   PiecewiseExpBatch batch;
   std::vector<PiecewiseExpDensity> scalars(cases.size());
   for (std::size_t c = 0; c < cases.size(); ++c) {
-    const std::size_t m = batch.BeginMove();
-    ASSERT_EQ(m, c);
     for (const SegmentSpec& s : cases[c]) {
-      batch.AddSegment(s.lo, s.hi, s.alpha, s.beta);
       scalars[c].AddSegment(s.lo, s.hi, s.alpha, s.beta);
     }
     scalars[c].Finalize();
   }
+  LoadDensities(cases, batch);
   batch.FinalizeAll();
   const double quantiles[] = {1e-9, 0.1, 0.5, 0.9, 1.0 - 1e-9};
   for (std::size_t c = 0; c < cases.size(); ++c) {
@@ -278,19 +302,18 @@ TEST(PiecewiseExpBatch, SampleIsBitIdenticalToScalarSampleWith) {
 TEST(PiecewiseExpBatch, SampleAllMatchesPerSlotSampleAndSkipsEmptySlots) {
   const auto& cases = DensityCases();
   PiecewiseExpBatch batch;
+  std::vector<std::vector<SegmentSpec>> slots;
   std::vector<bool> empty;
   // Interleave an empty (degenerate-window) slot after every second density.
   for (std::size_t c = 0; c < cases.size(); ++c) {
-    batch.BeginMove();
-    for (const SegmentSpec& s : cases[c]) {
-      batch.AddSegment(s.lo, s.hi, s.alpha, s.beta);
-    }
+    slots.push_back(cases[c]);
     empty.push_back(false);
     if (c % 2 == 1) {
-      batch.BeginMove();  // no segments: the kernel's degenerate-window slot
+      slots.emplace_back();  // no segments: the kernel's degenerate-window slot
       empty.push_back(true);
     }
   }
+  LoadDensities(slots, batch);
   batch.FinalizeAll();
   const std::size_t n = batch.NumMoves();
   std::vector<double> picks(n), invs(n), out(n, -123.0);
@@ -309,35 +332,261 @@ TEST(PiecewiseExpBatch, SampleAllMatchesPerSlotSampleAndSkipsEmptySlots) {
   }
 }
 
-TEST(PiecewiseExpBatch, ClearedBatchReusesSlotsAcrossRankShrink) {
-  // First fill: three-segment moves populate every rank. After Clear, a batch of
-  // one-segment moves must ignore the stale rank-1/2 data (dead ranks self-neutralize,
+// Segment regimes of the full-tile test, one per arm of the mass formula and the
+// inverse-CDF: a sloped segment, an exact beta == 0 segment (what the final-departure
+// and arrival conditionals emit), |u| ~ 1e-13 (flat sampling arm, nonzero beta), a
+// 1e-9-wide segment (flat mass arm only), a rising u >= 30 segment (the overflow-safe
+// arm) and the unbounded tail (last segment only).
+enum class Regime { kSloped, kZeroBeta, kTinyU, kTinyWidth, kBigU, kTail };
+
+// A random density of 1-3 contiguous segments whose peak log values all lie in [-3, 3],
+// so every segment keeps a fair share of the mass and every arm gets picked.
+std::vector<SegmentSpec> RandomDensity(Rng& rng) {
+  const std::size_t count = 1 + rng.UniformInt(3);
+  std::vector<SegmentSpec> segments;
+  double lo = rng.Uniform(-5.0, 5.0);
+  for (std::size_t k = 0; k < count; ++k) {
+    const bool last = k + 1 == count;
+    const auto regime = static_cast<Regime>(rng.UniformInt(last ? 6 : 5));
+    double width = regime == Regime::kTinyWidth ? 1e-9 : rng.Uniform(0.01, 3.0);
+    double beta = 0.0;
+    switch (regime) {
+      case Regime::kSloped:
+        beta = (rng.Bernoulli(0.5) ? 1.0 : -1.0) * rng.Uniform(0.05, 8.0);
+        break;
+      case Regime::kZeroBeta:
+        break;
+      case Regime::kTinyU:
+        beta = (rng.Bernoulli(0.5) ? 1.0 : -1.0) * rng.Uniform(0.5, 2.0) * 1e-13 / width;
+        break;
+      case Regime::kTinyWidth:
+        beta = rng.Uniform(-4.0, 4.0);
+        break;
+      case Regime::kBigU:
+        beta = rng.Uniform(30.0, 60.0) / width;
+        break;
+      case Regime::kTail:
+        width = kInf;
+        beta = -rng.Uniform(0.05, 8.0);
+        break;
+    }
+    const double hi = lo + width;
+    const double peak = rng.Uniform(-3.0, 3.0);
+    const double alpha = (beta > 0.0 && hi != kInf) ? peak - beta * hi : peak - beta * lo;
+    segments.push_back({lo, hi, alpha, beta});
+    lo = hi;
+  }
+  return segments;
+}
+
+TEST(PiecewiseExpBatch, EveryTileSizeSamplesBitIdenticalToScalarSampleWith) {
+  // Tiles of every size 1..kMaxMoves, filled with seeded mixes of every regime and of
+  // empty (degenerate-window) slots, through FinalizeAll + SampleAll on one reused batch:
+  // each live slot must equal PiecewiseExpDensity::SampleWith on the same segments and
+  // uniforms bit for bit, and each empty slot must keep what the caller wrote there.
+  PiecewiseExpBatch batch;
+  Rng rng(20261019);
+  std::size_t flat_lanes = 0;    // picked segment's |u| < 1e-12 (the flat select)
+  std::size_t big_u_lanes = 0;   // picked segment's u >= 30 (the scalar patch-up)
+  std::size_t tail_lanes = 0;    // picked segment unbounded
+  std::size_t empty_slots = 0;
+  for (std::size_t tile = 1; tile <= PiecewiseExpBatch::kMaxMoves; ++tile) {
+    for (int trial = 0; trial < 40; ++trial) {
+      SCOPED_TRACE(testing::Message() << "tile " << tile << " trial " << trial);
+      std::vector<PiecewiseExpDensity> scalars(tile);
+      std::vector<std::vector<SegmentSpec>> specs(tile);
+      for (std::size_t m = 0; m < tile; ++m) {
+        if (rng.Bernoulli(0.15)) {
+          continue;  // empty slot
+        }
+        specs[m] = RandomDensity(rng);
+        for (const SegmentSpec& s : specs[m]) {
+          scalars[m].AddSegment(s.lo, s.hi, s.alpha, s.beta);
+        }
+        scalars[m].Finalize();
+      }
+      LoadDensities(specs, batch);
+      batch.FinalizeAll();
+      std::vector<double> picks(tile), invs(tile), out(tile);
+      for (std::size_t m = 0; m < tile; ++m) {
+        picks[m] = rng.Uniform();
+        invs[m] = rng.Uniform();
+        out[m] = -1000.0 - static_cast<double>(m);
+      }
+      batch.SampleAll(picks, invs, out);
+      for (std::size_t m = 0; m < tile; ++m) {
+        if (specs[m].empty()) {
+          ++empty_slots;
+          EXPECT_EQ(out[m], -1000.0 - static_cast<double>(m)) << "empty slot " << m;
+          continue;
+        }
+        ExpectBitEqual(out[m], scalars[m].SampleWith(picks[m], invs[m]), "SampleAll", m);
+        for (const SegmentSpec& s : specs[m]) {
+          if (out[m] >= s.lo && out[m] <= s.hi) {
+            const double u = s.beta * (s.hi - s.lo);
+            flat_lanes += std::abs(u) < 1e-12 ? 1 : 0;
+            big_u_lanes += u >= 30.0 ? 1 : 0;
+            tail_lanes += s.hi == kInf ? 1 : 0;
+            break;
+          }
+        }
+      }
+    }
+  }
+  // Every arm must actually have been sampled, or the bit-equality above pins nothing.
+  EXPECT_GT(flat_lanes, 500u);
+  EXPECT_GT(big_u_lanes, 500u);
+  EXPECT_GT(tail_lanes, 500u);
+  EXPECT_GT(empty_slots, 500u);
+}
+
+TEST(PiecewiseExpBatch, ReloadedBatchReusesSlotsAcrossRankShrink) {
+  // First load: three-segment moves populate every rank. Reloaded with one-segment
+  // moves, the batch must ignore its stale rank-1/2 data (unused ranks self-neutralize,
   // and the rectangular passes stop at the new live-rank bound).
   PiecewiseExpBatch batch;
-  for (int m = 0; m < 4; ++m) {
-    batch.BeginMove();
-    batch.AddSegment(0.0, 0.3, 1.0, 5.0);
-    batch.AddSegment(0.3, 0.7, 2.5, -1.0);
-    batch.AddSegment(0.7, 1.1, 1.8, -8.0);
-  }
+  LoadDensities(std::vector<std::vector<SegmentSpec>>(
+                    4, {{0.0, 0.3, 1.0, 5.0}, {0.3, 0.7, 2.5, -1.0}, {0.7, 1.1, 1.8, -8.0}}),
+                batch);
   batch.FinalizeAll();
 
-  batch.Clear();
   PiecewiseExpDensity scalar;
   scalar.AddSegment(0.0, 2.0, 0.5, -1.5);
   scalar.Finalize();
-  for (int m = 0; m < 4; ++m) {
-    batch.BeginMove();
-    batch.AddSegment(0.0, 2.0, 0.5, -1.5);
-  }
+  LoadDensities(std::vector<std::vector<SegmentSpec>>(4, {{0.0, 2.0, 0.5, -1.5}}), batch);
   batch.FinalizeAll();
-  for (int m = 0; m < 4; ++m) {
+  for (std::size_t m = 0; m < 4; ++m) {
     for (double p : {0.05, 0.95}) {
-      EXPECT_EQ(batch.Sample(static_cast<std::size_t>(m), p, 0.5),
-                scalar.SampleWith(p, 0.5))
+      EXPECT_EQ(batch.Sample(m, p, 0.5), scalar.SampleWith(p, 0.5))
           << "slot " << m << " p=" << p;
     }
   }
+}
+
+// Random conditionals covering every branch of the segment builders: missing, outside,
+// inside, coinciding and swapped breakpoints, flat (t_nu <= L) and unbounded
+// final-departure windows, and degenerate windows.
+ArrivalMove RandomArrivalMove(Rng& rng) {
+  ArrivalMove m;
+  m.lower = rng.Uniform(0.0, 10.0);
+  m.upper = m.lower + (rng.Bernoulli(0.05) ? 1e-13 : rng.Uniform(0.05, 3.0));
+  m.mu_e = rng.Uniform(0.2, 5.0);
+  m.mu_pi = rng.Bernoulli(0.1) ? m.mu_e : rng.Uniform(0.2, 5.0);
+  m.d_e = m.upper + rng.Uniform(0.0, 1.0);
+  m.c_pi = m.lower - rng.Uniform(0.0, 1.0);
+  const auto breakpoint = [&] {
+    switch (rng.UniformInt(6)) {
+      case 0:
+        return m.lower - rng.Uniform(0.0, 1.0);
+      case 1:
+        return m.upper + rng.Uniform(0.0, 1.0);
+      case 2:
+        return rng.Bernoulli(0.5) ? m.lower : m.upper;
+      default:
+        return rng.Uniform(m.lower, m.upper);
+    }
+  };
+  m.has_t1 = rng.Bernoulli(0.7);
+  m.t1 = m.has_t1 ? breakpoint() : 0.0;
+  m.has_nu_pi = rng.Bernoulli(0.7);
+  m.t2 = m.has_nu_pi ? (rng.Bernoulli(0.15) && m.has_t1 ? m.t1 : breakpoint()) : 0.0;
+  m.d_nu_pi = m.has_nu_pi ? m.upper + rng.Uniform(0.0, 1.0) : 0.0;
+  return m;
+}
+
+FinalDepartureMove RandomFinalDepartureMove(Rng& rng) {
+  FinalDepartureMove m;
+  m.mu_e = rng.Uniform(0.2, 5.0);
+  m.c_e = rng.Uniform(0.0, 10.0);
+  m.lower = m.c_e;
+  m.has_nu = rng.Bernoulli(0.7);
+  if (m.has_nu) {
+    m.d_nu = m.lower + (rng.Bernoulli(0.05) ? 1e-13 : rng.Uniform(0.05, 3.0));
+    m.upper = m.d_nu;
+    switch (rng.UniformInt(3)) {
+      case 0:
+        m.t_nu = m.lower - rng.Uniform(0.0, 1.0);  // flat window
+        break;
+      case 1:
+        m.t_nu = rng.Bernoulli(0.5) ? m.lower : m.upper;
+        break;
+      default:
+        m.t_nu = rng.Uniform(m.lower, m.upper);
+    }
+  } else {
+    m.upper = kInf;
+  }
+  return m;
+}
+
+TEST(ConditionalTile, SegmentRowsMatchTheTemplateBuilders) {
+  // BuildSegmentRows is the fixed-rank form of BuildArrivalSegmentsInto and
+  // BuildFinalDepartureSegmentsInto: over tiles of mixed random moves, every live lane
+  // must carry the builders' segments bit for bit (alpha only weights the segment pick,
+  // so sampling alone would barely see it) and sample like the scalar density they
+  // build, and every degenerate lane must get no segments.
+  Rng rng(77);
+  PiecewiseExpBatch batch;
+  ConditionalTile tile;
+  PiecewiseExpBatch::SegmentRows rows;
+  std::array<std::size_t, 4> seen_counts{};
+  std::size_t coinciding_cuts = 0;  // t1 == t2 strictly inside the window
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t n = 1 + rng.UniformInt(ConditionalTile::kLanes);
+    std::vector<PiecewiseExpDensity> scalars(n);
+    std::vector<bool> live(n);
+    for (std::size_t l = 0; l < n; ++l) {
+      if (rng.Bernoulli(0.5)) {
+        const ArrivalMove m = RandomArrivalMove(rng);
+        live[l] = tile.StageArrival(l, m);
+        coinciding_cuts += (live[l] && m.has_t1 && m.has_nu_pi && m.t1 == m.t2 &&
+                            m.t1 > m.lower && m.t1 < m.upper)
+                               ? 1
+                               : 0;
+        if (live[l]) {
+          BuildArrivalSegmentsInto(m, scalars[l]);
+        }
+      } else {
+        const FinalDepartureMove m = RandomFinalDepartureMove(rng);
+        live[l] = tile.StageFinalDeparture(l, m);
+        if (live[l]) {
+          BuildFinalDepartureSegmentsInto(m, scalars[l]);
+        }
+      }
+      if (live[l]) {
+        scalars[l].Finalize();
+      }
+    }
+    BuildSegmentRows(tile, n, rows);
+    batch.Load(rows, n);
+    batch.FinalizeAll();
+    for (std::size_t l = 0; l < n; ++l) {
+      SCOPED_TRACE(testing::Message() << "trial " << trial << " lane " << l);
+      if (!live[l]) {
+        EXPECT_EQ(batch.NumSegments(l), 0u);
+        continue;
+      }
+      ASSERT_EQ(batch.NumSegments(l), scalars[l].NumSegments());
+      ++seen_counts[scalars[l].NumSegments()];
+      for (std::size_t k = 0; k < scalars[l].NumSegments(); ++k) {
+        const ExpSegment want = scalars[l].Segment(k);
+        const std::size_t i = k * PiecewiseExpBatch::kMaxMoves + l;
+        ExpectBitEqual(rows.lo[i], want.lo, "lo", k);
+        ExpectBitEqual(rows.hi[i], want.hi, "hi", k);
+        ExpectBitEqual(rows.alpha[i], want.alpha, "alpha", k);
+        ExpectBitEqual(rows.beta[i], want.beta, "beta", k);
+      }
+      for (int draw = 0; draw < 6; ++draw) {
+        const double p = rng.Uniform();
+        const double v = rng.Uniform();
+        ExpectBitEqual(batch.Sample(l, p, v), scalars[l].SampleWith(p, v), "Sample", l);
+      }
+    }
+  }
+  EXPECT_GT(seen_counts[1], 100u);
+  EXPECT_GT(seen_counts[2], 100u);
+  EXPECT_GT(seen_counts[3], 100u);
+  EXPECT_GT(coinciding_cuts, 20u);
 }
 
 // --- Kernel level: batched vs reference on real sweeps ----------------------------------
