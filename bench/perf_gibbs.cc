@@ -21,7 +21,14 @@
 //                                        (see .github/workflows/ci.yml);
 //   BM_GibbsSweepAllocations allocs_per_sweep — global operator-new calls per sweep;
 //                                        must stay exactly 0 (see tests/test_alloc_free.cc
-//                                        for the hard assertion).
+//                                        for the hard assertion);
+//   BM_ScheduleRebuild/N rebuild_over_sweep — one ShardedSweepScheduler::Rebuild (the
+//                                        coloring, counting sort and geometry a StEM
+//                                        window pays once) over one sweep, both timed in
+//                                        each iteration on the same N-task fixture;
+//                                        allocs_per_rebuild must stay exactly 0. CI gates
+//                                        the median of rebuild_over_sweep over
+//                                        interleaved repetitions.
 
 #include <benchmark/benchmark.h>
 
@@ -32,10 +39,12 @@
 
 #include "qnet/infer/gibbs.h"
 #include "qnet/infer/initializer.h"
+#include "qnet/infer/sharded_sweep.h"
 #include "qnet/model/builders.h"
 #include "qnet/obs/observation.h"
 #include "qnet/sim/simulator.h"
 #include "qnet/support/rng.h"
+#include "qnet/support/stopwatch.h"
 
 namespace {
 
@@ -125,6 +134,42 @@ void BM_GibbsSweepAllocations(benchmark::State& state) {
       sweeps > 0 ? static_cast<double>(after - before) / static_cast<double>(sweeps) : 0.0;
 }
 BENCHMARK(BM_GibbsSweepAllocations)->Unit(benchmark::kMillisecond);
+
+// Rebuild against sweep, in-run: each iteration rebuilds a warm scheduler from the
+// sampler's move list and then sweeps once, so host drift falls on both timings alike.
+void BM_ScheduleRebuild(benchmark::State& state) {
+  const auto tasks = static_cast<std::size_t>(state.range(0));
+  const Fixture fixture = MakeFixture(tasks, 0.1);
+  qnet::GibbsSampler sampler(fixture.init, fixture.obs, fixture.rates);
+  const std::vector<qnet::SweepMove> moves = sampler.SweepMoves();
+  qnet::ShardedSweepScheduler scheduler;
+  qnet::Rng rng(7);
+  scheduler.Rebuild(sampler.State(), moves);  // warm-up sizes both
+  sampler.Sweep(rng);
+  std::uint64_t rebuild_ns = 0;
+  std::uint64_t sweep_ns = 0;
+  std::size_t allocations = 0;
+  for (auto _ : state) {
+    const std::size_t before = AllocationCount();
+    const qnet::Stopwatch rebuild;
+    scheduler.Rebuild(sampler.State(), moves);
+    rebuild_ns += rebuild.ElapsedNanos();
+    allocations += AllocationCount() - before;
+    const qnet::Stopwatch sweep;
+    sampler.Sweep(rng);
+    sweep_ns += sweep.ElapsedNanos();
+    benchmark::DoNotOptimize(scheduler.NumColors());
+  }
+  const double iterations = static_cast<double>(state.iterations());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(moves.size()));
+  state.counters["rebuild_over_sweep"] =
+      static_cast<double>(rebuild_ns) / static_cast<double>(sweep_ns);
+  state.counters["rebuild_us"] = 1e-3 * static_cast<double>(rebuild_ns) / iterations;
+  state.counters["sweep_us"] = 1e-3 * static_cast<double>(sweep_ns) / iterations;
+  state.counters["allocs_per_rebuild"] = static_cast<double>(allocations) / iterations;
+}
+BENCHMARK(BM_ScheduleRebuild)->Arg(500)->Arg(2000)->Unit(benchmark::kMillisecond);
 
 void BM_Initializer(benchmark::State& state) {
   const auto tasks = static_cast<std::size_t>(state.range(0));

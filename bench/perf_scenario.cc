@@ -70,7 +70,7 @@ qnet::ScenarioEngineOptions EngineOptions(std::size_t threads) {
 
 qnet::ParameterPosterior MakePosterior() {
   qnet::StemResult stem;
-  stem.rate_trace = {{1.5, 6.0, 4.0}, {1.45, 6.2, 4.1}, {1.55, 5.9, 3.95}};
+  stem.rate_trace = {3, {1.5, 6.0, 4.0, 1.45, 6.2, 4.1, 1.55, 5.9, 3.95}};
   return qnet::ParameterPosterior::FromStem(stem, 0);
 }
 

@@ -32,7 +32,6 @@ void GibbsSampler::Retarget(const Observation& obs, std::span<const double> rate
   final_moves_.clear();
   CollectLatentMoves(state_, obs, arrival_moves_, final_moves_);
   schedule_stale_ = true;
-  service_cache_.clear();
 }
 
 void GibbsSampler::SetRates(std::span<const double> rates) {
@@ -58,29 +57,12 @@ void GibbsSampler::Sweep(Rng& rng) {
     // MutableState() or Retarget may have changed since the last build.
     RebuildSchedule();
   }
-  const BatchedExponentialMoveKernel kernel(rates_, options_.batch_width, service_cache_);
+  const BatchedExponentialMoveKernel kernel(rates_, options_.batch_width);
   scheduler_.RunBuckets(
       [&](const SweepBucket& bucket) {
         kernel.RunBucket(state_, bucket.moves, bucket.geometry, bucket.seed, tile_batch_);
       },
       rng.NextU64());
-}
-
-void GibbsSampler::EnableSuffStatsTracking() {
-  service_cache_.resize(state_.NumEvents());
-  for (EventId e = 0; static_cast<std::size_t>(e) < state_.NumEvents(); ++e) {
-    service_cache_[static_cast<std::size_t>(e)] = state_.ServiceTime(e);
-  }
-}
-
-void GibbsSampler::PerQueueServiceSumsInto(std::span<double> sums) const {
-  QNET_CHECK(SuffStatsTrackingEnabled(), "EnableSuffStatsTracking first");
-  QNET_CHECK(sums.size() == rates_.size(), "sums size mismatch");
-  std::fill(sums.begin(), sums.end(), 0.0);
-  for (EventId e = 0; static_cast<std::size_t>(e) < state_.NumEvents(); ++e) {
-    sums[static_cast<std::size_t>(state_.AtUnchecked(e).queue)] +=
-        service_cache_[static_cast<std::size_t>(e)];
-  }
 }
 
 std::vector<SweepMove> GibbsSampler::SweepMoves() const {

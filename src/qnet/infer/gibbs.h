@@ -52,12 +52,12 @@ class GibbsSampler {
   // A sampler with no trace yet: write the trace into MutableState() in place (e.g.
   // InitializeFeasibleInto), then Retarget before the first Sweep. Long-lived owners
   // (StemWorkspace) keep one sampler and re-target it per trace, so its move lists,
-  // schedule, service cache and tile scratch keep their capacity.
+  // schedule and tile scratch keep their capacity.
   GibbsSampler();
 
   // Points the sampler at the trace now in MutableState(), with `rates` and `options`:
   // the constructor's checks and latent-move collection, reusing every buffer. Marks the
-  // schedule stale and turns sufficient-statistics tracking off.
+  // schedule stale.
   void Retarget(const Observation& obs, std::span<const double> rates,
                 const GibbsOptions& options);
 
@@ -79,18 +79,6 @@ class GibbsSampler {
   // the batched kernel. Consumes exactly one NextU64 from `rng` per sweep, which seeds
   // the per-bucket streams.
   void Sweep(Rng& rng);
-
-  // Fused M-step sufficient statistics. When enabled, every sweep keeps a per-event
-  // service-time cache coherent at move scatter, and PerQueueServiceSumsInto re-derives
-  // the per-queue sums from the cache in event-id order — bitwise the same totals as
-  // EventLog::PerQueueServiceSum's full scan (same terms, same addition order), without
-  // walking the event structs and their rho links per StEM iteration. Calling
-  // EnableSuffStatsTracking (again) resynchronizes the cache from the current state —
-  // required after mutating times through MutableState().
-  void EnableSuffStatsTracking();
-  bool SuffStatsTrackingEnabled() const { return !service_cache_.empty(); }
-  // sums.size() must equal the queue count. CHECK-fails unless tracking is enabled.
-  void PerQueueServiceSumsInto(std::span<double> sums) const;
 
   // The sweep's moves in event-id order: arrival moves, then final-departure moves when
   // enabled. The colored schedule is a reordering of exactly this list.
@@ -116,8 +104,6 @@ class GibbsSampler {
   // Set once MutableState() or Retarget may have changed the links scheduler_ was built
   // on; the next Sweep rebuilds it.
   bool schedule_stale_ = true;
-  // Per-event service times, kept coherent by move scatter when tracking is enabled.
-  std::vector<double> service_cache_;
   // Batched-kernel tile scratch.
   PiecewiseExpBatch tile_batch_;
 };

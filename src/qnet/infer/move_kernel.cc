@@ -32,9 +32,8 @@ std::vector<SweepMove> ConcatSweepMoves(std::span<const SweepMove> arrival_moves
 }
 
 BatchedExponentialMoveKernel::BatchedExponentialMoveKernel(std::span<const double> rates,
-                                                           std::size_t width,
-                                                           std::span<double> service_cache)
-    : rates_(rates), service_cache_(service_cache), width_(width) {
+                                                           std::size_t width)
+    : rates_(rates), width_(width) {
   QNET_CHECK(width_ >= 1 && width_ <= kMaxBatchWidth, "batch width out of range: ", width_);
   static_assert(PiecewiseExpBatch::kMaxMoves >= kMaxBatchWidth,
                 "a tile of lanes must fit in one segment batch");
@@ -100,8 +99,7 @@ void BatchedExponentialMoveKernel::RunBucket(EventLog& state,
                     std::span<const double>(invs.data(), tile),
                     std::span<double>(sampled.data(), tile));
     for (std::size_t l = 0; l < tile; ++l) {
-      ScatterMoveResult(state, moves[tile_start + l], geometry[tile_start + l], sampled[l],
-                        service_cache_);
+      ScatterMoveResult(state, moves[tile_start + l], geometry[tile_start + l], sampled[l]);
     }
   }
 }
@@ -139,7 +137,7 @@ void BatchedExponentialMoveKernel::RunBucketReference(EventLog& state,
         sampled = density.SampleWith(u_pick, u_inv);
       }
     }
-    ScatterMoveResult(state, move, sampled, service_cache_);
+    ScatterMoveResult(state, move, sampled);
   }
 }
 

@@ -12,8 +12,7 @@
 //    (EventLog::ComputeMoveFootprint), so buckets whose footprints are disjoint commute;
 //  * RunBucket performs zero heap allocations (the hot-path contract, enforced by
 //    tests/test_alloc_free.cc);
-//  * the kernel is a non-owning view over the parameters (the rates span, the optional
-//    service cache); the referents must outlive it.
+//  * the kernel is a non-owning view over the rates span; the referent must outlive it.
 
 #ifndef QNET_INFER_MOVE_KERNEL_H_
 #define QNET_INFER_MOVE_KERNEL_H_
@@ -45,56 +44,26 @@ std::vector<SweepMove> ConcatSweepMoves(std::span<const SweepMove> arrival_moves
                                         std::span<const SweepMove> final_moves,
                                         bool include_finals);
 
-// Refreshes one event's entry in a fused sufficient-statistics cache: the derived service
-// time d_e - BeginService(e), stored per event id so the M-step can re-derive per-queue
-// sums without walking the event structs. `rho` is rho(e), which the caller's geometry
-// already holds. The expression is the same as EventLog::ServiceTime, so cache entries
-// are bitwise equal to a fresh scan's terms.
-inline void RefreshServiceCacheEntry(const EventLog& state, EventId e, EventId rho,
-                                     std::span<double> cache) {
-  const double arrival = state.ArrivalUnchecked(e);
-  const double begin =
-      rho == kNoEvent ? arrival : std::max(arrival, state.DepartureUnchecked(rho));
-  cache[static_cast<std::size_t>(e)] = state.DepartureUnchecked(e) - begin;
-}
-
-// Writes a sampled move result back into the log and keeps the optional service cache
-// coherent. An arrival move changes a_e and d_pi, so the affected service times are
-// {e, pi, nu(pi)}; a final-departure move changes d_e, affecting {e, nu(e)}. All of these
-// lie inside the move's footprint, so concurrent scatter of conflict-free moves never
-// races on cache entries. Shared by RunBucket and RunBucketReference — the scatter is
+// Writes a sampled move result back into the log: an arrival move sets a_e and d_pi, a
+// final-departure move d_e. Shared by RunBucket and RunBucketReference — the scatter is
 // the one place move results touch the log. The neighbour ids come from `g` (the batched
 // kernel passes the schedule's resolved geometry).
 inline void ScatterMoveResult(EventLog& state, const SweepMove& move, const MoveGeometry& g,
-                              double sampled, std::span<double> service_cache) {
+                              double sampled) {
   if (move.kind == MoveKind::kArrival) {
     state.SetArrivalUnchecked(move.event, sampled);
     state.SetDepartureUnchecked(g.pi, sampled);
-    if (!service_cache.empty()) {
-      RefreshServiceCacheEntry(state, move.event, g.rho, service_cache);
-      RefreshServiceCacheEntry(state, g.pi, g.rho_pi, service_cache);
-      if (g.nu_pi != kNoEvent && g.nu_pi != move.event) {
-        RefreshServiceCacheEntry(state, g.nu_pi, /*rho=*/g.pi, service_cache);
-      }
-    }
   } else {
     state.SetDepartureUnchecked(move.event, sampled);
-    if (!service_cache.empty()) {
-      RefreshServiceCacheEntry(state, move.event, g.rho, service_cache);
-      if (g.nu != kNoEvent) {
-        RefreshServiceCacheEntry(state, g.nu, /*rho=*/move.event, service_cache);
-      }
-    }
   }
 }
 
 // The per-move form: resolve the geometry from the links, then the geometry scatter.
-inline void ScatterMoveResult(EventLog& state, const SweepMove& move, double sampled,
-                              std::span<double> service_cache) {
+inline void ScatterMoveResult(EventLog& state, const SweepMove& move, double sampled) {
   const MoveGeometry g = move.kind == MoveKind::kArrival
                              ? state.ResolveArrivalGeometryUnchecked(move.event)
                              : state.ResolveFinalDepartureGeometryUnchecked(move.event);
-  ScatterMoveResult(state, move, g, sampled, service_cache);
+  ScatterMoveResult(state, move, g, sampled);
 }
 
 // Batched SoA kernel over one conflict-free bucket: the moves of a color class have
@@ -128,8 +97,7 @@ class BatchedExponentialMoveKernel {
   // `width` is the tile width in moves (1 <= width <= kMaxBatchWidth); it is part of the
   // stream layout, so changing it changes the sampled values (not the distribution).
   explicit BatchedExponentialMoveKernel(std::span<const double> rates,
-                                        std::size_t width = kDefaultWidth,
-                                        std::span<double> service_cache = {});
+                                        std::size_t width = kDefaultWidth);
 
   // Processes one conflict-free bucket in SIMD-width tiles. geometry[i] must be
   // moves[i]'s resolved geometry on `state`'s current links. `batch` is tile scratch:
@@ -150,7 +118,6 @@ class BatchedExponentialMoveKernel {
 
  private:
   std::span<const double> rates_;
-  std::span<double> service_cache_;
   std::size_t width_;
 };
 

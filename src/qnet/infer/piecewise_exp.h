@@ -153,36 +153,16 @@ class PiecewiseExpBatch {
 
   // Samples every non-empty move slot from its two uniforms, writing out[m]; empty slots
   // (degenerate-window moves) are left untouched for the caller to fill. Bit-identical to
-  // calling Sample(m, ...) per slot: the segment pick runs as the same sequential
-  // mass subtractions, vectorized with rank-selects, and both common inverse-CDF arms —
-  // lo + log((1-v) + v*exp(u)) / beta, which the semi-infinite tail folds into exactly
-  // because exp(-inf) == 0, and the flat lo + v*width (38% of live lanes on perfbench's
-  // monitor-k1, from beta == 0 segments) — as whole-tile vector loops joined by lane
-  // selects. Only a lane with a large positive exponent (u >= 30, ~2 in 100,000 there)
-  // falls back to a scalar patch-up on the same vmath kernels.
+  // PiecewiseExpDensity::SampleWith on the same segments: the segment pick runs as the
+  // same sequential mass subtractions, vectorized with rank-selects, and both common
+  // inverse-CDF arms — lo + log((1-v) + v*exp(u)) / beta, which the semi-infinite tail
+  // folds into exactly because exp(-inf) == 0, and the flat lo + v*width (38% of live
+  // lanes on perfbench's monitor-k1, from beta == 0 segments) — as whole-tile vector
+  // loops joined by lane selects. Only a lane with a large positive exponent (u >= 30,
+  // ~2 in 100,000 there) falls back to a scalar patch-up on the same vmath kernels.
   void SampleAll(std::span<const double> u_pick, std::span<const double> u_inv,
                  std::span<double> out) const;
 
-  // Samples move slot m from its two uniforms; FinalizeAll first, slot must be non-empty.
-  double Sample(std::size_t m, double u_pick, double u_inv) const {
-    QNET_DCHECK(finalized_, "FinalizeAll first");
-    QNET_DCHECK(m < num_moves_, "move slot out of range: ", m);
-    const std::size_t count = counts_[m];
-    QNET_DCHECK(count > 0, "sampling an empty move slot");
-    double u = u_pick * total_mass_[m];
-    std::size_t pick = count - 1;
-    for (std::size_t k = 0; k + 1 < count; ++k) {
-      u -= mass_[k * kMaxMoves + m];
-      if (u < 0.0) {
-        pick = k;
-        break;
-      }
-    }
-    const std::size_t g = pick * kMaxMoves + m;
-    return SampleExpLinear(beta_[g], lo_[g], hi_[g], u_inv);
-  }
-
-  std::size_t NumMoves() const { return num_moves_; }
   std::size_t NumSegments(std::size_t m) const {
     QNET_DCHECK(m < num_moves_, "move slot out of range: ", m);
     return counts_[m];

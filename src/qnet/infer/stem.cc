@@ -12,7 +12,8 @@ namespace qnet {
 
 std::vector<double> StemEstimator::MStep(const EventLog& log, double service_sum_floor,
                                          double arrival_time_origin) {
-  const std::vector<double> sums = log.PerQueueServiceSum();
+  std::vector<double> sums(static_cast<std::size_t>(log.NumQueues()));
+  log.PerQueueServiceSumInto(sums);
   const std::vector<std::size_t> counts = log.PerQueueCount();
   std::vector<double> rates(sums.size(), 0.0);
   MStepFromSums(sums, counts, rates, service_sum_floor, arrival_time_origin);
@@ -67,11 +68,7 @@ StemResult StemEstimator::Run(const EventLog& truth, const Observation& obs,
   InitializeFeasibleInto(truth, obs, init_rates, rng, options_.init, ws.init_,
                          gibbs.MutableState());
   gibbs.Retarget(obs, init_rates, options_.gibbs);
-  // Fused sufficient statistics: sweeps keep the per-event service cache coherent, so the
-  // per-iteration M-step reads per-queue sums off the cache (bit-equal to the historical
-  // PerQueueServiceSum scan) and the counts — constant under the fixed link structure —
-  // are gathered exactly once.
-  gibbs.EnableSuffStatsTracking();
+  // The M-step's counts are constant under the fixed link structure: gather them once.
   const std::size_t num_queues = init_rates.size();
   std::vector<std::size_t>& counts = ws.counts_;
   counts.assign(num_queues, 0);
@@ -96,7 +93,8 @@ StemResult StemEstimator::Run(const EventLog& truth, const Observation& obs,
 
   StemResult result;
   result.latent_arrivals = gibbs.NumLatentArrivals();
-  result.rate_trace.reserve(options_.iterations);
+  result.rate_trace.num_queues = num_queues;
+  result.rate_trace.values.reserve(options_.iterations * num_queues);
 
   for (std::size_t iter = 0; iter < options_.iterations; ++iter) {
     // E-step: one (or a few) Gibbs sweeps at the current rates.
@@ -104,15 +102,16 @@ StemResult StemEstimator::Run(const EventLog& truth, const Observation& obs,
     for (std::size_t s = 0; s < options_.sweeps_per_iteration; ++s) {
       gibbs.Sweep(rng);
     }
-    // M-step: complete-data MLE on the fused statistics of the imputed log.
-    gibbs.PerQueueServiceSumsInto(sums);
+    // M-step: complete-data MLE from one scan of the imputed log.
+    gibbs.State().PerQueueServiceSumInto(sums);
     MStepFromSums(sums, counts, new_rates, options_.service_sum_floor,
                   options_.arrival_time_origin);
     if (!options_.estimate_arrival_rate) {
       new_rates[0] = rates[0];
     }
     rates.swap(new_rates);
-    result.rate_trace.push_back(rates);
+    result.rate_trace.values.insert(result.rate_trace.values.end(), rates.begin(),
+                                    rates.end());
     if (iter >= options_.burn_in) {
       for (std::size_t q = 0; q < num_queues; ++q) {
         rate_accum[q] += rates[q];
@@ -138,7 +137,7 @@ StemResult StemEstimator::Run(const EventLog& truth, const Observation& obs,
       }
     }
   }
-  result.iterations_run = result.rate_trace.size();
+  result.iterations_run = result.rate_trace.NumIterations();
   FitCounters::Get().stem_iterations->Add(result.iterations_run);
 
   result.rates.resize(num_queues);

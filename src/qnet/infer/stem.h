@@ -18,6 +18,7 @@
 #include "qnet/infer/initializer.h"
 #include "qnet/model/event.h"
 #include "qnet/obs/observation.h"
+#include "qnet/support/check.h"
 #include "qnet/support/rng.h"
 
 namespace qnet {
@@ -68,6 +69,22 @@ struct StemOptions {
   ShardedSweepScheduler* scheduler_cache = nullptr;
 };
 
+// The StEM rate iterates theta_t (index 0 = lambda), one row per iteration, row-major in
+// one buffer: a run appends each iteration's row without allocating it.
+struct RateTrace {
+  std::size_t num_queues = 0;  // the row width
+  std::vector<double> values;  // NumIterations() rows of num_queues rates
+
+  std::size_t NumIterations() const { return num_queues == 0 ? 0 : values.size() / num_queues; }
+  // Iteration `iter`'s rate vector.
+  std::span<const double> Row(std::size_t iter) const {
+    QNET_CHECK(iter < NumIterations(), "rate trace row ", iter, " out of range");
+    return {values.data() + iter * num_queues, num_queues};
+  }
+
+  friend bool operator==(const RateTrace&, const RateTrace&) = default;
+};
+
 struct StemResult {
   // Post-burn-in averaged rate estimates; index 0 is lambda-hat.
   std::vector<double> rates;
@@ -75,22 +92,22 @@ struct StemResult {
   std::vector<double> mean_service;
   // Posterior-mean per-queue waiting time under the final rates (empty if wait_sweeps == 0).
   std::vector<double> mean_wait;
-  // Rate trajectory, one vector per StEM iteration (for diagnostics).
-  std::vector<std::vector<double>> rate_trace;
+  // Rate trajectory, one row per StEM iteration (for diagnostics and posterior draws).
+  RateTrace rate_trace;
 
   std::size_t latent_arrivals = 0;
-  // StEM iterations actually executed (== rate_trace.size()); less than
+  // StEM iterations actually executed (== rate_trace.NumIterations()); less than
   // StemOptions::iterations when the convergence_tol early stop fired.
   std::size_t iterations_run = 0;
 };
 
 // Reusable working memory for StemEstimator::Run. A streaming lane fits its windows
 // strictly one after another, so it owns one workspace, and each window reuses the
-// initializer's scratch, one sampler (re-targeted per window: its state log, move lists,
-// service cache and schedule input keep their capacity) and the M-step and wait-phase
-// buffers instead of rebuilding them. A warm window whose trace is no larger than an
-// earlier one therefore allocates only its StemResult. Results are bit-identical to a
-// fresh workspace. One Run at a time per workspace.
+// initializer's scratch, one sampler (re-targeted per window: its state log, move lists
+// and schedule keep their capacity) and the M-step and wait-phase buffers instead of
+// rebuilding them. A warm window whose trace is no larger than an earlier one therefore
+// allocates only its StemResult. Results are bit-identical to a fresh workspace. One
+// Run at a time per workspace.
 class StemWorkspace {
  public:
   // The last Run's final latent state (its last Gibbs sample); valid until the next Run.
@@ -132,10 +149,9 @@ class StemEstimator {
                                    double arrival_time_origin = 0.0);
 
   // The same MLE arithmetic from externally-gathered sufficient statistics, written into
-  // `rates` (all spans one slot per queue). Feeding it the fused-tracking sums of
-  // GibbsSampler::PerQueueServiceSumsInto plus the (link-constant) PerQueueCount
-  // reproduces MStep(log) bit for bit without re-scanning the event structs — the Run
-  // loop's per-iteration path.
+  // `rates` (all spans one slot per queue). Feeding it EventLog::PerQueueServiceSumInto
+  // plus the (link-constant) PerQueueCount reproduces MStep(log) bit for bit — the Run
+  // loop's per-iteration path, which gathers the counts once per run.
   static void MStepFromSums(std::span<const double> sums,
                             std::span<const std::size_t> counts, std::span<double> rates,
                             double service_sum_floor = 1e-9,

@@ -30,32 +30,34 @@ struct MoveColoring {
   int num_colors = 0;
 };
 
+// The most colors first-fit can use on a list of distinct sweep moves. A footprint holds
+// at most 6 events (MoveFootprint::kMaxEvents). An event x lies in at most 9 footprints:
+// those of the arrival moves on x, tau(x), tau(nu(x)), nu(x), rho(x) and tau(rho(x))
+// (x in the role e, pi, rho(pi), rho, nu and nu(pi) of MoveFootprintOf) and of the
+// final-departure moves on x, nu(x) and rho(x) (x as e, rho and nu). So a move
+// conflicts with at most 6 * 8 = 48 others, and first-fit needs at most 49 colors: one
+// 64-bit mask per event holds every color class that touches it.
+inline constexpr int kMaxSweepColors = 49;
+
 // Reusable buffers for ColorSweepMovesInto. Holding one of these across recolorings (the
 // sweep scheduler keeps one per instance) makes a same-shaped recoloring
-// allocation-free: every vector is assign()ed, so capacity persists.
+// allocation-free: every vector is resized or assign()ed, so capacity persists.
 struct ColoringScratch {
-  // Per move, in move order: its resolved neighbour ids and the footprint derived from
-  // them. The sweep scheduler keeps the geometry, so one link walk per move serves both.
+  // Per move, in move order: its resolved neighbour ids. The sweep scheduler keeps the
+  // geometry, so one link walk per move serves both the coloring and the schedule.
   std::vector<MoveGeometry> geometry;
-  std::vector<MoveFootprint> footprints;
-  // CSR incidence event -> move indices: the moves touching event e are
-  // touch_moves[touch_offsets[e] .. touch_offsets[e + 1]).
-  std::vector<std::int32_t> touch_offsets;
-  std::vector<std::int32_t> touch_cursor;
-  std::vector<std::int32_t> touch_moves;
-  std::vector<std::size_t> blocked;
+  // Per event: bit c is set once a move of color c holds the event in its footprint.
+  std::vector<std::uint64_t> event_colors;
 };
 
-// Greedy first-fit coloring of the footprint-conflict graph. Deterministic; O(moves ×
-// footprint × incidence) with all bounds constant, so effectively linear in the move
-// count. The chromatic count is small in practice (the conflict graph has bounded degree:
-// an event appears in only a handful of footprints).
+// Greedy first-fit coloring of the footprint-conflict graph, in move order, over
+// distinct moves. Deterministic and O(moves x footprint): each move ORs the color masks
+// of its footprint's events, takes the lowest color not in the union, and sets that
+// color's bit in each of those masks.
 MoveColoring ColorSweepMoves(const EventLog& log, std::span<const SweepMove> moves);
 
-// In-place variant: identical colors (the CSR incidence preserves the per-event move
-// order of the list-of-lists build, so the first-fit pass sees the same neighbor
-// sequence), with all working memory drawn from `scratch` and the result written into
-// `out` — no allocations once the buffers are warm.
+// In-place variant: identical colors, with all working memory drawn from `scratch` and
+// the result written into `out` — no allocations once the buffers are warm.
 void ColorSweepMovesInto(const EventLog& log, std::span<const SweepMove> moves,
                          ColoringScratch& scratch, MoveColoring& out);
 

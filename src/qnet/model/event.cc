@@ -373,11 +373,18 @@ std::vector<std::size_t> EventLog::PerQueueCount() const {
 }
 
 std::vector<double> EventLog::PerQueueServiceSum() const {
-  std::vector<double> sums(static_cast<std::size_t>(num_queues_), 0.0);
-  for (EventId e = 0; static_cast<std::size_t>(e) < events_.size(); ++e) {
-    sums[static_cast<std::size_t>(events_[Check(e)].queue)] += ServiceTime(e);
-  }
+  std::vector<double> sums(static_cast<std::size_t>(num_queues_));
+  PerQueueServiceSumInto(sums);
   return sums;
+}
+
+void EventLog::PerQueueServiceSumInto(std::span<double> sums) const {
+  QNET_CHECK(sums.size() == static_cast<std::size_t>(num_queues_), "sums size mismatch");
+  std::fill(sums.begin(), sums.end(), 0.0);
+  for (EventId e = 0; static_cast<std::size_t>(e) < events_.size(); ++e) {
+    const Event& ev = events_[static_cast<std::size_t>(e)];
+    sums[static_cast<std::size_t>(ev.queue)] += ev.departure - BeginServiceUnchecked(e);
+  }
 }
 
 std::vector<double> EventLog::PerQueueResponseQuantile(double quantile) const {

@@ -269,6 +269,9 @@ class EventLog {
   std::vector<std::size_t> PerQueueCount() const;
   // Sum of service times per queue (the M-step sufficient statistic).
   std::vector<double> PerQueueServiceSum() const;
+  // The same sums written into `sums` (one slot per queue): ServiceTime(e) added in
+  // event-id order, the one definition both forms share.
+  void PerQueueServiceSumInto(std::span<double> sums) const;
   // Per-queue quantile of response times (e.g. 0.95 for tail latency); NaN for queues with
   // no events.
   std::vector<double> PerQueueResponseQuantile(double quantile) const;

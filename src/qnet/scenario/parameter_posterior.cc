@@ -1,5 +1,6 @@
 #include "qnet/scenario/parameter_posterior.h"
 
+#include <span>
 #include <utility>
 
 #include "qnet/support/check.h"
@@ -31,11 +32,15 @@ ParameterPosterior ParameterPosterior::FromSummary(const PosteriorSummary& summa
 
 ParameterPosterior ParameterPosterior::FromStem(const StemResult& stem,
                                                 std::size_t burn_in) {
-  QNET_CHECK(burn_in < stem.rate_trace.size(), "burn-in ", burn_in,
-             " consumes the whole rate trace (", stem.rate_trace.size(), " iterates)");
-  std::vector<std::vector<double>> draws(stem.rate_trace.begin() +
-                                             static_cast<std::ptrdiff_t>(burn_in),
-                                         stem.rate_trace.end());
+  const std::size_t iterates = stem.rate_trace.NumIterations();
+  QNET_CHECK(burn_in < iterates, "burn-in ", burn_in, " consumes the whole rate trace (",
+             iterates, " iterates)");
+  std::vector<std::vector<double>> draws;
+  draws.reserve(iterates - burn_in);
+  for (std::size_t t = burn_in; t < iterates; ++t) {
+    const std::span<const double> row = stem.rate_trace.Row(t);
+    draws.emplace_back(row.begin(), row.end());
+  }
   return ParameterPosterior(std::move(draws));
 }
 

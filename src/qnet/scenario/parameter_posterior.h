@@ -28,7 +28,7 @@ namespace qnet {
 class ParameterPosterior {
  public:
   static ParameterPosterior FromSummary(const PosteriorSummary& summary);
-  // Uses rate_trace[burn_in..]; CHECK-fails unless at least one iterate survives.
+  // Uses rate_trace rows burn_in..; CHECK-fails unless at least one iterate survives.
   static ParameterPosterior FromStem(const StemResult& stem, std::size_t burn_in);
   static ParameterPosterior FromPoint(std::vector<double> rates);
 

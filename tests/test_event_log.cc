@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -96,6 +97,24 @@ TEST(EventLog, PerQueueSummaries) {
   EXPECT_EQ(counts[1], 2u);
   EXPECT_DOUBLE_EQ(sums[1], 3.0);
   EXPECT_DOUBLE_EQ(sums[0], 2.0);
+}
+
+TEST(EventLog, PerQueueServiceSumIntoAddsServiceTimesInEventIdOrder) {
+  // StEM's M-step statistic: both forms must add exactly ServiceTime(e) in event-id
+  // order, so the fitted rates are bitwise those of a plain scan.
+  Rng rng(3);
+  const EventLog log = SimulateWorkload(MakeTandemNetwork(2.0, {4.0, 3.0}),
+                                        PoissonArrivals(2.0, 200), rng);
+  std::vector<double> expected(static_cast<std::size_t>(log.NumQueues()), 0.0);
+  for (EventId e = 0; static_cast<std::size_t>(e) < log.NumEvents(); ++e) {
+    expected[static_cast<std::size_t>(log.At(e).queue)] += log.ServiceTime(e);
+  }
+  std::vector<double> sums(expected.size(), -1.0);  // overwritten, not added to
+  log.PerQueueServiceSumInto(sums);
+  EXPECT_EQ(sums, expected);
+  EXPECT_EQ(log.PerQueueServiceSum(), expected);
+  std::vector<double> too_short(expected.size() - 1);
+  EXPECT_THROW(log.PerQueueServiceSumInto(too_short), Error);
 }
 
 TEST(EventLog, FeasibilityDetectsViolations) {

@@ -5,7 +5,7 @@
 //  * BatchRng — every lane is the unmodified Rng(MixSeed(bucket_seed, lane)) uniform
 //    stream (golden values pinned), and the row fills drain exactly those streams,
 //    advancing active lanes only;
-//  * PiecewiseExpBatch — FinalizeAll + Sample/SampleAll are bit-identical to
+//  * PiecewiseExpBatch — FinalizeAll + SampleAll are bit-identical to
 //    PiecewiseExpDensity::Finalize + SampleWith on the same segments and uniforms,
 //    across every segment-shape regime the Gibbs builders can emit, at every tile size;
 //  * BuildSegmentRows — the fixed-rank tile build emits the template builders'
@@ -15,10 +15,13 @@
 // (tests/support/reference_sweep.h), for every batch width and bucket shape (including
 // buckets narrower than one tile and degenerate-window moves).
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -286,36 +289,46 @@ TEST(PiecewiseExpBatch, SampleIsBitIdenticalToScalarSampleWith) {
   }
   LoadDensities(cases, batch);
   batch.FinalizeAll();
-  const double quantiles[] = {1e-9, 0.1, 0.5, 0.9, 1.0 - 1e-9};
   for (std::size_t c = 0; c < cases.size(); ++c) {
     ASSERT_EQ(batch.NumSegments(c), scalars[c].NumSegments());
-    for (double p : quantiles) {
-      for (double v : quantiles) {
-        const double want = scalars[c].SampleWith(p, v);
-        const double got = batch.Sample(c, p, v);
-        EXPECT_EQ(got, want) << "case " << c << " p=" << p << " v=" << v;
+  }
+  const double quantiles[] = {1e-9, 0.1, 0.5, 0.9, 1.0 - 1e-9};
+  const std::size_t n = cases.size();
+  std::vector<double> picks(n), invs(n), out(n);
+  for (double p : quantiles) {
+    for (double v : quantiles) {
+      std::fill(picks.begin(), picks.end(), p);
+      std::fill(invs.begin(), invs.end(), v);
+      batch.SampleAll(picks, invs, out);
+      for (std::size_t c = 0; c < n; ++c) {
+        EXPECT_EQ(out[c], scalars[c].SampleWith(p, v)) << "case " << c << " p=" << p
+                                                       << " v=" << v;
       }
     }
   }
 }
 
-TEST(PiecewiseExpBatch, SampleAllMatchesPerSlotSampleAndSkipsEmptySlots) {
+TEST(PiecewiseExpBatch, SampleAllMatchesScalarSampleWithAndSkipsEmptySlots) {
   const auto& cases = DensityCases();
   PiecewiseExpBatch batch;
   std::vector<std::vector<SegmentSpec>> slots;
-  std::vector<bool> empty;
+  std::vector<PiecewiseExpDensity> scalars;
   // Interleave an empty (degenerate-window) slot after every second density.
   for (std::size_t c = 0; c < cases.size(); ++c) {
     slots.push_back(cases[c]);
-    empty.push_back(false);
+    scalars.emplace_back();
+    for (const SegmentSpec& s : cases[c]) {
+      scalars.back().AddSegment(s.lo, s.hi, s.alpha, s.beta);
+    }
+    scalars.back().Finalize();
     if (c % 2 == 1) {
       slots.emplace_back();  // no segments: the kernel's degenerate-window slot
-      empty.push_back(true);
+      scalars.emplace_back();
     }
   }
   LoadDensities(slots, batch);
   batch.FinalizeAll();
-  const std::size_t n = batch.NumMoves();
+  const std::size_t n = slots.size();
   std::vector<double> picks(n), invs(n), out(n, -123.0);
   Rng rng(31);
   for (std::size_t m = 0; m < n; ++m) {
@@ -324,10 +337,10 @@ TEST(PiecewiseExpBatch, SampleAllMatchesPerSlotSampleAndSkipsEmptySlots) {
   }
   batch.SampleAll(picks, invs, out);
   for (std::size_t m = 0; m < n; ++m) {
-    if (empty[m]) {
+    if (slots[m].empty()) {
       EXPECT_EQ(out[m], -123.0) << "empty slot " << m << " must be left untouched";
     } else {
-      EXPECT_EQ(out[m], batch.Sample(m, picks[m], invs[m])) << "slot " << m;
+      EXPECT_EQ(out[m], scalars[m].SampleWith(picks[m], invs[m])) << "slot " << m;
     }
   }
 }
@@ -455,10 +468,13 @@ TEST(PiecewiseExpBatch, ReloadedBatchReusesSlotsAcrossRankShrink) {
   scalar.Finalize();
   LoadDensities(std::vector<std::vector<SegmentSpec>>(4, {{0.0, 2.0, 0.5, -1.5}}), batch);
   batch.FinalizeAll();
-  for (std::size_t m = 0; m < 4; ++m) {
-    for (double p : {0.05, 0.95}) {
-      EXPECT_EQ(batch.Sample(m, p, 0.5), scalar.SampleWith(p, 0.5))
-          << "slot " << m << " p=" << p;
+  const std::array<double, 4> invs = {0.5, 0.5, 0.5, 0.5};
+  std::array<double, 4> out{};
+  for (double p : {0.05, 0.95}) {
+    const std::array<double, 4> picks = {p, p, p, p};
+    batch.SampleAll(picks, invs, out);
+    for (std::size_t m = 0; m < 4; ++m) {
+      EXPECT_EQ(out[m], scalar.SampleWith(p, 0.5)) << "slot " << m << " p=" << p;
     }
   }
 }
@@ -576,10 +592,23 @@ TEST(ConditionalTile, SegmentRowsMatchTheTemplateBuilders) {
         ExpectBitEqual(rows.alpha[i], want.alpha, "alpha", k);
         ExpectBitEqual(rows.beta[i], want.beta, "beta", k);
       }
-      for (int draw = 0; draw < 6; ++draw) {
-        const double p = rng.Uniform();
-        const double v = rng.Uniform();
-        ExpectBitEqual(batch.Sample(l, p, v), scalars[l].SampleWith(p, v), "Sample", l);
+    }
+    std::array<double, ConditionalTile::kLanes> picks{}, invs{}, out{};
+    for (int draw = 0; draw < 6; ++draw) {
+      for (std::size_t l = 0; l < n; ++l) {
+        if (live[l]) {
+          picks[l] = rng.Uniform();
+          invs[l] = rng.Uniform();
+        }
+      }
+      batch.SampleAll(std::span<const double>(picks.data(), n),
+                      std::span<const double>(invs.data(), n),
+                      std::span<double>(out.data(), n));
+      for (std::size_t l = 0; l < n; ++l) {
+        if (live[l]) {
+          SCOPED_TRACE(testing::Message() << "trial " << trial << " draw " << draw);
+          ExpectBitEqual(out[l], scalars[l].SampleWith(picks[l], invs[l]), "SampleAll", l);
+        }
       }
     }
   }

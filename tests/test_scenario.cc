@@ -125,7 +125,7 @@ TEST(ScenarioGrid, RealizeAppliesRoutingEdits) {
 
 TEST(ParameterPosterior, SourcesAgreeOnShapeAndMoments) {
   StemResult stem;
-  stem.rate_trace = {{2.0, 5.0}, {2.2, 5.5}, {1.8, 4.5}, {2.0, 5.0}};
+  stem.rate_trace = {2, {2.0, 5.0, 2.2, 5.5, 1.8, 4.5, 2.0, 5.0}};
   const ParameterPosterior posterior = ParameterPosterior::FromStem(stem, 1);
   EXPECT_EQ(posterior.NumDraws(), 3u);
   EXPECT_EQ(posterior.NumQueues(), 2);
@@ -160,7 +160,7 @@ TEST(ParameterPosterior, FromSummaryTakesTheRateDrawsInAccumulationOrder) {
 ScenarioReport EvaluateTandem(std::size_t threads, bool crn = false) {
   const QueueingNetwork base = MakeTandemNetwork(1.5, {6.0, 4.0});
   StemResult stem;
-  stem.rate_trace = {{1.5, 6.0, 4.0}, {1.4, 6.3, 4.2}, {1.6, 5.8, 3.9}};
+  stem.rate_trace = {3, {1.5, 6.0, 4.0, 1.4, 6.3, 4.2, 1.6, 5.8, 3.9}};
   ScenarioEngineOptions options;
   options.max_draws = 3;
   options.tasks_per_draw = 200;
@@ -269,7 +269,7 @@ TEST(ScenarioEngine, UtilizationAndLatencyMonotoneAlongLoadAxis) {
   options.common_random_numbers = true;
   ScenarioEngine engine(options);
   StemResult stem;
-  stem.rate_trace = {{1.5, 6.0, 4.0}, {1.45, 6.2, 4.1}};
+  stem.rate_trace = {3, {1.5, 6.0, 4.0, 1.45, 6.2, 4.1}};
   const ScenarioReport report =
       engine.Evaluate(base, ParameterPosterior::FromStem(stem, 0),
                       ScenarioGrid({LoadAxis({0.5, 1.0, 1.5, 2.0})}), 13);
@@ -492,7 +492,7 @@ ScenarioReport EvaluateThreeTierGoldenFixture(std::size_t threads) {
   config.tier_sizes = {2, 1};
   const QueueingNetwork base = MakeThreeTierNetwork(config);
   StemResult stem;
-  stem.rate_trace = {{10.0, 5.0, 5.0, 12.0}, {9.5, 5.2, 4.9, 11.5}};
+  stem.rate_trace = {4, {10.0, 5.0, 5.0, 12.0, 9.5, 5.2, 4.9, 11.5}};
   ScenarioAxis route;
   route.kind = AxisKind::kRoutingScale;
   route.name = "shift";
@@ -632,7 +632,7 @@ TEST(ScenarioEngine, OverlayFastPathMatchesCloneReferenceBitwise) {
   config.tier_sizes = {2, 1};
   const QueueingNetwork base = MakeThreeTierNetwork(config);
   StemResult stem;
-  stem.rate_trace = {{10.0, 5.0, 5.0, 12.0}, {9.5, 5.2, 4.9, 11.5}, {10.2, 4.8, 5.1, 12.4}};
+  stem.rate_trace = {4, {10.0, 5.0, 5.0, 12.0, 9.5, 5.2, 4.9, 11.5, 10.2, 4.8, 5.1, 12.4}};
   const ParameterPosterior posterior = ParameterPosterior::FromStem(stem, 0);
   // Two routing axes on the same state: the second must compound on the first's
   // renormalized row, exactly like sequential SetWeightedEmission calls on a clone.
@@ -674,7 +674,7 @@ TEST(ScenarioEngine, WarmWorkspacesReproduceColdEvaluation) {
   // report must not care.
   const QueueingNetwork base = MakeTandemNetwork(1.5, {6.0, 4.0});
   StemResult stem;
-  stem.rate_trace = {{1.5, 6.0, 4.0}, {1.4, 6.3, 4.2}, {1.6, 5.8, 3.9}};
+  stem.rate_trace = {3, {1.5, 6.0, 4.0, 1.4, 6.3, 4.2, 1.6, 5.8, 3.9}};
   const ParameterPosterior posterior = ParameterPosterior::FromStem(stem, 0);
   const ScenarioGrid grid({LoadAxis({1.0, 1.5, 2.0}), ServiceAxis(2, {1.0, 2.0})});
   ScenarioEngineOptions options;

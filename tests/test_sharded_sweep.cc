@@ -104,6 +104,58 @@ TEST(ConflictColoring, AdjacentQueueNeighborsConflict) {
   }
 }
 
+TEST(ConflictColoring, FeedbackRevisitsStayInsideTheColorBound) {
+  // The incidence worst case a tandem never reaches: one queue with retries and every
+  // time latent, so consecutive same-queue visits have rho(e) == pi(e) and nu(pi) == e,
+  // and every event is the e, pi, rho or nu of several moves. The header's bound says an
+  // event lies in at most 9 footprints and first-fit needs at most kMaxSweepColors.
+  const QueueingNetwork net = MakeFeedbackNetwork(2.0, 6.0, 0.9);
+  const Fixture fixture = MakeFixture(net, 2.0, 40, 0.0, 11);
+  const GibbsSampler sampler(fixture.init, fixture.obs, fixture.rates);
+  const EventLog& log = sampler.State();
+  const std::vector<SweepMove> moves = sampler.SweepMoves();
+  ASSERT_EQ(sampler.NumLatentArrivals() + sampler.NumLatentFinalDepartures(), moves.size());
+  std::size_t rho_is_pi = 0;
+  std::size_t nu_pi_is_e = 0;
+  for (const SweepMove& move : moves) {
+    if (move.kind == MoveKind::kArrival) {
+      const Event& ev = log.At(move.event);
+      rho_is_pi += ev.rho == ev.pi ? 1 : 0;
+      nu_pi_is_e += log.At(ev.pi).nu == move.event ? 1 : 0;
+    }
+  }
+  ASSERT_GT(rho_is_pi, 0u);
+  ASSERT_GT(nu_pi_is_e, 0u);
+  std::vector<int> footprints_holding(log.NumEvents(), 0);
+  for (const SweepMove& move : moves) {
+    const MoveFootprint footprint = log.ComputeMoveFootprint(move);
+    for (EventId e : footprint.Events()) {
+      ++footprints_holding[static_cast<std::size_t>(e)];
+    }
+  }
+  EXPECT_LE(*std::max_element(footprints_holding.begin(), footprints_holding.end()), 9);
+  ExpectColoringConflictFree(log, moves);
+  const MoveColoring coloring = ColorSweepMoves(log, moves);
+  EXPECT_LE(coloring.num_colors, kMaxSweepColors);
+}
+
+TEST(ConflictColoring, GoldenFirstFitColorsOfASmallTandem) {
+  // The first-fit colors of a fixed 12-task tandem trace (36 moves: 27 latent arrivals,
+  // then 9 final departures), recorded from the event -> move incidence-list coloring the
+  // per-event color masks replaced. The schedule, and with it every sampled value, is a
+  // function of these colors.
+  const Fixture fixture = MakeTandemFixture(12, 0.25);
+  const GibbsSampler sampler(fixture.init, fixture.obs, fixture.rates);
+  const std::vector<SweepMove> moves = sampler.SweepMoves();
+  const MoveColoring coloring = ColorSweepMoves(sampler.State(), moves);
+  const std::vector<int> golden = {0, 1, 0, 2, 3, 2, 4, 5, 4, 0, 1, 0, 2, 3, 2, 0, 1, 0,
+                                   2, 3, 2, 0, 1, 0, 4, 5, 4, 1, 3, 5, 1, 3, 1, 3, 1, 5};
+  ASSERT_EQ(moves.size(), golden.size());
+  EXPECT_EQ(sampler.NumLatentArrivals(), 27u);
+  EXPECT_EQ(coloring.color, golden);
+  EXPECT_EQ(coloring.num_colors, 6);
+}
+
 TEST(ConflictColoring, EmptyMoveListColorsTrivially) {
   const Fixture fixture = MakeMm1Fixture();
   const MoveColoring coloring = ColorSweepMoves(fixture.init, {});

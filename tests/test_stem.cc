@@ -155,8 +155,8 @@ TEST(Stem, KeepsArrivalRateFixedWhenAsked) {
   options.estimate_arrival_rate = false;
   const StemResult result = StemEstimator(options).Run(truth, obs, {2.5, 1.0}, rng);
   EXPECT_DOUBLE_EQ(result.rates[0], 2.5);
-  for (const auto& iteration : result.rate_trace) {
-    EXPECT_DOUBLE_EQ(iteration[0], 2.5);
+  for (std::size_t iter = 0; iter < result.rate_trace.NumIterations(); ++iter) {
+    EXPECT_DOUBLE_EQ(result.rate_trace.Row(iter)[0], 2.5);
   }
 }
 
@@ -174,8 +174,10 @@ TEST(Stem, RateTraceHasExpectedShape) {
   StemWorkspace workspace;
   const StemResult result =
       StemEstimator(options).Run(truth, obs, {1.0, 1.0}, rng, workspace);
-  EXPECT_EQ(result.rate_trace.size(), 25u);
-  EXPECT_EQ(result.rate_trace[0].size(), 2u);
+  EXPECT_EQ(result.rate_trace.NumIterations(), 25u);
+  EXPECT_EQ(result.rate_trace.num_queues, 2u);
+  EXPECT_EQ(result.rate_trace.values.size(), 50u);
+  EXPECT_THROW(result.rate_trace.Row(25), Error);
   ASSERT_EQ(workspace.State().NumEvents(), truth.NumEvents());
   std::string why;
   EXPECT_TRUE(workspace.State().IsFeasible(1e-6, &why)) << why;
@@ -191,19 +193,19 @@ TEST(Stem, RateTraceHasExpectedShape) {
 
 // Recomputes the early-stop point from a rate trace alone: the stop rule is a pure
 // function of the trace, so this must reproduce StemResult::iterations_run exactly.
-std::size_t StopPointFromTrace(const std::vector<std::vector<double>>& trace,
-                               std::size_t burn_in, double tol, std::size_t patience) {
-  const std::size_t num_queues = trace.empty() ? 0 : trace[0].size();
+std::size_t StopPointFromTrace(const RateTrace& trace, std::size_t burn_in, double tol,
+                               std::size_t patience) {
+  const std::size_t num_queues = trace.num_queues;
   std::vector<double> accum(num_queues, 0.0);
   std::vector<double> prev_mean(num_queues, 0.0);
   std::size_t accum_count = 0;
   std::size_t streak = 0;
-  for (std::size_t iter = 0; iter < trace.size(); ++iter) {
+  for (std::size_t iter = 0; iter < trace.NumIterations(); ++iter) {
     if (iter < burn_in) {
       continue;
     }
     for (std::size_t q = 0; q < num_queues; ++q) {
-      accum[q] += trace[iter][q];
+      accum[q] += trace.Row(iter)[q];
     }
     ++accum_count;
     double max_rel = 0.0;
@@ -222,7 +224,7 @@ std::size_t StopPointFromTrace(const std::vector<std::vector<double>>& trace,
       }
     }
   }
-  return trace.size();
+  return trace.NumIterations();
 }
 
 TEST(Stem, ZeroConvergenceTolIsBitExactFullRun) {
@@ -277,19 +279,20 @@ TEST(Stem, EarlyStopTraceIsBitExactPrefixOfFullRun) {
   const StemResult stopped =
       StemEstimator(stopped_options).Run(truth, obs, {1.0, 1.0, 1.0}, stopped_rng);
 
-  ASSERT_EQ(stopped.iterations_run, stopped.rate_trace.size());
+  ASSERT_EQ(stopped.iterations_run, stopped.rate_trace.NumIterations());
   ASSERT_LT(stopped.iterations_run, 60u) << "tolerance chosen to trigger an early stop";
   ASSERT_GE(stopped.iterations_run,
             full_options.burn_in + stopped_options.convergence_patience + 1);
   for (std::size_t iter = 0; iter < stopped.iterations_run; ++iter) {
-    EXPECT_EQ(stopped.rate_trace[iter], full.rate_trace[iter]) << "iteration " << iter;
+    EXPECT_TRUE(std::ranges::equal(stopped.rate_trace.Row(iter), full.rate_trace.Row(iter)))
+        << "iteration " << iter;
   }
   // Averaged rates = exact average of the post-burn-in prefix, in accumulation order.
   std::vector<double> expect_rates(3, 0.0);
   const std::size_t kept = stopped.iterations_run - full_options.burn_in;
   for (std::size_t iter = full_options.burn_in; iter < stopped.iterations_run; ++iter) {
     for (std::size_t q = 0; q < 3; ++q) {
-      expect_rates[q] += stopped.rate_trace[iter][q];
+      expect_rates[q] += stopped.rate_trace.Row(iter)[q];
     }
   }
   for (std::size_t q = 0; q < 3; ++q) {
