@@ -7,7 +7,10 @@
 //                                             entry points (EventLog materialized);
 //   BM_SimulateWarmArena/N  allocs_per_task — operator-new calls per simulated task on a
 //                                             warm SimScratch. The CI-gated floor: must
-//                                             stay exactly 0 (the arena contract).
+//                                             stay exactly 0 (the arena contract);
+//   BM_LiveSimStream        allocs_per_task — the same floor for the live generator
+//                                             (LiveSimStream on its compacted arena, one
+//                                             reused TaskRecord), CI-gated at 0 too.
 
 #include <benchmark/benchmark.h>
 
@@ -17,6 +20,7 @@
 #include "qnet/model/builders.h"
 #include "qnet/sim/sim_scratch.h"
 #include "qnet/sim/simulator.h"
+#include "qnet/stream/live_stream.h"
 #include "qnet/support/rng.h"
 #include "qnet/webapp/movievote.h"
 
@@ -64,6 +68,37 @@ void BM_SimulateWarmArena(benchmark::State& state) {
                     : 0.0;
 }
 BENCHMARK(BM_SimulateWarmArena)->Arg(1000)->Arg(10000)->Unit(benchmark::kMillisecond);
+
+void BM_LiveSimStream(benchmark::State& state) {
+  // The live generator alone, one task per iteration: an unbounded LiveSimStream on the
+  // three-tier {1, 2, 4} network (front tier at rho 0.6) pulled into one reused
+  // TaskRecord. Warm-up pulls bring the arena to its working size; after them every
+  // pull is heap-silent.
+  qnet::ThreeTierConfig config;
+  config.tier_sizes = {1, 2, 4};
+  config.arrival_rate = 3.0;
+  const qnet::QueueingNetwork net = qnet::MakeThreeTierNetwork(config);
+  qnet::LiveSimOptions options;
+  options.horizon = 1.0e15;
+  options.arrival_rate = 3.0;
+  options.observed_fraction = 0.2;
+  qnet::LiveSimStream stream(net, options, 43);
+  qnet::TaskRecord record;
+  for (int i = 0; i < 10000; ++i) {
+    stream.Next(record);
+  }
+  std::size_t pulled = 0;
+  const std::size_t before = AllocationCount();
+  for (auto _ : state) {
+    pulled += stream.Next(record) ? 1 : 0;
+    benchmark::DoNotOptimize(record.visits.data());
+  }
+  const std::size_t after = AllocationCount();
+  state.SetItemsProcessed(static_cast<std::int64_t>(pulled));
+  state.counters["allocs_per_task"] =
+      pulled > 0 ? static_cast<double>(after - before) / static_cast<double>(pulled) : 0.0;
+}
+BENCHMARK(BM_LiveSimStream);
 
 void BM_SimulateMovieVote(benchmark::State& state) {
   const qnet::webapp::MovieVoteConfig config;

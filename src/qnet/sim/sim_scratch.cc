@@ -1,18 +1,15 @@
 #include "qnet/sim/sim_scratch.h"
 
-#include <algorithm>
-#include <functional>
-
 #include "qnet/telemetry/metrics.h"
 #include "qnet/telemetry/timeline.h"
 
 namespace qnet {
 namespace {
 
-// The DES inner loop, shared by the virtual-dispatch and exponential fast paths. The
-// service sampler is the only thing that differs; everything else — validation, heap
-// discipline, frontier recursion, reducer accumulation orders — is common, so the two
-// paths cannot diverge on the generative model.
+// A batch run: every task staged up front, then the event loop to the end. The service
+// sampler is the only thing that differs between the virtual-dispatch and exponential
+// fast paths; the loop itself is ServeDesEvent, the live stream's loop too, so no two
+// paths can diverge on the generative model.
 template <typename ServiceSampler>
 void RunDesCore(int num_queues, SimScratch& scratch, const ServiceSampler& sample_service,
                 const FaultSchedule* faults) {
@@ -37,56 +34,13 @@ void RunDesCore(int num_queues, SimScratch& scratch, const ServiceSampler& sampl
 
   scratch.step_begin.resize(scratch.route_steps.size());
   scratch.step_departure.resize(scratch.route_steps.size());
-  scratch.queue_wait_sum.assign(static_cast<std::size_t>(num_queues), 0.0);
-  scratch.queue_busy_sum.assign(static_cast<std::size_t>(num_queues), 0.0);
-  scratch.frontier.assign(static_cast<std::size_t>(num_queues), 0.0);
-
-  // Recycled min-heap holding only in-flight continuation events. Initial arrivals come
-  // straight off entry_times: the list is sorted and ties break by ascending task, which
-  // is exactly their (time, task, step=0) order, so merging the sorted list against the
-  // heap top yields the same global-minimum pop sequence as a heap seeded with every
-  // arrival — (time, task, step) is a strict total order, no two pending events ever
-  // compare equal — while keeping the heap at O(tasks in service) instead of O(tasks).
-  // Pop order (hence service-draw consumption) matches an all-arrivals
-  // std::priority_queue bit for bit; the goldens in tests/test_simulator.cc were recorded
-  // from one.
-  scratch.heap.clear();
+  BeginDes(num_queues, scratch);
   // Hard bound — each task has at most one pending event — so the in-flight high-water
   // mark (which varies with stochastic congestion) can never outgrow a warm arena.
   scratch.heap.reserve(num_tasks);
-  std::size_t next_entry = 0;
-  while (next_entry < num_tasks || !scratch.heap.empty()) {
-    DesArrival next;
-    if (next_entry < num_tasks &&
-        (scratch.heap.empty() ||
-         scratch.heap.front() > DesArrival{scratch.entry_times[next_entry],
-                                           static_cast<int>(next_entry), 0})) {
-      next = DesArrival{scratch.entry_times[next_entry], static_cast<int>(next_entry), 0};
-      ++next_entry;
-    } else {
-      std::pop_heap(scratch.heap.begin(), scratch.heap.end(), std::greater<>{});
-      next = scratch.heap.back();
-      scratch.heap.pop_back();
-    }
-    const auto k = static_cast<std::size_t>(next.task);
-    const std::size_t idx = scratch.route_offsets[k] + next.step;
-    const auto q = static_cast<std::size_t>(scratch.route_steps[idx].queue);
-    const double begin = std::max(next.time, scratch.frontier[q]);
-    double service = sample_service(static_cast<int>(q));
-    if (faults != nullptr) {
-      service *= faults->ServiceFactor(static_cast<int>(q), begin);
-    }
-    const double departure = begin + service;
-    scratch.frontier[q] = departure;
-    scratch.step_begin[idx] = begin;
-    scratch.step_departure[idx] = departure;
-    // Pop order restricted to one queue is its arrival order, so this accumulates each
-    // queue's waits in the same order as walking EventLog::QueueOrder(q).
-    scratch.queue_wait_sum[q] += begin - next.time;
-    if (next.step + 1 < scratch.route_offsets[k + 1] - scratch.route_offsets[k]) {
-      scratch.heap.push_back(DesArrival{departure, next.task, next.step + 1});
-      std::push_heap(scratch.heap.begin(), scratch.heap.end(), std::greater<>{});
-    }
+  // Pop order (hence service-draw consumption) matches a heap seeded with every arrival
+  // bit for bit; the goldens in tests/test_simulator.cc were recorded from one.
+  while (ServeDesEvent(scratch, sample_service, faults, [](double) {})) {
   }
 
   // Busy time in (task, step) order — PerQueueServiceSum's event-id order restricted to
@@ -100,6 +54,36 @@ void RunDesCore(int num_queues, SimScratch& scratch, const ServiceSampler& sampl
 }
 
 }  // namespace
+
+void SimScratch::DropTasks(std::size_t count) {
+  QNET_DCHECK(count <= next_entry, "dropping tasks that have not started");
+  const std::size_t steps = route_offsets[count];
+  const auto drop = [](auto& rows, std::size_t n) {
+    rows.erase(rows.begin(), rows.begin() + static_cast<std::ptrdiff_t>(n));
+  };
+  drop(entry_times, count);
+  drop(route_offsets, count);
+  drop(route_steps, steps);
+  drop(step_begin, steps);
+  drop(step_departure, steps);
+  for (std::size_t& offset : route_offsets) {
+    offset -= steps;
+  }
+  for (DesArrival& event : heap) {
+    QNET_DCHECK(static_cast<std::size_t>(event.task) >= count, "dropping a task in service");
+    event.task -= static_cast<int>(count);
+  }
+  next_entry -= count;
+}
+
+void BeginDes(int num_queues, SimScratch& scratch) {
+  const auto queues = static_cast<std::size_t>(num_queues);
+  scratch.frontier.assign(queues, 0.0);
+  scratch.queue_wait_sum.assign(queues, 0.0);
+  scratch.queue_busy_sum.assign(queues, 0.0);
+  scratch.heap.clear();
+  scratch.next_entry = 0;
+}
 
 void SampleRoutesIntoScratch(const Fsm& fsm, SimScratch& scratch, Rng& rng) {
   scratch.route_steps.clear();

@@ -1,13 +1,14 @@
-// Allocation-free DES core: a reusable simulation arena (SimScratch) plus staged
-// run/convert entry points.
+// Allocation-free DES core: a reusable simulation arena (SimScratch), the one event loop
+// that runs on it (ServeDesEvent), and staged run/convert entry points.
 //
-// This is the one batch DES core: Simulate, SimulateWorkload and SimulateWithRoutes
-// (simulator.h) stage their inputs into a thread-local SimScratch and run it. The arena
-// is flat SoA storage — one contiguous RouteStep buffer with per-task offsets (CSR
-// layout), parallel begin/departure arrays, and a recycled heap vector — so repeated
-// simulations of same-shaped workloads allocate nothing once the buffers are warm. The
-// scenario engine leans on this for its (cell x draw) loop; tests/test_alloc_free.cc
-// pins the zero-allocation contract.
+// This is the one DES core, batch and live: Simulate, SimulateWorkload and
+// SimulateWithRoutes (simulator.h) stage their inputs into a thread-local SimScratch and
+// run it to the end, and LiveSimStream (stream/live_stream.h) stages tasks through the
+// loop's refill hook as the simulation reaches them. The arena is flat SoA storage — one
+// contiguous RouteStep buffer with per-task offsets (CSR layout), parallel
+// begin/departure arrays, and a recycled heap vector — so repeated simulations of
+// same-shaped workloads allocate nothing once the buffers are warm;
+// tests/test_alloc_free.cc pins the zero-allocation contract.
 //
 // Draw-order contract: for the same inputs and Rng state, the staged pipeline
 //   GenerateInto -> SampleRoutesIntoScratch -> RunStagedDes -> ScratchToEventLog
@@ -15,14 +16,16 @@
 // task in task order, then one service time per step in DES pop order. The pop order is
 // the strict total order (time, task, step) — no ties are possible — realized by merging
 // the sorted entry list against a recycled push_heap/pop_heap continuation heap.
-// tests/test_simulator.cc pins the resulting logs to hex-float goldens recorded from an
-// all-arrivals std::priority_queue simulator, and the convenience wrappers to each
-// other.
+// tests/test_simulator.cc pins the resulting logs to hex-float goldens recorded from a
+// simulator whose heap held every arrival, and the convenience wrappers to each other.
 
 #ifndef QNET_SIM_SIM_SCRATCH_H_
 #define QNET_SIM_SIM_SCRATCH_H_
 
+#include <algorithm>
 #include <cstddef>
+#include <functional>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -61,9 +64,13 @@ struct SimScratch {
   // events in id order) restricted to real queues.
   std::vector<double> queue_busy_sum;
 
-  // --- Recycled internals --------------------------------------------------------------
+  // --- Event-loop state (kept between ServeDesEvent calls) ----------------------------
+  // Pending continuation events (step >= 1), a min-heap under std::greater.
   std::vector<DesArrival> heap;
+  // Per-queue departure of the last step served there: d_rho(e) for the next arrival.
   std::vector<double> frontier;
+  // Entry cursor: tasks [0, next_entry) have started their first step.
+  std::size_t next_entry = 0;
 
   // Drops staged inputs and outputs, keeping every buffer's capacity.
   void Clear() {
@@ -75,7 +82,12 @@ struct SimScratch {
     queue_wait_sum.clear();
     queue_busy_sum.clear();
     heap.clear();
+    next_entry = 0;
   }
+
+  // Drops the rows of the first `count` tasks, which must all be served, and renumbers
+  // the rest from 0 — heap events and the entry cursor included. Keeps every capacity.
+  void DropTasks(std::size_t count);
 
   int NumTasks() const { return static_cast<int>(entry_times.size()); }
 
@@ -102,6 +114,71 @@ struct SimScratch {
     return step_departure[route_offsets[k + 1] - 1];
   }
 };
+
+// Resets the event-loop state (frontiers, heap, entry cursor, per-queue sums) for a run
+// over `num_queues` queues, keeping the staged inputs.
+void BeginDes(int num_queues, SimScratch& scratch);
+
+// The DES event loop, one event per call. First refill(earliest) gets the time of the
+// earliest pending event (first unstarted entry or heap top; +infinity if none) and may
+// stage more tasks: entries no earlier than the last one, routes in the CSR buffers,
+// step_begin/step_departure grown to match. Then the earliest pending event is served:
+// begin = max(a_e, d_rho(e)), one sample_service(queue) draw scaled by the fault factor at
+// begin, d_e = begin + service, the task's next step pushed. False when none is pending.
+template <typename ServiceSampler, typename Refill>
+bool ServeDesEvent(SimScratch& scratch, const ServiceSampler& sample_service,
+                   const FaultSchedule* faults, Refill&& refill) {
+  std::vector<DesArrival>& heap = scratch.heap;
+  double earliest = std::numeric_limits<double>::infinity();
+  if (scratch.next_entry < scratch.entry_times.size()) {
+    earliest = scratch.entry_times[scratch.next_entry];
+  }
+  if (!heap.empty()) {
+    earliest = std::min(earliest, heap.front().time);
+  }
+  refill(earliest);
+
+  // Initial arrivals come straight off entry_times: the list is sorted and ties break by
+  // ascending task, which is exactly their (time, task, step=0) order, so merging it
+  // against the heap top yields the pop sequence of a heap seeded with every arrival —
+  // (time, task, step) is a strict total order — while the heap holds only tasks in
+  // service.
+  DesArrival next;
+  const std::size_t k_next = scratch.next_entry;
+  const bool entry_pending = k_next < scratch.entry_times.size();
+  if (entry_pending) {
+    next = DesArrival{scratch.entry_times[k_next], static_cast<int>(k_next), 0};
+  }
+  if (entry_pending && (heap.empty() || heap.front() > next)) {
+    ++scratch.next_entry;
+  } else if (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+    next = heap.back();
+    heap.pop_back();
+  } else {
+    return false;
+  }
+  const auto k = static_cast<std::size_t>(next.task);
+  const std::size_t idx = scratch.route_offsets[k] + next.step;
+  const auto q = static_cast<std::size_t>(scratch.route_steps[idx].queue);
+  const double begin = std::max(next.time, scratch.frontier[q]);
+  double service = sample_service(static_cast<int>(q));
+  if (faults != nullptr) {
+    service *= faults->ServiceFactor(static_cast<int>(q), begin);
+  }
+  const double departure = begin + service;
+  scratch.frontier[q] = departure;
+  scratch.step_begin[idx] = begin;
+  scratch.step_departure[idx] = departure;
+  // Pop order restricted to one queue is its arrival order, so this accumulates each
+  // queue's waits in the same order as walking EventLog::QueueOrder(q).
+  scratch.queue_wait_sum[q] += begin - next.time;
+  if (next.step + 1 < scratch.route_offsets[k + 1] - scratch.route_offsets[k]) {
+    heap.push_back(DesArrival{departure, next.task, next.step + 1});
+    std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+  }
+  return true;
+}
 
 // Samples one route per staged entry time from the FSM into the scratch CSR buffers,
 // consuming the RNG exactly like per-task Fsm::SampleRoute calls.

@@ -5,12 +5,12 @@
 // global time order while tracking each queue's last scheduled departure:
 //     d_e = s_e + max(a_e, d_rho(e)).
 // This is the exact generative process of the paper's eq. (1) and produces the ground-truth
-// event logs for the Section 5 experiments.
+// event logs for the Section 5 experiments, on the one DES core (sim/sim_scratch.h).
 
 #ifndef QNET_SIM_SIMULATOR_H_
 #define QNET_SIM_SIMULATOR_H_
 
-#include <algorithm>
+#include <cstddef>
 #include <tuple>
 #include <vector>
 
@@ -27,10 +27,9 @@ struct SimOptions {
   const FaultSchedule* faults = nullptr;
 };
 
-// One pending (task, step) arrival in the DES heap. Min-heap by (time, task, step):
-// global arrival order with a deterministic tie-break. Shared by the batch DES core
-// (sim/sim_scratch.h) and the live streaming adapter (stream/live_stream.h) so both
-// process events in the same order.
+// One pending (task, step) arrival of the DES core (ServeDesEvent, sim/sim_scratch.h),
+// which serves batch runs and the live stream (stream/live_stream.h) alike. Ordered by
+// (time, task, step): global arrival order with a deterministic tie-break.
 struct DesArrival {
   double time = 0.0;
   int task = -1;
@@ -39,35 +38,6 @@ struct DesArrival {
   bool operator>(const DesArrival& other) const {
     return std::tie(time, task, step) > std::tie(other.time, other.task, other.step);
   }
-};
-
-// The DES physics step of the live streaming adapter (stream/live_stream.h): one
-// per-queue last-departure frontier advanced through d_e = s_e + max(a_e, d_rho(e)) with
-// fault scaling. The batch DES core (RunDesCore in sim/sim_scratch.cc) applies the same
-// recursion to its flat frontier; the two deliberately differ in RNG draw *order*, so a
-// behavioral divergence between them would be invisible to bit-equality tests.
-class QueueFrontier {
- public:
-  explicit QueueFrontier(int num_queues)
-      : last_departure_(static_cast<std::size_t>(num_queues), 0.0) {}
-
-  // Processes one arrival at `queue`: samples its service time (scaled by `faults` if
-  // given), advances the queue's frontier, and returns the departure time.
-  double ProcessArrival(const QueueingNetwork& net, int queue, double arrival, Rng& rng,
-                        const FaultSchedule* faults) {
-    const auto q = static_cast<std::size_t>(queue);
-    const double begin = std::max(arrival, last_departure_[q]);
-    double service = net.Service(queue).Sample(rng);
-    if (faults != nullptr) {
-      service *= faults->ServiceFactor(queue, begin);
-    }
-    const double departure = begin + service;
-    last_departure_[q] = departure;
-    return departure;
-  }
-
- private:
-  std::vector<double> last_departure_;
 };
 
 // Simulates the network for the given system entry times (strictly positive, nondecreasing).

@@ -2,16 +2,15 @@
 // `sim/` layer of the streaming engine).
 //
 // The batch simulator (sim/simulator.cc) needs every entry time up front. This adapter
-// runs the same generative process — arrivals processed in global (time, task, step)
-// order against per-queue last-departure frontiers, d_e = s_e + max(a_e, d_rho(e)) — but
-// spawns tasks lazily from an interarrival process and emits each task's TaskRecord as
-// soon as the task leaves the system, holding only the in-flight tasks in memory. That
-// makes unbounded-horizon workloads streamable: memory is O(tasks in flight), not
-// O(tasks simulated).
+// runs the same DES core (ServeDesEvent on a SimScratch arena, sim/sim_scratch.h) but
+// spawns tasks lazily from an interarrival process through the core's refill hook, and
+// emits each task's TaskRecord as soon as the task leaves the system. The emitted prefix
+// of the arena is compacted away, so memory is O(tasks in flight), not O(tasks
+// simulated), and unbounded-horizon workloads are streamable.
 //
 // Records are emitted in task (= entry) order: a task that finishes before an earlier
-// task is buffered until the earlier one completes, so downstream consumers see the
-// entry-ordered stream TraceStream promises.
+// task waits in the arena until the earlier one completes, so downstream consumers see
+// the entry-ordered stream TraceStream promises.
 //
 // Determinism: everything is a function of the seed. Interarrivals, routes and service
 // times interleave on one stream in simulation order (unlike the batch simulator, which
@@ -21,14 +20,12 @@
 #ifndef QNET_STREAM_LIVE_STREAM_H_
 #define QNET_STREAM_LIVE_STREAM_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <queue>
-#include <vector>
 
 #include "qnet/model/network.h"
 #include "qnet/sim/fault.h"
-#include "qnet/sim/simulator.h"
+#include "qnet/sim/sim_scratch.h"
 #include "qnet/stream/task_record.h"
 #include "qnet/support/rng.h"
 
@@ -57,26 +54,21 @@ class LiveSimStream : public TraceStream {
   // `net` must outlive the stream.
   LiveSimStream(const QueueingNetwork& net, const LiveSimOptions& options, std::uint64_t seed);
 
+  // Reuses out's visit capacity: a warm ingest loop pulling into one TaskRecord does not
+  // allocate.
   bool Next(TaskRecord& out) override;
   int NumQueues() const override { return num_queues_; }
 
-  // Tasks currently in flight inside the simulated network (memory bound witness).
-  std::size_t TasksInFlight() const { return inflight_.size(); }
+  // Tasks spawned and not yet emitted (memory bound witness).
+  std::size_t TasksInFlight() const {
+    return static_cast<std::size_t>(arena_.NumTasks()) - next_emit_;
+  }
+  // The DES arena: the tasks in flight plus an emitted prefix awaiting compaction.
+  const SimScratch& Arena() const { return arena_; }
 
  private:
-  // The route lives only inside record.visits (state/queue per step) — duplicating it as
-  // a RouteStep vector doubled the per-task allocation load on the ingest path.
-  struct InFlightTask {
-    TaskRecord record;
-    std::size_t completed_steps = 0;
-    bool done = false;
-  };
-
+  // Stages the next task into the arena and draws the following entry time.
   void SpawnTask();
-  // Runs one simulator step (spawning tasks as the frontier requires); false when the
-  // simulation is fully drained.
-  bool Step();
-  InFlightTask& TaskSlot(int task);
   // Arrival rate in effect for the interarrival gap drawn at time `at`: the base rate
   // times the fault schedule's ArrivalFactor(at). Without arrival segments this returns
   // the base rate untouched, and an all-1.0 schedule multiplies by exactly 1.0 — either
@@ -89,21 +81,10 @@ class LiveSimStream : public TraceStream {
   Rng rng_;
   Rng obs_rng_;
 
-  // Shared DES machinery (sim/simulator.h): same heap order and frontier recursion as
-  // the batch simulator.
-  std::priority_queue<DesArrival, std::vector<DesArrival>, std::greater<>> heap_;
-  QueueFrontier frontier_;
-
-  // In-flight tasks, front() == task next_emit_ (tasks complete out of order but are
-  // emitted in order).
-  std::deque<InFlightTask> inflight_;
-  // SpawnTask samples routes here (AppendSampledRoute, capacity reused) before mirroring
-  // them into record.visits, and refills visit vectors from visit_pool_ — steady-state
-  // ingest recycles buffers with the emitting consumer instead of allocating per task.
-  std::vector<RouteStep> route_scratch_;
-  std::vector<std::vector<TaskVisit>> visit_pool_;
-  int next_emit_ = 0;
-  int next_spawn_ = 0;
+  SimScratch arena_;
+  // Arena task emitted next; tasks before it wait for compaction.
+  std::size_t next_emit_ = 0;
+  std::size_t spawned_ = 0;
   bool spawning_done_ = false;
   double next_entry_time_ = 0.0;
 };

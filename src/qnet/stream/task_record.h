@@ -59,10 +59,9 @@ class TraceStream {
   virtual ~TraceStream() = default;
 
   // Fills `out` with the next record and returns true; returns false at end of stream
-  // (out is left unspecified). Implementations reuse out's capacity where their record
-  // construction allows it: replay streams do (their ingest loop stops allocating once
-  // the visit vector is warm), while the live simulator necessarily builds each record
-  // in flight and moves it into out.
+  // (out is left unspecified). Implementations reuse out's capacity: the replay streams
+  // and the live simulator fill its visit vector in place, so an ingest loop stops
+  // allocating once that vector is warm.
   virtual bool Next(TaskRecord& out) = 0;
 
   // Number of queues (including the virtual arrival queue 0) of the network the trace

@@ -23,6 +23,7 @@
 #include "qnet/shard/sharded_streaming.h"
 #include "qnet/sim/sim_scratch.h"
 #include "qnet/sim/simulator.h"
+#include "qnet/stream/live_stream.h"
 #include "qnet/stream/task_record.h"
 #include "qnet/stream/window_assembler.h"
 #include "qnet/support/rng.h"
@@ -157,6 +158,32 @@ TEST(AllocFree, WarmSimulationScratchDoesNotAllocate) {
     SimulateWorkloadIntoScratch(net, workload, scratch, rng);
   }
   EXPECT_EQ(AllocationCount(), before);
+}
+
+TEST(AllocFree, WarmLiveSimStreamDoesNotAllocate) {
+  // The live stream runs on a compacted DES arena and fills the caller's record in
+  // place, so once the arena has reached its working size, pulling a task into one
+  // reused TaskRecord touches the heap zero times.
+  ThreeTierConfig config;
+  config.tier_sizes = {1, 2, 4};
+  config.arrival_rate = 3.0;
+  const QueueingNetwork net = MakeThreeTierNetwork(config);
+  LiveSimOptions options;
+  options.max_tasks = 6000;
+  options.arrival_rate = 3.0;
+  options.observed_fraction = 0.2;
+  LiveSimStream stream(net, options, 7);
+  TaskRecord record;
+  for (int i = 0; i < 2000; ++i) {  // warm-up
+    ASSERT_TRUE(stream.Next(record));
+  }
+  const std::size_t before = AllocationCount();
+  std::size_t pulled = 0;
+  while (stream.Next(record)) {
+    ++pulled;
+  }
+  EXPECT_EQ(AllocationCount() - before, 0u);
+  EXPECT_EQ(pulled, 4000u);
 }
 
 TEST(AllocFree, WarmScratchToEventLogDoesNotAllocate) {

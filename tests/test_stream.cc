@@ -7,7 +7,9 @@
 // ExtractTaskWindow builds from the batch log.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -17,6 +19,7 @@
 #include "support/one_cpu.h"
 #include "support/overtaking_records.h"
 #include "support/vector_stream.h"
+#include "qnet/dist/deterministic.h"
 #include "qnet/infer/stem.h"
 #include "qnet/infer/thread_pool.h"
 #include "qnet/model/builders.h"
@@ -1255,6 +1258,206 @@ TEST(LiveSimStream, AllOnesArrivalScaleIsBitIdenticalToNoSchedule) {
     ++count;
   }
   EXPECT_EQ(count, base.max_tasks);
+}
+
+// The first `limit` records of a live stream, folded into a bit-exact digest plus a few
+// readable values. The digest is FNV-1a over the bit patterns of each record's entry
+// time and, per visit, its state, queue, arrival, departure and both observation flags.
+struct LiveTraceSummary {
+  std::size_t records = 0;
+  std::size_t observed_records = 0;
+  double last_entry = 0.0;
+  double last_departure = 0.0;
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+
+  void Mix(std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      digest ^= (word >> (8 * byte)) & 0xffU;
+      digest *= 0x100000001b3ULL;
+    }
+  }
+  void Mix(double value) { Mix(std::bit_cast<std::uint64_t>(value)); }
+};
+
+LiveTraceSummary SummarizeLiveTrace(LiveSimStream& stream, std::size_t limit) {
+  LiveTraceSummary summary;
+  TaskRecord record;
+  while (summary.records < limit && stream.Next(record)) {
+    ++summary.records;
+    summary.observed_records += record.visits.front().arrival_observed ? 1 : 0;
+    summary.last_entry = record.entry_time;
+    summary.last_departure = record.visits.back().departure;
+    summary.Mix(record.entry_time);
+    summary.Mix(static_cast<std::uint64_t>(record.visits.size()));
+    for (const TaskVisit& visit : record.visits) {
+      summary.Mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(visit.state)) |
+                  static_cast<std::uint64_t>(static_cast<std::uint32_t>(visit.queue)) << 32);
+      summary.Mix(visit.arrival);
+      summary.Mix(visit.departure);
+      summary.Mix(static_cast<std::uint64_t>(visit.arrival_observed) |
+                  static_cast<std::uint64_t>(visit.departure_observed) << 1);
+    }
+  }
+  return summary;
+}
+
+void ExpectLiveTrace(LiveSimStream& stream, std::size_t limit,
+                     const LiveTraceSummary& golden) {
+  const LiveTraceSummary summary = SummarizeLiveTrace(stream, limit);
+  EXPECT_EQ(summary.records, golden.records);
+  EXPECT_EQ(summary.observed_records, golden.observed_records);
+  EXPECT_EQ(summary.last_entry, golden.last_entry);
+  EXPECT_EQ(summary.last_departure, golden.last_departure);
+  EXPECT_EQ(summary.digest, golden.digest) << std::hex << summary.digest;
+}
+
+// Live traces pinned to goldens recorded from the live simulator as it ran before the
+// batch and live event loops became one: every draw (interarrival, route, observation
+// coin, service) must keep its place in the stream, ties included.
+TEST(LiveSimStream, ThreeTierFaultTraceMatchesGolden) {
+  // Front server slowed 3x over [20, 40) and the arrival rate scaled 1.5x over [30, 50):
+  // the first 200 records span both segments.
+  ThreeTierConfig config;
+  config.tier_sizes = {1, 2, 4};
+  config.arrival_rate = 3.0;
+  const QueueingNetwork net = MakeThreeTierNetwork(config);
+  FaultSchedule faults;
+  faults.AddSlowdown(1, 20.0, 40.0, 3.0);
+  faults.AddArrivalScale(30.0, 50.0, 1.5);
+  LiveSimOptions options;
+  options.max_tasks = 1000;
+  options.arrival_rate = 3.0;
+  options.faults = &faults;
+  options.observed_fraction = 0.2;
+  LiveSimStream stream(net, options, 2024);
+  ExpectLiveTrace(stream, 200, {200, 40, 0x1.e61c93ab61d1cp+5, 0x1.ed23154c4fae9p+5,
+                                   0xd2ac43d9473f1f19ULL});
+}
+
+TEST(LiveSimStream, HiddenFinalDepartureTraceMatchesGolden) {
+  // The whole stream up to its max_tasks cut, with exit times unobserved.
+  const QueueingNetwork net = MakeTandemNetwork(3.0, {6.0, 5.0});
+  LiveSimOptions options;
+  options.max_tasks = 150;
+  options.arrival_rate = 3.0;
+  options.observed_fraction = 0.5;
+  options.observe_final_departure = false;
+  LiveSimStream stream(net, options, 77);
+  ExpectLiveTrace(stream, 1000, {150, 81, 0x1.d28d9bdf35a89p+5, 0x1.d8ac4244f5c05p+5,
+                                    0xc3511cf8cf1e8d15ULL});
+}
+
+TEST(LiveSimStream, HorizonTraceMatchesGolden) {
+  // Geometric routes (a retry loop) until the horizon stops spawning.
+  const QueueingNetwork net = MakeFeedbackNetwork(2.0, 6.0, 0.4);
+  LiveSimOptions options;
+  options.horizon = 100.0;
+  options.arrival_rate = 2.0;
+  options.observed_fraction = 0.3;
+  LiveSimStream stream(net, options, 5);
+  ExpectLiveTrace(stream, 1000, {214, 63, 0x1.8e55b282f3b65p+6, 0x1.935f8ae6b40e1p+6,
+                                    0xc6984f09fc1a9882ULL});
+}
+
+TEST(LiveSimStream, MatchesTheBatchSimulatorOnDeterministicServices) {
+  // Deterministic services draw nothing, so the live stream's interleaved draws and the
+  // batch simulator's routes-then-services order consume the same (empty) service
+  // stream, and the physics must agree bit for bit: the live records' entries and
+  // routes, fed to SimulateWithRoutes, reproduce every visit's arrival and departure.
+  // The slowdown overloads the front server for a while, so queues build and drain.
+  ThreeTierConfig config;
+  config.tier_sizes = {1, 2, 4};
+  config.arrival_rate = 3.0;
+  QueueingNetwork net = MakeThreeTierNetwork(config);
+  for (int q = 1; q < net.NumQueues(); ++q) {
+    net.SetService(q, std::make_unique<Deterministic>(0.2 + 0.05 * q));
+  }
+  FaultSchedule faults;
+  faults.AddSlowdown(1, 20.0, 40.0, 2.0);
+  LiveSimOptions options;
+  options.max_tasks = 400;
+  options.arrival_rate = 3.0;
+  options.faults = &faults;
+  LiveSimStream stream(net, options, 31);
+
+  std::vector<TaskRecord> records;
+  TaskRecord record;
+  while (stream.Next(record)) {
+    records.push_back(record);
+  }
+  ASSERT_EQ(records.size(), options.max_tasks);
+  std::vector<double> entries;
+  std::vector<std::vector<RouteStep>> routes;
+  for (const TaskRecord& live : records) {
+    entries.push_back(live.entry_time);
+    routes.emplace_back();
+    for (const TaskVisit& visit : live.visits) {
+      routes.back().push_back(RouteStep{visit.state, visit.queue});
+    }
+  }
+  SimOptions sim_options;
+  sim_options.faults = &faults;
+  Rng rng(1);
+  const EventLog batch = SimulateWithRoutes(net, entries, routes, rng, sim_options);
+
+  double max_wait = 0.0;
+  for (int k = 0; k < batch.NumTasks(); ++k) {
+    const std::vector<EventId>& events = batch.TaskEvents(k);
+    const std::vector<TaskVisit>& visits = records[static_cast<std::size_t>(k)].visits;
+    ASSERT_EQ(events.size(), visits.size() + 1) << "task " << k;
+    for (std::size_t j = 0; j < visits.size(); ++j) {
+      ASSERT_EQ(batch.Arrival(events[j + 1]), visits[j].arrival) << "task " << k;
+      ASSERT_EQ(batch.Departure(events[j + 1]), visits[j].departure) << "task " << k;
+      max_wait = std::max(max_wait, batch.WaitTime(events[j + 1]));
+    }
+  }
+  EXPECT_GT(max_wait, 1.0);  // the slowdown really queued tasks
+}
+
+// High-water marks of TasksInFlight() and of the arena's retained step rows over a whole
+// live stream.
+struct LiveMemoryHighWater {
+  std::size_t tasks_in_flight = 0;
+  std::size_t arena_rows = 0;
+};
+
+LiveMemoryHighWater RunLiveStreamToEnd(const QueueingNetwork& net, std::size_t max_tasks,
+                                       std::uint64_t seed) {
+  LiveSimOptions options;
+  options.max_tasks = max_tasks;
+  options.arrival_rate = 3.0;
+  options.observed_fraction = 0.2;
+  LiveSimStream stream(net, options, seed);
+  LiveMemoryHighWater high;
+  TaskRecord record;
+  std::size_t count = 0;
+  while (stream.Next(record)) {
+    ++count;
+    high.tasks_in_flight = std::max(high.tasks_in_flight, stream.TasksInFlight());
+    high.arena_rows = std::max(high.arena_rows, stream.Arena().route_steps.size());
+  }
+  EXPECT_EQ(count, max_tasks);
+  EXPECT_EQ(stream.TasksInFlight(), 0u);
+  return high;
+}
+
+TEST(LiveSimStream, MemoryStaysBoundedByTasksInFlight) {
+  // The emitted prefix of the arena is compacted away, so a stream ten times longer on
+  // the same seed retains about as many tasks and rows as a short one. Not exactly as
+  // many: the in-flight maximum of a stable queue still creeps up (like the log of the
+  // run length) as a longer run meets rarer bursts, so the bound is 2x, far below the
+  // 10x that retaining every task would show.
+  ThreeTierConfig config;
+  config.tier_sizes = {1, 2, 4};
+  config.arrival_rate = 3.0;
+  const QueueingNetwork net = MakeThreeTierNetwork(config);
+  const LiveMemoryHighWater short_run = RunLiveStreamToEnd(net, 2000, 19);
+  const LiveMemoryHighWater long_run = RunLiveStreamToEnd(net, 20000, 19);
+  EXPECT_LE(long_run.tasks_in_flight, 2 * short_run.tasks_in_flight);
+  EXPECT_LE(long_run.arena_rows, 2 * short_run.arena_rows);
+  // Compaction keeps the arena within a fixed batch of 256 emitted tasks plus twice the
+  // tasks in flight (three steps per task here).
+  EXPECT_LE(long_run.arena_rows, 3 * (256 + 2 * long_run.tasks_in_flight));
 }
 
 TEST(LiveSimStream, ArrivalScaleSegmentsModulateTheLoad) {
